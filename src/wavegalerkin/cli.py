@@ -223,11 +223,11 @@ def cmd_converge(rc: RunConfig, modes: list[int], dts: list[float], m_ref: int |
 
     domain = dataclasses.replace(rc.domain, grid_points=None)
     stride = rc.solver.sample_stride
+    x0_ref, x1_ref = _reference_initial(rc, m_ref)
     rows = []
     diverged = False
     for dt in dts:
         dt_ref = dt / dt_ref_factor
-        x0_ref, x1_ref = _reference_initial(rc, m_ref)
         ref = reference_run(
             domain,
             rc.nl,

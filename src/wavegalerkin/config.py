@@ -34,9 +34,10 @@ from .solver import (
     ProjectedInitialData,
     SolverConfig,
     State,
-    initial_state_from_modal,
+    fit_modal,
+    project_samples,
 )
-from .spectral import DIRICHLET, PERIODIC_MEAN_ZERO, DomainSpec, OperatorSpec, from_grid
+from .spectral import DIRICHLET, PERIODIC_MEAN_ZERO, DomainSpec, OperatorSpec
 
 __all__ = ["CONFIG_SCHEMA", "ConfigError", "MonitorSettings", "OutputSettings", "RunConfig", "load_config", "resolve_initial"]
 
@@ -388,13 +389,8 @@ def _resolve_field(spec: dict, op: OperatorSpec) -> tuple[np.ndarray, float]:
     if kind == "zero":
         return np.zeros(op.modes), 0.0
     if kind == "modal":
-        d = initial_state_from_modal(spec["coeffs"], [], op)
-        return np.asarray(d.state.a), d.x0_tail_norm
-    u = _field_samples(spec, op)
-    f = from_grid(u, op)
-    total = float(op.weights @ (u * u))
-    kept = float(f.coeffs @ f.coeffs)
-    return np.asarray(f.coeffs), math.sqrt(max(total - kept, 0.0))
+        return fit_modal(spec["coeffs"], op)
+    return project_samples(_field_samples(spec, op), op)
 
 
 def resolve_initial(rc: RunConfig, op: OperatorSpec) -> ProjectedInitialData:

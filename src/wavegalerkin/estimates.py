@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .nonlinearity import ZERO, ForcingSpec, NonlinearitySpec, forcing_modal_batch, potential_batch
+from .nonlinearity import ZERO, ForcingSpec, NonlinearitySpec, forcing_modal_batch, potential_batch, worst_margin
 from .spectral import OperatorSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -381,19 +381,14 @@ def identity_residuals(tbl: EnergyTable) -> np.ndarray:
 
 
 def _per_sample_check(name: str, t, viol, allowed) -> MonitorCheck:
-    viol = np.asarray(viol, dtype=np.float64)
-    allowed = np.broadcast_to(np.asarray(allowed, dtype=np.float64), viol.shape)
-    margin = viol - allowed
-    margin = np.where(np.isfinite(margin), margin, np.inf)
-    i = int(np.argmax(margin))
-    worst = float(viol[i]) if math.isfinite(viol[i]) else math.inf
+    i, worst, tolerance, passed = worst_margin(viol, allowed)
     return MonitorCheck(
         name=name,
-        passed=bool(margin[i] <= 0.0),
+        passed=passed,
         worst_violation=worst,
         t_worst=float(t[i]),
-        tolerance=float(allowed[i]),
-        samples=int(viol.shape[0]),
+        tolerance=tolerance,
+        samples=len(viol),
     )
 
 

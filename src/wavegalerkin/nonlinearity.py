@@ -23,7 +23,6 @@ __all__ = [
     "ConditionReport",
     "ForcingSpec",
     "NonlinearitySpec",
-    "PotentialValue",
     "affine_forcing",
     "apply_F",
     "apply_g",
@@ -36,9 +35,7 @@ __all__ = [
     "forcing_modal_batch",
     "linear_nonlinearity",
     "potential_batch",
-    "potential_Phi",
     "power_law_nonlinearity",
-    "primitive_F",
     "tabulated_f",
     "verify_conditions",
     "verify_g",
@@ -55,10 +52,6 @@ ZERO = "zero"
 AFFINE = "affine"
 CUSTOM_LIPSCHITZ = "custom_lipschitz"
 FORCING_KINDS = (ZERO, AFFINE, CUSTOM_LIPSCHITZ)
-
-# Default node count for the s-integral defining the potential; exact for
-# polynomial integrands up to degree 31, which covers the built-in kinds.
-S_NODES_DEFAULT = 16
 
 # Random verifier draws: coefficients i.i.d. uniform in [-1, 1] times an
 # amplitude uniform in [0, AMPLITUDE_MAX].
@@ -166,15 +159,21 @@ def tabulated_f(r_values, f_values) -> Callable[[np.ndarray], np.ndarray]:
     return f
 
 
-# 32-node Gauss-Legendre on (0, 1), used to evaluate the primitive of a
-# custom f on whole grids at once: F(u) = u * int_0^1 f(u*s) ds.
-_GL32_NODES, _GL32_WEIGHTS = np.polynomial.legendre.leggauss(32)
-_GL32_NODES = 0.5 * (_GL32_NODES + 1.0)
-_GL32_WEIGHTS = 0.5 * _GL32_WEIGHTS
+def _gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
-_GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(S_NODES_DEFAULT)
-_GL16_NODES = 0.5 * (_GL16_NODES + 1.0)
-_GL16_WEIGHTS = 0.5 * _GL16_WEIGHTS
+
+# Gauss-Legendre on (0, 1) for the primitive of a custom f on whole grids:
+# F(u) = u * int_0^1 f(u*s) ds.  32 nodes keep the stepping path cheap.
+_GL32_NODES, _GL32_WEIGHTS = _gauss_legendre_01(32)
+
+# The potential of a custom f, Phi(u) = u^2 * int_0^1 (1 - s) f(u*s) ds,
+# on one fixed rule.  On piecewise-linear tables of 3r^2 along short
+# trajectories, against a 1000-node rule, 128 nodes stay within 3.3e-5
+# relative error and 32 nodes reach 3.7e-4.
+_PHI_NODES, _PHI_WEIGHTS = _gauss_legendre_01(128)
+_PHI_WEIGHTS = _PHI_WEIGHTS * (1.0 - _PHI_NODES)
 
 
 def F_on_grid(nl: NonlinearitySpec, u: np.ndarray) -> np.ndarray:
@@ -205,25 +204,6 @@ def f_on_grid(nl: NonlinearitySpec, u: np.ndarray) -> np.ndarray:
     return np.asarray(nl.f(u), dtype=np.float64)
 
 
-def primitive_F(nl: NonlinearitySpec, r: float) -> float:
-    """F(r) = integral of f from 0 to r; closed form for built-in kinds."""
-    if not (isinstance(r, (int, float)) and math.isfinite(r)):
-        raise ValueError("r must be finite")
-    r = float(r)
-    if nl.kind == LINEAR:
-        return r
-    if nl.kind == POWER_LAW:
-        return abs(r) ** (nl.p - 2.0) * r
-    if nl.kind == CUBIC:
-        return r * r * r
-    if nl.F is not None:
-        return float(nl.F(np.float64(r)))
-    from scipy.integrate import quad
-
-    value, _ = quad(lambda s: float(nl.f(np.float64(s))), 0.0, r, epsabs=1e-12, limit=200)
-    return float(value)
-
-
 def apply_F(x: SpectralField, nl: NonlinearitySpec) -> SpectralField:
     """Galerkin projection of F composed with the field.
 
@@ -241,63 +221,28 @@ def apply_F(x: SpectralField, nl: NonlinearitySpec) -> SpectralField:
     return SpectralField(x.op.projection @ w, x.op)
 
 
-@dataclass(frozen=True)
-class PotentialValue:
-    """Potential of F at one field, plus the s-integral resolution used.
-
-    ``quadrature_nodes == 0`` marks a closed-form evaluation.
-    """
-
-    value: float
-    quadrature_nodes: int
-
-
 def _grid_samples(coeffs: np.ndarray, op: OperatorSpec) -> np.ndarray:
     return coeffs @ op.basis.T
 
 
-def potential_batch(
-    coeffs: np.ndarray,
-    op: OperatorSpec,
-    nl: NonlinearitySpec,
-    s_nodes: int = S_NODES_DEFAULT,
-    force_quadrature: bool = False,
-) -> np.ndarray:
+def potential_batch(coeffs: np.ndarray, op: OperatorSpec, nl: NonlinearitySpec) -> np.ndarray:
     """Potential values for a batch of coefficient rows, vectorized.
 
-    Phi(x) = int_0^1 <F(s x), x> ds; closed forms for the built-in kinds,
-    Gauss-Legendre in s otherwise (or when ``force_quadrature`` is set).
+    Phi(x) = int_0^1 <F(s x), x> ds; closed forms for the built-in kinds.
+    For a custom kind each grid value u contributes
+    ``u^2 * int_0^1 (1 - s) f(u*s) ds``, on the fixed 128-node rule.
     """
     c = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
-    if not force_quadrature:
-        if nl.kind == LINEAR:
-            return 0.5 * np.sum(c * c, axis=1)
-        if nl.kind in (POWER_LAW, CUBIC):
-            u = _grid_samples(c, op)
-            return (np.abs(u) ** nl.p @ op.weights) / nl.p
-    if s_nodes == S_NODES_DEFAULT:
-        s, w = _GL16_NODES, _GL16_WEIGHTS
-    else:
-        s, w = np.polynomial.legendre.leggauss(int(s_nodes))
-        s = 0.5 * (s + 1.0)
-        w = 0.5 * w
+    if nl.kind == LINEAR:
+        return 0.5 * np.sum(c * c, axis=1)
     u = _grid_samples(c, op)
-    out = np.zeros(c.shape[0])
-    for sq, wq in zip(s, w):
-        out += wq * ((F_on_grid(nl, sq * u) * u) @ op.weights)
-    return out
-
-
-def potential_Phi(
-    x: SpectralField,
-    nl: NonlinearitySpec,
-    s_nodes: int = S_NODES_DEFAULT,
-    force_quadrature: bool = False,
-) -> PotentialValue:
-    """Potential of F at ``x``; see :func:`potential_batch` for the rule."""
-    value = float(potential_batch(x.coeffs[None, :], x.op, nl, s_nodes, force_quadrature)[0])
-    closed = (not force_quadrature) and nl.kind in (LINEAR, POWER_LAW, CUBIC)
-    return PotentialValue(value=value, quadrature_nodes=0 if closed else int(s_nodes))
+    if nl.kind in (POWER_LAW, CUBIC):
+        return (np.abs(u) ** nl.p @ op.weights) / nl.p
+    # One node at a time keeps the working set at one grid batch.
+    acc = np.zeros_like(u)
+    for sq, wq in zip(_PHI_NODES, _PHI_WEIGHTS):
+        acc += wq * np.asarray(nl.f(sq * u), dtype=np.float64)
+    return (u * u * acc) @ op.weights
 
 
 @dataclass(frozen=True)
@@ -353,11 +298,22 @@ def _draw_batch(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     return coeffs * amps
 
 
-def _check(name: str, n: int, violation: np.ndarray, tol: np.ndarray, witness_extra=None) -> ConditionCheck:
-    margin = violation - tol
+def worst_margin(viol, allowed) -> tuple[int, float, float, bool]:
+    """Sample with the largest ``viol - allowed``, as (index, violation, tolerance, passed).
+
+    A non-finite margin counts as an unbounded violation, reported as +inf.
+    """
+    viol = np.asarray(viol, dtype=np.float64)
+    allowed = np.broadcast_to(np.asarray(allowed, dtype=np.float64), viol.shape)
+    margin = viol - allowed
+    margin = np.where(np.isfinite(margin), margin, np.inf)
     i = int(np.argmax(margin))
-    worst = float(violation[i])
-    passed = bool(margin[i] <= 0.0)
+    worst = float(viol[i]) if math.isfinite(viol[i]) else math.inf
+    return i, worst, float(allowed[i]), bool(margin[i] <= 0.0)
+
+
+def _check(name: str, n: int, violation: np.ndarray, tol: np.ndarray, witness_extra=None) -> ConditionCheck:
+    i, worst, tolerance, passed = worst_margin(violation, tol)
     witness = {"sample": i}
     if witness_extra is not None:
         witness.update({k: float(v[i]) for k, v in witness_extra.items()})
@@ -366,7 +322,7 @@ def _check(name: str, n: int, violation: np.ndarray, tol: np.ndarray, witness_ex
         passed=passed,
         samples=n,
         worst_violation=worst,
-        tolerance=float(tol[i]) if np.ndim(tol) else float(tol),
+        tolerance=tolerance,
         witness=witness if not passed else None,
     )
 

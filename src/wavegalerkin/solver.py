@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .estimates import EnergyRecord, EnergyTable, energy_table
+from .estimates import EnergyTable, energy_table
 from .nonlinearity import (
     AFFINE,
     CUBIC,
@@ -136,54 +136,51 @@ class ProjectedInitialData:
     x1_tail_norm: float
 
 
+def project_samples(samples, op: OperatorSpec) -> tuple[np.ndarray, float]:
+    """Coefficients of grid samples on the retained modes, and the tail norm.
+
+    The tail norm estimates ``||u - P_m u||`` by comparing the quadrature
+    of ``u^2`` with the retained coefficient energy.
+    """
+    u = np.asarray(samples, dtype=np.float64)
+    coeffs = from_grid(u, op).coeffs
+    total = float(op.weights @ (u * u))
+    kept = float(coeffs @ coeffs)
+    return coeffs, math.sqrt(max(total - kept, 0.0))
+
+
+def fit_modal(coeffs, op: OperatorSpec) -> tuple[np.ndarray, float]:
+    """Truncate or zero-pad coefficients to the retained modes, with the tail norm.
+
+    Dropped coefficients are exactly the discarded L2 mass for orthonormal
+    modes.
+    """
+    c = np.asarray(coeffs, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(c)):
+        raise ValueError("modal coefficients must be finite")
+    if c.size >= op.modes:
+        return c[: op.modes].copy(), float(np.linalg.norm(c[op.modes :]))
+    out = np.zeros(op.modes)
+    out[: c.size] = c
+    return out, 0.0
+
+
 def project_initial_data(x0_samples, x1_samples, op: OperatorSpec) -> ProjectedInitialData:
     """Spectral truncation of sampled initial data to the retained modes.
 
-    The tail norms estimate ``||u - P_m u||`` by comparing the quadrature
-    of ``u^2`` with the retained coefficient energy; they quantify how much
-    of the supplied data the discretization cannot represent.
+    The tail norms (see :func:`project_samples`) quantify how much of the
+    supplied data the discretization cannot represent.
     """
-    x0 = from_grid(np.asarray(x0_samples, dtype=np.float64), op)
-    x1 = from_grid(np.asarray(x1_samples, dtype=np.float64), op)
-
-    def tail(samples: np.ndarray, coeffs: np.ndarray) -> float:
-        total = float(op.weights @ (samples * samples))
-        kept = float(coeffs @ coeffs)
-        return math.sqrt(max(total - kept, 0.0))
-
-    state = State(a=x0.coeffs, adot=x1.coeffs, t=0.0)
-    return ProjectedInitialData(
-        state=state,
-        x0_tail_norm=tail(np.asarray(x0_samples, dtype=np.float64), x0.coeffs),
-        x1_tail_norm=tail(np.asarray(x1_samples, dtype=np.float64), x1.coeffs),
-    )
+    a, tail0 = project_samples(x0_samples, op)
+    adot, tail1 = project_samples(x1_samples, op)
+    return ProjectedInitialData(state=State(a=a, adot=adot, t=0.0), x0_tail_norm=tail0, x1_tail_norm=tail1)
 
 
 def initial_state_from_modal(coeffs0, coeffs1, op: OperatorSpec) -> ProjectedInitialData:
-    """Initial state from coefficient lists, truncating or zero-padding.
-
-    Coefficients beyond the retained modes are dropped and reported as the
-    tail norm (they are exactly the discarded L2 mass for orthonormal
-    modes).
-    """
-
-    def fit(coeffs) -> tuple[np.ndarray, float]:
-        c = np.asarray(coeffs, dtype=np.float64).ravel()
-        if not np.all(np.isfinite(c)):
-            raise ValueError("modal coefficients must be finite")
-        if c.size >= op.modes:
-            return c[: op.modes].copy(), float(np.linalg.norm(c[op.modes :]))
-        out = np.zeros(op.modes)
-        out[: c.size] = c
-        return out, 0.0
-
-    a, tail0 = fit(coeffs0)
-    adot, tail1 = fit(coeffs1)
-    return ProjectedInitialData(
-        state=State(a=a, adot=adot, t=0.0),
-        x0_tail_norm=tail0,
-        x1_tail_norm=tail1,
-    )
+    """Initial state from coefficient lists, truncating or zero-padding."""
+    a, tail0 = fit_modal(coeffs0, op)
+    adot, tail1 = fit_modal(coeffs1, op)
+    return ProjectedInitialData(state=State(a=a, adot=adot, t=0.0), x0_tail_norm=tail0, x1_tail_norm=tail1)
 
 
 def acceleration(state: State, op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec) -> np.ndarray:
@@ -224,13 +221,6 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return self.energy.t
-
-    @property
-    def samples(self) -> list[tuple[State, EnergyRecord]]:
-        return [
-            (State(a=self.a[i], adot=self.adot[i], t=float(self.energy.t[i])), self.energy.row(i))
-            for i in range(len(self))
-        ]
 
     @property
     def final_state(self) -> State:

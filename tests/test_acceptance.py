@@ -160,17 +160,22 @@ def test_A6_closed_forms_match_dense_integration():
     ts = np.linspace(0.0, 1.0, 11)
     rng = np.random.default_rng(42)
 
-    worst_g = 0.0
+    # Each family is integrated in one broadcast call: column j of the dense
+    # result is parameter set j.
+    sets_g = []
     for i in range(100):
         C0 = 0.0 if i < 5 else float(rng.uniform(0.0, 3.0))
         C1 = float(rng.uniform(0.0, 2.0))
         z0 = float(rng.uniform(0.1, 5.0))
-        gp = GronwallParams(C0=C0, C1=C1, c_tilde=1.0, E_init=z0)
-        closed = gronwall_envelope(gp, ts)
-        dense = scalar_comparison(GRONWALL_LINEAR, {"C0": C0, "C1": C1, "z0": z0}, ts)
-        worst_g = max(worst_g, float(np.max(np.abs(closed - dense) / np.abs(dense))))
+        sets_g.append((C0, C1, z0))
+    C0, C1, z0 = (np.array(col) for col in zip(*sets_g))
+    dense_g = scalar_comparison(GRONWALL_LINEAR, {"C0": C0, "C1": C1, "z0": z0}, ts)
+    worst_g = 0.0
+    for j, (c0, c1, z) in enumerate(sets_g):
+        closed = gronwall_envelope(GronwallParams(C0=c0, C1=c1, c_tilde=1.0, E_init=z), ts)
+        worst_g = max(worst_g, float(np.max(np.abs(closed - dense_g[:, j]) / np.abs(dense_g[:, j]))))
 
-    worst_b = 0.0
+    sets_b = []
     for i in range(100):
         r = float(rng.uniform(1.5, 3.0))
         if i < 50:
@@ -182,10 +187,13 @@ def test_A6_closed_forms_match_dense_integration():
             cap = 1.0 / (2.0 ** r * C ** r)
             delta = 0.5 * min(cap, 0.5) * float(rng.uniform(0.3, 0.9))
             by0 = float(rng.uniform(0.1, 5.0))
-        dp = DecayParams(r=r, c=1.0, C=C, k=2.0, delta=delta)
-        closed = decay_bound(dp, by0, ts)
-        dense = scalar_comparison(BERNOULLI, {"delta": delta, "r": r, "w0": by0 + 2.0 * C}, ts) - 2.0 * C
-        worst_b = max(worst_b, float(np.max(np.abs(closed - dense) / np.abs(dense))))
+        sets_b.append((r, C, delta, by0))
+    r, C, delta, by0 = (np.array(col) for col in zip(*sets_b))
+    dense_b = scalar_comparison(BERNOULLI, {"delta": delta, "r": r, "w0": by0 + 2.0 * C}, ts) - 2.0 * C
+    worst_b = 0.0
+    for j, (rj, cj, dj, bj) in enumerate(sets_b):
+        closed = decay_bound(DecayParams(r=rj, c=1.0, C=cj, k=2.0, delta=dj), bj, ts)
+        worst_b = max(worst_b, float(np.max(np.abs(closed - dense_b[:, j]) / np.abs(dense_b[:, j]))))
 
     ok = worst_g <= 1e-7 and worst_b <= 1e-7
     detail = f"worst relative gap: envelope {worst_g:.3e}, decay {worst_b:.3e} (tol 1e-7, 100 sets each)"

@@ -20,10 +20,8 @@ from wavegalerkin.nonlinearity import (
     F_on_grid,
     forcing_modal_batch,
     linear_nonlinearity,
-    potential_Phi,
     potential_batch,
     power_law_nonlinearity,
-    primitive_F,
     tabulated_f,
     verify_conditions,
     verify_g,
@@ -33,30 +31,27 @@ from wavegalerkin.spectral import SpectralField, unit_mode
 
 
 def test_primitive_closed_forms():
-    assert primitive_F(linear_nonlinearity(), 2.0) == pytest.approx(2.0)
-    assert primitive_F(cubic_nonlinearity(), 2.0) == pytest.approx(8.0)
-    assert primitive_F(cubic_nonlinearity(), -2.0) == pytest.approx(-8.0)
-    assert primitive_F(power_law_nonlinearity(3.0), 2.0) == pytest.approx(4.0)
-    assert primitive_F(power_law_nonlinearity(3.0), -2.0) == pytest.approx(-4.0)
-    with pytest.raises(ValueError):
-        primitive_F(cubic_nonlinearity(), math.inf)
+    r = np.array([2.0, -2.0])
+    assert np.allclose(F_on_grid(linear_nonlinearity(), r), [2.0, -2.0])
+    assert np.allclose(F_on_grid(cubic_nonlinearity(), r), [8.0, -8.0])
+    assert np.allclose(F_on_grid(power_law_nonlinearity(3.0), r), [4.0, -4.0])
 
 
 def test_primitive_is_integral_of_f():
     for nl in (cubic_nonlinearity(), power_law_nonlinearity(3.5)):
         for r in (-2.3, -0.4, 0.7, 3.1):
             ref, _ = quad(lambda s: float(f_on_grid(nl, np.float64(s))), 0.0, r, epsabs=1e-13)
-            assert abs(primitive_F(nl, r) - ref) <= 1e-10 * (1.0 + abs(r) ** (nl.p - 1.0))
+            assert abs(float(F_on_grid(nl, np.float64(r))) - ref) <= 1e-10 * (1.0 + abs(r) ** (nl.p - 1.0))
 
 
 def test_custom_primitive_from_quadrature():
     nl = custom_nonlinearity(f=np.cos, p=3.0, a0=2.0, a1=1.0, b0=0.5, b1=0.0)
     # primitive of cos is sin
-    assert primitive_F(nl, math.pi / 2.0) == pytest.approx(1.0, abs=1e-10)
+    assert float(F_on_grid(nl, np.float64(math.pi / 2.0))) == pytest.approx(1.0, abs=1e-10)
     u = np.linspace(-2.0, 2.0, 41)
     assert np.allclose(F_on_grid(nl, u), np.sin(u), atol=1e-12)
     nl_with_F = custom_nonlinearity(f=np.cos, p=3.0, a0=2.0, a1=1.0, b0=0.5, b1=0.0, F=np.sin)
-    assert primitive_F(nl_with_F, 0.3) == pytest.approx(math.sin(0.3), rel=1e-14)
+    assert float(F_on_grid(nl_with_F, np.float64(0.3))) == pytest.approx(math.sin(0.3), rel=1e-14)
 
 
 def test_apply_F_linear_is_identity(op8):
@@ -80,46 +75,43 @@ def test_apply_F_overflow_raises(op8):
 
 
 def test_potential_closed_forms(op8):
-    e1 = unit_mode(op8, 0)
-    lin = potential_Phi(e1, linear_nonlinearity())
-    assert lin.value == pytest.approx(0.5, rel=1e-13)
-    assert lin.quadrature_nodes == 0
-    cub = potential_Phi(e1, cubic_nonlinearity())
-    assert cub.value == pytest.approx(0.375, rel=1e-12)
-    zero = potential_Phi(SpectralField(np.zeros(8), op8), cubic_nonlinearity())
-    assert zero.value == 0.0
+    e1 = unit_mode(op8, 0).coeffs[None, :]
+    assert potential_batch(e1, op8, linear_nonlinearity())[0] == pytest.approx(0.5, rel=1e-13)
+    assert potential_batch(e1, op8, cubic_nonlinearity())[0] == pytest.approx(0.375, rel=1e-12)
+    assert potential_batch(np.zeros((1, 8)), op8, cubic_nonlinearity())[0] == 0.0
 
 
 def test_potential_quadrature_matches_closed_form(op16):
+    # a custom f = 3u^2 goes through the quadrature rule; the cubic kind
+    # has the same potential in closed form
     rng = np.random.default_rng(2)
     c = rng.uniform(-0.5, 0.5, size=(5, 16))
     closed = potential_batch(c, op16, cubic_nonlinearity())
-    viaquad = potential_batch(c, op16, cubic_nonlinearity(), force_quadrature=True)
+    custom = custom_nonlinearity(f=lambda u: 3.0 * u * u, p=4.0, a0=1.0, a1=0.0, b0=1.0, b1=0.0)
+    viaquad = potential_batch(c, op16, custom)
     assert np.allclose(viaquad, closed, rtol=1e-9)
-    one = potential_Phi(SpectralField(c[0], op16), cubic_nonlinearity(), force_quadrature=True)
-    assert one.quadrature_nodes == 16
 
 
 def test_potential_custom_matches_reference_integral(op8):
     # f = cos has potential integral (1 - cos(x(xi))) over the interval
     nl = custom_nonlinearity(f=np.cos, p=3.0, a0=2.0, a1=1.0, b0=0.5, b1=0.0)
     x = unit_mode(op8, 0, amplitude=0.3)
-    got = potential_Phi(x, nl)
-    assert got.quadrature_nodes == 16
-    assert got.value == pytest.approx(0.044496274143657831, abs=1e-10)
+    got = potential_batch(x.coeffs[None, :], op8, nl)[0]
+    assert got == pytest.approx(0.044496274143657831, abs=1e-10)
 
 
 def test_potential_is_primitive_of_F(op8):
     rng = np.random.default_rng(9)
-    nl = cubic_nonlinearity()
-    x = rng.normal(size=8)
-    z = rng.normal(size=8)
-    z /= np.linalg.norm(z)
-    eps = 1e-5
-    plus = potential_batch((x + eps * z)[None, :], op8, nl)[0]
-    minus = potential_batch((x - eps * z)[None, :], op8, nl)[0]
-    pairing = float(apply_F(SpectralField(x, op8), nl).coeffs @ z)
-    assert abs((plus - minus) / (2.0 * eps) - pairing) <= 1e-6
+    custom = custom_nonlinearity(f=lambda u: 3.0 * u * u + np.cos(u), p=4.0, a0=1.0, a1=1.0, b0=1.0, b1=0.0)
+    for nl in (cubic_nonlinearity(), custom):
+        x = rng.normal(size=8)
+        z = rng.normal(size=8)
+        z /= np.linalg.norm(z)
+        eps = 1e-5
+        plus = potential_batch((x + eps * z)[None, :], op8, nl)[0]
+        minus = potential_batch((x - eps * z)[None, :], op8, nl)[0]
+        pairing = float(apply_F(SpectralField(x, op8), nl).coeffs @ z)
+        assert abs((plus - minus) / (2.0 * eps) - pairing) <= 1e-6
 
 
 def test_verify_conditions_power_law_passes(op8):
@@ -148,6 +140,16 @@ def test_verify_conditions_falsifies_overstated_coercivity(op8):
     rep = verify_conditions(nl, op8, samples=2000, seed=2)
     coerce = rep.checks[2]
     assert coerce.name == "coercivity" and not coerce.passed
+
+
+def test_verify_conditions_overflow_is_an_unbounded_violation(op8):
+    # |u|^198 overflows at verifier amplitudes; the margins turn non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = verify_conditions(power_law_nonlinearity(200.0), op8, samples=200, seed=0)
+    assert not rep.passed
+    failed = [c for c in rep.checks if not c.passed]
+    assert failed and all(c.worst_violation == math.inf for c in failed)
+    assert not any(math.isnan(c.worst_violation) for c in rep.checks)
 
 
 def test_verify_g_affine_passes(op8):

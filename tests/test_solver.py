@@ -222,8 +222,7 @@ def test_trajectory_sampling_and_zero_T(op8):
     traj = integrate(init, SolverConfig(T=1.0, dt=1e-2, sample_stride=10), op8, cubic_nonlinearity(), zero_forcing())
     assert len(traj) == 11
     assert np.allclose(traj.times, np.linspace(0.0, 1.0, 11), atol=1e-12)
-    state, record = traj.samples[0]
-    assert np.all(state.a == init.a) and record.t == 0.0
+    assert np.all(traj.a[0] == init.a) and traj.energy.row(0).t == 0.0
     assert traj.cfg.integrator == RK4
 
 
