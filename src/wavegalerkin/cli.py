@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -83,6 +84,22 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _finite_json(obj):
+    """Replace non-finite floats with the strings "inf", "-inf" and "nan"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v) for v in obj]
+    return obj
+
+
+def _json(obj) -> str:
+    """Strict JSON text: an unbounded check reads "inf", never a bare Infinity token."""
+    return json.dumps(_finite_json(obj), indent=2, allow_nan=False)
+
+
 def _num(v: float) -> str:
     return f"{v:.17g}"
 
@@ -151,7 +168,7 @@ def _derive_bounds(rc: RunConfig, op, initial_record):
 
 def cmd_verify(rc: RunConfig) -> int:
     _, report, proceed = _verification(rc)
-    print(json.dumps(report, indent=2))
+    print(_json(report))
     return EXIT_OK if proceed else EXIT_VIOLATION
 
 
@@ -160,7 +177,7 @@ def cmd_run(rc: RunConfig) -> int:
     csv_path = _resolve_out(rc.output.csv_path)
     op, ver_report, proceed = _verification(rc)
     if not proceed:
-        _write_atomic(report_path, json.dumps({"verification": ver_report, "monitor": None}, indent=2) + "\n")
+        _write_atomic(report_path, _json({"verification": ver_report, "monitor": None}) + "\n")
         print(f"verification failed; report at {report_path}")
         return EXIT_VIOLATION
 
@@ -183,7 +200,7 @@ def cmd_run(rc: RunConfig) -> int:
         "samples": len(traj),
         "csv_path": str(csv_path),
     }
-    _write_atomic(report_path, json.dumps(report, indent=2) + "\n")
+    _write_atomic(report_path, _json(report) + "\n")
 
     status = "diverged" if traj.diverged else ("pass" if rep.passed else "violation")
     print(f"run: {status}; {len(traj)} samples; csv={csv_path} report={report_path}")
@@ -270,7 +287,7 @@ def cmd_converge(rc: RunConfig, modes: list[int], dts: list[float], m_ref: int |
     }
     json_path = _resolve_out(out_json)
     csv_path = _resolve_out(out_csv)
-    _write_atomic(json_path, json.dumps(study, indent=2) + "\n")
+    _write_atomic(json_path, _json(study) + "\n")
     csv_lines = ["modes,dt,error"]
     for r in rows:
         err = _num(r["error"]) if r["error"] is not None else "diverged"
@@ -320,7 +337,7 @@ def cmd_decay(rc: RunConfig, T_override: float | None, out_json: str) -> int:
         "verification": ver_report,
     }
     json_path = _resolve_out(out_json)
-    _write_atomic(json_path, json.dumps(study, indent=2) + "\n")
+    _write_atomic(json_path, _json(study) + "\n")
     print(f"decay: sup ||By||^2 = {sup_by:.6g}, radius = {radius:.6g}; json={json_path}")
 
     if traj.diverged:
@@ -344,7 +361,7 @@ def cmd_oracle(args) -> int:
         dp = DecayParams(r=args.r, c=1.0, C=0.0, k=2.0, delta=args.delta)
         closed = np.atleast_1d(decay_bound(dp, args.w0, t))
         out = {"t": list(t), "closed_form": list(closed), "dense": [float(v) for v in dense]}
-    print(json.dumps(out, indent=2))
+    print(_json(out))
     return EXIT_OK
 
 

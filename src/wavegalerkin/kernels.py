@@ -172,6 +172,9 @@ def run_compiled(
     return a_hist[:n_rec].copy(), adot_hist[:n_rec].copy(), rec_steps[:n_rec].copy(), diverged_step
 
 
+# A NaN state compares false against the ceiling.  The error state is set
+# once per call: entering it every step cost as much as the check itself.
+@np.errstate(invalid="ignore")
 def run_numpy(a0, adot0, dt, n_steps, stride, ceiling, use_verlet, accel):
     """Pure-numpy twin of :func:`run_compiled`.
 
@@ -205,8 +208,7 @@ def run_numpy(a0, adot0, dt, n_steps, stride, ceiling, use_verlet, accel):
             k4 = accel(a + h * adot + 0.5 * h * h * k2, adot + h * k3)
             a = a + (h * adot + (h * h / 6.0) * (k1 + k2 + k3))
             adot = adot + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        with np.errstate(invalid="ignore"):
-            bad = not (np.all(np.isfinite(a)) and np.all(np.isfinite(adot))) or np.max(np.abs(a)) > ceiling
+        bad = not (np.all(np.isfinite(a)) and np.all(np.isfinite(adot))) or np.max(np.abs(a)) > ceiling
         if bad:
             a_hist[n_rec] = a
             adot_hist[n_rec] = adot

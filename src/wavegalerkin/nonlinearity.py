@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import OperatorSpec, SpectralField, to_grid
+from .spectral import OperatorSpec, SpectralField, grid_to_modes, modes_to_grid, to_grid
 
 __all__ = [
     "ConditionCheck",
@@ -218,11 +218,7 @@ def apply_F(x: SpectralField, nl: NonlinearitySpec) -> SpectralField:
     if not np.all(np.isfinite(w)):
         peak = float(np.max(np.abs(u)))
         raise OverflowError(f"F overflowed on grid samples (peak |u| = {peak:.6g})")
-    return SpectralField(x.op.projection @ w, x.op)
-
-
-def _grid_samples(coeffs: np.ndarray, op: OperatorSpec) -> np.ndarray:
-    return coeffs @ op.basis.T
+    return SpectralField(grid_to_modes(w, x.op), x.op)
 
 
 def potential_batch(coeffs: np.ndarray, op: OperatorSpec, nl: NonlinearitySpec) -> np.ndarray:
@@ -235,7 +231,7 @@ def potential_batch(coeffs: np.ndarray, op: OperatorSpec, nl: NonlinearitySpec) 
     c = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
     if nl.kind == LINEAR:
         return 0.5 * np.sum(c * c, axis=1)
-    u = _grid_samples(c, op)
+    u = modes_to_grid(c, op)
     if nl.kind in (POWER_LAW, CUBIC):
         return (np.abs(u) ** nl.p @ op.weights) / nl.p
     # One node at a time keeps the working set at one grid batch.
@@ -327,6 +323,9 @@ def _check(name: str, n: int, violation: np.ndarray, tol: np.ndarray, witness_ex
     )
 
 
+# Overflowing samples (large p at verifier amplitudes) give non-finite
+# margins, which worst_margin reports as unbounded violations.
+@np.errstate(over="ignore", invalid="ignore")
 def verify_conditions(
     nl: NonlinearitySpec,
     op: OperatorSpec,
@@ -351,8 +350,8 @@ def verify_conditions(
     cx = _draw_batch(rng, samples, m)
     cz = _draw_batch(rng, samples, m)
     w = op.weights
-    ux = _grid_samples(cx, op)
-    uz = _grid_samples(cz, op)
+    ux = modes_to_grid(cx, op)
+    uz = modes_to_grid(cz, op)
     fx = F_on_grid(nl, ux)
     fz = F_on_grid(nl, uz)
 
@@ -449,7 +448,7 @@ def custom_lipschitz_forcing(
 
 def constant_modal(op: OperatorSpec, value: float = 1.0) -> np.ndarray:
     """Coefficients of the constant function projected onto the basis."""
-    return op.projection @ np.full(op.grid_points, float(value))
+    return grid_to_modes(np.full(op.grid_points, float(value)), op)
 
 
 def apply_g(fs: ForcingSpec, x: SpectralField, v: SpectralField) -> SpectralField:
@@ -470,7 +469,7 @@ def apply_g(fs: ForcingSpec, x: SpectralField, v: SpectralField) -> SpectralFiel
         raise ValueError("custom forcing must return one sample per grid node")
     if not np.all(np.isfinite(s)):
         raise OverflowError("forcing overflowed on grid samples")
-    return SpectralField(op.projection @ s, op)
+    return SpectralField(grid_to_modes(s, op), op)
 
 
 def forcing_modal_batch(
@@ -495,10 +494,10 @@ def forcing_modal_batch(
         if fs.constant != 0.0:
             out = out + fs.constant * constant_modal(op)[None, :]
         return out
-    ug = _grid_samples(a, op)
-    vg = _grid_samples(v, op)
+    ug = modes_to_grid(a, op)
+    vg = modes_to_grid(v, op)
     rows = [fs.func(ug[i], vg[i]) for i in range(a.shape[0])]
-    return np.asarray(rows, dtype=np.float64) @ op.projection.T
+    return grid_to_modes(np.asarray(rows, dtype=np.float64), op)
 
 
 def verify_g(

@@ -31,7 +31,7 @@ from .nonlinearity import (
     apply_g,
     constant_modal,
 )
-from .spectral import OperatorSpec, SpectralField, from_grid
+from .spectral import OperatorSpec, SpectralField, from_grid, transform_pair
 
 __all__ = [
     "RK4",
@@ -240,8 +240,8 @@ def _numpy_accel(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
     """Acceleration closure for the numpy path, mirroring the compiled one."""
     lam = np.ascontiguousarray(op.eigenvalues)
     sqrt_lam = np.ascontiguousarray(op.sqrt_eigenvalues)
-    basis = np.ascontiguousarray(op.basis)
-    proj = np.ascontiguousarray(op.projection)
+    # Dense or FFT, picked here once per integration.
+    sample, project = transform_pair(op)
     gc = fs.constant * constant_modal(op) if fs.kind == AFFINE and fs.constant != 0.0 else None
     pm2 = nl.p - 2.0
 
@@ -249,14 +249,14 @@ def _numpy_accel(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
         if nl.kind == LINEAR:
             out = -(lam * a)
         else:
-            u = basis @ a
+            u = sample(a)
             if nl.kind == CUBIC:
                 w = u * u * u
             elif nl.kind == POWER_LAW:
                 w = np.abs(u) ** pm2 * u
             else:
                 w = F_on_grid(nl, u)
-            out = -(lam * (proj @ w))
+            out = -(lam * project(w))
         if fs.kind == ZERO:
             return out
         if fs.kind == AFFINE:
@@ -264,8 +264,8 @@ def _numpy_accel(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
             if gc is not None:
                 extra = extra + gc
             return out + extra
-        vg = basis @ (adot / sqrt_lam)
-        return out + proj @ np.asarray(fs.func(basis @ a, vg), dtype=np.float64)
+        vg = sample(adot / sqrt_lam)
+        return out + project(np.asarray(fs.func(sample(a), vg), dtype=np.float64))
 
     return accel
 

@@ -5,19 +5,23 @@ operator ``A`` on ``(0, length)``: Dirichlet sine modes, or mean-zero
 Fourier modes for the periodic case.  ``A`` and its powers act diagonally
 on coefficients; grid transforms use a quadrature rule that integrates
 products of retained basis functions exactly, so projections of polynomial
-nonlinearities are alias-free at the default grid size.
+nonlinearities are alias-free at the default grid size.  Below
+``FFT_MIN_MODES`` modes the transforms are dense matrix products; at or
+above it they run on ``numpy.fft``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "BoundaryKind",
     "DomainSpec",
+    "FFT_MIN_MODES",
     "OperatorSpec",
     "PoincareViolationError",
     "SpectralField",
@@ -29,10 +33,13 @@ __all__ = [
     "dealias_floor",
     "default_grid_points",
     "from_grid",
+    "grid_to_modes",
     "inner",
+    "modes_to_grid",
     "norm_H",
     "norm_Lp",
     "to_grid",
+    "transform_pair",
     "unit_mode",
 ]
 
@@ -42,6 +49,12 @@ BOUNDARY_KINDS = (DIRICHLET, PERIODIC_MEAN_ZERO)
 
 # Alias for discoverability; values are the strings above.
 BoundaryKind = str
+
+# Smallest mode count whose grid transforms run on numpy.fft; below it they
+# are dense products.  Set from the crossover sweep in
+# benchmarks/bench_transforms.py: at or above it the FFT pair was no slower
+# than the dense one at every swept mode count, in both boundary conditions.
+FFT_MIN_MODES = 384
 
 
 class PoincareViolationError(ValueError):
@@ -115,7 +128,8 @@ class OperatorSpec:
 
     ``basis`` has shape ``(grid_points, modes)`` with columns sampling the
     orthonormal eigenfunctions; ``projection`` is its quadrature-weighted
-    transpose, so ``projection @ basis == identity`` up to round-off.
+    transpose, so ``projection @ basis == identity`` up to round-off.  Both
+    are built on first use, so operators on the FFT path never store them.
     """
 
     domain: DomainSpec
@@ -124,8 +138,6 @@ class OperatorSpec:
     sqrt_eigenvalues: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
-    basis: np.ndarray
-    projection: np.ndarray
     warnings: tuple[str, ...] = field(default=())
 
     @property
@@ -140,9 +152,110 @@ class OperatorSpec:
     def grid_points(self) -> int:
         return int(self.nodes.shape[0])
 
+    @cached_property
+    def basis(self) -> np.ndarray:
+        l = self.domain.length
+        if self.domain.bc == DIRICHLET:
+            k = np.arange(1, self.modes + 1, dtype=np.float64)
+            return _readonly(math.sqrt(2.0 / l) * np.sin(np.outer(self.nodes, k * np.pi / l)))
+        idx = np.arange(self.modes)
+        phase = np.outer(self.nodes, 2.0 * np.pi * (idx // 2 + 1) / l)
+        return _readonly(np.where(idx % 2 == 0, np.cos(phase), np.sin(phase)) * math.sqrt(2.0 / l))
+
+    @cached_property
+    def projection(self) -> np.ndarray:
+        return _readonly(self.basis.T * self.weights[None, :])
+
+    @cached_property
+    def _fft(self) -> _DirichletFFT | _PeriodicFFT | None:
+        """FFT transform constants for this operator, or None below ``FFT_MIN_MODES``."""
+        return _fft_plan(self) if self.modes >= FFT_MIN_MODES else None
+
+
+def _fft_plan(op: OperatorSpec) -> _DirichletFFT | _PeriodicFFT:
+    plan = _DirichletFFT if op.domain.bc == DIRICHLET else _PeriodicFFT
+    return plan(op.modes, op.grid_points, op.domain.length)
+
+
+class _DirichletFFT:
+    """Sine transforms on the midpoint grid through one length-n real FFT.
+
+    Sampling is a DST-III and projection a DST-II.  Makhoul's reordering
+    (IEEE TASSP 28(1), 1980) maps either onto a real FFT of the grid length
+    n: even grid indices in order, then odd ones reversed, the latter with a
+    minus sign.  With ``T_q = e^{i pi q / 2n}``, projection reads
+    ``c_k = -Im(T_k^* W_k) * sqrt(2 l) / n`` from ``W = rfft(reordered u)``,
+    and sampling inverts it from ``W_q = T_q (a_{n-q} - i a_q) * (n/2) sqrt(2/l)``.
+    """
+
+    def __init__(self, m: int, n: int, length: float) -> None:
+        self.m, self.n = m, n
+        half = n // 2 + 1
+        h = (n + 1) // 2
+        grid = np.arange(n)
+        # Projection reads reordered[r] = sign[r] * u[perm[r]]; sampling
+        # undoes it with the inverse permutation and the matching signs.
+        self.perm = np.concatenate([grid[0::2], grid[1::2][::-1]])
+        self.sign = np.where(grid < h, 1.0, -1.0)
+        self.inv_perm = np.argsort(self.perm)
+        self.inv_sign = np.where(grid % 2 == 0, 1.0, -1.0)
+        k = np.arange(1, m + 1)
+        self.tw_from = -(math.sqrt(2.0 * length) / n) * np.exp(-0.5j * np.pi * k / n)
+        q = np.arange(half)
+        tw = (0.5 * n * math.sqrt(2.0 / length)) * np.exp(0.5j * np.pi * q / n)
+        # a_q fills bins 1..min(m, n//2); a_{n-q} reaches bins q <= n//2
+        # only on grids coarser than the default, where m >= n/2.
+        self.low = min(m, half - 1)
+        self.tw_low = -1j * tw[1 : self.low + 1]
+        self.tw_high = tw[n - m :] if n - m < half else None
+
+    def to_grid(self, c: np.ndarray) -> np.ndarray:
+        n, half = self.n, self.n // 2 + 1
+        z = np.zeros(c.shape[:-1] + (half,), dtype=np.complex128)
+        np.multiply(c[..., : self.low], self.tw_low, out=z[..., 1 : self.low + 1])
+        if self.tw_high is not None:
+            z[..., n - self.m :] += c[..., n - half : self.m][..., ::-1] * self.tw_high
+        return np.take(np.fft.irfft(z, n), self.inv_perm, axis=-1) * self.inv_sign
+
+    def from_grid(self, u: np.ndarray) -> np.ndarray:
+        n = self.n
+        w = np.fft.rfft(np.take(u, self.perm, axis=-1) * self.sign)
+        if self.m > n // 2:
+            # Bins above n//2 are conjugates of the ones below.
+            w = np.concatenate([w, w[..., n - n // 2 - 1 : 0 : -1].conj()], axis=-1)
+        return (w[..., 1 : self.m + 1] * self.tw_from).imag
+
+
+class _PeriodicFFT:
+    """Cosine/sine pairs on the trapezoid grid through one length-n real FFT.
+
+    Mode pair ``(2j, 2j+1)`` is wavenumber ``j+1``: the real part of rfft bin
+    ``j+1`` and minus its imaginary part, scaled by ``sqrt(2 l) / n``.  The
+    dealiasing floor keeps every wavenumber below ``n/2``.
+    """
+
+    def __init__(self, m: int, n: int, length: float) -> None:
+        self.m, self.n = m, n
+        self.n_cos, self.n_sin = (m + 1) // 2, m // 2
+        self.scale_to = 0.5 * n * math.sqrt(2.0 / length)
+        self.scale_from = math.sqrt(2.0 * length) / n
+
+    def to_grid(self, c: np.ndarray) -> np.ndarray:
+        z = np.zeros(c.shape[:-1] + (self.n // 2 + 1,), dtype=np.complex128)
+        np.multiply(c[..., 0::2], self.scale_to, out=z.real[..., 1 : self.n_cos + 1])
+        np.multiply(c[..., 1::2], -self.scale_to, out=z.imag[..., 1 : self.n_sin + 1])
+        return np.fft.irfft(z, self.n)
+
+    def from_grid(self, u: np.ndarray) -> np.ndarray:
+        w = np.fft.rfft(u)
+        out = np.empty(u.shape[:-1] + (self.m,))
+        np.multiply(w.real[..., 1 : self.n_cos + 1], self.scale_from, out=out[..., 0::2])
+        np.multiply(w.imag[..., 1 : self.n_sin + 1], -self.scale_from, out=out[..., 1::2])
+        return out
+
 
 def build_operator(domain: DomainSpec, modes: int) -> OperatorSpec:
-    """Assemble the diagonal operator and transform pair for ``modes`` modes.
+    """Assemble the diagonal operator and quadrature grid for ``modes`` modes.
 
     Raises :class:`PoincareViolationError` when the smallest eigenvalue drops
     below 1 (Dirichlet needs ``length <= pi``, periodic ``length <= 2*pi``)
@@ -161,16 +274,11 @@ def build_operator(domain: DomainSpec, modes: int) -> OperatorSpec:
         nodes = (np.arange(n) + 0.5) * (l / n)
         k = np.arange(1, modes + 1, dtype=np.float64)
         lam = (k * np.pi / l) ** 2
-        basis = math.sqrt(2.0 / l) * np.sin(np.outer(nodes, k * np.pi / l))
     else:
         nodes = np.arange(n) * (l / n)
-        idx = np.arange(modes)
-        wavenumbers = idx // 2 + 1
+        wavenumbers = np.arange(modes) // 2 + 1
         lam = (2.0 * np.pi * wavenumbers / l) ** 2
-        phase = np.outer(nodes, 2.0 * np.pi * wavenumbers / l)
-        basis = np.where(idx % 2 == 0, np.cos(phase), np.sin(phase)) * math.sqrt(2.0 / l)
     weights = np.full(n, l / n)
-    projection = basis.T * weights[None, :]
 
     warnings: tuple[str, ...] = ()
     if lam[0] < 1.0:
@@ -189,8 +297,6 @@ def build_operator(domain: DomainSpec, modes: int) -> OperatorSpec:
         sqrt_eigenvalues=_readonly(np.sqrt(lam)),
         nodes=_readonly(nodes),
         weights=_readonly(weights),
-        basis=_readonly(basis),
-        projection=_readonly(projection),
         warnings=warnings,
     )
 
@@ -243,9 +349,37 @@ def apply_A_inv_sqrt(x: SpectralField) -> SpectralField:
     return SpectralField(x.coeffs / x.op.sqrt_eigenvalues, x.op)
 
 
+def modes_to_grid(coeffs, op: OperatorSpec) -> np.ndarray:
+    """Sample coefficient arrays on the grid, along the last axis of any batch shape."""
+    c = np.asarray(coeffs, dtype=np.float64)
+    if op._fft is not None:
+        return op._fft.to_grid(c)
+    return op.basis @ c if c.ndim == 1 else c @ op.basis.T
+
+
+def grid_to_modes(samples, op: OperatorSpec) -> np.ndarray:
+    """Project grid samples onto the retained modes, along the last axis of any batch shape."""
+    u = np.asarray(samples, dtype=np.float64)
+    if op._fft is not None:
+        return op._fft.from_grid(u)
+    return op.projection @ u if u.ndim == 1 else u @ op.projection.T
+
+
+def transform_pair(op: OperatorSpec):
+    """``(modes -> grid, grid -> modes)`` maps for 1-D vectors, picked once.
+
+    At or above ``FFT_MIN_MODES`` they are the FFT transforms; below it they
+    are the dense matrices' own products, so a stepping loop that fetches
+    the pair once pays no per-call dispatch.
+    """
+    if op._fft is not None:
+        return op._fft.to_grid, op._fft.from_grid
+    return op.basis.__matmul__, op.projection.__matmul__
+
+
 def to_grid(x: SpectralField) -> np.ndarray:
     """Sample the field on the quadrature nodes."""
-    return x.op.basis @ x.coeffs
+    return modes_to_grid(x.coeffs, x.op)
 
 
 def from_grid(samples: np.ndarray, op: OperatorSpec) -> SpectralField:
@@ -255,7 +389,7 @@ def from_grid(samples: np.ndarray, op: OperatorSpec) -> SpectralField:
         raise ValueError(f"samples must have shape ({op.grid_points},), got {u.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("samples must be finite")
-    return SpectralField(op.projection @ u, op)
+    return SpectralField(grid_to_modes(u, op), op)
 
 
 def norm_H(x: SpectralField) -> float:

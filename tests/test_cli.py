@@ -78,6 +78,30 @@ def test_verify_falsifies_sign_flipped_f(tmp_path, capsys):
     assert mono and mono[0]["passed"] is False and mono[0]["witness"] is not None
 
 
+def _strict_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_unbounded_checks_are_strict_json(tmp_path):
+    # |u|^198 overflows at verifier amplitudes: the failed checks are
+    # unbounded, written as "inf", and the overflow prints no warning.
+    cfg = make_cfg(tmp_path, modes=16, nonlinearity={"kind": "power_law", "p": 200.0})
+    path = write_cfg(tmp_path, cfg)
+    src_dir = str(Path(wavegalerkin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    for cmd, out in (("verify", None), ("run", tmp_path / "report.json")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wavegalerkin.cli", cmd, path], capture_output=True, env=env, timeout=300
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == b""
+        text = proc.stdout.decode() if out is None else out.read_text()
+        rep = json.loads(text, parse_constant=_strict_constant)
+        ver = rep if out is None else rep["verification"]
+        failed = [c for c in ver["nonlinearity"]["checks"] if not c["passed"]]
+        assert failed and all(c["worst_violation"] == "inf" for c in failed)
+
+
 def test_poincare_rejection(tmp_path, capsys):
     cfg = make_cfg(tmp_path, domain={"length": 4.0, "bc": "dirichlet"})
     path = write_cfg(tmp_path, cfg)

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from wavegalerkin import kernels
-from wavegalerkin.nonlinearity import affine_forcing, cubic_nonlinearity, linear_nonlinearity, zero_forcing
+from wavegalerkin.nonlinearity import (
+    affine_forcing,
+    cubic_nonlinearity,
+    linear_nonlinearity,
+    power_law_nonlinearity,
+    zero_forcing,
+)
+from wavegalerkin.oracle import reference_run
 from wavegalerkin.solver import (
     RK4,
     STORMER_VERLET,
@@ -18,7 +25,7 @@ from wavegalerkin.solver import (
     integrate,
     project_initial_data,
 )
-from wavegalerkin.spectral import DIRICHLET, DomainSpec, build_operator
+from wavegalerkin.spectral import DIRICHLET, FFT_MIN_MODES, PERIODIC_MEAN_ZERO, DomainSpec, build_operator
 
 
 def test_solver_config_validation():
@@ -236,3 +243,30 @@ def test_custom_kind_forces_numpy_backend(op8, compiled_branch):
     fast = integrate(init, SolverConfig(T=0.1, dt=1e-3), op8, cubic_nonlinearity(), zero_forcing())
     assert fast.backend == "numba"
     assert np.allclose(traj.a, fast.a, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "bc,nl,fs",
+    [
+        (DIRICHLET, power_law_nonlinearity(4.0), zero_forcing()),
+        (PERIODIC_MEAN_ZERO, cubic_nonlinearity(), affine_forcing(g1=0.3, g2=0.2, constant=0.5, g0=0.5)),
+    ],
+    ids=["dirichlet-power_law", "periodic-affine-cubic"],
+)
+def test_fft_path_trajectory_matches_dense_oracle(monkeypatch, bc, nl, fs):
+    # m=512 steps on the FFT transforms; the oracle runs its own dense ones.
+    monkeypatch.setenv(kernels.ENV_NO_NUMBA, "1")
+    m = 512
+    assert m >= FFT_MIN_MODES
+    op = build_operator(DomainSpec(length=1.0, bc=bc), m)
+    x = op.nodes
+    u0 = x * (1.0 - x) if bc == DIRICHLET else 0.8 * np.sin(2.0 * math.pi * x)
+    init = project_initial_data(u0, 0.3 * np.sin(2.0 * math.pi * x), op).state
+    cfg = SolverConfig(T=0.025, dt=2.5e-4, sample_stride=10)
+    traj = integrate(init, cfg, op, nl, fs)
+    assert traj.backend == "numpy" and not traj.diverged
+    ref = reference_run(op.domain, nl, fs, init.a, init.adot, cfg.T, m, cfg.dt, sample_stride=cfg.sample_stride)
+    diff = ref.a - traj.a
+    gap = np.sqrt(np.max(np.sum(diff * diff, axis=1))) / np.max(np.linalg.norm(ref.a, axis=1))
+    assert gap <= 1e-9
+    assert np.max(np.abs(traj.a[-1] - init.a)) > 1e-3

@@ -1,5 +1,6 @@
 """Basis construction, grid transforms, diagonal operators, and norms."""
 
+import gc
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from wavegalerkin.spectral import (
     DIRICHLET,
+    FFT_MIN_MODES,
     PERIODIC_MEAN_ZERO,
     DomainSpec,
     PoincareViolationError,
@@ -19,10 +21,13 @@ from wavegalerkin.spectral import (
     dealias_floor,
     default_grid_points,
     from_grid,
+    grid_to_modes,
     inner,
+    modes_to_grid,
     norm_H,
     norm_Lp,
     to_grid,
+    transform_pair,
     unit_mode,
 )
 
@@ -151,3 +156,95 @@ def test_domain_validation():
         DomainSpec(length=1.0, bc=DIRICHLET, grid_points=0)
     with pytest.raises(ValueError):
         build_operator(DomainSpec(length=1.0, bc=DIRICHLET), 0)
+
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def _prime_grid_modes(bc):
+    m = FFT_MIN_MODES + 2
+    while not _is_prime(default_grid_points(m, bc)):
+        m += 1
+    return m
+
+
+def _rel(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+FFT_MODES = [
+    (bc, m)
+    for bc in (DIRICHLET, PERIODIC_MEAN_ZERO)
+    for m in (FFT_MIN_MODES, FFT_MIN_MODES + 1, _prime_grid_modes(bc), 512)
+]
+
+
+@pytest.mark.parametrize("bc,m", FFT_MODES)
+def test_fft_transforms_match_dense_products(bc, m):
+    op = build_operator(DomainSpec(length=1.3, bc=bc), m)
+    rng = np.random.default_rng(m)
+    cases = []
+    for batch in ((), (3,), (2, 2)):
+        c = rng.normal(size=batch + (m,))
+        u = rng.normal(size=batch + (op.grid_points,))
+        grid = modes_to_grid(c, op)
+        cases.append((c, u, grid, grid_to_modes(u, op), grid_to_modes(grid, op)))
+    # the FFT path leaves the dense matrices unbuilt
+    assert "basis" not in vars(op) and "projection" not in vars(op)
+    for c, u, grid, modes, back in cases:
+        assert grid.shape == u.shape and modes.shape == c.shape
+        assert _rel(grid, c @ op.basis.T) <= 1e-12
+        assert _rel(modes, u @ op.projection.T) <= 1e-12
+        assert _rel(back, c) <= 1e-12
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC_MEAN_ZERO])
+def test_fft_transforms_on_fields_and_fine_grids(bc):
+    rng = np.random.default_rng(4)
+    m = FFT_MIN_MODES + 1
+    # the dealiasing floor leaves m above n/2, where the Dirichlet projection
+    # reads FFT bins past the Nyquist one
+    for n in (None, dealias_floor(m, bc), 3 * m):
+        op = build_operator(DomainSpec(length=0.8, bc=bc, grid_points=n), m)
+        x = SpectralField(rng.normal(size=m), op)
+        u = to_grid(x)
+        assert u.shape == (op.grid_points,)
+        assert _rel(from_grid(u, op).coeffs, x.coeffs) <= 1e-12
+        assert _rel(u, op.basis @ x.coeffs) <= 1e-12
+        samples = rng.normal(size=op.grid_points)
+        assert _rel(from_grid(samples, op).coeffs, op.projection @ samples) <= 1e-12
+        sample, project = transform_pair(op)
+        assert np.array_equal(sample(x.coeffs), u)
+        assert np.array_equal(project(samples), from_grid(samples, op).coeffs)
+
+
+def test_fft_constants_belong_to_their_operator():
+    # Operators built and freed in turn can reuse one id(); each must still
+    # use its own size and length.
+    rng = np.random.default_rng(6)
+    for bc in (DIRICHLET, PERIODIC_MEAN_ZERO):
+        for m, length in ((FFT_MIN_MODES + 3, 1.0), (FFT_MIN_MODES, 0.5), (FFT_MIN_MODES + 3, 0.25)):
+            op = build_operator(DomainSpec(length=length, bc=bc), m)
+            c = rng.normal(size=m)
+            u = modes_to_grid(c, op)
+            assert u.shape == (op.grid_points,)
+            assert _rel(u, op.basis @ c) <= 1e-12
+            assert _rel(grid_to_modes(u, op), c) <= 1e-12
+            del op, u
+            gc.collect()
+
+
+def test_dense_transforms_below_crossover_are_the_matrix_products():
+    rng = np.random.default_rng(8)
+    for bc in (DIRICHLET, PERIODIC_MEAN_ZERO):
+        op = build_operator(DomainSpec(length=1.0, bc=bc), FFT_MIN_MODES - 1)
+        c = rng.normal(size=(2, op.modes))
+        u = rng.normal(size=(2, op.grid_points))
+        assert np.array_equal(modes_to_grid(c[0], op), op.basis @ c[0])
+        assert np.array_equal(modes_to_grid(c, op), c @ op.basis.T)
+        assert np.array_equal(grid_to_modes(u[0], op), op.projection @ u[0])
+        assert np.array_equal(grid_to_modes(u, op), u @ op.projection.T)
+        sample, project = transform_pair(op)
+        assert np.array_equal(sample(c[0]), op.basis @ c[0])
+        assert np.array_equal(project(u[0]), op.projection @ u[0])
