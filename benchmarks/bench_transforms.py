@@ -8,15 +8,16 @@ operator's basis and projection matrices; the FFT side uses the transform
 constants that ``spectral`` builds at or above ``FFT_MIN_MODES``.  Both
 sides are checked against each other before timing.
 
-The sweep covers every m from --m-min to --m-max in steps of --step, plus
-every m in that range whose default grid size n is prime: the FFT of a
-prime length is the slowest, so those m decide the crossover.  It prints,
-per boundary condition, the smallest M such that the FFT side was no slower
-for every swept m >= M; ``FFT_MIN_MODES`` is set from the larger of the two.
+The sweep covers every m from M_MIN to M_MAX in steps of STEP, plus every
+m in that range whose default grid size n is prime: the FFT of a prime
+length is the slowest, so those m decide the crossover.  It prints one row
+per swept m and, per boundary condition, the smallest M such that the FFT
+side was no slower for every swept m >= M; ``FFT_MIN_MODES`` is set from
+the larger of the two.
 
 BLAS runs on one thread and the process on one CPU, as in the layered
-benchmark.  Each time is the best of --rounds alternating rounds, each
-round a batch of calls lasting at least a millisecond.
+benchmark.  Each time is the best of ROUNDS alternating rounds, each round
+a batch of calls lasting at least a millisecond.
 
     PYTHONPATH=src python3 benchmarks/bench_transforms.py
 """
@@ -26,7 +27,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-import argparse
 import time
 
 import numpy as np
@@ -34,14 +34,18 @@ import numpy as np
 from wavegalerkin import spectral
 from wavegalerkin.spectral import DIRICHLET, PERIODIC_MEAN_ZERO, DomainSpec, build_operator, default_grid_points
 
+M_MIN, M_MAX = 128, 1024
+STEP = 8  # stride of the regular mode counts; prime-n ones are always added
+ROUNDS = 5
+
 
 def is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
 
 
-def swept_modes(bc: str, m_min: int, m_max: int, step: int) -> list[int]:
-    ms = set(range(m_min, m_max + 1, step)) | {m_max}
-    ms |= {m for m in range(m_min, m_max + 1) if is_prime(default_grid_points(m, bc))}
+def swept_modes(bc: str) -> list[int]:
+    ms = set(range(M_MIN, M_MAX + 1, STEP)) | {M_MAX}
+    ms |= {m for m in range(M_MIN, M_MAX + 1) if is_prime(default_grid_points(m, bc))}
     return sorted(ms)
 
 
@@ -61,11 +65,11 @@ def batch_size(fn) -> int:
         n *= 2
 
 
-def best_us(fns: dict, rounds: int) -> dict:
+def best_us(fns: dict) -> dict:
     """Best per-call time of each callable, alternating them round by round."""
     sizes = {k: batch_size(fn) for k, fn in fns.items()}
     best = dict.fromkeys(fns, float("inf"))
-    for _ in range(rounds):
+    for _ in range(ROUNDS):
         for k, fn in fns.items():
             n = sizes[k]
             t0 = time.perf_counter()
@@ -75,7 +79,7 @@ def best_us(fns: dict, rounds: int) -> dict:
     return best
 
 
-def sweep(bc: str, ms: list[int], rounds: int) -> list[tuple]:
+def sweep(bc: str, ms: list[int]) -> list[tuple]:
     rng = np.random.default_rng(0)
     rows = []
     for m in ms:
@@ -89,7 +93,7 @@ def sweep(bc: str, ms: list[int], rounds: int) -> list[tuple]:
         gap = np.linalg.norm(accel(*fft, a) - want) / np.linalg.norm(want)
         if not gap <= 1e-12:
             raise SystemExit(f"{bc} m={m}: FFT and dense transforms differ by {gap:.3e} relative")
-        t = best_us({"dense": lambda: accel(*dense, a), "fft": lambda: accel(*fft, a)}, rounds)
+        t = best_us({"dense": lambda: accel(*dense, a), "fft": lambda: accel(*fft, a)})
         rows.append((m, op.grid_points, t["dense"], t["fft"]))
     return rows
 
@@ -105,30 +109,21 @@ def crossover(rows: list[tuple]) -> int | None:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description="dense vs FFT grid-transform crossover sweep")
-    ap.add_argument("--m-min", type=int, default=128)
-    ap.add_argument("--m-max", type=int, default=1024)
-    ap.add_argument("--step", type=int, default=8, help="stride of the regular mode counts; prime-n ones are always added")
-    ap.add_argument("--rounds", type=int, default=5)
-    ap.add_argument("--verbose", action="store_true", help="print one row per swept mode count")
-    args = ap.parse_args()
-
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    print(f"numpy {np.__version__}; FFT_MIN_MODES = {spectral.FFT_MIN_MODES}; best of {args.rounds} rounds")
+    print(f"numpy {np.__version__}; FFT_MIN_MODES = {spectral.FFT_MIN_MODES}; best of {ROUNDS} rounds")
     crosses = []
     for bc in (DIRICHLET, PERIODIC_MEAN_ZERO):
-        rows = sweep(bc, swept_modes(bc, args.m_min, args.m_max, args.step), args.rounds)
-        if args.verbose:
-            print(f"{'bc':<20}{'m':>6}{'n':>6}{'prime':>7}{'dense_us':>11}{'fft_us':>11}{'ratio':>8}")
-            for m, n, d, f in rows:
-                print(f"{bc:<20}{m:>6}{n:>6}{'yes' if is_prime(n) else '':>7}{d:>11.1f}{f:>11.1f}{f / d:>8.2f}")
+        rows = sweep(bc, swept_modes(bc))
+        print(f"{'bc':<20}{'m':>6}{'n':>6}{'prime':>7}{'dense_us':>11}{'fft_us':>11}{'ratio':>8}")
+        for m, n, d, f in rows:
+            print(f"{bc:<20}{m:>6}{n:>6}{'yes' if is_prime(n) else '':>7}{d:>11.1f}{f:>11.1f}{f / d:>8.2f}")
         m_cross = crossover(rows)
         crosses.append(m_cross)
         slower = [m for m, _, d, f in rows if f > d]
         above = [f / d for m, _, d, f in rows if m_cross is not None and m >= m_cross]
         at512 = [f / d for m, _, d, f in rows if m == 512]
         print(
-            f"{bc}: {len(rows)} mode counts in [{args.m_min}, {args.m_max}], "
+            f"{bc}: {len(rows)} mode counts in [{M_MIN}, {M_MAX}], "
             f"{sum(is_prime(n) for _, n, _, _ in rows)} with prime n; "
             f"FFT slower at {len(slower)} (largest m {max(slower) if slower else '-'}); "
             f"crossover M = {m_cross}; worst fft/dense at m >= M: {max(above) if above else float('nan'):.2f}"
