@@ -2,11 +2,12 @@
 """Crossover sweep: dense-product against FFT grid transforms, per mode count.
 
 For each boundary condition and each swept mode count m it times one
-acceleration's transforms as the stepping loop runs them on a 1-D state:
-modes -> grid, a pointwise cube, grid -> modes.  The dense side uses the
-operator's basis and projection matrices; the FFT side uses the transform
-constants that ``spectral`` builds at or above ``FFT_MIN_MODES``.  Both
-sides are checked against each other before timing.
+acceleration's transforms on a 1-D state: modes -> grid, a pointwise cube,
+grid -> modes.  The dense side uses the operator's basis and projection
+matrices; the FFT side uses the transform constants that ``spectral``
+builds at or above ``FFT_MIN_MODES``; the folded side uses the half-size
+matrices the stepping loop runs on at or above it.  All three are checked
+against each other before timing.
 
 The sweep covers every m from M_MIN to M_MAX in steps of STEP, plus every
 m in that range whose default grid size n is prime: the FFT of a prime
@@ -86,22 +87,26 @@ def sweep(bc: str, ms: list[int]) -> list[tuple]:
         op = build_operator(DomainSpec(length=1.0, bc=bc), m)
         # The FFT constants at any m, whatever FFT_MIN_MODES is.
         plan = spectral._fft_plan(op)
-        dense = (op.basis.__matmul__, op.projection.__matmul__)
-        fft = (plan.to_grid, plan.from_grid)
+        pairs = {
+            "dense": (op.basis.__matmul__, op.projection.__matmul__),
+            "fft": (plan.to_grid, plan.from_grid),
+            "folded": (op._folded.to_grid, op._folded.from_grid),
+        }
         a = rng.uniform(-1.0, 1.0, m) / m
-        want = accel(*dense, a)
-        gap = np.linalg.norm(accel(*fft, a) - want) / np.linalg.norm(want)
-        if not gap <= 1e-12:
-            raise SystemExit(f"{bc} m={m}: FFT and dense transforms differ by {gap:.3e} relative")
-        t = best_us({"dense": lambda: accel(*dense, a), "fft": lambda: accel(*fft, a)})
-        rows.append((m, op.grid_points, t["dense"], t["fft"]))
+        want = accel(*pairs["dense"], a)
+        for name in ("fft", "folded"):
+            gap = np.linalg.norm(accel(*pairs[name], a) - want) / np.linalg.norm(want)
+            if not gap <= 1e-12:
+                raise SystemExit(f"{bc} m={m}: {name} and dense transforms differ by {gap:.3e} relative")
+        t = best_us({name: (lambda p=p: accel(*p, a)) for name, p in pairs.items()})
+        rows.append((m, op.grid_points, t["dense"], t["fft"], t["folded"]))
     return rows
 
 
 def crossover(rows: list[tuple]) -> int | None:
     """Smallest swept M with FFT no slower than dense at every swept m >= M."""
     m_cross = None
-    for m, _, dense_us, fft_us in reversed(rows):
+    for m, _, dense_us, fft_us, _ in reversed(rows):
         if fft_us > dense_us:
             break
         m_cross = m
@@ -114,20 +119,25 @@ def main() -> int:
     crosses = []
     for bc in (DIRICHLET, PERIODIC_MEAN_ZERO):
         rows = sweep(bc, swept_modes(bc))
-        print(f"{'bc':<20}{'m':>6}{'n':>6}{'prime':>7}{'dense_us':>11}{'fft_us':>11}{'ratio':>8}")
-        for m, n, d, f in rows:
-            print(f"{bc:<20}{m:>6}{n:>6}{'yes' if is_prime(n) else '':>7}{d:>11.1f}{f:>11.1f}{f / d:>8.2f}")
+        print(f"{'bc':<20}{'m':>6}{'n':>6}{'prime':>7}{'dense_us':>11}{'fft_us':>11}{'ratio':>8}{'folded_us':>11}{'ratio':>8}")
+        for m, n, d, f, h in rows:
+            print(
+                f"{bc:<20}{m:>6}{n:>6}{'yes' if is_prime(n) else '':>7}"
+                f"{d:>11.1f}{f:>11.1f}{f / d:>8.2f}{h:>11.1f}{h / d:>8.2f}"
+            )
         m_cross = crossover(rows)
         crosses.append(m_cross)
-        slower = [m for m, _, d, f in rows if f > d]
-        above = [f / d for m, _, d, f in rows if m_cross is not None and m >= m_cross]
-        at512 = [f / d for m, _, d, f in rows if m == 512]
+        slower = [m for m, _, d, f, _ in rows if f > d]
+        above = [f / d for m, _, d, f, _ in rows if m_cross is not None and m >= m_cross]
+        folded = [h / d for m, _, d, _, h in rows if m >= spectral.FFT_MIN_MODES]
+        at512 = [(f / d, h / d) for m, _, d, f, h in rows if m == 512]
         print(
             f"{bc}: {len(rows)} mode counts in [{M_MIN}, {M_MAX}], "
-            f"{sum(is_prime(n) for _, n, _, _ in rows)} with prime n; "
+            f"{sum(is_prime(n) for _, n, _, _, _ in rows)} with prime n; "
             f"FFT slower at {len(slower)} (largest m {max(slower) if slower else '-'}); "
-            f"crossover M = {m_cross}; worst fft/dense at m >= M: {max(above) if above else float('nan'):.2f}"
-            + (f"; fft/dense at m=512: {at512[0]:.2f}" if at512 else "")
+            f"crossover M = {m_cross}; worst fft/dense at m >= M: {max(above) if above else float('nan'):.2f}; "
+            f"folded/dense at m >= FFT_MIN_MODES: {min(folded):.2f}-{max(folded):.2f}"
+            + (f"; fft/dense and folded/dense at m=512: {at512[0][0]:.2f}, {at512[0][1]:.2f}" if at512 else "")
         )
     if all(c is not None for c in crosses):
         print(f"smallest M for both boundary conditions: {max(crosses)}")

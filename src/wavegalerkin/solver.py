@@ -240,7 +240,7 @@ def _numpy_accel(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
     """Acceleration closure for the numpy path, mirroring the compiled one."""
     lam = np.ascontiguousarray(op.eigenvalues)
     sqrt_lam = np.ascontiguousarray(op.sqrt_eigenvalues)
-    # Dense or FFT, picked here once per integration.
+    # Full or folded dense products, picked here once per integration.
     sample, project = transform_pair(op)
     gc = fs.constant * constant_modal(op) if fs.kind == AFFINE and fs.constant != 0.0 else None
     pm2 = nl.p - 2.0

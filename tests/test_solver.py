@@ -253,8 +253,9 @@ def test_custom_kind_forces_numpy_backend(op8, compiled_branch):
     ],
     ids=["dirichlet-power_law", "periodic-affine-cubic"],
 )
-def test_fft_path_trajectory_matches_dense_oracle(monkeypatch, bc, nl, fs):
-    # m=512 steps on the FFT transforms; the oracle runs its own dense ones.
+def test_m512_trajectory_matches_dense_oracle(monkeypatch, bc, nl, fs):
+    # m=512 steps on the folded products and projects its initial data and
+    # forcing by FFT; the oracle runs its own full dense products.
     monkeypatch.setenv(kernels.ENV_NO_NUMBA, "1")
     m = 512
     assert m >= FFT_MIN_MODES

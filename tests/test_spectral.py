@@ -214,9 +214,26 @@ def test_fft_transforms_on_fields_and_fine_grids(bc):
         assert _rel(u, op.basis @ x.coeffs) <= 1e-12
         samples = rng.normal(size=op.grid_points)
         assert _rel(from_grid(samples, op).coeffs, op.projection @ samples) <= 1e-12
-        sample, project = transform_pair(op)
-        assert np.array_equal(sample(x.coeffs), u)
-        assert np.array_equal(project(samples), from_grid(samples, op).coeffs)
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC_MEAN_ZERO])
+def test_stepping_pair_folds_the_dense_products(bc):
+    # Odd Dirichlet grids and all periodic grids have nodes that are their
+    # own mirror; even Dirichlet grids have none.
+    rng = np.random.default_rng(5)
+    for m in (FFT_MIN_MODES, FFT_MIN_MODES + 1, 512):
+        for n in (None, dealias_floor(m, bc), dealias_floor(m, bc) + 1, 3 * m):
+            op = build_operator(DomainSpec(length=0.8, bc=bc, grid_points=n), m)
+            sample, project = transform_pair(op)
+            c = rng.normal(size=m)
+            u = rng.normal(size=op.grid_points)
+            grid, modes, back = sample(c), project(u), project(sample(c))
+            # the folded pair leaves the full matrices unbuilt
+            assert "basis" not in vars(op) and "projection" not in vars(op)
+            assert grid.shape == u.shape and modes.shape == c.shape
+            assert _rel(grid, op.basis @ c) <= 1e-12
+            assert _rel(modes, op.projection @ u) <= 1e-12
+            assert _rel(back, c) <= 1e-12
 
 
 def test_fft_constants_belong_to_their_operator():
