@@ -3,10 +3,12 @@
 
 Runs the same cubic problem once per backend (after a warm-up that absorbs
 JIT compilation), reports best/mean wall time, and checks that the two
-backends produce identical final coefficients.
+backends produce the same final coefficients: it exits 1 when they differ
+by more than MAX_GAP.  Without numba only the numpy backend is timed.
+
+    PYTHONPATH=src python3 benchmarks/bench_integrate.py
 """
 
-import argparse
 import os
 import time
 
@@ -16,6 +18,13 @@ from wavegalerkin.kernels import ENV_NO_NUMBA, NUMBA_AVAILABLE
 from wavegalerkin.nonlinearity import cubic_nonlinearity, zero_forcing
 from wavegalerkin.solver import SolverConfig, integrate, project_initial_data
 from wavegalerkin.spectral import DIRICHLET, DomainSpec, build_operator
+
+MODES = 32
+DT = 1e-3
+T = 5.0
+REPEAT = 3
+# The loosest tolerance in tests/test_kernels.py::test_compiled_and_numpy_paths_agree.
+MAX_GAP = 1e-10
 
 
 def build_problem(modes: int):
@@ -36,31 +45,24 @@ def time_backend(state, cfg, op, nl, fs, repeat: int):
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description="integrator backend benchmark")
-    ap.add_argument("--modes", type=int, default=32)
-    ap.add_argument("--dt", type=float, default=1e-3)
-    ap.add_argument("--T", type=float, default=5.0)
-    ap.add_argument("--repeat", type=int, default=3)
-    args = ap.parse_args()
-
-    op, state = build_problem(args.modes)
+    op, state = build_problem(MODES)
     nl = cubic_nonlinearity()
     fs = zero_forcing()
-    n_steps = int(round(args.T / args.dt))
+    n_steps = int(round(T / DT))
     # record endpoints only so the loop, not bookkeeping, is measured
-    cfg = SolverConfig(T=args.T, dt=args.dt, sample_stride=max(n_steps, 1))
-    print(f"modes={args.modes} dt={args.dt:g} T={args.T:g} steps={n_steps} repeat={args.repeat}")
+    cfg = SolverConfig(T=T, dt=DT, sample_stride=max(n_steps, 1))
+    print(f"modes={MODES} dt={DT:g} T={T:g} steps={n_steps} repeat={REPEAT}")
 
     saved = os.environ.get(ENV_NO_NUMBA)
     results = {}
     try:
         if NUMBA_AVAILABLE:
             os.environ.pop(ENV_NO_NUMBA, None)
-            results["numba"] = time_backend(state, cfg, op, nl, fs, args.repeat)
+            results["numba"] = time_backend(state, cfg, op, nl, fs, REPEAT)
         else:
             print("numba unavailable; timing the numpy backend only")
         os.environ[ENV_NO_NUMBA] = "1"
-        results["numpy"] = time_backend(state, cfg, op, nl, fs, args.repeat)
+        results["numpy"] = time_backend(state, cfg, op, nl, fs, REPEAT)
     finally:
         if saved is None:
             os.environ.pop(ENV_NO_NUMBA, None)
@@ -75,6 +77,9 @@ def main() -> int:
         gap = float(np.max(np.abs(results["numba"][2].a[-1] - results["numpy"][2].a[-1])))
         print(f"speedup (best/best): {speedup:.1f}x")
         print(f"max |a_numba - a_numpy| at T: {gap:.3e}")
+        if not gap <= MAX_GAP:
+            print(f"backends differ by more than {MAX_GAP:g}")
+            return 1
     return 0
 
 

@@ -3,9 +3,11 @@
 The compiled path handles the built-in nonlinearity and forcing kinds,
 encoded as small integers; custom callables always take the numpy path.
 Setting the environment variable ``WAVEGALERKIN_NO_NUMBA`` to a truthy
-value forces the numpy path everywhere.  Both paths perform the same
-arithmetic in the same association order, so trajectories agree to
-round-off.
+value forces the numpy path everywhere.  Below ``spectral.FFT_MIN_MODES``
+both paths perform the same arithmetic in the same association order, so
+trajectories agree to round-off.  At or above it the numpy path transforms
+by FFT while the compiled one keeps the dense products, so they agree to
+the transforms' round-off instead.
 """
 
 from __future__ import annotations
@@ -172,9 +174,10 @@ def run_compiled(
     return a_hist[:n_rec].copy(), adot_hist[:n_rec].copy(), rec_steps[:n_rec].copy(), diverged_step
 
 
-# A NaN state compares false against the ceiling.  The error state is set
+# A state that overflows to inf or NaN is caught by the divergence check,
+# and a NaN compares false against the ceiling.  The error state is set
 # once per call: entering it every step cost as much as the check itself.
-@np.errstate(invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def run_numpy(a0, adot0, dt, n_steps, stride, ceiling, use_verlet, accel):
     """Pure-numpy twin of :func:`run_compiled`.
 

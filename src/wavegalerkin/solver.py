@@ -240,7 +240,7 @@ def _numpy_accel(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
     """Acceleration closure for the numpy path, mirroring the compiled one."""
     lam = np.ascontiguousarray(op.eigenvalues)
     sqrt_lam = np.ascontiguousarray(op.sqrt_eigenvalues)
-    # Full or folded dense products, picked here once per integration.
+    # FFT pair or dense products, picked here once per integration.
     sample, project = transform_pair(op)
     gc = fs.constant * constant_modal(op) if fs.kind == AFFINE and fs.constant != 0.0 else None
     pm2 = nl.p - 2.0
@@ -323,17 +323,16 @@ def integrate(
         )
     else:
         accel = _numpy_accel(op, nl, fs)
-        with np.errstate(over="ignore", invalid="ignore"):
-            a_hist, adot_hist, rec_steps, diverged_step = kernels.run_numpy(
-                np.ascontiguousarray(initial.a),
-                np.ascontiguousarray(initial.adot),
-                cfg.dt,
-                n_steps,
-                cfg.sample_stride,
-                cfg.blowup_ceiling,
-                use_verlet,
-                accel,
-            )
+        a_hist, adot_hist, rec_steps, diverged_step = kernels.run_numpy(
+            np.ascontiguousarray(initial.a),
+            np.ascontiguousarray(initial.adot),
+            cfg.dt,
+            n_steps,
+            cfg.sample_stride,
+            cfg.blowup_ceiling,
+            use_verlet,
+            accel,
+        )
 
     t = rec_steps.astype(np.float64) * cfg.dt
     tbl = energy_table(op, nl, fs, t, a_hist, adot_hist)

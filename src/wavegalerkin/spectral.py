@@ -7,8 +7,8 @@ on coefficients; grid transforms use a quadrature rule that integrates
 products of retained basis functions exactly, so projections of polynomial
 nonlinearities are alias-free at the default grid size.  Below
 ``FFT_MIN_MODES`` modes the transforms are dense matrix products; at or
-above it they run on ``numpy.fft``, except in the stepping loop, which uses
-dense products on half-size matrices (:func:`transform_pair`).
+above it they all run on ``numpy.fft``, the stepping loop's included
+(:func:`transform_pair`).
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ BoundaryKind = str
 # are dense products.  Set from the crossover sweep in
 # benchmarks/bench_transforms.py: at or above it the FFT pair was no slower
 # than the dense one at every swept mode count, in both boundary conditions.
-# The stepping loop switches to folded dense products at the same count.
 FFT_MIN_MODES = 384
 
 
@@ -155,19 +154,15 @@ class OperatorSpec:
     def grid_points(self) -> int:
         return int(self.nodes.shape[0])
 
-    def _basis_at(self, nodes: np.ndarray) -> np.ndarray:
-        """The orthonormal eigenfunctions at ``nodes``, one row per node."""
+    @cached_property
+    def basis(self) -> np.ndarray:
         l = self.domain.length
         if self.domain.bc == DIRICHLET:
             k = np.arange(1, self.modes + 1, dtype=np.float64)
-            return math.sqrt(2.0 / l) * np.sin(np.outer(nodes, k * np.pi / l))
+            return _readonly(math.sqrt(2.0 / l) * np.sin(np.outer(self.nodes, k * np.pi / l)))
         idx = np.arange(self.modes)
-        phase = np.outer(nodes, 2.0 * np.pi * (idx // 2 + 1) / l)
-        return np.where(idx % 2 == 0, np.cos(phase), np.sin(phase)) * math.sqrt(2.0 / l)
-
-    @cached_property
-    def basis(self) -> np.ndarray:
-        return _readonly(self._basis_at(self.nodes))
+        phase = np.outer(self.nodes, 2.0 * np.pi * (idx // 2 + 1) / l)
+        return _readonly(np.where(idx % 2 == 0, np.cos(phase), np.sin(phase)) * math.sqrt(2.0 / l))
 
     @cached_property
     def projection(self) -> np.ndarray:
@@ -177,11 +172,6 @@ class OperatorSpec:
     def _fft(self) -> _DirichletFFT | _PeriodicFFT | None:
         """FFT transform constants for this operator, or None below ``FFT_MIN_MODES``."""
         return _fft_plan(self) if self.modes >= FFT_MIN_MODES else None
-
-    @cached_property
-    def _folded(self) -> _Folded:
-        """Half-size matrices for the stepping loop's transforms (see :class:`_Folded`)."""
-        return _Folded(self)
 
 
 def _fft_plan(op: OperatorSpec) -> _DirichletFFT | _PeriodicFFT:
@@ -264,58 +254,6 @@ class _PeriodicFFT:
         np.multiply(w.real[..., 1 : self.n_cos + 1], self.scale_from, out=out[..., 0::2])
         np.multiply(w.imag[..., 1 : self.n_sin + 1], -self.scale_from, out=out[..., 1::2])
         return out
-
-
-class _Folded:
-    """Dense grid transforms of 1-D vectors on half-size matrices.
-
-    Both grids are mirror symmetric about the middle of the interval: node i
-    pairs with n-1-i on the Dirichlet midpoints and with (n-i) mod n on the
-    periodic nodes.  Even-indexed modes (odd-k sines; cosines) are even
-    under the mirror and odd-indexed ones (even-k sines; sines) are odd, so
-    sampling needs only the rows of one node per pair, split by column
-    parity: ``u[top] = E a_even + O a_odd`` and ``u[mirror] = E a_even - O a_odd``.
-    Projection folds the samples the same way.  Each product streams half
-    the bytes of the full matrix, and memory bandwidth still sets its time:
-    at m=512 on a shared 2-vCPU Xeon VM an acceleration took 0.53x the
-    full products' time, with a quartile spread of 8-11% of the median over
-    a minute of calls.  The FFT pair took 0.15x but spread 21-28%, as it is
-    compute-bound and slows with other load on the core.
-    """
-
-    def __init__(self, op: OperatorSpec) -> None:
-        n = op.grid_points
-        grid = np.arange(n)
-        mirror = n - 1 - grid if op.domain.bc == DIRICHLET else (n - grid) % n
-        self.m, self.n = op.modes, n
-        self.top = grid[grid <= mirror]
-        self.bottom = mirror[self.top]
-        own = self.top == self.bottom
-        rows = op._basis_at(op.nodes[self.top])
-        even, odd = rows[:, 0::2], rows[:, 1::2]
-        # Odd modes vanish on a node that is its own mirror.
-        odd[own] = 0.0
-        w = op.weights[self.top]
-        self.even = _readonly(even)
-        self.odd = _readonly(odd)
-        # Such a node enters both halves of the folded sum; count it once.
-        self.even_proj = _readonly(even.T * np.where(own, 0.5 * w, w))
-        self.odd_proj = _readonly(odd.T * w)
-
-    def to_grid(self, c: np.ndarray) -> np.ndarray:
-        s = self.even @ c[0::2]
-        t = self.odd @ c[1::2]
-        u = np.empty(self.n)
-        u[self.bottom] = s - t
-        u[self.top] = s + t
-        return u
-
-    def from_grid(self, u: np.ndarray) -> np.ndarray:
-        ut, ub = u[self.top], u[self.bottom]
-        c = np.empty(self.m)
-        c[0::2] = self.even_proj @ (ut + ub)
-        c[1::2] = self.odd_proj @ (ut - ub)
-        return c
 
 
 def build_operator(domain: DomainSpec, modes: int) -> OperatorSpec:
@@ -432,13 +370,13 @@ def grid_to_modes(samples, op: OperatorSpec) -> np.ndarray:
 def transform_pair(op: OperatorSpec):
     """``(modes -> grid, grid -> modes)`` maps for 1-D vectors, picked once.
 
-    At or above ``FFT_MIN_MODES`` they are the folded half-size products of
-    :class:`_Folded`, whose speed holds steady when the core is shared;
-    below it they are the dense matrices' own products.  A stepping loop
-    that fetches the pair once pays no per-call dispatch.
+    At or above ``FFT_MIN_MODES`` they are the FFT pair that
+    :func:`modes_to_grid` and :func:`grid_to_modes` use; below it they are
+    the dense matrices' own products.  A stepping loop that fetches the
+    pair once pays no per-call dispatch.
     """
-    if op.modes >= FFT_MIN_MODES:
-        return op._folded.to_grid, op._folded.from_grid
+    if op._fft is not None:
+        return op._fft.to_grid, op._fft.from_grid
     return op.basis.__matmul__, op.projection.__matmul__
 
 

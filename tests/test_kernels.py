@@ -1,12 +1,15 @@
 """Backend selection and agreement between the compiled and numpy loops."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from wavegalerkin import kernels
 from wavegalerkin.nonlinearity import affine_forcing, cubic_nonlinearity, power_law_nonlinearity, zero_forcing
-from wavegalerkin.solver import STORMER_VERLET, SolverConfig, State, integrate
-from wavegalerkin.spectral import DIRICHLET, DomainSpec, build_operator
+from wavegalerkin.solver import STORMER_VERLET, SolverConfig, State, integrate, project_initial_data
+from wavegalerkin.spectral import DIRICHLET, FFT_MIN_MODES, PERIODIC_MEAN_ZERO, DomainSpec, build_operator
 
 
 def _small_problem(modes=6, seed=0):
@@ -15,6 +18,15 @@ def _small_problem(modes=6, seed=0):
     a0 = 0.2 * rng.uniform(-1.0, 1.0, size=modes)
     v0 = 0.2 * rng.uniform(-1.0, 1.0, size=modes)
     return op, State(a=a0, adot=v0)
+
+
+def _both_backends(monkeypatch, init, cfg, op, nl, fs):
+    monkeypatch.delenv(kernels.ENV_NO_NUMBA, raising=False)
+    fast = integrate(init, cfg, op, nl, fs)
+    monkeypatch.setenv(kernels.ENV_NO_NUMBA, "1")
+    slow = integrate(init, cfg, op, nl, fs)
+    assert fast.backend == "numba" and slow.backend == "numpy"
+    return fast, slow
 
 
 def _default_backend():
@@ -51,12 +63,7 @@ BUILTIN_CASES = [
 @pytest.mark.parametrize("nl,fs,tol", BUILTIN_CASES)
 def test_compiled_and_numpy_paths_agree(monkeypatch, compiled_branch, nl, fs, tol):
     op, init = _small_problem()
-    cfg = SolverConfig(T=0.2, dt=1e-3)
-    fast = integrate(init, cfg, op, nl, fs)
-    assert fast.backend == "numba"
-    monkeypatch.setenv(kernels.ENV_NO_NUMBA, "1")
-    slow = integrate(init, cfg, op, nl, fs)
-    assert slow.backend == "numpy"
+    fast, slow = _both_backends(monkeypatch, init, SolverConfig(T=0.2, dt=1e-3), op, nl, fs)
     assert np.max(np.abs(fast.a - slow.a)) <= tol
     assert np.max(np.abs(fast.adot - slow.adot)) <= tol
 
@@ -64,13 +71,22 @@ def test_compiled_and_numpy_paths_agree(monkeypatch, compiled_branch, nl, fs, to
 def test_paths_agree_under_verlet(monkeypatch, compiled_branch):
     op, init = _small_problem(seed=1)
     cfg = SolverConfig(T=0.2, dt=1e-3, integrator=STORMER_VERLET)
-    fast = integrate(init, cfg, op, cubic_nonlinearity(), zero_forcing())
-    assert fast.backend == "numba"
-    monkeypatch.setenv(kernels.ENV_NO_NUMBA, "1")
-    slow = integrate(init, cfg, op, cubic_nonlinearity(), zero_forcing())
-    assert slow.backend == "numpy"
+    fast, slow = _both_backends(monkeypatch, init, cfg, op, cubic_nonlinearity(), zero_forcing())
     assert np.max(np.abs(fast.a - slow.a)) <= 1e-12
     assert np.max(np.abs(fast.adot - slow.adot)) <= 1e-12
+    # At m=512 the numpy path steps on the FFT pair, the compiled one on the
+    # dense products.
+    m = 512
+    assert m >= FFT_MIN_MODES
+    cfg = SolverConfig(T=0.025, dt=2.5e-4, integrator=STORMER_VERLET)
+    for bc in (DIRICHLET, PERIODIC_MEAN_ZERO):
+        op = build_operator(DomainSpec(length=1.0, bc=bc), m)
+        x = op.nodes
+        u0 = x * (1.0 - x) if bc == DIRICHLET else 0.8 * np.sin(2.0 * math.pi * x)
+        init = project_initial_data(u0, 0.3 * np.sin(2.0 * math.pi * x), op).state
+        fast, slow = _both_backends(monkeypatch, init, cfg, op, power_law_nonlinearity(4.0), zero_forcing())
+        for want, got in ((fast.a, slow.a), (fast.adot, slow.adot)):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_numba_is_default_backend_for_builtin_kinds():
@@ -100,3 +116,10 @@ def test_run_numpy_stride_and_divergence():
     assert div == -1
     assert list(rec) == [0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
     assert a_hist.shape == (11, 1)
+
+    # a'' = a^3 from 1e120 overflows in the first step: divergence, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a_hist, _, rec, div = kernels.run_numpy(np.array([1e120]), v0, 1e-3, 100, 10, 1e300, False, lambda a, _: a**3)
+    assert div == 1 and list(rec) == [0, 1]
+    assert not np.isfinite(a_hist[-1, 0])

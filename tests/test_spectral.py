@@ -217,9 +217,8 @@ def test_fft_transforms_on_fields_and_fine_grids(bc):
 
 
 @pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC_MEAN_ZERO])
-def test_stepping_pair_folds_the_dense_products(bc):
-    # Odd Dirichlet grids and all periodic grids have nodes that are their
-    # own mirror; even Dirichlet grids have none.
+def test_stepping_pair_is_the_fft_pair(bc):
+    # The floor and floor+1 give grids of both parities.
     rng = np.random.default_rng(5)
     for m in (FFT_MIN_MODES, FFT_MIN_MODES + 1, 512):
         for n in (None, dealias_floor(m, bc), dealias_floor(m, bc) + 1, 3 * m):
@@ -228,7 +227,9 @@ def test_stepping_pair_folds_the_dense_products(bc):
             c = rng.normal(size=m)
             u = rng.normal(size=op.grid_points)
             grid, modes, back = sample(c), project(u), project(sample(c))
-            # the folded pair leaves the full matrices unbuilt
+            assert np.array_equal(grid, modes_to_grid(c, op))
+            assert np.array_equal(modes, grid_to_modes(u, op))
+            # the FFT pair leaves the full matrices unbuilt
             assert "basis" not in vars(op) and "projection" not in vars(op)
             assert grid.shape == u.shape and modes.shape == c.shape
             assert _rel(grid, op.basis @ c) <= 1e-12
