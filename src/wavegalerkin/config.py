@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -120,8 +121,8 @@ CONFIG_SCHEMA = {
                     "required": ["r", "f"],
                     "additionalProperties": False,
                     "properties": {
-                        "r": {"type": "array", "items": {"type": "number"}, "minItems": 2},
-                        "f": {"type": "array", "items": {"type": "number"}, "minItems": 2},
+                        "r": {"type": "array", "minItems": 2},
+                        "f": {"type": "array", "minItems": 2},
                     },
                 },
             },
@@ -199,6 +200,12 @@ CONFIG_SCHEMA = {
 }
 
 
+# Built once: jsonschema.validate would re-check the schema itself on every
+# load.  Table entries carry no per-item schema; _table_values checks them
+# with numpy, because walking 2001-entry arrays item by item dominates a load.
+_VALIDATOR = jsonschema.Draft7Validator(CONFIG_SCHEMA)
+
+
 @dataclass(frozen=True)
 class MonitorSettings:
     """Which monitors to run and the decay parameters' knobs."""
@@ -263,7 +270,17 @@ def _build_nonlinearity(section: dict) -> NonlinearitySpec:
     missing = [k for k in ("p", "a0", "a1", "b0", "b1", "table") if k not in section]
     if missing:
         raise ConfigError(f"custom nonlinearity requires {missing}")
-    f = tabulated_f(section["table"]["r"], section["table"]["f"])
+    table = section["table"]
+    r = _table_values(table["r"], "r")
+    fv = _table_values(table["f"], "f")
+    if r.size != fv.size:
+        raise ConfigError(f"invalid table at nonlinearity/table: r has {r.size} entries and f has {fv.size}")
+    step = np.flatnonzero(np.diff(r) <= 0)
+    if step.size:
+        i = int(step[0]) + 1
+        prev, here = table["r"][i - 1], table["r"][i]
+        raise ConfigError(f"invalid table at nonlinearity/table/r/{i}: {here!r} does not exceed the previous entry {prev!r}")
+    f = tabulated_f(r, fv)
     return custom_nonlinearity(
         f=f,
         p=section["p"],
@@ -271,7 +288,26 @@ def _build_nonlinearity(section: dict) -> NonlinearitySpec:
         a1=section["a1"],
         b0=section["b0"],
         b1=section["b1"],
+        F=f.F,
+        Phi=f.Phi,
     )
+
+
+def _table_values(values: list, key: str) -> np.ndarray:
+    """A table column as floats; a non-number or non-finite entry names its JSON path."""
+    where = f"nonlinearity/table/{key}"
+    if not set(map(type, values)) <= {int, float}:
+        i, v = next((i, v) for i, v in enumerate(values) if type(v) not in (int, float))
+        raise ConfigError(f"config schema violation at {where}/{i}: {v!r} is not of type 'number'")
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        arr = np.array([v if abs(v) <= sys.float_info.max else math.inf for v in values], dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        i = int(bad[0])
+        raise ConfigError(f"invalid table at {where}/{i}: {values[i]!r} is not a finite number")
+    return arr
 
 
 def _build_forcing(section: dict) -> ForcingSpec:
@@ -303,9 +339,8 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config {p}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {p} is not valid JSON: {e}") from e
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
+    e = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if e is not None:
         where = "/".join(str(x) for x in e.absolute_path) or "<root>"
         raise ConfigError(f"config schema violation at {where}: {e.message}") from e
 

@@ -23,6 +23,7 @@ __all__ = [
     "ConditionReport",
     "ForcingSpec",
     "NonlinearitySpec",
+    "TabulatedF",
     "affine_forcing",
     "apply_F",
     "apply_g",
@@ -68,7 +69,8 @@ RELATIVE_SLACK = 1e-10
 class NonlinearitySpec:
     """Pointwise nonlinearity with its growth/coercivity constants.
 
-    ``f`` is the scalar integrand and ``F`` its primitive from 0.  The
+    ``f`` is the scalar integrand, ``F`` its primitive from 0 and ``Phi``
+    the primitive of ``F`` from 0 (pointwise potential density).  The
     constants assert ``||F(u)||_{p'} <= a0*||u||_p^(p-1) + a1*||u||_H`` and
     ``<F(u),u> >= b0*||u||_p^p + b1*||u||_H^2``; custom kinds must supply
     constants themselves and can only be falsified by :func:`verify_conditions`.
@@ -84,6 +86,7 @@ class NonlinearitySpec:
     b1: float = 0.0
     f: Callable[[np.ndarray], np.ndarray] | None = None
     F: Callable[[np.ndarray], np.ndarray] | None = None
+    Phi: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in NONLINEARITY_KINDS:
@@ -133,30 +136,97 @@ def custom_nonlinearity(
     b0: float,
     b1: float,
     F: Callable[[np.ndarray], np.ndarray] | None = None,
+    Phi: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> NonlinearitySpec:
-    """User-supplied vectorized ``f``; ``F`` defaults to quadrature of ``f``."""
-    return NonlinearitySpec(kind=CUSTOM, p=p, a0=a0, a1=a1, b0=b0, b1=b1, f=f, F=F)
+    """User-supplied vectorized ``f`` with optional exact primitives.
 
-
-def tabulated_f(r_values, f_values) -> Callable[[np.ndarray], np.ndarray]:
-    """Piecewise-linear interpolant for a tabulated scalar f.
-
-    Clamps to the endpoint values outside the table range, so a runaway
-    trajectory sees a bounded f rather than an extrapolated one.
+    ``F`` (primitive of ``f`` from 0) and ``Phi`` (primitive of ``F`` from 0)
+    are used when given, as for a :func:`tabulated_f` table.  A callable
+    without them falls back to Gauss-Legendre quadrature of ``f``.
     """
-    r = np.asarray(r_values, dtype=np.float64)
-    fv = np.asarray(f_values, dtype=np.float64)
-    if r.ndim != 1 or r.shape != fv.shape or r.size < 2:
-        raise ValueError("table needs matching 1-D r and f arrays with >= 2 entries")
-    if not np.all(np.diff(r) > 0):
-        raise ValueError("table r values must be strictly increasing")
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(fv))):
-        raise ValueError("table values must be finite")
+    return NonlinearitySpec(kind=CUSTOM, p=p, a0=a0, a1=a1, b0=b0, b1=b1, f=f, F=F, Phi=Phi)
 
-    def f(u: np.ndarray) -> np.ndarray:
-        return np.interp(u, r, fv)
 
-    return f
+class TabulatedF:
+    """Piecewise-linear f from a table, with its exact primitives from 0.
+
+    Calling it gives f, clamped to the endpoint values outside the table
+    range, so a runaway trajectory sees a bounded f rather than an
+    extrapolated one.  :meth:`F` (piecewise quadratic) and :meth:`Phi`
+    (piecewise cubic) integrate that clamped f exactly: beyond the table
+    they continue linearly and quadratically.
+    """
+
+    def __init__(self, r_values, f_values) -> None:
+        r = np.asarray(r_values, dtype=np.float64)
+        fv = np.asarray(f_values, dtype=np.float64)
+        if r.ndim != 1 or r.shape != fv.shape or r.size < 2:
+            raise ValueError("table needs matching 1-D r and f arrays with >= 2 entries")
+        if not np.all(np.diff(r) > 0):
+            raise ValueError("table r values must be strictly increasing")
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(fv))):
+            raise ValueError("table values must be finite")
+        self.r, self.fv = r, fv
+
+        # Knots: the table with u = 0 inserted when it is not a node, so the
+        # primitives are summed outward from 0 and small |u| keeps its digits.
+        k = int(np.searchsorted(r, 0.0))
+        x, y = r, fv
+        if k == r.size or r[k] != 0.0:
+            x = np.insert(r, k, 0.0)
+            y = np.insert(fv, k, np.interp(0.0, r, fv))
+        n = x.size
+        h = np.diff(x)
+        dF = 0.5 * h * (y[:-1] + y[1:])
+        Fk = self._outward(dF, k)
+        Pk = self._outward(0.5 * h * (Fk[:-1] + Fk[1:]) - h * h * np.diff(y) / 12.0, k)
+
+        # searchsorted(x, u, "right") picks one of n + 1 pieces: each of the
+        # two clamped tails and each segment.  A piece is expanded about its
+        # knot nearer 0, with slope 0 in the tails.
+        anchor = np.r_[0 : k + 1, k:n]
+        slope = np.r_[0.0, np.diff(y) / h, 0.0]
+        self._knots = x
+        self._at, self._f_at, self._F_at, self._Phi_at = x[anchor], y[anchor], Fk[anchor], Pk[anchor]
+        self._half_f_at = 0.5 * self._f_at
+        self._half_slope = 0.5 * slope
+        self._sixth_slope = slope / 6.0
+
+    @staticmethod
+    def _outward(increments: np.ndarray, k: int) -> np.ndarray:
+        """Knot values of a primitive that is 0 at knot k, given its segment increments."""
+        out = np.zeros(increments.size + 1)
+        out[k + 1 :] = np.cumsum(increments[k:])
+        out[:k] = -np.cumsum(increments[:k][::-1])[::-1]
+        return out
+
+    def _piece(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u = np.asarray(u, dtype=np.float64)
+        i = np.searchsorted(self._knots, u, side="right")
+        return i, u - self._at[i]
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        return np.interp(u, self.r, self.fv)
+
+    def F(self, u: np.ndarray) -> np.ndarray:
+        """Exact primitive ``int_0^u f``."""
+        i, t = self._piece(u)
+        return self._F_at[i] + t * (self._f_at[i] + t * self._half_slope[i])
+
+    def Phi(self, u: np.ndarray) -> np.ndarray:
+        """Exact potential density ``int_0^u F``."""
+        i, t = self._piece(u)
+        return self._Phi_at[i] + t * (self._F_at[i] + t * (self._half_f_at[i] + t * self._sixth_slope[i]))
+
+
+def tabulated_f(r_values, f_values) -> TabulatedF:
+    """Piecewise-linear f for a table of (r, f) pairs, with exact ``F`` and ``Phi``.
+
+    Pass ``F=table.F, Phi=table.Phi`` to :func:`custom_nonlinearity`, so
+    stepping, verification and the energy use exact primitives instead of
+    quadrature.
+    """
+    return TabulatedF(r_values, f_values)
 
 
 def _gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -164,20 +234,26 @@ def _gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-# Gauss-Legendre on (0, 1) for the primitive of a custom f on whole grids:
-# F(u) = u * int_0^1 f(u*s) ds.  32 nodes keep the stepping path cheap.
+# Quadrature serves only Python-API callables without exact primitives;
+# tables carry their own (TabulatedF).  Gauss-Legendre on (0, 1) for the
+# primitive on whole grids: F(u) = u * int_0^1 f(u*s) ds.  32 nodes keep the
+# stepping path cheap.
 _GL32_NODES, _GL32_WEIGHTS = _gauss_legendre_01(32)
 
-# The potential of a custom f, Phi(u) = u^2 * int_0^1 (1 - s) f(u*s) ds,
-# on one fixed rule.  On piecewise-linear tables of 3r^2 along short
-# trajectories, against a 1000-node rule, 128 nodes stay within 3.3e-5
+# The potential of a callable without Phi, Phi(u) = u^2 * int_0^1 (1 - s)
+# f(u*s) ds, on one fixed rule.  On piecewise-linear tables of 3r^2 along
+# short trajectories, against a 1000-node rule, 128 nodes stay within 3.3e-5
 # relative error and 32 nodes reach 3.7e-4.
 _PHI_NODES, _PHI_WEIGHTS = _gauss_legendre_01(128)
 _PHI_WEIGHTS = _PHI_WEIGHTS * (1.0 - _PHI_NODES)
 
 
 def F_on_grid(nl: NonlinearitySpec, u: np.ndarray) -> np.ndarray:
-    """Evaluate the primitive F pointwise on an array of samples."""
+    """Evaluate the primitive F pointwise on an array of samples.
+
+    Closed forms for the built-in kinds, ``nl.F`` when set (tables set it),
+    and the 32-node rule only for a Python-API ``f`` without ``F``.
+    """
     if nl.kind == LINEAR:
         return np.asarray(u, dtype=np.float64).copy()
     if nl.kind == POWER_LAW:
@@ -224,8 +300,9 @@ def apply_F(x: SpectralField, nl: NonlinearitySpec) -> SpectralField:
 def potential_batch(coeffs: np.ndarray, op: OperatorSpec, nl: NonlinearitySpec) -> np.ndarray:
     """Potential values for a batch of coefficient rows, vectorized.
 
-    Phi(x) = int_0^1 <F(s x), x> ds; closed forms for the built-in kinds.
-    For a custom kind each grid value u contributes
+    Phi(x) = int_0^1 <F(s x), x> ds; closed forms for the built-in kinds,
+    and grid quadrature of ``nl.Phi`` when set (tables set it).  Only for a
+    Python-API ``f`` without ``Phi`` does each grid value u contribute
     ``u^2 * int_0^1 (1 - s) f(u*s) ds``, on the fixed 128-node rule.
     """
     c = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
@@ -234,6 +311,8 @@ def potential_batch(coeffs: np.ndarray, op: OperatorSpec, nl: NonlinearitySpec) 
     u = modes_to_grid(c, op)
     if nl.kind in (POWER_LAW, CUBIC):
         return (np.abs(u) ** nl.p @ op.weights) / nl.p
+    if nl.Phi is not None:
+        return np.asarray(nl.Phi(u), dtype=np.float64) @ op.weights
     # One node at a time keeps the working set at one grid batch.
     acc = np.zeros_like(u)
     for sq, wq in zip(_PHI_NODES, _PHI_WEIGHTS):

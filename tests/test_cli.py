@@ -365,6 +365,36 @@ def test_config_errors_exit_3(tmp_path, capsys):
     assert "usage" in capsys.readouterr().out
 
 
+def _table(r, f):
+    return dict(CUSTOM_NEGATED, table={"r": r, "f": f})
+
+
+@pytest.mark.parametrize(
+    "table, where",
+    [
+        (_table([-10.0, True, 10.0], [1.0, 2.0, 3.0]), "nonlinearity/table/r/1"),
+        (_table([-10.0, 0.0, 10.0], [1.0, 2.0, "3.0"]), "nonlinearity/table/f/2"),
+        (_table([None, 0.0, 10.0], [1.0, 2.0, 3.0]), "nonlinearity/table/r/0"),
+        (_table([-10.0, 0.0, 10.0], [1.0, [2.0], 3.0]), "nonlinearity/table/f/1"),
+        (_table([-10.0, 5.0, 5.0, 10.0], [1.0, 2.0, 3.0, 4.0]), "nonlinearity/table/r/2"),
+        (_table([-10.0, 0.0, 10.0], [1.0, 2.0]), "nonlinearity/table"),
+        (_table([-10.0, 0.0, 10.0], [1.0, float("nan"), 3.0]), "nonlinearity/table/f/1"),
+        (_table([-10.0, 0.0, 10**400], [1.0, 2.0, 3.0]), "nonlinearity/table/r/2"),
+    ],
+    ids=["boolean", "string", "null", "nested", "not_increasing", "lengths", "nan", "huge_int"],
+)
+@pytest.mark.parametrize("cmd", ["verify", "run"])
+def test_bad_table_entries_exit_3_naming_the_path(tmp_path, capsys, cmd, table, where):
+    path = write_cfg(tmp_path, make_cfg(tmp_path, nonlinearity=table))
+    assert cli.main([cmd, path]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert f" at {where}:" in captured.err
+    assert "np." not in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_oracle_subcommand_is_hidden_but_works(tmp_path, capsys):
     rc = cli.main(["oracle", "bernoulli", "--delta", "0.05", "--r", "2", "--w0", "6", "--t", "0.5", "1.0"])
     assert rc == 0

@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -136,3 +137,28 @@ def test_resolve_initial_sine(tmp_path):
 def test_published_schema_in_sync():
     published = Path(__file__).resolve().parents[1] / "docs" / "config.schema.json"
     assert json.loads(published.read_text()) == CONFIG_SCHEMA
+
+
+def test_config_schema_is_valid_draft7():
+    # load_config's prebuilt validator never checks the schema itself, so a
+    # broken schema must be caught here.
+    jsonschema.Draft7Validator.check_schema(CONFIG_SCHEMA)
+
+
+def test_custom_table_carries_exact_primitives(tmp_path):
+    cfg = base_config(
+        nonlinearity={
+            "kind": "custom",
+            "p": 3.0,
+            "a0": 1.0,
+            "a1": 1.0,
+            "b0": 0.5,
+            "b1": 0.0,
+            "table": {"r": [-1, 0.5, 1.0], "f": [-3.0, 1.5, 3]},
+        }
+    )
+    rc = load_config(write_cfg(tmp_path, cfg))
+    u = np.array([-2.0, -0.5, 0.25, 2.0])
+    # f = 3r on the table, clamped outside it
+    assert np.allclose(rc.nl.F(u), [1.5 + 3.0, 0.375, 0.09375, 1.5 + 3.0], rtol=1e-14)
+    assert np.allclose(rc.nl.Phi(u), [-3.5, -0.0625, 0.0078125, 3.5], rtol=1e-14)

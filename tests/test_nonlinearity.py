@@ -1,11 +1,13 @@
 """Nonlinearity primitives, potentials, forcing terms, and the verifiers."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from wavegalerkin import cli
 from wavegalerkin.nonlinearity import (
     ZERO,
     ForcingSpec,
@@ -227,3 +229,117 @@ def test_nonlinearity_spec_validation():
         NonlinearitySpec(kind="custom", p=3.0)
     assert linear_nonlinearity().oracle_only
     assert not cubic_nonlinearity().oracle_only
+
+
+# Tables for the exact primitives: 0 as a node, 0 between nodes, and a
+# table wholly to the right of 0 (its clamped f is constant on [0, r[0]]).
+EXACT_TABLES = {
+    "zero_node": (np.linspace(-2.0, 2.0, 41), lambda r: 3.0 * r * r + r),
+    "zero_inside": (np.linspace(-2.05, 1.9, 37), lambda r: 3.0 * r * r + np.cos(r)),
+    "positive": (np.linspace(0.5, 3.0, 26), lambda r: r**3 + 1.0),
+}
+
+
+def _piecewise_reference(r, fv, u):
+    """F(u) and Phi(u) by trapezoid sums over every kink between 0 and u.
+
+    f is linear between consecutive points, so the trapezoid sum is exact for
+    F, and trapezoid minus h^3 f'/12 is exact for Phi.
+    """
+    inner = r[(r > min(0.0, u)) & (r < max(0.0, u))]
+    x = np.unique(np.concatenate(([0.0, u], inner)))
+    if u < 0.0:
+        x = x[::-1]
+    y = np.interp(x, r, fv)
+    F = [0.0]
+    Phi = [0.0]
+    for a, b, ya, yb in zip(x[:-1], x[1:], y[:-1], y[1:]):
+        h = b - a
+        Fb = F[-1] + 0.5 * h * (ya + yb)
+        Phi.append(Phi[-1] + 0.5 * h * (F[-1] + Fb) - h * h * (yb - ya) / 12.0)
+        F.append(Fb)
+    return F[-1], Phi[-1]
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_TABLES))
+def test_table_primitives_match_piecewise_reference(name):
+    r, fn = EXACT_TABLES[name]
+    fv = fn(r)
+    table = tabulated_f(r, fv)
+    R = float(np.max(np.abs(r)))
+    u = np.concatenate(
+        (
+            np.linspace(-2.0 * R, 2.0 * R, 161),
+            [-1e-3, -3e-7, 0.0, 1e-12, 2e-5, 1e-3],
+            [r[0] - 0.1, r[-1] + 0.1],
+        )
+    )
+    got_F = table.F(u)
+    got_Phi = table.Phi(u)
+    for i, ui in enumerate(u):
+        ref_F, ref_Phi = _piecewise_reference(r, fv, float(ui))
+        assert abs(got_F[i] - ref_F) <= 1e-10 * abs(ref_F), (ui, got_F[i], ref_F)
+        assert abs(got_Phi[i] - ref_Phi) <= 1e-10 * abs(ref_Phi), (ui, got_Phi[i], ref_Phi)
+    assert table.F(np.float64(0.0)) == 0.0 and table.Phi(np.float64(0.0)) == 0.0
+    # calling the table is still the clamped interpolant
+    assert np.array_equal(table(u), np.interp(u, r, fv))
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_TABLES))
+def test_table_primitives_differentiate_to_f_and_F(name):
+    r, fn = EXACT_TABLES[name]
+    table = tabulated_f(r, fn(r))
+    R = float(np.max(np.abs(r)))
+    u = np.random.default_rng(5).uniform(-2.0 * R, 2.0 * R, 400)
+    eps = 1e-6
+    dF = (table.F(u + eps) - table.F(u - eps)) / (2.0 * eps)
+    dPhi = (table.Phi(u + eps) - table.Phi(u - eps)) / (2.0 * eps)
+    assert np.allclose(dF, table(u), rtol=1e-6, atol=1e-6)
+    assert np.allclose(dPhi, table.F(u), rtol=1e-6, atol=1e-6)
+
+
+def test_table_primitives_reach_stepping_and_potential(op16):
+    # The table's exact F and Phi replace quadrature on every path: for a
+    # table of f = 3r (exact on a two-node table) F = 1.5u^2 and Phi = u^3/2.
+    table = tabulated_f([-50.0, 50.0], [-150.0, 150.0])
+    nl = custom_nonlinearity(f=table, p=4.0, a0=1.0, a1=1.0, b0=1.0, b1=0.0, F=table.F, Phi=table.Phi)
+    u = np.linspace(-3.0, 3.0, 13)
+    assert np.allclose(F_on_grid(nl, u), 1.5 * u * u, rtol=1e-14, atol=1e-14)
+    c = np.random.default_rng(8).uniform(-0.5, 0.5, size=(3, 16))
+    grid = op16.basis @ c.T
+    want = (0.5 * grid.T**3) @ op16.weights
+    assert np.allclose(potential_batch(c, op16, nl), want, rtol=1e-12, atol=1e-14)
+
+
+def test_table_energy_is_conserved_on_a_short_rk4_run(tmp_path):
+    # A short unforced RK4 run with a 2001-entry table of 3r^2 (a seeded
+    # benchmark configuration).  With quadrature F and Phi, Phi' != F and
+    # the energy drifted 2.0e-5 relative against the 1.2e-6 tolerance.
+    length, m = 1.89214, 24
+    reach = 10.0 * math.sqrt(2.0 / length) * m
+    r = np.linspace(-reach, reach, 2001)
+    cfg = {
+        "domain": {"length": length, "bc": "dirichlet"},
+        "modes": m,
+        "nonlinearity": {
+            "kind": "custom",
+            "p": 4.0,
+            "a0": 1.0,
+            "a1": 0.0803323,
+            "b0": 1.0,
+            "b1": 0.0,
+            "table": {"r": r.tolist(), "f": (3.0 * r * r).tolist()},
+        },
+        "forcing": {"kind": "zero"},
+        "initial": {
+            "x0": {"type": "parabola", "amplitude": 1.73555},
+            "x1": {"type": "sine", "wavenumber": 2, "amplitude": 0.203757},
+        },
+        "time": {"T": 0.1, "dt": 1e-3, "integrator": "rk4", "sample_stride": 1},
+        "output": {"csv_path": str(tmp_path / "t.csv"), "report_path": str(tmp_path / "r.json")},
+    }
+    path = tmp_path / "mix.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == 0
+    checks = {c["name"]: c for c in json.loads((tmp_path / "r.json").read_text())["monitor"]["checks"]}
+    assert checks["conservation"]["passed"], checks["conservation"]
