@@ -158,7 +158,11 @@ def _verification(rc: RunConfig):
 
 
 def _derive_bounds(rc: RunConfig, op, initial_record):
-    """Envelope params always; decay params when the unforced p>2 case applies."""
+    """Envelope params always; decay params when the unforced p>2 case applies.
+
+    ``dp`` is ``None`` also when ``k^r C^r`` overflows and no ``delta``
+    exists (see :func:`derive_decay`): the decay check is then skipped.
+    """
     gp = derive_gronwall(rc.nl, rc.fs, op, initial_record)
     dp = None
     if rc.fs.kind == ZERO and rc.nl.p > 2.0:
@@ -320,6 +324,11 @@ def cmd_decay(rc: RunConfig, T_override: float | None, out_json: str) -> int:
     init = resolve_initial(rc, op)
     traj = integrate(init.state, solver_cfg, op, rc.nl, rc.fs)
     gp, dp = _derive_bounds(rc, op, traj.energy.row(0))
+    if dp is None:
+        raise ConfigError(
+            f"no decay bound: k^r C^r overflows a float (r = {rc.nl.p / 2.0:g}, C = {2.0 * traj.energy.energy[0]:.6g}), "
+            "so no delta > 0 meets delta <= (k-1)/(k^r C^r)"
+        )
     rep = monitor(traj, gp, dp, rc.monitors.tolerances)
     decay_checks = [c for c in rep.checks if c.name == "decay"]
     within_bound = bool(decay_checks and decay_checks[0].passed)

@@ -236,9 +236,22 @@ class DecayParams:
         if self.delta <= 0:
             raise ValueError("delta must be positive")
         if self.C > 0.0:
-            cap = (self.k - 1.0) / (self.k ** self.r * self.C ** self.r)
+            cap = _delta_cap(self.k, self.r, self.C)
             if self.delta > cap * (1.0 + 1e-12):
                 raise ValueError(f"delta={self.delta:g} exceeds (k-1)/(k^r C^r) = {cap:g}")
+
+
+def _delta_cap(k: float, r: float, big_c: float) -> float:
+    """``(k-1)/(k^r C^r)`` for ``C > 0``, without raising.
+
+    ``0.0`` when ``k^r C^r`` overflows (then no ``delta > 0`` meets the cap),
+    ``inf`` when it underflows to 0 (then the cap binds nothing).
+    """
+    try:
+        scale = k ** r * big_c ** r
+    except OverflowError:
+        return 0.0
+    return (k - 1.0) / scale if scale > 0.0 else math.inf
 
 
 def derive_decay(
@@ -248,12 +261,15 @@ def derive_decay(
     initial: EnergyRecord,
     k: float = 2.0,
     delta: float | None = None,
-) -> DecayParams:
+) -> DecayParams | None:
     """Decay constants for the unforced coercive case.
 
     Requires zero forcing and ``p > 2``.  The default ``delta`` is half of
     ``min((k-1)/(k^r C^r), 1/2)`` (all of it when ``C = 0``), additionally
-    capped by ``c/2^(r-1)`` so the comparison rewrite is valid.
+    capped by ``c/2^(r-1)`` so the comparison rewrite is valid; a given
+    ``delta`` must meet that cap too.  Returns ``None`` when ``k^r C^r``
+    overflows: no ``delta > 0`` then satisfies the first cap, so there is
+    no decay bound to check.
     """
     if fs.kind != ZERO:
         raise ValueError("decay bound requires zero forcing")
@@ -264,12 +280,16 @@ def derive_decay(
     c0 = nl.p * c_emb ** nl.p
     c = 2.0 / c0
     big_c = 2.0 * initial.energy
+    cap = _delta_cap(k, r, big_c) if big_c > 0.0 else math.inf
+    if cap == 0.0:
+        return None
     if delta is None:
-        if big_c > 0.0:
-            delta = 0.5 * min((k - 1.0) / (k ** r * big_c ** r), 0.5)
-        else:
-            delta = 0.5
+        delta = 0.5 * min(cap, 0.5) if big_c > 0.0 else 0.5
         delta = min(delta, c / 2.0 ** (r - 1.0))
+    else:
+        c_cap = c / 2.0 ** (r - 1.0)
+        if delta > c_cap * (1.0 + 1e-12):
+            raise ValueError(f"monitors.delta={delta:g} exceeds the decay comparison's cap c/2^(r-1) = {c_cap:g}")
     return DecayParams(r=r, c=c, C=big_c, k=k, delta=float(delta))
 
 

@@ -11,6 +11,7 @@ assumptions, and divergence must be observable rather than a crash.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -237,35 +238,58 @@ def _builtin_codes(nl: NonlinearitySpec, fs: ForcingSpec) -> tuple[int, int] | N
 
 
 def _numpy_accel(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
-    """Acceleration closure for the numpy path, mirroring the compiled one."""
-    lam = np.ascontiguousarray(op.eigenvalues)
+    """Acceleration closure for the numpy path, mirroring the compiled one.
+
+    One ``force(a, adot)`` is built per nonlinearity kind and wrapped once
+    per forcing kind (zero forcing returns it as is), so a call does no kind
+    dispatch.  ``neg_lam * w`` equals ``-(lam * w)`` bitwise (IEEE
+    multiplication is sign-symmetric) at one ufunc call fewer.
+    """
+    neg_lam = -np.ascontiguousarray(op.eigenvalues)
     sqrt_lam = np.ascontiguousarray(op.sqrt_eigenvalues)
     # FFT pair or dense products, picked here once per integration.
     sample, project = transform_pair(op)
-    gc = fs.constant * constant_modal(op) if fs.kind == AFFINE and fs.constant != 0.0 else None
-    pm2 = nl.p - 2.0
 
-    def accel(a: np.ndarray, adot: np.ndarray) -> np.ndarray:
-        if nl.kind == LINEAR:
-            out = -(lam * a)
-        else:
+    if nl.kind == LINEAR:
+
+        def force(a, adot=None):
+            return neg_lam * a
+
+    elif nl.kind == CUBIC:
+
+        def force(a, adot=None):
             u = sample(a)
-            if nl.kind == CUBIC:
-                w = u * u * u
-            elif nl.kind == POWER_LAW:
-                w = np.abs(u) ** pm2 * u
-            else:
-                w = F_on_grid(nl, u)
-            out = -(lam * project(w))
-        if fs.kind == ZERO:
-            return out
-        if fs.kind == AFFINE:
-            extra = fs.g1 * a + (fs.g2 * adot) / sqrt_lam
-            if gc is not None:
-                extra = extra + gc
-            return out + extra
+            return neg_lam * project(u * u * u)
+
+    elif nl.kind == POWER_LAW:
+        pm2 = nl.p - 2.0
+
+        def force(a, adot=None):
+            u = sample(a)
+            return neg_lam * project(np.abs(u) ** pm2 * u)
+
+    else:
+        # A table's exact F, called directly; F_on_grid's quadrature of f
+        # for a callable given without F.
+        F = nl.F if nl.F is not None else functools.partial(F_on_grid, nl)
+
+        def force(a, adot=None):
+            return neg_lam * project(np.asarray(F(sample(a)), dtype=np.float64))
+
+    if fs.kind == ZERO:
+        return force
+    if fs.kind == AFFINE:
+        g1, g2 = fs.g1, fs.g2
+        if fs.constant == 0.0:
+            return lambda a, adot: force(a) + (g1 * a + (g2 * adot) / sqrt_lam)
+        gc = fs.constant * constant_modal(op)
+        return lambda a, adot: force(a) + ((g1 * a + (g2 * adot) / sqrt_lam) + gc)
+    func = fs.func
+
+    def accel(a, adot):
+        out = force(a)
         vg = sample(adot / sqrt_lam)
-        return out + project(np.asarray(fs.func(sample(a), vg), dtype=np.float64))
+        return out + project(np.asarray(func(sample(a), vg), dtype=np.float64))
 
     return accel
 

@@ -372,12 +372,13 @@ def transform_pair(op: OperatorSpec):
 
     At or above ``FFT_MIN_MODES`` they are the FFT pair that
     :func:`modes_to_grid` and :func:`grid_to_modes` use; below it they are
-    the dense matrices' own products.  A stepping loop that fetches the
-    pair once pays no per-call dispatch.
+    the dense matrices' own ``dot``, the same BLAS matrix-vector product as
+    ``@`` at a lower per-call cost.  A stepping loop that fetches the pair
+    once pays no per-call dispatch.
     """
     if op._fft is not None:
         return op._fft.to_grid, op._fft.from_grid
-    return op.basis.__matmul__, op.projection.__matmul__
+    return op.basis.dot, op.projection.dot
 
 
 def to_grid(x: SpectralField) -> np.ndarray:

@@ -349,6 +349,60 @@ def test_decay_rejects_out_of_scope_configs(tmp_path, capsys, over):
     assert "config error" in capsys.readouterr().err
 
 
+def test_decay_cap_overflow_skips_the_decay_check(tmp_path):
+    # p = 50 at amplitude 100: C^r = C^25 overflows a float, so no delta > 0
+    # meets delta <= (k-1)/(k^r C^r).  `run` skips the decay check; `decay`
+    # has nothing to study and exits 3.  Neither may end in a traceback.
+    cfg = make_cfg(
+        tmp_path,
+        nonlinearity={"kind": "power_law", "p": 50.0},
+        initial={"x0": {"type": "parabola", "amplitude": 100.0}, "x1": {"type": "zero"}},
+        time={"T": 1e-3, "dt": 1e-5},
+    )
+    path = write_cfg(tmp_path, cfg)
+    src_dir = str(Path(wavegalerkin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+
+    def cli_run(*argv):
+        return subprocess.run([sys.executable, "-m", "wavegalerkin.cli", *argv], capture_output=True, env=env, timeout=300)
+
+    proc = cli_run("run", path)
+    assert b"Traceback" not in proc.stderr
+    assert proc.returncode in (0, 1, 2)
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["decay_params"] is None
+    assert "decay" not in [c["name"] for c in rep["monitor"]["checks"]]
+    want = 2 if rep["monitor"]["diverged"] else (0 if rep["monitor"]["passed"] else 1)
+    assert proc.returncode == want
+    assert (tmp_path / "trajectory.csv").exists()
+
+    out_json = tmp_path / "d.json"
+    proc = cli_run("decay", path, "--out-json", str(out_json))
+    assert b"Traceback" not in proc.stderr
+    assert proc.returncode == 3
+    err = proc.stderr.decode().strip()
+    assert err.startswith("config error") and "overflows" in err and "\n" not in err
+    assert not out_json.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "decay"])
+def test_delta_above_the_comparison_cap_exits_3(tmp_path, capsys, command):
+    # c/2^(r-1) = 0.25 for unforced p = 4 on the unit interval: a delta of
+    # 10 would make the decay bound's comparison rewrite invalid.
+    cfg = make_cfg(tmp_path, nonlinearity={"kind": "power_law", "p": 4.0}, time={"T": 0.1, "dt": 1e-3}, monitors={"delta": 10.0})
+    out_json = tmp_path / "d.json"
+    argv = [command, write_cfg(tmp_path, cfg)] + (["--out-json", str(out_json)] if command == "decay" else [])
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "c/2^(r-1)" in err and "0.25" in err
+    assert not (tmp_path / "report.json").exists() and not (tmp_path / "trajectory.csv").exists()
+    assert not out_json.exists()
+    # the default delta meets the cap and runs clean
+    cfg["monitors"] = {}
+    argv = [command, write_cfg(tmp_path, cfg)] + (["--out-json", str(out_json)] if command == "decay" else [])
+    assert cli.main(argv) == 0
+
+
 def test_config_errors_exit_3(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "nope.json")]) == 3
     assert "config error" in capsys.readouterr().err

@@ -22,7 +22,13 @@ from wavegalerkin.estimates import (
     monitor,
     sample_table,
 )
-from wavegalerkin.nonlinearity import affine_forcing, cubic_nonlinearity, linear_nonlinearity, zero_forcing
+from wavegalerkin.nonlinearity import (
+    affine_forcing,
+    cubic_nonlinearity,
+    linear_nonlinearity,
+    power_law_nonlinearity,
+    zero_forcing,
+)
 from wavegalerkin.solver import SolverConfig, State, initial_state_from_modal, integrate, project_initial_data
 from wavegalerkin.spectral import DIRICHLET, DomainSpec, build_operator
 
@@ -119,6 +125,25 @@ def test_derive_decay_defaults(op16):
         derive_decay(cubic_nonlinearity(), affine_forcing(g0=0.1), op16, rec)
     with pytest.raises(ValueError):
         derive_decay(linear_nonlinearity(), zero_forcing(), op16, rec)
+
+
+def test_derive_decay_at_the_float_range_edges(op16):
+    nl = power_law_nonlinearity(50.0)
+    rec = energy_record(initial_state_from_modal([0.1], [], op16).state, op16, nl, zero_forcing())
+    # k^r C^r overflows: no delta > 0 meets the cap, so there is no bound
+    huge = dataclasses.replace(rec, energy=1e30)
+    assert derive_decay(nl, zero_forcing(), op16, huge) is None
+    assert derive_decay(nl, zero_forcing(), op16, huge, delta=1e-300) is None
+    # k^r C^r underflows to 0: the cap binds nothing and the c/2^(r-1) cap sets delta
+    tiny = dataclasses.replace(rec, energy=1e-20)
+    dp = derive_decay(nl, zero_forcing(), op16, tiny)
+    assert dp.delta == pytest.approx(min(0.25, dp.c / 2.0 ** (dp.r - 1.0)), rel=1e-15)
+    # a given delta must meet c/2^(r-1), with the same 1e-12 slack as the other cap
+    dp = derive_decay(cubic_nonlinearity(), zero_forcing(), op16, rec)
+    c_cap = dp.c / 2.0 ** (dp.r - 1.0)
+    assert derive_decay(cubic_nonlinearity(), zero_forcing(), op16, rec, delta=c_cap * (1.0 + 1e-13)).delta > c_cap
+    with pytest.raises(ValueError, match=r"c/2\^\(r-1\)"):
+        derive_decay(cubic_nonlinearity(), zero_forcing(), op16, rec, delta=c_cap * (1.0 + 1e-11))
 
 
 def test_decay_bound_closed_form_values():

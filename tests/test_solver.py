@@ -9,8 +9,11 @@ from wavegalerkin import kernels
 from wavegalerkin.nonlinearity import (
     affine_forcing,
     cubic_nonlinearity,
+    custom_lipschitz_forcing,
+    custom_nonlinearity,
     linear_nonlinearity,
     power_law_nonlinearity,
+    tabulated_f,
     zero_forcing,
 )
 from wavegalerkin.oracle import reference_run
@@ -97,6 +100,33 @@ def test_acceleration_implementations_agree(op8):
     )
     assert np.allclose(closure, ref, rtol=1e-12, atol=1e-13)
     assert np.allclose(out, ref, rtol=1e-12, atol=1e-13)
+
+    # Every specialised closure: each nonlinearity kind under each forcing
+    # kind, on the dense products (m=8) and on the FFT pair (m=512).
+    table = tabulated_f(np.linspace(-2.0, 2.0, 21), np.linspace(-2.0, 2.0, 21) ** 3)
+    nls = [
+        linear_nonlinearity(),
+        cubic_nonlinearity(),
+        power_law_nonlinearity(3.5),
+        custom_nonlinearity(f=table, p=4.0, a0=1.0, a1=1.0, b0=0.1, b1=0.0, F=table.F, Phi=table.Phi),
+        custom_nonlinearity(f=lambda u: 3.0 * u * u, p=4.0, a0=1.0, a1=0.0, b0=1.0, b1=0.0),
+    ]
+    forcings = [
+        zero_forcing(),
+        affine_forcing(g1=0.3, g2=0.2),
+        affine_forcing(g1=0.3, g2=0.2, constant=0.1, g0=0.2),
+        custom_lipschitz_forcing(lambda u, v: 0.2 * np.tanh(u) + 0.1 * v, g0=0.0, g1=0.2, g2=0.1),
+    ]
+    assert 512 >= FFT_MIN_MODES
+    for op in (op8, build_operator(DomainSpec(length=1.0, bc=DIRICHLET), 512)):
+        a = 0.4 * rng.normal(size=op.modes) / np.arange(1, op.modes + 1)
+        adot = 0.4 * rng.normal(size=op.modes) / np.arange(1, op.modes + 1)
+        for nl in nls:
+            for fs in forcings:
+                ref = acceleration(State(a=a, adot=adot), op, nl, fs)
+                closure = _numpy_accel(op, nl, fs)(a, adot)
+                assert closure.shape == ref.shape
+                assert np.allclose(closure, ref, rtol=1e-12, atol=1e-13), (op.modes, nl.kind, fs.kind)
 
 
 def test_harmonic_mode_tracks_cosine(op8):
