@@ -1,28 +1,12 @@
 """Spectral Galerkin solver for second-order wave equations with monotone
 nonlinearities, plus runtime verifiers for the structural conditions and
-the a-priori energy and decay bounds."""
+the a-priori energy and decay bounds.  The root exports what a library
+caller needs to build, integrate and check a problem; the rest stays in
+its submodule."""
 
-from .estimates import (
-    DecayParams,
-    EnergyRecord,
-    GronwallParams,
-    MonitorReport,
-    MonitorTolerances,
-    absorbing_radius,
-    decay_bound,
-    derive_decay,
-    derive_gronwall,
-    energy_record,
-    gronwall_envelope,
-    monitor,
-)
+from .estimates import decay_bound, derive_decay, derive_gronwall, monitor
 from .nonlinearity import (
-    ConditionReport,
-    ForcingSpec,
-    NonlinearitySpec,
     affine_forcing,
-    apply_F,
-    apply_g,
     cubic_nonlinearity,
     custom_lipschitz_forcing,
     custom_nonlinearity,
@@ -33,63 +17,15 @@ from .nonlinearity import (
     verify_g,
     zero_forcing,
 )
-from .oracle import linear_exact, max_H_error, reference_run, scalar_comparison
-from .solver import (
-    ProjectedInitialData,
-    SolverConfig,
-    State,
-    Trajectory,
-    acceleration,
-    initial_state_from_modal,
-    integrate,
-    project_initial_data,
-)
-from .spectral import (
-    DomainSpec,
-    OperatorSpec,
-    PoincareViolationError,
-    SpectralField,
-    apply_A,
-    apply_A_inv,
-    apply_A_inv_sqrt,
-    apply_B,
-    build_operator,
-    from_grid,
-    inner,
-    norm_H,
-    norm_Lp,
-    to_grid,
-    unit_mode,
-)
+from .solver import SolverConfig, integrate, project_initial_data
+from .spectral import DomainSpec, build_operator
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConditionReport",
-    "DecayParams",
     "DomainSpec",
-    "EnergyRecord",
-    "ForcingSpec",
-    "GronwallParams",
-    "MonitorReport",
-    "MonitorTolerances",
-    "NonlinearitySpec",
-    "OperatorSpec",
-    "PoincareViolationError",
-    "ProjectedInitialData",
     "SolverConfig",
-    "SpectralField",
-    "State",
-    "Trajectory",
-    "absorbing_radius",
-    "acceleration",
     "affine_forcing",
-    "apply_A",
-    "apply_A_inv",
-    "apply_A_inv_sqrt",
-    "apply_B",
-    "apply_F",
-    "apply_g",
     "build_operator",
     "cubic_nonlinearity",
     "custom_lipschitz_forcing",
@@ -97,25 +33,12 @@ __all__ = [
     "decay_bound",
     "derive_decay",
     "derive_gronwall",
-    "energy_record",
-    "from_grid",
-    "gronwall_envelope",
-    "initial_state_from_modal",
-    "inner",
     "integrate",
-    "linear_exact",
     "linear_nonlinearity",
-    "max_H_error",
     "monitor",
-    "norm_H",
-    "norm_Lp",
     "power_law_nonlinearity",
     "project_initial_data",
-    "reference_run",
-    "scalar_comparison",
     "tabulated_f",
-    "to_grid",
-    "unit_mode",
     "verify_conditions",
     "verify_g",
     "zero_forcing",

@@ -25,6 +25,7 @@ from .estimates import (
     DecayParams,
     GronwallParams,
     absorbing_radius,
+    comparison_rewrite_cap,
     decay_bound,
     derive_decay,
     derive_gronwall,
@@ -157,6 +158,16 @@ def _verification(rc: RunConfig):
     return op, report, proceed
 
 
+def _decay_applies(rc: RunConfig) -> bool:
+    return rc.fs.kind == ZERO and rc.nl.p > 2.0
+
+
+def _check_delta(rc: RunConfig, op) -> None:
+    """Reject a given ``delta`` above ``c/2^(r-1)`` before stepping: the cap needs only ``p`` and the interval."""
+    if _decay_applies(rc):
+        comparison_rewrite_cap(rc.nl, op, rc.monitors.delta)
+
+
 def _derive_bounds(rc: RunConfig, op, initial_record):
     """Envelope params always; decay params when the unforced p>2 case applies.
 
@@ -165,7 +176,7 @@ def _derive_bounds(rc: RunConfig, op, initial_record):
     """
     gp = derive_gronwall(rc.nl, rc.fs, op, initial_record)
     dp = None
-    if rc.fs.kind == ZERO and rc.nl.p > 2.0:
+    if _decay_applies(rc):
         dp = derive_decay(rc.nl, rc.fs, op, initial_record, k=rc.monitors.k, delta=rc.monitors.delta)
     return gp, dp
 
@@ -185,6 +196,7 @@ def cmd_run(rc: RunConfig) -> int:
         print(f"verification failed; report at {report_path}")
         return EXIT_VIOLATION
 
+    _check_delta(rc, op)
     init = resolve_initial(rc, op)
     traj = integrate(init.state, rc.solver, op, rc.nl, rc.fs)
     gp, dp = _derive_bounds(rc, op, traj.energy.row(0))
@@ -307,7 +319,7 @@ def cmd_converge(rc: RunConfig, modes: list[int], dts: list[float], m_ref: int |
 
 
 def cmd_decay(rc: RunConfig, T_override: float | None, out_json: str) -> int:
-    if rc.fs.kind != ZERO or rc.nl.p <= 2.0:
+    if not _decay_applies(rc):
         raise ConfigError("decay study requires zero forcing and a nonlinearity with p > 2")
     solver_cfg = rc.solver
     if T_override is not None:
@@ -321,6 +333,7 @@ def cmd_decay(rc: RunConfig, T_override: float | None, out_json: str) -> int:
         print("verification failed; no study run")
         return EXIT_VIOLATION
 
+    _check_delta(rc, op)
     init = resolve_initial(rc, op)
     traj = integrate(init.state, solver_cfg, op, rc.nl, rc.fs)
     gp, dp = _derive_bounds(rc, op, traj.energy.row(0))

@@ -32,11 +32,11 @@ __all__ = [
     "MonitorReport",
     "MonitorTolerances",
     "absorbing_radius",
+    "comparison_rewrite_cap",
     "decay_bound",
     "derive_decay",
     "derive_gronwall",
     "embedding_constant",
-    "energy_record",
     "energy_table",
     "gronwall_envelope",
     "identity_residuals",
@@ -115,19 +115,6 @@ def energy_table(
         by_norm_sq=by_norm_sq,
         forcing_power=forcing_power,
     )
-
-
-def energy_record(state, op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec) -> EnergyRecord:
-    """Energy split for a single solver state."""
-    tbl = energy_table(
-        op,
-        nl,
-        fs,
-        np.array([state.t]),
-        np.asarray(state.a)[None, :],
-        np.asarray(state.adot)[None, :],
-    )
-    return tbl.row(0)
 
 
 def embedding_constant(op: OperatorSpec, p: float) -> float:
@@ -254,6 +241,20 @@ def _delta_cap(k: float, r: float, big_c: float) -> float:
     return (k - 1.0) / scale if scale > 0.0 else math.inf
 
 
+def comparison_rewrite_cap(nl: NonlinearitySpec, op: OperatorSpec, delta: float | None = None) -> tuple[float, float]:
+    """``(c, c/2^(r-1))``: the decay constant ``c = 2/(p c_emb^p)`` and its cap on ``delta``.
+
+    Both depend only on ``p`` and the interval length, so a given ``delta``
+    can be checked before any stepping: one above the cap (beyond 1e-12
+    relative slack) raises ``ValueError`` naming it.
+    """
+    c = 2.0 / (nl.p * embedding_constant(op, nl.p) ** nl.p)
+    c_cap = c / 2.0 ** (nl.p / 2.0 - 1.0)
+    if delta is not None and delta > c_cap * (1.0 + 1e-12):
+        raise ValueError(f"monitors.delta={delta:g} exceeds the decay comparison's cap c/2^(r-1) = {c_cap:g}")
+    return c, c_cap
+
+
 def derive_decay(
     nl: NonlinearitySpec,
     fs: ForcingSpec,
@@ -276,20 +277,14 @@ def derive_decay(
     if nl.p <= 2.0:
         raise ValueError("decay bound requires p > 2")
     r = nl.p / 2.0
-    c_emb = embedding_constant(op, nl.p)
-    c0 = nl.p * c_emb ** nl.p
-    c = 2.0 / c0
     big_c = 2.0 * initial.energy
     cap = _delta_cap(k, r, big_c) if big_c > 0.0 else math.inf
     if cap == 0.0:
         return None
+    c, c_cap = comparison_rewrite_cap(nl, op, delta)
     if delta is None:
         delta = 0.5 * min(cap, 0.5) if big_c > 0.0 else 0.5
-        delta = min(delta, c / 2.0 ** (r - 1.0))
-    else:
-        c_cap = c / 2.0 ** (r - 1.0)
-        if delta > c_cap * (1.0 + 1e-12):
-            raise ValueError(f"monitors.delta={delta:g} exceeds the decay comparison's cap c/2^(r-1) = {c_cap:g}")
+        delta = min(delta, c_cap)
     return DecayParams(r=r, c=c, C=big_c, k=k, delta=float(delta))
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import OperatorSpec, SpectralField, grid_to_modes, modes_to_grid, to_grid
+from .spectral import OperatorSpec, grid_to_modes, modes_to_grid
 
 __all__ = [
     "ConditionCheck",
@@ -25,13 +25,10 @@ __all__ = [
     "NonlinearitySpec",
     "TabulatedF",
     "affine_forcing",
-    "apply_F",
-    "apply_g",
     "constant_modal",
     "cubic_nonlinearity",
     "custom_lipschitz_forcing",
     "custom_nonlinearity",
-    "f_on_grid",
     "F_on_grid",
     "forcing_modal_batch",
     "linear_nonlinearity",
@@ -107,10 +104,6 @@ class NonlinearitySpec:
             raise ValueError("p must be > 2 (p=2 is allowed only for the linear kind)")
         if self.kind == CUSTOM and self.f is None:
             raise ValueError("custom kind requires a pointwise f")
-
-    @property
-    def oracle_only(self) -> bool:
-        return self.p == 2.0
 
 
 def linear_nonlinearity() -> NonlinearitySpec:
@@ -267,34 +260,6 @@ def F_on_grid(nl: NonlinearitySpec, u: np.ndarray) -> np.ndarray:
     s = _GL32_NODES.reshape((-1,) + (1,) * np.ndim(u))
     w = _GL32_WEIGHTS.reshape((-1,) + (1,) * np.ndim(u))
     return np.asarray(u) * np.sum(w * nl.f(np.asarray(u) * s), axis=0)
-
-
-def f_on_grid(nl: NonlinearitySpec, u: np.ndarray) -> np.ndarray:
-    """Evaluate the scalar integrand f pointwise."""
-    if nl.kind == LINEAR:
-        return np.ones_like(np.asarray(u, dtype=np.float64))
-    if nl.kind == POWER_LAW:
-        return (nl.p - 1.0) * np.abs(u) ** (nl.p - 2.0)
-    if nl.kind == CUBIC:
-        return 3.0 * np.asarray(u) ** 2
-    return np.asarray(nl.f(u), dtype=np.float64)
-
-
-def apply_F(x: SpectralField, nl: NonlinearitySpec) -> SpectralField:
-    """Galerkin projection of F composed with the field.
-
-    Samples the field on the quadrature grid, applies F pointwise, and
-    projects back onto the retained modes.  Overflow in F surfaces as an
-    error naming the offending amplitude instead of being clamped.
-    """
-    if nl.kind == LINEAR:
-        return x
-    u = to_grid(x)
-    w = F_on_grid(nl, u)
-    if not np.all(np.isfinite(w)):
-        peak = float(np.max(np.abs(u)))
-        raise OverflowError(f"F overflowed on grid samples (peak |u| = {peak:.6g})")
-    return SpectralField(grid_to_modes(w, x.op), x.op)
 
 
 def potential_batch(coeffs: np.ndarray, op: OperatorSpec, nl: NonlinearitySpec) -> np.ndarray:
@@ -530,27 +495,6 @@ def constant_modal(op: OperatorSpec, value: float = 1.0) -> np.ndarray:
     return grid_to_modes(np.full(op.grid_points, float(value)), op)
 
 
-def apply_g(fs: ForcingSpec, x: SpectralField, v: SpectralField) -> SpectralField:
-    """Evaluate the forcing at a state, returning modal coefficients."""
-    if x.op is not v.op and (x.op.domain != v.op.domain or x.op.modes != v.op.modes):
-        raise ValueError("x and v belong to different operators")
-    op = x.op
-    if fs.kind == ZERO:
-        return SpectralField(np.zeros(op.modes), op)
-    if fs.kind == AFFINE:
-        c = fs.g1 * x.coeffs + fs.g2 * v.coeffs
-        if fs.constant != 0.0:
-            c = c + fs.constant * constant_modal(op)
-        return SpectralField(c, op)
-    samples = fs.func(to_grid(x), to_grid(v))
-    s = np.asarray(samples, dtype=np.float64)
-    if s.shape != (op.grid_points,):
-        raise ValueError("custom forcing must return one sample per grid node")
-    if not np.all(np.isfinite(s)):
-        raise OverflowError("forcing overflowed on grid samples")
-    return SpectralField(grid_to_modes(s, op), op)
-
-
 def forcing_modal_batch(
     fs: ForcingSpec,
     op: OperatorSpec,
@@ -561,7 +505,8 @@ def forcing_modal_batch(
 
     Rows of ``a`` and ``adot`` are displacement coefficients and their time
     derivatives; the velocity channel passed to g has coefficients
-    ``adot / sqrt(lambda)``.
+    ``adot / sqrt(lambda)``.  A custom g must return one sample per grid
+    node; the samples may be non-finite (a diverged run's last row).
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     adot = np.atleast_2d(np.asarray(adot, dtype=np.float64))
@@ -575,8 +520,10 @@ def forcing_modal_batch(
         return out
     ug = modes_to_grid(a, op)
     vg = modes_to_grid(v, op)
-    rows = [fs.func(ug[i], vg[i]) for i in range(a.shape[0])]
-    return grid_to_modes(np.asarray(rows, dtype=np.float64), op)
+    rows = np.asarray([fs.func(ug[i], vg[i]) for i in range(a.shape[0])], dtype=np.float64)
+    if rows.shape != ug.shape:
+        raise ValueError("custom forcing must return one sample per grid node")
+    return grid_to_modes(rows, op)
 
 
 def verify_g(

@@ -28,11 +28,10 @@ from .nonlinearity import (
     ForcingSpec,
     NonlinearitySpec,
     F_on_grid,
-    apply_F,
-    apply_g,
     constant_modal,
+    forcing_modal_batch,
 )
-from .spectral import OperatorSpec, SpectralField, from_grid, transform_pair
+from .spectral import OperatorSpec, from_grid, grid_to_modes, modes_to_grid, transform_pair
 
 __all__ = [
     "RK4",
@@ -185,14 +184,9 @@ def initial_state_from_modal(coeffs0, coeffs1, op: OperatorSpec) -> ProjectedIni
 
 
 def acceleration(state: State, op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec) -> np.ndarray:
-    """Reference modal acceleration, assembled from the field-level ops."""
-    x = SpectralField(state.a, op)
-    fm = apply_F(x, nl)
-    out = -(op.eigenvalues * fm.coeffs)
-    if fs.kind != ZERO:
-        v = SpectralField(state.adot / op.sqrt_eigenvalues, op)
-        out = out + apply_g(fs, x, v).coeffs
-    return out
+    """Reference modal acceleration from the batch evaluators the energy table uses."""
+    w = state.a if nl.kind == LINEAR else grid_to_modes(F_on_grid(nl, modes_to_grid(state.a, op)), op)
+    return -(op.eigenvalues * w) + forcing_modal_batch(fs, op, state.a, state.adot)[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,36 +20,24 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "BoundaryKind",
     "DomainSpec",
     "FFT_MIN_MODES",
     "OperatorSpec",
     "PoincareViolationError",
     "SpectralField",
-    "apply_A",
-    "apply_A_inv",
-    "apply_A_inv_sqrt",
-    "apply_B",
     "build_operator",
     "dealias_floor",
     "default_grid_points",
     "from_grid",
     "grid_to_modes",
-    "inner",
     "modes_to_grid",
-    "norm_H",
-    "norm_Lp",
     "to_grid",
     "transform_pair",
-    "unit_mode",
 ]
 
 DIRICHLET = "dirichlet"
 PERIODIC_MEAN_ZERO = "periodic_mean_zero"
 BOUNDARY_KINDS = (DIRICHLET, PERIODIC_MEAN_ZERO)
-
-# Alias for discoverability; values are the strings above.
-BoundaryKind = str
 
 # Smallest mode count whose grid transforms run on numpy.fft; below it they
 # are dense products.  Set from the crossover sweep in
@@ -145,10 +133,6 @@ class OperatorSpec:
     @property
     def lambda_min(self) -> float:
         return float(self.eigenvalues[0])
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues[-1])
 
     @property
     def grid_points(self) -> int:
@@ -319,38 +303,6 @@ class SpectralField:
         object.__setattr__(self, "coeffs", _readonly(c))
 
 
-def unit_mode(op: OperatorSpec, k: int, amplitude: float = 1.0) -> SpectralField:
-    """Field with a single nonzero coefficient at index ``k`` (0-based)."""
-    c = np.zeros(op.modes)
-    c[k] = amplitude
-    return SpectralField(c, op)
-
-
-def _check_same_op(x: SpectralField, z: SpectralField) -> None:
-    if x.op is z.op:
-        return
-    if x.op.domain != z.op.domain or x.op.modes != z.op.modes:
-        raise ValueError("fields belong to different operators")
-
-
-def apply_A(x: SpectralField) -> SpectralField:
-    """Multiply coefficients by the eigenvalues."""
-    return SpectralField(x.coeffs * x.op.eigenvalues, x.op)
-
-
-def apply_B(x: SpectralField) -> SpectralField:
-    """Square root of ``A``: multiply coefficients by ``sqrt(lambda_k)``."""
-    return SpectralField(x.coeffs * x.op.sqrt_eigenvalues, x.op)
-
-
-def apply_A_inv(x: SpectralField) -> SpectralField:
-    return SpectralField(x.coeffs / x.op.eigenvalues, x.op)
-
-
-def apply_A_inv_sqrt(x: SpectralField) -> SpectralField:
-    return SpectralField(x.coeffs / x.op.sqrt_eigenvalues, x.op)
-
-
 def modes_to_grid(coeffs, op: OperatorSpec) -> np.ndarray:
     """Sample coefficient arrays on the grid, along the last axis of any batch shape."""
     c = np.asarray(coeffs, dtype=np.float64)
@@ -394,22 +346,3 @@ def from_grid(samples: np.ndarray, op: OperatorSpec) -> SpectralField:
     if not np.all(np.isfinite(u)):
         raise ValueError("samples must be finite")
     return SpectralField(grid_to_modes(u, op), op)
-
-
-def norm_H(x: SpectralField) -> float:
-    """L2 norm via Parseval: plain 2-norm of the coefficients."""
-    return float(np.linalg.norm(x.coeffs))
-
-
-def inner(x: SpectralField, z: SpectralField) -> float:
-    """L2 inner product of two fields over the same operator."""
-    _check_same_op(x, z)
-    return float(np.dot(x.coeffs, z.coeffs))
-
-
-def norm_Lp(x: SpectralField, p: float) -> float:
-    """Lp norm by quadrature of ``|u|^p`` on the grid."""
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and p >= 1):
-        raise ValueError("p must be a finite number >= 1")
-    u = to_grid(x)
-    return float(np.dot(x.op.weights, np.abs(u) ** p) ** (1.0 / p))

@@ -386,13 +386,19 @@ def test_decay_cap_overflow_skips_the_decay_check(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["run", "decay"])
-def test_delta_above_the_comparison_cap_exits_3(tmp_path, capsys, command):
+def test_delta_above_the_comparison_cap_exits_3(tmp_path, capsys, monkeypatch, command):
     # c/2^(r-1) = 0.25 for unforced p = 4 on the unit interval: a delta of
-    # 10 would make the decay bound's comparison rewrite invalid.
+    # 10 would make the decay bound's comparison rewrite invalid.  The cap
+    # needs only p and the interval length, so nothing is integrated.
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("integrate called for a config with an invalid delta")
+
     cfg = make_cfg(tmp_path, nonlinearity={"kind": "power_law", "p": 4.0}, time={"T": 0.1, "dt": 1e-3}, monitors={"delta": 10.0})
     out_json = tmp_path / "d.json"
     argv = [command, write_cfg(tmp_path, cfg)] + (["--out-json", str(out_json)] if command == "decay" else [])
-    assert cli.main(argv) == 3
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "integrate", no_stepping)
+        assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error") and "c/2^(r-1)" in err and "0.25" in err
     assert not (tmp_path / "report.json").exists() and not (tmp_path / "trajectory.csv").exists()
@@ -485,6 +491,19 @@ def test_console_script(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, "verify", path], capture_output=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
     assert b'"passed": true' in proc.stdout
+
+
+def test_readme_library_snippet_runs_on_the_package_root():
+    # The package root exports only a few names; the README example must
+    # keep running on them, and every exported name must resolve.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    check = "\nimport wavegalerkin\nfor name in wavegalerkin.__all__:\n    getattr(wavegalerkin, name)\n"
+    src_dir = str(Path(wavegalerkin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    proc = subprocess.run([sys.executable, "-c", snippet + check], capture_output=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 @pytest.mark.skipif(shutil.which("wavegalerkin") is None, reason="wavegalerkin console script not on PATH")

@@ -16,7 +16,7 @@ from wavegalerkin.estimates import (
     derive_decay,
     derive_gronwall,
     embedding_constant,
-    energy_record,
+    energy_table,
     gronwall_envelope,
     identity_residuals,
     monitor,
@@ -33,6 +33,11 @@ from wavegalerkin.solver import SolverConfig, State, initial_state_from_modal, i
 from wavegalerkin.spectral import DIRICHLET, DomainSpec, build_operator
 
 
+def _energy_record(state, op, nl, fs):
+    """Energy split of one state: the single row of its energy table."""
+    return energy_table(op, nl, fs, np.array([state.t]), state.a[None, :], state.adot[None, :]).row(0)
+
+
 def _parabola_run(op, fs, T, dt, **cfg):
     u0 = op.nodes * (op.domain.length - op.nodes)
     init = project_initial_data(u0, np.zeros(op.grid_points), op)
@@ -44,7 +49,7 @@ def test_energy_record_components(op8):
     adot = np.zeros(8)
     a[0], adot[0], adot[1] = 0.6, 0.5, 1.2
     fs = affine_forcing(g1=0.2, g2=0.1, g0=0.5)
-    rec = energy_record(State(a=a, adot=adot), op8, cubic_nonlinearity(), fs)
+    rec = _energy_record(State(a=a, adot=adot), op8, cubic_nonlinearity(), fs)
     lam = op8.eigenvalues
     assert rec.kinetic == pytest.approx(0.5 * (0.25 / lam[0] + 1.44 / lam[1]), rel=1e-14)
     # Phi for the pure first mode with F(u) = u^3 is amp^4 * (3/2) / 4
@@ -63,7 +68,7 @@ def test_embedding_constant_values(op8):
 
 
 def test_derive_gronwall_constants(op8):
-    rec = energy_record(initial_state_from_modal([0.3], [], op8).state, op8, cubic_nonlinearity(), zero_forcing())
+    rec = _energy_record(initial_state_from_modal([0.3], [], op8).state, op8, cubic_nonlinearity(), zero_forcing())
     gp0 = derive_gronwall(cubic_nonlinearity(), zero_forcing(), op8, rec)
     assert (gp0.C0, gp0.C1) == (0.0, 0.0)
     assert gp0.c_tilde == pytest.approx(4.0)
@@ -114,7 +119,7 @@ def test_decay_params_validation():
 
 
 def test_derive_decay_defaults(op16):
-    rec = energy_record(initial_state_from_modal([0.1], [], op16).state, op16, cubic_nonlinearity(), zero_forcing())
+    rec = _energy_record(initial_state_from_modal([0.1], [], op16).state, op16, cubic_nonlinearity(), zero_forcing())
     dp = derive_decay(cubic_nonlinearity(), zero_forcing(), op16, rec)
     assert dp.r == pytest.approx(2.0)
     assert dp.c == pytest.approx(0.5)
@@ -129,7 +134,7 @@ def test_derive_decay_defaults(op16):
 
 def test_derive_decay_at_the_float_range_edges(op16):
     nl = power_law_nonlinearity(50.0)
-    rec = energy_record(initial_state_from_modal([0.1], [], op16).state, op16, nl, zero_forcing())
+    rec = _energy_record(initial_state_from_modal([0.1], [], op16).state, op16, nl, zero_forcing())
     # k^r C^r overflows: no delta > 0 meets the cap, so there is no bound
     huge = dataclasses.replace(rec, energy=1e30)
     assert derive_decay(nl, zero_forcing(), op16, huge) is None

@@ -13,12 +13,10 @@ from wavegalerkin.nonlinearity import (
     ForcingSpec,
     NonlinearitySpec,
     affine_forcing,
-    apply_F,
-    apply_g,
     constant_modal,
     cubic_nonlinearity,
+    custom_lipschitz_forcing,
     custom_nonlinearity,
-    f_on_grid,
     F_on_grid,
     forcing_modal_batch,
     linear_nonlinearity,
@@ -29,7 +27,13 @@ from wavegalerkin.nonlinearity import (
     verify_g,
     zero_forcing,
 )
-from wavegalerkin.spectral import SpectralField, unit_mode
+from wavegalerkin.estimates import energy_table
+from wavegalerkin.spectral import DIRICHLET, DomainSpec, build_operator, grid_to_modes, modes_to_grid
+
+
+def _projected_F(nl, x, op):
+    """Galerkin projection of F composed with the field of coefficients ``x``."""
+    return grid_to_modes(F_on_grid(nl, modes_to_grid(x, op)), op)
 
 
 def test_primitive_closed_forms():
@@ -40,9 +44,13 @@ def test_primitive_closed_forms():
 
 
 def test_primitive_is_integral_of_f():
-    for nl in (cubic_nonlinearity(), power_law_nonlinearity(3.5)):
+    integrands = (
+        (cubic_nonlinearity(), lambda s: 3.0 * s * s),
+        (power_law_nonlinearity(3.5), lambda s: 2.5 * abs(s) ** 1.5),
+    )
+    for nl, f in integrands:
         for r in (-2.3, -0.4, 0.7, 3.1):
-            ref, _ = quad(lambda s: float(f_on_grid(nl, np.float64(s))), 0.0, r, epsabs=1e-13)
+            ref, _ = quad(f, 0.0, r, epsabs=1e-13)
             assert abs(float(F_on_grid(nl, np.float64(r))) - ref) <= 1e-10 * (1.0 + abs(r) ** (nl.p - 1.0))
 
 
@@ -56,28 +64,15 @@ def test_custom_primitive_from_quadrature():
     assert float(F_on_grid(nl_with_F, np.float64(0.3))) == pytest.approx(math.sin(0.3), rel=1e-14)
 
 
-def test_apply_F_linear_is_identity(op8):
-    x = unit_mode(op8, 3, amplitude=0.7)
-    assert apply_F(x, linear_nonlinearity()) is x
-
-
-def test_apply_F_cubic_first_mode_projections(op8):
+def test_cubic_F_first_mode_projections(op8):
     # (sqrt(2) sin(pi xi))^3 pairs to 3/2 on mode 1 and -1/2 on mode 3
-    x = unit_mode(op8, 0)
-    w = apply_F(x, cubic_nonlinearity())
     expect = np.zeros(8)
     expect[0], expect[2] = 1.5, -0.5
-    assert np.allclose(w.coeffs, expect, atol=1e-12)
-
-
-def test_apply_F_overflow_raises(op8):
-    x = unit_mode(op8, 1, amplitude=1e80)
-    with np.errstate(over="ignore"), pytest.raises(OverflowError, match="peak"):
-        apply_F(x, power_law_nonlinearity(6.0))
+    assert np.allclose(_projected_F(cubic_nonlinearity(), np.eye(8)[0], op8), expect, atol=1e-12)
 
 
 def test_potential_closed_forms(op8):
-    e1 = unit_mode(op8, 0).coeffs[None, :]
+    e1 = np.eye(8)[:1]
     assert potential_batch(e1, op8, linear_nonlinearity())[0] == pytest.approx(0.5, rel=1e-13)
     assert potential_batch(e1, op8, cubic_nonlinearity())[0] == pytest.approx(0.375, rel=1e-12)
     assert potential_batch(np.zeros((1, 8)), op8, cubic_nonlinearity())[0] == 0.0
@@ -97,8 +92,7 @@ def test_potential_quadrature_matches_closed_form(op16):
 def test_potential_custom_matches_reference_integral(op8):
     # f = cos has potential integral (1 - cos(x(xi))) over the interval
     nl = custom_nonlinearity(f=np.cos, p=3.0, a0=2.0, a1=1.0, b0=0.5, b1=0.0)
-    x = unit_mode(op8, 0, amplitude=0.3)
-    got = potential_batch(x.coeffs[None, :], op8, nl)[0]
+    got = potential_batch(0.3 * np.eye(8)[:1], op8, nl)[0]
     assert got == pytest.approx(0.044496274143657831, abs=1e-10)
 
 
@@ -112,7 +106,7 @@ def test_potential_is_primitive_of_F(op8):
         eps = 1e-5
         plus = potential_batch((x + eps * z)[None, :], op8, nl)[0]
         minus = potential_batch((x - eps * z)[None, :], op8, nl)[0]
-        pairing = float(apply_F(SpectralField(x, op8), nl).coeffs @ z)
+        pairing = float(_projected_F(nl, x, op8) @ z)
         assert abs((plus - minus) / (2.0 * eps) - pairing) <= 1e-6
 
 
@@ -185,26 +179,32 @@ def test_forcing_spec_validation():
     assert not affine_forcing(g1=0.5).velocity_dependent
 
 
-def test_apply_g_zero_and_affine(op8):
+def test_forcing_batch_zero_and_affine(op8):
+    # the velocity channel is the half-smoothed adot / sqrt(lambda)
     rng = np.random.default_rng(4)
-    x = SpectralField(rng.normal(size=8), op8)
-    v = SpectralField(rng.normal(size=8), op8)
-    assert np.all(apply_g(zero_forcing(), x, v).coeffs == 0.0)
+    a = rng.normal(size=(2, 8))
+    adot = rng.normal(size=(2, 8))
+    assert np.all(forcing_modal_batch(zero_forcing(), op8, a, adot) == 0.0)
     fs = affine_forcing(g1=0.2, g2=0.1, constant=0.5, g0=1.0)
-    got = apply_g(fs, x, v).coeffs
-    want = 0.2 * x.coeffs + 0.1 * v.coeffs + 0.5 * constant_modal(op8)
+    got = forcing_modal_batch(fs, op8, a, adot)
+    want = 0.2 * a + 0.1 * adot / op8.sqrt_eigenvalues + 0.5 * constant_modal(op8)
     assert np.allclose(got, want, rtol=1e-14)
 
 
-def test_forcing_batch_uses_smoothed_velocity(op8):
-    rng = np.random.default_rng(6)
-    a = rng.normal(size=8)
-    adot = rng.normal(size=8)
-    fs = affine_forcing(g1=0.2, g2=0.4)
-    row = forcing_modal_batch(fs, op8, a[None, :], adot[None, :])[0]
-    x = SpectralField(a, op8)
-    v = SpectralField(adot / op8.sqrt_eigenvalues, op8)
-    assert np.allclose(row, apply_g(fs, x, v).coeffs, rtol=1e-14)
+@pytest.mark.parametrize("m", [8, 512])
+def test_custom_forcing_must_sample_every_node(m):
+    # m=8 projects with the dense matrices, m=512 with the FFT pair
+    op = build_operator(DomainSpec(length=1.0, bc=DIRICHLET), m)
+    short = custom_lipschitz_forcing(lambda u, v: 0.1 * u[1:], g0=0.0, g1=0.1, g2=0.0)
+    a = np.random.default_rng(3).normal(size=(2, m))
+    with pytest.raises(ValueError, match="one sample per grid node"):
+        forcing_modal_batch(short, op, a, a)
+    with pytest.raises(ValueError, match="one sample per grid node"):
+        verify_g(short, op, samples=4, seed=0)
+    with pytest.raises(ValueError, match="one sample per grid node"):
+        energy_table(op, cubic_nonlinearity(), short, np.zeros(2), a, a)
+    full = custom_lipschitz_forcing(lambda u, v: 0.1 * u, g0=0.0, g1=0.1, g2=0.0)
+    assert np.allclose(forcing_modal_batch(full, op, a, a), 0.1 * a, rtol=1e-12, atol=1e-13)
 
 
 def test_tabulated_f_interp_and_clamp():
@@ -227,8 +227,6 @@ def test_nonlinearity_spec_validation():
         NonlinearitySpec(kind="power_law", p=4.0, a0=0.0)
     with pytest.raises(ValueError):
         NonlinearitySpec(kind="custom", p=3.0)
-    assert linear_nonlinearity().oracle_only
-    assert not cubic_nonlinearity().oracle_only
 
 
 # Tables for the exact primitives: 0 as a node, 0 between nodes, and a
