@@ -1,16 +1,17 @@
 """Command-line orchestration: verify, run, converge, decay.
 
 Exit codes are disjoint: 0 all enabled checks pass, 1 a condition or
-monitor was falsified, 2 the trajectory diverged, 3 the configuration was
-rejected.  All file writes are whole-file atomic (temp file + rename) and
-runs are deterministic for a fixed config, so re-running produces
-byte-identical artifacts.
+monitor was falsified, 2 the trajectory diverged, 3 the configuration or
+an output path was rejected.  All file writes are whole-file atomic (temp
+file + rename) and runs are deterministic for a fixed config, so
+re-running produces byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -58,31 +59,49 @@ CSV_COLUMNS = (
     "decay_bound",
     "identity_residual",
 )
+# _csv_text turns this many rows at a time into Python floats.
+CSV_BLOCK_ROWS = 256
+
+
+class OutputError(Exception):
+    """An output path cannot be created or written."""
 
 
 def _resolve_out(path: str) -> Path:
-    """Resolve an output path, re-rooting relative paths at the env override."""
+    """Resolve an output path, re-rooting relative paths at the env override.
+
+    Its directory is created here, and a path that cannot hold a file fails
+    here, so a command rejects it before doing any work.
+    """
     p = Path(path)
     if not p.is_absolute():
         base = os.environ.get(ENV_OUTPUT_DIR)
         if base:
             p = Path(base) / p
-    p.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        p.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise OutputError(f"cannot create the directory of {p}: {e.strerror or e}") from e
+    if p.is_dir():
+        raise OutputError(f"{p} is a directory")
     return p
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as e:
+        raise OutputError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def _finite_json(obj):
@@ -106,29 +125,20 @@ def _num(v: float) -> str:
 
 
 def _csv_text(traj: Trajectory, gp: GronwallParams | None, dp: DecayParams | None) -> str:
+    """One ``%.17g`` row format over Python-float columns; an absent bound column stays empty."""
     tbl = traj.energy
-    cols = sample_table(traj, gp, dp)
-    env = cols["gronwall_envelope"]
-    dec = cols["decay_bound"]
-    res = cols["identity_residual"]
-    lines = [",".join(CSV_COLUMNS)]
-    for i in range(len(tbl)):
-        lines.append(
-            ",".join(
-                (
-                    _num(tbl.t[i]),
-                    _num(tbl.energy[i]),
-                    _num(tbl.kinetic[i]),
-                    _num(tbl.potential[i]),
-                    _num(tbl.by_norm_sq[i]),
-                    _num(tbl.forcing_power[i]),
-                    _num(env[i]) if env is not None else "",
-                    _num(dec[i]) if dec is not None else "",
-                    _num(res[i]),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    bounds = sample_table(traj, gp, dp)
+    cols = [tbl.t, tbl.energy, tbl.kinetic, tbl.potential, tbl.by_norm_sq, tbl.forcing_power]
+    cols += [bounds["gronwall_envelope"], bounds["decay_bound"], bounds["identity_residual"]]
+    row = ",".join("%.17g" if c is not None else "" for c in cols) + "\n"
+    cols = [c for c in cols if c is not None]
+    parts = [",".join(CSV_COLUMNS) + "\n"]
+    # Python floats format fastest; converting a block at a time keeps the
+    # floats' footprint below that of the text itself.
+    for i in range(0, len(tbl), CSV_BLOCK_ROWS):
+        rows = zip(*(c[i : i + CSV_BLOCK_ROWS].tolist() for c in cols))
+        parts.append("".join(row % r for r in rows))
+    return "".join(parts)
 
 
 def _verification(rc: RunConfig):
@@ -248,6 +258,8 @@ def cmd_converge(rc: RunConfig, modes: list[int], dts: list[float], m_ref: int |
         raise ConfigError("dt_ref_factor must be at least 10")
     if rc.nl.kind == "custom" or rc.fs.kind not in ("zero", "affine"):
         raise ConfigError("convergence study supports built-in kinds only")
+    json_path = _resolve_out(out_json)
+    csv_path = _resolve_out(out_csv)
 
     _, _, proceed = _verification(rc)
     if not proceed:
@@ -301,8 +313,6 @@ def cmd_converge(rc: RunConfig, modes: list[int], dts: list[float], m_ref: int |
         "monotone_in_m": monotone,
         "complete": not diverged,
     }
-    json_path = _resolve_out(out_json)
-    csv_path = _resolve_out(out_csv)
     _write_atomic(json_path, _json(study) + "\n")
     csv_lines = ["modes,dt,error"]
     for r in rows:
@@ -327,6 +337,7 @@ def cmd_decay(rc: RunConfig, T_override: float | None, out_json: str) -> int:
             solver_cfg = dataclasses.replace(rc.solver, T=T_override)
         except ValueError as e:
             raise ConfigError(str(e)) from e
+    json_path = _resolve_out(out_json)
 
     op, ver_report, proceed = _verification(rc)
     if not proceed:
@@ -358,7 +369,6 @@ def cmd_decay(rc: RunConfig, T_override: float | None, out_json: str) -> int:
         "monitor": rep.to_dict(),
         "verification": ver_report,
     }
-    json_path = _resolve_out(out_json)
     _write_atomic(json_path, _json(study) + "\n")
     print(f"decay: sup ||By||^2 = {sup_by:.6g}, radius = {radius:.6g}; json={json_path}")
 
@@ -387,6 +397,9 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+# Built once per process: ``parse_args`` reads the tree without changing
+# it and returns a fresh namespace, so in-process callers of ``main`` share it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavegalerkin",
@@ -459,6 +472,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OutputError as e:
+        print(f"output error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -4,17 +4,21 @@ import csv
 import importlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import wavegalerkin
 from wavegalerkin import cli
 from wavegalerkin.cli import CSV_COLUMNS
+from wavegalerkin.estimates import EnergyTable
 
 
 def make_cfg(tmp_path, **over):
@@ -423,6 +427,118 @@ def test_config_errors_exit_3(tmp_path, capsys):
 
     assert cli.main([]) == 3
     assert "usage" in capsys.readouterr().out
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a command with a bad output path did work before rejecting it")
+
+
+@pytest.mark.parametrize("command", ["run", "converge", "decay"])
+@pytest.mark.parametrize("bad", ["under_a_file", "a_directory"])
+def test_unwritable_output_path_exits_3_before_any_work(tmp_path, capsys, monkeypatch, command, bad):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    bad_path = str(blocker / "out.file") if bad == "under_a_file" else str(tmp_path)
+    good_json = tmp_path / "study.json"
+    if command == "run":
+        cfg = make_cfg(tmp_path, output={"csv_path": bad_path, "report_path": str(tmp_path / "report.json")})
+        tail = []
+    elif command == "converge":
+        cfg = make_cfg(tmp_path)
+        tail = ["--modes", "4", "--dts", "0.01", "--out-json", str(good_json), "--out-csv", bad_path]
+    else:
+        cfg = make_cfg(tmp_path)
+        tail = ["--out-json", bad_path]
+    for name in ("_verification", "integrate", "reference_run"):
+        monkeypatch.setattr(cli, name, _no_work)
+    assert cli.main([command, write_cfg(tmp_path, cfg)] + tail) == 3
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert err.startswith("output error: ") and "\n" not in err and "Traceback" not in err
+    assert captured.out == ""
+    assert not (tmp_path / "report.json").exists() and not good_json.exists()
+
+
+def test_failed_write_exits_3_and_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    # A write that fails after the paths were accepted (here os.replace)
+    # is an output error too, and the temp file does not stay behind.
+    def no_replace(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    cfg = make_cfg(tmp_path, time={"T": 0.0, "dt": 1e-3})
+    path = write_cfg(tmp_path, cfg)
+    monkeypatch.setattr(cli.os, "replace", no_replace)
+    assert cli.main(["run", path]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err == f"output error: cannot write {tmp_path / 'trajectory.csv'}: Permission denied"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_parser_is_built_once_and_keeps_no_options_between_calls(tmp_path, capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_converge", lambda rc, *args: seen.append(("converge",) + args) or 0)
+    monkeypatch.setattr(cli, "cmd_decay", lambda rc, *args: seen.append(("decay",) + args) or 0)
+    path = write_cfg(tmp_path, make_cfg(tmp_path))
+    assert cli._build_parser() is cli._build_parser()
+    conv = ["converge", path, "--modes", "4", "8", "--dts", "0.01"]
+    assert cli.main(conv + ["--dt-ref-factor", "20", "--m-ref", "32", "--out-json", "a.json", "--out-csv", "a.csv"]) == 0
+    assert cli.main(["decay", path, "--T", "2", "--out-json", "d.json"]) == 0
+    assert cli.main(["verify", path]) == 0
+    assert cli.main(["converge", path, "--modes", "4", "--dts", "0.02"]) == 0
+    assert cli.main(["decay", path]) == 0
+    assert seen == [
+        ("converge", [4, 8], [0.01], 32, 20, "a.json", "a.csv"),
+        ("decay", 2.0, "d.json"),
+        ("converge", [4], [0.02], None, 10, "converge.json", "converge.csv"),
+        ("decay", None, "decay.json"),
+    ]
+    # the shared parser still rejects what it always rejected
+    with pytest.raises(SystemExit):
+        cli.main(["converge", path, "--dts", "0.01"])
+    assert "--modes" in capsys.readouterr().err
+
+
+# The CSV writer as it was before one row format replaced nine per-value
+# calls: each numpy scalar formatted with f"{v:.17g}".
+def _reference_csv_text(tbl, bounds):
+    def num(v):
+        return f"{v:.17g}"
+
+    env, dec, res = bounds["gronwall_envelope"], bounds["decay_bound"], bounds["identity_residual"]
+    lines = [",".join(CSV_COLUMNS)]
+    for i in range(len(tbl)):
+        cells = [num(c[i]) for c in (tbl.t, tbl.energy, tbl.kinetic, tbl.potential, tbl.by_norm_sq, tbl.forcing_power)]
+        cells += [num(env[i]) if env is not None else "", num(dec[i]) if dec is not None else "", num(res[i])]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -1 / 3, 1e16, 123456789.0]
+
+
+@pytest.mark.parametrize("envelope", [True, False])
+@pytest.mark.parametrize("decay", [True, False])
+def test_csv_text_matches_the_per_value_formatter(monkeypatch, envelope, decay):
+    rng = np.random.default_rng(8)
+    n = 400
+
+    def column():
+        # random bit patterns: every exponent, subnormals, and NaN payloads
+        c = rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64).copy()
+        c[rng.choice(n, len(SPECIAL_VALUES), replace=False)] = SPECIAL_VALUES
+        return c
+
+    tbl = EnergyTable(t=column(), kinetic=column(), potential=column(), energy=column(), by_norm_sq=column(), forcing_power=column())
+    bounds = {
+        "gronwall_envelope": column() if envelope else None,
+        "decay_bound": column() if decay else None,
+        "identity_residual": column(),
+    }
+    monkeypatch.setattr(cli, "sample_table", lambda traj, gp, dp: bounds)
+    text = cli._csv_text(SimpleNamespace(energy=tbl), None, None)
+    assert text == _reference_csv_text(tbl, bounds)
+    rows = text.splitlines()[1:]
+    assert len(rows) == n and all(r.count(",") == len(CSV_COLUMNS) - 1 for r in rows)
 
 
 def _table(r, f):

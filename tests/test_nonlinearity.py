@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from wavegalerkin import cli
+from wavegalerkin import cli, nonlinearity
 from wavegalerkin.nonlinearity import (
+    AMPLITUDE_MAX,
+    RELATIVE_SLACK,
     ZERO,
+    ConditionReport,
     ForcingSpec,
     NonlinearitySpec,
     affine_forcing,
@@ -28,7 +31,7 @@ from wavegalerkin.nonlinearity import (
     zero_forcing,
 )
 from wavegalerkin.estimates import energy_table
-from wavegalerkin.spectral import DIRICHLET, DomainSpec, build_operator, grid_to_modes, modes_to_grid
+from wavegalerkin.spectral import DIRICHLET, PERIODIC_MEAN_ZERO, DomainSpec, build_operator, grid_to_modes, modes_to_grid
 
 
 def _projected_F(nl, x, op):
@@ -165,6 +168,88 @@ def test_verify_g_falsifies_understated_origin(op16):
 
     ok = affine_forcing(g1=0.1, g2=0.0, constant=0.3, g0=0.3)
     assert verify_g(ok, op16, samples=200, seed=0).passed
+
+
+# The forcing verifier as it was before zero forcing skipped its draws and
+# the pairing check reused g(x, v): five scaled draws, g evaluated on every
+# drawn state.  The shortcut and the reuse promise the same report, byte for
+# byte once written as JSON.
+def _reference_draw_batch(rng, n, m):
+    coeffs = rng.uniform(-1.0, 1.0, size=(n, m))
+    amps = rng.uniform(0.0, AMPLITUDE_MAX, size=(n, 1))
+    return coeffs * amps
+
+
+def _reference_verify_g(fs, op, samples, seed):
+    check = nonlinearity._check
+    rng = np.random.default_rng(seed)
+    m = op.modes
+
+    def g_modal(ca, cv):
+        return forcing_modal_batch(fs, op, ca, cv * op.sqrt_eigenvalues[None, :])
+
+    zero = np.zeros((1, m))
+    origin_norm = float(np.linalg.norm(g_modal(zero, zero)[0]))
+    viol0 = np.array([origin_norm - fs.g0])
+    tol0 = RELATIVE_SLACK * (1.0 + np.abs(np.array([fs.g0])))
+    c_origin = check("g0_dominates_origin", 1, viol0, tol0, {"origin_norm": np.array([origin_norm])})
+
+    cx = _reference_draw_batch(rng, samples, m)
+    cv = _reference_draw_batch(rng, samples, m)
+    lhs = np.linalg.norm(g_modal(cx, cv), axis=1)
+    rhs = fs.g1 * np.linalg.norm(cx, axis=1) + fs.g2 * np.linalg.norm(cv, axis=1) + fs.g0
+    tol = RELATIVE_SLACK * (1.0 + np.abs(rhs))
+    c_norm = check("norm_bound", samples, lhs - rhs, tol, {"lhs": lhs, "rhs": rhs})
+
+    cx1 = _reference_draw_batch(rng, samples, m)
+    cv1 = _reference_draw_batch(rng, samples, m)
+    cz = _reference_draw_batch(rng, samples, m)
+    dg = g_modal(cx, cv) - g_modal(cx1, cv1)
+    lhs_pair = np.abs(np.sum(dg * cz, axis=1))
+    rhs_pair = fs.g1 * np.abs(np.sum((cx - cx1) * cz, axis=1)) + fs.g2 * np.abs(np.sum((cv - cv1) * cz, axis=1))
+    tol_pair = RELATIVE_SLACK * (1.0 + np.abs(rhs_pair) + np.abs(lhs_pair))
+    c_pair = check("lipschitz_pairing", samples, lhs_pair - rhs_pair, tol_pair, {"lhs": lhs_pair, "rhs": rhs_pair})
+    return ConditionReport(checks=(c_origin, c_norm, c_pair), seed=seed)
+
+
+def _no_draws(*args):
+    raise AssertionError("zero forcing must not draw")
+
+
+# m=8 transforms with the dense matrices, m=512 with the FFT pair
+@pytest.mark.parametrize("m", [8, 512])
+@pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC_MEAN_ZERO])
+def test_zero_forcing_report_is_the_drawn_one_without_drawing(m, bc, monkeypatch):
+    op = build_operator(DomainSpec(length=1.0, bc=bc), m)
+    want = {(n, seed): _reference_verify_g(zero_forcing(), op, n, seed) for n in (1, 7, 200) for seed in (0, 3, 12345)}
+    monkeypatch.setattr(nonlinearity, "_draw_batch", _no_draws)
+    for (n, seed), ref in want.items():
+        got = verify_g(zero_forcing(), op, samples=n, seed=seed)
+        assert got.to_dict() == ref.to_dict()
+        assert cli._json(got.to_dict()) == cli._json(ref.to_dict())
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        verify_g(zero_forcing(), op, samples=0, seed=0)
+
+
+@pytest.mark.parametrize("m", [8, 512])
+@pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC_MEAN_ZERO])
+def test_drawn_forcing_report_matches_the_reference(m, bc):
+    op = build_operator(DomainSpec(length=1.0, bc=bc), m)
+    for fs in (
+        affine_forcing(g1=0.3, g2=0.2, constant=0.4, g0=0.5),
+        affine_forcing(g1=0.1, constant=0.3, g0=0.2),  # falsified at the origin: witnesses too
+        custom_lipschitz_forcing(lambda u, v: 0.2 * np.sin(u) + 0.1 * v, g0=0.0, g1=0.2, g2=0.1),
+    ):
+        for n, seed in ((1, 0), (50, 9)):
+            got = verify_g(fs, op, samples=n, seed=seed)
+            assert cli._json(got.to_dict()) == cli._json(_reference_verify_g(fs, op, n, seed).to_dict())
+
+
+def test_draw_batch_scales_in_place_with_the_same_bits():
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for n, m in ((1, 1), (3, 8), (40, 512)):
+        assert np.array_equal(nonlinearity._draw_batch(got_rng, n, m), _reference_draw_batch(want_rng, n, m))
+    assert got_rng.random() == want_rng.random()
 
 
 def test_forcing_spec_validation():
