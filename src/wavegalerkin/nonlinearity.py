@@ -102,8 +102,8 @@ class NonlinearitySpec:
                 raise ValueError("linear kind is the oracle-only p=2 case")
         elif self.p <= 2.0:
             raise ValueError("p must be > 2 (p=2 is allowed only for the linear kind)")
-        if self.kind == CUSTOM and self.f is None:
-            raise ValueError("custom kind requires a pointwise f")
+        if self.kind == CUSTOM and (self.f is None or self.F is None or self.Phi is None):
+            raise ValueError("custom kind requires a pointwise f and its primitives F and Phi")
 
 
 def linear_nonlinearity() -> NonlinearitySpec:
@@ -128,14 +128,14 @@ def custom_nonlinearity(
     a1: float,
     b0: float,
     b1: float,
-    F: Callable[[np.ndarray], np.ndarray] | None = None,
-    Phi: Callable[[np.ndarray], np.ndarray] | None = None,
+    F: Callable[[np.ndarray], np.ndarray],
+    Phi: Callable[[np.ndarray], np.ndarray],
 ) -> NonlinearitySpec:
-    """User-supplied vectorized ``f`` with optional exact primitives.
+    """User-supplied vectorized ``f`` with its exact primitives.
 
-    ``F`` (primitive of ``f`` from 0) and ``Phi`` (primitive of ``F`` from 0)
-    are used when given, as for a :func:`tabulated_f` table.  A callable
-    without them falls back to Gauss-Legendre quadrature of ``f``.
+    ``F`` is the primitive of ``f`` from 0 and ``Phi`` the primitive of
+    ``F`` from 0; stepping, verification and the energy evaluate them
+    directly.  A :func:`tabulated_f` table supplies both.
     """
     return NonlinearitySpec(kind=CUSTOM, p=p, a0=a0, a1=a1, b0=b0, b1=b1, f=f, F=F, Phi=Phi)
 
@@ -215,37 +215,15 @@ class TabulatedF:
 def tabulated_f(r_values, f_values) -> TabulatedF:
     """Piecewise-linear f for a table of (r, f) pairs, with exact ``F`` and ``Phi``.
 
-    Pass ``F=table.F, Phi=table.Phi`` to :func:`custom_nonlinearity`, so
-    stepping, verification and the energy use exact primitives instead of
-    quadrature.
+    Pass ``F=table.F, Phi=table.Phi`` to :func:`custom_nonlinearity`.
     """
     return TabulatedF(r_values, f_values)
-
-
-def _gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
-
-
-# Quadrature serves only Python-API callables without exact primitives;
-# tables carry their own (TabulatedF).  Gauss-Legendre on (0, 1) for the
-# primitive on whole grids: F(u) = u * int_0^1 f(u*s) ds.  32 nodes keep the
-# stepping path cheap.
-_GL32_NODES, _GL32_WEIGHTS = _gauss_legendre_01(32)
-
-# The potential of a callable without Phi, Phi(u) = u^2 * int_0^1 (1 - s)
-# f(u*s) ds, on one fixed rule.  On piecewise-linear tables of 3r^2 along
-# short trajectories, against a 1000-node rule, 128 nodes stay within 3.3e-5
-# relative error and 32 nodes reach 3.7e-4.
-_PHI_NODES, _PHI_WEIGHTS = _gauss_legendre_01(128)
-_PHI_WEIGHTS = _PHI_WEIGHTS * (1.0 - _PHI_NODES)
 
 
 def F_on_grid(nl: NonlinearitySpec, u: np.ndarray) -> np.ndarray:
     """Evaluate the primitive F pointwise on an array of samples.
 
-    Closed forms for the built-in kinds, ``nl.F`` when set (tables set it),
-    and the 32-node rule only for a Python-API ``f`` without ``F``.
+    Closed forms for the built-in kinds and ``nl.F`` for the custom kind.
     """
     if nl.kind == LINEAR:
         return np.asarray(u, dtype=np.float64).copy()
@@ -253,22 +231,14 @@ def F_on_grid(nl: NonlinearitySpec, u: np.ndarray) -> np.ndarray:
         return np.abs(u) ** (nl.p - 2.0) * u
     if nl.kind == CUBIC:
         return u * u * u
-    if nl.F is not None:
-        return np.asarray(nl.F(u), dtype=np.float64)
-    # Fixed-order Gauss-Legendre of f along each ray from 0; smooth custom
-    # f gains nothing from adaptivity here and this vectorizes over u.
-    s = _GL32_NODES.reshape((-1,) + (1,) * np.ndim(u))
-    w = _GL32_WEIGHTS.reshape((-1,) + (1,) * np.ndim(u))
-    return np.asarray(u) * np.sum(w * nl.f(np.asarray(u) * s), axis=0)
+    return np.asarray(nl.F(u), dtype=np.float64)
 
 
 def potential_batch(coeffs: np.ndarray, op: OperatorSpec, nl: NonlinearitySpec) -> np.ndarray:
     """Potential values for a batch of coefficient rows, vectorized.
 
     Phi(x) = int_0^1 <F(s x), x> ds; closed forms for the built-in kinds,
-    and grid quadrature of ``nl.Phi`` when set (tables set it).  Only for a
-    Python-API ``f`` without ``Phi`` does each grid value u contribute
-    ``u^2 * int_0^1 (1 - s) f(u*s) ds``, on the fixed 128-node rule.
+    and grid quadrature of ``nl.Phi`` for the custom kind.
     """
     c = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
     if nl.kind == LINEAR:
@@ -276,13 +246,7 @@ def potential_batch(coeffs: np.ndarray, op: OperatorSpec, nl: NonlinearitySpec) 
     u = modes_to_grid(c, op)
     if nl.kind in (POWER_LAW, CUBIC):
         return (np.abs(u) ** nl.p @ op.weights) / nl.p
-    if nl.Phi is not None:
-        return np.asarray(nl.Phi(u), dtype=np.float64) @ op.weights
-    # One node at a time keeps the working set at one grid batch.
-    acc = np.zeros_like(u)
-    for sq, wq in zip(_PHI_NODES, _PHI_WEIGHTS):
-        acc += wq * np.asarray(nl.f(sq * u), dtype=np.float64)
-    return (u * u * acc) @ op.weights
+    return np.asarray(nl.Phi(u), dtype=np.float64) @ op.weights
 
 
 @dataclass(frozen=True)

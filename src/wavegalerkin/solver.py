@@ -11,7 +11,6 @@ assumptions, and divergence must be observable rather than a crash.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -223,16 +222,8 @@ class Trajectory:
         return State(a=self.a[i], adot=self.adot[i], t=float(self.energy.t[i]))
 
 
-def _builtin_codes(nl: NonlinearitySpec, fs: ForcingSpec) -> tuple[int, int] | None:
-    nl_code = {LINEAR: kernels.NL_LINEAR, POWER_LAW: kernels.NL_POWER_LAW, CUBIC: kernels.NL_CUBIC}.get(nl.kind)
-    f_code = {ZERO: kernels.FORCING_NONE, AFFINE: kernels.FORCING_AFFINE}.get(fs.kind)
-    if nl_code is None or f_code is None:
-        return None
-    return nl_code, f_code
-
-
 def _numpy_accel(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
-    """Acceleration closure for the numpy path, mirroring the compiled one.
+    """Acceleration closure ``accel(a, adot)`` for :func:`kernels.run_numpy`.
 
     One ``force(a, adot)`` is built per nonlinearity kind and wrapped once
     per forcing kind (zero forcing returns it as is), so a call does no kind
@@ -263,9 +254,7 @@ def _numpy_accel(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
             return neg_lam * project(np.abs(u) ** pm2 * u)
 
     else:
-        # A table's exact F, called directly; F_on_grid's quadrature of f
-        # for a callable given without F.
-        F = nl.F if nl.F is not None else functools.partial(F_on_grid, nl)
+        F = nl.F
 
         def force(a, adot=None):
             return neg_lam * project(np.asarray(F(sample(a)), dtype=np.float64))
@@ -297,11 +286,10 @@ def integrate(
 ) -> Trajectory:
     """Advance the modal system and return the sampled trajectory.
 
-    Built-in nonlinearity/forcing kinds run on the compiled kernel unless
-    the ``WAVEGALERKIN_NO_NUMBA`` environment variable disables it; custom
-    kinds always use the numpy path.  If ``||a||_inf`` exceeds the blow-up
-    ceiling (or goes non-finite) the run stops early, records the offending
-    state, and flags the trajectory as diverged at that time.
+    Every kind steps on :func:`kernels.run_numpy` with the closure from
+    :func:`_numpy_accel`.  If ``||a||_inf`` exceeds the blow-up ceiling (or
+    goes non-finite) the run stops early, records the offending state, and
+    flags the trajectory as diverged at that time.
     """
     if initial.a.shape != (op.modes,):
         raise ValueError(f"initial state has {initial.a.shape[0]} modes, operator has {op.modes}")
@@ -313,44 +301,16 @@ def integrate(
     if use_verlet and fs.velocity_dependent:
         raise ValueError("stormer_verlet requires velocity-independent forcing (g2 = 0)")
 
-    codes = _builtin_codes(nl, fs)
-    backend = kernels.backend_name() if codes is not None else "numpy"
-    n_steps = cfg.n_steps
-
-    if backend == "numba":
-        nl_code, f_code = codes
-        gc = fs.constant * constant_modal(op) if fs.kind == AFFINE else np.zeros(op.modes)
-        a_hist, adot_hist, rec_steps, diverged_step = kernels.run_compiled(
-            np.ascontiguousarray(initial.a),
-            np.ascontiguousarray(initial.adot),
-            np.ascontiguousarray(op.eigenvalues),
-            np.ascontiguousarray(op.sqrt_eigenvalues),
-            np.ascontiguousarray(op.basis),
-            np.ascontiguousarray(op.projection),
-            nl_code,
-            nl.p - 2.0,
-            f_code,
-            fs.g1,
-            fs.g2,
-            np.ascontiguousarray(gc),
-            cfg.dt,
-            n_steps,
-            cfg.sample_stride,
-            cfg.blowup_ceiling,
-            use_verlet,
-        )
-    else:
-        accel = _numpy_accel(op, nl, fs)
-        a_hist, adot_hist, rec_steps, diverged_step = kernels.run_numpy(
-            np.ascontiguousarray(initial.a),
-            np.ascontiguousarray(initial.adot),
-            cfg.dt,
-            n_steps,
-            cfg.sample_stride,
-            cfg.blowup_ceiling,
-            use_verlet,
-            accel,
-        )
+    a_hist, adot_hist, rec_steps, diverged_step = kernels.run_numpy(
+        np.ascontiguousarray(initial.a),
+        np.ascontiguousarray(initial.adot),
+        cfg.dt,
+        cfg.n_steps,
+        cfg.sample_stride,
+        cfg.blowup_ceiling,
+        use_verlet,
+        _numpy_accel(op, nl, fs),
+    )
 
     t = rec_steps.astype(np.float64) * cfg.dt
     tbl = energy_table(op, nl, fs, t, a_hist, adot_hist)
@@ -365,5 +325,4 @@ def integrate(
         energy=tbl,
         diverged=diverged,
         diverged_at=float(diverged_step * cfg.dt) if diverged else None,
-        backend=backend,
     )

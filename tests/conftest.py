@@ -2,27 +2,14 @@
 
 import pytest
 
-from wavegalerkin import kernels
 from wavegalerkin.spectral import DIRICHLET, DomainSpec, build_operator
 
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    # Backend selection and output re-rooting read these at call time; tests
-    # that exercise them set their own values through monkeypatch.
-    monkeypatch.delenv("WAVEGALERKIN_NO_NUMBA", raising=False)
+    # Output re-rooting reads this at call time; tests that exercise it set
+    # their own value through monkeypatch.
     monkeypatch.delenv("WAVEGALERKIN_OUTPUT_DIR", raising=False)
-
-
-@pytest.fixture
-def compiled_branch(monkeypatch):
-    """Make ``integrate`` take its compiled branch for built-in kinds.
-
-    Without numba ``njit`` is the identity, so ``kernels.run_compiled`` is
-    the same kernel source run by the interpreter and the branch is checked
-    on every machine; with numba this changes nothing.
-    """
-    monkeypatch.setattr(kernels, "NUMBA_AVAILABLE", True)
 
 
 @pytest.fixture(scope="session")

@@ -207,9 +207,8 @@ def test_A7_condition_verifiers():
     good = verify_conditions(power_law_nonlinearity(4.0), op, 10000, seed=7)
     ok_good = good.passed and [c.name for c in good.checks] == ["monotonicity", "growth", "coercivity"]
 
-    negated = custom_nonlinearity(
-        f=tabulated_f([-10.0, 10.0], [-1.0, -1.0]), p=3.0, a0=1.0, a1=1.0, b0=1.0, b1=0.0
-    )
+    table = tabulated_f([-10.0, 10.0], [-1.0, -1.0])
+    negated = custom_nonlinearity(f=table, p=3.0, a0=1.0, a1=1.0, b0=1.0, b1=0.0, F=table.F, Phi=table.Phi)
     bad = verify_conditions(negated, op, 2000, seed=7)
     mono = {c.name: c for c in bad.checks}["monotonicity"]
     ok_neg = (not bad.passed) and (not mono.passed) and mono.witness is not None

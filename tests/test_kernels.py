@@ -1,4 +1,4 @@
-"""Backend selection and agreement between the compiled and numpy loops."""
+"""The stepping loop: stride, divergence screen, bitwise reference, FFT/dense agreement."""
 
 import math
 import warnings
@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wavegalerkin import kernels
+from wavegalerkin import kernels, solver
 from wavegalerkin.nonlinearity import (
     AFFINE,
     CUBIC,
@@ -35,90 +35,25 @@ from wavegalerkin.spectral import (
 )
 
 
-def _small_problem(modes=6, seed=0):
-    op = build_operator(DomainSpec(length=1.0, bc=DIRICHLET), modes)
-    rng = np.random.default_rng(seed)
-    a0 = 0.2 * rng.uniform(-1.0, 1.0, size=modes)
-    v0 = 0.2 * rng.uniform(-1.0, 1.0, size=modes)
-    return op, State(a=a0, adot=v0)
-
-
-def _both_backends(monkeypatch, init, cfg, op, nl, fs):
-    monkeypatch.delenv(kernels.ENV_NO_NUMBA, raising=False)
-    fast = integrate(init, cfg, op, nl, fs)
-    monkeypatch.setenv(kernels.ENV_NO_NUMBA, "1")
-    slow = integrate(init, cfg, op, nl, fs)
-    assert fast.backend == "numba" and slow.backend == "numpy"
-    return fast, slow
-
-
-def _default_backend():
-    return "numba" if kernels.NUMBA_AVAILABLE else "numpy"
-
-
-def test_backend_env_flag(monkeypatch):
-    assert not kernels.numba_disabled_by_env()
-    assert kernels.backend_name() == _default_backend()
-    for val in ("1", "true", "YES", " on "):
-        monkeypatch.setenv(kernels.ENV_NO_NUMBA, val)
-        assert kernels.numba_disabled_by_env()
-        assert kernels.backend_name() == "numpy"
-    for val in ("0", ""):
-        monkeypatch.setenv(kernels.ENV_NO_NUMBA, val)
-        assert not kernels.numba_disabled_by_env()
-        assert kernels.backend_name() == _default_backend()
-
-
-def test_backend_env_flag_overrides_available_numba(monkeypatch, compiled_branch):
-    assert kernels.backend_name() == "numba"
-    monkeypatch.setenv(kernels.ENV_NO_NUMBA, "1")
-    assert kernels.backend_name() == "numpy"
-    monkeypatch.setenv(kernels.ENV_NO_NUMBA, "0")
-    assert kernels.backend_name() == "numba"
-
-
-BUILTIN_CASES = [
-    (cubic_nonlinearity(), affine_forcing(g1=0.1, g2=0.05, constant=0.2, g0=0.3), 1e-12),
-    (power_law_nonlinearity(3.5), zero_forcing(), 1e-10),
-]
-
-
-@pytest.mark.parametrize("nl,fs,tol", BUILTIN_CASES)
-def test_compiled_and_numpy_paths_agree(monkeypatch, compiled_branch, nl, fs, tol):
-    op, init = _small_problem()
-    fast, slow = _both_backends(monkeypatch, init, SolverConfig(T=0.2, dt=1e-3), op, nl, fs)
-    assert np.max(np.abs(fast.a - slow.a)) <= tol
-    assert np.max(np.abs(fast.adot - slow.adot)) <= tol
-
-
-def test_paths_agree_under_verlet(monkeypatch, compiled_branch):
-    op, init = _small_problem(seed=1)
-    cfg = SolverConfig(T=0.2, dt=1e-3, integrator=STORMER_VERLET)
-    fast, slow = _both_backends(monkeypatch, init, cfg, op, cubic_nonlinearity(), zero_forcing())
-    assert np.max(np.abs(fast.a - slow.a)) <= 1e-12
-    assert np.max(np.abs(fast.adot - slow.adot)) <= 1e-12
-    # At m=512 the numpy path steps on the FFT pair, the compiled one on the
-    # dense products.
+def test_paths_agree_under_verlet(monkeypatch):
+    # At m=512 stepping runs on the FFT pair; patched to the dense products
+    # it must give the same Verlet trajectory to the transforms' round-off.
     m = 512
     assert m >= FFT_MIN_MODES
     cfg = SolverConfig(T=0.025, dt=2.5e-4, integrator=STORMER_VERLET)
+    nl, fs = power_law_nonlinearity(4.0), zero_forcing()
     for bc in (DIRICHLET, PERIODIC_MEAN_ZERO):
         op = build_operator(DomainSpec(length=1.0, bc=bc), m)
         x = op.nodes
         u0 = x * (1.0 - x) if bc == DIRICHLET else 0.8 * np.sin(2.0 * math.pi * x)
         init = project_initial_data(u0, 0.3 * np.sin(2.0 * math.pi * x), op).state
-        fast, slow = _both_backends(monkeypatch, init, cfg, op, power_law_nonlinearity(4.0), zero_forcing())
-        for want, got in ((fast.a, slow.a), (fast.adot, slow.adot)):
+        fft = integrate(init, cfg, op, nl, fs)
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "transform_pair", lambda op: (op.basis.dot, op.projection.dot))
+            dense = integrate(init, cfg, op, nl, fs)
+        assert not np.array_equal(fft.a, dense.a)
+        for want, got in ((dense.a, fft.a), (dense.adot, fft.adot)):
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-
-
-def test_numba_is_default_backend_for_builtin_kinds():
-    pytest.importorskip("numba")
-    assert kernels.NUMBA_AVAILABLE
-    assert kernels.backend_name() == "numba"
-    op, init = _small_problem()
-    for nl, fs, _ in BUILTIN_CASES:
-        assert integrate(init, SolverConfig(T=0.2, dt=1e-3), op, nl, fs).backend == "numba"
 
 
 def test_run_numpy_stride_and_divergence():
@@ -244,7 +179,16 @@ NL_CASES = {
     "power_law": power_law_nonlinearity(3.5),
     "linear": linear_nonlinearity(),
     "table": custom_nonlinearity(f=_TABLE, p=4.0, a0=1.0, a1=2.0, b0=0.1, b1=0.0, F=_TABLE.F, Phi=_TABLE.Phi),
-    "callable": custom_nonlinearity(f=lambda u: 3.0 * u * u + 1.0, p=4.0, a0=1.0, a1=1.0, b0=1.0, b1=0.0),
+    "callable": custom_nonlinearity(
+        f=lambda u: 3.0 * u * u + 1.0,
+        p=4.0,
+        a0=1.0,
+        a1=1.0,
+        b0=1.0,
+        b1=0.0,
+        F=lambda u: u**3 + u,
+        Phi=lambda u: 0.25 * u**4 + 0.5 * u * u,
+    ),
 }
 FS_CASES = {
     "zero": zero_forcing(),
@@ -286,6 +230,33 @@ def test_run_numpy_is_bitwise_the_reference_loop(stepping_op, nl_name, fs_name):
             _assert_runs_identical(got, want)
     # the inputs are not written to
     assert all(np.array_equal(x, y) for x, y in zip((a0, v0), _initial_modal(op)))
+
+
+@pytest.mark.parametrize("nl_name", list(NL_CASES))
+def test_integrate_steps_every_kind_on_run_numpy(monkeypatch, op8, nl_name):
+    # Every kind goes through the one numpy loop, looked up on the module at
+    # call time so that a tracer patching kernels.run_numpy sees each run.
+    nl = NL_CASES[nl_name]
+    a0, v0 = _initial_modal(op8)
+    cfg = SolverConfig(T=0.05, dt=1e-3, sample_stride=5)
+    init = State(a=a0, adot=v0)
+    fs = FS_CASES["affine"]
+    plain = integrate(init, cfg, op8, nl, fs)
+    calls = []
+    inner = kernels.run_numpy
+
+    def traced(*args):
+        calls.append(args[-1])
+        return inner(*args)
+
+    monkeypatch.setattr(kernels, "run_numpy", traced)
+    got = integrate(init, cfg, op8, nl, fs)
+    assert len(calls) == 1 and callable(calls[0])
+    assert plain.backend == got.backend == "numpy"
+    assert not plain.diverged and plain.a.shape == (11, 8)
+    assert np.array_equal(got.a, plain.a) and np.array_equal(got.adot, plain.adot)
+    # the closure handed to the loop is the one _numpy_accel builds
+    assert np.array_equal(calls[0](a0, v0), _numpy_accel(op8, nl, fs)(a0, v0))
 
 
 def _both_loops(a0, v0, dt, n_steps, stride, ceiling, use_verlet, make_accel):

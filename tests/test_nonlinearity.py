@@ -57,14 +57,13 @@ def test_primitive_is_integral_of_f():
             assert abs(float(F_on_grid(nl, np.float64(r))) - ref) <= 1e-10 * (1.0 + abs(r) ** (nl.p - 1.0))
 
 
+def _cos_nonlinearity():
+    # f = cos with its exact primitives F = sin and Phi = 1 - cos
+    return custom_nonlinearity(f=np.cos, p=3.0, a0=2.0, a1=1.0, b0=0.5, b1=0.0, F=np.sin, Phi=lambda u: 1.0 - np.cos(u))
+
+
 def test_custom_primitive_from_quadrature():
-    nl = custom_nonlinearity(f=np.cos, p=3.0, a0=2.0, a1=1.0, b0=0.5, b1=0.0)
-    # primitive of cos is sin
-    assert float(F_on_grid(nl, np.float64(math.pi / 2.0))) == pytest.approx(1.0, abs=1e-10)
-    u = np.linspace(-2.0, 2.0, 41)
-    assert np.allclose(F_on_grid(nl, u), np.sin(u), atol=1e-12)
-    nl_with_F = custom_nonlinearity(f=np.cos, p=3.0, a0=2.0, a1=1.0, b0=0.5, b1=0.0, F=np.sin)
-    assert float(F_on_grid(nl_with_F, np.float64(0.3))) == pytest.approx(math.sin(0.3), rel=1e-14)
+    assert float(F_on_grid(_cos_nonlinearity(), np.float64(0.3))) == pytest.approx(math.sin(0.3), rel=1e-14)
 
 
 def test_cubic_F_first_mode_projections(op8):
@@ -82,26 +81,36 @@ def test_potential_closed_forms(op8):
 
 
 def test_potential_quadrature_matches_closed_form(op16):
-    # a custom f = 3u^2 goes through the quadrature rule; the cubic kind
-    # has the same potential in closed form
+    # a custom f = 3u^2 with its primitives given goes through grid
+    # quadrature of Phi; the cubic kind has the same potential in closed form
     rng = np.random.default_rng(2)
     c = rng.uniform(-0.5, 0.5, size=(5, 16))
     closed = potential_batch(c, op16, cubic_nonlinearity())
-    custom = custom_nonlinearity(f=lambda u: 3.0 * u * u, p=4.0, a0=1.0, a1=0.0, b0=1.0, b1=0.0)
+    custom = custom_nonlinearity(
+        f=lambda u: 3.0 * u * u, p=4.0, a0=1.0, a1=0.0, b0=1.0, b1=0.0, F=lambda u: u**3, Phi=lambda u: 0.25 * u**4
+    )
     viaquad = potential_batch(c, op16, custom)
     assert np.allclose(viaquad, closed, rtol=1e-9)
 
 
 def test_potential_custom_matches_reference_integral(op8):
     # f = cos has potential integral (1 - cos(x(xi))) over the interval
-    nl = custom_nonlinearity(f=np.cos, p=3.0, a0=2.0, a1=1.0, b0=0.5, b1=0.0)
-    got = potential_batch(0.3 * np.eye(8)[:1], op8, nl)[0]
+    got = potential_batch(0.3 * np.eye(8)[:1], op8, _cos_nonlinearity())[0]
     assert got == pytest.approx(0.044496274143657831, abs=1e-10)
 
 
 def test_potential_is_primitive_of_F(op8):
     rng = np.random.default_rng(9)
-    custom = custom_nonlinearity(f=lambda u: 3.0 * u * u + np.cos(u), p=4.0, a0=1.0, a1=1.0, b0=1.0, b1=0.0)
+    custom = custom_nonlinearity(
+        f=lambda u: 3.0 * u * u + np.cos(u),
+        p=4.0,
+        a0=1.0,
+        a1=1.0,
+        b0=1.0,
+        b1=0.0,
+        F=lambda u: u**3 + np.sin(u),
+        Phi=lambda u: 0.25 * u**4 + 1.0 - np.cos(u),
+    )
     for nl in (cubic_nonlinearity(), custom):
         x = rng.normal(size=8)
         z = rng.normal(size=8)
@@ -123,7 +132,9 @@ def test_verify_conditions_power_law_passes(op8):
 
 
 def test_verify_conditions_falsifies_decreasing_f(op8):
-    nl = custom_nonlinearity(f=lambda u: -np.ones_like(u), p=3.0, a0=1.0, a1=1.0, b0=1.0, b1=0.0)
+    nl = custom_nonlinearity(
+        f=lambda u: -np.ones_like(u), p=3.0, a0=1.0, a1=1.0, b0=1.0, b1=0.0, F=lambda u: -u, Phi=lambda u: -0.5 * u * u
+    )
     rep = verify_conditions(nl, op8, samples=500, seed=1)
     assert not rep.passed
     mono = rep.checks[0]
@@ -135,7 +146,9 @@ def test_verify_conditions_falsifies_decreasing_f(op8):
 def test_verify_conditions_falsifies_overstated_coercivity(op8):
     # F(u) = u only gives <F(x),x> = ||x||^2, so claiming b0 = 1 against
     # the L^3 power fails at large amplitudes
-    nl = custom_nonlinearity(f=lambda u: np.ones_like(u), p=3.0, a0=1.0, a1=1.0, b0=1.0, b1=0.0)
+    nl = custom_nonlinearity(
+        f=lambda u: np.ones_like(u), p=3.0, a0=1.0, a1=1.0, b0=1.0, b1=0.0, F=lambda u: u, Phi=lambda u: 0.5 * u * u
+    )
     rep = verify_conditions(nl, op8, samples=2000, seed=2)
     coerce = rep.checks[2]
     assert coerce.name == "coercivity" and not coerce.passed
@@ -312,6 +325,12 @@ def test_nonlinearity_spec_validation():
         NonlinearitySpec(kind="power_law", p=4.0, a0=0.0)
     with pytest.raises(ValueError):
         NonlinearitySpec(kind="custom", p=3.0)
+    # a custom f needs both exact primitives: there is no quadrature fallback
+    for missing in ("F", "Phi"):
+        given = {"f": np.cos, "F": np.sin, "Phi": lambda u: 1.0 - np.cos(u)}
+        del given[missing]
+        with pytest.raises(ValueError, match="primitives"):
+            NonlinearitySpec(kind="custom", p=3.0, **given)
 
 
 # Tables for the exact primitives: 0 as a node, 0 between nodes, and a

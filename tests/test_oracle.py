@@ -64,8 +64,7 @@ def test_reference_run_matches_closed_form():
     assert np.max(np.abs(ref.a[:, 1:])) <= 1e-14
 
 
-def test_reference_and_production_agree_at_same_resolution(monkeypatch):
-    monkeypatch.setenv("WAVEGALERKIN_NO_NUMBA", "1")
+def test_reference_and_production_agree_at_same_resolution():
     dom = DomainSpec(length=1.0, bc=DIRICHLET)
     x0 = [0.2, 0.0, 0.05]
     ref = reference_run(dom, cubic_nonlinearity(), zero_forcing(), x0, [], T=1.0, m_ref=8, dt_ref=1e-3)
@@ -75,8 +74,7 @@ def test_reference_and_production_agree_at_same_resolution(monkeypatch):
     assert max_H_error(traj, ref) <= 1e-12
 
 
-def test_max_H_error_counts_reference_tail(monkeypatch):
-    monkeypatch.setenv("WAVEGALERKIN_NO_NUMBA", "1")
+def test_max_H_error_counts_reference_tail():
     dom = DomainSpec(length=1.0, bc=DIRICHLET)
     x0 = [0.3]
     ref = reference_run(dom, cubic_nonlinearity(), zero_forcing(), x0, [], T=0.5, m_ref=16, dt_ref=1e-3)

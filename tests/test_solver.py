@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from wavegalerkin import kernels
 from wavegalerkin.nonlinearity import (
     affine_forcing,
     cubic_nonlinearity,
@@ -81,25 +80,7 @@ def test_acceleration_implementations_agree(op8):
     fs = affine_forcing(g1=0.3, g2=0.2, constant=0.1, g0=0.2)
     ref = acceleration(State(a=a, adot=adot), op8, nl, fs)
     closure = _numpy_accel(op8, nl, fs)(a, adot)
-    out = np.empty(8)
-    gc = fs.constant * (op8.projection @ np.ones(op8.grid_points))
-    kernels._accel(
-        a,
-        adot,
-        np.ascontiguousarray(op8.eigenvalues),
-        np.ascontiguousarray(op8.sqrt_eigenvalues),
-        np.ascontiguousarray(op8.basis),
-        np.ascontiguousarray(op8.projection),
-        kernels.NL_CUBIC,
-        2.0,
-        kernels.FORCING_AFFINE,
-        fs.g1,
-        fs.g2,
-        np.ascontiguousarray(gc),
-        out,
-    )
     assert np.allclose(closure, ref, rtol=1e-12, atol=1e-13)
-    assert np.allclose(out, ref, rtol=1e-12, atol=1e-13)
 
     # Every specialised closure: each nonlinearity kind under each forcing
     # kind, on the dense products (m=8) and on the FFT pair (m=512).
@@ -109,7 +90,9 @@ def test_acceleration_implementations_agree(op8):
         cubic_nonlinearity(),
         power_law_nonlinearity(3.5),
         custom_nonlinearity(f=table, p=4.0, a0=1.0, a1=1.0, b0=0.1, b1=0.0, F=table.F, Phi=table.Phi),
-        custom_nonlinearity(f=lambda u: 3.0 * u * u, p=4.0, a0=1.0, a1=0.0, b0=1.0, b1=0.0),
+        custom_nonlinearity(
+            f=lambda u: 3.0 * u * u, p=4.0, a0=1.0, a1=0.0, b0=1.0, b1=0.0, F=lambda u: u**3, Phi=lambda u: 0.25 * u**4
+        ),
     ]
     forcings = [
         zero_forcing(),
@@ -263,16 +246,14 @@ def test_trajectory_sampling_and_zero_T(op8):
     assert traj.cfg.integrator == RK4
 
 
-def test_custom_kind_forces_numpy_backend(op8, compiled_branch):
-    from wavegalerkin.nonlinearity import custom_nonlinearity
-
-    nl = custom_nonlinearity(f=lambda u: 3.0 * u * u, p=4.0, a0=1.0, a1=0.0, b0=1.0, b1=0.0)
+def test_custom_kind_follows_the_cubic_kind(op8):
+    nl = custom_nonlinearity(
+        f=lambda u: 3.0 * u * u, p=4.0, a0=1.0, a1=0.0, b0=1.0, b1=0.0, F=lambda u: u**3, Phi=lambda u: 0.25 * u**4
+    )
     init = initial_state_from_modal([0.2], [], op8).state
     traj = integrate(init, SolverConfig(T=0.1, dt=1e-3), op8, nl, zero_forcing())
-    assert traj.backend == "numpy"
-    fast = integrate(init, SolverConfig(T=0.1, dt=1e-3), op8, cubic_nonlinearity(), zero_forcing())
-    assert fast.backend == "numba"
-    assert np.allclose(traj.a, fast.a, atol=1e-10)
+    cubic = integrate(init, SolverConfig(T=0.1, dt=1e-3), op8, cubic_nonlinearity(), zero_forcing())
+    assert np.allclose(traj.a, cubic.a, atol=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -283,10 +264,9 @@ def test_custom_kind_forces_numpy_backend(op8, compiled_branch):
     ],
     ids=["dirichlet-power_law", "periodic-affine-cubic"],
 )
-def test_m512_trajectory_matches_dense_oracle(monkeypatch, bc, nl, fs):
+def test_m512_trajectory_matches_dense_oracle(bc, nl, fs):
     # m=512 steps, projects its initial data and evaluates its forcing on
     # the FFT pair; the oracle runs its own full dense products.
-    monkeypatch.setenv(kernels.ENV_NO_NUMBA, "1")
     m = 512
     assert m >= FFT_MIN_MODES
     op = build_operator(DomainSpec(length=1.0, bc=bc), m)
