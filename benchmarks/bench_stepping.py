@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Microseconds per step of the stepping loop at each benchmark workload's shape.
+
+Times ``kernels.run_numpy`` with the acceleration closure that
+``solver._numpy_accel`` builds, on four shapes:
+
+- ``long_small``: Dirichlet, m=16, cubic F, no forcing, RK4;
+- ``dense_output``: periodic, m=32, cubic F, affine forcing, RK4;
+- ``wide_modes``: Dirichlet, m=512, power-law F (p=4) on the FFT pair, RK4;
+- ``verlet``: Dirichlet, m=16, cubic F, no forcing, velocity Verlet.
+
+Each time is the median over ``--repeats`` runs of ``--steps`` steps from the
+parabola x(1 - x) at rest, recording only the first and last states.  BLAS is
+pinned to one thread.  The numpy version is printed with the table.
+
+    PYTHONPATH=src python3 benchmarks/bench_stepping.py [--steps N] [--repeats R]
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import statistics
+import time
+
+import numpy as np
+
+from wavegalerkin import kernels
+from wavegalerkin.nonlinearity import affine_forcing, cubic_nonlinearity, power_law_nonlinearity, zero_forcing
+from wavegalerkin.solver import _numpy_accel, project_initial_data
+from wavegalerkin.spectral import DIRICHLET, PERIODIC_MEAN_ZERO, DomainSpec, build_operator
+
+# name: (bc, m, nonlinearity, forcing, use_verlet, dt)
+CASES = {
+    "long_small": (DIRICHLET, 16, cubic_nonlinearity(), zero_forcing(), False, 1e-3),
+    "dense_output": (
+        PERIODIC_MEAN_ZERO,
+        32,
+        cubic_nonlinearity(),
+        affine_forcing(g1=0.05, g2=0.05, constant=0.5, g0=0.5),
+        False,
+        1e-3,
+    ),
+    "wide_modes": (DIRICHLET, 512, power_law_nonlinearity(4.0), zero_forcing(), False, 2.5e-4),
+    "verlet": (DIRICHLET, 16, cubic_nonlinearity(), zero_forcing(), True, 1e-3),
+}
+
+
+def step_us(case, steps: int, repeats: int) -> float:
+    bc, m, nl, fs, use_verlet, dt = case
+    op = build_operator(DomainSpec(length=1.0, bc=bc), m)
+    x = op.nodes
+    state = project_initial_data(x * (1.0 - x), np.zeros_like(x), op).state
+    a0, v0 = np.array(state.a), np.array(state.adot)
+    accel = _numpy_accel(op, nl, fs)
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        _, _, _, div = kernels.run_numpy(a0, v0, dt, steps, steps, 1e12, use_verlet, accel)
+        times.append(time.perf_counter() - t0)
+        if div >= 0:
+            raise RuntimeError(f"run diverged at step {div}")
+    return statistics.median(times) / steps * 1e6
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--steps", type=int, default=2000)
+    ap.add_argument("--repeats", type=int, default=7)
+    args = ap.parse_args(argv)
+    print(f"numpy {np.__version__}, BLAS threads pinned to {os.environ['OPENBLAS_NUM_THREADS']}")
+    print(f"median of {args.repeats} runs of {args.steps} steps")
+    print(f"{'shape':<14}{'us/step':>10}")
+    for name, case in CASES.items():
+        print(f"{name:<14}{step_us(case, args.steps, args.repeats):>10.2f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -61,6 +61,18 @@ AMPLITUDE_MAX = 10.0
 MONOTONE_SLACK = 1e-10
 RELATIVE_SLACK = 1e-10
 
+# The custom kind's primitives check: central differences of Phi and F at
+# PRIMITIVE_POINTS points spanning the drawn grid values, with a step of
+# PRIMITIVE_STEP times the largest |u| there.  Each difference is compared
+# with F (resp. f) relative to the largest |F| (resp. |f|) on the points.
+# Round-off in a difference is about eps/PRIMITIVE_STEP ~ 2e-10 of that
+# scale, and truncation at a kink of a piecewise-linear f about
+# PRIMITIVE_STEP times its slope jump, so PRIMITIVE_RTOL passes exact
+# primitives and fails a primitive that is off by a factor.
+PRIMITIVE_POINTS = 256
+PRIMITIVE_STEP = 2.0**-20
+PRIMITIVE_RTOL = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class NonlinearitySpec:
@@ -296,6 +308,9 @@ class ConditionReport:
         }
 
 
+_TINY = float(np.finfo(np.float64).tiny)
+
+
 def _draw_batch(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     coeffs = rng.uniform(-1.0, 1.0, size=(n, m))
     coeffs *= rng.uniform(0.0, AMPLITUDE_MAX, size=(n, 1))
@@ -349,7 +364,10 @@ def verify_conditions(
     - growth: ||F(x)||_{p'} <= a0*||x||_p^(p-1) + a1*||x||_H,
     - coercivity: <F(x), x> >= b0*||x||_p^p + b1*||x||_H^2,
 
-    the last two with relative slack 1e-10*(1 + |rhs|).
+    the last two with relative slack 1e-10*(1 + |rhs|).  For the custom
+    kind a fourth check, ``primitives``, tests that ``Phi' = F`` and
+    ``F' = f`` on the span of the drawn grid values (see
+    :func:`_check_primitives`).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -381,7 +399,32 @@ def verify_conditions(
     tol_c = RELATIVE_SLACK * (1.0 + np.abs(rhs_c))
     c_coerce = _check("coercivity", samples, rhs_c - pairing, tol_c, {"lhs": pairing, "rhs": rhs_c})
 
-    return ConditionReport(checks=(c_mono, c_growth, c_coerce), seed=seed)
+    checks = (c_mono, c_growth, c_coerce)
+    if nl.kind == CUSTOM:
+        lo = min(float(np.min(ux)), float(np.min(uz)))
+        hi = max(float(np.max(ux)), float(np.max(uz)))
+        checks += (_check_primitives(nl, np.linspace(lo, hi, PRIMITIVE_POINTS)),)
+    return ConditionReport(checks=checks, seed=seed)
+
+
+def _check_primitives(nl: NonlinearitySpec, u: np.ndarray) -> ConditionCheck:
+    """Central differences of ``Phi`` and ``F`` at ``u`` against ``F`` and ``f``.
+
+    The violation at a point is the larger of the two gaps, each relative
+    to the largest ``|F|`` or ``|f|`` on the points; the tolerance is
+    ``PRIMITIVE_RTOL``.
+    """
+    d = PRIMITIVE_STEP * float(np.max(np.abs(u))) or PRIMITIVE_STEP
+    up, um = u + d, u - d
+    fv = np.asarray(nl.f(u), dtype=np.float64)
+    Fv = np.asarray(nl.F(u), dtype=np.float64)
+    dPhi = (np.asarray(nl.Phi(up), dtype=np.float64) - np.asarray(nl.Phi(um), dtype=np.float64)) / (2.0 * d)
+    dF = (np.asarray(nl.F(up), dtype=np.float64) - np.asarray(nl.F(um), dtype=np.float64)) / (2.0 * d)
+    scale_F = max(float(np.max(np.abs(Fv))), _TINY)
+    scale_f = max(float(np.max(np.abs(fv))), _TINY)
+    viol = np.maximum(np.abs(dPhi - Fv) / scale_F, np.abs(dF - fv) / scale_f)
+    witness = {"u": u, "F": Fv, "dPhi": dPhi, "f": fv, "dF": dF}
+    return _check("primitives", u.size, viol, PRIMITIVE_RTOL, witness)
 
 
 @dataclass(frozen=True, eq=False)

@@ -223,12 +223,88 @@ class Trajectory:
 
 
 def _numpy_accel(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
-    """Acceleration closure ``accel(a, adot)`` for :func:`kernels.run_numpy`.
+    """Acceleration closure ``accel(x, out)`` for :func:`kernels.run_numpy`.
 
-    One ``force(a, adot)`` is built per nonlinearity kind and wrapped once
-    per forcing kind (zero forcing returns it as is), so a call does no kind
-    dispatch.  ``neg_lam * w`` equals ``-(lam * w)`` bitwise (IEEE
-    multiplication is sign-symmetric) at one ufunc call fewer.
+    ``x`` is the stage ``[a; adot]``, shape ``(2, m)``, and the
+    acceleration is written into the ``m``-vector ``out``; ``x`` is only
+    read.  A closure is built per nonlinearity and forcing kind, so a call
+    does no kind dispatch.
+
+    On dense products (below ``FFT_MIN_MODES``) with cubic or power-law
+    ``F`` and zero or affine forcing, ``-lambda``, the projection and the
+    constant forcing are folded into one matrix ``L`` over
+    ``S = [F(u); 1]``, so a call is ``u = B a``, the pointwise ``F`` into
+    ``S`` and ``out = L S``.  Affine forcing then adds
+    ``g1 a + (g2/sqrt(lambda)) adot`` as one product of a fixed ``(2, m)``
+    coefficient array ``G`` with ``x`` and two additions into ``out``, which
+    cost O(m) at every ``m``.  Every other case (the FFT pair, the linear
+    kind, a custom ``F`` or a custom forcing) evaluates the acceleration as
+    a new array and copies it into ``out``.
+    """
+    if op._fft is None and nl.kind in (CUBIC, POWER_LAW) and fs.kind in (ZERO, AFFINE):
+        return _folded_accel(op, nl, fs)
+    value = _accel_value(op, nl, fs)
+
+    def accel(x, out):
+        out[...] = value(x[0], x[1])
+
+    return accel
+
+
+def _folded_accel(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
+    """The one-matrix acceleration of :func:`_numpy_accel` on dense products."""
+    basis = op.basis
+    n, m = basis.shape
+    # The constant forcing column is zero for zero forcing (its constant is 0).
+    gc = fs.constant * constant_modal(op)
+    L = np.ascontiguousarray(np.hstack((-op.eigenvalues[:, None] * op.projection, gc[:, None])))
+    S = np.ones(n + 1)  # the last entry, under the constant forcing, stays 1
+    Fu = S[:n]
+    u = np.empty(n)
+    dot, mul, add = np.dot, np.multiply, np.add
+
+    if nl.kind == CUBIC:
+
+        def pointwise(u):
+            mul(mul(u, u, Fu), u, Fu)
+
+    else:
+        pm2 = np.array(nl.p - 2.0)
+        absolute, power = np.abs, np.power
+
+        def pointwise(u):
+            mul(power(absolute(u, Fu), pm2, Fu), u, Fu)
+
+    if fs.kind == ZERO:
+
+        def accel(x, out):
+            dot(basis, x[0], u)
+            pointwise(u)
+            dot(L, S, out)
+
+    else:
+        G = np.stack((np.full(m, fs.g1), fs.g2 / op.sqrt_eigenvalues))
+        gx = np.empty((2, m))
+        g1a, g2v = gx
+
+        def accel(x, out):
+            dot(basis, x[0], u)
+            pointwise(u)
+            dot(L, S, out)
+            mul(G, x, gx)
+            add(out, g1a, out)
+            add(out, g2v, out)
+
+    return accel
+
+
+def _accel_value(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
+    """Acceleration ``value(a, adot) -> ndarray`` as a new array, for :func:`_numpy_accel`.
+
+    One ``force(a)`` is built per nonlinearity kind and wrapped once per
+    forcing kind (zero forcing returns it as is).  ``neg_lam * w`` equals
+    ``-(lam * w)`` bitwise (IEEE multiplication is sign-symmetric) at one
+    ufunc call fewer.
     """
     neg_lam = -np.ascontiguousarray(op.eigenvalues)
     sqrt_lam = np.ascontiguousarray(op.sqrt_eigenvalues)
@@ -269,12 +345,12 @@ def _numpy_accel(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
         return lambda a, adot: force(a) + ((g1 * a + (g2 * adot) / sqrt_lam) + gc)
     func = fs.func
 
-    def accel(a, adot):
+    def value(a, adot):
         out = force(a)
         vg = sample(adot / sqrt_lam)
         return out + project(np.asarray(func(sample(a), vg), dtype=np.float64))
 
-    return accel
+    return value
 
 
 def integrate(

@@ -10,6 +10,8 @@ from scipy.integrate import quad
 from wavegalerkin import cli, nonlinearity
 from wavegalerkin.nonlinearity import (
     AMPLITUDE_MAX,
+    PRIMITIVE_POINTS,
+    PRIMITIVE_RTOL,
     RELATIVE_SLACK,
     ZERO,
     ConditionReport,
@@ -152,6 +154,37 @@ def test_verify_conditions_falsifies_overstated_coercivity(op8):
     rep = verify_conditions(nl, op8, samples=2000, seed=2)
     coerce = rep.checks[2]
     assert coerce.name == "coercivity" and not coerce.passed
+
+
+def test_verify_conditions_checks_custom_primitives(op8):
+    # Phi = u^4/2 is twice the primitive of F = u^3: the draws pass the
+    # three sampled checks, and only the primitives check can see it.
+    def spec(Phi):
+        return custom_nonlinearity(f=lambda u: 3.0 * u * u, p=4.0, a0=1.0, a1=0.0, b0=1.0, b1=0.0, F=lambda u: u**3, Phi=Phi)
+
+    bad = verify_conditions(spec(lambda u: 0.5 * u**4), op8, samples=500, seed=0)
+    assert [c.name for c in bad.checks] == ["monotonicity", "growth", "coercivity", "primitives"]
+    assert [c.passed for c in bad.checks] == [True, True, True, False]
+    prim = bad.checks[3]
+    assert prim.samples == PRIMITIVE_POINTS and prim.tolerance == PRIMITIVE_RTOL
+    assert abs(prim.worst_violation - 1.0) < 1e-6  # dPhi = 2F
+    w = prim.witness
+    assert w["dPhi"] == pytest.approx(2.0 * w["u"] ** 3) and w["F"] == pytest.approx(w["u"] ** 3)
+
+    good = verify_conditions(spec(lambda u: 0.25 * u**4), op8, samples=500, seed=0)
+    assert good.passed and good.checks[3].worst_violation < 1e-9
+
+    # F = u^3 is not the primitive of f = 2u^2 + 1: F' = f fails
+    wrong_F = custom_nonlinearity(
+        f=lambda u: 2.0 * u * u + 1.0, p=4.0, a0=1.0, a1=1.0, b0=0.5, b1=0.0, F=lambda u: u**3, Phi=lambda u: 0.25 * u**4
+    )
+    assert not verify_conditions(wrong_F, op8, samples=200, seed=0).checks[3].passed
+
+    # a table's exact piecewise primitives pass across its kinks and clamped tails
+    r = np.linspace(-30.0, 30.0, 61)
+    table = tabulated_f(r, r**3 + r)
+    tab = custom_nonlinearity(f=table, p=4.0, a0=1.0, a1=1.0, b0=0.1, b1=0.0, F=table.F, Phi=table.Phi)
+    assert verify_conditions(tab, op8, samples=200, seed=3).checks[3].passed
 
 
 def test_verify_conditions_overflow_is_an_unbounded_violation(op8):

@@ -72,6 +72,16 @@ def test_acceleration_cubic_first_mode():
     assert np.allclose(acc, want, rtol=1e-12, atol=1e-10)
 
 
+def _closure_value(op, nl, fs, a, adot):
+    # The stepping closure writes into ``out`` and must only read the stage.
+    x = np.stack((a, adot))
+    before = x.copy()
+    out = np.full(op.modes, np.nan)
+    _numpy_accel(op, nl, fs)(x, out)
+    assert np.array_equal(x, before)
+    return out
+
+
 def test_acceleration_implementations_agree(op8):
     rng = np.random.default_rng(12)
     a = 0.4 * rng.normal(size=8)
@@ -79,11 +89,12 @@ def test_acceleration_implementations_agree(op8):
     nl = cubic_nonlinearity()
     fs = affine_forcing(g1=0.3, g2=0.2, constant=0.1, g0=0.2)
     ref = acceleration(State(a=a, adot=adot), op8, nl, fs)
-    closure = _numpy_accel(op8, nl, fs)(a, adot)
+    closure = _closure_value(op8, nl, fs, a, adot)
     assert np.allclose(closure, ref, rtol=1e-12, atol=1e-13)
 
     # Every specialised closure: each nonlinearity kind under each forcing
-    # kind, on the dense products (m=8) and on the FFT pair (m=512).
+    # kind, on the dense products (m=8, and the largest dense periodic
+    # operator just below FFT_MIN_MODES) and on the FFT pair (m=512).
     table = tabulated_f(np.linspace(-2.0, 2.0, 21), np.linspace(-2.0, 2.0, 21) ** 3)
     nls = [
         linear_nonlinearity(),
@@ -101,13 +112,18 @@ def test_acceleration_implementations_agree(op8):
         custom_lipschitz_forcing(lambda u, v: 0.2 * np.tanh(u) + 0.1 * v, g0=0.0, g1=0.2, g2=0.1),
     ]
     assert 512 >= FFT_MIN_MODES
-    for op in (op8, build_operator(DomainSpec(length=1.0, bc=DIRICHLET), 512)):
+    ops = (
+        op8,
+        build_operator(DomainSpec(length=1.0, bc=PERIODIC_MEAN_ZERO), FFT_MIN_MODES - 1),
+        build_operator(DomainSpec(length=1.0, bc=DIRICHLET), 512),
+    )
+    for op in ops:
         a = 0.4 * rng.normal(size=op.modes) / np.arange(1, op.modes + 1)
         adot = 0.4 * rng.normal(size=op.modes) / np.arange(1, op.modes + 1)
         for nl in nls:
             for fs in forcings:
                 ref = acceleration(State(a=a, adot=adot), op, nl, fs)
-                closure = _numpy_accel(op, nl, fs)(a, adot)
+                closure = _closure_value(op, nl, fs, a, adot)
                 assert closure.shape == ref.shape
                 assert np.allclose(closure, ref, rtol=1e-12, atol=1e-13), (op.modes, nl.kind, fs.kind)
 
@@ -127,6 +143,34 @@ def test_rk4_error_scales_as_fourth_order(op8):
     for dt in (2e-3, 1e-3):
         traj = integrate(init, SolverConfig(T=2.0, dt=dt), op8, linear_nonlinearity(), zero_forcing())
         errs.append(np.max(np.abs(traj.a[:, 0] - np.cos(math.pi * traj.times))))
+    assert 13.0 <= errs[0] / errs[1] <= 19.0
+
+
+def _final_state_errors(op, nl, fs, init, dts, ref):
+    errs = []
+    for dt in dts:
+        traj = integrate(init, SolverConfig(T=1.0, dt=dt, sample_stride=int(round(1.0 / dt))), op, nl, fs)
+        errs.append(max(np.max(np.abs(traj.a[-1] - ref.a[-1])), np.max(np.abs(traj.adot[-1] - ref.adot[-1]))))
+    return errs
+
+
+def test_rk4_order_on_the_folded_acceleration(op8):
+    # Cubic F with velocity-dependent affine forcing at m=8 steps on the
+    # folded matrix L and the affine coefficients G.  Against the oracle's own
+    # RK4 at dt/8, the errors at dt and dt/2 must shrink by
+    # (1 - 8^-4)/(2^-4 - 8^-4) = 16.25: a wrong entry in a stage matrix lowers
+    # the order, and a wrong entry in L or G makes the run converge to another
+    # system, so the errors stop shrinking.  The initial data are not
+    # symmetric about the midpoint, so every mode moves and every nonzero
+    # entry of L and G acts on the run.
+    nl = cubic_nonlinearity()
+    fs = affine_forcing(g1=0.3, g2=0.2, constant=0.5, g0=1.0)
+    x = op8.nodes
+    init = project_initial_data(4.0 * x * (1.0 - x) * (1.0 + x), 0.5 * np.sin(math.pi * x) + x - 0.3, op8).state
+    dt = 2e-3  # dt * sqrt(lambda_max) = 0.05
+    ref = reference_run(op8.domain, nl, fs, init.a, init.adot, 1.0, 8, dt / 8, sample_stride=2000)
+    errs = _final_state_errors(op8, nl, fs, init, (dt, dt / 2), ref)
+    assert errs[1] > 1e-9  # far above round-off
     assert 13.0 <= errs[0] / errs[1] <= 19.0
 
 
