@@ -2,12 +2,14 @@
 """Microseconds per step of the stepping loop at each benchmark workload's shape.
 
 Times ``kernels.run_numpy`` with the acceleration closure that
-``solver._numpy_accel`` builds, on four shapes:
+``solver._numpy_accel`` builds, on five shapes:
 
 - ``long_small``: Dirichlet, m=16, cubic F, no forcing, RK4;
 - ``dense_output``: periodic, m=32, cubic F, affine forcing, RK4;
 - ``wide_modes``: Dirichlet, m=512, power-law F (p=4) on the FFT pair, RK4;
-- ``verlet``: Dirichlet, m=16, cubic F, no forcing, velocity Verlet.
+- ``verlet``: Dirichlet, m=16, cubic F, no forcing, velocity Verlet;
+- ``custom_table``: Dirichlet, m=16, a custom F from the table f = 3r^2,
+  affine forcing, RK4 (a custom F is sampled and projected, not folded).
 
 Each time is the median over ``--repeats`` runs of ``--steps`` steps from the
 parabola x(1 - x) at rest, recording only the first and last states.  BLAS is
@@ -28,9 +30,19 @@ import time
 import numpy as np
 
 from wavegalerkin import kernels
-from wavegalerkin.nonlinearity import affine_forcing, cubic_nonlinearity, power_law_nonlinearity, zero_forcing
+from wavegalerkin.nonlinearity import (
+    affine_forcing,
+    cubic_nonlinearity,
+    custom_nonlinearity,
+    power_law_nonlinearity,
+    tabulated_f,
+    zero_forcing,
+)
 from wavegalerkin.solver import _numpy_accel, project_initial_data
 from wavegalerkin.spectral import DIRICHLET, PERIODIC_MEAN_ZERO, DomainSpec, build_operator
+
+_R = np.linspace(-2.0, 2.0, 2001)
+_TABLE = tabulated_f(_R, 3.0 * _R * _R)
 
 # name: (bc, m, nonlinearity, forcing, use_verlet, dt)
 CASES = {
@@ -45,6 +57,14 @@ CASES = {
     ),
     "wide_modes": (DIRICHLET, 512, power_law_nonlinearity(4.0), zero_forcing(), False, 2.5e-4),
     "verlet": (DIRICHLET, 16, cubic_nonlinearity(), zero_forcing(), True, 1e-3),
+    "custom_table": (
+        DIRICHLET,
+        16,
+        custom_nonlinearity(f=_TABLE, p=4.0, a0=1.0, a1=1.0, b0=1.0, b1=0.0, F=_TABLE.F, Phi=_TABLE.Phi),
+        affine_forcing(g1=0.05, g2=0.05, constant=0.5, g0=0.5),
+        False,
+        1e-3,
+    ),
 }
 
 

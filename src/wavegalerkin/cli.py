@@ -34,7 +34,7 @@ from .estimates import (
     monitor,
     sample_table,
 )
-from .nonlinearity import ZERO, verify_conditions, verify_g
+from .nonlinearity import CUSTOM, ZERO, verify_conditions, verify_g
 from .oracle import BERNOULLI, GRONWALL_LINEAR, linear_exact, max_H_error, reference_run, scalar_comparison
 from .solver import Trajectory, integrate
 from .spectral import build_operator
@@ -256,7 +256,7 @@ def cmd_converge(rc: RunConfig, modes: list[int], dts: list[float], m_ref: int |
         raise ConfigError("m_ref must be at least twice the largest member mode count")
     if dt_ref_factor < 10:
         raise ConfigError("dt_ref_factor must be at least 10")
-    if rc.nl.kind == "custom" or rc.fs.kind not in ("zero", "affine"):
+    if rc.nl.kind == CUSTOM:
         raise ConfigError("convergence study supports built-in kinds only")
     json_path = _resolve_out(out_json)
     csv_path = _resolve_out(out_csv)

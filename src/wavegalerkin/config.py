@@ -367,24 +367,12 @@ def load_config(path: str | Path) -> RunConfig:
     except (ValueError, KeyError) as e:
         raise ConfigError(str(e)) from e
 
-    mon = raw.get("monitors", {})
-    tol = mon.get("tolerances", {})
-    monitors = MonitorSettings(
-        energy_identity=mon.get("energy_identity", True),
-        gronwall=mon.get("gronwall", True),
-        conservation=mon.get("conservation", True),
-        decay=mon.get("decay", True),
-        k=mon.get("k", 2.0),
-        delta=mon.get("delta"),
-        tolerances=MonitorTolerances(
-            identity_scale=tol.get("identity_scale", 1e-6),
-            envelope_rel=tol.get("envelope_rel", 1e-9),
-            conservation_rel=tol.get("conservation_rel", 1e-6),
-            decay_rel=tol.get("decay_rel", 1e-9),
-        ),
-    )
+    # The schema limits these sections to the settings' own fields, whose
+    # defaults live on the dataclasses.
+    mon = dict(raw.get("monitors", {}))
+    tolerances = MonitorTolerances(**mon.pop("tolerances", {}))
+    monitors = MonitorSettings(**mon, tolerances=tolerances)
     ver = raw.get("verification", {})
-    out = raw.get("output", {})
     return RunConfig(
         domain=domain,
         modes=raw["modes"],
@@ -396,10 +384,7 @@ def load_config(path: str | Path) -> RunConfig:
         monitors=monitors,
         verify_samples=ver.get("samples", 200),
         verify_override=ver.get("override", False),
-        output=OutputSettings(
-            csv_path=out.get("csv_path", "trajectory.csv"),
-            report_path=out.get("report_path", "report.json"),
-        ),
+        output=OutputSettings(**raw.get("output", {})),
         seed=raw.get("seed", 0),
         raw=raw,
     )

@@ -1,7 +1,8 @@
 """The fixed-step time-stepping loop on the modal state.
 
 :func:`run_numpy` advances ``(a, adot)`` by RK4 or velocity Verlet with an
-acceleration closure built by ``solver._numpy_accel``, records every
+acceleration closure built by ``solver._numpy_accel`` (a Galerkin term
+followed by a forcing term, for every kind), records every
 ``stride``-th state, and stops at the first state that leaves the blow-up
 ceiling or goes non-finite.
 
@@ -95,7 +96,8 @@ def run_numpy(a0, adot0, dt, n_steps, stride, ceiling, use_verlet, accel):
     ``accel(x, out)`` writes the modal acceleration at the stage ``x`` (a
     ``(2, m)`` array ``[a; adot]``) into ``out`` (an ``m``-vector); the
     nonlinearity and forcing are closed over by the caller.  It must not
-    write ``x``, and ``out`` never aliases it.
+    write ``x``, and ``out`` never aliases it.  The closures of
+    ``solver._numpy_accel`` write ``out`` in place, for every kind.
 
     RK4 forms the stage sums and the increments inside BLAS products (see
     :func:`_rk4_coefficients`), whose summation order differs from the

@@ -29,6 +29,7 @@ from .nonlinearity import (
     F_on_grid,
     constant_modal,
     forcing_modal_batch,
+    pointwise_F,
 )
 from .spectral import OperatorSpec, from_grid, grid_to_modes, modes_to_grid, transform_pair
 
@@ -225,132 +226,108 @@ class Trajectory:
 def _numpy_accel(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
     """Acceleration closure ``accel(x, out)`` for :func:`kernels.run_numpy`.
 
-    ``x`` is the stage ``[a; adot]``, shape ``(2, m)``, and the
-    acceleration is written into the ``m``-vector ``out``; ``x`` is only
-    read.  A closure is built per nonlinearity and forcing kind, so a call
-    does no kind dispatch.
-
-    On dense products (below ``FFT_MIN_MODES``) with cubic or power-law
-    ``F`` and zero or affine forcing, ``-lambda``, the projection and the
-    constant forcing are folded into one matrix ``L`` over
-    ``S = [F(u); 1]``, so a call is ``u = B a``, the pointwise ``F`` into
-    ``S`` and ``out = L S``.  Affine forcing then adds
-    ``g1 a + (g2/sqrt(lambda)) adot`` as one product of a fixed ``(2, m)``
-    coefficient array ``G`` with ``x`` and two additions into ``out``, which
-    cost O(m) at every ``m``.  Every other case (the FFT pair, the linear
-    kind, a custom ``F`` or a custom forcing) evaluates the acceleration as
-    a new array and copies it into ``out``.
+    ``x`` is the stage ``[a; adot]``, shape ``(2, m)``, which is only read;
+    the acceleration is written into the ``m``-vector ``out``.  The closure
+    is the Galerkin term of :func:`_galerkin_term` plus a forcing term, both
+    picked here, so a call does no kind dispatch.  Zero forcing adds
+    nothing; affine forcing adds ``g1 a + (g2/sqrt(lambda)) adot`` as one
+    product of a fixed ``(2, m)`` array ``G`` with ``x`` and two additions;
+    a custom ``g`` is evaluated at the samples ``u`` the Galerkin term
+    returns and those of ``adot/sqrt(lambda)``, and its projection added.
     """
-    if op._fft is None and nl.kind in (CUBIC, POWER_LAW) and fs.kind in (ZERO, AFFINE):
-        return _folded_accel(op, nl, fs)
-    value = _accel_value(op, nl, fs)
-
-    def accel(x, out):
-        out[...] = value(x[0], x[1])
-
-    return accel
-
-
-def _folded_accel(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
-    """The one-matrix acceleration of :func:`_numpy_accel` on dense products."""
-    basis = op.basis
-    n, m = basis.shape
-    # The constant forcing column is zero for zero forcing (its constant is 0).
-    gc = fs.constant * constant_modal(op)
-    L = np.ascontiguousarray(np.hstack((-op.eigenvalues[:, None] * op.projection, gc[:, None])))
-    S = np.ones(n + 1)  # the last entry, under the constant forcing, stays 1
-    Fu = S[:n]
-    u = np.empty(n)
-    dot, mul, add = np.dot, np.multiply, np.add
-
-    if nl.kind == CUBIC:
-
-        def pointwise(u):
-            mul(mul(u, u, Fu), u, Fu)
-
-    else:
-        pm2 = np.array(nl.p - 2.0)
-        absolute, power = np.abs, np.power
-
-        def pointwise(u):
-            mul(power(absolute(u, Fu), pm2, Fu), u, Fu)
+    galerkin = _galerkin_term(op, nl, fs)
+    mul, add = np.multiply, np.add
 
     if fs.kind == ZERO:
 
         def accel(x, out):
-            dot(basis, x[0], u)
-            pointwise(u)
-            dot(L, S, out)
+            galerkin(x[0], out)
 
-    else:
-        G = np.stack((np.full(m, fs.g1), fs.g2 / op.sqrt_eigenvalues))
-        gx = np.empty((2, m))
+    elif fs.kind == AFFINE:
+        G = np.stack((np.full(op.modes, fs.g1), fs.g2 / op.sqrt_eigenvalues))
+        gx = np.empty((2, op.modes))
         g1a, g2v = gx
 
         def accel(x, out):
-            dot(basis, x[0], u)
-            pointwise(u)
-            dot(L, S, out)
+            galerkin(x[0], out)
             mul(G, x, gx)
             add(out, g1a, out)
             add(out, g2v, out)
 
+    else:
+        sqrt_lam = np.ascontiguousarray(op.sqrt_eigenvalues)
+        sample, project = transform_pair(op)
+        func = fs.func
+
+        def accel(x, out):
+            a, adot = x
+            u = galerkin(a, out)
+            if u is None:  # the linear term never samples a
+                u = sample(a)
+            vg = sample(adot / sqrt_lam)
+            add(out, project(np.asarray(func(u, vg), dtype=np.float64)), out)
+
     return accel
 
 
-def _accel_value(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
-    """Acceleration ``value(a, adot) -> ndarray`` as a new array, for :func:`_numpy_accel`.
+def _galerkin_term(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
+    """``galerkin(a, out)``: writes ``-lambda P F(B a)`` plus the constant forcing into ``out``.
 
-    One ``force(a)`` is built per nonlinearity kind and wrapped once per
-    forcing kind (zero forcing returns it as is).  ``neg_lam * w`` equals
-    ``-(lam * w)`` bitwise (IEEE multiplication is sign-symmetric) at one
-    ufunc call fewer.
+    It returns the grid samples ``u = B a`` (``None`` for the linear kind,
+    whose term is ``-lambda a``).  On dense products with cubic or
+    power-law ``F``, ``-lambda``, ``P`` and the constant forcing are folded
+    into one matrix ``L`` over ``S = [F(u); 1]``: a call is ``u = B a``,
+    ``F`` into ``S`` and ``out = L S``.  The FFT pair and a custom ``F``
+    sample, apply ``F`` and project through ``transform_pair``.  A custom
+    ``F`` is not folded, so that it keeps the summation order of
+    :func:`acceleration` (see the README's acceleration contract).
     """
     neg_lam = -np.ascontiguousarray(op.eigenvalues)
-    sqrt_lam = np.ascontiguousarray(op.sqrt_eigenvalues)
-    # FFT pair or dense products, picked here once per integration.
-    sample, project = transform_pair(op)
+    constant = fs.constant if fs.kind == AFFINE else 0.0
+    gc = constant * constant_modal(op)
+    F = pointwise_F(nl)
+    dot, mul, add = np.dot, np.multiply, np.add
 
+    if op._fft is None and nl.kind in (CUBIC, POWER_LAW):
+        basis = op.basis
+        n = basis.shape[0]
+        L = np.ascontiguousarray(np.hstack((neg_lam[:, None] * op.projection, gc[:, None])))
+        S = np.ones(n + 1)  # the last entry, under the constant forcing, stays 1
+        Fu = S[:n]
+        u = np.empty(n)
+
+        def galerkin(a, out):
+            dot(basis, a, u)
+            F(u, Fu)
+            dot(L, S, out)
+            return u
+
+        return galerkin
+
+    # FFT pair or dense products, looked up here so that tests can patch it.
+    sample, project = transform_pair(op)
     if nl.kind == LINEAR:
 
-        def force(a, adot=None):
-            return neg_lam * a
-
-    elif nl.kind == CUBIC:
-
-        def force(a, adot=None):
-            u = sample(a)
-            return neg_lam * project(u * u * u)
-
-    elif nl.kind == POWER_LAW:
-        pm2 = nl.p - 2.0
-
-        def force(a, adot=None):
-            u = sample(a)
-            return neg_lam * project(np.abs(u) ** pm2 * u)
+        def term(a, out):
+            mul(neg_lam, a, out)
 
     else:
-        F = nl.F
+        buf = np.empty(op.grid_points)
 
-        def force(a, adot=None):
-            return neg_lam * project(np.asarray(F(sample(a)), dtype=np.float64))
+        def term(a, out):
+            u = sample(a)
+            mul(neg_lam, project(F(u, buf)), out)
+            return u
 
-    if fs.kind == ZERO:
-        return force
-    if fs.kind == AFFINE:
-        g1, g2 = fs.g1, fs.g2
-        if fs.constant == 0.0:
-            return lambda a, adot: force(a) + (g1 * a + (g2 * adot) / sqrt_lam)
-        gc = fs.constant * constant_modal(op)
-        return lambda a, adot: force(a) + ((g1 * a + (g2 * adot) / sqrt_lam) + gc)
-    func = fs.func
+    if constant == 0.0:
+        return term
 
-    def value(a, adot):
-        out = force(a)
-        vg = sample(adot / sqrt_lam)
-        return out + project(np.asarray(func(sample(a), vg), dtype=np.float64))
+    def galerkin(a, out):
+        u = term(a, out)
+        add(out, gc, out)
+        return u
 
-    return value
+    return galerkin
 
 
 def integrate(

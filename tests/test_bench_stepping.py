@@ -24,5 +24,5 @@ def test_bench_stepping_runs_a_few_steps():
     lines = proc.stdout.splitlines()
     assert lines[0].startswith(f"numpy {np.__version__}")
     rows = {line.split()[0]: float(line.split()[1]) for line in lines[3:]}
-    assert list(rows) == ["long_small", "dense_output", "wide_modes", "verlet"]
+    assert list(rows) == ["long_small", "dense_output", "wide_modes", "verlet", "custom_table"]
     assert all(v > 0.0 for v in rows.values())

@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from wavegalerkin.config import CONFIG_SCHEMA, ConfigError, load_config, resolve_initial
+from wavegalerkin.config import CONFIG_SCHEMA, ConfigError, MonitorSettings, OutputSettings, load_config, resolve_initial
 from wavegalerkin.spectral import build_operator
 
 
@@ -42,6 +42,8 @@ def test_load_valid_config_defaults(tmp_path):
     assert rc.seed == 0
     assert rc.monitors.enabled_checks == ("energy_identity", "gronwall", "conservation", "decay")
     assert rc.monitors.tolerances.envelope_rel == 1e-9
+    assert rc.monitors == MonitorSettings()
+    assert rc.output == OutputSettings()
 
 
 def test_monitor_toggles_and_tolerances(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from wavegalerkin import solver
 from wavegalerkin.nonlinearity import (
     affine_forcing,
     cubic_nonlinearity,
@@ -126,6 +127,41 @@ def test_acceleration_implementations_agree(op8):
                 closure = _closure_value(op, nl, fs, a, adot)
                 assert closure.shape == ref.shape
                 assert np.allclose(closure, ref, rtol=1e-12, atol=1e-13), (op.modes, nl.kind, fs.kind)
+
+
+def test_custom_forcing_samples_a_once_per_acceleration(monkeypatch):
+    # A custom g is evaluated at the grid samples of a that the Galerkin term
+    # has already taken, so each acceleration makes two modes-to-grid
+    # transforms (a and the velocity channel) and two projections.
+    calls = {"to_grid": 0, "from_grid": 0}
+    pair = solver.transform_pair
+
+    def counting_pair(op):
+        sample, project = pair(op)
+
+        def counted_sample(c):
+            calls["to_grid"] += 1
+            return sample(c)
+
+        def counted_project(u):
+            calls["from_grid"] += 1
+            return project(u)
+
+        return counted_sample, counted_project
+
+    monkeypatch.setattr(solver, "transform_pair", counting_pair)
+    op = build_operator(DomainSpec(length=1.0, bc=DIRICHLET), 512)
+    assert op.modes >= FFT_MIN_MODES
+    nl = power_law_nonlinearity(3.5)
+    fs = custom_lipschitz_forcing(lambda u, v: 0.2 * np.tanh(u) + 0.1 * v, g0=0.0, g1=0.2, g2=0.1)
+    accel = _numpy_accel(op, nl, fs)
+    rng = np.random.default_rng(5)
+    x = 0.4 * rng.normal(size=(2, op.modes)) / np.arange(1, op.modes + 1)
+    out = np.empty(op.modes)
+    for _ in range(3):
+        accel(x, out)
+    assert calls == {"to_grid": 6, "from_grid": 6}
+    assert np.allclose(out, acceleration(State(a=x[0], adot=x[1]), op, nl, fs), rtol=1e-12, atol=1e-13)
 
 
 def test_harmonic_mode_tracks_cosine(op8):
