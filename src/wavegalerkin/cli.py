@@ -34,7 +34,7 @@ from .estimates import (
     monitor,
     sample_table,
 )
-from .nonlinearity import CUSTOM, ZERO, verify_conditions, verify_g
+from .nonlinearity import CUSTOM, ZERO, decide_conditions, decide_g, verify_conditions, verify_g
 from .oracle import BERNOULLI, GRONWALL_LINEAR, linear_exact, max_H_error, reference_run, scalar_comparison
 from .solver import Trajectory, integrate
 from .spectral import build_operator
@@ -142,12 +142,16 @@ def _csv_text(traj: Trajectory, gp: GronwallParams | None, dp: DecayParams | Non
 
 
 def _verification(rc: RunConfig):
-    """Poincare plus condition checks; returns (op, report dict, proceed)."""
+    """Poincare plus condition checks; returns (op, report dict, proceed).
+
+    Built-in ``F`` and zero or affine ``g`` are decided exactly; only what
+    the user wrote, a custom table, is drawn for.
+    """
     domain = dataclasses.replace(rc.domain, allow_poincare_violation=True)
     op = build_operator(domain, rc.modes)
     poincare_ok = op.lambda_min >= 1.0
-    nl_rep = verify_conditions(rc.nl, op, rc.verify_samples, rc.seed)
-    g_rep = verify_g(rc.fs, op, rc.verify_samples, rc.seed + 1)
+    nl_rep = decide_conditions(rc.nl, rc.seed) or verify_conditions(rc.nl, op, rc.verify_samples, rc.seed)
+    g_rep = decide_g(rc.fs, op, rc.seed + 1) or verify_g(rc.fs, op, rc.verify_samples, rc.seed + 1)
     passed = poincare_ok and nl_rep.passed and g_rep.passed
     poincare_excused = poincare_ok or rc.domain.allow_poincare_violation or rc.verify_override
     conditions_excused = (nl_rep.passed and g_rep.passed) or rc.verify_override

@@ -419,7 +419,8 @@ def monitor(
     Runs, as enabled by ``checks`` and the available parameters:
 
     - ``energy_identity``: trapezoid residual of the energy identity,
-    - ``gronwall``: energy below :func:`gronwall_envelope` (needs ``gp``),
+    - ``gronwall``: ``2E`` below :func:`gronwall_envelope`, which starts at
+      ``E_init = 2E(0)`` (forced runs only, needs ``gp``),
     - ``conservation``: |E - E(0)| small (zero forcing only),
     - ``decay``: ||By||^2 below :func:`decay_bound` (zero forcing, needs ``dp``).
 
@@ -436,9 +437,9 @@ def monitor(
         res = identity_residuals(tbl)
         allowed = tol.identity_scale * (1.0 + abs(e0))
         results.append(_per_sample_check("energy_identity", t, res, allowed))
-    if "gronwall" in checks and gp is not None:
+    if "gronwall" in checks and not conservative and gp is not None:
         env = gronwall_envelope(gp, t)
-        viol = tbl.energy - env
+        viol = 2.0 * tbl.energy - env
         results.append(_per_sample_check("gronwall", t, viol, tol.envelope_rel * np.abs(env)))
     if "conservation" in checks and conservative:
         viol = np.abs(tbl.energy - e0)

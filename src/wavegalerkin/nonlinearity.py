@@ -5,7 +5,9 @@ The wave model couples a pointwise nonlinearity ``F`` (primitive of a scalar
 carries the half-smoothed velocity.  Structural assumptions (monotonicity,
 p-growth, coercivity, Lipschitz forcing) enter the energy estimates as
 numeric constants; this module stores those constants and can falsify them
-by randomized sampling.  The verifiers only falsify, never certify.
+by randomized sampling.  The verifiers only falsify, never certify; where a
+built-in kind makes a condition an identity, the ``decide_*`` helpers
+report it as decided instead.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ __all__ = [
     "cubic_nonlinearity",
     "custom_lipschitz_forcing",
     "custom_nonlinearity",
+    "decide_conditions",
+    "decide_g",
     "F_on_grid",
     "forcing_modal_batch",
     "linear_nonlinearity",
@@ -292,20 +296,34 @@ def potential_batch(coeffs: np.ndarray, op: OperatorSpec, nl: NonlinearitySpec) 
 
 @dataclass(frozen=True)
 class ConditionCheck:
-    """Outcome of one sampled structural check.
+    """Outcome of one structural check, sampled or decided.
 
     ``worst_violation`` is how far the worst sample crossed the asserted
     inequality (negative or zero means never crossed); ``tolerance`` is the
     slack granted before declaring failure; ``witness`` localizes the worst
-    sample for reproduction.
+    sample for reproduction.  A ``decided`` check was settled exactly, with
+    no samples, so it carries only its verdict.
     """
 
     name: str
     passed: bool
-    samples: int
-    worst_violation: float
-    tolerance: float
+    samples: int = 0
+    worst_violation: float = 0.0
+    tolerance: float = 0.0
     witness: dict | None = None
+    decided: bool = False
+
+    def to_dict(self) -> dict:
+        if self.decided:
+            return {"name": self.name, "passed": self.passed, "decided": True}
+        return {
+            "name": self.name,
+            "passed": self.passed,
+            "samples": self.samples,
+            "worst_violation": self.worst_violation,
+            "tolerance": self.tolerance,
+            "witness": self.witness,
+        }
 
 
 @dataclass(frozen=True)
@@ -323,17 +341,7 @@ class ConditionReport:
         return {
             "passed": self.passed,
             "seed": self.seed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "samples": c.samples,
-                    "worst_violation": c.worst_violation,
-                    "tolerance": c.tolerance,
-                    "witness": c.witness,
-                }
-                for c in self.checks
-            ],
+            "checks": [c.to_dict() for c in self.checks],
         }
 
 
@@ -460,6 +468,23 @@ def _check_primitives(nl: NonlinearitySpec, u: np.ndarray) -> ConditionCheck:
     return _check("primitives", u.size, viol, PRIMITIVE_RTOL, witness)
 
 
+def decide_conditions(nl: NonlinearitySpec, seed: int = 0) -> ConditionReport | None:
+    """Monotonicity, growth and coercivity decided exactly, or ``None`` to draw.
+
+    A built-in kind with its factory's constants ``a0 = b0 = 1``,
+    ``a1 = b1 = 0`` meets all three as identities on any grid with positive
+    weights: ``F`` is nondecreasing, ``|F(u)|^(p') = |u|^p`` gives
+    ``||F(u)||_{p'} = ||u||_p^(p-1)``, and ``F(u) u = |u|^p`` gives
+    ``<F(u), u> = ||u||_p^p``.  Anything else, a custom ``f`` or other
+    constants, is a claim for :func:`verify_conditions` to falsify.
+    """
+    exact = nl.kind != CUSTOM and (nl.kind != CUBIC or nl.p == 4.0)
+    if not (exact and (nl.a0, nl.a1, nl.b0, nl.b1) == (1.0, 0.0, 1.0, 0.0)):
+        return None
+    names = ("monotonicity", "growth", "coercivity")
+    return ConditionReport(checks=tuple(ConditionCheck(n, True, decided=True) for n in names), seed=seed)
+
+
 @dataclass(frozen=True, eq=False)
 class ForcingSpec:
     """Forcing term g(x, v) with its Lipschitz/affine constants.
@@ -566,6 +591,35 @@ def forcing_modal_batch(
     return grid_to_modes(rows, op)
 
 
+def _origin_check(fs: ForcingSpec, op: OperatorSpec) -> ConditionCheck:
+    """``g0 >= ||g(0, 0)||_H``, from one evaluation of g at the origin."""
+    zero = np.zeros((1, op.modes))
+    origin_norm = float(np.linalg.norm(forcing_modal_batch(fs, op, zero, zero)[0]))
+    viol0 = np.array([origin_norm - fs.g0])
+    tol0 = RELATIVE_SLACK * (1.0 + np.abs(np.array([fs.g0])))
+    return _check("g0_dominates_origin", 1, viol0, tol0, {"origin_norm": np.array([origin_norm])})
+
+
+def decide_g(fs: ForcingSpec, op: OperatorSpec, seed: int = 0) -> ConditionReport | None:
+    """The forcing bounds decided exactly for zero and affine g, or ``None`` to draw.
+
+    ``g = g1 x + g2 v + c`` with ``g1, g2 >= 0``: the pairing bound is the
+    triangle inequality, and the norm bound holds exactly when
+    ``g0 >= ||g(0, 0)||_H = |c| ||P 1||`` does, which ``g0_dominates_origin``
+    computes as :func:`verify_g` does.  A custom g is a claim for
+    :func:`verify_g` to falsify.
+    """
+    if fs.kind == CUSTOM_LIPSCHITZ:
+        return None
+    origin = _origin_check(fs, op)
+    checks = (
+        origin,
+        ConditionCheck("norm_bound", origin.passed, decided=True),
+        ConditionCheck("lipschitz_pairing", True, decided=True),
+    )
+    return ConditionReport(checks=checks, seed=seed)
+
+
 def verify_g(
     fs: ForcingSpec,
     op: OperatorSpec,
@@ -590,6 +644,7 @@ def verify_g(
         )
     rng = np.random.default_rng(seed)
     m = op.modes
+    c_origin = _origin_check(fs, op)
 
     def g_modal(ca: np.ndarray, cv: np.ndarray) -> np.ndarray:
         return forcing_modal_batch(fs, op, ca, cv * op.sqrt_eigenvalues[None, :])
@@ -597,12 +652,6 @@ def verify_g(
     # forcing_modal_batch expects the raw time-derivative coefficients and
     # divides by sqrt(lambda) itself, so pre-multiply to hand it the v we
     # actually drew.
-    zero = np.zeros((1, m))
-    origin_norm = float(np.linalg.norm(g_modal(zero, zero)[0]))
-    viol0 = np.array([origin_norm - fs.g0])
-    tol0 = RELATIVE_SLACK * (1.0 + np.abs(np.array([fs.g0])))
-    c_origin = _check("g0_dominates_origin", 1, viol0, tol0, {"origin_norm": np.array([origin_norm])})
-
     cx = _draw_batch(rng, samples, m)
     cv = _draw_batch(rng, samples, m)
     gv = g_modal(cx, cv)

@@ -18,7 +18,10 @@ import pytest
 import wavegalerkin
 from wavegalerkin import cli
 from wavegalerkin.cli import CSV_COLUMNS
+from wavegalerkin.config import load_config
 from wavegalerkin.estimates import EnergyTable
+from wavegalerkin.nonlinearity import verify_conditions
+from wavegalerkin.spectral import build_operator
 
 
 def make_cfg(tmp_path, **over):
@@ -86,10 +89,16 @@ def _strict_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
 
+# A custom F is drawn for.  At p=200, |u|^200 overflows at verifier
+# amplitudes, so the growth and coercivity checks of this F(u) = u table
+# turn non-finite.
+CUSTOM_P200 = dict(CUSTOM_NEGATED, p=200.0, a1=0.0, table={"r": [-10.0, 10.0], "f": [1.0, 1.0]})
+
+
 def test_unbounded_checks_are_strict_json(tmp_path):
-    # |u|^198 overflows at verifier amplitudes: the failed checks are
-    # unbounded, written as "inf", and the overflow prints no warning.
-    cfg = make_cfg(tmp_path, modes=16, nonlinearity={"kind": "power_law", "p": 200.0})
+    # The failed checks are unbounded, written as "inf", and the overflow
+    # prints no warning.
+    cfg = make_cfg(tmp_path, modes=16, nonlinearity=CUSTOM_P200)
     path = write_cfg(tmp_path, cfg)
     src_dir = str(Path(wavegalerkin.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
@@ -104,6 +113,50 @@ def test_unbounded_checks_are_strict_json(tmp_path):
         ver = rep if out is None else rep["verification"]
         failed = [c for c in ver["nonlinearity"]["checks"] if not c["passed"]]
         assert failed and all(c["worst_violation"] == "inf" for c in failed)
+
+
+@pytest.mark.parametrize("p", [200.0, 320.0])
+def test_builtin_conditions_are_decided_at_any_p(tmp_path, capsys, p):
+    # |u|^p overflows at verifier amplitudes, but a built-in power law meets
+    # its conditions as identities: they are decided, not drawn.
+    cfg = make_cfg(tmp_path, modes=16, nonlinearity={"kind": "power_law", "p": p})
+    assert cli.main(["verify", write_cfg(tmp_path, cfg)]) == 0
+    rep = json.loads(capsys.readouterr().out, parse_constant=_strict_constant)
+    assert rep["passed"] is True
+    checks = rep["nonlinearity"]["checks"]
+    assert [c["name"] for c in checks] == ["monotonicity", "growth", "coercivity"]
+    assert all(c == {"name": c["name"], "passed": True, "decided": True} for c in checks)
+    origin, norm, pairing = rep["forcing"]["checks"]
+    assert origin["name"] == "g0_dominates_origin" and origin["samples"] == 1
+    assert norm == {"name": "norm_bound", "passed": True, "decided": True}
+    assert pairing == {"name": "lipschitz_pairing", "passed": True, "decided": True}
+
+
+def test_affine_g0_below_the_origin_norm_fails_verify(tmp_path, capsys):
+    # The projected constant 0.3 has H norm ~0.2962 > the declared 0.2.
+    forcing = {"kind": "affine", "g1": 0.1, "g2": 0.1, "g0": 0.2, "constant": 0.3}
+    cfg = make_cfg(tmp_path, modes=16, forcing=forcing)
+    assert cli.main(["verify", write_cfg(tmp_path, cfg)]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    checks = {c["name"]: c for c in rep["forcing"]["checks"]}
+    origin = checks["g0_dominates_origin"]
+    assert origin["passed"] is False
+    assert origin["worst_violation"] == pytest.approx(0.0962, abs=1e-3)
+    assert origin["witness"]["origin_norm"] == pytest.approx(0.2962, abs=1e-3)
+    assert checks["norm_bound"] == {"name": "norm_bound", "passed": False, "decided": True}
+    assert checks["lipschitz_pairing"]["passed"] is True
+
+
+def test_custom_table_report_is_the_drawn_one(tmp_path, capsys):
+    cfg = make_cfg(tmp_path, modes=16, nonlinearity=CUSTOM_NEGATED, verification={"samples": 300}, seed=11)
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["verify", path]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    rc = load_config(path)
+    op = build_operator(rc.domain, rc.modes)
+    drawn = verify_conditions(rc.nl, op, rc.verify_samples, rc.seed)
+    assert rep["nonlinearity"] == json.loads(cli._json(drawn.to_dict()))
+    assert [c["samples"] for c in rep["nonlinearity"]["checks"]] == [300, 300, 300, 256]
 
 
 def test_poincare_rejection(tmp_path, capsys):

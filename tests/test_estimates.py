@@ -193,21 +193,28 @@ def test_linear_energy_conserved_tightly(op8):
     assert np.max(np.abs(e - e[0])) <= 1e-10 * e[0]
 
 
-def test_monitor_full_pass_on_conservative_run(op8):
-    traj = _parabola_run(op8, zero_forcing(), T=2.0, dt=1e-3)
-    rec = traj.energy.row(0)
-    gp = derive_gronwall(traj.nl, traj.fs, op8, rec)
-    dp = derive_decay(traj.nl, traj.fs, op8, rec)
-    rep = monitor(traj, gp, dp)
-    assert rep.passed and not rep.diverged
-    assert [c.name for c in rep.checks] == list(ALL_CHECKS)
-    assert all(c.samples == len(traj) for c in rep.checks)
-    d = rep.to_dict()
-    assert d["passed"] is True and len(d["checks"]) == 4
+def test_monitor_full_pass_covers_every_check(op8):
+    # Conservation and decay apply to unforced runs, the envelope to forced
+    # ones (with g = 0 it is the constant 2E(0), which conservation checks):
+    # the two runs between them exercise every check.
+    names = []
+    for fs in (zero_forcing(), affine_forcing(g1=0.1, g2=0.1, g0=0.1)):
+        traj = _parabola_run(op8, fs, T=2.0, dt=1e-3)
+        rec = traj.energy.row(0)
+        gp = derive_gronwall(traj.nl, traj.fs, op8, rec)
+        dp = derive_decay(traj.nl, traj.fs, op8, rec) if fs.kind == "zero" else None
+        rep = monitor(traj, gp, dp)
+        assert rep.passed and not rep.diverged
+        assert all(c.samples == len(traj) for c in rep.checks)
+        d = rep.to_dict()
+        assert d["passed"] is True and len(d["checks"]) == len(rep.checks)
+        names.append([c.name for c in rep.checks])
+    assert names == [["energy_identity", "conservation", "decay"], ["energy_identity", "gronwall"]]
+    assert set(names[0]) | set(names[1]) == set(ALL_CHECKS)
 
 
 def test_monitor_flags_envelope_violation(op8):
-    traj = _parabola_run(op8, zero_forcing(), T=1.0, dt=1e-3)
+    traj = _parabola_run(op8, affine_forcing(g1=0.1, g0=0.1), T=1.0, dt=1e-3)
     rec = traj.energy.row(0)
     gp = derive_gronwall(traj.nl, traj.fs, op8, rec)
     squeezed = dataclasses.replace(gp, E_init=0.5 * rec.energy)
@@ -219,14 +226,38 @@ def test_monitor_flags_envelope_violation(op8):
     assert check.t_worst >= 0.0
 
 
+def test_gronwall_compares_twice_the_energy(op8):
+    # The envelope starts at E_init = 2E(0), so it bounds 2E.  A table whose
+    # 2E crosses it by 1e-6 relative at one sample fails; E itself stays
+    # below it by about half.
+    traj = _parabola_run(op8, affine_forcing(g1=0.1, g0=0.1), T=1.0, dt=1e-2)
+    gp = derive_gronwall(traj.nl, traj.fs, op8, traj.energy.row(0))
+    env = gronwall_envelope(gp, traj.times)
+    i = len(traj) // 2
+
+    def check(factor):
+        e = 0.5 * env
+        e[i] *= factor
+        table = dataclasses.replace(traj, energy=dataclasses.replace(traj.energy, energy=e))
+        return monitor(table, gp, None, checks=("gronwall",)).checks[0]
+
+    over = check(1.0 + 1e-6)
+    assert not over.passed
+    assert over.t_worst == traj.times[i]
+    assert over.worst_violation == pytest.approx(1e-6 * env[i], rel=1e-6)
+    assert check(1.0).passed
+
+
 def test_monitor_single_sample_is_vacuous(op8):
-    traj = _parabola_run(op8, zero_forcing(), T=0.0, dt=1e-3)
-    rec = traj.energy.row(0)
-    gp = derive_gronwall(traj.nl, traj.fs, op8, rec)
-    dp = derive_decay(traj.nl, traj.fs, op8, rec)
-    rep = monitor(traj, gp, dp)
-    assert rep.passed
-    assert all(c.samples == 1 for c in rep.checks)
+    for fs in (zero_forcing(), affine_forcing(g1=0.1, g0=0.1)):
+        traj = _parabola_run(op8, fs, T=0.0, dt=1e-3)
+        rec = traj.energy.row(0)
+        gp = derive_gronwall(traj.nl, traj.fs, op8, rec)
+        dp = derive_decay(traj.nl, traj.fs, op8, rec) if fs.kind == "zero" else None
+        rep = monitor(traj, gp, dp)
+        assert rep.passed
+        assert len(rep.checks) == (3 if fs.kind == "zero" else 2)
+        assert all(c.samples == 1 for c in rep.checks)
 
 
 def test_monitor_reports_divergence(op8):

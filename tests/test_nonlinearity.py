@@ -22,6 +22,8 @@ from wavegalerkin.nonlinearity import (
     cubic_nonlinearity,
     custom_lipschitz_forcing,
     custom_nonlinearity,
+    decide_conditions,
+    decide_g,
     F_on_grid,
     forcing_modal_batch,
     linear_nonlinearity,
@@ -296,6 +298,62 @@ def test_draw_batch_scales_in_place_with_the_same_bits():
     for n, m in ((1, 1), (3, 8), (40, 512)):
         assert np.array_equal(nonlinearity._draw_batch(got_rng, n, m), _reference_draw_batch(want_rng, n, m))
     assert got_rng.random() == want_rng.random()
+
+
+# Built-in F and zero or affine g are decided without draws; wherever a
+# decided report passes, the drawn falsifier must pass too.
+BUILTIN_KINDS = [linear_nonlinearity(), cubic_nonlinearity()] + [power_law_nonlinearity(p) for p in (2.5, 3.3, 4.0, 6.0)]
+
+
+@pytest.mark.parametrize("nl", BUILTIN_KINDS, ids=lambda nl: f"{nl.kind}-p{nl.p:g}")
+@pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC_MEAN_ZERO])
+def test_decided_conditions_agree_with_the_drawn_ones(nl, bc, monkeypatch):
+    op = build_operator(DomainSpec(length=1.7, bc=bc), 16)
+    drawn = verify_conditions(nl, op, samples=500, seed=4)
+    monkeypatch.setattr(nonlinearity, "_draw_batch", _no_draws)
+    decided = decide_conditions(nl, seed=4)
+    assert [c.name for c in decided.checks] == [c.name for c in drawn.checks]
+    assert all(c.decided for c in decided.checks)
+    assert decided.passed and drawn.passed
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC_MEAN_ZERO])
+def test_decided_forcing_agrees_with_the_drawn_one(bc, monkeypatch):
+    op = build_operator(DomainSpec(length=1.7, bc=bc), 16)
+    c = 0.4
+    origin = c * float(np.linalg.norm(constant_modal(op)))
+    cases = [
+        zero_forcing(),
+        affine_forcing(g1=0.3, g2=0.2),
+        affine_forcing(g1=0.3, g2=0.2, constant=c, g0=origin * (1.0 + 1e-6)),
+        affine_forcing(g1=0.1, constant=-c, g0=origin * (1.0 + 1e-6)),
+        affine_forcing(g1=0.1, g2=0.5, constant=c, g0=origin * (1.0 - 1e-6)),
+    ]
+    drawn = [verify_g(fs, op, samples=500, seed=5) for fs in cases]
+    monkeypatch.setattr(nonlinearity, "_draw_batch", _no_draws)
+    for fs, want in zip(cases, drawn):
+        got = decide_g(fs, op, seed=5)
+        assert [ch.name for ch in got.checks] == [ch.name for ch in want.checks]
+        assert [ch.decided for ch in got.checks] == [False, True, True]
+        # the origin check is computed, exactly as the drawn report does it
+        assert got.checks[0].to_dict() == want.checks[0].to_dict()
+        assert got.passed == want.passed
+    # only the understated g0 fails, and only on the basis that sees constants
+    assert [decide_g(fs, op).passed for fs in cases] == [True] * 4 + [bc == PERIODIC_MEAN_ZERO]
+
+
+def test_user_claims_are_left_to_the_drawn_checks(op8):
+    table = tabulated_f([-10.0, 10.0], [1.0, 1.0])
+    assert decide_conditions(custom_nonlinearity(table, 3.0, 1.0, 0.0, 1.0, 0.0, F=table.F, Phi=table.Phi)) is None
+    # a built-in F with constants other than its identities states a claim
+    assert decide_conditions(NonlinearitySpec(kind="power_law", p=4.0, b0=2.0)) is None
+    assert decide_conditions(NonlinearitySpec(kind="power_law", p=4.0, a1=0.5)) is None
+    # u^3 meets no p=3 growth bound, so only p=4 makes the cubic an identity
+    cubic_p3 = NonlinearitySpec(kind="cubic", p=3.0)
+    assert decide_conditions(cubic_p3) is None
+    assert not verify_conditions(cubic_p3, op8, samples=200, seed=0).passed
+    g = custom_lipschitz_forcing(lambda u, v: 0.2 * np.sin(u), g0=0.0, g1=0.2, g2=0.0)
+    assert decide_g(g, op8) is None
 
 
 def test_forcing_spec_validation():

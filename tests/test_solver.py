@@ -83,16 +83,22 @@ def _closure_value(op, nl, fs, a, adot):
     return out
 
 
-def test_acceleration_implementations_agree(op8):
-    rng = np.random.default_rng(12)
-    a = 0.4 * rng.normal(size=8)
-    adot = 0.4 * rng.normal(size=8)
-    nl = cubic_nonlinearity()
-    fs = affine_forcing(g1=0.3, g2=0.2, constant=0.1, g0=0.2)
-    ref = acceleration(State(a=a, adot=adot), op8, nl, fs)
-    closure = _closure_value(op8, nl, fs, a, adot)
-    assert np.allclose(closure, ref, rtol=1e-12, atol=1e-13)
+def _agrees(got, want, rtol=1e-12):
+    """Every entry within ``rtol`` of the row's largest entry.
 
+    An entry that nearly cancels carries the round-off of the row's large
+    terms, so a per-entry tolerance would hold it to the luck of the draws.
+    """
+    return got.shape == want.shape and np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+# Generator seeds 13 and 14 draw m=383 states with nearly cancelling
+# entries, on which a per-entry tolerance (rtol 1e-12, atol 1e-13) failed
+# the folded dense sums of the cubic (1.02 times it) and the power law
+# (3.40 times it).
+@pytest.mark.parametrize("seed", [12, 13, 14])
+def test_acceleration_implementations_agree(op8, seed):
+    rng = np.random.default_rng(seed)
     # Every specialised closure: each nonlinearity kind under each forcing
     # kind, on the dense products (m=8, and the largest dense periodic
     # operator just below FFT_MIN_MODES) and on the FFT pair (m=512).
@@ -125,8 +131,11 @@ def test_acceleration_implementations_agree(op8):
             for fs in forcings:
                 ref = acceleration(State(a=a, adot=adot), op, nl, fs)
                 closure = _closure_value(op, nl, fs, a, adot)
-                assert closure.shape == ref.shape
-                assert np.allclose(closure, ref, rtol=1e-12, atol=1e-13), (op.modes, nl.kind, fs.kind)
+                assert _agrees(closure, ref), (op.modes, nl.kind, fs.kind)
+                # one entry off by 1e-10 of the row's largest fails, even the smallest
+                bad = closure.copy()
+                bad[np.argmin(np.abs(ref))] += 1e-10 * np.max(np.abs(ref))
+                assert not _agrees(bad, ref), (op.modes, nl.kind, fs.kind)
 
 
 def test_custom_forcing_samples_a_once_per_acceleration(monkeypatch):
