@@ -9,7 +9,7 @@ Times ``kernels.run_numpy`` with the acceleration closure that
 - ``wide_modes``: Dirichlet, m=512, power-law F (p=4) on the FFT pair, RK4;
 - ``verlet``: Dirichlet, m=16, cubic F, no forcing, velocity Verlet;
 - ``custom_table``: Dirichlet, m=16, a custom F from the table f = 3r^2,
-  affine forcing, RK4 (a custom F is sampled and projected, not folded).
+  affine forcing, RK4 (folded into the same matrix as the cubic).
 
 Each time is the median over ``--repeats`` runs of ``--steps`` steps from the
 parabola x(1 - x) at rest, recording only the first and last states.  BLAS is

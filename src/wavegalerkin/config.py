@@ -254,7 +254,6 @@ class RunConfig:
     verify_override: bool
     output: OutputSettings
     seed: int
-    raw: dict
 
 
 def _build_nonlinearity(section: dict) -> NonlinearitySpec:
@@ -386,7 +385,6 @@ def load_config(path: str | Path) -> RunConfig:
         verify_override=ver.get("override", False),
         output=OutputSettings(**raw.get("output", {})),
         seed=raw.get("seed", 0),
-        raw=raw,
     )
 
 

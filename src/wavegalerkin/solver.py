@@ -20,9 +20,7 @@ from . import kernels
 from .estimates import EnergyTable, energy_table
 from .nonlinearity import (
     AFFINE,
-    CUBIC,
     LINEAR,
-    POWER_LAW,
     ZERO,
     ForcingSpec,
     NonlinearitySpec,
@@ -274,13 +272,11 @@ def _galerkin_term(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
     """``galerkin(a, out)``: writes ``-lambda P F(B a)`` plus the constant forcing into ``out``.
 
     It returns the grid samples ``u = B a`` (``None`` for the linear kind,
-    whose term is ``-lambda a``).  On dense products with cubic or
-    power-law ``F``, ``-lambda``, ``P`` and the constant forcing are folded
+    whose term is ``-lambda a``).  On dense products every other ``F``,
+    custom included, has ``-lambda``, ``P`` and the constant forcing folded
     into one matrix ``L`` over ``S = [F(u); 1]``: a call is ``u = B a``,
-    ``F`` into ``S`` and ``out = L S``.  The FFT pair and a custom ``F``
-    sample, apply ``F`` and project through ``transform_pair``.  A custom
-    ``F`` is not folded, so that it keeps the summation order of
-    :func:`acceleration` (see the README's acceleration contract).
+    ``F`` into ``S`` and ``out = L S``.  The FFT pair samples, applies ``F``
+    and projects through ``transform_pair``.
     """
     neg_lam = -np.ascontiguousarray(op.eigenvalues)
     constant = fs.constant if fs.kind == AFFINE else 0.0
@@ -288,7 +284,12 @@ def _galerkin_term(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
     F = pointwise_F(nl)
     dot, mul, add = np.dot, np.multiply, np.add
 
-    if op._fft is None and nl.kind in (CUBIC, POWER_LAW):
+    if nl.kind == LINEAR:
+
+        def term(a, out):
+            mul(neg_lam, a, out)
+
+    elif op._fft is None:
         basis = op.basis
         n = basis.shape[0]
         L = np.ascontiguousarray(np.hstack((neg_lam[:, None] * op.projection, gc[:, None])))
@@ -304,14 +305,9 @@ def _galerkin_term(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
 
         return galerkin
 
-    # FFT pair or dense products, looked up here so that tests can patch it.
-    sample, project = transform_pair(op)
-    if nl.kind == LINEAR:
-
-        def term(a, out):
-            mul(neg_lam, a, out)
-
     else:
+        # Looked up here so that tests can patch it.
+        sample, project = transform_pair(op)
         buf = np.empty(op.grid_points)
 
         def term(a, out):

@@ -27,6 +27,7 @@ from wavegalerkin.nonlinearity import (
     F_on_grid,
     forcing_modal_batch,
     linear_nonlinearity,
+    pointwise_F,
     potential_batch,
     power_law_nonlinearity,
     tabulated_f,
@@ -48,6 +49,11 @@ def test_primitive_closed_forms():
     assert np.allclose(F_on_grid(linear_nonlinearity(), r), [2.0, -2.0])
     assert np.allclose(F_on_grid(cubic_nonlinearity(), r), [8.0, -8.0])
     assert np.allclose(F_on_grid(power_law_nonlinearity(3.0), r), [4.0, -4.0])
+    # every kind, the custom one included, writes F(u) into out and returns it
+    for nl in (linear_nonlinearity(), cubic_nonlinearity(), power_law_nonlinearity(3.0), _cos_nonlinearity()):
+        out = np.full_like(r, np.nan)
+        assert pointwise_F(nl)(r, out) is out
+        assert np.array_equal(out, F_on_grid(nl, r))
 
 
 def test_primitive_is_integral_of_f():
@@ -68,6 +74,14 @@ def _cos_nonlinearity():
 
 def test_custom_primitive_from_quadrature():
     assert float(F_on_grid(_cos_nonlinearity(), np.float64(0.3))) == pytest.approx(math.sin(0.3), rel=1e-14)
+    # a custom F returning anything but one value per sample is refused, not broadcast
+    u = np.linspace(-1.0, 1.0, 5)
+    for wrong in (lambda u: np.sum(np.sin(u)), lambda u: np.sin(u)[None, :], lambda u: np.sin(u)[:-1]):
+        nl = custom_nonlinearity(f=np.cos, p=3.0, a0=2.0, a1=1.0, b0=0.5, b1=0.0, F=wrong, Phi=lambda u: 1.0 - np.cos(u))
+        out = np.full_like(u, np.nan)
+        with pytest.raises(ValueError, match="one value per sample"):
+            pointwise_F(nl)(u, out)
+        assert np.all(np.isnan(out))
 
 
 def test_cubic_F_first_mode_projections(op8):
@@ -204,6 +218,8 @@ def test_verify_g_affine_passes(op8):
     rep = verify_g(fs, op8, samples=1000, seed=0)
     assert rep.passed
     assert [c.name for c in rep.checks] == ["g0_dominates_origin", "norm_bound", "lipschitz_pairing"]
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        verify_g(zero_forcing(), op8, samples=0, seed=0)
 
 
 def test_verify_g_falsifies_understated_origin(op16):
@@ -218,10 +234,9 @@ def test_verify_g_falsifies_understated_origin(op16):
     assert verify_g(ok, op16, samples=200, seed=0).passed
 
 
-# The forcing verifier as it was before zero forcing skipped its draws and
-# the pairing check reused g(x, v): five scaled draws, g evaluated on every
-# drawn state.  The shortcut and the reuse promise the same report, byte for
-# byte once written as JSON.
+# The forcing verifier as it was before the pairing check reused g(x, v):
+# five scaled draws, g evaluated on every drawn state.  The reuse promises
+# the same report, byte for byte once written as JSON.
 def _reference_draw_batch(rng, n, m):
     coeffs = rng.uniform(-1.0, 1.0, size=(n, m))
     amps = rng.uniform(0.0, AMPLITUDE_MAX, size=(n, 1))
@@ -260,30 +275,13 @@ def _reference_verify_g(fs, op, samples, seed):
     return ConditionReport(checks=(c_origin, c_norm, c_pair), seed=seed)
 
 
-def _no_draws(*args):
-    raise AssertionError("zero forcing must not draw")
-
-
 # m=8 transforms with the dense matrices, m=512 with the FFT pair
-@pytest.mark.parametrize("m", [8, 512])
-@pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC_MEAN_ZERO])
-def test_zero_forcing_report_is_the_drawn_one_without_drawing(m, bc, monkeypatch):
-    op = build_operator(DomainSpec(length=1.0, bc=bc), m)
-    want = {(n, seed): _reference_verify_g(zero_forcing(), op, n, seed) for n in (1, 7, 200) for seed in (0, 3, 12345)}
-    monkeypatch.setattr(nonlinearity, "_draw_batch", _no_draws)
-    for (n, seed), ref in want.items():
-        got = verify_g(zero_forcing(), op, samples=n, seed=seed)
-        assert got.to_dict() == ref.to_dict()
-        assert cli._json(got.to_dict()) == cli._json(ref.to_dict())
-    with pytest.raises(ValueError, match="samples must be >= 1"):
-        verify_g(zero_forcing(), op, samples=0, seed=0)
-
-
 @pytest.mark.parametrize("m", [8, 512])
 @pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC_MEAN_ZERO])
 def test_drawn_forcing_report_matches_the_reference(m, bc):
     op = build_operator(DomainSpec(length=1.0, bc=bc), m)
     for fs in (
+        zero_forcing(),
         affine_forcing(g1=0.3, g2=0.2, constant=0.4, g0=0.5),
         affine_forcing(g1=0.1, constant=0.3, g0=0.2),  # falsified at the origin: witnesses too
         custom_lipschitz_forcing(lambda u, v: 0.2 * np.sin(u) + 0.1 * v, g0=0.0, g1=0.2, g2=0.1),
@@ -298,6 +296,10 @@ def test_draw_batch_scales_in_place_with_the_same_bits():
     for n, m in ((1, 1), (3, 8), (40, 512)):
         assert np.array_equal(nonlinearity._draw_batch(got_rng, n, m), _reference_draw_batch(want_rng, n, m))
     assert got_rng.random() == want_rng.random()
+
+
+def _no_draws(*args):
+    raise AssertionError("decided checks must not draw")
 
 
 # Built-in F and zero or affine g are decided without draws; wherever a
@@ -348,10 +350,9 @@ def test_user_claims_are_left_to_the_drawn_checks(op8):
     # a built-in F with constants other than its identities states a claim
     assert decide_conditions(NonlinearitySpec(kind="power_law", p=4.0, b0=2.0)) is None
     assert decide_conditions(NonlinearitySpec(kind="power_law", p=4.0, a1=0.5)) is None
-    # u^3 meets no p=3 growth bound, so only p=4 makes the cubic an identity
-    cubic_p3 = NonlinearitySpec(kind="cubic", p=3.0)
-    assert decide_conditions(cubic_p3) is None
-    assert not verify_conditions(cubic_p3, op8, samples=200, seed=0).passed
+    # u^3 meets no p=3 growth bound, so the cubic kind is p=4 only
+    with pytest.raises(ValueError, match="p=4"):
+        NonlinearitySpec(kind="cubic", p=3.0)
     g = custom_lipschitz_forcing(lambda u, v: 0.2 * np.sin(u), g0=0.0, g1=0.2, g2=0.0)
     assert decide_g(g, op8) is None
 

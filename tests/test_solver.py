@@ -92,22 +92,29 @@ def _agrees(got, want, rtol=1e-12):
     return got.shape == want.shape and np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
-# Generator seeds 13 and 14 draw m=383 states with nearly cancelling
-# entries, on which a per-entry tolerance (rtol 1e-12, atol 1e-13) failed
-# the folded dense sums of the cubic (1.02 times it) and the power law
-# (3.40 times it).
+_CUSTOM_G = custom_lipschitz_forcing(lambda u, v: 0.2 * np.tanh(u) + 0.1 * v, g0=0.0, g1=0.2, g2=0.1)
+_TABLE = tabulated_f(np.linspace(-2.0, 2.0, 21), np.linspace(-2.0, 2.0, 21) ** 3)
+_CUSTOM_F = custom_nonlinearity(f=_TABLE, p=4.0, a0=1.0, a1=1.0, b0=0.1, b1=0.0, F=_TABLE.F, Phi=_TABLE.Phi)
+
+
+# On dense products every nonlinear F, a custom one included, is folded into
+# one matrix L, which sums -lambda_j P_jk F_k in another order than the
+# reference.  Generator seeds 13 and 14 draw m=383 states with nearly
+# cancelling entries, on which a per-entry tolerance (rtol 1e-12,
+# atol 1e-13) failed the folded sums of the cubic (1.02 times it), the
+# power law (3.40 times it) and the custom table (2.55 times it); the
+# row-relative gaps stay below 4e-14.
 @pytest.mark.parametrize("seed", [12, 13, 14])
 def test_acceleration_implementations_agree(op8, seed):
     rng = np.random.default_rng(seed)
     # Every specialised closure: each nonlinearity kind under each forcing
     # kind, on the dense products (m=8, and the largest dense periodic
     # operator just below FFT_MIN_MODES) and on the FFT pair (m=512).
-    table = tabulated_f(np.linspace(-2.0, 2.0, 21), np.linspace(-2.0, 2.0, 21) ** 3)
     nls = [
         linear_nonlinearity(),
         cubic_nonlinearity(),
         power_law_nonlinearity(3.5),
-        custom_nonlinearity(f=table, p=4.0, a0=1.0, a1=1.0, b0=0.1, b1=0.0, F=table.F, Phi=table.Phi),
+        _CUSTOM_F,
         custom_nonlinearity(
             f=lambda u: 3.0 * u * u, p=4.0, a0=1.0, a1=0.0, b0=1.0, b1=0.0, F=lambda u: u**3, Phi=lambda u: 0.25 * u**4
         ),
@@ -116,7 +123,7 @@ def test_acceleration_implementations_agree(op8, seed):
         zero_forcing(),
         affine_forcing(g1=0.3, g2=0.2),
         affine_forcing(g1=0.3, g2=0.2, constant=0.1, g0=0.2),
-        custom_lipschitz_forcing(lambda u, v: 0.2 * np.tanh(u) + 0.1 * v, g0=0.0, g1=0.2, g2=0.1),
+        _CUSTOM_G,
     ]
     assert 512 >= FFT_MIN_MODES
     ops = (
@@ -138,10 +145,8 @@ def test_acceleration_implementations_agree(op8, seed):
                 assert not _agrees(bad, ref), (op.modes, nl.kind, fs.kind)
 
 
-def test_custom_forcing_samples_a_once_per_acceleration(monkeypatch):
-    # A custom g is evaluated at the grid samples of a that the Galerkin term
-    # has already taken, so each acceleration makes two modes-to-grid
-    # transforms (a and the velocity channel) and two projections.
+def _count_transforms(monkeypatch):
+    """Patch ``solver.transform_pair`` to count its maps' calls, into the returned dict."""
     calls = {"to_grid": 0, "from_grid": 0}
     pair = solver.transform_pair
 
@@ -159,18 +164,48 @@ def test_custom_forcing_samples_a_once_per_acceleration(monkeypatch):
         return counted_sample, counted_project
 
     monkeypatch.setattr(solver, "transform_pair", counting_pair)
-    op = build_operator(DomainSpec(length=1.0, bc=DIRICHLET), 512)
-    assert op.modes >= FFT_MIN_MODES
-    nl = power_law_nonlinearity(3.5)
-    fs = custom_lipschitz_forcing(lambda u, v: 0.2 * np.tanh(u) + 0.1 * v, g0=0.0, g1=0.2, g2=0.1)
+    return calls
+
+
+def _accelerate_three_times(op, nl, fs):
+    """The closure's value after three calls at one drawn stage, and the reference value there."""
     accel = _numpy_accel(op, nl, fs)
     rng = np.random.default_rng(5)
     x = 0.4 * rng.normal(size=(2, op.modes)) / np.arange(1, op.modes + 1)
     out = np.empty(op.modes)
     for _ in range(3):
         accel(x, out)
+    return out, acceleration(State(a=x[0], adot=x[1]), op, nl, fs)
+
+
+def test_custom_forcing_samples_a_once_per_acceleration(monkeypatch):
+    # A custom g is evaluated at the grid samples of a that the Galerkin term
+    # has already taken.  On the FFT pair each acceleration makes two
+    # modes-to-grid transforms (a and the velocity channel) and two
+    # projections; on dense products the folded term samples a itself, so
+    # the pair maps only the velocity channel and g.
+    calls = _count_transforms(monkeypatch)
+    op = build_operator(DomainSpec(length=1.0, bc=DIRICHLET), 512)
+    assert op.modes >= FFT_MIN_MODES
+    got, want = _accelerate_three_times(op, power_law_nonlinearity(3.5), _CUSTOM_G)
     assert calls == {"to_grid": 6, "from_grid": 6}
-    assert np.allclose(out, acceleration(State(a=x[0], adot=x[1]), op, nl, fs), rtol=1e-12, atol=1e-13)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
+    calls.update(to_grid=0, from_grid=0)
+    got, want = _accelerate_three_times(build_operator(DomainSpec(length=1.0, bc=DIRICHLET), 8), _CUSTOM_F, _CUSTOM_G)
+    assert calls == {"to_grid": 3, "from_grid": 3}
+    assert _agrees(got, want)
+
+
+# On dense products every nonlinear F, a custom one included, is folded into
+# L, so without a custom g no acceleration calls the transform pair.
+@pytest.mark.parametrize("fs", [zero_forcing(), affine_forcing(g1=0.3, g2=0.2, constant=0.1, g0=0.2)], ids=["zero", "affine"])
+@pytest.mark.parametrize("m", [8, FFT_MIN_MODES - 1])
+def test_dense_custom_F_never_calls_the_transform_pair(m, fs, monkeypatch):
+    calls = _count_transforms(monkeypatch)
+    op = build_operator(DomainSpec(length=1.0, bc=DIRICHLET), m)
+    got, want = _accelerate_three_times(op, _CUSTOM_F, fs)
+    assert calls == {"to_grid": 0, "from_grid": 0}
+    assert _agrees(got, want)
 
 
 def test_harmonic_mode_tracks_cosine(op8):
