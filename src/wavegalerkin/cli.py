@@ -1,10 +1,10 @@
 """Command-line orchestration: verify, run, converge, decay.
 
-Exit codes are disjoint: 0 all enabled checks pass, 1 a condition or
-monitor was falsified, 2 the trajectory diverged, 3 the configuration or
-an output path was rejected.  All file writes are whole-file atomic (temp
-file + rename) and runs are deterministic for a fixed config, so
-re-running produces byte-identical artifacts.
+Exit codes are disjoint: 0 every check that applies passed, 1 a condition
+or monitor was falsified, 2 the trajectory diverged, 3 the command line,
+the configuration or an output path was rejected.  All file writes are
+whole-file atomic (temp file + rename) and runs are deterministic for a
+fixed config, so re-running produces byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -27,15 +27,13 @@ from .estimates import (
     GronwallParams,
     absorbing_radius,
     comparison_rewrite_cap,
-    decay_bound,
     derive_decay,
     derive_gronwall,
-    gronwall_envelope,
     monitor,
     sample_table,
 )
 from .nonlinearity import CUSTOM, ZERO, decide_conditions, decide_g, verify_conditions, verify_g
-from .oracle import BERNOULLI, GRONWALL_LINEAR, linear_exact, max_H_error, reference_run, scalar_comparison
+from .oracle import max_H_error, reference_run
 from .solver import Trajectory, integrate
 from .spectral import build_operator
 
@@ -214,7 +212,7 @@ def cmd_run(rc: RunConfig) -> int:
     init = resolve_initial(rc, op)
     traj = integrate(init.state, rc.solver, op, rc.nl, rc.fs)
     gp, dp = _derive_bounds(rc, op, traj.energy.row(0))
-    rep = monitor(traj, gp, dp, rc.monitors.tolerances, rc.monitors.enabled_checks)
+    rep = monitor(traj, gp, dp)
 
     _write_atomic(csv_path, _csv_text(traj, gp, dp))
     report = {
@@ -357,7 +355,7 @@ def cmd_decay(rc: RunConfig, T_override: float | None, out_json: str) -> int:
             f"no decay bound: k^r C^r overflows a float (r = {rc.nl.p / 2.0:g}, C = {2.0 * traj.energy.energy[0]:.6g}), "
             "so no delta > 0 meets delta <= (k-1)/(k^r C^r)"
         )
-    rep = monitor(traj, gp, dp, rc.monitors.tolerances)
+    rep = monitor(traj, gp, dp)
     decay_checks = [c for c in rep.checks if c.name == "decay"]
     within_bound = bool(decay_checks and decay_checks[0].passed)
     sup_by = float(np.max(traj.energy.by_norm_sq))
@@ -381,35 +379,26 @@ def cmd_decay(rc: RunConfig, T_override: float | None, out_json: str) -> int:
     return EXIT_OK if within_bound else EXIT_VIOLATION
 
 
-def cmd_oracle(args) -> int:
-    """Hidden debugging entry for the reference formulas."""
-    t = np.asarray(args.t, dtype=np.float64)
-    if args.formula == "linear":
-        a, adot = linear_exact(args.k, args.lam, args.a0, args.adot0, t)
-        out = {"t": list(t), "a": list(np.atleast_1d(a)), "adot": list(np.atleast_1d(adot))}
-    elif args.formula == "gronwall":
-        gp = GronwallParams(C0=args.C0, C1=args.C1, c_tilde=1.0, E_init=args.z0)
-        closed = np.atleast_1d(gronwall_envelope(gp, t))
-        dense = scalar_comparison(GRONWALL_LINEAR, {"C0": args.C0, "C1": args.C1, "z0": args.z0}, t)
-        out = {"t": list(t), "closed_form": list(closed), "dense": [float(v) for v in dense]}
-    else:
-        dense = scalar_comparison(BERNOULLI, {"delta": args.delta, "r": args.r, "w0": args.w0}, t)
-        dp = DecayParams(r=args.r, c=1.0, C=0.0, k=2.0, delta=args.delta)
-        closed = np.atleast_1d(decay_bound(dp, args.w0, t))
-        out = {"t": list(t), "closed_form": list(closed), "dense": [float(v) for v in dense]}
-    print(_json(out))
-    return EXIT_OK
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, as a rejected config does; argparse's own 2 would read "diverged".
+
+    ``add_subparsers`` builds the subcommand parsers as this class too.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
 # Built once per process: ``parse_args`` reads the tree without changing
 # it and returns a fresh namespace, so in-process callers of ``main`` share it.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wavegalerkin",
         description="Spectral Galerkin wave solver with energy-estimate monitors.",
     )
-    sub = parser.add_subparsers(dest="command", metavar="{verify,run,converge,decay}")
+    sub = parser.add_subparsers(dest="command")
 
     p_verify = sub.add_parser("verify", help="check structural conditions for a config")
     p_verify.add_argument("config")
@@ -431,26 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_decay.add_argument("--T", type=float, default=None)
     p_decay.add_argument("--out-json", default="decay.json")
 
-    # Debugging helper; deliberately absent from the subcommand listing.
-    p_oracle = sub.add_parser("oracle")
-    o_sub = p_oracle.add_subparsers(dest="formula", required=True)
-    o_lin = o_sub.add_parser("linear")
-    o_lin.add_argument("--k", type=int, default=1)
-    o_lin.add_argument("--lam", type=float, required=True)
-    o_lin.add_argument("--a0", type=float, default=1.0)
-    o_lin.add_argument("--adot0", type=float, default=0.0)
-    o_lin.add_argument("--t", type=float, nargs="+", required=True)
-    o_gr = o_sub.add_parser("gronwall")
-    o_gr.add_argument("--C0", type=float, required=True)
-    o_gr.add_argument("--C1", type=float, required=True)
-    o_gr.add_argument("--z0", type=float, required=True)
-    o_gr.add_argument("--t", type=float, nargs="+", required=True)
-    o_be = o_sub.add_parser("bernoulli")
-    o_be.add_argument("--delta", type=float, required=True)
-    o_be.add_argument("--r", type=float, required=True)
-    o_be.add_argument("--w0", type=float, required=True)
-    o_be.add_argument("--t", type=float, nargs="+", required=True)
-
     return parser
 
 
@@ -461,8 +430,6 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_CONFIG
     try:
-        if args.command == "oracle":
-            return cmd_oracle(args)
         rc = load_config(args.config)
         if args.command == "verify":
             return cmd_verify(rc)
@@ -470,10 +437,7 @@ def main(argv=None) -> int:
             return cmd_run(rc)
         if args.command == "converge":
             return cmd_converge(rc, args.modes, args.dts, args.m_ref, args.dt_ref_factor, args.out_json, args.out_csv)
-        if args.command == "decay":
-            return cmd_decay(rc, args.T, args.out_json)
-        parser.print_help()
-        return EXIT_CONFIG
+        return cmd_decay(rc, args.T, args.out_json)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

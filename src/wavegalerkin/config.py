@@ -11,13 +11,12 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 
-from .estimates import MonitorTolerances
 from .nonlinearity import (
     ForcingSpec,
     NonlinearitySpec,
@@ -160,22 +159,8 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "energy_identity": {"type": "boolean"},
-                "gronwall": {"type": "boolean"},
-                "conservation": {"type": "boolean"},
-                "decay": {"type": "boolean"},
                 "k": {"type": "number", "exclusiveMinimum": 1},
                 "delta": {"type": "number", "exclusiveMinimum": 0},
-                "tolerances": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "identity_scale": {"type": "number", "exclusiveMinimum": 0},
-                        "envelope_rel": {"type": "number", "exclusiveMinimum": 0},
-                        "conservation_rel": {"type": "number", "exclusiveMinimum": 0},
-                        "decay_rel": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                },
             },
         },
         "verification": {
@@ -208,28 +193,10 @@ _VALIDATOR = jsonschema.Draft7Validator(CONFIG_SCHEMA)
 
 @dataclass(frozen=True)
 class MonitorSettings:
-    """Which monitors to run and the decay parameters' knobs."""
+    """Which valid decay bound is drawn: ``k`` and ``delta`` of :func:`~.estimates.derive_decay`."""
 
-    energy_identity: bool = True
-    gronwall: bool = True
-    conservation: bool = True
-    decay: bool = True
     k: float = 2.0
     delta: float | None = None
-    tolerances: MonitorTolerances = field(default_factory=MonitorTolerances)
-
-    @property
-    def enabled_checks(self) -> tuple[str, ...]:
-        out = []
-        if self.energy_identity:
-            out.append("energy_identity")
-        if self.gronwall:
-            out.append("gronwall")
-        if self.conservation:
-            out.append("conservation")
-        if self.decay:
-            out.append("decay")
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -368,9 +335,6 @@ def load_config(path: str | Path) -> RunConfig:
 
     # The schema limits these sections to the settings' own fields, whose
     # defaults live on the dataclasses.
-    mon = dict(raw.get("monitors", {}))
-    tolerances = MonitorTolerances(**mon.pop("tolerances", {}))
-    monitors = MonitorSettings(**mon, tolerances=tolerances)
     ver = raw.get("verification", {})
     return RunConfig(
         domain=domain,
@@ -380,7 +344,7 @@ def load_config(path: str | Path) -> RunConfig:
         x0_spec=raw["initial"]["x0"],
         x1_spec=raw["initial"]["x1"],
         solver=solver,
-        monitors=monitors,
+        monitors=MonitorSettings(**raw.get("monitors", {})),
         verify_samples=ver.get("samples", 200),
         verify_override=ver.get("override", False),
         output=OutputSettings(**raw.get("output", {})),

@@ -6,7 +6,8 @@ rate ``<g, y_t>``.  From the structural constants this module derives two
 closed-form dominating curves — an exponential Gronwall envelope valid for
 any admissible forcing, and for the unforced ``p > 2`` case a Bernoulli-type
 decay bound on ``||By||^2`` with a finite absorbing radius — and checks a
-sampled trajectory against them.
+sampled trajectory against them.  The problem alone decides which checks
+apply, and each check has one fixed tolerance.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "GronwallParams",
     "MonitorCheck",
     "MonitorReport",
-    "MonitorTolerances",
     "absorbing_radius",
     "comparison_rewrite_cap",
     "decay_bound",
@@ -44,7 +44,14 @@ __all__ = [
     "sample_table",
 ]
 
-ALL_CHECKS = ("energy_identity", "gronwall", "conservation", "decay")
+# Slack granted to each monitor check.  The identity tolerance is
+# ``IDENTITY_SCALE*(1 + |E(0)|)`` absolute (it absorbs integrator and
+# trapezoid error); envelope and decay are relative to the bound value;
+# conservation is relative to |E(0)|.
+IDENTITY_SCALE = 1e-6
+ENVELOPE_REL = 1e-9
+CONSERVATION_REL = 1e-6
+DECAY_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -319,21 +326,6 @@ def absorbing_radius(dp: DecayParams) -> float:
 
 
 @dataclass(frozen=True)
-class MonitorTolerances:
-    """Slack granted to each monitor check.
-
-    The identity tolerance is ``identity_scale*(1 + E(0))`` absolute (it
-    absorbs integrator and trapezoid error); envelope and decay are relative
-    to the bound value; conservation is relative to E(0).
-    """
-
-    identity_scale: float = 1e-6
-    envelope_rel: float = 1e-9
-    conservation_rel: float = 1e-6
-    decay_rel: float = 1e-9
-
-
-@dataclass(frozen=True)
 class MonitorCheck:
     """One per-sample check: worst signed violation and where it occurred.
 
@@ -352,7 +344,7 @@ class MonitorCheck:
 
 @dataclass(frozen=True)
 class MonitorReport:
-    """Verdicts of all enabled checks for one trajectory."""
+    """Verdicts of every check that applies to one trajectory."""
 
     checks: tuple[MonitorCheck, ...]
     diverged: bool = False
@@ -407,47 +399,34 @@ def _per_sample_check(name: str, t, viol, allowed) -> MonitorCheck:
     )
 
 
-def monitor(
-    traj: "Trajectory",
-    gp: GronwallParams | None,
-    dp: DecayParams | None = None,
-    tolerances: MonitorTolerances | None = None,
-    checks: tuple[str, ...] = ALL_CHECKS,
-) -> MonitorReport:
-    """Check a sampled trajectory against the identity and the bounds.
+def monitor(traj: "Trajectory", gp: GronwallParams, dp: DecayParams | None = None) -> MonitorReport:
+    """Check a sampled trajectory against the identity and every bound that applies.
 
-    Runs, as enabled by ``checks`` and the available parameters:
+    The problem alone picks the checks, each with its fixed tolerance:
 
-    - ``energy_identity``: trapezoid residual of the energy identity,
+    - ``energy_identity``: trapezoid residual of the energy identity, always,
     - ``gronwall``: ``2E`` below :func:`gronwall_envelope`, which starts at
-      ``E_init = 2E(0)`` (forced runs only, needs ``gp``),
-    - ``conservation``: |E - E(0)| small (zero forcing only),
-    - ``decay``: ||By||^2 below :func:`decay_bound` (zero forcing, needs ``dp``).
+      ``E_init = 2E(0)`` (forced runs),
+    - ``conservation``: |E - E(0)| small (unforced runs),
+    - ``decay``: ||By||^2 below :func:`decay_bound` (unforced runs, given ``dp``).
 
     Single-sample trajectories pass vacuously where no interval exists.
     """
-    tol = tolerances or MonitorTolerances()
     tbl = traj.energy
     t = tbl.t
     e0 = float(tbl.energy[0])
-    results: list[MonitorCheck] = []
-    conservative = traj.fs.kind == ZERO
-
-    if "energy_identity" in checks:
-        res = identity_residuals(tbl)
-        allowed = tol.identity_scale * (1.0 + abs(e0))
-        results.append(_per_sample_check("energy_identity", t, res, allowed))
-    if "gronwall" in checks and not conservative and gp is not None:
+    results = [_per_sample_check("energy_identity", t, identity_residuals(tbl), IDENTITY_SCALE * (1.0 + abs(e0)))]
+    if traj.fs.kind != ZERO:
         env = gronwall_envelope(gp, t)
         viol = 2.0 * tbl.energy - env
-        results.append(_per_sample_check("gronwall", t, viol, tol.envelope_rel * np.abs(env)))
-    if "conservation" in checks and conservative:
+        results.append(_per_sample_check("gronwall", t, viol, ENVELOPE_REL * np.abs(env)))
+    else:
         viol = np.abs(tbl.energy - e0)
-        results.append(_per_sample_check("conservation", t, viol, tol.conservation_rel * abs(e0)))
-    if "decay" in checks and conservative and dp is not None:
-        bound = decay_bound(dp, float(tbl.by_norm_sq[0]), t)
-        viol = tbl.by_norm_sq - bound
-        results.append(_per_sample_check("decay", t, viol, tol.decay_rel * np.abs(bound)))
+        results.append(_per_sample_check("conservation", t, viol, CONSERVATION_REL * abs(e0)))
+        if dp is not None:
+            bound = decay_bound(dp, float(tbl.by_norm_sq[0]), t)
+            viol = tbl.by_norm_sq - bound
+            results.append(_per_sample_check("decay", t, viol, DECAY_REL * np.abs(bound)))
 
     return MonitorReport(checks=tuple(results), diverged=traj.diverged, diverged_at=traj.diverged_at)
 

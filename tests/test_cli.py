@@ -176,14 +176,13 @@ def test_poincare_override_runs_clean(tmp_path):
     cfg = make_cfg(
         tmp_path,
         domain={"length": 4.0, "bc": "dirichlet", "allow_poincare_violation": True},
-        monitors={"gronwall": False, "decay": False},
     )
     assert cli.main(["run", write_cfg(tmp_path, cfg)]) == 0
     rep = json.loads((tmp_path / "report.json").read_text())
     assert rep["verification"]["passed"] is False
     assert rep["verification"]["proceed"] is True
     names = [c["name"] for c in rep["monitor"]["checks"]]
-    assert names == ["energy_identity", "conservation"]
+    assert names == ["energy_identity", "conservation", "decay"]
 
 
 def test_run_artifacts(tmp_path):
@@ -211,6 +210,7 @@ def test_run_artifacts(tmp_path):
         "csv_path",
     }
     assert rep["monitor"]["passed"] is True
+    assert [c["name"] for c in rep["monitor"]["checks"]] == ["energy_identity", "conservation", "decay"]
     assert rep["samples"] == 101
     assert rep["backend"] == "numpy"
     assert rep["gronwall_params"]["C0"] == 0.0 and rep["gronwall_params"]["C1"] == 0.0
@@ -238,6 +238,7 @@ def test_run_affine_has_no_decay_column(tmp_path):
     rep = json.loads((tmp_path / "report.json").read_text())
     assert rep["decay_params"] is None
     assert rep["gronwall_params"]["C0"] > 0.0
+    assert [c["name"] for c in rep["monitor"]["checks"]] == ["energy_identity", "gronwall"]
 
 
 def test_run_T_zero_single_sample(tmp_path):
@@ -482,6 +483,41 @@ def test_config_errors_exit_3(tmp_path, capsys):
     assert "usage" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "key",
+    [
+        "energy_identity",
+        "gronwall",
+        "conservation",
+        "decay",
+        "tolerances.identity_scale",
+        "tolerances.envelope_rel",
+        "tolerances.conservation_rel",
+        "tolerances.decay_rel",
+    ],
+)
+def test_check_switches_and_tolerances_are_rejected(tmp_path, capsys, key):
+    # The problem alone decides which checks run, each at a fixed tolerance:
+    # a config that tries to switch one off or loosen it is rejected.
+    section, _, name = key.rpartition(".")
+    monitors = {section: {name: 1e300}} if section else {key: False}
+    assert cli.main(["run", write_cfg(tmp_path, make_cfg(tmp_path, monitors=monitors))]) == 3
+    assert capsys.readouterr().err.startswith("config error: config schema violation at monitors:")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_usage_errors_exit_3_without_traceback(tmp_path):
+    # argparse's own code for a usage error is 2, which here means "diverged".
+    src_dir = str(Path(wavegalerkin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    path = write_cfg(tmp_path, make_cfg(tmp_path))
+    for argv in (["run"], ["oracle", "bernoulli"], ["converge", path, "--modes", "x", "--dts", "0.01"]):
+        proc = subprocess.run([sys.executable, "-m", "wavegalerkin.cli", *argv], capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 3, argv
+        assert proc.stderr.decode().startswith("usage: wavegalerkin")
+        assert b"Traceback" not in proc.stderr and proc.stdout == b""
+
+
 def _no_work(*args, **kwargs):
     raise AssertionError("a command with a bad output path did work before rejecting it")
 
@@ -624,13 +660,7 @@ def test_bad_table_entries_exit_3_naming_the_path(tmp_path, capsys, cmd, table, 
     assert not (tmp_path / "report.json").exists()
 
 
-def test_oracle_subcommand_is_hidden_but_works(tmp_path, capsys):
-    rc = cli.main(["oracle", "bernoulli", "--delta", "0.05", "--r", "2", "--w0", "6", "--t", "0.5", "1.0"])
-    assert rc == 0
-    out = json.loads(capsys.readouterr().out)
-    for closed, dense in zip(out["closed_form"], out["dense"]):
-        assert closed == pytest.approx(dense, rel=1e-6)
-
+def test_help_lists_the_four_subcommands(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
     assert exc.value.code == 0

@@ -40,19 +40,16 @@ def test_load_valid_config_defaults(tmp_path):
     assert rc.output.csv_path == "trajectory.csv"
     assert rc.output.report_path == "report.json"
     assert rc.seed == 0
-    assert rc.monitors.enabled_checks == ("energy_identity", "gronwall", "conservation", "decay")
-    assert rc.monitors.tolerances.envelope_rel == 1e-9
-    assert rc.monitors == MonitorSettings()
+    assert rc.monitors == MonitorSettings(k=2.0, delta=None)
     assert rc.output == OutputSettings()
 
 
-def test_monitor_toggles_and_tolerances(tmp_path):
-    cfg = base_config(monitors={"gronwall": False, "decay": False, "k": 3.0, "delta": 0.01, "tolerances": {"conservation_rel": 1e-8}})
-    rc = load_config(write_cfg(tmp_path, cfg))
-    assert rc.monitors.enabled_checks == ("energy_identity", "conservation")
-    assert rc.monitors.k == 3.0 and rc.monitors.delta == 0.01
-    assert rc.monitors.tolerances.conservation_rel == 1e-8
-    assert rc.monitors.tolerances.identity_scale == 1e-6
+def test_monitor_settings_are_k_and_delta(tmp_path):
+    # k and delta pick which valid decay bound is drawn; no monitor key
+    # switches a check off or loosens its tolerance.
+    rc = load_config(write_cfg(tmp_path, base_config(monitors={"k": 3.0, "delta": 0.01})))
+    assert rc.monitors == MonitorSettings(k=3.0, delta=0.01)
+    assert set(CONFIG_SCHEMA["properties"]["monitors"]["properties"]) == {"k", "delta"}
 
 
 def test_schema_rejects_unknown_and_malformed(tmp_path):

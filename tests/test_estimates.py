@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from wavegalerkin.estimates import (
-    ALL_CHECKS,
+    CONSERVATION_REL,
+    IDENTITY_SCALE,
     DecayParams,
     GronwallParams,
-    MonitorTolerances,
     absorbing_radius,
     decay_bound,
     derive_decay,
@@ -196,7 +196,8 @@ def test_linear_energy_conserved_tightly(op8):
 def test_monitor_full_pass_covers_every_check(op8):
     # Conservation and decay apply to unforced runs, the envelope to forced
     # ones (with g = 0 it is the constant 2E(0), which conservation checks):
-    # the two runs between them exercise every check.
+    # the two runs between them exercise every check, each at its fixed
+    # tolerance.
     names = []
     for fs in (zero_forcing(), affine_forcing(g1=0.1, g2=0.1, g0=0.1)):
         traj = _parabola_run(op8, fs, T=2.0, dt=1e-3)
@@ -209,8 +210,11 @@ def test_monitor_full_pass_covers_every_check(op8):
         d = rep.to_dict()
         assert d["passed"] is True and len(d["checks"]) == len(rep.checks)
         names.append([c.name for c in rep.checks])
+        by_name = {c.name: c for c in rep.checks}
+        assert by_name["energy_identity"].tolerance == IDENTITY_SCALE * (1.0 + abs(rec.energy))
+        if fs.kind == "zero":
+            assert by_name["conservation"].tolerance == CONSERVATION_REL * abs(rec.energy)
     assert names == [["energy_identity", "conservation", "decay"], ["energy_identity", "gronwall"]]
-    assert set(names[0]) | set(names[1]) == set(ALL_CHECKS)
 
 
 def test_monitor_flags_envelope_violation(op8):
@@ -218,10 +222,10 @@ def test_monitor_flags_envelope_violation(op8):
     rec = traj.energy.row(0)
     gp = derive_gronwall(traj.nl, traj.fs, op8, rec)
     squeezed = dataclasses.replace(gp, E_init=0.5 * rec.energy)
-    rep = monitor(traj, squeezed, None, checks=("gronwall",))
+    rep = monitor(traj, squeezed, None)
     assert not rep.passed
-    check = rep.checks[0]
-    assert check.name == "gronwall" and not check.passed
+    check = {c.name: c for c in rep.checks}["gronwall"]
+    assert not check.passed
     assert check.worst_violation > 0.0
     assert check.t_worst >= 0.0
 
@@ -239,7 +243,7 @@ def test_gronwall_compares_twice_the_energy(op8):
         e = 0.5 * env
         e[i] *= factor
         table = dataclasses.replace(traj, energy=dataclasses.replace(traj.energy, energy=e))
-        return monitor(table, gp, None, checks=("gronwall",)).checks[0]
+        return {c.name: c for c in monitor(table, gp, None).checks}["gronwall"]
 
     over = check(1.0 + 1e-6)
     assert not over.passed
@@ -272,12 +276,14 @@ def test_monitor_reports_divergence(op8):
 
 
 def test_monitor_check_selection_and_forced_skips(op8):
-    fs = affine_forcing(g1=0.1, g0=0.1)
-    traj = _parabola_run(op8, fs, T=1.0, dt=1e-3)
-    gp = derive_gronwall(traj.nl, traj.fs, op8, traj.energy.row(0))
-    rep = monitor(traj, gp, None, MonitorTolerances(), checks=("conservation", "gronwall"))
-    # conservation applies only to unforced runs, so a single check remains
-    assert [c.name for c in rep.checks] == ["gronwall"]
+    # The forcing, not the arguments, selects the checks: a forced run handed
+    # decay constants still skips conservation and decay.
+    traj = _parabola_run(op8, affine_forcing(g1=0.1, g0=0.1), T=1.0, dt=1e-3)
+    rec = traj.energy.row(0)
+    gp = derive_gronwall(traj.nl, traj.fs, op8, rec)
+    dp = derive_decay(traj.nl, zero_forcing(), op8, rec)
+    rep = monitor(traj, gp, dp)
+    assert [c.name for c in rep.checks] == ["energy_identity", "gronwall"]
 
 
 def test_sample_table_columns(op8):
