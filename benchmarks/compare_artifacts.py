@@ -9,7 +9,10 @@ thread.  Both trees write into the same output directory, so the paths that
 ``run`` prints and records in its report agree.  After each command the child
 stores its exit code, stdout and stderr, and after ``run`` the trajectory CSV
 and ``report.json``.  Every stored file that differs between the trees is
-printed; the exit status is 0 when none does and 1 otherwise.
+printed; for a report or ``verify`` output that parses as JSON on both
+sides, each differing JSON path is printed instead, such as
+``verification/passed: true -> false``.  The exit status is 0 when no file
+differs and 1 otherwise.
 
     python3 benchmarks/compare_artifacts.py OLD/src NEW/src --seeds 500 501 [--workloads long_small ...] [--work DIR]
 """
@@ -95,8 +98,49 @@ def run_tree(src: Path, plan_path: Path, store: Path) -> None:
     subprocess.run([sys.executable, "-c", code, str(plan_path), str(store)], env=env, check=True)
 
 
+# Stored files that hold one JSON document, compared path by path.
+JSON_SUFFIXES = (".report.json", ".verify.stdout")
+
+
+def _brief(value) -> str:
+    if isinstance(value, dict):
+        return f"object of {len(value)} keys"
+    if isinstance(value, list):
+        return f"list of {len(value)}"
+    return json.dumps(value)
+
+
+def json_diffs(old, new, path: str = "") -> list[str]:
+    """One ``path: change`` line per place where two JSON documents differ."""
+    def at(key):
+        return f"{path}/{key}" if path else str(key)
+
+    lines = []
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in list(old) + [k for k in new if k not in old]:
+            if key not in new:
+                lines.append(f"{at(key)}: only in old")
+            elif key not in old:
+                lines.append(f"{at(key)}: only in new")
+            else:
+                lines += json_diffs(old[key], new[key], at(key))
+        return lines
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (x, y) in enumerate(zip(old, new)):
+            lines += json_diffs(x, y, at(i))
+        return lines
+    # type() too: JSON's true and 1, or 1 and 1.0, are different values
+    if type(old) is type(new) and old == new:
+        return []
+    return [f"{path or '<root>'}: {_brief(old)} -> {_brief(new)}"]
+
+
 def compare_stores(a: Path, b: Path) -> list[str]:
-    """One line per stored file that is missing on a side or differs."""
+    """One line per stored file that is missing on a side or differs.
+
+    A JSON artifact that parses on both sides gets one line per differing
+    JSON path instead.
+    """
     names = sorted({p.relative_to(d) for d in (a, b) for p in d.rglob("*") if p.is_file()})
     lines = []
     for rel in names:
@@ -109,6 +153,15 @@ def compare_stores(a: Path, b: Path) -> list[str]:
             continue
         if rel.suffix == ".exit":
             lines.append(f"{rel}: {da.decode().strip()} -> {db.decode().strip()}")
+            continue
+        paths = []
+        if rel.name.endswith(JSON_SUFFIXES):
+            try:
+                paths = json_diffs(json.loads(da), json.loads(db))
+            except ValueError:  # not JSON on a side, e.g. the empty stdout of a rejected config
+                pass
+        if paths:
+            lines += [f"{rel}: {p}" for p in paths]
         else:
             lines.append(f"{rel}: {len(da)} bytes -> {len(db)} bytes, contents differ")
     return lines
@@ -139,7 +192,8 @@ def main(argv=None) -> int:
         diffs = compare_stores(*stores)
         for line in diffs:
             print(line)
-        print(f"{len(plan)} configs, {len(diffs)} differing files")
+        differing = {line.split(": ", 1)[0] for line in diffs}
+        print(f"{len(plan)} configs, {len(differing)} differing files")
         return 1 if diffs else 0
     finally:
         if args.work is None:

@@ -26,7 +26,6 @@ from .estimates import (
     DecayParams,
     GronwallParams,
     absorbing_radius,
-    comparison_rewrite_cap,
     derive_decay,
     derive_gronwall,
     monitor,
@@ -140,8 +139,10 @@ def _csv_text(traj: Trajectory, gp: GronwallParams | None, dp: DecayParams | Non
 
 
 def _verification(rc: RunConfig):
-    """Poincare plus condition checks; returns (op, report dict, proceed).
+    """Poincare plus condition checks; returns (op, report dict, passed).
 
+    A run goes ahead exactly when every check passed.  The operator is built
+    even when ``lambda_min < 1``, so that case is reported, not raised.
     Built-in ``F`` and zero or affine ``g`` are decided exactly; only what
     the user wrote, a custom table, is drawn for.
     """
@@ -151,33 +152,18 @@ def _verification(rc: RunConfig):
     nl_rep = decide_conditions(rc.nl, rc.seed) or verify_conditions(rc.nl, op, rc.verify_samples, rc.seed)
     g_rep = decide_g(rc.fs, op, rc.seed + 1) or verify_g(rc.fs, op, rc.verify_samples, rc.seed + 1)
     passed = poincare_ok and nl_rep.passed and g_rep.passed
-    poincare_excused = poincare_ok or rc.domain.allow_poincare_violation or rc.verify_override
-    conditions_excused = (nl_rep.passed and g_rep.passed) or rc.verify_override
-    proceed = poincare_excused and conditions_excused
     report = {
         "passed": passed,
-        "proceed": proceed,
-        "override": rc.verify_override,
-        "poincare": {
-            "passed": poincare_ok,
-            "lambda_min": op.lambda_min,
-            "allow_poincare_violation": rc.domain.allow_poincare_violation,
-        },
+        "poincare": {"passed": poincare_ok, "lambda_min": op.lambda_min},
         "nonlinearity": nl_rep.to_dict(),
         "forcing": g_rep.to_dict(),
         "warnings": list(op.warnings),
     }
-    return op, report, proceed
+    return op, report, passed
 
 
 def _decay_applies(rc: RunConfig) -> bool:
     return rc.fs.kind == ZERO and rc.nl.p > 2.0
-
-
-def _check_delta(rc: RunConfig, op) -> None:
-    """Reject a given ``delta`` above ``c/2^(r-1)`` before stepping: the cap needs only ``p`` and the interval."""
-    if _decay_applies(rc):
-        comparison_rewrite_cap(rc.nl, op, rc.monitors.delta)
 
 
 def _derive_bounds(rc: RunConfig, op, initial_record):
@@ -189,26 +175,25 @@ def _derive_bounds(rc: RunConfig, op, initial_record):
     gp = derive_gronwall(rc.nl, rc.fs, op, initial_record)
     dp = None
     if _decay_applies(rc):
-        dp = derive_decay(rc.nl, rc.fs, op, initial_record, k=rc.monitors.k, delta=rc.monitors.delta)
+        dp = derive_decay(rc.nl, rc.fs, op, initial_record)
     return gp, dp
 
 
 def cmd_verify(rc: RunConfig) -> int:
-    _, report, proceed = _verification(rc)
+    _, report, passed = _verification(rc)
     print(_json(report))
-    return EXIT_OK if proceed else EXIT_VIOLATION
+    return EXIT_OK if passed else EXIT_VIOLATION
 
 
 def cmd_run(rc: RunConfig) -> int:
     report_path = _resolve_out(rc.output.report_path)
     csv_path = _resolve_out(rc.output.csv_path)
-    op, ver_report, proceed = _verification(rc)
-    if not proceed:
+    op, ver_report, passed = _verification(rc)
+    if not passed:
         _write_atomic(report_path, _json({"verification": ver_report, "monitor": None}) + "\n")
         print(f"verification failed; report at {report_path}")
         return EXIT_VIOLATION
 
-    _check_delta(rc, op)
     init = resolve_initial(rc, op)
     traj = integrate(init.state, rc.solver, op, rc.nl, rc.fs)
     gp, dp = _derive_bounds(rc, op, traj.energy.row(0))
@@ -263,8 +248,8 @@ def cmd_converge(rc: RunConfig, modes: list[int], dts: list[float], m_ref: int |
     json_path = _resolve_out(out_json)
     csv_path = _resolve_out(out_csv)
 
-    _, _, proceed = _verification(rc)
-    if not proceed:
+    _, _, passed = _verification(rc)
+    if not passed:
         print("verification failed; no study run")
         return EXIT_VIOLATION
 
@@ -341,12 +326,11 @@ def cmd_decay(rc: RunConfig, T_override: float | None, out_json: str) -> int:
             raise ConfigError(str(e)) from e
     json_path = _resolve_out(out_json)
 
-    op, ver_report, proceed = _verification(rc)
-    if not proceed:
+    op, ver_report, passed = _verification(rc)
+    if not passed:
         print("verification failed; no study run")
         return EXIT_VIOLATION
 
-    _check_delta(rc, op)
     init = resolve_initial(rc, op)
     traj = integrate(init.state, solver_cfg, op, rc.nl, rc.fs)
     gp, dp = _derive_bounds(rc, op, traj.energy.row(0))

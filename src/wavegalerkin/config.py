@@ -1,7 +1,7 @@
 """Run-configuration parsing: JSON schema plus semantic validation.
 
 A run config names the domain, mode count, nonlinearity, forcing, initial
-data, time grid, monitor settings, and output paths.  Schema violations
+data, time grid, verification draws, and output paths.  Schema violations
 and any constructor rejection surface as :class:`ConfigError`, which the
 CLI maps to its config-error exit code.
 """
@@ -39,7 +39,7 @@ from .solver import (
 )
 from .spectral import DIRICHLET, PERIODIC_MEAN_ZERO, DomainSpec, OperatorSpec
 
-__all__ = ["CONFIG_SCHEMA", "ConfigError", "MonitorSettings", "OutputSettings", "RunConfig", "load_config", "resolve_initial"]
+__all__ = ["CONFIG_SCHEMA", "ConfigError", "OutputSettings", "RunConfig", "load_config", "resolve_initial"]
 
 
 class ConfigError(Exception):
@@ -100,7 +100,6 @@ CONFIG_SCHEMA = {
                 "length": {"type": "number", "exclusiveMinimum": 0},
                 "bc": {"enum": [DIRICHLET, PERIODIC_MEAN_ZERO]},
                 "grid_points": {"type": "integer", "minimum": 2},
-                "allow_poincare_violation": {"type": "boolean"},
             },
         },
         "modes": {"type": "integer", "minimum": 1},
@@ -155,20 +154,11 @@ CONFIG_SCHEMA = {
                 "sample_stride": {"type": "integer", "minimum": 1},
             },
         },
-        "monitors": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "k": {"type": "number", "exclusiveMinimum": 1},
-                "delta": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
         "verification": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
                 "samples": {"type": "integer", "minimum": 1},
-                "override": {"type": "boolean"},
             },
         },
         "output": {
@@ -192,14 +182,6 @@ _VALIDATOR = jsonschema.Draft7Validator(CONFIG_SCHEMA)
 
 
 @dataclass(frozen=True)
-class MonitorSettings:
-    """Which valid decay bound is drawn: ``k`` and ``delta`` of :func:`~.estimates.derive_decay`."""
-
-    k: float = 2.0
-    delta: float | None = None
-
-
-@dataclass(frozen=True)
 class OutputSettings:
     csv_path: str = "trajectory.csv"
     report_path: str = "report.json"
@@ -216,9 +198,7 @@ class RunConfig:
     x0_spec: dict
     x1_spec: dict
     solver: SolverConfig
-    monitors: MonitorSettings
     verify_samples: int
-    verify_override: bool
     output: OutputSettings
     seed: int
 
@@ -316,7 +296,6 @@ def load_config(path: str | Path) -> RunConfig:
             length=dom["length"],
             bc=dom["bc"],
             grid_points=dom.get("grid_points"),
-            allow_poincare_violation=dom.get("allow_poincare_violation", False),
         )
         nl = _build_nonlinearity(raw["nonlinearity"])
         fs = _build_forcing(raw["forcing"])
@@ -333,9 +312,8 @@ def load_config(path: str | Path) -> RunConfig:
     except (ValueError, KeyError) as e:
         raise ConfigError(str(e)) from e
 
-    # The schema limits these sections to the settings' own fields, whose
-    # defaults live on the dataclasses.
-    ver = raw.get("verification", {})
+    # The schema limits the output section to the settings' own fields,
+    # whose defaults live on the dataclass.
     return RunConfig(
         domain=domain,
         modes=raw["modes"],
@@ -344,9 +322,7 @@ def load_config(path: str | Path) -> RunConfig:
         x0_spec=raw["initial"]["x0"],
         x1_spec=raw["initial"]["x1"],
         solver=solver,
-        monitors=MonitorSettings(**raw.get("monitors", {})),
-        verify_samples=ver.get("samples", 200),
-        verify_override=ver.get("override", False),
+        verify_samples=raw.get("verification", {}).get("samples", 200),
         output=OutputSettings(**raw.get("output", {})),
         seed=raw.get("seed", 0),
     )

@@ -32,7 +32,6 @@ __all__ = [
     "MonitorCheck",
     "MonitorReport",
     "absorbing_radius",
-    "comparison_rewrite_cap",
     "decay_bound",
     "derive_decay",
     "derive_gronwall",
@@ -202,9 +201,10 @@ class DecayParams:
 
     ``r = p/2 > 1``; ``c = 2/c0`` with ``c0`` the coercivity-to-potential
     constant; ``C`` is the conserved ``||B y_t(0)||^2 + 2*Phi(x(0))``;
-    ``delta`` must satisfy ``delta <= (k-1)/(k^r * C^r)`` when ``C > 0``
-    (and be small against ``c`` for the comparison rewrite to apply;
-    :func:`derive_decay` picks such a default).
+    ``delta`` must satisfy ``delta <= (k-1)/(k^r * C^r)`` when ``C > 0``,
+    and the absorbing radius must be nonnegative, since ``||By||^2`` is.
+    :func:`derive_decay` picks ``k = 2`` and a ``delta`` that is also small
+    against ``c``, so that the comparison rewrite applies.
     """
 
     r: float
@@ -233,6 +233,9 @@ class DecayParams:
             cap = _delta_cap(self.k, self.r, self.C)
             if self.delta > cap * (1.0 + 1e-12):
                 raise ValueError(f"delta={self.delta:g} exceeds (k-1)/(k^r C^r) = {cap:g}")
+        radius = absorbing_radius(self)
+        if radius < 0.0:
+            raise ValueError(f"absorbing radius delta^(-1/(r-1)) - k*C = {radius:g} is negative")
 
 
 def _delta_cap(k: float, r: float, big_c: float) -> float:
@@ -248,36 +251,14 @@ def _delta_cap(k: float, r: float, big_c: float) -> float:
     return (k - 1.0) / scale if scale > 0.0 else math.inf
 
 
-def comparison_rewrite_cap(nl: NonlinearitySpec, op: OperatorSpec, delta: float | None = None) -> tuple[float, float]:
-    """``(c, c/2^(r-1))``: the decay constant ``c = 2/(p c_emb^p)`` and its cap on ``delta``.
+def derive_decay(nl: NonlinearitySpec, fs: ForcingSpec, op: OperatorSpec, initial: EnergyRecord) -> DecayParams | None:
+    """Decay constants for the unforced coercive case, with ``k = 2``.
 
-    Both depend only on ``p`` and the interval length, so a given ``delta``
-    can be checked before any stepping: one above the cap (beyond 1e-12
-    relative slack) raises ``ValueError`` naming it.
-    """
-    c = 2.0 / (nl.p * embedding_constant(op, nl.p) ** nl.p)
-    c_cap = c / 2.0 ** (nl.p / 2.0 - 1.0)
-    if delta is not None and delta > c_cap * (1.0 + 1e-12):
-        raise ValueError(f"monitors.delta={delta:g} exceeds the decay comparison's cap c/2^(r-1) = {c_cap:g}")
-    return c, c_cap
-
-
-def derive_decay(
-    nl: NonlinearitySpec,
-    fs: ForcingSpec,
-    op: OperatorSpec,
-    initial: EnergyRecord,
-    k: float = 2.0,
-    delta: float | None = None,
-) -> DecayParams | None:
-    """Decay constants for the unforced coercive case.
-
-    Requires zero forcing and ``p > 2``.  The default ``delta`` is half of
-    ``min((k-1)/(k^r C^r), 1/2)`` (all of it when ``C = 0``), additionally
-    capped by ``c/2^(r-1)`` so the comparison rewrite is valid; a given
-    ``delta`` must meet that cap too.  Returns ``None`` when ``k^r C^r``
-    overflows: no ``delta > 0`` then satisfies the first cap, so there is
-    no decay bound to check.
+    Requires zero forcing and ``p > 2``.  ``c = 2/(p c_emb^p)``, and
+    ``delta`` is half of ``min((k-1)/(k^r C^r), 1/2)`` (all of it when
+    ``C = 0``), capped by ``c/2^(r-1)`` so the comparison rewrite is valid.
+    Returns ``None`` when ``k^r C^r`` overflows: no ``delta > 0`` then
+    satisfies the first cap, so there is no decay bound to check.
     """
     if fs.kind != ZERO:
         raise ValueError("decay bound requires zero forcing")
@@ -285,14 +266,13 @@ def derive_decay(
         raise ValueError("decay bound requires p > 2")
     r = nl.p / 2.0
     big_c = 2.0 * initial.energy
-    cap = _delta_cap(k, r, big_c) if big_c > 0.0 else math.inf
+    cap = _delta_cap(2.0, r, big_c) if big_c > 0.0 else math.inf
     if cap == 0.0:
         return None
-    c, c_cap = comparison_rewrite_cap(nl, op, delta)
-    if delta is None:
-        delta = 0.5 * min(cap, 0.5) if big_c > 0.0 else 0.5
-        delta = min(delta, c_cap)
-    return DecayParams(r=r, c=c, C=big_c, k=k, delta=float(delta))
+    c = 2.0 / (nl.p * embedding_constant(op, nl.p) ** nl.p)
+    delta = 0.5 * min(cap, 0.5) if big_c > 0.0 else 0.5
+    delta = min(delta, c / 2.0 ** (r - 1.0))
+    return DecayParams(r=r, c=c, C=big_c, k=2.0, delta=delta)
 
 
 def decay_bound(dp: DecayParams, By0_norm_sq: float, t):
@@ -321,8 +301,14 @@ def decay_bound(dp: DecayParams, By0_norm_sq: float, t):
 
 
 def absorbing_radius(dp: DecayParams) -> float:
-    """t -> infinity limit of the decay bound: delta^(-1/(r-1)) - k*C."""
-    return float(dp.delta ** (-1.0 / (dp.r - 1.0)) - dp.k * dp.C)
+    """t -> infinity limit of the decay bound: delta^(-1/(r-1)) - k*C.
+
+    ``inf`` when the power overflows a float, as it can for ``r`` near 1.
+    """
+    try:
+        return float(dp.delta ** (-1.0 / (dp.r - 1.0)) - dp.k * dp.C)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,10 @@ import pytest
 import wavegalerkin
 from wavegalerkin import cli
 from wavegalerkin.cli import CSV_COLUMNS
-from wavegalerkin.config import load_config
-from wavegalerkin.estimates import EnergyTable
+from wavegalerkin.config import load_config, resolve_initial
+from wavegalerkin.estimates import EnergyTable, derive_decay, derive_gronwall, monitor
 from wavegalerkin.nonlinearity import verify_conditions
+from wavegalerkin.solver import integrate
 from wavegalerkin.spectral import build_operator
 
 
@@ -69,7 +70,7 @@ def test_verify_pass(tmp_path, capsys):
     rc = cli.main(["verify", write_cfg(tmp_path, make_cfg(tmp_path))])
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)
-    assert rep["passed"] is True and rep["proceed"] is True
+    assert rep["passed"] is True
     assert rep["poincare"]["lambda_min"] == pytest.approx(9.8696044, rel=1e-6)
     assert rep["nonlinearity"]["passed"] is True
     assert rep["forcing"]["passed"] is True
@@ -80,7 +81,7 @@ def test_verify_falsifies_sign_flipped_f(tmp_path, capsys):
     rc = cli.main(["verify", write_cfg(tmp_path, cfg)])
     assert rc == 1
     rep = json.loads(capsys.readouterr().out)
-    assert rep["passed"] is False and rep["proceed"] is False
+    assert rep["passed"] is False
     mono = [c for c in rep["nonlinearity"]["checks"] if c["name"] == "monotonicity"]
     assert mono and mono[0]["passed"] is False and mono[0]["witness"] is not None
 
@@ -169,20 +170,7 @@ def test_poincare_rejection(tmp_path, capsys):
     assert cli.main(["run", path]) == 1
     written = json.loads((tmp_path / "report.json").read_text())
     assert written["monitor"] is None
-    assert written["verification"]["proceed"] is False
-
-
-def test_poincare_override_runs_clean(tmp_path):
-    cfg = make_cfg(
-        tmp_path,
-        domain={"length": 4.0, "bc": "dirichlet", "allow_poincare_violation": True},
-    )
-    assert cli.main(["run", write_cfg(tmp_path, cfg)]) == 0
-    rep = json.loads((tmp_path / "report.json").read_text())
-    assert rep["verification"]["passed"] is False
-    assert rep["verification"]["proceed"] is True
-    names = [c["name"] for c in rep["monitor"]["checks"]]
-    assert names == ["energy_identity", "conservation", "decay"]
+    assert written["verification"]["passed"] is False
 
 
 def test_run_artifacts(tmp_path):
@@ -275,7 +263,7 @@ def test_output_dir_env_reroots_relative_paths(tmp_path, monkeypatch):
     assert (out_dir / "r.json").exists()
 
 
-def test_override_lets_runtime_monitor_catch_violation(tmp_path):
+def test_runtime_monitor_catches_a_falsified_table(tmp_path):
     cfg = make_cfg(
         tmp_path,
         nonlinearity=CUSTOM_NEGATED,
@@ -286,15 +274,21 @@ def test_override_lets_runtime_monitor_catch_violation(tmp_path):
         # T short enough that the exponential growth (rate k*pi per mode)
         # stays far from roundoff-dominated energy cancellation
         time={"T": 0.5, "dt": 1e-3, "sample_stride": 10},
-        verification={"override": True},
     )
-    assert cli.main(["run", write_cfg(tmp_path, cfg)]) == 1
+    path = write_cfg(tmp_path, cfg)
+    # The CLI refuses to step a config whose conditions are falsified ...
+    assert cli.main(["run", path]) == 1
     rep = json.loads((tmp_path / "report.json").read_text())
     assert rep["verification"]["passed"] is False
-    assert rep["verification"]["proceed"] is True
-    assert rep["backend"] == "numpy"
-    failed = [c["name"] for c in rep["monitor"]["checks"] if not c["passed"]]
-    assert failed == ["decay"]
+    assert rep["monitor"] is None
+    # ... and stepping it anyway through the library, the decay monitor
+    # catches the growth that the falsified conditions allow.
+    rc = load_config(path)
+    op = build_operator(rc.domain, rc.modes)
+    traj = integrate(resolve_initial(rc, op).state, rc.solver, op, rc.nl, rc.fs)
+    row0 = traj.energy.row(0)
+    report = monitor(traj, derive_gronwall(rc.nl, rc.fs, op, row0), derive_decay(rc.nl, rc.fs, op, row0))
+    assert [c.name for c in report.checks if not c.passed] == ["decay"]
 
 
 def test_converge_linear_dt_order(tmp_path, capsys):
@@ -407,15 +401,23 @@ def test_decay_rejects_out_of_scope_configs(tmp_path, capsys, over):
     assert "config error" in capsys.readouterr().err
 
 
-def test_decay_cap_overflow_skips_the_decay_check(tmp_path):
-    # p = 50 at amplitude 100: C^r = C^25 overflows a float, so no delta > 0
-    # meets delta <= (k-1)/(k^r C^r).  `run` skips the decay check; `decay`
-    # has nothing to study and exits 3.  Neither may end in a traceback.
+@pytest.mark.parametrize(
+    "p, T, dt",
+    [(50.0, 1e-3, 1e-5), (2.02, 0.01, 1e-4)],
+    ids=["cap_overflow", "radius_overflow"],
+)
+def test_decay_at_the_float_range_edges_exits_by_its_verdict(tmp_path, p, T, dt):
+    # Amplitude 100 takes both ends of the float range.  At p = 50, C^r =
+    # C^25 overflows, so no delta > 0 meets delta <= (k-1)/(k^r C^r): `run`
+    # skips the decay check and `decay` has nothing to study and exits 3.
+    # At p = 2.02, delta^(-1/(r-1)) = delta^(-100) overflows: the absorbing
+    # radius is unbounded.  Neither command may end in a traceback, and each
+    # exits by its verdict.
     cfg = make_cfg(
         tmp_path,
-        nonlinearity={"kind": "power_law", "p": 50.0},
+        nonlinearity={"kind": "power_law", "p": p},
         initial={"x0": {"type": "parabola", "amplitude": 100.0}, "x1": {"type": "zero"}},
-        time={"T": 1e-3, "dt": 1e-5},
+        time={"T": T, "dt": dt},
     )
     path = write_cfg(tmp_path, cfg)
     src_dir = str(Path(wavegalerkin.__file__).resolve().parents[1])
@@ -424,47 +426,30 @@ def test_decay_cap_overflow_skips_the_decay_check(tmp_path):
     def cli_run(*argv):
         return subprocess.run([sys.executable, "-m", "wavegalerkin.cli", *argv], capture_output=True, env=env, timeout=300)
 
+    def verdict(mon):
+        return 2 if mon["diverged"] else (0 if mon["passed"] else 1)
+
     proc = cli_run("run", path)
     assert b"Traceback" not in proc.stderr
-    assert proc.returncode in (0, 1, 2)
     rep = json.loads((tmp_path / "report.json").read_text())
-    assert rep["decay_params"] is None
-    assert "decay" not in [c["name"] for c in rep["monitor"]["checks"]]
-    want = 2 if rep["monitor"]["diverged"] else (0 if rep["monitor"]["passed"] else 1)
-    assert proc.returncode == want
+    assert proc.returncode == verdict(rep["monitor"])
+    assert (rep["decay_params"] is None) == (p == 50.0)
+    assert ("decay" in [c["name"] for c in rep["monitor"]["checks"]]) == (p != 50.0)
     assert (tmp_path / "trajectory.csv").exists()
 
     out_json = tmp_path / "d.json"
     proc = cli_run("decay", path, "--out-json", str(out_json))
     assert b"Traceback" not in proc.stderr
-    assert proc.returncode == 3
-    err = proc.stderr.decode().strip()
-    assert err.startswith("config error") and "overflows" in err and "\n" not in err
-    assert not out_json.exists()
-
-
-@pytest.mark.parametrize("command", ["run", "decay"])
-def test_delta_above_the_comparison_cap_exits_3(tmp_path, capsys, monkeypatch, command):
-    # c/2^(r-1) = 0.25 for unforced p = 4 on the unit interval: a delta of
-    # 10 would make the decay bound's comparison rewrite invalid.  The cap
-    # needs only p and the interval length, so nothing is integrated.
-    def no_stepping(*args, **kwargs):
-        raise AssertionError("integrate called for a config with an invalid delta")
-
-    cfg = make_cfg(tmp_path, nonlinearity={"kind": "power_law", "p": 4.0}, time={"T": 0.1, "dt": 1e-3}, monitors={"delta": 10.0})
-    out_json = tmp_path / "d.json"
-    argv = [command, write_cfg(tmp_path, cfg)] + (["--out-json", str(out_json)] if command == "decay" else [])
-    with monkeypatch.context() as mp:
-        mp.setattr(cli, "integrate", no_stepping)
-        assert cli.main(argv) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("config error") and "c/2^(r-1)" in err and "0.25" in err
-    assert not (tmp_path / "report.json").exists() and not (tmp_path / "trajectory.csv").exists()
-    assert not out_json.exists()
-    # the default delta meets the cap and runs clean
-    cfg["monitors"] = {}
-    argv = [command, write_cfg(tmp_path, cfg)] + (["--out-json", str(out_json)] if command == "decay" else [])
-    assert cli.main(argv) == 0
+    if p == 50.0:
+        assert proc.returncode == 3
+        err = proc.stderr.decode().strip()
+        assert err.startswith("config error") and "overflows" in err and "\n" not in err
+        assert not out_json.exists()
+    else:
+        study = json.loads(out_json.read_text())
+        assert study["asymptotic_radius"] == "inf" and study["sup_within_radius"] is True
+        assert proc.returncode == verdict(study["monitor"]) == 0
+        assert proc.stderr == b""
 
 
 def test_config_errors_exit_3(tmp_path, capsys):
@@ -483,26 +468,38 @@ def test_config_errors_exit_3(tmp_path, capsys):
     assert "usage" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize(
-    "key",
-    [
-        "energy_identity",
-        "gronwall",
-        "conservation",
-        "decay",
-        "tolerances.identity_scale",
-        "tolerances.envelope_rel",
-        "tolerances.conservation_rel",
-        "tolerances.decay_rel",
-    ],
-)
-def test_check_switches_and_tolerances_are_rejected(tmp_path, capsys, key):
-    # The problem alone decides which checks run, each at a fixed tolerance:
-    # a config that tries to switch one off or loosen it is rejected.
-    section, _, name = key.rpartition(".")
-    monitors = {section: {name: 1e300}} if section else {key: False}
-    assert cli.main(["run", write_cfg(tmp_path, make_cfg(tmp_path, monitors=monitors))]) == 3
-    assert capsys.readouterr().err.startswith("config error: config schema violation at monitors:")
+# Each removed config key, a value a config might set it to, and where the
+# schema check rejects it.
+REMOVED_KEYS = [
+    ("monitors.energy_identity", False, "<root>"),
+    ("monitors.gronwall", False, "<root>"),
+    ("monitors.conservation", False, "<root>"),
+    ("monitors.decay", False, "<root>"),
+    ("monitors.tolerances.identity_scale", 1e300, "<root>"),
+    ("monitors.tolerances.envelope_rel", 1e300, "<root>"),
+    ("monitors.tolerances.conservation_rel", 1e300, "<root>"),
+    ("monitors.tolerances.decay_rel", 1e300, "<root>"),
+    ("monitors.k", 1e6, "<root>"),
+    ("monitors.delta", 10.0, "<root>"),
+    ("verification.override", True, "verification"),
+    ("domain.allow_poincare_violation", True, "domain"),
+]
+
+
+@pytest.mark.parametrize("key, value, where", REMOVED_KEYS, ids=[key for key, _, _ in REMOVED_KEYS])
+def test_check_switches_and_tolerances_are_rejected(tmp_path, capsys, key, value, where):
+    # The problem alone decides whether a run goes ahead, which checks run
+    # and at what tolerance: a config that tries to excuse a falsified
+    # condition, switch a check off, loosen it or pick another decay bound
+    # is rejected.
+    cfg = make_cfg(tmp_path)
+    *sections, name = key.split(".")
+    section = cfg
+    for part in sections:
+        section = section.setdefault(part, {})
+    section[name] = value
+    assert cli.main(["run", write_cfg(tmp_path, cfg)]) == 3
+    assert capsys.readouterr().err.startswith(f"config error: config schema violation at {where}: Additional properties are not allowed")
     assert not (tmp_path / "report.json").exists()
 
 

@@ -1,10 +1,19 @@
-"""Smoke test: the artifact comparison finds a tree identical to itself."""
+"""The artifact comparison: a tree against itself, and what it prints for a difference."""
 
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _compare_artifacts():
+    spec = importlib.util.spec_from_file_location("compare_artifacts", ROOT / "benchmarks" / "compare_artifacts.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_compare_artifacts_of_src_with_itself(tmp_path):
@@ -16,3 +25,37 @@ def test_compare_artifacts_of_src_with_itself(tmp_path):
     stored = sorted(p.name for p in (tmp_path / "new" / "long_small" / "500").iterdir() if p.name.startswith("long_small0."))
     assert stored == [f"long_small0.{s}" for s in ("csv", "report.json", "run.exit", "run.stderr", "run.stdout", "verify.exit", "verify.stderr", "verify.stdout")]
     assert (tmp_path / "new" / "long_small" / "500" / "long_small0.run.exit").read_text() == "0\n"
+
+
+def test_compare_stores_names_the_json_paths_that_differ(tmp_path):
+    old_report = {"verification": {"passed": True, "proceed": True, "poincare": {"passed": True, "lambda_min": 9.87}}, "monitor": {"checks": [{"worst_violation": 1.0}]}}
+    new_report = {"verification": {"passed": True, "poincare": {"passed": True, "lambda_min": 9.87}}, "monitor": {"checks": [{"worst_violation": 1}]}, "seed": 0}
+    files = {
+        "w/1/a.report.json": (json.dumps(old_report), json.dumps(new_report)),
+        "w/1/a.verify.stdout": (json.dumps({"passed": True}), json.dumps({"passed": False})),
+        # the same JSON written differently: no path differs, so the bytes are named
+        "w/1/b.report.json": ('{"a": 1, "b": 2}', '{"b": 2, "a": 1}'),
+        # a rejected config prints nothing on one side
+        "w/1/c.verify.stdout": ("", "{}"),
+        "w/1/a.csv": ("t\n0\n", "t\n1\n"),
+        "w/1/a.run.exit": ("0\n", "1\n"),
+        "w/1/same.run.stdout": ("ok\n", "ok\n"),
+    }
+    stores = tmp_path / "old", tmp_path / "new"
+    for rel, texts in files.items():
+        for store, text in zip(stores, texts):
+            (store / rel).parent.mkdir(parents=True, exist_ok=True)
+            (store / rel).write_text(text)
+    (stores[0] / "w/1/gone.csv").write_text("t\n")
+
+    assert _compare_artifacts().compare_stores(*stores) == [
+        "w/1/a.csv: 4 bytes -> 4 bytes, contents differ",
+        "w/1/a.report.json: verification/proceed: only in old",
+        "w/1/a.report.json: monitor/checks/0/worst_violation: 1.0 -> 1",
+        "w/1/a.report.json: seed: only in new",
+        "w/1/a.run.exit: 0 -> 1",
+        "w/1/a.verify.stdout: passed: true -> false",
+        "w/1/b.report.json: 16 bytes -> 16 bytes, contents differ",
+        "w/1/c.verify.stdout: 0 bytes -> 2 bytes, contents differ",
+        "w/1/gone.csv: only in old",
+    ]

@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from wavegalerkin.config import CONFIG_SCHEMA, ConfigError, MonitorSettings, OutputSettings, load_config, resolve_initial
+from wavegalerkin.config import CONFIG_SCHEMA, ConfigError, OutputSettings, load_config, resolve_initial
 from wavegalerkin.spectral import build_operator
 
 
@@ -36,20 +36,21 @@ def test_load_valid_config_defaults(tmp_path):
     assert rc.modes == 8
     assert rc.nl.kind == "cubic" and rc.fs.kind == "zero"
     assert rc.solver.T == 1.0 and rc.solver.sample_stride == 1
-    assert rc.verify_samples == 200 and rc.verify_override is False
+    assert rc.verify_samples == 200
     assert rc.output.csv_path == "trajectory.csv"
     assert rc.output.report_path == "report.json"
     assert rc.seed == 0
-    assert rc.monitors == MonitorSettings(k=2.0, delta=None)
     assert rc.output == OutputSettings()
 
 
-def test_monitor_settings_are_k_and_delta(tmp_path):
-    # k and delta pick which valid decay bound is drawn; no monitor key
-    # switches a check off or loosens its tolerance.
-    rc = load_config(write_cfg(tmp_path, base_config(monitors={"k": 3.0, "delta": 0.01})))
-    assert rc.monitors == MonitorSettings(k=3.0, delta=0.01)
-    assert set(CONFIG_SCHEMA["properties"]["monitors"]["properties"]) == {"k", "delta"}
+def test_schema_has_no_monitors_section():
+    # The problem alone picks the checks, their tolerances and the decay
+    # bound, and a run goes ahead only when verification passed: no config
+    # key can change a verdict.
+    props = CONFIG_SCHEMA["properties"]
+    assert "monitors" not in props
+    assert set(props["verification"]["properties"]) == {"samples"}
+    assert "allow_poincare_violation" not in props["domain"]["properties"]
 
 
 def test_schema_rejects_unknown_and_malformed(tmp_path):

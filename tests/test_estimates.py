@@ -114,8 +114,14 @@ def test_decay_params_validation():
         DecayParams(r=2.0, c=0.0, C=0.0)
     with pytest.raises(ValueError):
         DecayParams(r=2.0, c=0.5, C=1.0, k=2.0, delta=0.3)
+    # delta meets (k-1)/(k^r C^r) but the absorbing radius 1/delta - k*C is
+    # negative: the bound would fall below ||By||^2 >= 0
+    with pytest.raises(ValueError, match="absorbing radius"):
+        DecayParams(r=2.0, c=0.5, C=7.9366e-4, k=1e6, delta=0.25)
     ok = DecayParams(r=2.0, c=0.5, C=1.0, k=2.0, delta=0.25)
     assert ok.delta == 0.25
+    # delta^(-1/(r-1)) = 1e-4^(-100) overflows: the radius is unbounded
+    assert absorbing_radius(DecayParams(r=1.01, c=0.5, C=1.0, k=2.0, delta=1e-4)) == math.inf
 
 
 def test_derive_decay_defaults(op16):
@@ -138,17 +144,10 @@ def test_derive_decay_at_the_float_range_edges(op16):
     # k^r C^r overflows: no delta > 0 meets the cap, so there is no bound
     huge = dataclasses.replace(rec, energy=1e30)
     assert derive_decay(nl, zero_forcing(), op16, huge) is None
-    assert derive_decay(nl, zero_forcing(), op16, huge, delta=1e-300) is None
     # k^r C^r underflows to 0: the cap binds nothing and the c/2^(r-1) cap sets delta
     tiny = dataclasses.replace(rec, energy=1e-20)
     dp = derive_decay(nl, zero_forcing(), op16, tiny)
     assert dp.delta == pytest.approx(min(0.25, dp.c / 2.0 ** (dp.r - 1.0)), rel=1e-15)
-    # a given delta must meet c/2^(r-1), with the same 1e-12 slack as the other cap
-    dp = derive_decay(cubic_nonlinearity(), zero_forcing(), op16, rec)
-    c_cap = dp.c / 2.0 ** (dp.r - 1.0)
-    assert derive_decay(cubic_nonlinearity(), zero_forcing(), op16, rec, delta=c_cap * (1.0 + 1e-13)).delta > c_cap
-    with pytest.raises(ValueError, match=r"c/2\^\(r-1\)"):
-        derive_decay(cubic_nonlinearity(), zero_forcing(), op16, rec, delta=c_cap * (1.0 + 1e-11))
 
 
 def test_decay_bound_closed_form_values():
