@@ -1,4 +1,4 @@
-"""Command-line orchestration: verify, run, converge, decay.
+"""Command-line orchestration: verify, run, converge.
 
 Exit codes are disjoint: 0 every check that applies passed, 1 a condition
 or monitor was falsified, 2 the trajectory diverged, 3 the command line,
@@ -31,7 +31,7 @@ from .estimates import (
     monitor,
     sample_table,
 )
-from .nonlinearity import CUSTOM, ZERO, decide_conditions, decide_g, verify_conditions, verify_g
+from .nonlinearity import CUSTOM, decide_conditions, decide_g, verify_conditions, verify_g
 from .oracle import max_H_error, reference_run
 from .solver import Trajectory, integrate
 from .spectral import build_operator
@@ -162,23 +162,6 @@ def _verification(rc: RunConfig):
     return op, report, passed
 
 
-def _decay_applies(rc: RunConfig) -> bool:
-    return rc.fs.kind == ZERO and rc.nl.p > 2.0
-
-
-def _derive_bounds(rc: RunConfig, op, initial_record):
-    """Envelope params always; decay params when the unforced p>2 case applies.
-
-    ``dp`` is ``None`` also when ``k^r C^r`` overflows and no ``delta``
-    exists (see :func:`derive_decay`): the decay check is then skipped.
-    """
-    gp = derive_gronwall(rc.nl, rc.fs, op, initial_record)
-    dp = None
-    if _decay_applies(rc):
-        dp = derive_decay(rc.nl, rc.fs, op, initial_record)
-    return gp, dp
-
-
 def cmd_verify(rc: RunConfig) -> int:
     _, report, passed = _verification(rc)
     print(_json(report))
@@ -196,10 +179,21 @@ def cmd_run(rc: RunConfig) -> int:
 
     init = resolve_initial(rc, op)
     traj = integrate(init.state, rc.solver, op, rc.nl, rc.fs)
-    gp, dp = _derive_bounds(rc, op, traj.energy.row(0))
+    row0 = traj.energy.row(0)
+    gp = derive_gronwall(rc.nl, rc.fs, op, row0)
+    dp = derive_decay(rc.nl, rc.fs, op, row0)
     rep = monitor(traj, gp, dp)
 
     _write_atomic(csv_path, _csv_text(traj, gp, dp))
+    ball = None
+    if dp is not None:
+        sup_by = float(np.max(traj.energy.by_norm_sq))
+        radius = absorbing_radius(dp)
+        ball = {
+            "sup_by_norm_sq": sup_by,
+            "asymptotic_radius": radius,
+            "sup_within_radius": bool(sup_by <= radius + 1e-9 * abs(radius)),
+        }
     report = {
         "verification": ver_report,
         "monitor": rep.to_dict(),
@@ -209,6 +203,7 @@ def cmd_run(rc: RunConfig) -> int:
         },
         "gronwall_params": dataclasses.asdict(gp),
         "decay_params": dataclasses.asdict(dp) if dp is not None else None,
+        "absorbing_ball": ball,
         "backend": traj.backend,
         "samples": len(traj),
         "csv_path": str(csv_path),
@@ -315,54 +310,6 @@ def cmd_converge(rc: RunConfig, modes: list[int], dts: list[float], m_ref: int |
     return EXIT_OK
 
 
-def cmd_decay(rc: RunConfig, T_override: float | None, out_json: str) -> int:
-    if not _decay_applies(rc):
-        raise ConfigError("decay study requires zero forcing and a nonlinearity with p > 2")
-    solver_cfg = rc.solver
-    if T_override is not None:
-        try:
-            solver_cfg = dataclasses.replace(rc.solver, T=T_override)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-    json_path = _resolve_out(out_json)
-
-    op, ver_report, passed = _verification(rc)
-    if not passed:
-        print("verification failed; no study run")
-        return EXIT_VIOLATION
-
-    init = resolve_initial(rc, op)
-    traj = integrate(init.state, solver_cfg, op, rc.nl, rc.fs)
-    gp, dp = _derive_bounds(rc, op, traj.energy.row(0))
-    if dp is None:
-        raise ConfigError(
-            f"no decay bound: k^r C^r overflows a float (r = {rc.nl.p / 2.0:g}, C = {2.0 * traj.energy.energy[0]:.6g}), "
-            "so no delta > 0 meets delta <= (k-1)/(k^r C^r)"
-        )
-    rep = monitor(traj, gp, dp)
-    decay_checks = [c for c in rep.checks if c.name == "decay"]
-    within_bound = bool(decay_checks and decay_checks[0].passed)
-    sup_by = float(np.max(traj.energy.by_norm_sq))
-    radius = absorbing_radius(dp)
-
-    study = {
-        "T": solver_cfg.T,
-        "sup_by_norm_sq": sup_by,
-        "asymptotic_radius": radius,
-        "within_bound": within_bound,
-        "sup_within_radius": bool(sup_by <= radius + 1e-9 * abs(radius)),
-        "decay_params": dataclasses.asdict(dp),
-        "monitor": rep.to_dict(),
-        "verification": ver_report,
-    }
-    _write_atomic(json_path, _json(study) + "\n")
-    print(f"decay: sup ||By||^2 = {sup_by:.6g}, radius = {radius:.6g}; json={json_path}")
-
-    if traj.diverged:
-        return EXIT_DIVERGED
-    return EXIT_OK if within_bound else EXIT_VIOLATION
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 3, as a rejected config does; argparse's own 2 would read "diverged".
 
@@ -399,11 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--out-json", default="converge.json")
     p_conv.add_argument("--out-csv", default="converge.csv")
 
-    p_decay = sub.add_parser("decay", help="long unforced run against the decay bound")
-    p_decay.add_argument("config")
-    p_decay.add_argument("--T", type=float, default=None)
-    p_decay.add_argument("--out-json", default="decay.json")
-
     return parser
 
 
@@ -419,9 +361,7 @@ def main(argv=None) -> int:
             return cmd_verify(rc)
         if args.command == "run":
             return cmd_run(rc)
-        if args.command == "converge":
-            return cmd_converge(rc, args.modes, args.dts, args.m_ref, args.dt_ref_factor, args.out_json, args.out_csv)
-        return cmd_decay(rc, args.T, args.out_json)
+        return cmd_converge(rc, args.modes, args.dts, args.m_ref, args.dt_ref_factor, args.out_json, args.out_csv)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -254,16 +254,15 @@ def _delta_cap(k: float, r: float, big_c: float) -> float:
 def derive_decay(nl: NonlinearitySpec, fs: ForcingSpec, op: OperatorSpec, initial: EnergyRecord) -> DecayParams | None:
     """Decay constants for the unforced coercive case, with ``k = 2``.
 
-    Requires zero forcing and ``p > 2``.  ``c = 2/(p c_emb^p)``, and
-    ``delta`` is half of ``min((k-1)/(k^r C^r), 1/2)`` (all of it when
-    ``C = 0``), capped by ``c/2^(r-1)`` so the comparison rewrite is valid.
-    Returns ``None`` when ``k^r C^r`` overflows: no ``delta > 0`` then
-    satisfies the first cap, so there is no decay bound to check.
+    ``c = 2/(p c_emb^p)``, and ``delta`` is half of ``min((k-1)/(k^r C^r),
+    1/2)`` (all of it when ``C = 0``), capped by ``c/2^(r-1)`` so the
+    comparison rewrite is valid.  Returns ``None`` whenever no decay bound
+    exists: for nonzero forcing, for ``p <= 2``, and when ``k^r C^r``
+    overflows, since no ``delta > 0`` then satisfies the first cap.  This
+    is the one place that decides whether the decay bound applies.
     """
-    if fs.kind != ZERO:
-        raise ValueError("decay bound requires zero forcing")
-    if nl.p <= 2.0:
-        raise ValueError("decay bound requires p > 2")
+    if fs.kind != ZERO or nl.p <= 2.0:
+        return None
     r = nl.p / 2.0
     big_c = 2.0 * initial.energy
     cap = _delta_cap(2.0, r, big_c) if big_c > 0.0 else math.inf
@@ -313,11 +312,14 @@ def absorbing_radius(dp: DecayParams) -> float:
 
 @dataclass(frozen=True)
 class MonitorCheck:
-    """One per-sample check: worst signed violation and where it occurred.
+    """One per-sample check: its violation and tolerance at the worst sample.
 
-    ``worst_violation`` is ``lhs - bound`` at the worst sample (negative
-    means the bound held with margin); ``tolerance`` is the slack granted
-    there.
+    The worst sample is the one with the largest ``violation - tolerance``
+    (see :func:`~wavegalerkin.nonlinearity.worst_margin`), which need not be
+    the one with the largest violation.  For ``gronwall`` and ``decay`` the
+    violation is ``lhs - bound``, negative where the bound held with margin;
+    for ``energy_identity`` and ``conservation`` it is the residual itself,
+    never negative.  ``tolerance`` is the slack granted at that sample.
     """
 
     name: str

@@ -193,6 +193,7 @@ def test_run_artifacts(tmp_path):
         "initial",
         "gronwall_params",
         "decay_params",
+        "absorbing_ball",
         "backend",
         "samples",
         "csv_path",
@@ -375,16 +376,17 @@ def test_converge_rejections(tmp_path, capsys, extra_cfg, argv_tail):
 
 
 def test_decay_study(tmp_path):
-    out_json = tmp_path / "d.json"
-    cfg = make_cfg(tmp_path)
-    rc = cli.main(["decay", write_cfg(tmp_path, cfg), "--T", "30", "--out-json", str(out_json)])
-    assert rc == 0
-    study = json.loads(out_json.read_text())
-    assert study["T"] == 30.0
-    assert study["within_bound"] is True
-    assert study["sup_within_radius"] is True
-    assert study["decay_params"]["delta"] == pytest.approx(0.25)
-    assert study["sup_by_norm_sq"] <= study["asymptotic_radius"]
+    # A long unforced run is a `run` whose config sets time.T.
+    cfg = make_cfg(tmp_path, time={"T": 30.0, "dt": 1e-3, "sample_stride": 10})
+    assert cli.main(["run", write_cfg(tmp_path, cfg)]) == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["samples"] == 3001
+    assert [c["name"] for c in rep["monitor"]["checks"]] == ["energy_identity", "conservation", "decay"]
+    assert rep["monitor"]["passed"] is True
+    assert rep["decay_params"]["delta"] == pytest.approx(0.25)
+    ball = rep["absorbing_ball"]
+    assert ball["sup_within_radius"] is True
+    assert ball["sup_by_norm_sq"] <= ball["asymptotic_radius"]
 
 
 @pytest.mark.parametrize(
@@ -394,11 +396,15 @@ def test_decay_study(tmp_path):
         {"nonlinearity": {"kind": "linear"}},
     ],
 )
-def test_decay_rejects_out_of_scope_configs(tmp_path, capsys, over):
+def test_run_has_no_decay_bound_out_of_scope(tmp_path, over):
+    # Forced runs and p <= 2 have no decay bound: `run` checks what applies
+    # and writes neither the decay constants nor the absorbing ball.
     cfg = make_cfg(tmp_path, **over)
-    rc = cli.main(["decay", write_cfg(tmp_path, cfg), "--out-json", str(tmp_path / "d.json")])
-    assert rc == 3
-    assert "config error" in capsys.readouterr().err
+    assert cli.main(["run", write_cfg(tmp_path, cfg)]) == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["decay_params"] is None
+    assert rep["absorbing_ball"] is None
+    assert "decay" not in [c["name"] for c in rep["monitor"]["checks"]]
 
 
 @pytest.mark.parametrize(
@@ -409,10 +415,10 @@ def test_decay_rejects_out_of_scope_configs(tmp_path, capsys, over):
 def test_decay_at_the_float_range_edges_exits_by_its_verdict(tmp_path, p, T, dt):
     # Amplitude 100 takes both ends of the float range.  At p = 50, C^r =
     # C^25 overflows, so no delta > 0 meets delta <= (k-1)/(k^r C^r): `run`
-    # skips the decay check and `decay` has nothing to study and exits 3.
-    # At p = 2.02, delta^(-1/(r-1)) = delta^(-100) overflows: the absorbing
-    # radius is unbounded.  Neither command may end in a traceback, and each
-    # exits by its verdict.
+    # skips the decay check and writes no absorbing ball.  At p = 2.02,
+    # delta^(-1/(r-1)) = delta^(-100) overflows: the absorbing radius is
+    # unbounded.  Neither case may end in a traceback, and each exits by its
+    # verdict.
     cfg = make_cfg(
         tmp_path,
         nonlinearity={"kind": "power_law", "p": p},
@@ -422,34 +428,42 @@ def test_decay_at_the_float_range_edges_exits_by_its_verdict(tmp_path, p, T, dt)
     path = write_cfg(tmp_path, cfg)
     src_dir = str(Path(wavegalerkin.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
-
-    def cli_run(*argv):
-        return subprocess.run([sys.executable, "-m", "wavegalerkin.cli", *argv], capture_output=True, env=env, timeout=300)
-
-    def verdict(mon):
-        return 2 if mon["diverged"] else (0 if mon["passed"] else 1)
-
-    proc = cli_run("run", path)
+    proc = subprocess.run([sys.executable, "-m", "wavegalerkin.cli", "run", path], capture_output=True, env=env, timeout=300)
     assert b"Traceback" not in proc.stderr
     rep = json.loads((tmp_path / "report.json").read_text())
-    assert proc.returncode == verdict(rep["monitor"])
-    assert (rep["decay_params"] is None) == (p == 50.0)
-    assert ("decay" in [c["name"] for c in rep["monitor"]["checks"]]) == (p != 50.0)
+    mon = rep["monitor"]
+    assert proc.returncode == (2 if mon["diverged"] else (0 if mon["passed"] else 1))
     assert (tmp_path / "trajectory.csv").exists()
-
-    out_json = tmp_path / "d.json"
-    proc = cli_run("decay", path, "--out-json", str(out_json))
-    assert b"Traceback" not in proc.stderr
     if p == 50.0:
-        assert proc.returncode == 3
-        err = proc.stderr.decode().strip()
-        assert err.startswith("config error") and "overflows" in err and "\n" not in err
-        assert not out_json.exists()
+        assert rep["decay_params"] is None and rep["absorbing_ball"] is None
+        assert "decay" not in [c["name"] for c in mon["checks"]]
     else:
-        study = json.loads(out_json.read_text())
-        assert study["asymptotic_radius"] == "inf" and study["sup_within_radius"] is True
-        assert proc.returncode == verdict(study["monitor"]) == 0
-        assert proc.stderr == b""
+        assert "decay" in [c["name"] for c in mon["checks"]]
+        ball = rep["absorbing_ball"]
+        assert ball["asymptotic_radius"] == "inf" and ball["sup_within_radius"] is True
+        assert proc.returncode == 0 and proc.stderr == b""
+
+
+def test_run_exits_by_every_check_on_an_unforced_verlet_run(tmp_path):
+    # This unforced Verlet run stays deep inside its absorbing ball but fails
+    # the energy identity and conservation: the exit code is the monitor's
+    # verdict, and the ball is only reported.
+    cfg = make_cfg(
+        tmp_path,
+        modes=16,
+        nonlinearity={"kind": "power_law", "p": 3.32},
+        initial={"x0": {"type": "parabola", "amplitude": 40.0}, "x1": {"type": "zero"}},
+        time={"T": 0.2, "dt": 1e-3, "sample_stride": 1, "integrator": "stormer_verlet"},
+    )
+    assert cli.main(["run", write_cfg(tmp_path, cfg)]) == 1
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["monitor"]["passed"] is False
+    failed = [c["name"] for c in rep["monitor"]["checks"] if not c["passed"]]
+    assert failed == ["energy_identity", "conservation"]
+    ball = rep["absorbing_ball"]
+    assert ball["sup_within_radius"] is True
+    assert ball["sup_by_norm_sq"] == pytest.approx(5.40, rel=1e-2)
+    assert ball["asymptotic_radius"] == pytest.approx(1.29e8, rel=1e-2)
 
 
 def test_config_errors_exit_3(tmp_path, capsys):
@@ -508,7 +522,7 @@ def test_usage_errors_exit_3_without_traceback(tmp_path):
     src_dir = str(Path(wavegalerkin.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
     path = write_cfg(tmp_path, make_cfg(tmp_path))
-    for argv in (["run"], ["oracle", "bernoulli"], ["converge", path, "--modes", "x", "--dts", "0.01"]):
+    for argv in (["run"], ["oracle", "bernoulli"], ["decay", path], ["converge", path, "--modes", "x", "--dts", "0.01"]):
         proc = subprocess.run([sys.executable, "-m", "wavegalerkin.cli", *argv], capture_output=True, env=env, timeout=300)
         assert proc.returncode == 3, argv
         assert proc.stderr.decode().startswith("usage: wavegalerkin")
@@ -519,7 +533,7 @@ def _no_work(*args, **kwargs):
     raise AssertionError("a command with a bad output path did work before rejecting it")
 
 
-@pytest.mark.parametrize("command", ["run", "converge", "decay"])
+@pytest.mark.parametrize("command", ["run", "converge"])
 @pytest.mark.parametrize("bad", ["under_a_file", "a_directory"])
 def test_unwritable_output_path_exits_3_before_any_work(tmp_path, capsys, monkeypatch, command, bad):
     blocker = tmp_path / "blocker"
@@ -529,12 +543,9 @@ def test_unwritable_output_path_exits_3_before_any_work(tmp_path, capsys, monkey
     if command == "run":
         cfg = make_cfg(tmp_path, output={"csv_path": bad_path, "report_path": str(tmp_path / "report.json")})
         tail = []
-    elif command == "converge":
-        cfg = make_cfg(tmp_path)
-        tail = ["--modes", "4", "--dts", "0.01", "--out-json", str(good_json), "--out-csv", bad_path]
     else:
         cfg = make_cfg(tmp_path)
-        tail = ["--out-json", bad_path]
+        tail = ["--modes", "4", "--dts", "0.01", "--out-json", str(good_json), "--out-csv", bad_path]
     for name in ("_verification", "integrate", "reference_run"):
         monkeypatch.setattr(cli, name, _no_work)
     assert cli.main([command, write_cfg(tmp_path, cfg)] + tail) == 3
@@ -563,20 +574,15 @@ def test_failed_write_exits_3_and_leaves_no_temp_file(tmp_path, capsys, monkeypa
 def test_parser_is_built_once_and_keeps_no_options_between_calls(tmp_path, capsys, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "cmd_converge", lambda rc, *args: seen.append(("converge",) + args) or 0)
-    monkeypatch.setattr(cli, "cmd_decay", lambda rc, *args: seen.append(("decay",) + args) or 0)
     path = write_cfg(tmp_path, make_cfg(tmp_path))
     assert cli._build_parser() is cli._build_parser()
     conv = ["converge", path, "--modes", "4", "8", "--dts", "0.01"]
     assert cli.main(conv + ["--dt-ref-factor", "20", "--m-ref", "32", "--out-json", "a.json", "--out-csv", "a.csv"]) == 0
-    assert cli.main(["decay", path, "--T", "2", "--out-json", "d.json"]) == 0
     assert cli.main(["verify", path]) == 0
     assert cli.main(["converge", path, "--modes", "4", "--dts", "0.02"]) == 0
-    assert cli.main(["decay", path]) == 0
     assert seen == [
         ("converge", [4, 8], [0.01], 32, 20, "a.json", "a.csv"),
-        ("decay", 2.0, "d.json"),
         ("converge", [4], [0.02], None, 10, "converge.json", "converge.csv"),
-        ("decay", None, "decay.json"),
     ]
     # the shared parser still rejects what it always rejected
     with pytest.raises(SystemExit):
@@ -657,12 +663,12 @@ def test_bad_table_entries_exit_3_naming_the_path(tmp_path, capsys, cmd, table, 
     assert not (tmp_path / "report.json").exists()
 
 
-def test_help_lists_the_four_subcommands(capsys):
+def test_help_lists_the_three_subcommands(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
     assert exc.value.code == 0
     help_text = capsys.readouterr().out
-    assert "{verify,run,converge,decay}" in help_text
+    assert "{verify,run,converge}" in help_text
     assert "oracle" not in help_text
 
 
