@@ -2,18 +2,24 @@
 """Microseconds per step of the stepping loop at each benchmark workload's shape.
 
 Times ``kernels.run_numpy`` with the acceleration closure that
-``solver._numpy_accel`` builds, on five shapes:
+``solver._numpy_accel`` builds, on six shapes:
 
 - ``long_small``: Dirichlet, m=16, cubic F, no forcing, RK4;
 - ``dense_output``: periodic, m=32, cubic F, affine forcing, RK4;
 - ``wide_modes``: Dirichlet, m=512, power-law F (p=4) on the FFT pair, RK4;
 - ``verlet``: Dirichlet, m=16, cubic F, no forcing, velocity Verlet;
 - ``custom_table``: Dirichlet, m=16, a custom F from the table f = 3r^2,
-  affine forcing, RK4 (folded into the same matrix as the cubic).
+  affine forcing, RK4 (folded into the same matrix as the cubic);
+- ``power_law``: Dirichlet, m=32, power-law F (p=3.5) on dense products,
+  no forcing, RK4 (the power-law path of the ``short_mix`` workload).
 
-Each time is the median over ``--repeats`` runs of ``--steps`` steps from the
-parabola x(1 - x) at rest, recording only the first and last states.  BLAS is
-pinned to one thread.  The numpy version is printed with the table.
+Each row gives the minimum and the median over ``--repeats`` runs of
+``--steps`` steps from the parabola x(1 - x) at rest, recording only the
+first and last states.  At small m a step costs a few microseconds of fixed
+per-call overhead, so a run on a shared machine reads slow whenever it is
+interrupted; the minimum is the least disturbed of the runs.  BLAS is pinned
+to one thread and, where the platform allows it, the process to one CPU.
+The numpy version is printed with the table.
 
     PYTHONPATH=src python3 benchmarks/bench_stepping.py [--steps N] [--repeats R]
 """
@@ -65,10 +71,12 @@ CASES = {
         False,
         1e-3,
     ),
+    "power_law": (DIRICHLET, 32, power_law_nonlinearity(3.5), zero_forcing(), False, 1e-3),
 }
 
 
-def step_us(case, steps: int, repeats: int) -> float:
+def step_us(case, steps: int, repeats: int) -> tuple[float, float]:
+    """Minimum and median microseconds per step over ``repeats`` runs."""
     bc, m, nl, fs, use_verlet, dt = case
     op = build_operator(DomainSpec(length=1.0, bc=bc), m)
     x = op.nodes
@@ -82,7 +90,7 @@ def step_us(case, steps: int, repeats: int) -> float:
         times.append(time.perf_counter() - t0)
         if div >= 0:
             raise RuntimeError(f"run diverged at step {div}")
-    return statistics.median(times) / steps * 1e6
+    return min(times) / steps * 1e6, statistics.median(times) / steps * 1e6
 
 
 def main(argv=None) -> None:
@@ -90,11 +98,17 @@ def main(argv=None) -> None:
     ap.add_argument("--steps", type=int, default=2000)
     ap.add_argument("--repeats", type=int, default=7)
     args = ap.parse_args(argv)
-    print(f"numpy {np.__version__}, BLAS threads pinned to {os.environ['OPENBLAS_NUM_THREADS']}")
-    print(f"median of {args.repeats} runs of {args.steps} steps")
-    print(f"{'shape':<14}{'us/step':>10}")
+    cpu = "unpinned"
+    if hasattr(os, "sched_setaffinity"):
+        pinned = min(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {pinned})
+        cpu = f"CPU {pinned}"
+    print(f"numpy {np.__version__}, BLAS threads pinned to {os.environ['OPENBLAS_NUM_THREADS']}, process on {cpu}")
+    print(f"minimum and median of {args.repeats} runs of {args.steps} steps")
+    print(f"{'shape':<14}{'min us/step':>12}{'median':>10}")
     for name, case in CASES.items():
-        print(f"{name:<14}{step_us(case, args.steps, args.repeats):>10.2f}")
+        low, mid = step_us(case, args.steps, args.repeats)
+        print(f"{name:<14}{low:>12.2f}{mid:>10.2f}")
 
 
 if __name__ == "__main__":

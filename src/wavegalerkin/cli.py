@@ -173,6 +173,12 @@ def cmd_run(rc: RunConfig) -> int:
     csv_path = _resolve_out(rc.output.csv_path)
     op, ver_report, passed = _verification(rc)
     if not passed:
+        # No trajectory was produced, so an earlier run's CSV must not stay
+        # next to this report.
+        try:
+            csv_path.unlink(missing_ok=True)
+        except OSError as e:
+            raise OutputError(f"cannot remove {csv_path}: {e.strerror or e}") from e
         _write_atomic(report_path, _json({"verification": ver_report, "monitor": None}) + "\n")
         print(f"verification failed; report at {report_path}")
         return EXIT_VIOLATION

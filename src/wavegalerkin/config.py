@@ -31,6 +31,7 @@ from .nonlinearity import (
 from .solver import (
     BLOWUP_CEILING_DEFAULT,
     RK4,
+    STORMER_VERLET,
     ProjectedInitialData,
     SolverConfig,
     State,
@@ -217,8 +218,8 @@ def _build_nonlinearity(section: dict) -> NonlinearitySpec:
     if missing:
         raise ConfigError(f"custom nonlinearity requires {missing}")
     table = section["table"]
-    r = _table_values(table["r"], "r")
-    fv = _table_values(table["f"], "f")
+    r = _finite_values(table["r"], "table", "nonlinearity/table/r")
+    fv = _finite_values(table["f"], "table", "nonlinearity/table/f")
     if r.size != fv.size:
         raise ConfigError(f"invalid table at nonlinearity/table: r has {r.size} entries and f has {fv.size}")
     step = np.flatnonzero(np.diff(r) <= 0)
@@ -239,9 +240,13 @@ def _build_nonlinearity(section: dict) -> NonlinearitySpec:
     )
 
 
-def _table_values(values: list, key: str) -> np.ndarray:
-    """A table column as floats; a non-number or non-finite entry names its JSON path."""
-    where = f"nonlinearity/table/{key}"
+def _finite_values(values: list, what: str, where: str) -> np.ndarray:
+    """A JSON number list as floats; a non-number or non-finite entry names its JSON path.
+
+    Python's ``json`` reads ``Infinity`` and ``NaN``, and an integer literal
+    may lie beyond the float range; each is rejected here as invalid
+    ``what`` at ``where``.
+    """
     if not set(map(type, values)) <= {int, float}:
         i, v = next((i, v) for i, v in enumerate(values) if type(v) not in (int, float))
         raise ConfigError(f"config schema violation at {where}/{i}: {v!r} is not of type 'number'")
@@ -252,7 +257,7 @@ def _table_values(values: list, key: str) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
         i = int(bad[0])
-        raise ConfigError(f"invalid table at {where}/{i}: {values[i]!r} is not a finite number")
+        raise ConfigError(f"invalid {what} at {where}/{i}: {values[i]!r} is not a finite number")
     return arr
 
 
@@ -307,6 +312,10 @@ def load_config(path: str | Path) -> RunConfig:
             sample_stride=time_sec.get("sample_stride", 1),
             blowup_ceiling=raw.get("blowup_ceiling", BLOWUP_CEILING_DEFAULT),
         )
+        if solver.integrator == STORMER_VERLET and fs.velocity_dependent:
+            raise ConfigError("stormer_verlet requires velocity-independent forcing (g2 = 0)")
+        for key in ("x0", "x1"):
+            _check_field(raw["initial"][key], f"initial/{key}")
     except ConfigError:
         raise
     except (ValueError, KeyError) as e:
@@ -326,6 +335,16 @@ def load_config(path: str | Path) -> RunConfig:
         output=OutputSettings(**raw.get("output", {})),
         seed=raw.get("seed", 0),
     )
+
+
+def _check_field(spec: dict, where: str) -> None:
+    """Reject a non-finite amplitude or modal coefficient of an initial field."""
+    if spec["type"] == "modal":
+        _finite_values(spec["coeffs"], "initial data", f"{where}/coeffs")
+        return
+    amplitude = spec.get("amplitude", 1.0)
+    if not abs(amplitude) <= sys.float_info.max:  # also false for NaN
+        raise ConfigError(f"invalid initial data at {where}/amplitude: {amplitude!r} is not a finite number")
 
 
 def _field_samples(spec: dict, op: OperatorSpec) -> np.ndarray:

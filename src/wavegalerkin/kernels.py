@@ -14,6 +14,17 @@ and ``Z[2:]`` (that of ``adot``), written into a ``(2, m)`` increment
 buffer, and one in-place addition to the state rows of ``Z``.  At small
 ``m`` the loop is bound by per-call overhead, and this makes the stage sums
 6 calls per step where the textbook expressions take 26.
+
+Each of those calls is an array's bound ``dot`` or a ufunc, and so is
+every call in the closures of ``solver._numpy_accel`` on dense products.
+``np.dot`` passes through numpy's ``__array_function__`` dispatcher and
+``np.matmul`` through the gufunc machinery, for the same BLAS product.
+With numpy 2.4 at m=16 on one Xeon core (best of 9 x 20,000 calls,
+through a Python lambda), a stage product costs 0.83 us as ``np.matmul``
+and 0.32 us as ``c2.dot``, an increment 0.63 us as ``np.dot`` and
+0.47 us as ``wa.dot``, and the Galerkin term's two products 0.57/0.55 us
+as ``np.dot`` and 0.41/0.39 us as ``basis.dot``/``L.dot``; an in-place
+``np.add`` of two m-vectors costs 0.33 us.
 """
 
 from __future__ import annotations
@@ -122,10 +133,12 @@ def run_numpy(a0, adot0, dt, n_steps, stride, ceiling, use_verlet, accel):
     inc = np.empty((2, m))
     inc_a, inc_v = inc
     # Output arrays are passed positionally and the Verlet coefficients as
-    # 0-d arrays: both skip per-call conversion.
-    dot, matmul, add, mul = np.dot, np.matmul, np.add, np.multiply
+    # 0-d arrays: both skip per-call conversion.  The products are the
+    # arrays' bound ``dot``, which skips numpy's dispatch layers.
+    add, mul = np.add, np.multiply
     h = dt
     c2, c3, c4, wa, wv = _rk4_coefficients(h)
+    stage2, stage3, stage4, inc_of_a, inc_of_v = c2.dot, c3.dot, c4.dot, wa.dot, wv.dot
     screen = _divergence_screen(ceiling)
     hist[0] = state
     rec_steps[0] = 0
@@ -145,14 +158,14 @@ def run_numpy(a0, adot0, dt, n_steps, stride, ceiling, use_verlet, accel):
             add(adot, mul(acc, half_h, tmp), adot)
         else:
             accel(state, k1)
-            matmul(c2, z3, stage)
+            stage2(z3, stage)
             accel(stage, k2)
-            matmul(c3, z4, stage)
+            stage3(z4, stage)
             accel(stage, k3)
-            matmul(c4, z5, stage)
+            stage4(z5, stage)
             accel(stage, k4)
-            dot(wa, da_rows, inc_a)
-            dot(wv, dv_rows, inc_v)
+            inc_of_a(da_rows, inc_a)
+            inc_of_v(dv_rows, inc_v)
             add(state, inc, state)
         # One dot product screens the state; only a state that fails it
         # (large, non-finite or overflowed) takes the full check, whose

@@ -214,7 +214,7 @@ class TabulatedF:
 
     def _piece(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u = np.asarray(u, dtype=np.float64)
-        i = np.searchsorted(self._knots, u, side="right")
+        i = self._knots.searchsorted(u, "right")
         return i, u - self._at[i]
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
@@ -251,7 +251,7 @@ def pointwise_F(nl: NonlinearitySpec) -> Callable[[np.ndarray, np.ndarray], np.n
     if nl.kind == LINEAR:
 
         def F(u, out):
-            np.copyto(out, u)
+            out[...] = u
             return out
 
     elif nl.kind == CUBIC:
@@ -274,7 +274,7 @@ def pointwise_F(nl: NonlinearitySpec) -> Callable[[np.ndarray, np.ndarray], np.n
             v = np.asarray(custom(u), dtype=np.float64)
             if v.shape != u.shape:
                 raise ValueError("custom F must return one value per sample")
-            np.copyto(out, v)
+            out[...] = v
             return out
 
     return F

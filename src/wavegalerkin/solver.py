@@ -228,26 +228,27 @@ def _numpy_accel(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
     the acceleration is written into the ``m``-vector ``out``.  The closure
     is the Galerkin term of :func:`_galerkin_term` plus a forcing term, both
     picked here, so a call does no kind dispatch.  Zero forcing adds
-    nothing; affine forcing adds ``g1 a + (g2/sqrt(lambda)) adot`` as one
-    product of a fixed ``(2, m)`` array ``G`` with ``x`` and two additions;
-    a custom ``g`` is evaluated at the samples ``u`` the Galerkin term
-    returns and those of ``adot/sqrt(lambda)``, and its projection added.
+    nothing, so the Galerkin term is the closure itself; affine forcing adds
+    ``g1 a + (g2/sqrt(lambda)) adot`` as one product of a fixed ``(2, m)``
+    array ``G`` with ``x`` and two additions; a custom ``g`` is evaluated at
+    the samples ``u`` the Galerkin term returns and those of
+    ``adot/sqrt(lambda)``, and its projection added.  Every numpy call is a
+    ufunc or an array's bound method, neither of which passes through
+    numpy's ``__array_function__`` dispatcher.
     """
     galerkin = _galerkin_term(op, nl, fs)
     mul, add = np.multiply, np.add
 
     if fs.kind == ZERO:
+        return galerkin
 
-        def accel(x, out):
-            galerkin(x[0], out)
-
-    elif fs.kind == AFFINE:
+    if fs.kind == AFFINE:
         G = np.stack((np.full(op.modes, fs.g1), fs.g2 / op.sqrt_eigenvalues))
         gx = np.empty((2, op.modes))
         g1a, g2v = gx
 
         def accel(x, out):
-            galerkin(x[0], out)
+            galerkin(x, out)
             mul(G, x, gx)
             add(out, g1a, out)
             add(out, g2v, out)
@@ -258,36 +259,37 @@ def _numpy_accel(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
         func = fs.func
 
         def accel(x, out):
-            a, adot = x
-            u = galerkin(a, out)
+            u = galerkin(x, out)
             if u is None:  # the linear term never samples a
-                u = sample(a)
-            vg = sample(adot / sqrt_lam)
+                u = sample(x[0])
+            vg = sample(x[1] / sqrt_lam)
             add(out, project(np.asarray(func(u, vg), dtype=np.float64)), out)
 
     return accel
 
 
 def _galerkin_term(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
-    """``galerkin(a, out)``: writes ``-lambda P F(B a)`` plus the constant forcing into ``out``.
+    """``galerkin(x, out)``: writes ``-lambda P F(B a)`` plus the constant forcing into ``out``.
 
+    ``x`` is the stage ``[a; adot]``, of which only ``a = x[0]`` is read.
     It returns the grid samples ``u = B a`` (``None`` for the linear kind,
     whose term is ``-lambda a``).  On dense products every other ``F``,
     custom included, has ``-lambda``, ``P`` and the constant forcing folded
     into one matrix ``L`` over ``S = [F(u); 1]``: a call is ``u = B a``,
-    ``F`` into ``S`` and ``out = L S``.  The FFT pair samples, applies ``F``
-    and projects through ``transform_pair``.
+    ``F`` into ``S`` and ``out = L S``, both products the matrices' bound
+    ``dot`` (``np.dot`` would add its dispatcher to each).  The FFT pair
+    samples, applies ``F`` and projects through ``transform_pair``.
     """
     neg_lam = -np.ascontiguousarray(op.eigenvalues)
     constant = fs.constant if fs.kind == AFFINE else 0.0
     gc = constant * constant_modal(op)
     F = pointwise_F(nl)
-    dot, mul, add = np.dot, np.multiply, np.add
+    mul, add = np.multiply, np.add
 
     if nl.kind == LINEAR:
 
-        def term(a, out):
-            mul(neg_lam, a, out)
+        def term(x, out):
+            mul(neg_lam, x[0], out)
 
     elif op._fft is None:
         basis = op.basis
@@ -296,11 +298,12 @@ def _galerkin_term(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
         S = np.ones(n + 1)  # the last entry, under the constant forcing, stays 1
         Fu = S[:n]
         u = np.empty(n)
+        sample, fold = basis.dot, L.dot
 
-        def galerkin(a, out):
-            dot(basis, a, u)
+        def galerkin(x, out):
+            sample(x[0], u)
             F(u, Fu)
-            dot(L, S, out)
+            fold(S, out)
             return u
 
         return galerkin
@@ -310,16 +313,16 @@ def _galerkin_term(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
         sample, project = transform_pair(op)
         buf = np.empty(op.grid_points)
 
-        def term(a, out):
-            u = sample(a)
+        def term(x, out):
+            u = sample(x[0])
             mul(neg_lam, project(F(u, buf)), out)
             return u
 
     if constant == 0.0:
         return term
 
-    def galerkin(a, out):
-        u = term(a, out)
+    def galerkin(x, out):
+        u = term(x, out)
         add(out, gc, out)
         return u
 

@@ -201,11 +201,11 @@ class _DirichletFFT:
         np.multiply(c[..., : self.low], self.tw_low, out=z[..., 1 : self.low + 1])
         if self.tw_high is not None:
             z[..., n - self.m :] += c[..., n - half : self.m][..., ::-1] * self.tw_high
-        return np.take(np.fft.irfft(z, n), self.inv_perm, axis=-1) * self.inv_sign
+        return np.fft.irfft(z, n).take(self.inv_perm, axis=-1) * self.inv_sign
 
     def from_grid(self, u: np.ndarray) -> np.ndarray:
         n = self.n
-        w = np.fft.rfft(np.take(u, self.perm, axis=-1) * self.sign)
+        w = np.fft.rfft(u.take(self.perm, axis=-1) * self.sign)
         if self.m > n // 2:
             # Bins above n//2 are conjugates of the ones below.
             w = np.concatenate([w, w[..., n - n // 2 - 1 : 0 : -1].conj()], axis=-1)

@@ -23,6 +23,6 @@ def test_bench_stepping_runs_a_few_steps():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].startswith(f"numpy {np.__version__}")
-    rows = {line.split()[0]: float(line.split()[1]) for line in lines[3:]}
-    assert list(rows) == ["long_small", "dense_output", "wide_modes", "verlet", "custom_table"]
-    assert all(v > 0.0 for v in rows.values())
+    rows = {line.split()[0]: [float(v) for v in line.split()[1:]] for line in lines[3:]}
+    assert list(rows) == ["long_small", "dense_output", "wide_modes", "verlet", "custom_table", "power_law"]
+    assert all(0.0 < low <= mid for low, mid in rows.values())

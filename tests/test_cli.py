@@ -173,6 +173,28 @@ def test_poincare_rejection(tmp_path, capsys):
     assert written["verification"]["passed"] is False
 
 
+def test_refused_run_removes_the_previous_csv(tmp_path, capsys, monkeypatch):
+    # A report that says no trajectory was produced must not sit next to an
+    # earlier run's CSV.
+    csv_path = tmp_path / "trajectory.csv"
+    assert cli.main(["run", write_cfg(tmp_path, make_cfg(tmp_path, time={"T": 0.01, "dt": 1e-3}))]) == 0
+    assert csv_path.exists()
+    refused = write_cfg(tmp_path, make_cfg(tmp_path, domain={"length": 4.0, "bc": "dirichlet"}))
+    assert cli.main(["run", refused]) == 1
+    assert not csv_path.exists()
+    assert json.loads((tmp_path / "report.json").read_text())["monitor"] is None
+    # a CSV that cannot be removed is an output error
+    csv_path.write_text("stale")
+
+    def no_unlink(self, missing_ok=False):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli.Path, "unlink", no_unlink)
+    capsys.readouterr()
+    assert cli.main(["run", refused]) == 3
+    assert capsys.readouterr().err == f"output error: cannot remove {csv_path}: Permission denied\n"
+
+
 def test_run_artifacts(tmp_path):
     assert cli.main(["run", write_cfg(tmp_path, make_cfg(tmp_path))]) == 0
     header, rows = read_rows(tmp_path / "trajectory.csv")
@@ -480,6 +502,50 @@ def test_config_errors_exit_3(tmp_path, capsys):
 
     assert cli.main([]) == 3
     assert "usage" in capsys.readouterr().out
+
+
+# Configs that no run can use, each with the message that rejects it.
+UNUSABLE_CONFIGS = {
+    "verlet_with_g2": (
+        {
+            "forcing": {"kind": "affine", "g1": 0.1, "g2": 0.1},
+            "time": {"T": 0.01, "dt": 1e-3, "integrator": "stormer_verlet"},
+        },
+        "stormer_verlet requires velocity-independent forcing (g2 = 0)",
+    ),
+    "modal_inf": (
+        {"initial": {"x0": {"type": "modal", "coeffs": [1.0, math.inf]}, "x1": {"type": "zero"}}},
+        "invalid initial data at initial/x0/coeffs/1: inf is not a finite number",
+    ),
+    "modal_nan": (
+        {"initial": {"x0": {"type": "zero"}, "x1": {"type": "modal", "coeffs": [math.nan]}}},
+        "invalid initial data at initial/x1/coeffs/0: nan is not a finite number",
+    ),
+    "modal_huge_int": (
+        {"initial": {"x0": {"type": "modal", "coeffs": [0.5, 10**400]}, "x1": {"type": "zero"}}},
+        f"invalid initial data at initial/x0/coeffs/1: {10**400!r} is not a finite number",
+    ),
+    "amplitude_inf": (
+        {"initial": {"x0": {"type": "parabola", "amplitude": -math.inf}, "x1": {"type": "zero"}}},
+        "invalid initial data at initial/x0/amplitude: -inf is not a finite number",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(UNUSABLE_CONFIGS))
+@pytest.mark.parametrize("cmd", ["verify", "run"])
+def test_unusable_configs_exit_3_before_verification(tmp_path, capsys, monkeypatch, cmd, name):
+    # Python's json reads Infinity and NaN, and Verlet cannot take a
+    # velocity-dependent g: each is a config error before any work, not a
+    # failure after verification has printed or written its verdict.
+    over, message = UNUSABLE_CONFIGS[name]
+    for attr in ("_verification", "integrate"):
+        monkeypatch.setattr(cli, attr, _no_work)
+    assert cli.main([cmd, write_cfg(tmp_path, make_cfg(tmp_path, **over))]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "report.json").exists()
 
 
 # Each removed config key, a value a config might set it to, and where the

@@ -359,6 +359,48 @@ def test_integrate_steps_every_kind_on_run_numpy(monkeypatch, op8, nl_name):
     assert np.array_equal(got_acc, want_acc)
 
 
+# numpy functions that pass through the __array_function__ dispatcher
+# (np.matmul, a gufunc, through its own machinery) on every call, where an
+# array's bound method or a ufunc does the same work without it.
+DISPATCHED = ("dot", "matmul", "copyto", "searchsorted", "take")
+
+
+# Verlet takes no velocity-dependent forcing, so its affine case has g2 = 0.
+DENSE_STEPPING = {
+    "rk4-zero": ("rk4", FS_CASES["zero"]),
+    "rk4-affine": ("rk4", FS_CASES["affine"]),
+    "stormer_verlet-zero": (STORMER_VERLET, FS_CASES["zero"]),
+    "stormer_verlet-affine": (STORMER_VERLET, affine_forcing(g1=0.1, g2=0.0, constant=0.2, g0=0.3)),
+}
+
+
+@pytest.mark.parametrize("case", list(DENSE_STEPPING))
+@pytest.mark.parametrize("nl_name", ["cubic", "table"])
+def test_dense_stepping_calls_no_dispatched_numpy_function(monkeypatch, op16, nl_name, case):
+    # Integration on dense products pays numpy's fixed per-call cost at
+    # every product, so every call in the step is a bound method or a ufunc.
+    nl = NL_CASES[nl_name]
+    integrator, fs = DENSE_STEPPING[case]
+    a0, v0 = _initial_modal(op16)
+    calls = dict.fromkeys(DISPATCHED, 0)
+
+    def counting(name, func):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return counted
+
+    for name in DISPATCHED:
+        monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
+    np.dot(a0, v0)
+    assert calls["dot"] == 1  # the patch is live
+    calls["dot"] = 0
+    traj = integrate(State(a=a0, adot=v0), SolverConfig(T=0.02, dt=1e-3, integrator=integrator), op16, nl, fs)
+    assert not traj.diverged and len(traj) == 21
+    assert calls == dict.fromkeys(DISPATCHED, 0)
+
+
 def _both_loops(a0, v0, dt, n_steps, stride, ceiling, use_verlet, make_accel):
     got = kernels.run_numpy(a0, v0, dt, n_steps, stride, ceiling, use_verlet, make_accel())
     want = _reference_run_numpy(a0, v0, dt, n_steps, stride, ceiling, use_verlet, make_accel())
