@@ -66,7 +66,7 @@ CASES = {
     "custom_table": (
         DIRICHLET,
         16,
-        custom_nonlinearity(f=_TABLE, p=4.0, a0=1.0, a1=1.0, b0=1.0, b1=0.0, F=_TABLE.F, Phi=_TABLE.Phi),
+        custom_nonlinearity(_TABLE, 4.0, 1.0, 1.0, 1.0, 0.0),
         affine_forcing(g1=0.05, g2=0.05, constant=0.5, g0=0.5),
         False,
         1e-3,

@@ -11,8 +11,11 @@ stores its exit code, stdout and stderr, and after ``run`` the trajectory CSV
 and ``report.json``.  Every stored file that differs between the trees is
 printed; for a report or ``verify`` output that parses as JSON on both
 sides, each differing JSON path is printed instead, such as
-``verification/passed: true -> false``.  The exit status is 0 when no file
-differs and 1 otherwise.
+``verification/passed: true -> false``.  The output ends with a tally: each
+differing JSON path with its change, and how many files show it.  A report
+holds the ``verify`` output under ``verification``, so its paths there are
+tallied as ``verify``'s.  The exit status is 0 when no file differs and 1
+otherwise.
 
     python3 benchmarks/compare_artifacts.py OLD/src NEW/src --seeds 500 501 [--workloads long_small ...] [--work DIR]
 """
@@ -167,6 +170,24 @@ def compare_stores(a: Path, b: Path) -> list[str]:
     return lines
 
 
+def tally(lines: list[str]) -> list[str]:
+    """``N files: path: change`` per JSON difference in ``lines``, the most common first.
+
+    A line of :func:`compare_stores` names a JSON path when its file is a
+    JSON artifact and the rest has a path before its change.
+    """
+    counts: dict[str, int] = {}
+    for line in lines:
+        rel, _, rest = line.partition(": ")
+        if not (rel.endswith(JSON_SUFFIXES) and ": " in rest):
+            continue
+        if rel.endswith(".report.json") and rest.startswith("verification/"):
+            rest = rest[len("verification/") :]
+        counts[rest] = counts.get(rest, 0) + 1
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [f"{n} file{'s' if n != 1 else ''}: {rest}" for rest, n in ranked]
+
+
 def main(argv=None) -> int:
     workloads = _workloads_module()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -194,6 +215,8 @@ def main(argv=None) -> int:
             print(line)
         differing = {line.split(": ", 1)[0] for line in diffs}
         print(f"{len(plan)} configs, {len(differing)} differing files")
+        for line in tally(diffs):
+            print(line)
         return 1 if diffs else 0
     finally:
         if args.work is None:

@@ -8,7 +8,6 @@ from .estimates import decay_bound, derive_decay, derive_gronwall, monitor
 from .nonlinearity import (
     affine_forcing,
     cubic_nonlinearity,
-    custom_lipschitz_forcing,
     custom_nonlinearity,
     linear_nonlinearity,
     power_law_nonlinearity,
@@ -28,7 +27,6 @@ __all__ = [
     "affine_forcing",
     "build_operator",
     "cubic_nonlinearity",
-    "custom_lipschitz_forcing",
     "custom_nonlinearity",
     "decay_bound",
     "derive_decay",

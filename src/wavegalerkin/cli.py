@@ -31,7 +31,7 @@ from .estimates import (
     monitor,
     sample_table,
 )
-from .nonlinearity import CUSTOM, decide_conditions, decide_g, verify_conditions, verify_g
+from .nonlinearity import CUSTOM, verify_conditions, verify_g
 from .oracle import max_H_error, reference_run
 from .solver import Trajectory, integrate
 from .spectral import build_operator
@@ -149,8 +149,8 @@ def _verification(rc: RunConfig):
     domain = dataclasses.replace(rc.domain, allow_poincare_violation=True)
     op = build_operator(domain, rc.modes)
     poincare_ok = op.lambda_min >= 1.0
-    nl_rep = decide_conditions(rc.nl, rc.seed) or verify_conditions(rc.nl, op, rc.verify_samples, rc.seed)
-    g_rep = decide_g(rc.fs, op, rc.seed + 1) or verify_g(rc.fs, op, rc.verify_samples, rc.seed + 1)
+    nl_rep = verify_conditions(rc.nl, op, rc.verify_samples, rc.seed)
+    g_rep = verify_g(rc.fs, op, rc.seed + 1)
     passed = poincare_ok and nl_rep.passed and g_rep.passed
     report = {
         "passed": passed,

@@ -204,19 +204,31 @@ class RunConfig:
     seed: int
 
 
+# The keys each nonlinearity kind requires; it takes no others.  A built-in
+# kind has its own constants, so a stated one would be silently dropped.
+_NONLINEARITY_KEYS = {
+    "linear": (),
+    "cubic": (),
+    "power_law": ("p",),
+    "custom": ("p", "a0", "a1", "b0", "b1", "table"),
+}
+
+
 def _build_nonlinearity(section: dict) -> NonlinearitySpec:
     kind = section["kind"]
+    keys = _NONLINEARITY_KEYS[kind]
+    for key in section:
+        if key != "kind" and key not in keys:
+            raise ConfigError(f"kind {kind!r} takes no nonlinearity/{key}")
+    for key in keys:
+        if key not in section:
+            raise ConfigError(f"kind {kind!r} requires nonlinearity/{key}")
     if kind == "linear":
         return linear_nonlinearity()
     if kind == "cubic":
         return cubic_nonlinearity()
     if kind == "power_law":
-        if "p" not in section:
-            raise ConfigError("nonlinearity.p is required for kind 'power_law'")
         return power_law_nonlinearity(section["p"])
-    missing = [k for k in ("p", "a0", "a1", "b0", "b1", "table") if k not in section]
-    if missing:
-        raise ConfigError(f"custom nonlinearity requires {missing}")
     table = section["table"]
     r = _finite_values(table["r"], "table", "nonlinearity/table/r")
     fv = _finite_values(table["f"], "table", "nonlinearity/table/f")
@@ -227,17 +239,7 @@ def _build_nonlinearity(section: dict) -> NonlinearitySpec:
         i = int(step[0]) + 1
         prev, here = table["r"][i - 1], table["r"][i]
         raise ConfigError(f"invalid table at nonlinearity/table/r/{i}: {here!r} does not exceed the previous entry {prev!r}")
-    f = tabulated_f(r, fv)
-    return custom_nonlinearity(
-        f=f,
-        p=section["p"],
-        a0=section["a0"],
-        a1=section["a1"],
-        b0=section["b0"],
-        b1=section["b1"],
-        F=f.F,
-        Phi=f.Phi,
-    )
+    return custom_nonlinearity(tabulated_f(r, fv), *(section[k] for k in ("p", "a0", "a1", "b0", "b1")))
 
 
 def _finite_values(values: list, what: str, where: str) -> np.ndarray:

@@ -2,12 +2,15 @@
 
 The wave model couples a pointwise nonlinearity ``F`` (primitive of a scalar
 ``f``) to the diagonal operator, plus a forcing ``g(x, v)`` where ``v``
-carries the half-smoothed velocity.  Structural assumptions (monotonicity,
-p-growth, coercivity, Lipschitz forcing) enter the energy estimates as
-numeric constants; this module stores those constants and can falsify them
-by randomized sampling.  The verifiers only falsify, never certify; where a
-built-in kind makes a condition an identity, the ``decide_*`` helpers
-report it as decided instead.
+carries the half-smoothed velocity.  ``F`` is a built-in kind or the
+primitive of a tabulated ``f``; ``g`` is zero or affine.  Structural
+assumptions (monotonicity, p-growth, coercivity, Lipschitz forcing) enter
+the energy estimates as numeric constants; this module stores those
+constants and checks them, one verifier per condition set.  Where a
+condition is an identity (a built-in ``F`` with its own constants, every
+forcing bound but the origin check) it is decided; otherwise
+:func:`verify_conditions` falsifies it by randomized sampling, which never
+certifies.
 """
 
 from __future__ import annotations
@@ -29,10 +32,7 @@ __all__ = [
     "affine_forcing",
     "constant_modal",
     "cubic_nonlinearity",
-    "custom_lipschitz_forcing",
     "custom_nonlinearity",
-    "decide_conditions",
-    "decide_g",
     "F_on_grid",
     "forcing_modal_batch",
     "linear_nonlinearity",
@@ -53,8 +53,7 @@ NONLINEARITY_KINDS = (LINEAR, POWER_LAW, CUBIC, CUSTOM)
 
 ZERO = "zero"
 AFFINE = "affine"
-CUSTOM_LIPSCHITZ = "custom_lipschitz"
-FORCING_KINDS = (ZERO, AFFINE, CUSTOM_LIPSCHITZ)
+FORCING_KINDS = (ZERO, AFFINE)
 
 # Random verifier draws: coefficients i.i.d. uniform in [-1, 1] times an
 # amplitude uniform in [0, AMPLITUDE_MAX].
@@ -66,28 +65,16 @@ AMPLITUDE_MAX = 10.0
 MONOTONE_SLACK = 1e-10
 RELATIVE_SLACK = 1e-10
 
-# The custom kind's primitives check: central differences of Phi and F at
-# PRIMITIVE_POINTS points spanning the drawn grid values, with a step of
-# PRIMITIVE_STEP times the largest |u| there.  Each difference is compared
-# with F (resp. f) relative to the largest |F| (resp. |f|) on the points.
-# Round-off in a difference is about eps/PRIMITIVE_STEP ~ 2e-10 of that
-# scale, and truncation at a kink of a piecewise-linear f about
-# PRIMITIVE_STEP times its slope jump, so PRIMITIVE_RTOL passes exact
-# primitives and fails a primitive that is off by a factor.
-PRIMITIVE_POINTS = 256
-PRIMITIVE_STEP = 2.0**-20
-PRIMITIVE_RTOL = 1e-6
-
 
 @dataclass(frozen=True, eq=False)
 class NonlinearitySpec:
     """Pointwise nonlinearity with its growth/coercivity constants.
 
-    ``f`` is the scalar integrand, ``F`` its primitive from 0 and ``Phi``
-    the primitive of ``F`` from 0 (pointwise potential density).  The
-    constants assert ``||F(u)||_{p'} <= a0*||u||_p^(p-1) + a1*||u||_H`` and
-    ``<F(u),u> >= b0*||u||_p^p + b1*||u||_H^2``; custom kinds must supply
-    constants themselves and can only be falsified by :func:`verify_conditions`.
+    The constants assert ``||F(u)||_{p'} <= a0*||u||_p^(p-1) + a1*||u||_H``
+    and ``<F(u),u> >= b0*||u||_p^p + b1*||u||_H^2``.  The custom kind, and
+    only it, holds a :class:`TabulatedF` ``table``: its ``f``, the primitive
+    ``F`` from 0 and the potential density ``Phi`` from 0.  Its constants
+    are the user's claim, which :func:`verify_conditions` can only falsify.
     ``p == 2`` is reserved for the linear kind, which is oracle-only: the
     decay machinery requires ``p > 2``.  The cubic kind is ``p == 4``.
     """
@@ -98,9 +85,7 @@ class NonlinearitySpec:
     a1: float = 0.0
     b0: float = 1.0
     b1: float = 0.0
-    f: Callable[[np.ndarray], np.ndarray] | None = None
-    F: Callable[[np.ndarray], np.ndarray] | None = None
-    Phi: Callable[[np.ndarray], np.ndarray] | None = None
+    table: TabulatedF | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in NONLINEARITY_KINDS:
@@ -121,8 +106,8 @@ class NonlinearitySpec:
             raise ValueError("p must be > 2 (p=2 is allowed only for the linear kind)")
         if self.kind == CUBIC and self.p != 4.0:
             raise ValueError("cubic kind is the power law at p=4")
-        if self.kind == CUSTOM and (self.f is None or self.F is None or self.Phi is None):
-            raise ValueError("custom kind requires a pointwise f and its primitives F and Phi")
+        if (self.kind == CUSTOM) != isinstance(self.table, TabulatedF):
+            raise ValueError("the custom kind, and only it, takes a TabulatedF table")
 
 
 def linear_nonlinearity() -> NonlinearitySpec:
@@ -140,23 +125,13 @@ def cubic_nonlinearity() -> NonlinearitySpec:
     return NonlinearitySpec(kind=CUBIC, p=4.0, a0=1.0, a1=0.0, b0=1.0, b1=0.0)
 
 
-def custom_nonlinearity(
-    f: Callable[[np.ndarray], np.ndarray],
-    p: float,
-    a0: float,
-    a1: float,
-    b0: float,
-    b1: float,
-    F: Callable[[np.ndarray], np.ndarray],
-    Phi: Callable[[np.ndarray], np.ndarray],
-) -> NonlinearitySpec:
-    """User-supplied vectorized ``f`` with its exact primitives.
+def custom_nonlinearity(table: TabulatedF, p: float, a0: float, a1: float, b0: float, b1: float) -> NonlinearitySpec:
+    """A tabulated ``f`` (see :func:`tabulated_f`) with its claimed constants.
 
-    ``F`` is the primitive of ``f`` from 0 and ``Phi`` the primitive of
-    ``F`` from 0; stepping, verification and the energy evaluate them
-    directly.  A :func:`tabulated_f` table supplies both.
+    Stepping, verification and the energy evaluate the table's exact
+    primitives ``table.F`` and ``table.Phi``.
     """
-    return NonlinearitySpec(kind=CUSTOM, p=p, a0=a0, a1=a1, b0=b0, b1=b1, f=f, F=F, Phi=Phi)
+    return NonlinearitySpec(kind=CUSTOM, p=p, a0=a0, a1=a1, b0=b0, b1=b1, table=table)
 
 
 class TabulatedF:
@@ -234,7 +209,7 @@ class TabulatedF:
 def tabulated_f(r_values, f_values) -> TabulatedF:
     """Piecewise-linear f for a table of (r, f) pairs, with exact ``F`` and ``Phi``.
 
-    Pass ``F=table.F, Phi=table.Phi`` to :func:`custom_nonlinearity`.
+    Pass it to :func:`custom_nonlinearity`.
     """
     return TabulatedF(r_values, f_values)
 
@@ -243,9 +218,7 @@ def pointwise_F(nl: NonlinearitySpec) -> Callable[[np.ndarray, np.ndarray], np.n
     """The primitive F as ``F(u, out) -> out``, built once per spec.
 
     Every kind writes ``F(u)`` into ``out`` (an array of ``u``'s shape that
-    does not alias it) and returns it.  A custom ``F`` must return one value
-    per sample; any other shape raises ``ValueError`` rather than
-    broadcasting.
+    does not alias it) and returns it.
     """
     mul = np.multiply
     if nl.kind == LINEAR:
@@ -268,13 +241,10 @@ def pointwise_F(nl: NonlinearitySpec) -> Callable[[np.ndarray, np.ndarray], np.n
             return mul(power(absolute(u, out), pm2, out), u, out)
 
     else:
-        custom = nl.F
+        table_F = nl.table.F
 
         def F(u, out):
-            v = np.asarray(custom(u), dtype=np.float64)
-            if v.shape != u.shape:
-                raise ValueError("custom F must return one value per sample")
-            out[...] = v
+            out[...] = table_F(u)
             return out
 
     return F
@@ -290,7 +260,7 @@ def potential_batch(coeffs: np.ndarray, op: OperatorSpec, nl: NonlinearitySpec) 
     """Potential values for a batch of coefficient rows, vectorized.
 
     Phi(x) = int_0^1 <F(s x), x> ds; closed forms for the built-in kinds,
-    and grid quadrature of ``nl.Phi`` for the custom kind.
+    and grid quadrature of the table's ``Phi`` for the custom kind.
     """
     c = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
     if nl.kind == LINEAR:
@@ -298,7 +268,7 @@ def potential_batch(coeffs: np.ndarray, op: OperatorSpec, nl: NonlinearitySpec) 
     u = modes_to_grid(c, op)
     if nl.kind in (POWER_LAW, CUBIC):
         return (np.abs(u) ** nl.p @ op.weights) / nl.p
-    return np.asarray(nl.Phi(u), dtype=np.float64) @ op.weights
+    return nl.table.Phi(u) @ op.weights
 
 
 @dataclass(frozen=True)
@@ -352,9 +322,6 @@ class ConditionReport:
         }
 
 
-_TINY = float(np.finfo(np.float64).tiny)
-
-
 def _draw_batch(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     coeffs = rng.uniform(-1.0, 1.0, size=(n, m))
     coeffs *= rng.uniform(0.0, AMPLITUDE_MAX, size=(n, 1))
@@ -399,22 +366,29 @@ def verify_conditions(
     samples: int,
     seed: int = 0,
 ) -> ConditionReport:
-    """Randomized falsification of monotonicity, growth, and coercivity.
+    """Monotonicity, growth and coercivity: decided where exact, else falsified by draws.
 
-    Draws ``samples`` field pairs with coefficients uniform in [-1, 1]
-    scaled by amplitudes uniform in [0, 10] and checks, by grid quadrature:
+    A built-in kind with its factory's constants ``a0 = b0 = 1``,
+    ``a1 = b1 = 0`` meets all three as identities on any grid with positive
+    weights: ``F`` is nondecreasing, ``|F(u)|^(p') = |u|^p`` gives
+    ``||F(u)||_{p'} = ||u||_p^(p-1)``, and ``F(u) u = |u|^p`` gives
+    ``<F(u), u> = ||u||_p^p``.  The report then says so, with no draws.
+
+    Anything else, a table or other constants, is a claim.  It draws
+    ``samples`` field pairs with coefficients uniform in [-1, 1] scaled by
+    amplitudes uniform in [0, 10] and checks, by grid quadrature:
 
     - monotonicity: <F(x) - F(z), x - z> >= -1e-10,
     - growth: ||F(x)||_{p'} <= a0*||x||_p^(p-1) + a1*||x||_H,
     - coercivity: <F(x), x> >= b0*||x||_p^p + b1*||x||_H^2,
 
-    the last two with relative slack 1e-10*(1 + |rhs|).  For the custom
-    kind a fourth check, ``primitives``, tests that ``Phi' = F`` and
-    ``F' = f`` on the span of the drawn grid values (see
-    :func:`_check_primitives`).
+    the last two with relative slack 1e-10*(1 + |rhs|).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if nl.kind != CUSTOM and (nl.a0, nl.a1, nl.b0, nl.b1) == (1.0, 0.0, 1.0, 0.0):
+        names = ("monotonicity", "growth", "coercivity")
+        return ConditionReport(checks=tuple(ConditionCheck(n, True, decided=True) for n in names), seed=seed)
     rng = np.random.default_rng(seed)
     m = op.modes
     cx = _draw_batch(rng, samples, m)
@@ -447,53 +421,12 @@ def verify_conditions(
     tol_c = RELATIVE_SLACK * (1.0 + np.abs(rhs_c))
     c_coerce = _check("coercivity", samples, rhs_c - pairing, tol_c, {"lhs": pairing, "rhs": rhs_c})
 
-    checks = (c_mono, c_growth, c_coerce)
-    if nl.kind == CUSTOM:
-        lo = min(float(np.min(ux)), float(np.min(uz)))
-        hi = max(float(np.max(ux)), float(np.max(uz)))
-        checks += (_check_primitives(nl, np.linspace(lo, hi, PRIMITIVE_POINTS)),)
-    return ConditionReport(checks=checks, seed=seed)
-
-
-def _check_primitives(nl: NonlinearitySpec, u: np.ndarray) -> ConditionCheck:
-    """Central differences of ``Phi`` and ``F`` at ``u`` against ``F`` and ``f``.
-
-    The violation at a point is the larger of the two gaps, each relative
-    to the largest ``|F|`` or ``|f|`` on the points; the tolerance is
-    ``PRIMITIVE_RTOL``.
-    """
-    d = PRIMITIVE_STEP * float(np.max(np.abs(u))) or PRIMITIVE_STEP
-    up, um = u + d, u - d
-    fv = np.asarray(nl.f(u), dtype=np.float64)
-    Fv = np.asarray(nl.F(u), dtype=np.float64)
-    dPhi = (np.asarray(nl.Phi(up), dtype=np.float64) - np.asarray(nl.Phi(um), dtype=np.float64)) / (2.0 * d)
-    dF = (np.asarray(nl.F(up), dtype=np.float64) - np.asarray(nl.F(um), dtype=np.float64)) / (2.0 * d)
-    scale_F = max(float(np.max(np.abs(Fv))), _TINY)
-    scale_f = max(float(np.max(np.abs(fv))), _TINY)
-    viol = np.maximum(np.abs(dPhi - Fv) / scale_F, np.abs(dF - fv) / scale_f)
-    witness = {"u": u, "F": Fv, "dPhi": dPhi, "f": fv, "dF": dF}
-    return _check("primitives", u.size, viol, PRIMITIVE_RTOL, witness)
-
-
-def decide_conditions(nl: NonlinearitySpec, seed: int = 0) -> ConditionReport | None:
-    """Monotonicity, growth and coercivity decided exactly, or ``None`` to draw.
-
-    A built-in kind with its factory's constants ``a0 = b0 = 1``,
-    ``a1 = b1 = 0`` meets all three as identities on any grid with positive
-    weights: ``F`` is nondecreasing, ``|F(u)|^(p') = |u|^p`` gives
-    ``||F(u)||_{p'} = ||u||_p^(p-1)``, and ``F(u) u = |u|^p`` gives
-    ``<F(u), u> = ||u||_p^p``.  Anything else, a custom ``f`` or other
-    constants, is a claim for :func:`verify_conditions` to falsify.
-    """
-    if nl.kind == CUSTOM or (nl.a0, nl.a1, nl.b0, nl.b1) != (1.0, 0.0, 1.0, 0.0):
-        return None
-    names = ("monotonicity", "growth", "coercivity")
-    return ConditionReport(checks=tuple(ConditionCheck(n, True, decided=True) for n in names), seed=seed)
+    return ConditionReport(checks=(c_mono, c_growth, c_coerce), seed=seed)
 
 
 @dataclass(frozen=True, eq=False)
 class ForcingSpec:
-    """Forcing term g(x, v) with its Lipschitz/affine constants.
+    """Zero or affine forcing ``g(x, v) = g1*x + g2*v + constant`` with its bound constants.
 
     ``v`` is the half-smoothed velocity channel.  The constants assert
     ``||g(x,v)||_H <= g1*||x||_H + g2*||v||_H + g0`` and, pairing against
@@ -506,7 +439,6 @@ class ForcingSpec:
     g1: float = 0.0
     g2: float = 0.0
     constant: float = 0.0
-    func: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in FORCING_KINDS:
@@ -520,8 +452,6 @@ class ForcingSpec:
             raise ValueError("g0, g1, g2 must be nonnegative")
         if self.kind == ZERO and (self.g0 or self.g1 or self.g2 or self.constant):
             raise ValueError("zero forcing takes no constants")
-        if self.kind == CUSTOM_LIPSCHITZ and self.func is None:
-            raise ValueError("custom_lipschitz requires a callable")
 
     @property
     def velocity_dependent(self) -> bool:
@@ -551,16 +481,6 @@ def affine_forcing(
     return ForcingSpec(kind=AFFINE, g0=g0, g1=g1, g2=g2, constant=constant)
 
 
-def custom_lipschitz_forcing(
-    func: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    g0: float,
-    g1: float,
-    g2: float,
-) -> ForcingSpec:
-    """Grid-sample callable g(x_samples, v_samples) with declared constants."""
-    return ForcingSpec(kind=CUSTOM_LIPSCHITZ, g0=g0, g1=g1, g2=g2, func=func)
-
-
 def constant_modal(op: OperatorSpec, value: float = 1.0) -> np.ndarray:
     """Coefficients of the constant function projected onto the basis."""
     return grid_to_modes(np.full(op.grid_points, float(value)), op)
@@ -575,96 +495,35 @@ def forcing_modal_batch(
     """Modal forcing coefficients for batches of states, vectorized.
 
     Rows of ``a`` and ``adot`` are displacement coefficients and their time
-    derivatives; the velocity channel passed to g has coefficients
-    ``adot / sqrt(lambda)``.  A custom g must return one sample per grid
-    node; the samples may be non-finite (a diverged run's last row).
+    derivatives; the velocity channel seen by g has coefficients
+    ``adot / sqrt(lambda)``.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     adot = np.atleast_2d(np.asarray(adot, dtype=np.float64))
     if fs.kind == ZERO:
         return np.zeros_like(a)
-    v = adot / op.sqrt_eigenvalues[None, :]
-    if fs.kind == AFFINE:
-        out = fs.g1 * a + fs.g2 * v
-        if fs.constant != 0.0:
-            out = out + fs.constant * constant_modal(op)[None, :]
-        return out
-    ug = modes_to_grid(a, op)
-    vg = modes_to_grid(v, op)
-    rows = np.asarray([fs.func(ug[i], vg[i]) for i in range(a.shape[0])], dtype=np.float64)
-    if rows.shape != ug.shape:
-        raise ValueError("custom forcing must return one sample per grid node")
-    return grid_to_modes(rows, op)
+    out = fs.g1 * a + fs.g2 * (adot / op.sqrt_eigenvalues[None, :])
+    if fs.constant != 0.0:
+        out = out + fs.constant * constant_modal(op)[None, :]
+    return out
 
 
-def _origin_check(fs: ForcingSpec, op: OperatorSpec) -> ConditionCheck:
-    """``g0 >= ||g(0, 0)||_H``, from one evaluation of g at the origin."""
-    zero = np.zeros((1, op.modes))
-    origin_norm = float(np.linalg.norm(forcing_modal_batch(fs, op, zero, zero)[0]))
-    viol0 = np.array([origin_norm - fs.g0])
-    tol0 = RELATIVE_SLACK * (1.0 + np.abs(np.array([fs.g0])))
-    return _check("g0_dominates_origin", 1, viol0, tol0, {"origin_norm": np.array([origin_norm])})
-
-
-def decide_g(fs: ForcingSpec, op: OperatorSpec, seed: int = 0) -> ConditionReport | None:
-    """The forcing bounds decided exactly for zero and affine g, or ``None`` to draw.
+def verify_g(fs: ForcingSpec, op: OperatorSpec, seed: int = 0) -> ConditionReport:
+    """The forcing bounds of a zero or affine g, decided exactly.
 
     ``g = g1 x + g2 v + c`` with ``g1, g2 >= 0``: the pairing bound is the
     triangle inequality, and the norm bound holds exactly when
     ``g0 >= ||g(0, 0)||_H = |c| ||P 1||`` does, which ``g0_dominates_origin``
-    computes as :func:`verify_g` does.  A custom g is a claim for
-    :func:`verify_g` to falsify.
+    computes from one evaluation of g at the origin.
     """
-    if fs.kind == CUSTOM_LIPSCHITZ:
-        return None
-    origin = _origin_check(fs, op)
+    zero = np.zeros((1, op.modes))
+    origin_norm = float(np.linalg.norm(forcing_modal_batch(fs, op, zero, zero)[0]))
+    viol0 = np.array([origin_norm - fs.g0])
+    tol0 = RELATIVE_SLACK * (1.0 + np.abs(np.array([fs.g0])))
+    origin = _check("g0_dominates_origin", 1, viol0, tol0, {"origin_norm": np.array([origin_norm])})
     checks = (
         origin,
         ConditionCheck("norm_bound", origin.passed, decided=True),
         ConditionCheck("lipschitz_pairing", True, decided=True),
     )
     return ConditionReport(checks=checks, seed=seed)
-
-
-def verify_g(
-    fs: ForcingSpec,
-    op: OperatorSpec,
-    samples: int,
-    seed: int = 0,
-) -> ConditionReport:
-    """Randomized falsification of the forcing bounds.
-
-    Checks ``g0 >= ||g(0,0)||_H``, the norm bound against random states,
-    and the pairing Lipschitz bound against random quadruples and test
-    fields, all with relative slack 1e-10.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    m = op.modes
-    c_origin = _origin_check(fs, op)
-
-    def g_modal(ca: np.ndarray, cv: np.ndarray) -> np.ndarray:
-        return forcing_modal_batch(fs, op, ca, cv * op.sqrt_eigenvalues[None, :])
-
-    # forcing_modal_batch expects the raw time-derivative coefficients and
-    # divides by sqrt(lambda) itself, so pre-multiply to hand it the v we
-    # actually drew.
-    cx = _draw_batch(rng, samples, m)
-    cv = _draw_batch(rng, samples, m)
-    gv = g_modal(cx, cv)
-    lhs = np.linalg.norm(gv, axis=1)
-    rhs = fs.g1 * np.linalg.norm(cx, axis=1) + fs.g2 * np.linalg.norm(cv, axis=1) + fs.g0
-    tol = RELATIVE_SLACK * (1.0 + np.abs(rhs))
-    c_norm = _check("norm_bound", samples, lhs - rhs, tol, {"lhs": lhs, "rhs": rhs})
-
-    cx1 = _draw_batch(rng, samples, m)
-    cv1 = _draw_batch(rng, samples, m)
-    cz = _draw_batch(rng, samples, m)
-    dg = gv - g_modal(cx1, cv1)
-    lhs_pair = np.abs(np.sum(dg * cz, axis=1))
-    rhs_pair = fs.g1 * np.abs(np.sum((cx - cx1) * cz, axis=1)) + fs.g2 * np.abs(np.sum((cv - cv1) * cz, axis=1))
-    tol_pair = RELATIVE_SLACK * (1.0 + np.abs(rhs_pair) + np.abs(lhs_pair))
-    c_pair = _check("lipschitz_pairing", samples, lhs_pair - rhs_pair, tol_pair, {"lhs": lhs_pair, "rhs": rhs_pair})
-
-    return ConditionReport(checks=(c_origin, c_norm, c_pair), seed=seed)

@@ -226,44 +226,28 @@ def _numpy_accel(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
 
     ``x`` is the stage ``[a; adot]``, shape ``(2, m)``, which is only read;
     the acceleration is written into the ``m``-vector ``out``.  The closure
-    is the Galerkin term of :func:`_galerkin_term` plus a forcing term, both
-    picked here, so a call does no kind dispatch.  Zero forcing adds
-    nothing, so the Galerkin term is the closure itself; affine forcing adds
-    ``g1 a + (g2/sqrt(lambda)) adot`` as one product of a fixed ``(2, m)``
-    array ``G`` with ``x`` and two additions; a custom ``g`` is evaluated at
-    the samples ``u`` the Galerkin term returns and those of
-    ``adot/sqrt(lambda)``, and its projection added.  Every numpy call is a
-    ufunc or an array's bound method, neither of which passes through
+    is the Galerkin term of :func:`_galerkin_term`, which also adds the
+    constant forcing, so a call does no kind dispatch.  Zero forcing adds
+    nothing else, so the Galerkin term is the closure itself; affine forcing
+    adds ``g1 a + (g2/sqrt(lambda)) adot`` as one product of a fixed
+    ``(2, m)`` array ``G`` with ``x`` and two additions.  Every numpy call
+    is a ufunc or an array's bound method, neither of which passes through
     numpy's ``__array_function__`` dispatcher.
     """
     galerkin = _galerkin_term(op, nl, fs)
-    mul, add = np.multiply, np.add
-
     if fs.kind == ZERO:
         return galerkin
 
-    if fs.kind == AFFINE:
-        G = np.stack((np.full(op.modes, fs.g1), fs.g2 / op.sqrt_eigenvalues))
-        gx = np.empty((2, op.modes))
-        g1a, g2v = gx
+    G = np.stack((np.full(op.modes, fs.g1), fs.g2 / op.sqrt_eigenvalues))
+    gx = np.empty((2, op.modes))
+    g1a, g2v = gx
+    mul, add = np.multiply, np.add
 
-        def accel(x, out):
-            galerkin(x, out)
-            mul(G, x, gx)
-            add(out, g1a, out)
-            add(out, g2v, out)
-
-    else:
-        sqrt_lam = np.ascontiguousarray(op.sqrt_eigenvalues)
-        sample, project = transform_pair(op)
-        func = fs.func
-
-        def accel(x, out):
-            u = galerkin(x, out)
-            if u is None:  # the linear term never samples a
-                u = sample(x[0])
-            vg = sample(x[1] / sqrt_lam)
-            add(out, project(np.asarray(func(u, vg), dtype=np.float64)), out)
+    def accel(x, out):
+        galerkin(x, out)
+        mul(G, x, gx)
+        add(out, g1a, out)
+        add(out, g2v, out)
 
     return accel
 
@@ -272,13 +256,13 @@ def _galerkin_term(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
     """``galerkin(x, out)``: writes ``-lambda P F(B a)`` plus the constant forcing into ``out``.
 
     ``x`` is the stage ``[a; adot]``, of which only ``a = x[0]`` is read.
-    It returns the grid samples ``u = B a`` (``None`` for the linear kind,
-    whose term is ``-lambda a``).  On dense products every other ``F``,
-    custom included, has ``-lambda``, ``P`` and the constant forcing folded
-    into one matrix ``L`` over ``S = [F(u); 1]``: a call is ``u = B a``,
-    ``F`` into ``S`` and ``out = L S``, both products the matrices' bound
-    ``dot`` (``np.dot`` would add its dispatcher to each).  The FFT pair
-    samples, applies ``F`` and projects through ``transform_pair``.
+    The linear kind's term is ``-lambda a``.  On dense products every other
+    ``F``, custom included, has ``-lambda``, ``P`` and the constant forcing
+    folded into one matrix ``L`` over ``S = [F(u); 1]``: a call is
+    ``u = B a``, ``F`` into ``S`` and ``out = L S``, both products the
+    matrices' bound ``dot`` (``np.dot`` would add its dispatcher to each).
+    The FFT pair samples, applies ``F`` and projects through
+    ``transform_pair``.
     """
     neg_lam = -np.ascontiguousarray(op.eigenvalues)
     constant = fs.constant if fs.kind == AFFINE else 0.0
@@ -304,7 +288,6 @@ def _galerkin_term(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
             sample(x[0], u)
             F(u, Fu)
             fold(S, out)
-            return u
 
         return galerkin
 
@@ -314,17 +297,14 @@ def _galerkin_term(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
         buf = np.empty(op.grid_points)
 
         def term(x, out):
-            u = sample(x[0])
-            mul(neg_lam, project(F(u, buf)), out)
-            return u
+            mul(neg_lam, project(F(sample(x[0]), buf)), out)
 
     if constant == 0.0:
         return term
 
     def galerkin(x, out):
-        u = term(x, out)
+        term(x, out)
         add(out, gc, out)
-        return u
 
     return galerkin
 

@@ -209,13 +209,13 @@ def test_A7_condition_verifiers():
     ok_good = good.passed and [c.name for c in good.checks] == ["monotonicity", "growth", "coercivity"]
 
     table = tabulated_f([-10.0, 10.0], [-1.0, -1.0])
-    negated = custom_nonlinearity(f=table, p=3.0, a0=1.0, a1=1.0, b0=1.0, b1=0.0, F=table.F, Phi=table.Phi)
+    negated = custom_nonlinearity(table, 3.0, 1.0, 1.0, 1.0, 0.0)
     bad = verify_conditions(negated, op, 2000, seed=7)
     mono = {c.name: c for c in bad.checks}["monotonicity"]
     ok_neg = (not bad.passed) and (not mono.passed) and mono.witness is not None
 
     understated = affine_forcing(g1=0.0, g2=0.0, constant=0.3, g0=0.2)
-    g_rep = verify_g(understated, op, 200, seed=3)
+    g_rep = verify_g(understated, op, seed=3)
     origin = {c.name: c for c in g_rep.checks}["g0_dominates_origin"]
     ok_g = (not g_rep.passed) and (not origin.passed)
 

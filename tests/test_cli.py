@@ -157,7 +157,7 @@ def test_custom_table_report_is_the_drawn_one(tmp_path, capsys):
     op = build_operator(rc.domain, rc.modes)
     drawn = verify_conditions(rc.nl, op, rc.verify_samples, rc.seed)
     assert rep["nonlinearity"] == json.loads(cli._json(drawn.to_dict()))
-    assert [c["samples"] for c in rep["nonlinearity"]["checks"]] == [300, 300, 300, 256]
+    assert [c["samples"] for c in rep["nonlinearity"]["checks"]] == [300, 300, 300]
 
 
 def test_poincare_rejection(tmp_path, capsys):
@@ -546,6 +546,28 @@ def test_unusable_configs_exit_3_before_verification(tmp_path, capsys, monkeypat
     assert captured.err == f"config error: {message}\n"
     assert captured.out == ""
     assert not (tmp_path / "report.json").exists()
+
+
+# A value for each nonlinearity key that some kind does not take.
+STATED_KEYS = {"p": 3.0, "a0": 0.01, "a1": 0.5, "b0": 50.0, "b1": 0.5, "table": {"r": [-1.0, 1.0], "f": [-3.0, 3.0]}}
+
+
+@pytest.mark.parametrize("cmd", ["verify", "run"])
+@pytest.mark.parametrize("kind", ["linear", "cubic", "power_law"])
+def test_builtin_kinds_reject_stated_constants(tmp_path, capsys, monkeypatch, kind, cmd):
+    # A built-in kind has its own constants (and, but for power_law, its own
+    # p), so a stated one would be dropped and its claim never checked.
+    for attr in ("_verification", "integrate"):
+        monkeypatch.setattr(cli, attr, _no_work)
+    for key, value in STATED_KEYS.items():
+        if kind == "power_law" and key == "p":
+            continue
+        nl = {"kind": kind, key: value} if kind != "power_law" else {"kind": kind, "p": 4.0, key: value}
+        assert cli.main([cmd, write_cfg(tmp_path, make_cfg(tmp_path, nonlinearity=nl))]) == 3, key
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: kind {kind!r} takes no nonlinearity/{key}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "report.json").exists()
 
 
 # Each removed config key, a value a config might set it to, and where the

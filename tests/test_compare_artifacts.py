@@ -59,3 +59,22 @@ def test_compare_stores_names_the_json_paths_that_differ(tmp_path):
         "w/1/c.verify.stdout: 0 bytes -> 2 bytes, contents differ",
         "w/1/gone.csv: only in old",
     ]
+
+
+def test_tally_counts_the_files_that_show_each_json_path():
+    # A report's verification section is the verify output, so the two
+    # tally together; lines that name no JSON path are not tallied.
+    lines = [
+        "w/1/a.csv: 4 bytes -> 4 bytes, contents differ",
+        "w/1/a.report.json: verification/nonlinearity/checks: list of 4 -> list of 3",
+        "w/1/a.report.json: seed: only in new",
+        "w/1/a.run.exit: 0 -> 1",
+        "w/1/a.verify.stdout: nonlinearity/checks: list of 4 -> list of 3",
+        "w/1/b.report.json: 16 bytes -> 16 bytes, contents differ",
+        "w/1/gone.report.json: only in old",
+        "w/2/a.verify.stdout: nonlinearity/checks: list of 4 -> list of 3",
+    ]
+    assert _compare_artifacts().tally(lines) == [
+        "3 files: nonlinearity/checks: list of 4 -> list of 3",
+        "1 file: seed: only in new",
+    ]

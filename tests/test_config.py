@@ -103,7 +103,14 @@ def test_custom_nonlinearity_from_table(tmp_path):
     )
     rc = load_config(write_cfg(tmp_path, cfg))
     assert rc.nl.kind == "custom"
-    assert rc.nl.f(np.array([0.5]))[0] == pytest.approx(1.5)
+    assert rc.nl.table(np.array([0.5]))[0] == pytest.approx(1.5)
+
+
+def test_nonlinearity_keys_are_named_when_missing(tmp_path):
+    custom = {"kind": "custom", "p": 3.0, "a0": 1.0, "a1": 1.0, "b0": 0.5, "b1": 0.0}
+    for section, key in (({"kind": "power_law"}, "p"), (custom, "table")):
+        with pytest.raises(ConfigError, match=f"kind '{section['kind']}' requires nonlinearity/{key}$"):
+            load_config(write_cfg(tmp_path, base_config(nonlinearity=section)))
 
 
 def test_resolve_initial_parabola_and_modal(tmp_path):
@@ -160,5 +167,5 @@ def test_custom_table_carries_exact_primitives(tmp_path):
     rc = load_config(write_cfg(tmp_path, cfg))
     u = np.array([-2.0, -0.5, 0.25, 2.0])
     # f = 3r on the table, clamped outside it
-    assert np.allclose(rc.nl.F(u), [1.5 + 3.0, 0.375, 0.09375, 1.5 + 3.0], rtol=1e-14)
-    assert np.allclose(rc.nl.Phi(u), [-3.5, -0.0625, 0.0078125, 3.5], rtol=1e-14)
+    assert np.allclose(rc.nl.table.F(u), [1.5 + 3.0, 0.375, 0.09375, 1.5 + 3.0], rtol=1e-14)
+    assert np.allclose(rc.nl.table.Phi(u), [-3.5, -0.0625, 0.0078125, 3.5], rtol=1e-14)

@@ -1,5 +1,6 @@
 """Nonlinearity primitives, potentials, forcing terms, and the verifiers."""
 
+import dataclasses
 import json
 import math
 
@@ -10,8 +11,6 @@ from scipy.integrate import quad
 from wavegalerkin import cli, nonlinearity
 from wavegalerkin.nonlinearity import (
     AMPLITUDE_MAX,
-    PRIMITIVE_POINTS,
-    PRIMITIVE_RTOL,
     RELATIVE_SLACK,
     ZERO,
     ConditionReport,
@@ -20,10 +19,7 @@ from wavegalerkin.nonlinearity import (
     affine_forcing,
     constant_modal,
     cubic_nonlinearity,
-    custom_lipschitz_forcing,
     custom_nonlinearity,
-    decide_conditions,
-    decide_g,
     F_on_grid,
     forcing_modal_batch,
     linear_nonlinearity,
@@ -49,8 +45,9 @@ def test_primitive_closed_forms():
     assert np.allclose(F_on_grid(linear_nonlinearity(), r), [2.0, -2.0])
     assert np.allclose(F_on_grid(cubic_nonlinearity(), r), [8.0, -8.0])
     assert np.allclose(F_on_grid(power_law_nonlinearity(3.0), r), [4.0, -4.0])
+    assert np.allclose(F_on_grid(_abs_table_nonlinearity(), r), [4.0, -4.0])
     # every kind, the custom one included, writes F(u) into out and returns it
-    for nl in (linear_nonlinearity(), cubic_nonlinearity(), power_law_nonlinearity(3.0), _cos_nonlinearity()):
+    for nl in (linear_nonlinearity(), cubic_nonlinearity(), power_law_nonlinearity(3.0), _abs_table_nonlinearity()):
         out = np.full_like(r, np.nan)
         assert pointwise_F(nl)(r, out) is out
         assert np.array_equal(out, F_on_grid(nl, r))
@@ -67,21 +64,11 @@ def test_primitive_is_integral_of_f():
             assert abs(float(F_on_grid(nl, np.float64(r))) - ref) <= 1e-10 * (1.0 + abs(r) ** (nl.p - 1.0))
 
 
-def _cos_nonlinearity():
-    # f = cos with its exact primitives F = sin and Phi = 1 - cos
-    return custom_nonlinearity(f=np.cos, p=3.0, a0=2.0, a1=1.0, b0=0.5, b1=0.0, F=np.sin, Phi=lambda u: 1.0 - np.cos(u))
-
-
-def test_custom_primitive_from_quadrature():
-    assert float(F_on_grid(_cos_nonlinearity(), np.float64(0.3))) == pytest.approx(math.sin(0.3), rel=1e-14)
-    # a custom F returning anything but one value per sample is refused, not broadcast
-    u = np.linspace(-1.0, 1.0, 5)
-    for wrong in (lambda u: np.sum(np.sin(u)), lambda u: np.sin(u)[None, :], lambda u: np.sin(u)[:-1]):
-        nl = custom_nonlinearity(f=np.cos, p=3.0, a0=2.0, a1=1.0, b0=0.5, b1=0.0, F=wrong, Phi=lambda u: 1.0 - np.cos(u))
-        out = np.full_like(u, np.nan)
-        with pytest.raises(ValueError, match="one value per sample"):
-            pointwise_F(nl)(u, out)
-        assert np.all(np.isnan(out))
+def _abs_table_nonlinearity():
+    # f = 2|r| is piecewise linear with a node at 0, so on the table's range
+    # its exact primitives are F = |u| u and Phi = |u|^3 / 3: the power law
+    # at p = 3.
+    return custom_nonlinearity(tabulated_f([-50.0, 0.0, 50.0], [100.0, 0.0, 100.0]), 3.0, 1.0, 0.0, 1.0, 0.0)
 
 
 def test_cubic_F_first_mode_projections(op8):
@@ -99,36 +86,27 @@ def test_potential_closed_forms(op8):
 
 
 def test_potential_quadrature_matches_closed_form(op16):
-    # a custom f = 3u^2 with its primitives given goes through grid
-    # quadrature of Phi; the cubic kind has the same potential in closed form
+    # the table of f = 2|r| goes through grid quadrature of its Phi; the
+    # power law at p = 3 has the same potential in closed form
     rng = np.random.default_rng(2)
     c = rng.uniform(-0.5, 0.5, size=(5, 16))
-    closed = potential_batch(c, op16, cubic_nonlinearity())
-    custom = custom_nonlinearity(
-        f=lambda u: 3.0 * u * u, p=4.0, a0=1.0, a1=0.0, b0=1.0, b1=0.0, F=lambda u: u**3, Phi=lambda u: 0.25 * u**4
-    )
-    viaquad = potential_batch(c, op16, custom)
+    closed = potential_batch(c, op16, power_law_nonlinearity(3.0))
+    viaquad = potential_batch(c, op16, _abs_table_nonlinearity())
     assert np.allclose(viaquad, closed, rtol=1e-9)
 
 
 def test_potential_custom_matches_reference_integral(op8):
-    # f = cos has potential integral (1 - cos(x(xi))) over the interval
-    got = potential_batch(0.3 * np.eye(8)[:1], op8, _cos_nonlinearity())[0]
-    assert got == pytest.approx(0.044496274143657831, abs=1e-10)
+    # x = 0.3 e1 = 0.3 sqrt(2) sin(pi xi) >= 0, so the potential density is
+    # x^3 / 3, summed with the grid weights
+    x = 0.3 * math.sqrt(2.0) * np.sin(math.pi * op8.nodes)
+    got = potential_batch(0.3 * np.eye(8)[:1], op8, _abs_table_nonlinearity())[0]
+    assert got == pytest.approx(op8.weights @ (x**3 / 3.0), rel=1e-12)
 
 
 def test_potential_is_primitive_of_F(op8):
     rng = np.random.default_rng(9)
-    custom = custom_nonlinearity(
-        f=lambda u: 3.0 * u * u + np.cos(u),
-        p=4.0,
-        a0=1.0,
-        a1=1.0,
-        b0=1.0,
-        b1=0.0,
-        F=lambda u: u**3 + np.sin(u),
-        Phi=lambda u: 0.25 * u**4 + 1.0 - np.cos(u),
-    )
+    r = np.linspace(-4.0, 4.0, 81)
+    custom = custom_nonlinearity(tabulated_f(r, 3.0 * r * r + np.cos(r)), 4.0, 1.0, 1.0, 1.0, 0.0)
     for nl in (cubic_nonlinearity(), custom):
         x = rng.normal(size=8)
         z = rng.normal(size=8)
@@ -150,9 +128,8 @@ def test_verify_conditions_power_law_passes(op8):
 
 
 def test_verify_conditions_falsifies_decreasing_f(op8):
-    nl = custom_nonlinearity(
-        f=lambda u: -np.ones_like(u), p=3.0, a0=1.0, a1=1.0, b0=1.0, b1=0.0, F=lambda u: -u, Phi=lambda u: -0.5 * u * u
-    )
+    # f = -1 everywhere, clamped or not, so F = -u
+    nl = custom_nonlinearity(tabulated_f([-10.0, 10.0], [-1.0, -1.0]), 3.0, 1.0, 1.0, 1.0, 0.0)
     rep = verify_conditions(nl, op8, samples=500, seed=1)
     assert not rep.passed
     mono = rep.checks[0]
@@ -164,49 +141,21 @@ def test_verify_conditions_falsifies_decreasing_f(op8):
 def test_verify_conditions_falsifies_overstated_coercivity(op8):
     # F(u) = u only gives <F(x),x> = ||x||^2, so claiming b0 = 1 against
     # the L^3 power fails at large amplitudes
-    nl = custom_nonlinearity(
-        f=lambda u: np.ones_like(u), p=3.0, a0=1.0, a1=1.0, b0=1.0, b1=0.0, F=lambda u: u, Phi=lambda u: 0.5 * u * u
-    )
+    nl = custom_nonlinearity(tabulated_f([-10.0, 10.0], [1.0, 1.0]), 3.0, 1.0, 1.0, 1.0, 0.0)
     rep = verify_conditions(nl, op8, samples=2000, seed=2)
     coerce = rep.checks[2]
     assert coerce.name == "coercivity" and not coerce.passed
 
 
-def test_verify_conditions_checks_custom_primitives(op8):
-    # Phi = u^4/2 is twice the primitive of F = u^3: the draws pass the
-    # three sampled checks, and only the primitives check can see it.
-    def spec(Phi):
-        return custom_nonlinearity(f=lambda u: 3.0 * u * u, p=4.0, a0=1.0, a1=0.0, b0=1.0, b1=0.0, F=lambda u: u**3, Phi=Phi)
-
-    bad = verify_conditions(spec(lambda u: 0.5 * u**4), op8, samples=500, seed=0)
-    assert [c.name for c in bad.checks] == ["monotonicity", "growth", "coercivity", "primitives"]
-    assert [c.passed for c in bad.checks] == [True, True, True, False]
-    prim = bad.checks[3]
-    assert prim.samples == PRIMITIVE_POINTS and prim.tolerance == PRIMITIVE_RTOL
-    assert abs(prim.worst_violation - 1.0) < 1e-6  # dPhi = 2F
-    w = prim.witness
-    assert w["dPhi"] == pytest.approx(2.0 * w["u"] ** 3) and w["F"] == pytest.approx(w["u"] ** 3)
-
-    good = verify_conditions(spec(lambda u: 0.25 * u**4), op8, samples=500, seed=0)
-    assert good.passed and good.checks[3].worst_violation < 1e-9
-
-    # F = u^3 is not the primitive of f = 2u^2 + 1: F' = f fails
-    wrong_F = custom_nonlinearity(
-        f=lambda u: 2.0 * u * u + 1.0, p=4.0, a0=1.0, a1=1.0, b0=0.5, b1=0.0, F=lambda u: u**3, Phi=lambda u: 0.25 * u**4
-    )
-    assert not verify_conditions(wrong_F, op8, samples=200, seed=0).checks[3].passed
-
-    # a table's exact piecewise primitives pass across its kinks and clamped tails
-    r = np.linspace(-30.0, 30.0, 61)
-    table = tabulated_f(r, r**3 + r)
-    tab = custom_nonlinearity(f=table, p=4.0, a0=1.0, a1=1.0, b0=0.1, b1=0.0, F=table.F, Phi=table.Phi)
-    assert verify_conditions(tab, op8, samples=200, seed=3).checks[3].passed
-
-
 def test_verify_conditions_overflow_is_an_unbounded_violation(op8):
-    # |u|^198 overflows at verifier amplitudes; the margins turn non-finite
+    # A built-in power law with its own constants meets its conditions as
+    # identities at any p, so they are decided.  Claiming b0 = 1/2 instead
+    # is drawn for, and |u|^198 overflows at verifier amplitudes: the
+    # margins turn non-finite.
+    decided = verify_conditions(power_law_nonlinearity(200.0), op8, samples=200, seed=0)
+    assert decided.passed and all(c.decided for c in decided.checks)
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = verify_conditions(power_law_nonlinearity(200.0), op8, samples=200, seed=0)
+        rep = verify_conditions(NonlinearitySpec(kind="power_law", p=200.0, b0=0.5), op8, samples=200, seed=0)
     assert not rep.passed
     failed = [c for c in rep.checks if not c.passed]
     assert failed and all(c.worst_violation == math.inf for c in failed)
@@ -215,28 +164,25 @@ def test_verify_conditions_overflow_is_an_unbounded_violation(op8):
 
 def test_verify_g_affine_passes(op8):
     fs = affine_forcing(g1=0.3, g2=0.2)
-    rep = verify_g(fs, op8, samples=1000, seed=0)
+    rep = verify_g(fs, op8, seed=0)
     assert rep.passed
     assert [c.name for c in rep.checks] == ["g0_dominates_origin", "norm_bound", "lipschitz_pairing"]
-    with pytest.raises(ValueError, match="samples must be >= 1"):
-        verify_g(zero_forcing(), op8, samples=0, seed=0)
 
 
 def test_verify_g_falsifies_understated_origin(op16):
     # the projected constant 0.3 has H norm ~0.2962 > the declared 0.2
     bad = affine_forcing(g1=0.1, g2=0.0, constant=0.3, g0=0.2)
-    rep = verify_g(bad, op16, samples=200, seed=0)
+    rep = verify_g(bad, op16, seed=0)
     assert not rep.passed
     origin = rep.checks[0]
     assert origin.name == "g0_dominates_origin" and not origin.passed
 
     ok = affine_forcing(g1=0.1, g2=0.0, constant=0.3, g0=0.3)
-    assert verify_g(ok, op16, samples=200, seed=0).passed
+    assert verify_g(ok, op16, seed=0).passed
 
 
-# The forcing verifier as it was before the pairing check reused g(x, v):
-# five scaled draws, g evaluated on every drawn state.  The reuse promises
-# the same report, byte for byte once written as JSON.
+# A drawn falsifier of the forcing bounds: five scaled draws, g evaluated on
+# every drawn state.  The decided report must agree with it.
 def _reference_draw_batch(rng, n, m):
     coeffs = rng.uniform(-1.0, 1.0, size=(n, m))
     amps = rng.uniform(0.0, AMPLITUDE_MAX, size=(n, 1))
@@ -275,22 +221,6 @@ def _reference_verify_g(fs, op, samples, seed):
     return ConditionReport(checks=(c_origin, c_norm, c_pair), seed=seed)
 
 
-# m=8 transforms with the dense matrices, m=512 with the FFT pair
-@pytest.mark.parametrize("m", [8, 512])
-@pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC_MEAN_ZERO])
-def test_drawn_forcing_report_matches_the_reference(m, bc):
-    op = build_operator(DomainSpec(length=1.0, bc=bc), m)
-    for fs in (
-        zero_forcing(),
-        affine_forcing(g1=0.3, g2=0.2, constant=0.4, g0=0.5),
-        affine_forcing(g1=0.1, constant=0.3, g0=0.2),  # falsified at the origin: witnesses too
-        custom_lipschitz_forcing(lambda u, v: 0.2 * np.sin(u) + 0.1 * v, g0=0.0, g1=0.2, g2=0.1),
-    ):
-        for n, seed in ((1, 0), (50, 9)):
-            got = verify_g(fs, op, samples=n, seed=seed)
-            assert cli._json(got.to_dict()) == cli._json(_reference_verify_g(fs, op, n, seed).to_dict())
-
-
 def test_draw_batch_scales_in_place_with_the_same_bits():
     got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
     for n, m in ((1, 1), (3, 8), (40, 512)):
@@ -302,8 +232,8 @@ def _no_draws(*args):
     raise AssertionError("decided checks must not draw")
 
 
-# Built-in F and zero or affine g are decided without draws; wherever a
-# decided report passes, the drawn falsifier must pass too.
+# Built-in F with its own constants and zero or affine g are decided without
+# draws; wherever a decided report passes, a drawn falsifier must pass too.
 BUILTIN_KINDS = [linear_nonlinearity(), cubic_nonlinearity()] + [power_law_nonlinearity(p) for p in (2.5, 3.3, 4.0, 6.0)]
 
 
@@ -311,9 +241,12 @@ BUILTIN_KINDS = [linear_nonlinearity(), cubic_nonlinearity()] + [power_law_nonli
 @pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC_MEAN_ZERO])
 def test_decided_conditions_agree_with_the_drawn_ones(nl, bc, monkeypatch):
     op = build_operator(DomainSpec(length=1.7, bc=bc), 16)
-    drawn = verify_conditions(nl, op, samples=500, seed=4)
+    # a claim a hair weaker than the identities is drawn for
+    weaker = dataclasses.replace(nl, a0=1.0 + 1e-12, b0=1.0 - 1e-12)
+    drawn = verify_conditions(weaker, op, samples=500, seed=4)
+    assert not any(c.decided for c in drawn.checks)
     monkeypatch.setattr(nonlinearity, "_draw_batch", _no_draws)
-    decided = decide_conditions(nl, seed=4)
+    decided = verify_conditions(nl, op, samples=500, seed=4)
     assert [c.name for c in decided.checks] == [c.name for c in drawn.checks]
     assert all(c.decided for c in decided.checks)
     assert decided.passed and drawn.passed
@@ -331,30 +264,33 @@ def test_decided_forcing_agrees_with_the_drawn_one(bc, monkeypatch):
         affine_forcing(g1=0.1, constant=-c, g0=origin * (1.0 + 1e-6)),
         affine_forcing(g1=0.1, g2=0.5, constant=c, g0=origin * (1.0 - 1e-6)),
     ]
-    drawn = [verify_g(fs, op, samples=500, seed=5) for fs in cases]
+    drawn = [_reference_verify_g(fs, op, 500, 5) for fs in cases]
     monkeypatch.setattr(nonlinearity, "_draw_batch", _no_draws)
     for fs, want in zip(cases, drawn):
-        got = decide_g(fs, op, seed=5)
+        got = verify_g(fs, op, seed=5)
         assert [ch.name for ch in got.checks] == [ch.name for ch in want.checks]
         assert [ch.decided for ch in got.checks] == [False, True, True]
         # the origin check is computed, exactly as the drawn report does it
         assert got.checks[0].to_dict() == want.checks[0].to_dict()
         assert got.passed == want.passed
     # only the understated g0 fails, and only on the basis that sees constants
-    assert [decide_g(fs, op).passed for fs in cases] == [True] * 4 + [bc == PERIODIC_MEAN_ZERO]
+    assert [verify_g(fs, op).passed for fs in cases] == [True] * 4 + [bc == PERIODIC_MEAN_ZERO]
 
 
 def test_user_claims_are_left_to_the_drawn_checks(op8):
     table = tabulated_f([-10.0, 10.0], [1.0, 1.0])
-    assert decide_conditions(custom_nonlinearity(table, 3.0, 1.0, 0.0, 1.0, 0.0, F=table.F, Phi=table.Phi)) is None
-    # a built-in F with constants other than its identities states a claim
-    assert decide_conditions(NonlinearitySpec(kind="power_law", p=4.0, b0=2.0)) is None
-    assert decide_conditions(NonlinearitySpec(kind="power_law", p=4.0, a1=0.5)) is None
+    # a table, and a built-in F with constants other than its identities,
+    # state a claim
+    for nl in (
+        custom_nonlinearity(table, 3.0, 1.0, 0.0, 1.0, 0.0),
+        NonlinearitySpec(kind="power_law", p=4.0, b0=2.0),
+        NonlinearitySpec(kind="power_law", p=4.0, a1=0.5),
+    ):
+        rep = verify_conditions(nl, op8, samples=7, seed=0)
+        assert [(c.decided, c.samples) for c in rep.checks] == [(False, 7)] * 3
     # u^3 meets no p=3 growth bound, so the cubic kind is p=4 only
     with pytest.raises(ValueError, match="p=4"):
         NonlinearitySpec(kind="cubic", p=3.0)
-    g = custom_lipschitz_forcing(lambda u, v: 0.2 * np.sin(u), g0=0.0, g1=0.2, g2=0.0)
-    assert decide_g(g, op8) is None
 
 
 def test_forcing_spec_validation():
@@ -381,22 +317,6 @@ def test_forcing_batch_zero_and_affine(op8):
     assert np.allclose(got, want, rtol=1e-14)
 
 
-@pytest.mark.parametrize("m", [8, 512])
-def test_custom_forcing_must_sample_every_node(m):
-    # m=8 projects with the dense matrices, m=512 with the FFT pair
-    op = build_operator(DomainSpec(length=1.0, bc=DIRICHLET), m)
-    short = custom_lipschitz_forcing(lambda u, v: 0.1 * u[1:], g0=0.0, g1=0.1, g2=0.0)
-    a = np.random.default_rng(3).normal(size=(2, m))
-    with pytest.raises(ValueError, match="one sample per grid node"):
-        forcing_modal_batch(short, op, a, a)
-    with pytest.raises(ValueError, match="one sample per grid node"):
-        verify_g(short, op, samples=4, seed=0)
-    with pytest.raises(ValueError, match="one sample per grid node"):
-        energy_table(op, cubic_nonlinearity(), short, np.zeros(2), a, a)
-    full = custom_lipschitz_forcing(lambda u, v: 0.1 * u, g0=0.0, g1=0.1, g2=0.0)
-    assert np.allclose(forcing_modal_batch(full, op, a, a), 0.1 * a, rtol=1e-12, atol=1e-13)
-
-
 def test_tabulated_f_interp_and_clamp():
     f = tabulated_f([-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0])
     assert f(np.array([0.5]))[0] == pytest.approx(1.0)
@@ -415,14 +335,11 @@ def test_nonlinearity_spec_validation():
         NonlinearitySpec(kind="linear", p=3.0)
     with pytest.raises(ValueError):
         NonlinearitySpec(kind="power_law", p=4.0, a0=0.0)
-    with pytest.raises(ValueError):
-        NonlinearitySpec(kind="custom", p=3.0)
-    # a custom f needs both exact primitives: there is no quadrature fallback
-    for missing in ("F", "Phi"):
-        given = {"f": np.cos, "F": np.sin, "Phi": lambda u: 1.0 - np.cos(u)}
-        del given[missing]
-        with pytest.raises(ValueError, match="primitives"):
-            NonlinearitySpec(kind="custom", p=3.0, **given)
+    # the custom kind, and only it, holds a table with its exact primitives
+    table = tabulated_f([-1.0, 1.0], [-3.0, 3.0])
+    for kind, given in (("custom", None), ("custom", np.cos), ("power_law", table)):
+        with pytest.raises(ValueError, match="TabulatedF"):
+            NonlinearitySpec(kind=kind, p=3.0, table=given)
 
 
 # Tables for the exact primitives: 0 as a node, 0 between nodes, and a
@@ -496,7 +413,7 @@ def test_table_primitives_reach_stepping_and_potential(op16):
     # The table's exact F and Phi replace quadrature on every path: for a
     # table of f = 3r (exact on a two-node table) F = 1.5u^2 and Phi = u^3/2.
     table = tabulated_f([-50.0, 50.0], [-150.0, 150.0])
-    nl = custom_nonlinearity(f=table, p=4.0, a0=1.0, a1=1.0, b0=1.0, b1=0.0, F=table.F, Phi=table.Phi)
+    nl = custom_nonlinearity(table, 4.0, 1.0, 1.0, 1.0, 0.0)
     u = np.linspace(-3.0, 3.0, 13)
     assert np.allclose(F_on_grid(nl, u), 1.5 * u * u, rtol=1e-14, atol=1e-14)
     c = np.random.default_rng(8).uniform(-0.5, 0.5, size=(3, 16))

@@ -9,7 +9,6 @@ from wavegalerkin import solver
 from wavegalerkin.nonlinearity import (
     affine_forcing,
     cubic_nonlinearity,
-    custom_lipschitz_forcing,
     custom_nonlinearity,
     linear_nonlinearity,
     power_law_nonlinearity,
@@ -92,9 +91,8 @@ def _agrees(got, want, rtol=1e-12):
     return got.shape == want.shape and np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
-_CUSTOM_G = custom_lipschitz_forcing(lambda u, v: 0.2 * np.tanh(u) + 0.1 * v, g0=0.0, g1=0.2, g2=0.1)
 _TABLE = tabulated_f(np.linspace(-2.0, 2.0, 21), np.linspace(-2.0, 2.0, 21) ** 3)
-_CUSTOM_F = custom_nonlinearity(f=_TABLE, p=4.0, a0=1.0, a1=1.0, b0=0.1, b1=0.0, F=_TABLE.F, Phi=_TABLE.Phi)
+_CUSTOM_F = custom_nonlinearity(_TABLE, 4.0, 1.0, 1.0, 0.1, 0.0)
 
 
 # On dense products every nonlinear F, a custom one included, is folded into
@@ -115,15 +113,11 @@ def test_acceleration_implementations_agree(op8, seed):
         cubic_nonlinearity(),
         power_law_nonlinearity(3.5),
         _CUSTOM_F,
-        custom_nonlinearity(
-            f=lambda u: 3.0 * u * u, p=4.0, a0=1.0, a1=0.0, b0=1.0, b1=0.0, F=lambda u: u**3, Phi=lambda u: 0.25 * u**4
-        ),
     ]
     forcings = [
         zero_forcing(),
         affine_forcing(g1=0.3, g2=0.2),
         affine_forcing(g1=0.3, g2=0.2, constant=0.1, g0=0.2),
-        _CUSTOM_G,
     ]
     assert 512 >= FFT_MIN_MODES
     ops = (
@@ -178,26 +172,8 @@ def _accelerate_three_times(op, nl, fs):
     return out, acceleration(State(a=x[0], adot=x[1]), op, nl, fs)
 
 
-def test_custom_forcing_samples_a_once_per_acceleration(monkeypatch):
-    # A custom g is evaluated at the grid samples of a that the Galerkin term
-    # has already taken.  On the FFT pair each acceleration makes two
-    # modes-to-grid transforms (a and the velocity channel) and two
-    # projections; on dense products the folded term samples a itself, so
-    # the pair maps only the velocity channel and g.
-    calls = _count_transforms(monkeypatch)
-    op = build_operator(DomainSpec(length=1.0, bc=DIRICHLET), 512)
-    assert op.modes >= FFT_MIN_MODES
-    got, want = _accelerate_three_times(op, power_law_nonlinearity(3.5), _CUSTOM_G)
-    assert calls == {"to_grid": 6, "from_grid": 6}
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
-    calls.update(to_grid=0, from_grid=0)
-    got, want = _accelerate_three_times(build_operator(DomainSpec(length=1.0, bc=DIRICHLET), 8), _CUSTOM_F, _CUSTOM_G)
-    assert calls == {"to_grid": 3, "from_grid": 3}
-    assert _agrees(got, want)
-
-
 # On dense products every nonlinear F, a custom one included, is folded into
-# L, so without a custom g no acceleration calls the transform pair.
+# L, so no acceleration calls the transform pair.
 @pytest.mark.parametrize("fs", [zero_forcing(), affine_forcing(g1=0.3, g2=0.2, constant=0.1, g0=0.2)], ids=["zero", "affine"])
 @pytest.mark.parametrize("m", [8, FFT_MIN_MODES - 1])
 def test_dense_custom_F_never_calls_the_transform_pair(m, fs, monkeypatch):
@@ -370,14 +346,13 @@ def test_trajectory_sampling_and_zero_T(op8):
     assert traj.cfg.integrator == RK4
 
 
-def test_custom_kind_follows_the_cubic_kind(op8):
-    nl = custom_nonlinearity(
-        f=lambda u: 3.0 * u * u, p=4.0, a0=1.0, a1=0.0, b0=1.0, b1=0.0, F=lambda u: u**3, Phi=lambda u: 0.25 * u**4
-    )
+def test_custom_kind_follows_the_power_law_kind(op8):
+    # a table of f = 2|r| with a node at 0 has F = |u| u on its range
+    nl = custom_nonlinearity(tabulated_f([-50.0, 0.0, 50.0], [100.0, 0.0, 100.0]), 3.0, 1.0, 0.0, 1.0, 0.0)
     init = initial_state_from_modal([0.2], [], op8).state
     traj = integrate(init, SolverConfig(T=0.1, dt=1e-3), op8, nl, zero_forcing())
-    cubic = integrate(init, SolverConfig(T=0.1, dt=1e-3), op8, cubic_nonlinearity(), zero_forcing())
-    assert np.allclose(traj.a, cubic.a, atol=1e-10)
+    power = integrate(init, SolverConfig(T=0.1, dt=1e-3), op8, power_law_nonlinearity(3.0), zero_forcing())
+    assert np.allclose(traj.a, power.a, atol=1e-10)
 
 
 @pytest.mark.parametrize(
