@@ -227,12 +227,17 @@ def _assert_runs_agree(got, want):
 
 _R = np.linspace(-3.0, 3.0, 41)
 _TABLE = tabulated_f(_R, _R**3 + 2.0 * _R)
+# An asymmetric table without a node at 0, narrower than the grid values of
+# _initial_modal, so the stepping loops read both clamped tails of F
+# (test_clamped_table_reaches_both_tails).
+_CLAMPED = tabulated_f([-0.15, -0.05, 0.1], [1.5, 1.0, 1.2])
 
 NL_CASES = {
     "cubic": cubic_nonlinearity(),
     "power_law": power_law_nonlinearity(3.5),
     "linear": linear_nonlinearity(),
     "table": custom_nonlinearity(_TABLE, 4.0, 1.0, 2.0, 0.1, 0.0),
+    "clamped_table": custom_nonlinearity(_CLAMPED, 3.0, 1.0, 1.0, 0.1, 0.0),
 }
 FS_CASES = {
     "zero": zero_forcing(),
@@ -250,10 +255,22 @@ def _initial_modal(op):
     return scale * rng.normal(size=op.modes), scale * op.sqrt_eigenvalues * rng.normal(size=op.modes)
 
 
-@pytest.fixture(scope="module", params=[(DIRICHLET, 6), (DIRICHLET, 512), (PERIODIC_MEAN_ZERO, 512)], ids=lambda p: f"{p[0]}-{p[1]}")
+# m=6 steps on dense products, m=512 on the FFT pair, under both BCs
+@pytest.fixture(
+    scope="module",
+    params=[(DIRICHLET, 6), (DIRICHLET, 512), (PERIODIC_MEAN_ZERO, 6), (PERIODIC_MEAN_ZERO, 512)],
+    ids=lambda p: f"{p[0]}-{p[1]}",
+)
 def stepping_op(request):
     bc, m = request.param
     return build_operator(DomainSpec(length=1.0, bc=bc), m)
+
+
+def test_clamped_table_reaches_both_tails(stepping_op):
+    # the initial data alone leaves the table range on each side
+    u = transform_pair(stepping_op)[0](_initial_modal(stepping_op)[0])
+    assert u.min() < _CLAMPED.r[0] and u.max() > _CLAMPED.r[-1]
+    assert 0.0 not in _CLAMPED.r
 
 
 def _stiff_dt(op):
