@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .nonlinearity import ZERO, ForcingSpec, NonlinearitySpec, forcing_modal_batch, potential_batch, worst_margin
-from .spectral import OperatorSpec
+from .spectral import OperatorSpec, modes_to_grid
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import Trajectory
@@ -52,6 +52,8 @@ ENVELOPE_REL = 1e-9
 CONSERVATION_REL = 1e-6
 DECAY_REL = 1e-9
 
+TABLE_RANGE_NOTE = "checked at the recorded samples only, not at the steps between them"
+
 
 @dataclass(frozen=True)
 class EnergyRecord:
@@ -73,7 +75,11 @@ class EnergyRecord:
 
 @dataclass(frozen=True, eq=False)
 class EnergyTable:
-    """Columnar energy records for a whole trajectory."""
+    """Columnar energy records for a whole trajectory.
+
+    For a tabulated ``F`` it also holds each sample's least and largest grid
+    value, ``u_min`` and ``u_max``, which the table's range check reads.
+    """
 
     t: np.ndarray
     kinetic: np.ndarray
@@ -81,6 +87,8 @@ class EnergyTable:
     energy: np.ndarray
     by_norm_sq: np.ndarray
     forcing_power: np.ndarray
+    u_min: np.ndarray | None = None
+    u_max: np.ndarray | None = None
 
     def __len__(self) -> int:
         return int(self.t.shape[0])
@@ -106,10 +114,18 @@ def energy_table(
 ) -> EnergyTable:
     """Vectorized energy records for sampled modal histories."""
     lam = op.eigenvalues
+    u_min = u_max = None
     with np.errstate(over="ignore", invalid="ignore"):
         kinetic = 0.5 * np.sum(adot_hist * adot_hist / lam[None, :], axis=1)
         by_norm_sq = np.sum(a_hist * a_hist / lam[None, :], axis=1)
-        potential = potential_batch(a_hist, op, nl)
+        if nl.table is not None:
+            # The grid values the table's potential reads are the ones its
+            # range check needs.
+            u = modes_to_grid(a_hist, op)
+            potential = nl.table.Phi(u) @ op.weights
+            u_min, u_max = u.min(axis=1), u.max(axis=1)
+        else:
+            potential = potential_batch(a_hist, op, nl)
         g = forcing_modal_batch(fs, op, a_hist, adot_hist)
         forcing_power = np.sum(g * adot_hist / lam[None, :], axis=1)
         energy = kinetic + potential
@@ -120,6 +136,8 @@ def energy_table(
         energy=energy,
         by_norm_sq=by_norm_sq,
         forcing_power=forcing_power,
+        u_min=u_min,
+        u_max=u_max,
     )
 
 
@@ -257,9 +275,11 @@ def derive_decay(nl: NonlinearitySpec, fs: ForcingSpec, op: OperatorSpec, initia
     ``c = 2/(p c_emb^p)``, and ``delta`` is half of ``min((k-1)/(k^r C^r),
     1/2)`` (all of it when ``C = 0``), capped by ``c/2^(r-1)`` so the
     comparison rewrite is valid.  Returns ``None`` whenever no decay bound
-    exists: for nonzero forcing, for ``p <= 2``, and when ``k^r C^r``
-    overflows, since no ``delta > 0`` then satisfies the first cap.  This
-    is the one place that decides whether the decay bound applies.
+    exists: for nonzero forcing, for ``p <= 2``, when ``k^r C^r``
+    overflows, since no ``delta > 0`` then satisfies the first cap, and
+    when ``c_emb^p`` or ``2^(r-1)`` leaves the float range, since ``c`` or
+    the second cap is then not a positive float.  This is the one place
+    that decides whether the decay bound applies.
     """
     if fs.kind != ZERO or nl.p <= 2.0:
         return None
@@ -268,9 +288,16 @@ def derive_decay(nl: NonlinearitySpec, fs: ForcingSpec, op: OperatorSpec, initia
     cap = _delta_cap(2.0, r, big_c) if big_c > 0.0 else math.inf
     if cap == 0.0:
         return None
-    c = 2.0 / (nl.p * embedding_constant(op, nl.p) ** nl.p)
+    try:
+        c = 2.0 / (nl.p * embedding_constant(op, nl.p) ** nl.p)
+        comparison_cap = c / 2.0 ** (r - 1.0)
+    except (OverflowError, ZeroDivisionError):
+        # c_emb^p or 2^(r-1) leaves the float range (p in the thousands).
+        return None
+    if not (math.isfinite(c) and comparison_cap > 0.0):
+        return None
     delta = 0.5 * min(cap, 0.5) if big_c > 0.0 else 0.5
-    delta = min(delta, c / 2.0 ** (r - 1.0))
+    delta = min(delta, comparison_cap)
     return DecayParams(r=r, c=c, C=big_c, k=2.0, delta=delta)
 
 
@@ -319,7 +346,10 @@ class MonitorCheck:
     the one with the largest violation.  For ``gronwall`` and ``decay`` the
     violation is ``lhs - bound``, negative where the bound held with margin;
     for ``energy_identity`` and ``conservation`` it is the residual itself,
-    never negative.  ``tolerance`` is the slack granted at that sample.
+    never negative; for ``table_range`` it is how far the sample's grid
+    values reach past the table's range, negative inside it.  ``tolerance``
+    is the slack granted at that sample, and ``note`` says what a check
+    cannot see, when that needs saying.
     """
 
     name: str
@@ -328,6 +358,7 @@ class MonitorCheck:
     t_worst: float
     tolerance: float
     samples: int
+    note: str | None = None
 
 
 @dataclass(frozen=True)
@@ -347,18 +378,22 @@ class MonitorReport:
             "passed": self.passed,
             "diverged": self.diverged,
             "diverged_at": self.diverged_at,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "worst_violation": c.worst_violation,
-                    "t_worst": c.t_worst,
-                    "tolerance": c.tolerance,
-                    "samples": c.samples,
-                }
-                for c in self.checks
-            ],
+            "checks": [_check_dict(c) for c in self.checks],
         }
+
+
+def _check_dict(c: MonitorCheck) -> dict:
+    out = {
+        "name": c.name,
+        "passed": c.passed,
+        "worst_violation": c.worst_violation,
+        "t_worst": c.t_worst,
+        "tolerance": c.tolerance,
+        "samples": c.samples,
+    }
+    if c.note is not None:
+        out["note"] = c.note
+    return out
 
 
 def identity_residuals(tbl: EnergyTable) -> np.ndarray:
@@ -375,7 +410,7 @@ def identity_residuals(tbl: EnergyTable) -> np.ndarray:
     return res
 
 
-def _per_sample_check(name: str, t, viol, allowed) -> MonitorCheck:
+def _per_sample_check(name: str, t, viol, allowed, note: str | None = None) -> MonitorCheck:
     i, worst, tolerance, passed = worst_margin(viol, allowed)
     return MonitorCheck(
         name=name,
@@ -384,6 +419,7 @@ def _per_sample_check(name: str, t, viol, allowed) -> MonitorCheck:
         t_worst=float(t[i]),
         tolerance=tolerance,
         samples=len(viol),
+        note=note,
     )
 
 
@@ -396,7 +432,10 @@ def monitor(traj: "Trajectory", gp: GronwallParams, dp: DecayParams | None = Non
     - ``gronwall``: ``2E`` below :func:`gronwall_envelope`, which starts at
       ``E_init = 2E(0)`` (forced runs),
     - ``conservation``: |E - E(0)| small (unforced runs),
-    - ``decay``: ||By||^2 below :func:`decay_bound` (unforced runs, given ``dp``).
+    - ``decay``: ||By||^2 below :func:`decay_bound` (unforced runs, given ``dp``),
+    - ``table_range``: every grid value of every sample within the range on
+      which a tabulated ``F``'s conditions were decided (custom ``F``).  It
+      sees the recorded samples only, not the steps between them.
 
     Single-sample trajectories pass vacuously where no interval exists.
     """
@@ -415,6 +454,10 @@ def monitor(traj: "Trajectory", gp: GronwallParams, dp: DecayParams | None = Non
             bound = decay_bound(dp, float(tbl.by_norm_sq[0]), t)
             viol = tbl.by_norm_sq - bound
             results.append(_per_sample_check("decay", t, viol, DECAY_REL * np.abs(bound)))
+    if tbl.u_min is not None:
+        lo, hi = traj.nl.table.range
+        reach = np.maximum(lo - tbl.u_min, tbl.u_max - hi)
+        results.append(_per_sample_check("table_range", t, reach, 0.0, note=TABLE_RANGE_NOTE))
 
     return MonitorReport(checks=tuple(results), diverged=traj.diverged, diverged_at=traj.diverged_at)
 

@@ -243,7 +243,8 @@ class _PeriodicFFT:
 def build_operator(domain: DomainSpec, modes: int) -> OperatorSpec:
     """Assemble the diagonal operator and quadrature grid for ``modes`` modes.
 
-    Raises :class:`PoincareViolationError` when the smallest eigenvalue drops
+    Raises ``ValueError`` when the largest eigenvalue overflows a float, and
+    :class:`PoincareViolationError` when the smallest eigenvalue drops
     below 1 (Dirichlet needs ``length <= pi``, periodic ``length <= 2*pi``)
     unless the domain opts out, in which case a warning string is recorded
     on the returned spec.
@@ -256,14 +257,17 @@ def build_operator(domain: DomainSpec, modes: int) -> OperatorSpec:
     if n < floor:
         raise ValueError(f"grid_points={n} is below the dealiasing floor {floor} for modes={modes}")
 
-    if domain.bc == DIRICHLET:
-        nodes = (np.arange(n) + 0.5) * (l / n)
-        k = np.arange(1, modes + 1, dtype=np.float64)
-        lam = (k * np.pi / l) ** 2
-    else:
-        nodes = np.arange(n) * (l / n)
-        wavenumbers = np.arange(modes) // 2 + 1
-        lam = (2.0 * np.pi * wavenumbers / l) ** 2
+    with np.errstate(over="ignore"):
+        if domain.bc == DIRICHLET:
+            nodes = (np.arange(n) + 0.5) * (l / n)
+            k = np.arange(1, modes + 1, dtype=np.float64)
+            lam = (k * np.pi / l) ** 2
+        else:
+            nodes = np.arange(n) * (l / n)
+            wavenumbers = np.arange(modes) // 2 + 1
+            lam = (2.0 * np.pi * wavenumbers / l) ** 2
+    if not np.isfinite(lam[-1]):
+        raise ValueError(f"length={l:g} is too small: the eigenvalues of {modes} modes overflow a float")
     weights = np.full(n, l / n)
 
     warnings: tuple[str, ...] = ()

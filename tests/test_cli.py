@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -90,15 +91,15 @@ def _strict_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
 
-# A custom F is drawn for.  At p=200, |u|^200 overflows at verifier
-# amplitudes, so the growth and coercivity checks of this F(u) = u table
-# turn non-finite.
-CUSTOM_P200 = dict(CUSTOM_NEGATED, p=200.0, a1=0.0, table={"r": [-10.0, 10.0], "f": [1.0, 1.0]})
+# A custom F is decided on its table's range.  At p=200 the right side of
+# coercivity, |u|^200 at u = 100, overflows a float: the witness says "inf".
+CUSTOM_P200 = dict(CUSTOM_NEGATED, p=200.0, a1=0.0, table={"r": [-100.0, 100.0], "f": [1.0, 1.0]})
 
 
 def test_unbounded_checks_are_strict_json(tmp_path):
-    # The failed checks are unbounded, written as "inf", and the overflow
-    # prints no warning.
+    # The overflow prints no warning, and the failed checks name where they
+    # fail: coercivity at the range's end, growth at F(u) = u's crossing
+    # with |u|^199, between knots.
     cfg = make_cfg(tmp_path, modes=16, nonlinearity=CUSTOM_P200)
     path = write_cfg(tmp_path, cfg)
     src_dir = str(Path(wavegalerkin.__file__).resolve().parents[1])
@@ -112,8 +113,12 @@ def test_unbounded_checks_are_strict_json(tmp_path):
         text = proc.stdout.decode() if out is None else out.read_text()
         rep = json.loads(text, parse_constant=_strict_constant)
         ver = rep if out is None else rep["verification"]
-        failed = [c for c in ver["nonlinearity"]["checks"] if not c["passed"]]
-        assert failed and all(c["worst_violation"] == "inf" for c in failed)
+        assert ver["nonlinearity"]["range"] == [-100.0, 100.0]
+        checks = {c["name"]: c for c in ver["nonlinearity"]["checks"]}
+        assert checks["monotonicity"] == {"name": "monotonicity", "passed": True, "decided": True}
+        coercivity, growth = checks["coercivity"]["witness"], checks["growth"]["witness"]
+        assert abs(coercivity["u"]) == 100.0 and coercivity["rhs"] == "inf" and coercivity["lhs"] == 10000.0
+        assert 0.0 < abs(growth["u"]) < 1.0 and growth["lhs"] > growth["rhs"]
 
 
 @pytest.mark.parametrize("p", [200.0, 320.0])
@@ -148,16 +153,20 @@ def test_affine_g0_below_the_origin_norm_fails_verify(tmp_path, capsys):
     assert checks["lipschitz_pairing"]["passed"] is True
 
 
-def test_custom_table_report_is_the_drawn_one(tmp_path, capsys):
+def test_custom_table_report_is_the_decided_one(tmp_path, capsys):
+    # verification.samples and seed are accepted and ignored.
     cfg = make_cfg(tmp_path, modes=16, nonlinearity=CUSTOM_NEGATED, verification={"samples": 300}, seed=11)
     path = write_cfg(tmp_path, cfg)
     assert cli.main(["verify", path]) == 1
     rep = json.loads(capsys.readouterr().out)
     rc = load_config(path)
     op = build_operator(rc.domain, rc.modes)
-    drawn = verify_conditions(rc.nl, op, rc.verify_samples, rc.seed)
-    assert rep["nonlinearity"] == json.loads(cli._json(drawn.to_dict()))
-    assert [c["samples"] for c in rep["nonlinearity"]["checks"]] == [300, 300, 300]
+    assert rep["nonlinearity"] == json.loads(cli._json(verify_conditions(rc.nl, op).to_dict()))
+    assert rep["nonlinearity"]["range"] == [-10.0, 10.0]
+    assert all(c["decided"] for c in rep["nonlinearity"]["checks"])
+    mono = rep["nonlinearity"]["checks"][0]
+    assert mono["witness"] == {"knot": 0, "u": -10.0, "f": -1.0}
+    assert "seed" not in rep["nonlinearity"] and "seed" not in rep["forcing"]
 
 
 def test_poincare_rejection(tmp_path, capsys):
@@ -252,6 +261,96 @@ def test_run_affine_has_no_decay_column(tmp_path):
     assert [c["name"] for c in rep["monitor"]["checks"]] == ["energy_identity", "gronwall"]
 
 
+def _cubic_table(reach, entries=201):
+    """A custom F: the table of f = 3 r^2 on [-reach, reach], with constants that hold on it."""
+    r = np.linspace(-reach, reach, entries)
+    return {"kind": "custom", "p": 4.0, "a0": 1.0, "a1": 1.0, "b0": 1.0, "b1": 0.0, "table": {"r": r.tolist(), "f": (3.0 * r * r).tolist()}}
+
+
+@pytest.mark.parametrize("amplitude, passed", [(0.1, True), (1.0, False)])
+def test_run_checks_that_samples_stay_in_the_table_range(tmp_path, capsys, amplitude, passed):
+    # The table's conditions hold on [-0.1, 0.1]; a parabola of amplitude 1
+    # peaks at 0.25, past the range, so the run exits 1 on the range check.
+    cfg = make_cfg(
+        tmp_path,
+        nonlinearity=_cubic_table(0.1),
+        initial={"x0": {"type": "parabola", "amplitude": amplitude}, "x1": {"type": "zero"}},
+        time={"T": 0.1, "dt": 1e-3, "sample_stride": 10},
+    )
+    assert cli.main(["run", write_cfg(tmp_path, cfg)]) == (0 if passed else 1)
+    assert ("pass" if passed else "violation") in capsys.readouterr().out
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["verification"]["passed"] is True
+    assert rep["verification"]["nonlinearity"]["range"] == [-0.1, 0.1]
+    checks = {c["name"]: c for c in rep["monitor"]["checks"]}
+    assert list(checks) == ["energy_identity", "conservation", "decay", "table_range"]
+    reach = checks["table_range"]
+    assert reach["passed"] is passed and reach["samples"] == 11
+    assert reach["note"] == "checked at the recorded samples only, not at the steps between them"
+    assert all(c["passed"] for name, c in checks.items() if name != "table_range")
+    if not passed:
+        assert reach["worst_violation"] == pytest.approx(0.15, abs=1e-3) and reach["t_worst"] == 0.0
+    # a built-in F has no range to leave
+    assert "note" not in checks["conservation"]
+
+
+def test_run_with_an_overflowing_decay_power_has_no_decay_bound(tmp_path, capsys):
+    # At p = 2060 the comparison cap c / 2^(r-1) overflows; derive_decay
+    # returns None and the run exits by its monitors alone.
+    cfg = make_cfg(tmp_path, nonlinearity={"kind": "power_law", "p": 2060}, time={"T": 0.01, "dt": 1e-3})
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["verify", path]) == 0
+    code = cli.main(["run", path])
+    assert "Traceback" not in capsys.readouterr().err
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert code == (0 if rep["monitor"]["passed"] else 1)
+    assert rep["decay_params"] is None and rep["absorbing_ball"] is None
+    assert "decay" not in [c["name"] for c in rep["monitor"]["checks"]]
+
+
+@pytest.mark.parametrize("cmd", ["verify", "run"])
+def test_sine_wavenumber_past_the_float_range_exits_3(tmp_path, capsys, cmd):
+    x0 = {"type": "sine", "wavenumber": 10**400}
+    cfg = make_cfg(tmp_path, initial={"x0": x0, "x1": {"type": "zero"}})
+    assert cli.main([cmd, write_cfg(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid initial data at initial/x0/wavenumber:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("cmd", ["verify", "run"])
+@pytest.mark.parametrize("bc", ["dirichlet", "periodic_mean_zero"])
+def test_overflowing_eigenvalues_exit_3_without_a_warning(tmp_path, capsys, cmd, bc):
+    cfg = make_cfg(tmp_path, domain={"length": 1e-300, "bc": bc})
+    path = write_cfg(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([cmd, path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: length=1e-300 is too small")
+    assert not (tmp_path / "report.json").exists()
+
+
+def _no_generator(*args, **kwargs):
+    raise AssertionError("verify and run draw nothing")
+
+
+@pytest.mark.parametrize(
+    "nonlinearity",
+    [{"kind": "linear"}, {"kind": "cubic"}, {"kind": "power_law", "p": 3.3}, _cubic_table(40.0)],
+    ids=["linear", "cubic", "power_law", "custom"],
+)
+@pytest.mark.parametrize("forcing", [{"kind": "zero"}, {"kind": "affine", "g1": 0.1, "g2": 0.1, "g0": 0.2, "constant": 0.1}], ids=["zero", "affine"])
+def test_verify_and_run_call_no_random_generator(tmp_path, capsys, monkeypatch, nonlinearity, forcing):
+    monkeypatch.setattr(np.random, "default_rng", _no_generator)
+    cfg = make_cfg(tmp_path, nonlinearity=nonlinearity, forcing=forcing, time={"T": 0.1, "dt": 1e-3, "sample_stride": 10})
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["verify", path]) == 0
+    assert cli.main(["run", path]) == 0
+
+
 def test_run_T_zero_single_sample(tmp_path):
     cfg = make_cfg(tmp_path, time={"T": 0.0, "dt": 1e-3})
     assert cli.main(["run", write_cfg(tmp_path, cfg)]) == 0
@@ -305,13 +404,14 @@ def test_runtime_monitor_catches_a_falsified_table(tmp_path):
     assert rep["verification"]["passed"] is False
     assert rep["monitor"] is None
     # ... and stepping it anyway through the library, the decay monitor
-    # catches the growth that the falsified conditions allow.
+    # catches the growth that the falsified conditions allow, which also
+    # carries the field past the table's range.
     rc = load_config(path)
     op = build_operator(rc.domain, rc.modes)
     traj = integrate(resolve_initial(rc, op).state, rc.solver, op, rc.nl, rc.fs)
     row0 = traj.energy.row(0)
     report = monitor(traj, derive_gronwall(rc.nl, rc.fs, op, row0), derive_decay(rc.nl, rc.fs, op, row0))
-    assert [c.name for c in report.checks if not c.passed] == ["decay"]
+    assert [c.name for c in report.checks if not c.passed] == ["decay", "table_range"]
 
 
 def test_converge_linear_dt_order(tmp_path, capsys):

@@ -36,11 +36,20 @@ def test_load_valid_config_defaults(tmp_path):
     assert rc.modes == 8
     assert rc.nl.kind == "cubic" and rc.fs.kind == "zero"
     assert rc.solver.T == 1.0 and rc.solver.sample_stride == 1
-    assert rc.verify_samples == 200
     assert rc.output.csv_path == "trajectory.csv"
     assert rc.output.report_path == "report.json"
-    assert rc.seed == 0
     assert rc.output == OutputSettings()
+
+
+def test_verification_samples_and_seed_are_accepted_and_ignored(tmp_path):
+    # Nothing is drawn any more; configs that still set the keys load as before.
+    plain = load_config(write_cfg(tmp_path, base_config(), "plain.json"))
+    keyed = load_config(write_cfg(tmp_path, base_config(verification={"samples": 300}, seed=11), "keyed.json"))
+    assert keyed.solver == plain.solver and keyed.output == plain.output
+    assert not hasattr(keyed, "seed") and not hasattr(keyed, "verify_samples")
+    for bad in (dict(verification={"samples": 0}), dict(seed=-1), dict(verification={"draws": 1})):
+        with pytest.raises(ConfigError, match="schema violation"):
+            load_config(write_cfg(tmp_path, base_config(**bad), "bad.json"))
 
 
 def test_schema_has_no_monitors_section():
@@ -50,6 +59,7 @@ def test_schema_has_no_monitors_section():
     props = CONFIG_SCHEMA["properties"]
     assert "monitors" not in props
     assert set(props["verification"]["properties"]) == {"samples"}
+    assert "ignored" in props["verification"]["description"] and "ignored" in props["seed"]["description"]
     assert "allow_poincare_violation" not in props["domain"]["properties"]
 
 

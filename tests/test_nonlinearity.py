@@ -10,7 +10,6 @@ from scipy.integrate import quad
 
 from wavegalerkin import cli, nonlinearity
 from wavegalerkin.nonlinearity import (
-    AMPLITUDE_MAX,
     RELATIVE_SLACK,
     ZERO,
     ConditionReport,
@@ -119,52 +118,71 @@ def test_potential_is_primitive_of_F(op8):
 
 
 def test_verify_conditions_power_law_passes(op8):
-    rep = verify_conditions(power_law_nonlinearity(4.0), op8, samples=2000, seed=0)
+    rep = verify_conditions(power_law_nonlinearity(4.0), op8)
     assert rep.passed
     assert [c.name for c in rep.checks] == ["monotonicity", "growth", "coercivity"]
-    assert all(c.witness is None for c in rep.checks)
+    assert all(c.decided and c.witness is None for c in rep.checks)
     d = rep.to_dict()
-    assert d["passed"] is True and d["seed"] == 0 and len(d["checks"]) == 3
+    # a built-in F is decided on the whole line: no range, and no seed
+    assert d["passed"] is True and set(d) == {"passed", "checks"} and len(d["checks"]) == 3
 
 
 def test_verify_conditions_falsifies_decreasing_f(op8):
     # f = -1 everywhere, clamped or not, so F = -u
     nl = custom_nonlinearity(tabulated_f([-10.0, 10.0], [-1.0, -1.0]), 3.0, 1.0, 1.0, 1.0, 0.0)
-    rep = verify_conditions(nl, op8, samples=500, seed=1)
-    assert not rep.passed
+    rep = verify_conditions(nl, op8)
+    assert not rep.passed and rep.range == (-10.0, 10.0)
     mono = rep.checks[0]
-    assert mono.name == "monotonicity" and not mono.passed
-    assert mono.worst_violation > mono.tolerance
-    assert mono.witness is not None and "sample" in mono.witness
+    assert mono.name == "monotonicity" and not mono.passed and mono.decided
+    assert mono.witness == {"knot": 0, "u": -10.0, "f": -1.0}
 
 
 def test_verify_conditions_falsifies_overstated_coercivity(op8):
-    # F(u) = u only gives <F(x),x> = ||x||^2, so claiming b0 = 1 against
-    # the L^3 power fails at large amplitudes
+    # F(u) = u only gives F(u) u = u^2, below |u|^3 once |u| > 1
     nl = custom_nonlinearity(tabulated_f([-10.0, 10.0], [1.0, 1.0]), 3.0, 1.0, 1.0, 1.0, 0.0)
-    rep = verify_conditions(nl, op8, samples=2000, seed=2)
-    coerce = rep.checks[2]
+    coerce = verify_conditions(nl, op8).checks[2]
     assert coerce.name == "coercivity" and not coerce.passed
+    w = coerce.witness
+    assert abs(w["u"]) > 1.0 and w["lhs"] == pytest.approx(w["u"] ** 2) and w["rhs"] == pytest.approx(abs(w["u"]) ** 3)
 
 
-def test_verify_conditions_overflow_is_an_unbounded_violation(op8):
-    # A built-in power law with its own constants meets its conditions as
-    # identities at any p, so they are decided.  Claiming b0 = 1/2 instead
-    # is drawn for, and |u|^198 overflows at verifier amplitudes: the
-    # margins turn non-finite.
-    decided = verify_conditions(power_law_nonlinearity(200.0), op8, samples=200, seed=0)
-    assert decided.passed and all(c.decided for c in decided.checks)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rep = verify_conditions(NonlinearitySpec(kind="power_law", p=200.0, b0=0.5), op8, samples=200, seed=0)
-    assert not rep.passed
-    failed = [c for c in rep.checks if not c.passed]
-    assert failed and all(c.worst_violation == math.inf for c in failed)
-    assert not any(math.isnan(c.worst_violation) for c in rep.checks)
+def _crosses(check) -> bool:
+    """Whether a failed check's witness shows its inequality crossed."""
+    w = check.witness
+    return w["lhs"] > w["rhs"] if check.name == "growth" else w["lhs"] < w["rhs"]
+
+
+# A built-in kind is decided by its rules, with no power of u evaluated,
+# so they hold at any p: |u|^p overflows from about p = 200 at moderate u.
+@pytest.mark.parametrize(
+    "kind, p, claim, failed",
+    [
+        ("power_law", 2060.0, dict(), []),
+        ("power_law", 2060.0, dict(b0=0.5, a0=3.0, a1=2.0), []),
+        ("power_law", 2060.0, dict(b0=2.0), ["coercivity"]),
+        ("power_law", 2060.0, dict(b1=1e-3), ["coercivity"]),
+        ("power_law", 2060.0, dict(b0=0.5, b1=1e-3), ["coercivity"]),
+        ("power_law", 2060.0, dict(a0=0.5, a1=3.0), ["growth"]),
+        ("power_law", 200.0, dict(a0=0.5), ["growth"]),
+        ("power_law", 3.0, dict(a0=0.9, a1=0.3), ["growth"]),
+        ("power_law", 5.0, dict(b0=1.5), ["coercivity"]),
+        ("power_law", 2.5, dict(b0=0.5, b1=0.2), ["coercivity"]),
+        ("power_law", 4.0, dict(b0=1.0, b1=0.2), ["coercivity"]),
+        ("linear", 2.0, dict(a0=0.6, a1=0.3), ["growth"]),
+        ("linear", 2.0, dict(a0=0.6, a1=0.4), []),
+        ("linear", 2.0, dict(b0=0.6, b1=0.5), ["coercivity"]),
+        ("linear", 2.0, dict(b0=0.6, b1=0.4), []),
+    ],
+)
+def test_builtin_rules_and_their_witnesses(op8, kind, p, claim, failed):
+    rep = verify_conditions(NonlinearitySpec(kind=kind, p=p, **claim), op8)
+    assert [c.name for c in rep.checks if not c.passed] == failed
+    assert all(_crosses(c) for c in rep.checks if not c.passed)
 
 
 def test_verify_g_affine_passes(op8):
     fs = affine_forcing(g1=0.3, g2=0.2)
-    rep = verify_g(fs, op8, seed=0)
+    rep = verify_g(fs, op8)
     assert rep.passed
     assert [c.name for c in rep.checks] == ["g0_dominates_origin", "norm_bound", "lipschitz_pairing"]
 
@@ -172,21 +190,30 @@ def test_verify_g_affine_passes(op8):
 def test_verify_g_falsifies_understated_origin(op16):
     # the projected constant 0.3 has H norm ~0.2962 > the declared 0.2
     bad = affine_forcing(g1=0.1, g2=0.0, constant=0.3, g0=0.2)
-    rep = verify_g(bad, op16, seed=0)
+    rep = verify_g(bad, op16)
     assert not rep.passed
     origin = rep.checks[0]
     assert origin.name == "g0_dominates_origin" and not origin.passed
 
     ok = affine_forcing(g1=0.1, g2=0.0, constant=0.3, g0=0.3)
-    assert verify_g(ok, op16, seed=0).passed
+    assert verify_g(ok, op16).passed
 
 
-# A drawn falsifier of the forcing bounds: five scaled draws, g evaluated on
-# every drawn state.  The decided report must agree with it.
+# Drawn falsifiers, kept as references that the decided reports must agree
+# with: coefficients uniform in [-1, 1] scaled by amplitudes uniform in
+# [0, REFERENCE_AMPLITUDE_MAX], checked by grid quadrature.
+REFERENCE_AMPLITUDE_MAX = 10.0
+
+
 def _reference_draw_batch(rng, n, m):
     coeffs = rng.uniform(-1.0, 1.0, size=(n, m))
-    amps = rng.uniform(0.0, AMPLITUDE_MAX, size=(n, 1))
+    amps = rng.uniform(0.0, REFERENCE_AMPLITUDE_MAX, size=(n, 1))
     return coeffs * amps
+
+
+def _reference_reach(op):
+    """The largest grid value a reference draw can reach."""
+    return REFERENCE_AMPLITUDE_MAX * math.sqrt(2.0 / op.domain.length) * op.modes
 
 
 def _reference_verify_g(fs, op, samples, seed):
@@ -218,22 +245,42 @@ def _reference_verify_g(fs, op, samples, seed):
     rhs_pair = fs.g1 * np.abs(np.sum((cx - cx1) * cz, axis=1)) + fs.g2 * np.abs(np.sum((cv - cv1) * cz, axis=1))
     tol_pair = RELATIVE_SLACK * (1.0 + np.abs(rhs_pair) + np.abs(lhs_pair))
     c_pair = check("lipschitz_pairing", samples, lhs_pair - rhs_pair, tol_pair, {"lhs": lhs_pair, "rhs": rhs_pair})
-    return ConditionReport(checks=(c_origin, c_norm, c_pair), seed=seed)
+    return ConditionReport(checks=(c_origin, c_norm, c_pair))
 
 
-def test_draw_batch_scales_in_place_with_the_same_bits():
-    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
-    for n, m in ((1, 1), (3, 8), (40, 512)):
-        assert np.array_equal(nonlinearity._draw_batch(got_rng, n, m), _reference_draw_batch(want_rng, n, m))
-    assert got_rng.random() == want_rng.random()
+@np.errstate(over="ignore", invalid="ignore")
+def _reference_verify_conditions(nl, op, samples, seed):
+    """Monotonicity, growth and coercivity in their norm forms, on drawn field pairs."""
+    check = nonlinearity._check
+    rng = np.random.default_rng(seed)
+    cx = _reference_draw_batch(rng, samples, op.modes)
+    cz = _reference_draw_batch(rng, samples, op.modes)
+    w = op.weights
+    ux, uz = modes_to_grid(cx, op), modes_to_grid(cz, op)
+    fx, fz = F_on_grid(nl, ux), F_on_grid(nl, uz)
+
+    mono = ((fx - fz) * (ux - uz)) @ w
+    c_mono = check("monotonicity", samples, -mono, np.full(samples, 1e-10), {"pairing": mono})
+
+    p = nl.p
+    q = p / (p - 1.0)
+    norm_p = (np.abs(ux) ** p @ w) ** (1.0 / p)
+    norm_h = np.sqrt(np.sum(cx * cx, axis=1))
+    dual = (np.abs(fx) ** q @ w) ** (1.0 / q)
+    rhs_g = nl.a0 * norm_p ** (p - 1.0) + nl.a1 * norm_h
+    c_growth = check("growth", samples, dual - rhs_g, RELATIVE_SLACK * (1.0 + np.abs(rhs_g)), {"lhs": dual, "rhs": rhs_g})
+
+    pairing = (fx * ux) @ w
+    rhs_c = nl.b0 * norm_p**p + nl.b1 * norm_h**2
+    c_coerce = check("coercivity", samples, rhs_c - pairing, RELATIVE_SLACK * (1.0 + np.abs(rhs_c)), {"lhs": pairing, "rhs": rhs_c})
+    return ConditionReport(checks=(c_mono, c_growth, c_coerce))
 
 
-def _no_draws(*args):
+def _no_generator(*args, **kwargs):
     raise AssertionError("decided checks must not draw")
 
 
-# Built-in F with its own constants and zero or affine g are decided without
-# draws; wherever a decided report passes, a drawn falsifier must pass too.
+# Wherever a decided report passes, the drawn reference must pass too.
 BUILTIN_KINDS = [linear_nonlinearity(), cubic_nonlinearity()] + [power_law_nonlinearity(p) for p in (2.5, 3.3, 4.0, 6.0)]
 
 
@@ -241,15 +288,15 @@ BUILTIN_KINDS = [linear_nonlinearity(), cubic_nonlinearity()] + [power_law_nonli
 @pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC_MEAN_ZERO])
 def test_decided_conditions_agree_with_the_drawn_ones(nl, bc, monkeypatch):
     op = build_operator(DomainSpec(length=1.7, bc=bc), 16)
-    # a claim a hair weaker than the identities is drawn for
+    # a claim a hair weaker than the identities is decided too
     weaker = dataclasses.replace(nl, a0=1.0 + 1e-12, b0=1.0 - 1e-12)
-    drawn = verify_conditions(weaker, op, samples=500, seed=4)
-    assert not any(c.decided for c in drawn.checks)
-    monkeypatch.setattr(nonlinearity, "_draw_batch", _no_draws)
-    decided = verify_conditions(nl, op, samples=500, seed=4)
-    assert [c.name for c in decided.checks] == [c.name for c in drawn.checks]
-    assert all(c.decided for c in decided.checks)
-    assert decided.passed and drawn.passed
+    drawn = [_reference_verify_conditions(x, op, 500, 4) for x in (nl, weaker)]
+    monkeypatch.setattr(np.random, "default_rng", _no_generator)
+    for x, want in zip((nl, weaker), drawn):
+        got = verify_conditions(x, op)
+        assert [c.name for c in got.checks] == [c.name for c in want.checks]
+        assert all(c.decided for c in got.checks)
+        assert got.passed and want.passed
 
 
 @pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC_MEAN_ZERO])
@@ -265,9 +312,9 @@ def test_decided_forcing_agrees_with_the_drawn_one(bc, monkeypatch):
         affine_forcing(g1=0.1, g2=0.5, constant=c, g0=origin * (1.0 - 1e-6)),
     ]
     drawn = [_reference_verify_g(fs, op, 500, 5) for fs in cases]
-    monkeypatch.setattr(nonlinearity, "_draw_batch", _no_draws)
+    monkeypatch.setattr(np.random, "default_rng", _no_generator)
     for fs, want in zip(cases, drawn):
-        got = verify_g(fs, op, seed=5)
+        got = verify_g(fs, op)
         assert [ch.name for ch in got.checks] == [ch.name for ch in want.checks]
         assert [ch.decided for ch in got.checks] == [False, True, True]
         # the origin check is computed, exactly as the drawn report does it
@@ -277,20 +324,98 @@ def test_decided_forcing_agrees_with_the_drawn_one(bc, monkeypatch):
     assert [verify_g(fs, op).passed for fs in cases] == [True] * 4 + [bc == PERIODIC_MEAN_ZERO]
 
 
-def test_user_claims_are_left_to_the_drawn_checks(op8):
-    table = tabulated_f([-10.0, 10.0], [1.0, 1.0])
-    # a table, and a built-in F with constants other than its identities,
-    # state a claim
-    for nl in (
-        custom_nonlinearity(table, 3.0, 1.0, 0.0, 1.0, 0.0),
-        NonlinearitySpec(kind="power_law", p=4.0, b0=2.0),
-        NonlinearitySpec(kind="power_law", p=4.0, a1=0.5),
-    ):
-        rep = verify_conditions(nl, op8, samples=7, seed=0)
-        assert [(c.decided, c.samples) for c in rep.checks] == [(False, 7)] * 3
-    # u^3 meets no p=3 growth bound, so the cubic kind is p=4 only
-    with pytest.raises(ValueError, match="p=4"):
-        NonlinearitySpec(kind="cubic", p=3.0)
+def _random_monotone_table(rng, p, reach):
+    """A seeded table with f >= 0 and f(0) > 0, roughly (p-1)|r|^(p-2), over [-reach, reach]."""
+    r = np.sort(np.r_[rng.uniform(-reach, reach, 40), -reach, reach])
+    f = (p - 1.0) * np.abs(r) ** (p - 2.0) * np.exp(0.3 * rng.normal(size=r.size)) + rng.uniform(0.5, 2.0)
+    return tabulated_f(r, f)
+
+
+def _true_constants(table, p, c):
+    """The tightest b0 (with b1 = 0) and a0 (with the given a1) on a dense grid of the range.
+
+    A dense minimum can only overstate the true one, so claims 1% either
+    side of these are inside and outside the truth.
+    """
+    lo, hi = table.range
+    u = np.unique(np.r_[np.linspace(lo, hi, 400001), table.r])
+    u = u[u != 0.0]
+    F, au = table.F(u), np.abs(u)
+    b0 = float(np.min(F * u / au**p))
+    a1 = 2.0 * float(table(np.array(0.0))) / c
+    a0 = float(np.max((np.abs(F) - a1 * c * au) / au ** (p - 1.0)))
+    return a0, a1, b0
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 5.5])
+def test_decided_table_is_never_falsified_by_reference_draws(p, monkeypatch):
+    op = build_operator(DomainSpec(length=1.5, bc=DIRICHLET), 6)
+    c = op.domain.length ** ((2.0 - p) / (2.0 * p))
+    rng = np.random.default_rng(int(10 * p))
+    for k in range(3):
+        # the table covers every grid value a reference draw reaches
+        table = _random_monotone_table(rng, p, 1.05 * _reference_reach(op))
+        a0, a1, b0 = _true_constants(table, p, c)
+        assert a0 > 0.0 and b0 > 0.0
+        for scale, inside in ((1.01, True), (0.99, False)):
+            claims = (
+                custom_nonlinearity(table, p, a0 * scale, a1, b0 / scale, 0.0),
+                custom_nonlinearity(table, p, a0 * scale, a1, b0, 0.0),
+                custom_nonlinearity(table, p, a0, a1, b0 / scale, 0.0),
+            )
+            drawn = [_reference_verify_conditions(nl, op, 500, 100 * k + int(scale * 100)) for nl in claims]
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "default_rng", _no_generator)
+                decided = [verify_conditions(nl, op) for nl in claims]
+            for got, want in zip(decided, drawn):
+                if got.passed:
+                    assert want.passed, (p, k, scale, want.to_dict())
+            want_growth, want_coercivity = (True, True) if inside else (False, False)
+            assert decided[0].passed is inside
+            assert (decided[1].checks[1].passed, decided[2].checks[2].passed) == (want_growth, want_coercivity)
+            assert all(_crosses(ch) for rep in decided for ch in rep.checks if not ch.passed)
+
+
+def test_benchmark_table_construction_passes(monkeypatch):
+    # f = 3 r^2 over every grid value a draw of amplitude 10 reaches, with
+    # a1 from the interpolation error bound 3 h^2 / 4, 1.5 times over.
+    length, modes, entries = 1.3, 24, 2001
+    reach = 10.0 * math.sqrt(2.0 / length) * modes
+    r = np.linspace(-reach, reach, entries)
+    h = 2.0 * reach / (entries - 1)
+    a1 = float(f"{1.5 * 0.75 * h * h * length**0.25:.6g}")
+    nl = custom_nonlinearity(tabulated_f(r, 3.0 * r * r), 4.0, 1.0, a1, 1.0, 0.0)
+    monkeypatch.setattr(np.random, "default_rng", _no_generator)
+    for bc in (DIRICHLET, PERIODIC_MEAN_ZERO):
+        rep = verify_conditions(nl, build_operator(DomainSpec(length=length, bc=bc), modes))
+        assert rep.passed and all(c.decided for c in rep.checks)
+        assert rep.range == (-reach, reach)
+
+
+def test_coercivity_failing_only_between_knots_is_refused(op8):
+    # On [1, 2], f rises from 0 to 14: F = 1.1 + 7 (u - 1)^2 meets u^3 at
+    # both knots (1.1 >= 1, 8.1 >= 8) but falls below it in between.
+    table = tabulated_f([0.0, 1.0, 2.0], [2.2, 0.0, 14.0])
+    nl = custom_nonlinearity(table, 4.0, 10.0, 10.0, 1.0, 0.0)
+    knots = np.array([0.0, 1.0, 2.0])
+    assert np.all(table.F(knots) * knots >= knots**4)
+    rep = verify_conditions(nl, op8)
+    assert [c.name for c in rep.checks if not c.passed] == ["coercivity"]
+    w = rep.checks[2].witness
+    # the least of F(u) - u^3 on (1, 2), where f(u) = 14 (u - 1) meets 3 u^2
+    assert w["u"] == pytest.approx((14.0 - math.sqrt(28.0)) / 6.0, rel=1e-12)
+    assert w["lhs"] < w["rhs"]
+
+
+def test_negative_f_at_one_knot_fails_monotonicity_there(op8):
+    r = np.linspace(-5.0, 5.0, 11)
+    f = 3.0 * r * r + 0.5
+    f[7] = -0.25
+    rep = verify_conditions(custom_nonlinearity(tabulated_f(r, f), 4.0, 1.0, 10.0, 0.1, 0.0), op8)
+    mono = rep.checks[0]
+    assert not mono.passed
+    assert mono.witness == {"knot": 7, "u": 2.0, "f": -0.25}
+    assert mono.to_dict() == {"name": "monotonicity", "passed": False, "decided": True, "witness": mono.witness}
 
 
 def test_forcing_spec_validation():
@@ -335,6 +460,9 @@ def test_nonlinearity_spec_validation():
         NonlinearitySpec(kind="linear", p=3.0)
     with pytest.raises(ValueError):
         NonlinearitySpec(kind="power_law", p=4.0, a0=0.0)
+    # u^3 meets no p=3 growth bound, so the cubic kind is p=4 only
+    with pytest.raises(ValueError, match="p=4"):
+        NonlinearitySpec(kind="cubic", p=3.0)
     # the custom kind, and only it, holds a table with its exact primitives
     table = tabulated_f([-1.0, 1.0], [-3.0, 3.0])
     for kind, given in (("custom", None), ("custom", np.cos), ("power_law", table)):
