@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Microseconds per step of the stepping loop at each benchmark workload's shape.
 
-Times ``kernels.run_numpy`` with the acceleration closure that
-``solver._numpy_accel`` builds, on six shapes:
+Times ``kernels.run_numpy`` with the Galerkin term and forcing coefficients
+that ``solver._stepping_terms`` builds, on six shapes:
 
 - ``long_small``: Dirichlet, m=16, cubic F, no forcing, RK4;
 - ``dense_output``: periodic, m=32, cubic F, affine forcing, RK4;
@@ -44,7 +44,7 @@ from wavegalerkin.nonlinearity import (
     tabulated_f,
     zero_forcing,
 )
-from wavegalerkin.solver import _numpy_accel, project_initial_data
+from wavegalerkin.solver import _stepping_terms, project_initial_data
 from wavegalerkin.spectral import DIRICHLET, PERIODIC_MEAN_ZERO, DomainSpec, build_operator
 
 _R = np.linspace(-2.0, 2.0, 2001)
@@ -82,11 +82,11 @@ def step_us(case, steps: int, repeats: int) -> tuple[float, float]:
     x = op.nodes
     state = project_initial_data(x * (1.0 - x), np.zeros_like(x), op).state
     a0, v0 = np.array(state.a), np.array(state.adot)
-    accel = _numpy_accel(op, nl, fs)
+    terms = _stepping_terms(op, nl, fs)
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        _, _, _, div = kernels.run_numpy(a0, v0, dt, steps, steps, 1e12, use_verlet, accel)
+        _, _, _, div = kernels.run_numpy(a0, v0, dt, steps, steps, 1e12, use_verlet, *terms)
         times.append(time.perf_counter() - t0)
         if div >= 0:
             raise RuntimeError(f"run diverged at step {div}")

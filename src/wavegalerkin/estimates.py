@@ -200,7 +200,8 @@ def gronwall_envelope(gp: GronwallParams, t):
     """Closed-form solution of z' = C0*z + C1 from z(0) = E_init.
 
     ``e^(C0 t) * E_init + (C1/C0)(e^(C0 t) - 1)``, with the C0 -> 0 limit
-    ``E_init + C1*t``.  Vectorized over ``t``.
+    ``E_init + C1*t``.  Vectorized over ``t``.  Past ``C0 t`` ~ 709 it is
+    ``inf``, silently; a zero coefficient's term is left out, never ``0*inf``.
     """
     ts = np.asarray(t, dtype=np.float64)
     if np.any(ts < 0):
@@ -208,8 +209,11 @@ def gronwall_envelope(gp: GronwallParams, t):
     if gp.C0 == 0.0:
         out = gp.E_init + gp.C1 * ts
     else:
-        growth = np.exp(gp.C0 * ts)
-        out = growth * gp.E_init + (gp.C1 / gp.C0) * (growth - 1.0)
+        with np.errstate(over="ignore"):
+            growth = np.exp(gp.C0 * ts)
+        out = growth * gp.E_init if gp.E_init else np.zeros_like(growth)
+        if gp.C1:
+            out = out + (gp.C1 / gp.C0) * (growth - 1.0)
     return out if isinstance(t, np.ndarray) else float(out)
 
 

@@ -1,30 +1,23 @@
 """The fixed-step time-stepping loop on the modal state.
 
-:func:`run_numpy` advances ``(a, adot)`` by RK4 or velocity Verlet with an
-acceleration closure built by ``solver._numpy_accel`` (a Galerkin term
-followed by a forcing term, for every kind), records every
-``stride``-th state, and stops at the first state that leaves the blow-up
-ceiling or goes non-finite.
+:func:`run_numpy` advances ``(a, adot)`` by RK4 or velocity Verlet, records
+every ``stride``-th state, and stops at the first state that leaves the
+blow-up ceiling or goes non-finite.  The acceleration at a stage ``(A, V)``
+is ``galerkin(A) + g1 A + d V``, with damping ``d = g2/sqrt(lambda)`` only
+when ``g2 > 0``; ``g1 A`` lives in the stepping coefficients.
 
-RK4 steps through one ``(6, m)`` stage buffer ``Z = [a, adot, k1, k2, k3,
-k4]``.  Every stage input ``[A_i; V_i]`` is one product of a small
-coefficient matrix with the leading rows of ``Z``.  The update is two
-products of fixed weight vectors with ``Z[1:5]`` (the increment of ``a``)
-and ``Z[2:]`` (that of ``adot``), written into a ``(2, m)`` increment
-buffer, and one in-place addition to the state rows of ``Z``.  At small
-``m`` the loop is bound by per-call overhead, and this makes the stage sums
-6 calls per step where the textbook expressions take 26.
-
-Each of those calls is an array's bound ``dot`` or a ufunc, and so is
-every call in the closures of ``solver._numpy_accel`` on dense products.
-``np.dot`` passes through numpy's ``__array_function__`` dispatcher and
-``np.matmul`` through the gufunc machinery, for the same BLAS product.
-With numpy 2.4 at m=16 on one Xeon core (best of 9 x 20,000 calls,
-through a Python lambda), a stage product costs 0.83 us as ``np.matmul``
-and 0.32 us as ``c2.dot``, an increment 0.63 us as ``np.dot`` and
-0.47 us as ``wa.dot``, and the Galerkin term's two products 0.57/0.55 us
-as ``np.dot`` and 0.41/0.39 us as ``basis.dot``/``L.dot``; an in-place
-``np.add`` of two m-vectors costs 0.33 us.
+RK4 steps through one stage buffer ``Z``: ``(6, m)``, ``[a, adot, n1, n2,
+n3, n4]``, for zero forcing or ``g2 = 0``, and ``(10, m)``, ``[a, adot, n1,
+e1, ..., n4, e4]`` with damping rows ``e_i = d V_i``, for ``g2 > 0``.  A
+step makes 4 ``galerkin`` calls, 3 stage products (each stage input is a
+small matrix times the leading rows of ``Z``), 2 increment products (weight
+vectors times the rows they touch, ``Z[1:5]`` and ``Z[2:]`` for zero
+forcing) and one in-place addition to the state rows, plus 4 ``multiply``
+calls when damped; the textbook expressions take 26 calls for the stage
+sums and 3 more per stage for the forcing.  Every call is a ufunc or an
+array's bound ``dot``: ``np.dot`` and ``np.matmul`` add numpy's dispatch
+layers to the same BLAS product (0.83 against 0.32 us for a stage product
+at m=16, numpy 2.4, one Xeon core).
 """
 
 from __future__ import annotations
@@ -65,105 +58,128 @@ def _divergence_screen(ceiling) -> float:
     return screen
 
 
-def _rk4_coefficients(h: float):
+def _touched(w) -> slice:
+    """The rows from the first to the last nonzero entry of ``w``."""
+    nz = np.flatnonzero(w)
+    return slice(int(nz[0]), int(nz[-1]) + 1)
+
+
+def _rk4_coefficients(h: float, g1: float = 0.0, damped: bool = False):
     """Stage matrices and update weights of RK4 in Nystrom form, step ``h``.
 
-    With ``Z = [a, adot, k1, k2, k3, k4]``, stage ``i`` (2, 3, 4) evaluates
-    ``k_i`` at ``C_i @ Z[:i+1]``::
+    Returns ``c2, c3, c4, wa, wv, a_rows, v_rows``: stage ``i`` is ``c_i @
+    Z[:c_i.shape[1]]``, the step ``a += wa @ Z[a_rows]``, ``adot += wv @
+    Z[v_rows]``.  Each coefficient is the textbook expression (Hairer,
+    Norsett & Wanner, Solving ODEs I, II.14)::
 
         k2 at (a + h/2 adot,                adot + h/2 k1)
         k3 at (a + h/2 adot + h^2/4 k1,     adot + h/2 k2)
         k4 at (a + h adot + h^2/2 k2,       adot + h k3)
+        a    += h adot + h^2/6 (k1 + k2 + k3)
+        adot += h/6 k1 + h/3 k2 + h/3 k3 + h/6 k4
 
-    and the step is ``a += wa @ Z[1:5]``, ``adot += wv @ Z[2:]``, with
-    ``wa = [h, h^2/6, h^2/6, h^2/6]`` and ``wv = [h/6, h/3, h/3, h/6]``
-    (Hairer, Norsett & Wanner, Solving ODEs I, II.14).  No weight is zero,
-    and the new ``a`` never reads ``k4``.  Each matrix spans only the rows
-    its stage has already written, so a stale or non-finite row from an
-    earlier step is never multiplied.  The increments are summed before
-    they meet the state, as in the textbook expressions, so the state is
-    rounded once per step; weights ``[1, ...]`` over ``Z[:5]`` and ``Z[1:]``
-    would round it at every term.
+    on coefficient rows over ``Z``, with ``k_i = n_i + e_i + g1 A_i``; for
+    ``g1 = 0`` every ``k_i`` is a unit row and every coefficient the scalar,
+    bit for bit.  Each is cut to the rows its nonzero entries touch, which
+    the step has already written (the new ``a`` never reads stage 4).
     """
-    c2 = np.array([[1.0, 0.5 * h, 0.0], [0.0, 1.0, 0.5 * h]])
-    c3 = np.array([[1.0, 0.5 * h, 0.25 * h * h, 0.0], [0.0, 1.0, 0.0, 0.5 * h]])
-    c4 = np.array([[1.0, h, 0.0, 0.5 * h * h, 0.0], [0.0, 1.0, 0.0, 0.0, h]])
-    hh_6 = h * h / 6.0
-    wa = np.array([h, hh_6, hh_6, hh_6])
-    wv = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0])
-    return c2, c3, c4, wa, wv
+    eye = np.eye(10 if damped else 6)
+    a, v = eye[0], eye[1]
+
+    def k(i, A):
+        return eye[2 * i] + eye[2 * i + 1] + g1 * A if damped else eye[i + 1] + g1 * A
+
+    k1 = k(1, a)
+    A2, V2 = a + (0.5 * h) * v, v + (0.5 * h) * k1
+    k2 = k(2, A2)
+    A3, V3 = a + (0.5 * h) * v + (0.25 * h * h) * k1, v + (0.5 * h) * k2
+    k3 = k(3, A3)
+    A4, V4 = a + h * v + (0.5 * h * h) * k2, v + h * k3
+    wa = h * v + (h * h / 6.0) * (k1 + k2 + k3)
+    wv = (h / 6.0) * k1 + (h / 3.0) * k2 + (h / 3.0) * k3 + (h / 6.0) * k(4, A4)
+    c2, c3, c4 = (np.stack((A, V))[:, : _touched(abs(A) + abs(V)).stop] for A, V in ((A2, V2), (A3, V3), (A4, V4)))
+    a_rows, v_rows = _touched(wa), _touched(wv)
+    return c2.copy(), c3.copy(), c4.copy(), wa[a_rows].copy(), wv[v_rows].copy(), a_rows, v_rows
 
 
 # A state that overflows to inf or NaN is caught by the divergence check,
 # and a NaN compares false against the ceiling.  The error state is set
 # once per call: entering it every step cost as much as the check itself.
 @np.errstate(over="ignore", invalid="ignore")
-def run_numpy(a0, adot0, dt, n_steps, stride, ceiling, use_verlet, accel):
+def run_numpy(a0, adot0, dt, n_steps, stride, ceiling, use_verlet, galerkin, g1=0.0, damping=None):
     """Advance the modal state ``n_steps`` steps of size ``dt``.
 
     Returns the recorded positions, velocities and step numbers, and the
     step at which the run diverged (``-1`` if it did not).
 
-    ``accel(x, out)`` writes the modal acceleration at the stage ``x`` (a
-    ``(2, m)`` array ``[a; adot]``) into ``out`` (an ``m``-vector); the
-    nonlinearity and forcing are closed over by the caller.  It must not
-    write ``x``, and ``out`` never aliases it.  The closures of
-    ``solver._numpy_accel`` write ``out`` in place, for every kind.
+    ``galerkin(A, out)`` writes the Galerkin term at ``A`` into ``out``
+    without writing ``A``.  ``damping`` is an ``m``-vector, or ``None``,
+    which velocity Verlet requires.
 
-    RK4 forms the stage sums and the increments inside BLAS products (see
-    :func:`_rk4_coefficients`), whose summation order differs from the
-    textbook expressions, so trajectories agree with a loop that allocates
-    a new array per operation to round-off, not bitwise; two calls with
-    the same inputs give the same bits.  Verlet kicks and drifts in place
-    with ufunc output arrays, in the textbook association order.
+    RK4's BLAS products sum in another order than the textbook expressions,
+    so trajectories agree with them to round-off, not bitwise; two calls
+    with the same inputs give the same bits.  Verlet drifts in place and
+    kicks by one product over the rows of ``[a, adot, n]`` that its weights
+    touch, which is ``h/2 n`` alone, rounded as in the textbook, for ``g1 = 0``.
     """
+    damped = damping is not None
+    if damped and use_verlet:
+        raise ValueError("velocity Verlet takes no damping")
     m = a0.shape[0]
-    max_rec = n_steps // stride + 2
-    hist = np.empty((max_rec, 2, m))
-    rec_steps = np.empty(max_rec, dtype=np.int64)
-    z = np.empty((6, m))
-    state, k1, k2, k3, k4 = z[:2], z[2], z[3], z[4], z[5]
-    # Stage operands, and the rows the increments of a and adot are summed over.
-    z3, z4, z5 = z[:3], z[:4], z[:5]
-    da_rows, dv_rows = z[1:5], z[2:]
+    hist = np.empty((n_steps // stride + 2, 2, m))
+    c2, c3, c4, wa, wv, a_rows, v_rows = _rk4_coefficients(dt, g1, damped)
+    z = np.empty((10 if damped else 6, m))
+    state = z[:2]
+    a, adot = state
+    # Each stage's Galerkin and damping rows and operand, and the update's rows.
+    n1, n2, n3, n4 = z[2::2] if damped else z[2:]
+    e1, e2, e3, e4 = z[3::2] if damped else (None,) * 4
+    z2, z3, z4 = z[: c2.shape[1]], z[: c3.shape[1]], z[: c4.shape[1]]
+    da_rows, dv_rows = z[a_rows], z[v_rows]
     state[0] = a0
     state[1] = adot0
     flat = state.reshape(-1)  # a view: the screen reads the state in place
     stage = np.empty((2, m))
+    stage_a, stage_v = stage
     inc = np.empty((2, m))
     inc_a, inc_v = inc
-    # Output arrays are passed positionally and the Verlet coefficients as
-    # 0-d arrays: both skip per-call conversion.  The products are the
-    # arrays' bound ``dot``, which skips numpy's dispatch layers.
+    # Output arrays are passed positionally, the drift's coefficient as a
+    # 0-d array (both skip per-call conversion), and every product is an
+    # array's bound ``dot``.
     add, mul = np.add, np.multiply
-    h = dt
-    c2, c3, c4, wa, wv = _rk4_coefficients(h)
     stage2, stage3, stage4, inc_of_a, inc_of_v = c2.dot, c3.dot, c4.dot, wa.dot, wv.dot
     screen = _divergence_screen(ceiling)
     hist[0] = state
-    rec_steps[0] = 0
     n_rec = 1
     diverged_step = -1
     if use_verlet:
-        # Verlet needs no stages: k1 holds the acceleration, k2 a product.
-        a, adot = state
-        acc, tmp = k1, k2
-        h_, half_h = np.array(h), np.array(0.5 * h)
-        accel(state, acc)
+        # Verlet needs no stages: n1 holds the Galerkin term, n2 a product.
+        acc, tmp, h_ = n1, n2, np.array(dt)
+        w = np.array([0.5 * dt * g1, 0.0, 0.5 * dt])
+        kick, kicked = w[_touched(w)].dot, z[_touched(w)]
+        galerkin(a, acc)
     for step in range(1, n_steps + 1):
         if use_verlet:
-            add(adot, mul(acc, half_h, tmp), adot)
+            add(adot, kick(kicked, tmp), adot)
             add(a, mul(adot, h_, tmp), a)
-            accel(state, acc)
-            add(adot, mul(acc, half_h, tmp), adot)
+            galerkin(a, acc)
+            add(adot, kick(kicked, tmp), adot)
         else:
-            accel(state, k1)
-            stage2(z3, stage)
-            accel(stage, k2)
-            stage3(z4, stage)
-            accel(stage, k3)
-            stage4(z5, stage)
-            accel(stage, k4)
+            galerkin(a, n1)
+            if damped:
+                mul(damping, adot, e1)
+            stage2(z2, stage)
+            galerkin(stage_a, n2)
+            if damped:
+                mul(damping, stage_v, e2)
+            stage3(z3, stage)
+            galerkin(stage_a, n3)
+            if damped:
+                mul(damping, stage_v, e3)
+            stage4(z4, stage)
+            galerkin(stage_a, n4)
+            if damped:
+                mul(damping, stage_v, e4)
             inc_of_a(da_rows, inc_a)
             inc_of_v(dv_rows, inc_v)
             add(state, inc, state)
@@ -173,12 +189,14 @@ def run_numpy(a0, adot0, dt, n_steps, stride, ceiling, use_verlet, accel):
         if not flat.dot(flat) <= screen:
             if not np.all(np.isfinite(state)) or np.max(np.abs(state[0])) > ceiling:
                 hist[n_rec] = state
-                rec_steps[n_rec] = step
                 n_rec += 1
                 diverged_step = step
                 break
         if step % stride == 0:
             hist[n_rec] = state
-            rec_steps[n_rec] = step
             n_rec += 1
-    return hist[:n_rec, 0].copy(), hist[:n_rec, 1].copy(), rec_steps[:n_rec].copy(), diverged_step
+    # Recorded steps are 0, stride, 2 stride, ..., and the diverged step.
+    rec_steps = np.arange(n_rec, dtype=np.int64) * stride
+    if diverged_step >= 0:
+        rec_steps[-1] = diverged_step
+    return hist[:n_rec, 0].copy(), hist[:n_rec, 1].copy(), rec_steps, diverged_step

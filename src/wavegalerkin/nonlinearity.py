@@ -337,14 +337,15 @@ class ConditionReport:
 def worst_margin(viol, allowed) -> tuple[int, float, float, bool]:
     """Sample with the largest ``viol - allowed``, as (index, violation, tolerance, passed).
 
-    A non-finite margin counts as an unbounded violation, reported as +inf.
+    A NaN or +inf margin is an unbounded violation (a NaN one reported as
+    +inf); a -inf margin, a finite value under an infinite bound, holds.
     """
     viol = np.asarray(viol, dtype=np.float64)
     allowed = np.broadcast_to(np.asarray(allowed, dtype=np.float64), viol.shape)
     margin = viol - allowed
-    margin = np.where(np.isfinite(margin), margin, np.inf)
+    margin = np.where(np.isnan(margin), np.inf, margin)
     i = int(np.argmax(margin))
-    worst = float(viol[i]) if math.isfinite(viol[i]) else math.inf
+    worst = math.inf if math.isnan(viol[i]) else float(viol[i])
     return i, worst, float(allowed[i]), bool(margin[i] <= 0.0)
 
 

@@ -21,7 +21,6 @@ from .estimates import EnergyTable, energy_table
 from .nonlinearity import (
     AFFINE,
     LINEAR,
-    ZERO,
     ForcingSpec,
     NonlinearitySpec,
     F_on_grid,
@@ -221,48 +220,26 @@ class Trajectory:
         return State(a=self.a[i], adot=self.adot[i], t=float(self.energy.t[i]))
 
 
-def _numpy_accel(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
-    """Acceleration closure ``accel(x, out)`` for :func:`kernels.run_numpy`.
+def _stepping_terms(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
+    """The acceleration ``galerkin(A) + g1 A + damping * V`` as :func:`kernels.run_numpy` takes it.
 
-    ``x`` is the stage ``[a; adot]``, shape ``(2, m)``, which is only read;
-    the acceleration is written into the ``m``-vector ``out``.  The closure
-    is the Galerkin term of :func:`_galerkin_term`, which also adds the
-    constant forcing, so a call does no kind dispatch.  Zero forcing adds
-    nothing else, so the Galerkin term is the closure itself; affine forcing
-    adds ``g1 a + (g2/sqrt(lambda)) adot`` as one product of a fixed
-    ``(2, m)`` array ``G`` with ``x`` and two additions.  Every numpy call
-    is a ufunc or an array's bound method, neither of which passes through
-    numpy's ``__array_function__`` dispatcher.
+    ``damping`` is ``g2/sqrt(lambda)``, or ``None`` for ``g2 = 0``.
     """
-    galerkin = _galerkin_term(op, nl, fs)
-    if fs.kind == ZERO:
-        return galerkin
-
-    G = np.stack((np.full(op.modes, fs.g1), fs.g2 / op.sqrt_eigenvalues))
-    gx = np.empty((2, op.modes))
-    g1a, g2v = gx
-    mul, add = np.multiply, np.add
-
-    def accel(x, out):
-        galerkin(x, out)
-        mul(G, x, gx)
-        add(out, g1a, out)
-        add(out, g2v, out)
-
-    return accel
+    damping = fs.g2 / op.sqrt_eigenvalues if fs.velocity_dependent else None
+    return _galerkin_term(op, nl, fs), fs.g1, damping
 
 
 def _galerkin_term(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
-    """``galerkin(x, out)``: writes ``-lambda P F(B a)`` plus the constant forcing into ``out``.
+    """``galerkin(a, out)``: writes ``-lambda P F(B a)`` plus the constant forcing into ``out``.
 
-    ``x`` is the stage ``[a; adot]``, of which only ``a = x[0]`` is read.
-    The linear kind's term is ``-lambda a``.  On dense products every other
-    ``F``, custom included, has ``-lambda``, ``P`` and the constant forcing
-    folded into one matrix ``L`` over ``S = [F(u); 1]``: a call is
-    ``u = B a``, ``F`` into ``S`` and ``out = L S``, both products the
-    matrices' bound ``dot`` (``np.dot`` would add its dispatcher to each).
-    The FFT pair samples, applies ``F`` and projects through
-    ``transform_pair``.
+    ``a`` is a stage's modal position, which is only read.  The linear
+    kind's term is ``-lambda a``.  On dense products every other ``F``,
+    custom included, has ``-lambda``, ``P`` and the constant forcing folded
+    into one matrix ``L`` over ``S = [F(u); 1]``: a call is ``u = B a``,
+    ``F`` into ``S`` and ``out = L S``, both products the matrices' bound
+    ``dot`` (``np.dot`` would add its dispatcher to each).  The FFT pair
+    samples, applies ``F`` and projects through ``transform_pair``.  The
+    rest of the affine forcing is the stepping loop's.
     """
     neg_lam = -np.ascontiguousarray(op.eigenvalues)
     constant = fs.constant if fs.kind == AFFINE else 0.0
@@ -272,8 +249,8 @@ def _galerkin_term(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
 
     if nl.kind == LINEAR:
 
-        def term(x, out):
-            mul(neg_lam, x[0], out)
+        def term(a, out):
+            mul(neg_lam, a, out)
 
     elif op._fft is None:
         basis = op.basis
@@ -284,8 +261,8 @@ def _galerkin_term(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
         u = np.empty(n)
         sample, fold = basis.dot, L.dot
 
-        def galerkin(x, out):
-            sample(x[0], u)
+        def galerkin(a, out):
+            sample(a, u)
             F(u, Fu)
             fold(S, out)
 
@@ -296,14 +273,14 @@ def _galerkin_term(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
         sample, project = transform_pair(op)
         buf = np.empty(op.grid_points)
 
-        def term(x, out):
-            mul(neg_lam, project(F(sample(x[0]), buf)), out)
+        def term(a, out):
+            mul(neg_lam, project(F(sample(a), buf)), out)
 
     if constant == 0.0:
         return term
 
-    def galerkin(x, out):
-        term(x, out)
+    def galerkin(a, out):
+        term(a, out)
         add(out, gc, out)
 
     return galerkin
@@ -318,8 +295,8 @@ def integrate(
 ) -> Trajectory:
     """Advance the modal system and return the sampled trajectory.
 
-    Every kind steps on :func:`kernels.run_numpy` with the closure from
-    :func:`_numpy_accel`.  If ``||a||_inf`` exceeds the blow-up ceiling (or
+    Every kind steps on :func:`kernels.run_numpy` with the terms from
+    :func:`_stepping_terms`.  If ``||a||_inf`` exceeds the blow-up ceiling (or
     goes non-finite) the run stops early, records the offending state, and
     flags the trajectory as diverged at that time.
     """
@@ -341,7 +318,7 @@ def integrate(
         cfg.sample_stride,
         cfg.blowup_ceiling,
         use_verlet,
-        _numpy_accel(op, nl, fs),
+        *_stepping_terms(op, nl, fs),
     )
 
     t = rec_steps.astype(np.float64) * cfg.dt

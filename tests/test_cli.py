@@ -294,6 +294,21 @@ def test_run_checks_that_samples_stay_in_the_table_range(tmp_path, capsys, ampli
     assert "note" not in checks["conservation"]
 
 
+def test_run_past_the_envelope_overflow_passes_gronwall_silently(tmp_path, capsys):
+    # C0 = 2 c_tilde g1^2 = 8e4, so the envelope overflows from t = 0.009:
+    # 2E stays finite under it, and the run passes without a warning.
+    cfg = make_cfg(tmp_path, forcing={"kind": "affine", "g1": 100.0, "g0": 0.0}, time={"T": 0.02, "dt": 1e-3, "sample_stride": 1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", write_cfg(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["gronwall_params"]["C0"] == pytest.approx(8e4)
+    assert {c["name"]: c["passed"] for c in rep["monitor"]["checks"]} == {"energy_identity": True, "gronwall": True}
+    _, rows = read_rows(tmp_path / "trajectory.csv")
+    assert rows[8]["gronwall_envelope"] != "inf" and rows[9]["gronwall_envelope"] == "inf"
+
+
 def test_run_with_an_overflowing_decay_power_has_no_decay_bound(tmp_path, capsys):
     # At p = 2060 the comparison cap c / 2^(r-1) overflows; derive_decay
     # returns None and the run exits by its monitors alone.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,37 @@ def test_gronwall_compares_twice_the_energy(op8):
     assert over.t_worst == traj.times[i]
     assert over.worst_violation == pytest.approx(1e-6 * env[i], rel=1e-6)
     assert check(1.0).passed
+
+
+def test_overflowed_envelope_bounds_every_finite_energy_and_nan_still_fails(op8):
+    # Past C0 t ~ 709 the envelope is inf, silently: 2E <= inf holds, while a
+    # NaN energy is still an unbounded violation.
+    traj = _parabola_run(op8, affine_forcing(g1=0.1, g0=0.1), T=1.0, dt=1e-2)
+    gp = dataclasses.replace(derive_gronwall(traj.nl, traj.fs, op8, traj.energy.row(0)), C0=2000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        env = gronwall_envelope(gp, traj.times)
+        assert env[0] == gp.E_init and np.isinf(env[-1])
+        gronwall = {c.name: c for c in monitor(traj, gp, None).checks}["gronwall"]
+    assert gronwall.passed and math.isfinite(gronwall.worst_violation)
+    e = traj.energy.energy.copy()
+    e[len(e) // 2] = np.nan
+    table = dataclasses.replace(traj, energy=dataclasses.replace(traj.energy, energy=e))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gronwall = {c.name: c for c in monitor(table, gp, None).checks}["gronwall"]
+    assert not gronwall.passed and gronwall.worst_violation == math.inf
+    assert gronwall.t_worst == traj.times[len(e) // 2]
+
+
+def test_overflowed_envelope_without_initial_energy_or_C1_is_never_nan():
+    t = np.array([0.0, 1.0, 10.0])
+    for e_init, c1 in ((0.0, 0.5), (1.0, 0.0), (0.0, 0.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            env = gronwall_envelope(GronwallParams(C0=100.0, C1=c1, c_tilde=1.0, E_init=e_init), t)
+        assert not np.any(np.isnan(env)) and env[0] == e_init
+        assert env[-1] == (math.inf if e_init or c1 else 0.0)
 
 
 def test_monitor_single_sample_is_vacuous(op8):

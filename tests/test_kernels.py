@@ -23,7 +23,15 @@ from wavegalerkin.nonlinearity import (
     tabulated_f,
     zero_forcing,
 )
-from wavegalerkin.solver import STORMER_VERLET, SolverConfig, State, _numpy_accel, integrate, project_initial_data
+from wavegalerkin.solver import (
+    STORMER_VERLET,
+    SolverConfig,
+    State,
+    _galerkin_term,
+    _stepping_terms,
+    integrate,
+    project_initial_data,
+)
 from wavegalerkin.spectral import (
     DIRICHLET,
     FFT_MIN_MODES,
@@ -57,22 +65,26 @@ def test_paths_agree_under_verlet(monkeypatch):
 
 def test_run_numpy_stride_and_divergence():
     # a'' = a grows like e^t and must trip the ceiling near t = ln(5)
-    def accel(x, out):
-        out[...] = x[0]
-
     a0 = np.array([1.0])
     v0 = np.array([1.0])
-    a_hist, adot_hist, rec, div = kernels.run_numpy(a0, v0, 1e-3, 2000, 10, 5.0, False, accel)
+    a_hist, adot_hist, rec, div = kernels.run_numpy(a0, v0, 1e-3, 2000, 10, 5.0, False, _copy_a)
     assert div > 0
     assert rec[0] == 0 and rec[-1] == div
     assert np.all(np.diff(rec) > 0)
     assert abs(a_hist[-1, 0]) > 5.0
     assert abs(div * 1e-3 - np.log(5.0)) < 0.05
+    first = div
 
-    a_hist, _, rec, div = kernels.run_numpy(a0, v0, 1e-3, 100, 10, 1e12, False, accel)
+    a_hist, _, rec, div = kernels.run_numpy(a0, v0, 1e-3, 100, 10, 1e12, False, _copy_a)
     assert div == -1
     assert list(rec) == [0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
-    assert a_hist.shape == (11, 1)
+    assert rec.dtype == np.int64 and a_hist.shape == (11, 1)
+    # a divergence on a recorded step is recorded once
+    _, _, rec, div = kernels.run_numpy(a0, v0, 1e-3, 2000, first, 5.0, False, _copy_a)
+    assert div == first and list(rec) == [0, first]
+    # Verlet takes no velocity-dependent forcing
+    with pytest.raises(ValueError, match="Verlet"):
+        kernels.run_numpy(a0, v0, 1e-3, 10, 1, 1e12, True, _copy_a, 0.0, np.ones(1))
 
     # a'' = a^3 from 1e120 overflows in the first step: divergence, no warning
     with warnings.catch_warnings():
@@ -82,37 +94,35 @@ def test_run_numpy_stride_and_divergence():
     assert not np.isfinite(a_hist[-1, 0])
 
 
-def _cube(x, out):
-    np.power(x[0], 3, out=out)
+def _cube(a, out):
+    np.power(a, 3, out=out)
 
 
-def _as_out(value):
-    """``accel(x, out)`` from an acceleration that returns a new array from ``(a, adot)``."""
-
-    def accel(x, out):
-        out[...] = value(x[0], x[1])
-
-    return accel
+def _copy_a(a, out):
+    out[...] = a
 
 
-def _as_value(accel):
-    """The inverse adapter: ``value(a, adot)`` returning a new array."""
+def _negate_a(a, out):
+    np.negative(a, out=out)
+
+
+def _textbook_value(galerkin, g1=0.0, damping=None):
+    """``value(a, adot)``, a new array: the acceleration ``run_numpy`` takes as terms, in one expression."""
 
     def value(a, adot):
         out = np.empty_like(a)
-        accel(np.stack((a, adot)), out)
-        return out
+        galerkin(a, out)
+        out = out + g1 * a
+        return out if damping is None else out + damping * adot
 
     return value
 
 
 # The textbook stepping loop and acceleration: one new array per operation
-# and the kind dispatch in the call.  Both take and give the ``(x, out)``
-# contract through the adapters above, so each test hands the same
-# accelerations to both loops.
+# and the kind dispatch in the call.  The acceleration is one function
+# ``accel(a, adot)`` that returns a new array, forcing included.
 @np.errstate(over="ignore", invalid="ignore")
 def _reference_run_numpy(a0, adot0, dt, n_steps, stride, ceiling, use_verlet, accel):
-    accel = _as_value(accel)
     m = a0.shape[0]
     max_rec = n_steps // stride + 2
     a_hist = np.empty((max_rec, m))
@@ -182,7 +192,7 @@ def _reference_accel(op, nl, fs):
             extra = extra + gc
         return out + extra
 
-    return _as_out(value)
+    return value
 
 
 def _assert_runs_identical(got, want):
@@ -196,10 +206,12 @@ def _assert_runs_identical(got, want):
 # RK4 sums its stages inside BLAS products, in another order than the
 # textbook expressions, so the loops agree to round-off and not bit for
 # bit.  Measured over every case of test_run_numpy_agrees_with_the_reference_loop,
-# the largest gap was 3.0e-15 of the largest entry (m=512, table F, affine
-# forcing, Verlet).  The bound leaves a factor of about 340 above that, and a
-# 1e-9 change in the k2 weight moves the run by 1.0e-9, a factor of 1000
-# beyond it (test_agreement_bound_catches_a_perturbed_k2_weight).
+# the largest gap was 4.7e-15 of the largest entry (m=512 Dirichlet, table
+# F, affine forcing without a constant, Verlet).  The bound leaves a factor
+# of about 210 above that.  A 1e-9 change in the k2 weight moves the run by
+# 1.0e-9, a factor of 1000 beyond it, and a 1e-9 change in g1 by 1.0e-11, a
+# factor of 10 (test_agreement_bound_catches_a_perturbed_k2_weight and
+# test_agreement_bound_catches_a_perturbed_g1).
 AGREE_RTOL = 1e-12
 
 
@@ -246,6 +258,11 @@ FS_CASES = {
 }
 
 
+def _without_damping(fs):
+    """``fs`` with ``g2 = 0``: velocity Verlet takes no velocity-dependent forcing."""
+    return affine_forcing(g1=fs.g1, g2=0.0, constant=fs.constant, g0=fs.g0) if fs.kind == AFFINE else fs
+
+
 def _initial_modal(op):
     # Every mode carries weight, so the top modes' stage terms, which are
     # comparable to the state there, move the trajectory when a coefficient
@@ -286,9 +303,11 @@ def test_run_numpy_agrees_with_the_reference_loop(stepping_op, nl_name, fs_name)
     # change in any coefficient shows in the trajectory.
     dt = _stiff_dt(op)
     for use_verlet in (False, True):
+        if use_verlet:
+            fs = _without_damping(fs)
         for stride in (1, 7):
             args = (a0, v0, dt, 35, stride, 1e12, use_verlet)
-            got = kernels.run_numpy(*args, _numpy_accel(op, nl, fs))
+            got = kernels.run_numpy(*args, *_stepping_terms(op, nl, fs))
             want = _reference_run_numpy(*args, _reference_accel(op, nl, fs))
             assert got[3] == -1 and list(got[2]) == list(range(0, 36, stride))
             _assert_runs_agree(got, want)
@@ -304,30 +323,93 @@ def test_run_numpy_repeats_bitwise(stepping_op, nl_name, fs_name):
     op, nl, fs = stepping_op, NL_CASES[nl_name], FS_CASES[fs_name]
     a0, v0 = _initial_modal(op)
     for use_verlet in (False, True):
+        if use_verlet:
+            fs = _without_damping(fs)
         args = (a0, v0, _stiff_dt(op), 35, 1, 1e12, use_verlet)
-        first = kernels.run_numpy(*args, _numpy_accel(op, nl, fs))
+        first = kernels.run_numpy(*args, *_stepping_terms(op, nl, fs))
         np.empty(np.random.default_rng(1).integers(1, 100))  # shift later allocations
-        _assert_runs_identical(kernels.run_numpy(*args, _numpy_accel(op, nl, fs)), first)
+        _assert_runs_identical(kernels.run_numpy(*args, *_stepping_terms(op, nl, fs)), first)
 
 
-def test_agreement_bound_catches_a_perturbed_k2_weight(monkeypatch):
-    # The bound must be tight enough to see a wrong RK4 weight: scaling the
-    # k2 weight of the adot update by 1 + 1e-9 has to break it.
+def _textbook_coefficients(h):
+    # The zero-forcing tableau as it was written out by hand, scalar by
+    # scalar, before the affine forcing's linear part moved into it.
+    c2 = np.array([[1.0, 0.5 * h, 0.0], [0.0, 1.0, 0.5 * h]])
+    c3 = np.array([[1.0, 0.5 * h, 0.25 * h * h, 0.0], [0.0, 1.0, 0.0, 0.5 * h]])
+    c4 = np.array([[1.0, h, 0.0, 0.5 * h * h, 0.0], [0.0, 1.0, 0.0, 0.0, h]])
+    hh_6 = h * h / 6.0
+    wa = np.array([h, hh_6, hh_6, hh_6])
+    wv = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0])
+    return c2, c3, c4, wa, wv, slice(1, 5), slice(2, 6)
+
+
+def _tableau_steps():
+    ops = [build_operator(DomainSpec(length=1.0, bc=DIRICHLET), m) for m in (6, 512)]
+    return [1e-3, 5e-4, 2.5e-4] + [_stiff_dt(op) for op in ops]
+
+
+def test_zero_forcing_tableau_is_the_textbook_one_bit_for_bit():
+    for h in _tableau_steps():
+        got, want = kernels._rk4_coefficients(h), _textbook_coefficients(h)
+        for g, w in zip(got[:5], want[:5]):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), h
+        assert got[5:] == want[5:]
+
+
+@pytest.mark.parametrize("damped", [False, True])
+@pytest.mark.parametrize("g1", [0.0, 0.3])
+def test_tableau_reads_only_rows_its_step_has_written(g1, damped):
+    # Z = [a, adot, n1, n2, n3, n4], or [a, adot, n1, e1, ..., n4, e4]
+    # when damped: stage i may read only the state and stages 1..i-1.
+    per_stage = 2 if damped else 1
+    for h in _tableau_steps():
+        c2, c3, c4, wa, wv, a_rows, v_rows = kernels._rk4_coefficients(h, g1, damped)
+        for i, c in ((2, c2), (3, c3), (4, c4)):
+            assert c.shape[0] == 2 and c.shape[1] <= 2 + per_stage * (i - 1)
+            assert np.any(c[:, -1] != 0.0)
+        # each increment spans exactly the rows its weights touch, and the
+        # new a never reads stage 4
+        for w, rows in ((wa, a_rows), (wv, v_rows)):
+            assert w.shape == (rows.stop - rows.start,) and w[0] != 0.0 and w[-1] != 0.0
+        assert a_rows.stop <= 2 + 3 * per_stage and v_rows.stop == 2 + 4 * per_stage
+        # g1 A_1 gives both increments a coefficient on a
+        assert (a_rows.start, v_rows.start) == ((0, 0) if g1 else (1, 2))
+
+
+def _perturbed_gap(monkeypatch, perturb) -> float:
+    """Gap to the textbook loop of a stiff affine run, with and without ``perturb`` applied to the tableau."""
     op = build_operator(DomainSpec(length=1.0, bc=DIRICHLET), 6)
     nl, fs = NL_CASES["cubic"], FS_CASES["affine"]
     a0, v0 = _initial_modal(op)
     args = (a0, v0, _stiff_dt(op), 35, 1, 1e12, False)
     want = _reference_run_numpy(*args, _reference_accel(op, nl, fs))
-    assert _run_gap(kernels.run_numpy(*args, _numpy_accel(op, nl, fs)), want) <= AGREE_RTOL
+    assert _run_gap(kernels.run_numpy(*args, *_stepping_terms(op, nl, fs)), want) <= AGREE_RTOL
     exact = kernels._rk4_coefficients
+    monkeypatch.setattr(kernels, "_rk4_coefficients", lambda h, g1, damped: perturb(exact, h, g1, damped))
+    return _run_gap(kernels.run_numpy(*args, *_stepping_terms(op, nl, fs)), want)
 
-    def perturbed(h):
-        c2, c3, c4, wa, wv = exact(h)
-        wv[1] *= 1.0 + 1e-9
-        return c2, c3, c4, wa, wv
 
-    monkeypatch.setattr(kernels, "_rk4_coefficients", perturbed)
-    assert _run_gap(kernels.run_numpy(*args, _numpy_accel(op, nl, fs)), want) > AGREE_RTOL
+def test_agreement_bound_catches_a_perturbed_k2_weight(monkeypatch):
+    # The bound must be tight enough to see a wrong RK4 weight: scaling the
+    # weight of n2 (row 4 of the damped Z) in the adot update by 1 + 1e-9
+    # has to break it.
+    def perturb(exact, h, g1, damped):
+        c2, c3, c4, wa, wv, a_rows, v_rows = exact(h, g1, damped)
+        assert damped
+        wv[4 - v_rows.start] *= 1.0 + 1e-9
+        return c2, c3, c4, wa, wv, a_rows, v_rows
+
+    assert _perturbed_gap(monkeypatch, perturb) > AGREE_RTOL
+
+
+def test_agreement_bound_catches_a_perturbed_g1(monkeypatch):
+    # g1 lives in the tableau only: scaling it there by 1 + 1e-9 has to
+    # break the bound as well.
+    def perturb(exact, h, g1, damped):
+        assert g1 > 0.0
+        return exact(h, g1 * (1.0 + 1e-9), damped)
+
+    assert _perturbed_gap(monkeypatch, perturb) > AGREE_RTOL
 
 
 @pytest.mark.parametrize("nl_name", list(NL_CASES))
@@ -344,21 +426,22 @@ def test_integrate_steps_every_kind_on_run_numpy(monkeypatch, op8, nl_name):
     inner = kernels.run_numpy
 
     def traced(*args):
-        calls.append(args[-1])
+        calls.append(args[7:])
         return inner(*args)
 
     monkeypatch.setattr(kernels, "run_numpy", traced)
     got = integrate(init, cfg, op8, nl, fs)
-    assert len(calls) == 1 and callable(calls[0])
+    assert len(calls) == 1
     assert plain.backend == got.backend == "numpy"
     assert not plain.diverged and plain.a.shape == (11, 8)
     assert np.array_equal(got.a, plain.a) and np.array_equal(got.adot, plain.adot)
-    # the closure handed to the loop is the one _numpy_accel builds
-    x = np.stack((a0, v0))
-    got_acc, want_acc = np.empty(8), np.empty(8)
-    calls[0](x, got_acc)
-    _numpy_accel(op8, nl, fs)(x, want_acc)
-    assert np.array_equal(got_acc, want_acc)
+    # the loop is handed _galerkin_term's term and the forcing's linear part
+    galerkin, g1, damping = calls[0]
+    assert g1 == fs.g1 and np.array_equal(damping, fs.g2 / op8.sqrt_eigenvalues)
+    got_n, want_n = np.empty(8), np.empty(8)
+    galerkin(a0, got_n)
+    _galerkin_term(op8, nl, fs)(a0, want_n)
+    assert np.array_equal(got_n, want_n)
 
 
 # numpy functions that pass through the __array_function__ dispatcher
@@ -403,19 +486,12 @@ def test_dense_stepping_calls_no_dispatched_numpy_function(monkeypatch, op16, nl
     assert calls == dict.fromkeys(DISPATCHED, 0)
 
 
-def _both_loops(a0, v0, dt, n_steps, stride, ceiling, use_verlet, make_accel):
-    got = kernels.run_numpy(a0, v0, dt, n_steps, stride, ceiling, use_verlet, make_accel())
-    want = _reference_run_numpy(a0, v0, dt, n_steps, stride, ceiling, use_verlet, make_accel())
+def _both_loops(a0, v0, dt, n_steps, stride, ceiling, use_verlet, make_terms):
+    """Both loops on fresh terms ``(galerkin, g1, damping)`` from ``make_terms``, checked to agree."""
+    got = kernels.run_numpy(a0, v0, dt, n_steps, stride, ceiling, use_verlet, *make_terms())
+    want = _reference_run_numpy(a0, v0, dt, n_steps, stride, ceiling, use_verlet, _textbook_value(*make_terms()))
     _assert_runs_agree(got, want)
     return got
-
-
-def _copy_a(x, out):
-    out[...] = x[0]
-
-
-def _negate_a(x, out):
-    np.negative(x[0], out=out)
 
 
 @pytest.mark.parametrize("ceiling", [1e200, 1e300])
@@ -428,7 +504,7 @@ def test_screen_passes_overflowing_squares_and_stops_at_the_ceiling(ceiling, use
     v0 = np.array([1e150, 0.0, -1e141])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        a_hist, adot_hist, rec, div = _both_loops(a0, v0, 1.0, 1000, 1, ceiling, use_verlet, lambda: _copy_a)
+        a_hist, adot_hist, rec, div = _both_loops(a0, v0, 1.0, 1000, 1, ceiling, use_verlet, lambda: (_copy_a,))
     assert div > 0 and rec[-1] == div and list(rec) == list(range(div + 1))
     assert np.max(np.abs(a_hist[-1])) > ceiling and np.all(np.isfinite(a_hist[-1]))
     assert np.max(np.abs(a_hist[-2])) <= ceiling
@@ -445,24 +521,24 @@ def test_screen_stops_an_oscillator_at_the_first_step_past_the_ceiling(use_verle
     free = kernels.run_numpy(a0, v0, dt, 2000, 1, math.inf, use_verlet, _negate_a)
     first = int(np.argmax(np.abs(free[0][:, 0]) > 1.5))
     assert first > 0 and abs(first * dt - math.asin(0.75)) < 2 * dt
-    a_hist, _, rec, div = _both_loops(a0, v0, dt, 2000, 10, 1.5, use_verlet, lambda: _negate_a)
+    a_hist, _, rec, div = _both_loops(a0, v0, dt, 2000, 10, 1.5, use_verlet, lambda: (_negate_a,))
     assert div == first and rec[-1] == first
     assert abs(a_hist[-1, 0]) > 1.5 and abs(a_hist[-2, 0]) <= 1.5
 
 
 def test_screen_catches_nan_in_adot_only():
     # NaN on one k4 call reaches adot alone: a's update does not use k4.
-    def make_accel():
+    def make_terms():
         calls = [0]
 
-        def accel(x, out):
+        def galerkin(a, out):
             calls[0] += 1
-            out[...] = np.nan if calls[0] == 4 * 5 else -x[0] - 0.1 * x[1]
+            out[...] = np.nan if calls[0] == 4 * 5 else -a
 
-        return accel
+        return galerkin, 0.0, np.full(3, -0.1)
 
     a0, v0 = np.array([1.0, -0.5, 0.25]), np.array([0.0, 0.3, 0.0])
-    a_hist, adot_hist, rec, div = _both_loops(a0, v0, 1e-2, 100, 4, 1e12, False, make_accel)
+    a_hist, adot_hist, rec, div = _both_loops(a0, v0, 1e-2, 100, 4, 1e12, False, make_terms)
     assert div == 5 and list(rec) == [0, 4, 5]
     assert np.all(np.isfinite(a_hist[-1])) and np.all(np.isnan(adot_hist[-1]))
 
@@ -471,5 +547,5 @@ def test_tiny_ceiling_takes_the_full_check():
     # (ceiling/2)^2 underflows, so no screen can prove a state inside and
     # every step is checked in full: 1e-165 > 1e-170 must stop step 1.
     a0, v0 = np.array([1e-165, 0.0]), np.array([0.0, 0.0])
-    _, _, rec, div = _both_loops(a0, v0, 1e-3, 10, 1, 1e-170, False, lambda: _negate_a)
+    _, _, rec, div = _both_loops(a0, v0, 1e-3, 10, 1, 1e-170, False, lambda: (_negate_a,))
     assert div == 1 and list(rec) == [0, 1]

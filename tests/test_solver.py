@@ -21,7 +21,7 @@ from wavegalerkin.solver import (
     STORMER_VERLET,
     SolverConfig,
     State,
-    _numpy_accel,
+    _stepping_terms,
     acceleration,
     initial_state_from_modal,
     integrate,
@@ -72,14 +72,18 @@ def test_acceleration_cubic_first_mode():
     assert np.allclose(acc, want, rtol=1e-12, atol=1e-10)
 
 
-def _closure_value(op, nl, fs, a, adot):
-    # The stepping closure writes into ``out`` and must only read the stage.
-    x = np.stack((a, adot))
-    before = x.copy()
+def _closure_value(op, nl, fs, a, adot, calls=1):
+    # The acceleration as the stepping loop composes it: the Galerkin term,
+    # called ``calls`` times into one ``out`` and only reading ``a``, plus
+    # the forcing's linear part.
+    galerkin, g1, damping = _stepping_terms(op, nl, fs)
+    before = a.copy()
     out = np.full(op.modes, np.nan)
-    _numpy_accel(op, nl, fs)(x, out)
-    assert np.array_equal(x, before)
-    return out
+    for _ in range(calls):
+        galerkin(a, out)
+    assert np.array_equal(a, before)
+    out += g1 * a
+    return out if damping is None else out + damping * adot
 
 
 def _agrees(got, want, rtol=1e-12):
@@ -162,14 +166,10 @@ def _count_transforms(monkeypatch):
 
 
 def _accelerate_three_times(op, nl, fs):
-    """The closure's value after three calls at one drawn stage, and the reference value there."""
-    accel = _numpy_accel(op, nl, fs)
+    """The loop's acceleration after three Galerkin calls at one drawn stage, and the reference value there."""
     rng = np.random.default_rng(5)
-    x = 0.4 * rng.normal(size=(2, op.modes)) / np.arange(1, op.modes + 1)
-    out = np.empty(op.modes)
-    for _ in range(3):
-        accel(x, out)
-    return out, acceleration(State(a=x[0], adot=x[1]), op, nl, fs)
+    a, adot = 0.4 * rng.normal(size=(2, op.modes)) / np.arange(1, op.modes + 1)
+    return _closure_value(op, nl, fs, a, adot, calls=3), acceleration(State(a=a, adot=adot), op, nl, fs)
 
 
 # On dense products every nonlinear F, a custom one included, is folded into
