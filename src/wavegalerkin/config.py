@@ -1,9 +1,10 @@
 """Run-configuration parsing: JSON schema plus semantic validation.
 
 A run config names the domain, mode count, nonlinearity, forcing, initial
-data, time grid, and output paths.  Schema violations
-and any constructor rejection surface as :class:`ConfigError`, which the
-CLI maps to its config-error exit code.
+data, time grid, and output paths.  The schema is checked in-package, by an
+interpreter of the Draft 7 keywords :data:`CONFIG_SCHEMA` uses.  Schema
+violations and any constructor rejection surface as :class:`ConfigError`,
+which the CLI maps to its config-error exit code.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .nonlinearity import (
@@ -177,10 +177,146 @@ CONFIG_SCHEMA = {
 }
 
 
-# Built once: jsonschema.validate would re-check the schema itself on every
-# load.  Table entries carry no per-item schema; _table_values checks them
-# with numpy, because walking 2001-entry arrays item by item dominates a load.
-_VALIDATOR = jsonschema.Draft7Validator(CONFIG_SCHEMA)
+def _is_number(v) -> bool:
+    # json.loads yields exact types; a bool is not a number in JSON Schema.
+    return type(v) is int or type(v) is float
+
+
+_TYPES = {
+    "object": lambda v: type(v) is dict,
+    "array": lambda v: type(v) is list,
+    "string": lambda v: type(v) is str,
+    "number": _is_number,
+    # Draft 7 counts an integer-valued float, such as 2.0, as an integer.
+    "integer": lambda v: type(v) is int or (type(v) is float and v.is_integer()),
+}
+
+
+def _equal(a, b) -> bool:
+    """JSON equality of scalars: ``True`` is not ``1``, but ``1.0`` is ``1``."""
+    if type(a) is bool or type(b) is bool:
+        return type(a) is type(b) and a == b
+    return a == b
+
+
+def _type(name, value, path, schema):
+    if not _TYPES[name](value):
+        return path, f"{value!r} is not of type {name!r}"
+
+
+def _enum(options, value, path, schema):
+    if not any(_equal(value, option) for option in options):
+        return path, f"{value!r} is not one of {options!r}"
+
+
+def _const(const, value, path, schema):
+    if not _equal(value, const):
+        return path, f"{const!r} was expected"
+
+
+def _required(names, value, path, schema):
+    if type(value) is dict:
+        for name in names:
+            if name not in value:
+                return path, f"{name!r} is a required property"
+
+
+def _properties(props, value, path, schema):
+    if type(value) is dict:
+        for name, sub in props.items():
+            if name in value:
+                found = schema_violation(value[name], sub, path + (name,))
+                if found is not None:
+                    return found
+
+
+def _additional_properties(allowed, value, path, schema):
+    # The schema only ever forbids extras outright.
+    if allowed is False and type(value) is dict:
+        known = schema.get("properties", {})
+        extras = sorted((k for k in value if k not in known), key=str)
+        if extras:
+            verb = "was" if len(extras) == 1 else "were"
+            return path, f"Additional properties are not allowed ({', '.join(map(repr, extras))} {verb} unexpected)"
+
+
+def _items(sub, value, path, schema):
+    if type(value) is list:
+        for i, item in enumerate(value):
+            found = schema_violation(item, sub, path + (i,))
+            if found is not None:
+                return found
+
+
+def _min_items(n, value, path, schema):
+    if type(value) is list and len(value) < n:
+        return path, f"{value!r} {'should be non-empty' if n == 1 else 'is too short'}"
+
+
+# NaN compares false either way, so it passes both bounds, as in jsonschema;
+# the constructors refuse it.
+def _minimum(bound, value, path, schema):
+    if _is_number(value) and value < bound:
+        return path, f"{value!r} is less than the minimum of {bound!r}"
+
+
+def _exclusive_minimum(bound, value, path, schema):
+    if _is_number(value) and value <= bound:
+        return path, f"{value!r} is less than or equal to the minimum of {bound!r}"
+
+
+def _selects(branch: dict, value) -> bool:
+    """Whether ``value`` holds every ``const`` property of a ``oneOf`` branch, as a tagged union's tag."""
+    consts = [(name, sub["const"]) for name, sub in branch.get("properties", {}).items() if "const" in sub]
+    return bool(consts) and type(value) is dict and all(name in value and _equal(value[name], c) for name, c in consts)
+
+
+def _one_of(branches, value, path, schema):
+    found = [schema_violation(value, branch, path) for branch in branches]
+    valid = [branch for branch, f in zip(branches, found) if f is None]
+    if len(valid) == 1:
+        return None
+    if valid:  # jsonschema names the first valid branch last
+        return path, f"{value!r} is valid under each of {', '.join(map(repr, valid[1:] + valid[:1]))}"
+    # The branch whose tag the value carries says what is wrong with it.
+    tagged = [f for branch, f in zip(branches, found) if _selects(branch, value)]
+    if len(tagged) == 1:
+        return tagged[0]
+    return path, f"{value!r} is not valid under any of the given schemas"
+
+
+KEYWORDS = {
+    "type": _type,
+    "enum": _enum,
+    "const": _const,
+    "required": _required,
+    "properties": _properties,
+    "additionalProperties": _additional_properties,
+    "items": _items,
+    "minItems": _min_items,
+    "minimum": _minimum,
+    "exclusiveMinimum": _exclusive_minimum,
+    "oneOf": _one_of,
+}
+
+
+def schema_violation(value, schema: dict = CONFIG_SCHEMA, path: tuple = ()) -> tuple[tuple, str] | None:
+    """The first Draft 7 violation of ``schema`` by ``value``, as ``(path, message)``, or None.
+
+    Keywords are checked in the schema's order, so a node's own ``type``,
+    ``required`` and ``additionalProperties`` come before its properties.
+    Only the keywords in :data:`KEYWORDS` act (the schema uses no others);
+    messages follow jsonschema's wording.  Table entries carry no per-item
+    schema: :func:`_finite_values` checks them with numpy, because walking
+    2001-entry arrays item by item would dominate a load.
+    """
+    for keyword, arg in schema.items():
+        check = KEYWORDS.get(keyword)
+        if check is not None:
+            found = check(arg, value, path, schema)
+            if found is not None:
+                return found
+    return None
 
 
 @dataclass(frozen=True)
@@ -291,10 +427,10 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config {p}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {p} is not valid JSON: {e}") from e
-    e = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
-    if e is not None:
-        where = "/".join(str(x) for x in e.absolute_path) or "<root>"
-        raise ConfigError(f"config schema violation at {where}: {e.message}") from e
+    found = schema_violation(raw)
+    if found is not None:
+        path, message = found
+        raise ConfigError(f"config schema violation at {'/'.join(map(str, path)) or '<root>'}: {message}")
 
     try:
         dom = raw["domain"]
@@ -317,6 +453,7 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError("stormer_verlet requires velocity-independent forcing (g2 = 0)")
         for key in ("x0", "x1"):
             _check_field(raw["initial"][key], f"initial/{key}")
+        _check_history(solver, raw["modes"])
     except ConfigError:
         raise
     except (ValueError, KeyError) as e:
@@ -334,6 +471,23 @@ def load_config(path: str | Path) -> RunConfig:
         solver=solver,
         output=OutputSettings(**raw.get("output", {})),
     )
+
+
+# The largest sample history a run may hold: (n_steps // stride + 2)
+# records of positions and velocities, float64.  1 GiB is 400x the largest
+# benchmark history (dense_output, about 2.5 MB); a config past it would
+# fail to allocate, or swap, only after verification had run.
+HISTORY_BYTES_MAX = 2**30
+
+
+def _check_history(solver: SolverConfig, modes: int) -> None:
+    """Reject a time grid whose sample history would exceed :data:`HISTORY_BYTES_MAX`."""
+    nbytes = (solver.n_steps // solver.sample_stride + 2) * 2 * modes * 8
+    if nbytes > HISTORY_BYTES_MAX:
+        raise ConfigError(
+            f"sample history of {nbytes:.3g} bytes exceeds the {HISTORY_BYTES_MAX:.3g}-byte budget: "
+            "raise time/sample_stride or shorten time/T"
+        )
 
 
 # A sine field's largest phase is below 2*pi*k; up to this wavenumber it

@@ -82,6 +82,8 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if self.T > 0 and self.dt > self.T * (1.0 + _TIME_GRID_RTOL):
             raise ValueError("dt must not exceed T")
+        if not math.isfinite(self.T / self.dt):
+            raise ValueError("T/dt overflows a float")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}")
         if not isinstance(self.sample_stride, int) or isinstance(self.sample_stride, bool) or self.sample_stride < 1:

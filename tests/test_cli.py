@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,7 +20,7 @@ import pytest
 import wavegalerkin
 from wavegalerkin import cli
 from wavegalerkin.cli import CSV_COLUMNS
-from wavegalerkin.config import load_config, resolve_initial
+from wavegalerkin.config import ConfigError, load_config, resolve_initial
 from wavegalerkin.estimates import EnergyTable, derive_decay, derive_gronwall, monitor
 from wavegalerkin.nonlinearity import verify_conditions
 from wavegalerkin.solver import integrate
@@ -644,6 +645,11 @@ UNUSABLE_CONFIGS = {
         {"initial": {"x0": {"type": "parabola", "amplitude": -math.inf}, "x1": {"type": "zero"}}},
         "invalid initial data at initial/x0/amplitude: -inf is not a finite number",
     ),
+    "history_over_budget": (
+        {"time": {"T": 1e15, "dt": 1}},
+        "sample history of 1.28e+17 bytes exceeds the 1.07e+09-byte budget: raise time/sample_stride or shorten time/T",
+    ),
+    "step_count_overflow": ({"time": {"T": 1e300, "dt": 1e-300}}, "T/dt overflows a float"),
 }
 
 
@@ -661,6 +667,27 @@ def test_unusable_configs_exit_3_before_verification(tmp_path, capsys, monkeypat
     assert captured.err == f"config error: {message}\n"
     assert captured.out == ""
     assert not (tmp_path / "report.json").exists()
+
+
+def test_history_over_budget_exits_3_in_a_fresh_process_and_allocates_nothing(tmp_path):
+    # The sample history of this config (128 PB) once reached np.empty after
+    # verification had passed, and died there with a traceback and exit 1.
+    src_dir = str(Path(wavegalerkin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    path = write_cfg(tmp_path, make_cfg(tmp_path, time={"T": 1e15, "dt": 1}))
+    proc = subprocess.run([sys.executable, "-m", "wavegalerkin.cli", "run", path], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
+    assert "time/sample_stride" in proc.stderr and proc.stdout == ""
+    assert not (tmp_path / "report.json").exists() and not (tmp_path / "trajectory.csv").exists()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="time/sample_stride"):
+            load_config(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # A value for each nonlinearity key that some kind does not take.

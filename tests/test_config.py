@@ -1,14 +1,19 @@
 """JSON run-config parsing, schema enforcement, and initial-data resolution."""
 
+import copy
 import json
 import math
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from wavegalerkin.config import CONFIG_SCHEMA, ConfigError, OutputSettings, load_config, resolve_initial
+import wavegalerkin
+from wavegalerkin.config import CONFIG_SCHEMA, KEYWORDS, ConfigError, OutputSettings, load_config, resolve_initial, schema_violation
 from wavegalerkin.spectral import build_operator
 
 
@@ -157,9 +162,214 @@ def test_published_schema_in_sync():
 
 
 def test_config_schema_is_valid_draft7():
-    # load_config's prebuilt validator never checks the schema itself, so a
-    # broken schema must be caught here.
+    # load_config's interpreter takes the schema as given and never checks
+    # it against the Draft 7 metaschema, so a broken schema must be caught here.
     jsonschema.Draft7Validator.check_schema(CONFIG_SCHEMA)
+
+
+# Keywords that only annotate a schema; they constrain nothing.
+ANNOTATIONS = {"$schema", "title", "description"}
+
+
+def _schema_nodes(schema):
+    yield schema
+    subs = [*schema.get("properties", {}).values(), *schema.get("oneOf", [])]
+    for sub in subs + ([schema["items"]] if "items" in schema else []):
+        yield from _schema_nodes(sub)
+
+
+def test_schema_uses_only_keywords_the_interpreter_implements():
+    # A keyword the interpreter does not know would be skipped, and the
+    # constraint it states would silently not hold.
+    for node in _schema_nodes(CONFIG_SCHEMA):
+        unknown = set(node) - set(KEYWORDS) - ANNOTATIONS
+        assert not unknown, (unknown, node)
+        # The argument forms the interpreter handles.
+        assert isinstance(node.get("type", ""), str)
+        assert node.get("additionalProperties", False) is False
+        assert isinstance(node.get("items", {}), dict)
+        for value in [node.get("const"), *node.get("enum", [])]:
+            assert value is None or type(value) in (str, int, float, bool)
+
+
+def full_config():
+    """A config that sets every section and optional key, with a custom table F."""
+    return base_config(
+        domain={"length": 2.0, "bc": "periodic_mean_zero", "grid_points": 64},
+        nonlinearity={
+            "kind": "custom",
+            "p": 3.0,
+            "a0": 1.0,
+            "a1": 1.0,
+            "b0": 0.5,
+            "b1": 0.0,
+            "table": {"r": [-1.0, 0.0, 1.0], "f": [-3.0, 0.0, 3]},
+        },
+        forcing={"kind": "affine", "g0": 0.5, "g1": 0.1, "g2": 0.2, "constant": 0.1},
+        initial={"x0": {"type": "sine", "wavenumber": 2, "amplitude": 0.5}, "x1": {"type": "modal", "coeffs": [0.1, -0.2]}},
+        time={"T": 0.1, "dt": 1e-3, "integrator": "rk4", "sample_stride": 10},
+        verification={"samples": 10},
+        output={"csv_path": "t.csv", "report_path": "r.json"},
+        seed=3,
+        blowup_ceiling=1e6,
+    )
+
+
+def verlet_config():
+    return base_config(
+        forcing={"kind": "affine", "g0": 0.5, "g1": 0.1},
+        initial={"x0": {"type": "parabola", "amplitude": 2}, "x1": {"type": "zero"}},
+        time={"T": 1.0, "dt": 1e-3, "integrator": "stormer_verlet"},
+    )
+
+
+# Values a mutant puts in place of any node: nulls, bools (never numbers),
+# NaN and infinities (which pass minimum), integer-valued floats (which are
+# integers), strings, lists and objects.
+REPLACEMENTS = [None, True, False, 0, 1, -1, 2, 0.0, 2.0, -1.0, 0.5, math.nan, math.inf, -math.inf, "x", "sine", "rk4", [], [1.0], [True], {}, {"type": "zero"}]
+# Keys a mutant adds to an object: one no section knows, and some that only another section or field type takes.
+ADDED = {"extra": 1, "amplitude": 1.0, "wavenumber": 2, "coeffs": [1.0], "p": 3.0, "g2": 0.1, "type": "zero"}
+
+
+def _nodes(value, path=()):
+    yield path, value
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            yield from _nodes(sub, path + (key,))
+    elif isinstance(value, list):
+        for i, sub in enumerate(value):
+            yield from _nodes(sub, path + (i,))
+
+
+def _mutated(cfg, path, op, arg=None):
+    out = copy.deepcopy(cfg)
+    if not path:
+        return arg
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    if op == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = arg
+    return out
+
+
+def _mutations(cfg):
+    """Every single mutation of ``cfg``, as ``(path, op, arg)`` for :func:`_mutated`."""
+    for path, value in list(_nodes(cfg)):
+        if path:
+            yield path, "drop", None
+        for new in REPLACEMENTS:
+            yield path, "set", new
+        if type(value) is int:
+            yield path, "set", float(value)
+        if type(value) is float and value.is_integer():
+            yield path, "set", int(value)
+        if isinstance(value, dict):
+            for key, new in ADDED.items():
+                if key not in value:
+                    yield path + (key,), "set", new
+
+
+def _mutants():
+    rng = random.Random(26)
+    for cfg in (base_config(), full_config(), verlet_config()):
+        assert schema_violation(cfg) is None
+        singles = [_mutated(cfg, *m) for m in _mutations(cfg)]
+        yield from singles
+        # Two mutations at once, the second at a random node of the first's result.
+        for first in rng.sample(singles, 200):
+            if isinstance(first, dict):
+                yield _mutated(first, *rng.choice(list(_mutations(first))))
+
+
+def test_interpreter_agrees_with_jsonschema_on_every_mutant():
+    validator = jsonschema.Draft7Validator(CONFIG_SCHEMA)
+    counts = {True: 0, False: 0}
+    for mutant in _mutants():
+        found = schema_violation(mutant)
+        errors = list(validator.iter_errors(mutant))
+        assert (found is None) == (not errors), (mutant, found, [e.message for e in errors])
+        counts[found is None] += 1
+        # Where jsonschema sees one violation, outside a oneOf, both say the same thing at the same place.
+        if len(errors) == 1 and errors[0].validator != "oneOf":
+            assert found == (tuple(errors[0].absolute_path), errors[0].message)
+    # Both verdicts are well represented.
+    assert counts[True] > 100 and counts[False] > 1000, counts
+
+
+# Keyword cases the config schema cannot reach: non-string enum and const
+# values, and a oneOf whose branches overlap.
+KEYWORD_CASES = [
+    ({"enum": [1]}, True),
+    ({"enum": [1]}, 1.0),
+    ({"enum": [True]}, 1),
+    ({"enum": [False]}, False),
+    ({"const": 0}, False),
+    ({"const": 0}, 0.0),
+    ({"oneOf": [{"type": "integer"}, {"type": "number"}]}, 1),
+    ({"oneOf": [{"type": "integer"}, {"type": "number"}]}, 0.5),
+    ({"oneOf": [{"type": "integer"}, {"type": "number"}]}, "x"),
+]
+
+
+@pytest.mark.parametrize("schema, value", KEYWORD_CASES)
+def test_keywords_agree_with_jsonschema_beyond_the_config_schema(schema, value):
+    expected = jsonschema.exceptions.best_match(jsonschema.Draft7Validator(schema).iter_errors(value))
+    found = schema_violation(value, schema)
+    assert (found is None) == (expected is None), found
+    if expected is not None:
+        assert found == ((), expected.message)
+
+
+@pytest.mark.parametrize(
+    "field, where, message",
+    [
+        ({"type": "sine"}, "initial/x0", "'wavenumber' is a required property"),
+        ({"type": "sine", "wavenumber": 0}, "initial/x0/wavenumber", "0 is less than the minimum of 1"),
+        ({"type": "sine", "wavenumber": 1.5}, "initial/x0/wavenumber", "1.5 is not of type 'integer'"),
+        ({"type": "modal", "coeffs": [1.0, "x"]}, "initial/x0/coeffs/1", "'x' is not of type 'number'"),
+        ({"type": "zero", "amplitude": 1.0}, "initial/x0", "Additional properties are not allowed ('amplitude' was unexpected)"),
+        ({"type": "blob"}, "initial/x0", "{'type': 'blob'} is not valid under any of the given schemas"),
+        ({"wavenumber": 2}, "initial/x0", "{'wavenumber': 2} is not valid under any of the given schemas"),
+    ],
+)
+def test_initial_field_errors_name_the_tagged_field_type(tmp_path, field, where, message):
+    # An initial field is one of four tagged types: an error in a known type
+    # is reported by that type's own schema, at its own path; a value no tag
+    # selects gets the generic oneOf message.
+    cfg = base_config(initial={"x0": field, "x1": {"type": "zero"}})
+    with pytest.raises(ConfigError) as e:
+        load_config(write_cfg(tmp_path, cfg))
+    assert str(e.value) == f"config schema violation at {where}: {message}"
+
+
+def test_draft7_number_semantics(tmp_path):
+    # An integer-valued float is an integer, a bool is no number, and NaN
+    # passes minimum and exclusiveMinimum, to be refused by the constructors.
+    sine = base_config(initial={"x0": {"type": "sine", "wavenumber": 2.0}, "x1": {"type": "zero"}})
+    assert load_config(write_cfg(tmp_path, sine)).x0_spec["wavenumber"] == 2.0
+    for over, where, message in (
+        (dict(modes=True), "modes", "True is not of type 'integer'"),
+        (dict(time={"T": 1.0, "dt": False}), "time/dt", "False is not of type 'number'"),
+        (dict(domain={"length": 1.0, "bc": True}), "domain/bc", "True is not one of ['dirichlet', 'periodic_mean_zero']"),
+        (dict(initial={"x0": {"type": 1}, "x1": {"type": "zero"}}), "initial/x0", "{'type': 1} is not valid under any of the given schemas"),
+    ):
+        with pytest.raises(ConfigError) as e:
+            load_config(write_cfg(tmp_path, base_config(**over)))
+        assert str(e.value) == f"config schema violation at {where}: {message}"
+    assert schema_violation(base_config(time={"T": 1.0, "dt": math.nan})) is None
+    with pytest.raises(ConfigError, match="^dt must be a finite number$"):
+        load_config(write_cfg(tmp_path, base_config(time={"T": 1.0, "dt": math.nan})))
+
+
+def test_cli_import_leaves_jsonschema_out():
+    # The schema is checked in-package; jsonschema is a test-only dependency.
+    src_dir = str(Path(wavegalerkin.__file__).resolve().parents[1])
+    code = "import sys, wavegalerkin.cli; assert 'jsonschema' not in sys.modules, 'jsonschema was imported'"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=src_dir, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_custom_table_carries_exact_primitives(tmp_path):
