@@ -2,7 +2,7 @@
 """Microseconds per step of the stepping loop at each benchmark workload's shape.
 
 Times ``kernels.run_numpy`` with the Galerkin term and forcing coefficients
-that ``solver._stepping_terms`` builds, on six shapes:
+that ``solver._stepping_terms`` builds, on eight shapes:
 
 - ``long_small``: Dirichlet, m=16, cubic F, no forcing, RK4;
 - ``dense_output``: periodic, m=32, cubic F, affine forcing, RK4;
@@ -11,17 +11,26 @@ that ``solver._stepping_terms`` builds, on six shapes:
 - ``custom_table``: Dirichlet, m=16, a custom F from the table f = 3r^2,
   affine forcing, RK4 (folded into the same matrix as the cubic);
 - ``power_law``: Dirichlet, m=32, power-law F (p=3.5) on dense products,
-  no forcing, RK4 (the power-law path of the ``short_mix`` workload).
+  no forcing, RK4 (the power-law path of the ``short_mix`` workload);
+- ``wide_custom``: Dirichlet, m=512, the custom table of ``custom_table``
+  on the FFT pair, no forcing, RK4 (a table is not odd, so the term flips
+  the signs of the FFT's grid order around it);
+- ``wide_periodic``: periodic, m=512, power-law F (p=4) on the FFT pair,
+  no forcing, RK4.
 
-Each row gives the minimum and the median over ``--repeats`` runs of
-``--steps`` steps from the parabola x(1 - x) at rest, recording only the
-first and last states.  At small m a step costs a few microseconds of fixed
-per-call overhead, so a run on a shared machine reads slow whenever it is
-interrupted; the minimum is the least disturbed of the runs.  BLAS is pinned
-to one thread and, where the platform allows it, the process to one CPU.
-The numpy version is printed with the table.
+Every shape is timed in ``--processes`` fresh processes, one after the
+other, each taking the minimum over ``--repeats`` runs of ``--steps`` steps
+from the parabola x(1 - x) at rest, recording only the first and last
+states.  At small m a step costs a few microseconds of fixed per-call
+overhead, so a run on a shared machine reads slow whenever it is
+interrupted; the minimum is the least disturbed of the runs.  Whole
+processes can also land in a mode that is slow for every shape at once (up
+to 2x), so each row gives the best process's minimum and the median of the
+processes' minima.  BLAS is pinned to one thread and, where the platform
+allows it, each process to one CPU.  The numpy version is printed with the
+table.
 
-    PYTHONPATH=src python3 benchmarks/bench_stepping.py [--steps N] [--repeats R]
+    PYTHONPATH=src python3 benchmarks/bench_stepping.py [--steps N] [--repeats R] [--processes P]
 """
 
 import os
@@ -30,8 +39,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS
     os.environ[_var] = "1"
 
 import argparse
+import multiprocessing
 import statistics
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -72,11 +83,13 @@ CASES = {
         1e-3,
     ),
     "power_law": (DIRICHLET, 32, power_law_nonlinearity(3.5), zero_forcing(), False, 1e-3),
+    "wide_custom": (DIRICHLET, 512, custom_nonlinearity(_TABLE, 4.0, 1.0, 1.0, 1.0, 0.0), zero_forcing(), False, 2.5e-4),
+    "wide_periodic": (PERIODIC_MEAN_ZERO, 512, power_law_nonlinearity(4.0), zero_forcing(), False, 2.5e-4),
 }
 
 
-def step_us(case, steps: int, repeats: int) -> tuple[float, float]:
-    """Minimum and median microseconds per step over ``repeats`` runs."""
+def step_us(case, steps: int, repeats: int) -> float:
+    """Minimum microseconds per step over ``repeats`` runs."""
     bc, m, nl, fs, use_verlet, dt = case
     op = build_operator(DomainSpec(length=1.0, bc=bc), m)
     x = op.nodes
@@ -90,25 +103,44 @@ def step_us(case, steps: int, repeats: int) -> tuple[float, float]:
         times.append(time.perf_counter() - t0)
         if div >= 0:
             raise RuntimeError(f"run diverged at step {div}")
-    return min(times) / steps * 1e6, statistics.median(times) / steps * 1e6
+    return min(times) / steps * 1e6
+
+
+def pin_cpu() -> str:
+    if not hasattr(os, "sched_setaffinity"):
+        return "unpinned"
+    pinned = min(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {pinned})
+    return f"CPU {pinned}"
+
+
+def time_shapes(steps: int, repeats: int) -> dict[str, float]:
+    """Every shape's minimum microseconds per step, timed in this process."""
+    pin_cpu()
+    return {name: step_us(case, steps, repeats) for name, case in CASES.items()}
 
 
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--steps", type=int, default=2000)
     ap.add_argument("--repeats", type=int, default=7)
+    ap.add_argument("--processes", type=int, default=5)
     args = ap.parse_args(argv)
-    cpu = "unpinned"
-    if hasattr(os, "sched_setaffinity"):
-        pinned = min(os.sched_getaffinity(0))
-        os.sched_setaffinity(0, {pinned})
-        cpu = f"CPU {pinned}"
-    print(f"numpy {np.__version__}, BLAS threads pinned to {os.environ['OPENBLAS_NUM_THREADS']}, process on {cpu}")
-    print(f"minimum and median of {args.repeats} runs of {args.steps} steps")
+    if args.processes < 1:
+        ap.error("--processes must be at least 1")
+    # One fresh process at a time, so that no two timings share a CPU.
+    spawn = multiprocessing.get_context("spawn")
+    runs = []
+    for _ in range(args.processes):
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            runs.append(pool.submit(time_shapes, args.steps, args.repeats).result())
+    cpu = pin_cpu()
+    print(f"numpy {np.__version__}, BLAS threads pinned to {os.environ['OPENBLAS_NUM_THREADS']}, each process on {cpu}")
+    print(f"best and median over {args.processes} processes of each one's minimum of {args.repeats} runs of {args.steps} steps")
     print(f"{'shape':<14}{'min us/step':>12}{'median':>10}")
-    for name, case in CASES.items():
-        low, mid = step_us(case, args.steps, args.repeats)
-        print(f"{name:<14}{low:>12.2f}{mid:>10.2f}")
+    for name in CASES:
+        per_process = [run[name] for run in runs]
+        print(f"{name:<14}{min(per_process):>12.2f}{statistics.median(per_process):>10.2f}")
 
 
 if __name__ == "__main__":

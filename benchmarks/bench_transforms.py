@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Crossover sweep: dense-product against FFT grid transforms, per mode count.
+"""Crossover sweep: the stepping loop's Galerkin term on dense products against the FFT pair, per mode count.
 
-For each boundary condition and each swept mode count m it times one
-acceleration's transforms on a 1-D state: modes -> grid, a pointwise cube,
-grid -> modes.  The dense side uses the operator's basis and projection
-matrices; the FFT side uses the transform constants that ``spectral``
-builds at or above ``FFT_MIN_MODES``, which every transform then runs on,
-the stepping loop's included.  The two are checked against each other
-before timing.
+For each boundary condition and each swept mode count m it times one call
+of the term that ``solver._galerkin_term`` builds for the cubic F without
+forcing, ``-lambda P F(B a)`` written into a preallocated array, which
+each acceleration of the stepping loop calls once.  The dense side samples
+with the basis matrix and folds ``-lambda`` and the projection into one
+matrix; the FFT side stays in the FFT's own grid order and writes into
+buffers of its own.  Both sides are built at every m, by moving
+``spectral.FFT_MIN_MODES`` while their operators are made, and are checked
+against each other before timing.
 
 The sweep covers every m from M_MIN to M_MAX in steps of STEP, plus every
 m in that range whose default grid size n is prime: the FFT of a prime
@@ -33,6 +35,8 @@ import time
 import numpy as np
 
 from wavegalerkin import spectral
+from wavegalerkin.nonlinearity import cubic_nonlinearity, zero_forcing
+from wavegalerkin.solver import _galerkin_term
 from wavegalerkin.spectral import DIRICHLET, PERIODIC_MEAN_ZERO, DomainSpec, build_operator, default_grid_points
 
 M_MIN, M_MAX = 128, 1024
@@ -50,9 +54,26 @@ def swept_modes(bc: str) -> list[int]:
     return sorted(ms)
 
 
-def accel(to_grid, from_grid, a):
-    u = to_grid(a)
-    return from_grid(u * u * u)
+def galerkin_terms(bc: str, m: int) -> tuple[int, dict]:
+    """Grid size and the dense and FFT Galerkin terms at ``m`` modes, whatever ``FFT_MIN_MODES`` is."""
+    terms = {}
+    saved = spectral.FFT_MIN_MODES
+    try:
+        # An operator picks its transforms on first use, which building the term is.
+        for name, threshold in (("dense", m + 1), ("fft", m)):
+            spectral.FFT_MIN_MODES = threshold
+            op = build_operator(DomainSpec(length=1.0, bc=bc), m)
+            terms[name] = _galerkin_term(op, cubic_nonlinearity(), zero_forcing())
+            assert (op._fft is None) == (name == "dense")
+    finally:
+        spectral.FFT_MIN_MODES = saved
+    return op.grid_points, terms
+
+
+def call(term, a):
+    out = np.empty_like(a)
+    term(a, out)
+    return out
 
 
 def batch_size(fn) -> int:
@@ -84,20 +105,15 @@ def sweep(bc: str, ms: list[int]) -> list[tuple]:
     rng = np.random.default_rng(0)
     rows = []
     for m in ms:
-        op = build_operator(DomainSpec(length=1.0, bc=bc), m)
-        # The FFT constants at any m, whatever FFT_MIN_MODES is.
-        plan = spectral._fft_plan(op)
-        pairs = {
-            "dense": (op.basis.__matmul__, op.projection.__matmul__),
-            "fft": (plan.to_grid, plan.from_grid),
-        }
+        n, terms = galerkin_terms(bc, m)
         a = rng.uniform(-1.0, 1.0, m) / m
-        want = accel(*pairs["dense"], a)
-        gap = np.linalg.norm(accel(*pairs["fft"], a) - want) / np.linalg.norm(want)
+        want = call(terms["dense"], a)
+        gap = np.linalg.norm(call(terms["fft"], a) - want) / np.linalg.norm(want)
         if not gap <= 1e-12:
-            raise SystemExit(f"{bc} m={m}: FFT and dense transforms differ by {gap:.3e} relative")
-        t = best_us({name: (lambda p=p: accel(*p, a)) for name, p in pairs.items()})
-        rows.append((m, op.grid_points, t["dense"], t["fft"]))
+            raise SystemExit(f"{bc} m={m}: FFT and dense Galerkin terms differ by {gap:.3e} relative")
+        out = np.empty(m)
+        t = best_us({name: (lambda term=term: term(a, out)) for name, term in terms.items()})
+        rows.append((m, n, t["dense"], t["fft"]))
     return rows
 
 

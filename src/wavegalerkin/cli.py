@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config, resolve_initial
+from .config import ConfigError, RunConfig, _check_history, load_config, resolve_initial
 from .estimates import (
     DecayParams,
     GronwallParams,
@@ -33,7 +33,7 @@ from .estimates import (
 )
 from .nonlinearity import CUSTOM, verify_conditions, verify_g
 from .oracle import max_H_error, reference_run
-from .solver import Trajectory, integrate
+from .solver import SolverConfig, Trajectory, integrate
 from .spectral import build_operator
 
 __all__ = ["main"]
@@ -246,6 +246,11 @@ def cmd_converge(rc: RunConfig, modes: list[int], dts: list[float], m_ref: int |
         raise ConfigError("dt_ref_factor must be at least 10")
     if rc.nl.kind == CUSTOM:
         raise ConfigError("convergence study supports built-in kinds only")
+    stride = rc.solver.sample_stride
+    cfgs = {dt: dataclasses.replace(rc.solver, dt=dt) for dt in dts}
+    for dt, cfg in cfgs.items():  # every member's and reference's history fits, before any run
+        _check_history(cfg, modes[-1])
+        _check_history(SolverConfig(T=rc.solver.T, dt=dt / dt_ref_factor, sample_stride=stride * dt_ref_factor), m_ref)
     json_path = _resolve_out(out_json)
     csv_path = _resolve_out(out_csv)
 
@@ -255,7 +260,6 @@ def cmd_converge(rc: RunConfig, modes: list[int], dts: list[float], m_ref: int |
         return EXIT_VIOLATION
 
     domain = dataclasses.replace(rc.domain, grid_points=None)
-    stride = rc.solver.sample_stride
     x0_ref, x1_ref = _reference_initial(rc, m_ref)
     rows = []
     diverged = False
@@ -278,8 +282,7 @@ def cmd_converge(rc: RunConfig, modes: list[int], dts: list[float], m_ref: int |
         for m in modes:
             op = build_operator(domain, m)
             init = resolve_initial(rc, op)
-            cfg = dataclasses.replace(rc.solver, dt=dt)
-            traj = integrate(init.state, cfg, op, rc.nl, rc.fs)
+            traj = integrate(init.state, cfgs[dt], op, rc.nl, rc.fs)
             if traj.diverged:
                 rows.append({"modes": m, "dt": dt, "error": None, "diverged": True})
                 diverged = True

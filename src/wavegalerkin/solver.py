@@ -20,6 +20,7 @@ from . import kernels
 from .estimates import EnergyTable, energy_table
 from .nonlinearity import (
     AFFINE,
+    CUSTOM,
     LINEAR,
     ForcingSpec,
     NonlinearitySpec,
@@ -28,7 +29,7 @@ from .nonlinearity import (
     forcing_modal_batch,
     pointwise_F,
 )
-from .spectral import OperatorSpec, from_grid, grid_to_modes, modes_to_grid, transform_pair
+from .spectral import OperatorSpec, from_grid, grid_to_modes, modes_to_grid
 
 __all__ = [
     "RK4",
@@ -239,9 +240,10 @@ def _galerkin_term(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
     custom included, has ``-lambda``, ``P`` and the constant forcing folded
     into one matrix ``L`` over ``S = [F(u); 1]``: a call is ``u = B a``,
     ``F`` into ``S`` and ``out = L S``, both products the matrices' bound
-    ``dot`` (``np.dot`` would add its dispatcher to each).  The FFT pair
-    samples, applies ``F`` and projects through ``transform_pair``.  The
-    rest of the affine forcing is the stepping loop's.
+    ``dot`` (``np.dot`` would add its dispatcher to each).  On the FFT pair
+    the operator's plan builds the term in its own grid order, into buffers
+    of this term's own.  The rest of the affine forcing is the stepping
+    loop's.
     """
     neg_lam = -np.ascontiguousarray(op.eigenvalues)
     constant = fs.constant if fs.kind == AFFINE else 0.0
@@ -271,12 +273,8 @@ def _galerkin_term(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
         return galerkin
 
     else:
-        # Looked up here so that tests can patch it.
-        sample, project = transform_pair(op)
-        buf = np.empty(op.grid_points)
-
-        def term(a, out):
-            mul(neg_lam, project(F(sample(a), buf)), out)
+        # The built-in kinds are odd in floating point; a table need not be.
+        term = op._fft.galerkin(F, neg_lam, odd=nl.kind != CUSTOM)
 
     if constant == 0.0:
         return term

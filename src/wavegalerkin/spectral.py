@@ -7,8 +7,8 @@ on coefficients; grid transforms use a quadrature rule that integrates
 products of retained basis functions exactly, so projections of polynomial
 nonlinearities are alias-free at the default grid size.  Below
 ``FFT_MIN_MODES`` modes the transforms are dense matrix products; at or
-above it they all run on ``numpy.fft``, the stepping loop's included
-(:func:`transform_pair`).
+above it they all run on ``numpy.fft``, the stepping loop's Galerkin term
+included (``_RealFFT.galerkin``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "grid_to_modes",
     "modes_to_grid",
     "to_grid",
-    "transform_pair",
 ]
 
 DIRICHLET = "dirichlet"
@@ -155,15 +154,45 @@ class OperatorSpec:
     @cached_property
     def _fft(self) -> _DirichletFFT | _PeriodicFFT | None:
         """FFT transform constants for this operator, or None below ``FFT_MIN_MODES``."""
-        return _fft_plan(self) if self.modes >= FFT_MIN_MODES else None
+        plan = _DirichletFFT if self.domain.bc == DIRICHLET else _PeriodicFFT
+        return plan(self.modes, self.grid_points, self.domain.length) if self.modes >= FFT_MIN_MODES else None
 
 
-def _fft_plan(op: OperatorSpec) -> _DirichletFFT | _PeriodicFFT:
-    plan = _DirichletFFT if op.domain.bc == DIRICHLET else _PeriodicFFT
-    return plan(op.modes, op.grid_points, op.domain.length)
+class _RealFFT:
+    """Grid transforms through one length-n real FFT: ``_spectrum`` fills the
+    half-spectrum whose inverse samples the coefficients in the plan's grid
+    order, ``_modes`` reads them from a forward FFT with ``width`` bins."""
+
+    sign = None  # sign flips of the grid order against the natural one
+
+    def galerkin(self, F, scale: np.ndarray, odd: bool):
+        """``term(a, out)`` writing ``scale * P F(B a)`` into ``out`` through buffers of its own.
+
+        ``odd`` says that the pointwise ``F(u, out)`` has ``F(-u) = -F(u)`` in floating point."""
+        n, half = self.n, self.n // 2 + 1
+        z, w = np.zeros(half, dtype=np.complex128), np.zeros(self.width, dtype=np.complex128)
+        W, c, u, Fu = w[:half], np.empty(self.m, dtype=self.coeff_dtype), np.empty(n), np.empty(n)
+        flip = None if odd else self.sign
+        spectrum, modes, mul, irfft, rfft = self._spectrum, self._modes, np.multiply, np.fft.irfft, np.fft.rfft
+
+        def term(a, out):
+            irfft(spectrum(a, z), n, out=u)  # bin 0 and the unfilled bins of z stay zero
+            rfft(F(u, Fu) if flip is None else mul(F(mul(u, flip, u), Fu), flip, Fu), out=W)
+            mul(scale, modes(w, c), out)
+
+        return term
+
+    def to_grid(self, c: np.ndarray) -> np.ndarray:
+        z = np.zeros(c.shape[:-1] + (self.n // 2 + 1,), dtype=np.complex128)
+        return np.fft.irfft(self._spectrum(c, z), self.n)
+
+    def from_grid(self, u: np.ndarray) -> np.ndarray:
+        w = np.empty(u.shape[:-1] + (self.width,), dtype=np.complex128)
+        np.fft.rfft(u, out=w[..., : self.n // 2 + 1])
+        return self._modes(w, np.empty(u.shape[:-1] + (self.m,), dtype=self.coeff_dtype))
 
 
-class _DirichletFFT:
+class _DirichletFFT(_RealFFT):
     """Sine transforms on the midpoint grid through one length-n real FFT.
 
     Sampling is a DST-III and projection a DST-II.  Makhoul's reordering
@@ -172,7 +201,15 @@ class _DirichletFFT:
     minus sign.  With ``T_q = e^{i pi q / 2n}``, projection reads
     ``c_k = -Im(T_k^* W_k) * sqrt(2 l) / n`` from ``W = rfft(reordered u)``,
     and sampling inverts it from ``W_q = T_q (a_{n-q} - i a_q) * (n/2) sqrt(2/l)``.
+
+    The Galerkin term skips the reorderings that the batch maps apply: as
+    ``sign[r] * inv_sign[perm[r]] = 1``, around a pointwise F they leave
+    ``sign * F(sign * y)`` of the reordered samples y.  That is ``F(y)`` for
+    an F odd in floating point, as the cubic and the power law are (a sign
+    flip is exact, and they act on ``|u|`` and the sign alone).
     """
+
+    coeff_dtype = np.complex128
 
     def __init__(self, m: int, n: int, length: float) -> None:
         self.m, self.n = m, n
@@ -190,29 +227,35 @@ class _DirichletFFT:
         q = np.arange(half)
         tw = (0.5 * n * math.sqrt(2.0 / length)) * np.exp(0.5j * np.pi * q / n)
         # a_q fills bins 1..min(m, n//2); a_{n-q} reaches bins q <= n//2
-        # only on grids coarser than the default, where m >= n/2.
+        # only on grids coarser than the default, where m >= n/2 and the
+        # first fill has rewritten every bin it adds to.
         self.low = min(m, half - 1)
         self.tw_low = -1j * tw[1 : self.low + 1]
         self.tw_high = tw[n - m :] if n - m < half else None
+        self.width = max(half, m + 1)
 
-    def to_grid(self, c: np.ndarray) -> np.ndarray:
-        n, half = self.n, self.n // 2 + 1
-        z = np.zeros(c.shape[:-1] + (half,), dtype=np.complex128)
+    def _spectrum(self, c: np.ndarray, z: np.ndarray) -> np.ndarray:
+        n = self.n
         np.multiply(c[..., : self.low], self.tw_low, out=z[..., 1 : self.low + 1])
         if self.tw_high is not None:
-            z[..., n - self.m :] += c[..., n - half : self.m][..., ::-1] * self.tw_high
-        return np.fft.irfft(z, n).take(self.inv_perm, axis=-1) * self.inv_sign
+            z[..., n - self.m :] += c[..., n - n // 2 - 1 : self.m][..., ::-1] * self.tw_high
+        return z
+
+    def _modes(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+        n, half = self.n, self.n // 2 + 1
+        if self.m >= half:
+            # Bins above n//2 are conjugates of the ones below.
+            np.conjugate(w[..., n - half : n - self.m - 1 : -1], out=w[..., half : self.m + 1])
+        return np.multiply(w[..., 1 : self.m + 1], self.tw_from, out=out).imag
+
+    def to_grid(self, c: np.ndarray) -> np.ndarray:
+        return super().to_grid(c).take(self.inv_perm, axis=-1) * self.inv_sign
 
     def from_grid(self, u: np.ndarray) -> np.ndarray:
-        n = self.n
-        w = np.fft.rfft(u.take(self.perm, axis=-1) * self.sign)
-        if self.m > n // 2:
-            # Bins above n//2 are conjugates of the ones below.
-            w = np.concatenate([w, w[..., n - n // 2 - 1 : 0 : -1].conj()], axis=-1)
-        return (w[..., 1 : self.m + 1] * self.tw_from).imag
+        return super().from_grid(u.take(self.perm, axis=-1) * self.sign)
 
 
-class _PeriodicFFT:
+class _PeriodicFFT(_RealFFT):
     """Cosine/sine pairs on the trapezoid grid through one length-n real FFT.
 
     Mode pair ``(2j, 2j+1)`` is wavenumber ``j+1``: the real part of rfft bin
@@ -220,21 +263,20 @@ class _PeriodicFFT:
     dealiasing floor keeps every wavenumber below ``n/2``.
     """
 
+    coeff_dtype = np.float64
+
     def __init__(self, m: int, n: int, length: float) -> None:
-        self.m, self.n = m, n
+        self.m, self.n, self.width = m, n, n // 2 + 1
         self.n_cos, self.n_sin = (m + 1) // 2, m // 2
         self.scale_to = 0.5 * n * math.sqrt(2.0 / length)
         self.scale_from = math.sqrt(2.0 * length) / n
 
-    def to_grid(self, c: np.ndarray) -> np.ndarray:
-        z = np.zeros(c.shape[:-1] + (self.n // 2 + 1,), dtype=np.complex128)
+    def _spectrum(self, c: np.ndarray, z: np.ndarray) -> np.ndarray:
         np.multiply(c[..., 0::2], self.scale_to, out=z.real[..., 1 : self.n_cos + 1])
         np.multiply(c[..., 1::2], -self.scale_to, out=z.imag[..., 1 : self.n_sin + 1])
-        return np.fft.irfft(z, self.n)
+        return z
 
-    def from_grid(self, u: np.ndarray) -> np.ndarray:
-        w = np.fft.rfft(u)
-        out = np.empty(u.shape[:-1] + (self.m,))
+    def _modes(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.multiply(w.real[..., 1 : self.n_cos + 1], self.scale_from, out=out[..., 0::2])
         np.multiply(w.imag[..., 1 : self.n_sin + 1], -self.scale_from, out=out[..., 1::2])
         return out
@@ -321,20 +363,6 @@ def grid_to_modes(samples, op: OperatorSpec) -> np.ndarray:
     if op._fft is not None:
         return op._fft.from_grid(u)
     return op.projection @ u if u.ndim == 1 else u @ op.projection.T
-
-
-def transform_pair(op: OperatorSpec):
-    """``(modes -> grid, grid -> modes)`` maps for 1-D vectors, picked once.
-
-    At or above ``FFT_MIN_MODES`` they are the FFT pair that
-    :func:`modes_to_grid` and :func:`grid_to_modes` use; below it they are
-    the dense matrices' own ``dot``, the same BLAS matrix-vector product as
-    ``@`` at a lower per-call cost.  A stepping loop that fetches the pair
-    once pays no per-call dispatch.
-    """
-    if op._fft is not None:
-        return op._fft.to_grid, op._fft.from_grid
-    return op.basis.dot, op.projection.dot
 
 
 def to_grid(x: SpectralField) -> np.ndarray:

@@ -690,6 +690,29 @@ def test_history_over_budget_exits_3_in_a_fresh_process_and_allocates_nothing(tm
     assert peak < 1 << 20
 
 
+# At dt 1e-9 the members' histories (1e9 records) reached np.empty in
+# oracle.reference_run, after verification, and died there with a traceback
+# and exit 1.  At dt 1e-6 with m_ref 128 only the reference's history is
+# over the budget.
+@pytest.mark.parametrize("argv_tail", [["--dts", "1e-9"], ["--dts", "1e-6", "--m-ref", "128"]], ids=["members", "reference"])
+def test_converge_history_over_budget_exits_3_and_allocates_nothing(tmp_path, capsys, monkeypatch, argv_tail):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_verification", lambda rc: pytest.fail("verified before checking the histories"))
+    path = write_cfg(tmp_path, make_cfg(tmp_path, time={"T": 1.0, "dt": 1e-3, "sample_stride": 1}))
+    tracemalloc.start()
+    try:
+        code = cli.main(["converge", path, "--modes", "4", "8"] + argv_tail)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: sample history of ") and captured.err.count("\n") == 1
+    assert "time/sample_stride" in captured.err and captured.out == ""
+    assert not (tmp_path / "converge.json").exists() and not (tmp_path / "converge.csv").exists()
+    assert peak < 1 << 20
+
+
 # A value for each nonlinearity key that some kind does not take.
 STATED_KEYS = {"p": 3.0, "a0": 0.01, "a1": 0.5, "b0": 50.0, "b1": 0.5, "table": {"r": [-1.0, 1.0], "f": [-3.0, 3.0]}}
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wavegalerkin import kernels, solver
+from wavegalerkin import kernels, spectral
 from wavegalerkin.nonlinearity import (
     AFFINE,
     CUBIC,
@@ -38,13 +38,16 @@ from wavegalerkin.spectral import (
     PERIODIC_MEAN_ZERO,
     DomainSpec,
     build_operator,
-    transform_pair,
+    dealias_floor,
+    grid_to_modes,
+    modes_to_grid,
 )
 
 
 def test_paths_agree_under_verlet(monkeypatch):
-    # At m=512 stepping runs on the FFT pair; patched to the dense products
-    # it must give the same Verlet trajectory to the transforms' round-off.
+    # At m=512 stepping runs on the FFT pair; on an operator that the raised
+    # crossover puts on dense products it must give the same Verlet
+    # trajectory to the transforms' round-off.
     m = 512
     assert m >= FFT_MIN_MODES
     cfg = SolverConfig(T=0.025, dt=2.5e-4, integrator=STORMER_VERLET)
@@ -55,9 +58,12 @@ def test_paths_agree_under_verlet(monkeypatch):
         u0 = x * (1.0 - x) if bc == DIRICHLET else 0.8 * np.sin(2.0 * math.pi * x)
         init = project_initial_data(u0, 0.3 * np.sin(2.0 * math.pi * x), op).state
         fft = integrate(init, cfg, op, nl, fs)
+        assert op._fft is not None
         with monkeypatch.context() as mp:
-            mp.setattr(solver, "transform_pair", lambda op: (op.basis.dot, op.projection.dot))
-            dense = integrate(init, cfg, op, nl, fs)
+            mp.setattr(spectral, "FFT_MIN_MODES", m + 1)
+            dense_op = build_operator(op.domain, m)
+            dense = integrate(init, cfg, dense_op, nl, fs)
+            assert dense_op._fft is None
         assert not np.array_equal(fft.a, dense.a)
         for want, got in ((dense.a, fft.a), (dense.adot, fft.adot)):
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
@@ -169,7 +175,6 @@ def _reference_run_numpy(a0, adot0, dt, n_steps, stride, ceiling, use_verlet, ac
 def _reference_accel(op, nl, fs):
     lam = np.ascontiguousarray(op.eigenvalues)
     sqrt_lam = np.ascontiguousarray(op.sqrt_eigenvalues)
-    sample, project = transform_pair(op)
     gc = fs.constant * constant_modal(op) if fs.kind == AFFINE and fs.constant != 0.0 else None
     pm2 = nl.p - 2.0
 
@@ -177,14 +182,14 @@ def _reference_accel(op, nl, fs):
         if nl.kind == LINEAR:
             out = -(lam * a)
         else:
-            u = sample(a)
+            u = modes_to_grid(a, op)
             if nl.kind == CUBIC:
                 w = u * u * u
             elif nl.kind == POWER_LAW:
                 w = np.abs(u) ** pm2 * u
             else:
                 w = F_on_grid(nl, u)
-            out = -(lam * project(w))
+            out = -(lam * grid_to_modes(w, op))
         if fs.kind == ZERO:
             return out
         extra = fs.g1 * a + (fs.g2 * adot) / sqrt_lam
@@ -285,9 +290,36 @@ def stepping_op(request):
 
 def test_clamped_table_reaches_both_tails(stepping_op):
     # the initial data alone leaves the table range on each side
-    u = transform_pair(stepping_op)[0](_initial_modal(stepping_op)[0])
+    u = modes_to_grid(_initial_modal(stepping_op)[0], stepping_op)
     assert u.min() < _CLAMPED.r[0] and u.max() > _CLAMPED.r[-1]
     assert 0.0 not in _CLAMPED.r
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC_MEAN_ZERO])
+def test_fft_galerkin_term_is_the_batch_maps_bit_for_bit(bc):
+    # The term stays in the FFT's own grid order (Makhoul's, for Dirichlet)
+    # and skips the reordering round trip; it must still give exactly the
+    # natural-order batch maps' value.  The floor and floor+1 give grids of
+    # both parities and, with m >= n/2, the FFT bins past the Nyquist one;
+    # _CLAMPED is not odd, so it takes the sign flips.
+    rng = np.random.default_rng(11)
+    nls = [cubic_nonlinearity(), power_law_nonlinearity(3.5), power_law_nonlinearity(4.0), NL_CASES["clamped_table"]]
+    for m in (FFT_MIN_MODES, FFT_MIN_MODES + 1, 512):
+        for n in (None, dealias_floor(m, bc), dealias_floor(m, bc) + 1, 3 * m):
+            op = build_operator(DomainSpec(length=1.0, bc=bc, grid_points=n), m)
+            assert op._fft is not None
+            for nl in nls:
+                for fs in (FS_CASES["zero"], FS_CASES["affine"]):
+                    term = _galerkin_term(op, nl, fs)
+                    gc = fs.constant * constant_modal(op) if fs.kind == AFFINE else 0.0
+                    # two calls in a row, on different states, through the same buffers
+                    for scale in (0.3, 0.05):
+                        a = scale * rng.normal(size=m) / np.sqrt(np.arange(1, m + 1))
+                        got = np.full(m, np.nan)
+                        term(a, got)
+                        want = -(op.eigenvalues * grid_to_modes(F_on_grid(nl, modes_to_grid(a, op)), op)) + gc
+                        assert np.array_equal(got, want), (m, op.grid_points, nl.kind, nl.p, fs.kind)
+            assert "basis" not in vars(op)
 
 
 def _stiff_dt(op):

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from wavegalerkin import solver
 from wavegalerkin.nonlinearity import (
     affine_forcing,
     cubic_nonlinearity,
@@ -143,25 +142,21 @@ def test_acceleration_implementations_agree(op8, seed):
                 assert not _agrees(bad, ref), (op.modes, nl.kind, fs.kind)
 
 
-def _count_transforms(monkeypatch):
-    """Patch ``solver.transform_pair`` to count its maps' calls, into the returned dict."""
-    calls = {"to_grid": 0, "from_grid": 0}
-    pair = solver.transform_pair
+def _count_ffts(monkeypatch):
+    """Patch ``np.fft.rfft`` and ``np.fft.irfft`` to count their calls, into the returned dict."""
+    calls = {"rfft": 0, "irfft": 0}
 
-    def counting_pair(op):
-        sample, project = pair(op)
+    def counting(name):
+        inner = getattr(np.fft, name)
 
-        def counted_sample(c):
-            calls["to_grid"] += 1
-            return sample(c)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
 
-        def counted_project(u):
-            calls["from_grid"] += 1
-            return project(u)
+        return counted
 
-        return counted_sample, counted_project
-
-    monkeypatch.setattr(solver, "transform_pair", counting_pair)
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counting(name))
     return calls
 
 
@@ -173,15 +168,23 @@ def _accelerate_three_times(op, nl, fs):
 
 
 # On dense products every nonlinear F, a custom one included, is folded into
-# L, so no acceleration calls the transform pair.
+# L, so no Galerkin call runs an FFT; at the crossover each call runs one
+# FFT each way, which shows that the count sees the stepping term's calls.
 @pytest.mark.parametrize("fs", [zero_forcing(), affine_forcing(g1=0.3, g2=0.2, constant=0.1, g0=0.2)], ids=["zero", "affine"])
 @pytest.mark.parametrize("m", [8, FFT_MIN_MODES - 1])
-def test_dense_custom_F_never_calls_the_transform_pair(m, fs, monkeypatch):
-    calls = _count_transforms(monkeypatch)
+def test_dense_custom_F_never_calls_numpy_fft(m, fs, monkeypatch):
+    calls = _count_ffts(monkeypatch)
     op = build_operator(DomainSpec(length=1.0, bc=DIRICHLET), m)
+    # ``acceleration``, the reference, samples and projects through the
+    # batch maps, which are dense products here as well
     got, want = _accelerate_three_times(op, _CUSTOM_F, fs)
-    assert calls == {"to_grid": 0, "from_grid": 0}
+    assert calls == {"rfft": 0, "irfft": 0}
     assert _agrees(got, want)
+    fft_op = build_operator(DomainSpec(length=1.0, bc=DIRICHLET), FFT_MIN_MODES)
+    galerkin = _stepping_terms(fft_op, _CUSTOM_F, fs)[0]
+    calls.update(rfft=0, irfft=0)  # building the term projects the constant forcing
+    galerkin(np.zeros(fft_op.modes), np.empty(fft_op.modes))
+    assert calls == {"rfft": 1, "irfft": 1}
 
 
 def test_harmonic_mode_tracks_cosine(op8):

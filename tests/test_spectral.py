@@ -20,7 +20,6 @@ from wavegalerkin.spectral import (
     grid_to_modes,
     modes_to_grid,
     to_grid,
-    transform_pair,
 )
 
 
@@ -203,18 +202,19 @@ def test_fft_transforms_on_fields_and_fine_grids(bc):
 
 
 @pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC_MEAN_ZERO])
-def test_stepping_pair_is_the_fft_pair(bc):
-    # The floor and floor+1 give grids of both parities.
+def test_fft_vector_maps_on_grids_of_both_parities(bc):
+    # The floor and floor+1 give grids of both parities.  A vector maps as
+    # the row of a batch does, in the natural grid order.
     rng = np.random.default_rng(5)
     for m in (FFT_MIN_MODES, FFT_MIN_MODES + 1, 512):
         for n in (None, dealias_floor(m, bc), dealias_floor(m, bc) + 1, 3 * m):
             op = build_operator(DomainSpec(length=0.8, bc=bc, grid_points=n), m)
-            sample, project = transform_pair(op)
             c = rng.normal(size=m)
             u = rng.normal(size=op.grid_points)
-            grid, modes, back = sample(c), project(u), project(sample(c))
-            assert np.array_equal(grid, modes_to_grid(c, op))
-            assert np.array_equal(modes, grid_to_modes(u, op))
+            grid, modes = modes_to_grid(c, op), grid_to_modes(u, op)
+            back = grid_to_modes(grid, op)
+            assert np.array_equal(grid, modes_to_grid(c[None], op)[0])
+            assert np.array_equal(modes, grid_to_modes(u[None], op)[0])
             # the FFT pair leaves the full matrices unbuilt
             assert "basis" not in vars(op) and "projection" not in vars(op)
             assert grid.shape == u.shape and modes.shape == c.shape
@@ -249,6 +249,3 @@ def test_dense_transforms_below_crossover_are_the_matrix_products():
         assert np.array_equal(modes_to_grid(c, op), c @ op.basis.T)
         assert np.array_equal(grid_to_modes(u[0], op), op.projection @ u[0])
         assert np.array_equal(grid_to_modes(u, op), u @ op.projection.T)
-        sample, project = transform_pair(op)
-        assert np.array_equal(sample(c[0]), op.basis @ c[0])
-        assert np.array_equal(project(u[0]), op.projection @ u[0])
