@@ -16,7 +16,7 @@ import numpy as np
 from .estimates import energy_table
 from .nonlinearity import AFFINE, CUBIC, LINEAR, POWER_LAW, ForcingSpec, NonlinearitySpec
 from .solver import SolverConfig, Trajectory
-from .spectral import DIRICHLET, DomainSpec, build_operator
+from .spectral import DIRICHLET, FFT_MIN_MODES, DomainSpec, build_operator
 
 __all__ = [
     "BERNOULLI",
@@ -50,18 +50,39 @@ def linear_exact(k: int, lam: float, a0: float, adot0: float, t):
     return a, adot
 
 
+def _oracle_grid_points(modes: int, bc: str) -> int:
+    """The program's default grid size, computed here on its own terms."""
+    n = 2 * modes + 1 if bc == DIRICHLET else 4 * ((modes + 1) // 2) + 1
+    if modes < FFT_MIN_MODES:
+        return n
+    # step up to the first size with no prime factor above 5
+    while True:
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
+def _oracle_nodes(domain: DomainSpec, modes: int) -> np.ndarray:
+    """Own construction of the default quadrature grid: midpoints for Dirichlet, left ends for periodic."""
+    l = domain.length
+    n = _oracle_grid_points(modes, domain.bc)
+    return (np.arange(n) + (0.5 if domain.bc == DIRICHLET else 0.0)) * (l / n)
+
+
 def _oracle_basis(domain: DomainSpec, modes: int):
     """Own construction of eigenvalues, grid, and transform matrices."""
     l = domain.length
+    nodes = _oracle_nodes(domain, modes)
+    n = nodes.size
     if domain.bc == DIRICHLET:
-        n = 2 * modes + 1
-        nodes = (np.arange(n) + 0.5) * (l / n)
         freq = np.arange(1, modes + 1) * np.pi / l
         lam = freq * freq
         basis = math.sqrt(2.0 / l) * np.sin(np.outer(nodes, freq))
     else:
-        n = 4 * ((modes + 1) // 2) + 1
-        nodes = np.arange(n) * (l / n)
         idx = np.arange(modes)
         freq = (idx // 2 + 1) * 2.0 * np.pi / l
         lam = freq * freq

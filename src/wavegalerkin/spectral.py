@@ -7,8 +7,9 @@ on coefficients; grid transforms use a quadrature rule that integrates
 products of retained basis functions exactly, so projections of polynomial
 nonlinearities are alias-free at the default grid size.  Below
 ``FFT_MIN_MODES`` modes the transforms are dense matrix products; at or
-above it they all run on ``numpy.fft``, the stepping loop's Galerkin term
-included (``_RealFFT.galerkin``).
+above it they all run on numpy's pocketfft gufuncs, the stepping loop's
+Galerkin term included (``_RealFFT.galerkin``), and the default grid size
+is the smallest 5-smooth one that keeps those products exact.
 """
 
 from __future__ import annotations
@@ -38,11 +39,23 @@ DIRICHLET = "dirichlet"
 PERIODIC_MEAN_ZERO = "periodic_mean_zero"
 BOUNDARY_KINDS = (DIRICHLET, PERIODIC_MEAN_ZERO)
 
-# Smallest mode count whose grid transforms run on numpy.fft; below it they
-# are dense products.  Set from the crossover sweep in
-# benchmarks/bench_transforms.py: at or above it the FFT pair was no slower
-# than the dense one at every swept mode count, in both boundary conditions.
-FFT_MIN_MODES = 384
+# Smallest mode count whose grid transforms run on an FFT; below it they are
+# dense products.  Set from the crossover sweep in
+# benchmarks/bench_transforms.py, which times the stepping term as the program
+# builds it on either side: dense products on the smallest exact grid, the FFT
+# on the 5-smooth grid at or above it.  Two sweeps (m 128-1024, best of 5
+# rounds, one Xeon core, numpy 2.4) put the crossover, from which the FFT was
+# no slower at every swept m, at 152 and 160 for Dirichlet and at 149 twice
+# for periodic; the constant takes the largest.  Dirichlet rows of the second
+# sweep, per call in us:
+#      m  n_dense  n_fft   dense    fft
+#    128      257    270    12.9   17.3
+#    144      289    300    16.3   17.3
+#    152      305    320    16.8   17.3
+#    160      321    324    18.6   16.0
+#    256      513    540    48.6   14.1
+#    512     1025   1080   317.6   21.9
+FFT_MIN_MODES = 160
 
 
 class PoincareViolationError(ValueError):
@@ -59,11 +72,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class DomainSpec:
     """Interval geometry and boundary condition.
 
-    ``grid_points`` of ``None`` asks :func:`build_operator` to pick the
-    smallest grid that makes quartic products of basis functions integrate
-    exactly.  ``allow_poincare_violation`` downgrades the smallest-eigenvalue
-    check (which requires ``lambda_min >= 1``) from an error to a recorded
-    warning.
+    ``grid_points`` of ``None`` asks :func:`build_operator` for
+    :func:`default_grid_points`: the smallest grid that makes quartic
+    products of basis functions integrate exactly, or from ``FFT_MIN_MODES``
+    modes on the smallest 5-smooth one at or above it.  A given
+    ``grid_points`` is used as given.  ``allow_poincare_violation``
+    downgrades the smallest-eigenvalue check (which requires
+    ``lambda_min >= 1``) from an error to a recorded warning.
     """
 
     length: float
@@ -100,14 +115,37 @@ def dealias_floor(modes: int, bc: str = DIRICHLET) -> int:
 
 
 def default_grid_points(modes: int, bc: str = DIRICHLET) -> int:
-    """Grid size making products of up to four retained modes exact."""
+    """Grid size making products of up to four retained modes exact.
+
+    Below ``FFT_MIN_MODES`` it is the smallest such size.  At or above it,
+    where the transforms are FFTs, it is the smallest 5-smooth size (no
+    prime factor above 5) at or above that floor: every size above the
+    floor keeps quartic products exact, and pocketfft handles a larger
+    prime factor in a slow generic pass.
+    """
     if bc == DIRICHLET:
         # Midpoint rule on N points integrates cos(q*pi*xi/l) exactly for
         # q <= 2N - 1; quartic products reach q = 4*modes.
-        return 2 * modes + 1
-    # Trapezoid rule on N points integrates wavenumber q exactly unless
-    # N divides q; quartic products reach q = 4*wavenumber_max.
-    return 4 * ((modes + 1) // 2) + 1
+        n = 2 * modes + 1
+    else:
+        # Trapezoid rule on N points integrates wavenumber q exactly unless
+        # N divides q; quartic products reach q = 4*wavenumber_max.
+        n = 4 * ((modes + 1) // 2) + 1
+    return _smooth_at_least(n) if modes >= FFT_MIN_MODES else n
+
+
+def _smooth_at_least(n: int) -> int:
+    """Smallest ``2^i 3^j 5^k`` at or above ``n``."""
+    best = 1 << (n - 1).bit_length()
+    p3 = 1
+    while p3 < best:
+        q = p3
+        while q < best:
+            # the smallest q * 2^i at or above n
+            best = min(best, q << ((n - 1) // q).bit_length())
+            q *= 5
+        p3 *= 3
+    return best
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,9 +199,24 @@ class OperatorSpec:
 class _RealFFT:
     """Grid transforms through one length-n real FFT: ``_spectrum`` fills the
     half-spectrum whose inverse samples the coefficients in the plan's grid
-    order, ``_modes`` reads them from a forward FFT with ``width`` bins."""
+    order, ``_modes`` reads them from a forward FFT with ``width`` bins.
+
+    The FFTs call numpy's pocketfft gufuncs, ``irfft`` with the factor
+    ``1/n`` and ``rfft_n_even`` or ``rfft_n_odd`` with the factor 1, which
+    are the calls ``numpy.fft.irfft`` and ``numpy.fft.rfft`` make, so the
+    results are the same bits without the wrappers' per-call checks.  They
+    are imported when a plan is made, so importing this module does not load
+    ``numpy.fft``.
+    """
 
     sign = None  # sign flips of the grid order against the natural one
+
+    def __init__(self, m: int, n: int) -> None:
+        from numpy.fft import _pocketfft_umath as pocketfft
+
+        self.m, self.n = m, n
+        self._irfft, self._inv_n = pocketfft.irfft, 1.0 / n
+        self._rfft = pocketfft.rfft_n_even if n % 2 == 0 else pocketfft.rfft_n_odd
 
     def galerkin(self, F, scale: np.ndarray, odd: bool):
         """``term(a, out)`` writing ``scale * P F(B a)`` into ``out`` through buffers of its own.
@@ -173,22 +226,23 @@ class _RealFFT:
         z, w = np.zeros(half, dtype=np.complex128), np.zeros(self.width, dtype=np.complex128)
         W, c, u, Fu = w[:half], np.empty(self.m, dtype=self.coeff_dtype), np.empty(n), np.empty(n)
         flip = None if odd else self.sign
-        spectrum, modes, mul, irfft, rfft = self._spectrum, self._modes, np.multiply, np.fft.irfft, np.fft.rfft
+        spectrum, modes, mul = self._spectrum, self._modes, np.multiply
+        irfft, rfft, inv_n = self._irfft, self._rfft, self._inv_n
 
         def term(a, out):
-            irfft(spectrum(a, z), n, out=u)  # bin 0 and the unfilled bins of z stay zero
-            rfft(F(u, Fu) if flip is None else mul(F(mul(u, flip, u), Fu), flip, Fu), out=W)
+            irfft(spectrum(a, z), inv_n, out=u)  # bin 0 and the unfilled bins of z stay zero
+            rfft(F(u, Fu) if flip is None else mul(F(mul(u, flip, u), Fu), flip, Fu), 1, out=W)
             mul(scale, modes(w, c), out)
 
         return term
 
     def to_grid(self, c: np.ndarray) -> np.ndarray:
         z = np.zeros(c.shape[:-1] + (self.n // 2 + 1,), dtype=np.complex128)
-        return np.fft.irfft(self._spectrum(c, z), self.n)
+        return self._irfft(self._spectrum(c, z), self._inv_n, out=np.empty(c.shape[:-1] + (self.n,)))
 
     def from_grid(self, u: np.ndarray) -> np.ndarray:
         w = np.empty(u.shape[:-1] + (self.width,), dtype=np.complex128)
-        np.fft.rfft(u, out=w[..., : self.n // 2 + 1])
+        self._rfft(u, 1, out=w[..., : self.n // 2 + 1])
         return self._modes(w, np.empty(u.shape[:-1] + (self.m,), dtype=self.coeff_dtype))
 
 
@@ -212,7 +266,7 @@ class _DirichletFFT(_RealFFT):
     coeff_dtype = np.complex128
 
     def __init__(self, m: int, n: int, length: float) -> None:
-        self.m, self.n = m, n
+        super().__init__(m, n)
         half = n // 2 + 1
         h = (n + 1) // 2
         grid = np.arange(n)
@@ -266,7 +320,8 @@ class _PeriodicFFT(_RealFFT):
     coeff_dtype = np.float64
 
     def __init__(self, m: int, n: int, length: float) -> None:
-        self.m, self.n, self.width = m, n, n // 2 + 1
+        super().__init__(m, n)
+        self.width = n // 2 + 1
         self.n_cos, self.n_sin = (m + 1) // 2, m // 2
         self.scale_to = 0.5 * n * math.sqrt(2.0 / length)
         self.scale_from = math.sqrt(2.0 * length) / n

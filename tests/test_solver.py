@@ -100,11 +100,11 @@ _CUSTOM_F = custom_nonlinearity(_TABLE, 4.0, 1.0, 1.0, 0.1, 0.0)
 
 # On dense products every nonlinear F, a custom one included, is folded into
 # one matrix L, which sums -lambda_j P_jk F_k in another order than the
-# reference.  Generator seeds 13 and 14 draw m=383 states with nearly
-# cancelling entries, on which a per-entry tolerance (rtol 1e-12,
-# atol 1e-13) failed the folded sums of the cubic (1.02 times it), the
-# power law (3.40 times it) and the custom table (2.55 times it); the
-# row-relative gaps stay below 4e-14.
+# reference.  Generator seeds 13 and 14 drew m=383 states (the largest dense
+# operator while FFT_MIN_MODES was 384) with nearly cancelling entries, on
+# which a per-entry tolerance (rtol 1e-12, atol 1e-13) failed the folded sums
+# of the cubic (1.02 times it), the power law (3.40 times it) and the custom
+# table (2.55 times it); the row-relative gaps stay below 4e-14.
 @pytest.mark.parametrize("seed", [12, 13, 14])
 def test_acceleration_implementations_agree(op8, seed):
     rng = np.random.default_rng(seed)
@@ -143,20 +143,21 @@ def test_acceleration_implementations_agree(op8, seed):
 
 
 def _count_ffts(monkeypatch):
-    """Patch ``np.fft.rfft`` and ``np.fft.irfft`` to count their calls, into the returned dict."""
+    """Patch numpy's pocketfft gufuncs, which FFT plans resolve when they are
+    made, to count their calls into the returned dict."""
+    from numpy.fft import _pocketfft_umath as pocketfft
+
     calls = {"rfft": 0, "irfft": 0}
 
-    def counting(name):
-        inner = getattr(np.fft, name)
-
+    def counting(name, gufunc):
         def counted(*args, **kwargs):
             calls[name] += 1
-            return inner(*args, **kwargs)
+            return gufunc(*args, **kwargs)
 
         return counted
 
-    for name in calls:
-        monkeypatch.setattr(np.fft, name, counting(name))
+    for name, attr in (("rfft", "rfft_n_even"), ("rfft", "rfft_n_odd"), ("irfft", "irfft")):
+        monkeypatch.setattr(pocketfft, attr, counting(name, getattr(pocketfft, attr)))
     return calls
 
 
@@ -170,9 +171,10 @@ def _accelerate_three_times(op, nl, fs):
 # On dense products every nonlinear F, a custom one included, is folded into
 # L, so no Galerkin call runs an FFT; at the crossover each call runs one
 # FFT each way, which shows that the count sees the stepping term's calls.
+# The count is of the gufuncs an FFT plan calls, not of numpy.fft's wrappers.
 @pytest.mark.parametrize("fs", [zero_forcing(), affine_forcing(g1=0.3, g2=0.2, constant=0.1, g0=0.2)], ids=["zero", "affine"])
 @pytest.mark.parametrize("m", [8, FFT_MIN_MODES - 1])
-def test_dense_custom_F_never_calls_numpy_fft(m, fs, monkeypatch):
+def test_dense_custom_F_never_calls_an_fft(m, fs, monkeypatch):
     calls = _count_ffts(monkeypatch)
     op = build_operator(DomainSpec(length=1.0, bc=DIRICHLET), m)
     # ``acceleration``, the reference, samples and projects through the

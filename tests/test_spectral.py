@@ -2,10 +2,16 @@
 
 import gc
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavegalerkin
+from wavegalerkin.nonlinearity import cubic_nonlinearity, pointwise_F
+from wavegalerkin.oracle import _oracle_nodes
 from wavegalerkin.spectral import (
     DIRICHLET,
     FFT_MIN_MODES,
@@ -13,6 +19,8 @@ from wavegalerkin.spectral import (
     DomainSpec,
     PoincareViolationError,
     SpectralField,
+    _DirichletFFT,
+    _PeriodicFFT,
     build_operator,
     dealias_floor,
     default_grid_points,
@@ -147,11 +155,18 @@ def _is_prime(n):
     return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
 
 
-def _prime_grid_modes(bc):
-    m = FFT_MIN_MODES + 2
-    while not _is_prime(default_grid_points(m, bc)):
-        m += 1
-    return m
+def _exact_floor(m, bc):
+    # the smallest grid on which quartic products of retained modes are exact
+    return 2 * m + 1 if bc == DIRICHLET else 4 * ((m + 1) // 2) + 1
+
+
+def _prime_grid(m, bc):
+    # Default grids at or above the crossover are 5-smooth, so a prime-length
+    # FFT is reached only through an explicit grid_points.
+    n = _exact_floor(m, bc)
+    while not _is_prime(n):
+        n += 1
+    return n
 
 
 def _rel(got, want):
@@ -159,15 +174,21 @@ def _rel(got, want):
 
 
 FFT_MODES = [
-    (bc, m)
+    (bc, m, n)
     for bc in (DIRICHLET, PERIODIC_MEAN_ZERO)
-    for m in (FFT_MIN_MODES, FFT_MIN_MODES + 1, _prime_grid_modes(bc), 512)
+    for m, n in (
+        (FFT_MIN_MODES, None),
+        (FFT_MIN_MODES + 1, None),
+        (FFT_MIN_MODES + 2, _prime_grid(FFT_MIN_MODES + 2, bc)),
+        (512, None),
+    )
 ]
 
 
-@pytest.mark.parametrize("bc,m", FFT_MODES)
-def test_fft_transforms_match_dense_products(bc, m):
-    op = build_operator(DomainSpec(length=1.3, bc=bc), m)
+@pytest.mark.parametrize("bc,m,n", FFT_MODES)
+def test_fft_transforms_match_dense_products(bc, m, n):
+    op = build_operator(DomainSpec(length=1.3, bc=bc, grid_points=n), m)
+    assert n is None or op.grid_points == n
     rng = np.random.default_rng(m)
     cases = []
     for batch in ((), (3,), (2, 2)):
@@ -249,3 +270,127 @@ def test_dense_transforms_below_crossover_are_the_matrix_products():
         assert np.array_equal(modes_to_grid(c, op), c @ op.basis.T)
         assert np.array_equal(grid_to_modes(u[0], op), op.projection @ u[0])
         assert np.array_equal(grid_to_modes(u, op), u @ op.projection.T)
+
+
+def _is_5_smooth(n):
+    return max(p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)) <= 5
+
+
+def _exact_quartic(bc, length, modes):
+    # Closed form of the integral over (0, length) of four orthonormal
+    # eigenfunctions: each is a sum of two exponentials, and an exponential
+    # integrates to `length` when its frequency sum is 0, else to 0.
+    total = 0.0
+    n_sin = sum(bc == DIRICHLET or k % 2 == 1 for k in modes)
+    wave = [k + 1 if bc == DIRICHLET else k // 2 + 1 for k in modes]
+    for signs in np.ndindex(2, 2, 2, 2):
+        eps = [1 - 2 * s for s in signs]
+        if sum(e * w for e, w in zip(eps, wave)) == 0:
+            # a sine factor carries its sign, and (-i)^n_sin is real for even n_sin
+            total += math.prod(e for e, k in zip(eps, modes) if bc == DIRICHLET or k % 2 == 1)
+    return total * (-1) ** (n_sin // 2) * (n_sin % 2 == 0) / (4.0 * length)
+
+
+def _eigenfunctions(bc, length, modes, x):
+    k = np.asarray(modes)
+    if bc == DIRICHLET:
+        return math.sqrt(2.0 / length) * np.sin(np.outer(x, (k + 1) * np.pi / length))
+    phase = np.outer(x, 2.0 * np.pi * (k // 2 + 1) / length)
+    return math.sqrt(2.0 / length) * np.where(k % 2 == 0, np.cos(phase), np.sin(phase))
+
+
+GRID_RULE_MODES = [
+    (bc, m)
+    for bc in (DIRICHLET, PERIODIC_MEAN_ZERO)
+    for m in (FFT_MIN_MODES, FFT_MIN_MODES + 1, 512, 768, 1024, 1500)
+]
+
+
+@pytest.mark.parametrize("bc,m", GRID_RULE_MODES)
+def test_default_grid_is_the_smallest_5_smooth_exact_grid(bc, m):
+    n, floor = default_grid_points(m, bc), _exact_floor(m, bc)
+    assert n >= floor and _is_5_smooth(n)
+    assert not any(_is_5_smooth(k) for k in range(floor, n))
+    length = 0.7
+    op = build_operator(DomainSpec(length=length, bc=bc), m)
+    assert op.grid_points == n
+    # the oracle reaches the same grid on its own
+    assert np.array_equal(_oracle_nodes(DomainSpec(length=length, bc=bc), m), op.nodes)
+    # quartic products of retained modes integrate exactly, the top modes'
+    # (which reach the largest frequency) among them
+    rng = np.random.default_rng(m)
+    quads = [(m - 1,) * 4, (m - 1, m - 1, m - 2, m - 2)]
+    quads += [tuple(rng.integers(m - 6, m, size=4)) for _ in range(12)]
+    quads += [tuple(rng.integers(0, m, size=4)) for _ in range(12)]
+    for quad in quads:
+        phi = _eigenfunctions(bc, length, quad, op.nodes)
+        got = float(op.weights @ np.prod(phi, axis=1))
+        assert got == pytest.approx(_exact_quartic(bc, length, quad), abs=1e-11), quad
+    # one point fewer than the floor aliases the top quartic product
+    coarse = build_operator(DomainSpec(length=length, bc=bc, grid_points=floor - 1), m // 2)
+    phi = _eigenfunctions(bc, length, quads[0], coarse.nodes)
+    aliased = float(coarse.weights @ np.prod(phi, axis=1))
+    assert abs(aliased - _exact_quartic(bc, length, quads[0])) > 0.1 / length
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC_MEAN_ZERO])
+def test_grid_below_the_crossover_and_given_grids_are_unchanged(bc):
+    assert [default_grid_points(m, bc) for m in range(1, FFT_MIN_MODES)] == [
+        _exact_floor(m, bc) for m in range(1, FFT_MIN_MODES)
+    ]
+    # a given grid size is used as given, prime or not
+    for m in (FFT_MIN_MODES - 1, 512):
+        n = _prime_grid(m, bc)
+        assert build_operator(DomainSpec(length=1.0, bc=bc, grid_points=n), m).grid_points == n
+
+
+def _public_fft_plan(plan):
+    """The same plan with its FFTs through numpy.fft's public wrappers."""
+    n = plan.n
+    plan._irfft = lambda z, fct, out: np.fft.irfft(z, n, out=out)
+    plan._rfft = lambda u, fct, out: np.fft.rfft(u, out=out)
+    return plan
+
+
+@pytest.mark.parametrize("n", [769, 1025, 1080, 1536])
+@pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC_MEAN_ZERO])
+def test_plan_ffts_are_numpy_fft_bit_for_bit(bc, n):
+    # The plans call numpy's private pocketfft gufuncs.  If a numpy release
+    # moves or changes them, this fails rather than the trajectories drift.
+    kind = _DirichletFFT if bc == DIRICHLET else _PeriodicFFT
+    m = (n - 1) // 2 if bc == DIRICHLET else 2 * ((n - 1) // 4) - 1
+    plan, public = kind(m, n, 0.9), _public_fft_plan(kind(m, n, 0.9))
+    rng = np.random.default_rng(n)
+    for batch in ((), (3,), (2, 2)):
+        u = rng.normal(size=batch + (n,))
+        z = np.fft.rfft(u)
+        w = np.empty_like(z)
+        assert plan._rfft(u, 1, out=w) is w and np.array_equal(w, z)
+        back = np.empty_like(u)
+        assert plan._irfft(z, plan._inv_n, out=back) is back and np.array_equal(back, np.fft.irfft(z, n))
+        c = rng.normal(size=batch + (m,))
+        assert np.array_equal(plan.to_grid(c), public.to_grid(c))
+        assert np.array_equal(plan.from_grid(u), public.from_grid(u))
+    F = pointwise_F(cubic_nonlinearity())
+    scale = -rng.uniform(1.0, 2.0, m)
+    a = rng.normal(size=m) / m
+    for odd in (True, False):
+        got, want = np.empty(m), np.empty(m)
+        plan.galerkin(F, scale, odd)(a, got)
+        public.galerkin(F, scale, odd)(a, want)
+        assert np.array_equal(got, want)
+
+
+def test_numpy_fft_is_imported_by_the_first_fft_plan_only():
+    src_dir = str(Path(wavegalerkin.__file__).resolve().parents[1])
+    code = (
+        "import sys, wavegalerkin.cli\n"
+        "from wavegalerkin.spectral import FFT_MIN_MODES, DomainSpec, build_operator\n"
+        "assert 'numpy.fft' not in sys.modules, 'importing the CLI loaded numpy.fft'\n"
+        "build_operator(DomainSpec(length=1.0, bc='dirichlet'), FFT_MIN_MODES - 1).basis\n"
+        "assert 'numpy.fft' not in sys.modules, 'a dense operator loaded numpy.fft'\n"
+        "assert build_operator(DomainSpec(length=1.0, bc='dirichlet'), FFT_MIN_MODES)._fft is not None\n"
+        "assert 'numpy.fft._pocketfft_umath' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=src_dir, timeout=300)
+    assert proc.returncode == 0, proc.stderr
