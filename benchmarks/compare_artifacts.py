@@ -11,8 +11,12 @@ stores its exit code, stdout and stderr, and after ``run`` the trajectory CSV
 and ``report.json``.  Every stored file that differs between the trees is
 printed; for a report or ``verify`` output that parses as JSON on both
 sides, each differing JSON path is printed instead, such as
-``verification/passed: true -> false``.  The output ends with a tally: each
-differing JSON path with its change, and how many files show it.  A report
+``verification/passed: true -> false``.  A list whose items are all objects
+with distinct ``"name"`` keys, such as a report's checks, is matched by name,
+so a check that appears reads ``nonlinearity/checks/poincare: only in new``.
+The output ends with a tally: each differing JSON path with its change, and
+how many files show it; number-to-number changes at one path fold into one
+line with the largest relative change among them.  A report
 holds the ``verify`` output under ``verification``, so its paths there are
 tallied as ``verify``'s.  The exit status is 0 when no file differs and 1
 otherwise.
@@ -113,11 +117,27 @@ def _brief(value) -> str:
     return json.dumps(value)
 
 
+def _by_name(items: list) -> dict | None:
+    """The items keyed by their ``"name"``, or None unless all are objects with distinct names."""
+    if not all(isinstance(x, dict) and "name" in x for x in items):
+        return None
+    named = {str(x["name"]): x for x in items}
+    return named if len(named) == len(items) else None
+
+
 def json_diffs(old, new, path: str = "") -> list[str]:
-    """One ``path: change`` line per place where two JSON documents differ."""
+    """One ``path: change`` line per place where two JSON documents differ.
+
+    Two lists of named objects (see :func:`_by_name`) are compared as
+    objects keyed by name; other lists of one length item by item.
+    """
     def at(key):
         return f"{path}/{key}" if path else str(key)
 
+    if isinstance(old, list) and isinstance(new, list):
+        old_named, new_named = _by_name(old), _by_name(new)
+        if old_named is not None and new_named is not None:
+            old, new = old_named, new_named
     lines = []
     if isinstance(old, dict) and isinstance(new, dict):
         for key in list(old) + [k for k in new if k not in old]:
@@ -170,22 +190,48 @@ def compare_stores(a: Path, b: Path) -> list[str]:
     return lines
 
 
+def _numbers(change: str) -> tuple[float, float] | None:
+    """Both sides of an ``old -> new`` change when both are JSON numbers, else None."""
+    sides = change.split(" -> ")
+    if len(sides) != 2:
+        return None
+    try:
+        values = [json.loads(side) for side in sides]
+    except ValueError:
+        return None
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        return values[0], values[1]
+    return None
+
+
 def tally(lines: list[str]) -> list[str]:
     """``N files: path: change`` per JSON difference in ``lines``, the most common first.
 
     A line of :func:`compare_stores` names a JSON path when its file is a
-    JSON artifact and the rest has a path before its change.
+    JSON artifact and the rest has a path before its change.  Changes from
+    one number to another at one path fold into one line that gives the
+    largest relative change ``|new - old| / max(|old|, |new|)`` among them.
     """
     counts: dict[str, int] = {}
+    largest: dict[str, float] = {}
     for line in lines:
         rel, _, rest = line.partition(": ")
         if not (rel.endswith(JSON_SUFFIXES) and ": " in rest):
             continue
         if rel.endswith(".report.json") and rest.startswith("verification/"):
             rest = rest[len("verification/") :]
+        path, _, change = rest.partition(": ")
+        numbers = _numbers(change)
+        if numbers is not None:
+            a, b = numbers
+            rest = f"{path}: numbers changed"
+            largest[rest] = max(largest.get(rest, 0.0), abs(b - a) / max(abs(a), abs(b)) if a != b else 0.0)
         counts[rest] = counts.get(rest, 0) + 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [f"{n} file{'s' if n != 1 else ''}: {rest}" for rest, n in ranked]
+    return [
+        f"{n} file{'s' if n != 1 else ''}: {rest}" + (f", largest relative change {largest[rest]:.3g}" if rest in largest else "")
+        for rest, n in ranked
+    ]
 
 
 def main(argv=None) -> int:

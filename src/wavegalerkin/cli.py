@@ -5,6 +5,9 @@ or monitor was falsified, 2 the trajectory diverged, 3 the command line,
 the configuration or an output path was rejected.  All file writes are
 whole-file atomic (temp file + rename) and runs are deterministic for a
 fixed config, so re-running produces byte-identical artifacts.
+Verification states the verifiers' reports and judges nothing itself: a
+command goes ahead exactly when every check they decide passed, the
+Poincare condition among them.
 """
 
 from __future__ import annotations
@@ -139,26 +142,17 @@ def _csv_text(traj: Trajectory, gp: GronwallParams | None, dp: DecayParams | Non
 
 
 def _verification(rc: RunConfig):
-    """Poincare plus condition checks; returns (op, report dict, passed).
+    """The condition reports of ``F`` and the operator, and of ``g``; returns (op, report dict, passed).
 
-    A run goes ahead exactly when every check passed.  The operator is built
-    even when ``lambda_min < 1``, so that case is reported, not raised.
-    Every condition is decided, with no draws: a custom table's on its
-    knot range, which the report states.
+    A run goes ahead exactly when every check passed.  Every condition is
+    decided, with no draws: a custom table's on its knot range, which the
+    report states.
     """
-    domain = dataclasses.replace(rc.domain, allow_poincare_violation=True)
-    op = build_operator(domain, rc.modes)
-    poincare_ok = op.lambda_min >= 1.0
+    op = build_operator(rc.domain, rc.modes)
     nl_rep = verify_conditions(rc.nl, op)
     g_rep = verify_g(rc.fs, op)
-    passed = poincare_ok and nl_rep.passed and g_rep.passed
-    report = {
-        "passed": passed,
-        "poincare": {"passed": poincare_ok, "lambda_min": op.lambda_min},
-        "nonlinearity": nl_rep.to_dict(),
-        "forcing": g_rep.to_dict(),
-        "warnings": list(op.warnings),
-    }
+    passed = nl_rep.passed and g_rep.passed
+    report = {"passed": passed, "nonlinearity": nl_rep.to_dict(), "forcing": g_rep.to_dict()}
     return op, report, passed
 
 

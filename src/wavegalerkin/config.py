@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .nonlinearity import (
+    ZERO,
     ForcingSpec,
     NonlinearitySpec,
     affine_forcing,
@@ -26,7 +27,6 @@ from .nonlinearity import (
     linear_nonlinearity,
     power_law_nonlinearity,
     tabulated_f,
-    zero_forcing,
 )
 from .solver import (
     BLOWUP_CEILING_DEFAULT,
@@ -399,23 +399,9 @@ def _finite_values(values: list, what: str, where: str) -> np.ndarray:
 
 
 def _build_forcing(section: dict) -> ForcingSpec:
-    if section["kind"] == "zero":
-        extras = [k for k in ("g0", "g1", "g2", "constant") if section.get(k)]
-        if extras:
-            raise ConfigError(f"zero forcing takes no constants, got {extras}")
-        return zero_forcing()
-    constant = section.get("constant", 0.0)
-    g0 = section.get("g0")
-    if g0 is None:
-        if constant != 0.0:
-            raise ConfigError("forcing.g0 is required when constant != 0")
-        g0 = 0.0
-    return affine_forcing(
-        g1=section.get("g1", 0.0),
-        g2=section.get("g2", 0.0),
-        constant=constant,
-        g0=g0,
-    )
+    """The forcing a section states; its rules are the spec's and the factory's."""
+    constants = {k: v for k, v in section.items() if k != "kind"}
+    return ForcingSpec(kind=ZERO, **constants) if section["kind"] == ZERO else affine_forcing(**constants)
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .nonlinearity import ZERO, ForcingSpec, NonlinearitySpec, forcing_modal_batch, potential_batch, worst_margin
+from .nonlinearity import ZERO, ForcingSpec, NonlinearitySpec, forcing_modal_batch, potential_batch
 from .spectral import OperatorSpec, modes_to_grid
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -346,10 +346,10 @@ class MonitorCheck:
     """One per-sample check: its violation and tolerance at the worst sample.
 
     The worst sample is the one with the largest ``violation - tolerance``
-    (see :func:`~wavegalerkin.nonlinearity.worst_margin`), which need not be
-    the one with the largest violation.  For ``gronwall`` and ``decay`` the
-    violation is ``lhs - bound``, negative where the bound held with margin;
-    for ``energy_identity`` and ``conservation`` it is the residual itself,
+    (see :func:`worst_margin`), which need not be the one with the largest
+    violation.  For ``gronwall`` and ``decay`` the violation is ``lhs -
+    bound``, negative where the bound held with margin; for
+    ``energy_identity`` and ``conservation`` it is the residual itself,
     never negative; for ``table_range`` it is how far the sample's grid
     values reach past the table's range, negative inside it.  ``tolerance``
     is the slack granted at that sample, and ``note`` says what a check
@@ -412,6 +412,21 @@ def identity_residuals(tbl: EnergyTable) -> np.ndarray:
         work = 0.5 * dt * (tbl.forcing_power[1:] + tbl.forcing_power[:-1])
         res[1:] = np.abs(np.diff(tbl.energy) - work)
     return res
+
+
+def worst_margin(viol, allowed) -> tuple[int, float, float, bool]:
+    """Sample with the largest ``viol - allowed``, as (index, violation, tolerance, passed).
+
+    A NaN or +inf margin is an unbounded violation (a NaN one reported as
+    +inf); a -inf margin, a finite value under an infinite bound, holds.
+    """
+    viol = np.asarray(viol, dtype=np.float64)
+    allowed = np.broadcast_to(np.asarray(allowed, dtype=np.float64), viol.shape)
+    margin = viol - allowed
+    margin = np.where(np.isnan(margin), np.inf, margin)
+    i = int(np.argmax(margin))
+    worst = math.inf if math.isnan(viol[i]) else float(viol[i])
+    return i, worst, float(allowed[i]), bool(margin[i] <= 0.0)
 
 
 def _per_sample_check(name: str, t, viol, allowed, note: str | None = None) -> MonitorCheck:

@@ -8,9 +8,11 @@ assumptions (monotonicity, p-growth, coercivity, Lipschitz forcing) enter
 the energy estimates as numeric constants; this module stores those
 constants and decides them, one verifier per condition set, with no random
 draws.  Each condition is decided on the kind's range: a built-in ``F`` in
-closed form on the whole line, a tabulated one pointwise on its knot range
+closed form on the whole line, a tabulated one pointwise on its knot range,
+the operator's Poincare condition ``lambda_min >= 1``
 (:func:`verify_conditions`), and zero or affine ``g`` exactly
-(:func:`verify_g`).
+(:func:`verify_g`).  Every verdict is a :class:`ConditionCheck`: a name, a
+pass flag, and for a failed check a witness saying where it fails.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ ZERO = "zero"
 AFFINE = "affine"
 FORCING_KINDS = (ZERO, AFFINE)
 
-# Growth, coercivity and the forcing's origin check are compared with a
+# Growth, coercivity and the forcing's norm bound are compared with a
 # relative slack of 1e-10*(1 + |rhs|): their two sides reach far beyond 1
 # and a bare 1e-10 would be finer than double round-off there.
 RELATIVE_SLACK = 1e-10
@@ -276,39 +278,22 @@ def potential_batch(coeffs: np.ndarray, op: OperatorSpec, nl: NonlinearitySpec) 
 
 @dataclass(frozen=True)
 class ConditionCheck:
-    """Outcome of one structural check.
+    """Outcome of one structural check, decided exactly on its range.
 
-    A ``decided`` check was settled exactly on its range: it carries its
-    verdict and, when it failed, a ``witness`` saying where it fails (the
-    ``u`` and both sides of the inequality there, or the offending knot).
-    The forcing's origin check is computed from one evaluation instead, and
-    keeps its margin: ``worst_violation`` is how far it crossed the
-    inequality (negative or zero means it held), ``tolerance`` the slack
-    granted before declaring failure.
+    A failed check carries a ``witness`` saying where it fails: the ``u``
+    and both sides of the inequality there, the offending knot, the
+    operator's ``lambda_min``, or the forcing's norm at the origin.
     """
 
     name: str
     passed: bool
-    samples: int = 0
-    worst_violation: float = 0.0
-    tolerance: float = 0.0
     witness: dict | None = None
-    decided: bool = False
 
     def to_dict(self) -> dict:
-        if self.decided:
-            out = {"name": self.name, "passed": self.passed, "decided": True}
-            if self.witness is not None:
-                out["witness"] = self.witness
-            return out
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "samples": self.samples,
-            "worst_violation": self.worst_violation,
-            "tolerance": self.tolerance,
-            "witness": self.witness,
-        }
+        out = {"name": self.name, "passed": self.passed}
+        if self.witness is not None:
+            out["witness"] = self.witness
+        return out
 
 
 @dataclass(frozen=True)
@@ -332,36 +317,6 @@ class ConditionReport:
             out["range"] = list(self.range)
         out["checks"] = [c.to_dict() for c in self.checks]
         return out
-
-
-def worst_margin(viol, allowed) -> tuple[int, float, float, bool]:
-    """Sample with the largest ``viol - allowed``, as (index, violation, tolerance, passed).
-
-    A NaN or +inf margin is an unbounded violation (a NaN one reported as
-    +inf); a -inf margin, a finite value under an infinite bound, holds.
-    """
-    viol = np.asarray(viol, dtype=np.float64)
-    allowed = np.broadcast_to(np.asarray(allowed, dtype=np.float64), viol.shape)
-    margin = viol - allowed
-    margin = np.where(np.isnan(margin), np.inf, margin)
-    i = int(np.argmax(margin))
-    worst = math.inf if math.isnan(viol[i]) else float(viol[i])
-    return i, worst, float(allowed[i]), bool(margin[i] <= 0.0)
-
-
-def _check(name: str, n: int, violation: np.ndarray, tol: np.ndarray, witness_extra=None) -> ConditionCheck:
-    i, worst, tolerance, passed = worst_margin(violation, tol)
-    witness = {"sample": i}
-    if witness_extra is not None:
-        witness.update({k: float(v[i]) for k, v in witness_extra.items()})
-    return ConditionCheck(
-        name=name,
-        passed=passed,
-        samples=n,
-        worst_violation=worst,
-        tolerance=tolerance,
-        witness=witness if not passed else None,
-    )
 
 
 def _sides(nl: NonlinearitySpec, c: float, u, Fu):
@@ -400,14 +355,14 @@ def _builtin_checks(nl: NonlinearitySpec, c: float) -> tuple[ConditionCheck, ...
             u_coercive = min(1.0, float((np.float64(0.5 * b1) / (1.0 - b0)) ** (1.0 / (p - 2.0))))
         if b0 > 1.0:
             u_coercive = 1.0
-    checks = [ConditionCheck("monotonicity", True, decided=True)]
+    checks = [ConditionCheck("monotonicity", True)]
     for name, ok, u, which in (("growth", growth_ok, u_growth, 0), ("coercivity", coercive, u_coercive, 1)):
         witness = None
         if not ok:
             with np.errstate(over="ignore", invalid="ignore"):
                 lhs, rhs = _sides(nl, c, u, np.float64(u) ** (p - 1.0))[which]
             witness = _witness(u, lhs, rhs)
-        checks.append(ConditionCheck(name, ok, witness=witness, decided=True))
+        checks.append(ConditionCheck(name, ok, witness))
     return tuple(checks)
 
 
@@ -423,7 +378,7 @@ def _decided(name: str, u: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, at_most
     margin = (left - right if at_most else right - left) - RELATIVE_SLACK * (1.0 + right)
     i = int(np.argmax(margin))  # the first NaN, if any: it fails
     passed = bool(margin[i] <= 0.0)
-    return ConditionCheck(name, passed, witness=None if passed else _witness(u[i], lhs[i], rhs[i]), decided=True)
+    return ConditionCheck(name, passed, None if passed else _witness(u[i], lhs[i], rhs[i]))
 
 
 # Bisection steps that bring an interior minimum to rounding; the loop
@@ -458,7 +413,7 @@ def _table_checks(nl: NonlinearitySpec, c: float) -> tuple[ConditionCheck, ...]:
     low = int(np.argmin(t.fv))
     monotone = bool(t.fv[low] >= 0.0)
     witness = None if monotone else {"knot": low, "u": float(t.r[low]), "f": float(t.fv[low])}
-    mono = ConditionCheck("monotonicity", monotone, witness=witness, decided=True)
+    mono = ConditionCheck("monotonicity", monotone, witness)
 
     p = nl.p
     x, fk, Fk = t._knots, t._f_knots, t._F_knots
@@ -533,7 +488,7 @@ def _table_checks(nl: NonlinearitySpec, c: float) -> tuple[ConditionCheck, ...]:
 
 
 def verify_conditions(nl: NonlinearitySpec, op: OperatorSpec) -> ConditionReport:
-    """Monotonicity, growth and coercivity of ``F``, decided on the kind's range.
+    """Monotonicity, growth and coercivity of ``F`` on the kind's range, and Poincare.
 
     Each is decided pointwise, which on a grid with positive weights
     implies the norm form the estimates use:
@@ -551,11 +506,18 @@ def verify_conditions(nl: NonlinearitySpec, op: OperatorSpec) -> ConditionReport
     coercivity there carry the relative slack ``1e-10*(1 + |rhs|)``.  A run
     sees the table's ``F`` only where its grid values go, which ``run``
     checks at every sample.  No check draws.
+
+    The last check, ``poincare``, is the operator's ``lambda_min >= 1``
+    (Dirichlet needs ``length <= pi``, periodic ``length <= 2*pi``), on
+    which the estimates' norm equivalences rest; a failed one's witness is
+    ``lambda_min``.
     """
     c = op.domain.length ** ((2.0 - nl.p) / (2.0 * nl.p))
+    lam = op.lambda_min
+    poincare = ConditionCheck("poincare", lam >= 1.0, None if lam >= 1.0 else {"lambda_min": lam})
     if nl.kind != CUSTOM:
-        return ConditionReport(checks=_builtin_checks(nl, c))
-    return ConditionReport(checks=_table_checks(nl, c), range=nl.table.range)
+        return ConditionReport(checks=(*_builtin_checks(nl, c), poincare))
+    return ConditionReport(checks=(*_table_checks(nl, c), poincare), range=nl.table.range)
 
 
 @dataclass(frozen=True, eq=False)
@@ -647,17 +609,13 @@ def verify_g(fs: ForcingSpec, op: OperatorSpec) -> ConditionReport:
 
     ``g = g1 x + g2 v + c`` with ``g1, g2 >= 0``: the pairing bound is the
     triangle inequality, and the norm bound holds exactly when
-    ``g0 >= ||g(0, 0)||_H = |c| ||P 1||`` does, which ``g0_dominates_origin``
-    computes from one evaluation of g at the origin.
+    ``g0 >= ||g(0, 0)||_H = |c| ||P 1||`` does, up to the relative slack
+    ``1e-10*(1 + g0)``.  That norm is computed from one evaluation of g at
+    the origin, and a failed ``norm_bound``'s witness states it with ``g0``.
     """
     zero = np.zeros((1, op.modes))
     origin_norm = float(np.linalg.norm(forcing_modal_batch(fs, op, zero, zero)[0]))
-    viol0 = np.array([origin_norm - fs.g0])
-    tol0 = RELATIVE_SLACK * (1.0 + np.abs(np.array([fs.g0])))
-    origin = _check("g0_dominates_origin", 1, viol0, tol0, {"origin_norm": np.array([origin_norm])})
-    checks = (
-        origin,
-        ConditionCheck("norm_bound", origin.passed, decided=True),
-        ConditionCheck("lipschitz_pairing", True, decided=True),
-    )
+    bounded = origin_norm - fs.g0 <= RELATIVE_SLACK * (1.0 + fs.g0)
+    witness = None if bounded else {"origin_norm": origin_norm, "g0": fs.g0}
+    checks = (ConditionCheck("norm_bound", bounded, witness), ConditionCheck("lipschitz_pairing", True))
     return ConditionReport(checks=checks)

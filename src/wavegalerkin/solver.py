@@ -139,14 +139,14 @@ class ProjectedInitialData:
 def project_samples(samples, op: OperatorSpec) -> tuple[np.ndarray, float]:
     """Coefficients of grid samples on the retained modes, and the tail norm.
 
-    The tail norm estimates ``||u - P_m u||`` by comparing the quadrature
-    of ``u^2`` with the retained coefficient energy.
+    The tail norm is the quadrature norm of the residual ``u - P_m u``,
+    which does not cancel to round-off where ``u`` lies in the retained
+    modes, as the difference of ``||u||^2`` and the kept energy would.
     """
     u = np.asarray(samples, dtype=np.float64)
     coeffs = from_grid(u, op).coeffs
-    total = float(op.weights @ (u * u))
-    kept = float(coeffs @ coeffs)
-    return coeffs, math.sqrt(max(total - kept, 0.0))
+    r = u - modes_to_grid(coeffs, op)
+    return coeffs, math.sqrt(float(op.weights @ (r * r)))
 
 
 def fit_modal(coeffs, op: OperatorSpec) -> tuple[np.ndarray, float]:

@@ -10,12 +10,15 @@ nonlinearities are alias-free at the default grid size.  Below
 above it they all run on numpy's pocketfft gufuncs, the stepping loop's
 Galerkin term included (``_RealFFT.galerkin``), and the default grid size
 is the smallest 5-smooth one that keeps those products exact.
+:func:`build_operator` refuses only what it cannot build; the Poincare
+condition ``lambda_min >= 1`` is stated by ``OperatorSpec.lambda_min`` and
+decided by :func:`wavegalerkin.nonlinearity.verify_conditions`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,7 +27,6 @@ __all__ = [
     "DomainSpec",
     "FFT_MIN_MODES",
     "OperatorSpec",
-    "PoincareViolationError",
     "SpectralField",
     "build_operator",
     "dealias_floor",
@@ -58,10 +60,6 @@ BOUNDARY_KINDS = (DIRICHLET, PERIODIC_MEAN_ZERO)
 FFT_MIN_MODES = 160
 
 
-class PoincareViolationError(ValueError):
-    """Smallest eigenvalue is below 1, so norm equivalences would fail."""
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(a, dtype=np.float64)
     out.setflags(write=False)
@@ -76,15 +74,12 @@ class DomainSpec:
     :func:`default_grid_points`: the smallest grid that makes quartic
     products of basis functions integrate exactly, or from ``FFT_MIN_MODES``
     modes on the smallest 5-smooth one at or above it.  A given
-    ``grid_points`` is used as given.  ``allow_poincare_violation``
-    downgrades the smallest-eigenvalue check (which requires
-    ``lambda_min >= 1``) from an error to a recorded warning.
+    ``grid_points`` is used as given.
     """
 
     length: float
     bc: str
     grid_points: int | None = None
-    allow_poincare_violation: bool = False
 
     def __post_init__(self) -> None:
         if not (isinstance(self.length, (int, float)) and math.isfinite(self.length)):
@@ -165,7 +160,6 @@ class OperatorSpec:
     sqrt_eigenvalues: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
-    warnings: tuple[str, ...] = field(default=())
 
     @property
     def lambda_min(self) -> float:
@@ -340,11 +334,10 @@ class _PeriodicFFT(_RealFFT):
 def build_operator(domain: DomainSpec, modes: int) -> OperatorSpec:
     """Assemble the diagonal operator and quadrature grid for ``modes`` modes.
 
-    Raises ``ValueError`` when the largest eigenvalue overflows a float, and
-    :class:`PoincareViolationError` when the smallest eigenvalue drops
-    below 1 (Dirichlet needs ``length <= pi``, periodic ``length <= 2*pi``)
-    unless the domain opts out, in which case a warning string is recorded
-    on the returned spec.
+    Raises ``ValueError`` when the grid is below the dealiasing floor or the
+    largest eigenvalue overflows a float.  A smallest eigenvalue below 1
+    (Dirichlet needs ``length <= pi``, periodic ``length <= 2*pi``) builds
+    too: :func:`~wavegalerkin.nonlinearity.verify_conditions` decides it.
     """
     if not isinstance(modes, int) or isinstance(modes, bool) or modes < 1:
         raise ValueError("modes must be a positive int")
@@ -366,17 +359,6 @@ def build_operator(domain: DomainSpec, modes: int) -> OperatorSpec:
     if not np.isfinite(lam[-1]):
         raise ValueError(f"length={l:g} is too small: the eigenvalues of {modes} modes overflow a float")
     weights = np.full(n, l / n)
-
-    warnings: tuple[str, ...] = ()
-    if lam[0] < 1.0:
-        msg = (
-            f"lambda_min={lam[0]:.6g} < 1 for length={l:g}, bc={domain.bc}; "
-            "norm-equivalence constants in the energy estimates are invalid"
-        )
-        if not domain.allow_poincare_violation:
-            raise PoincareViolationError(msg)
-        warnings = (msg,)
-
     return OperatorSpec(
         domain=domain,
         modes=modes,
@@ -384,7 +366,6 @@ def build_operator(domain: DomainSpec, modes: int) -> OperatorSpec:
         sqrt_eigenvalues=_readonly(np.sqrt(lam)),
         nodes=_readonly(nodes),
         weights=_readonly(weights),
-        warnings=warnings,
     )
 
 

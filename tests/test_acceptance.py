@@ -206,7 +206,7 @@ def test_A7_condition_verifiers():
     op = build_operator(DOM, 16)
 
     good = verify_conditions(power_law_nonlinearity(4.0), op)
-    ok_good = good.passed and [c.name for c in good.checks] == ["monotonicity", "growth", "coercivity"]
+    ok_good = good.passed and [c.name for c in good.checks] == ["monotonicity", "growth", "coercivity", "poincare"]
 
     table = tabulated_f([-10.0, 10.0], [-1.0, -1.0])
     negated = custom_nonlinearity(table, 3.0, 1.0, 1.0, 1.0, 0.0)
@@ -216,8 +216,8 @@ def test_A7_condition_verifiers():
 
     understated = affine_forcing(g1=0.0, g2=0.0, constant=0.3, g0=0.2)
     g_rep = verify_g(understated, op)
-    origin = {c.name: c for c in g_rep.checks}["g0_dominates_origin"]
-    ok_g = (not g_rep.passed) and (not origin.passed)
+    norm = {c.name: c for c in g_rep.checks}["norm_bound"]
+    ok_g = (not g_rep.passed) and (not norm.passed)
 
     ok = ok_good and ok_neg and ok_g
     detail = (

@@ -73,7 +73,8 @@ def test_verify_pass(tmp_path, capsys):
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["passed"] is True
-    assert rep["poincare"]["lambda_min"] == pytest.approx(9.8696044, rel=1e-6)
+    assert set(rep) == {"passed", "nonlinearity", "forcing"}
+    assert rep["nonlinearity"]["checks"][-1] == {"name": "poincare", "passed": True}
     assert rep["nonlinearity"]["passed"] is True
     assert rep["forcing"]["passed"] is True
 
@@ -116,7 +117,7 @@ def test_unbounded_checks_are_strict_json(tmp_path):
         ver = rep if out is None else rep["verification"]
         assert ver["nonlinearity"]["range"] == [-100.0, 100.0]
         checks = {c["name"]: c for c in ver["nonlinearity"]["checks"]}
-        assert checks["monotonicity"] == {"name": "monotonicity", "passed": True, "decided": True}
+        assert checks["monotonicity"] == {"name": "monotonicity", "passed": True}
         coercivity, growth = checks["coercivity"]["witness"], checks["growth"]["witness"]
         assert abs(coercivity["u"]) == 100.0 and coercivity["rhs"] == "inf" and coercivity["lhs"] == 10000.0
         assert 0.0 < abs(growth["u"]) < 1.0 and growth["lhs"] > growth["rhs"]
@@ -131,12 +132,11 @@ def test_builtin_conditions_are_decided_at_any_p(tmp_path, capsys, p):
     rep = json.loads(capsys.readouterr().out, parse_constant=_strict_constant)
     assert rep["passed"] is True
     checks = rep["nonlinearity"]["checks"]
-    assert [c["name"] for c in checks] == ["monotonicity", "growth", "coercivity"]
-    assert all(c == {"name": c["name"], "passed": True, "decided": True} for c in checks)
-    origin, norm, pairing = rep["forcing"]["checks"]
-    assert origin["name"] == "g0_dominates_origin" and origin["samples"] == 1
-    assert norm == {"name": "norm_bound", "passed": True, "decided": True}
-    assert pairing == {"name": "lipschitz_pairing", "passed": True, "decided": True}
+    assert [c["name"] for c in checks] == ["monotonicity", "growth", "coercivity", "poincare"]
+    assert all(c == {"name": c["name"], "passed": True} for c in checks)
+    norm, pairing = rep["forcing"]["checks"]
+    assert norm == {"name": "norm_bound", "passed": True}
+    assert pairing == {"name": "lipschitz_pairing", "passed": True}
 
 
 def test_affine_g0_below_the_origin_norm_fails_verify(tmp_path, capsys):
@@ -146,12 +146,11 @@ def test_affine_g0_below_the_origin_norm_fails_verify(tmp_path, capsys):
     assert cli.main(["verify", write_cfg(tmp_path, cfg)]) == 1
     rep = json.loads(capsys.readouterr().out)
     checks = {c["name"]: c for c in rep["forcing"]["checks"]}
-    origin = checks["g0_dominates_origin"]
-    assert origin["passed"] is False
-    assert origin["worst_violation"] == pytest.approx(0.0962, abs=1e-3)
-    assert origin["witness"]["origin_norm"] == pytest.approx(0.2962, abs=1e-3)
-    assert checks["norm_bound"] == {"name": "norm_bound", "passed": False, "decided": True}
-    assert checks["lipschitz_pairing"]["passed"] is True
+    norm = checks["norm_bound"]
+    assert norm["passed"] is False and set(norm) == {"name", "passed", "witness"}
+    assert norm["witness"]["origin_norm"] - norm["witness"]["g0"] == pytest.approx(0.0962, abs=1e-3)
+    assert norm["witness"] == {"origin_norm": pytest.approx(0.2962, abs=1e-3), "g0": 0.2}
+    assert checks["lipschitz_pairing"] == {"name": "lipschitz_pairing", "passed": True}
 
 
 def test_custom_table_report_is_the_decided_one(tmp_path, capsys):
@@ -164,7 +163,7 @@ def test_custom_table_report_is_the_decided_one(tmp_path, capsys):
     op = build_operator(rc.domain, rc.modes)
     assert rep["nonlinearity"] == json.loads(cli._json(verify_conditions(rc.nl, op).to_dict()))
     assert rep["nonlinearity"]["range"] == [-10.0, 10.0]
-    assert all(c["decided"] for c in rep["nonlinearity"]["checks"])
+    assert all(set(c) <= {"name", "passed", "witness"} for c in rep["nonlinearity"]["checks"])
     mono = rep["nonlinearity"]["checks"][0]
     assert mono["witness"] == {"knot": 0, "u": -10.0, "f": -1.0}
     assert "seed" not in rep["nonlinearity"] and "seed" not in rep["forcing"]
@@ -175,12 +174,14 @@ def test_poincare_rejection(tmp_path, capsys):
     path = write_cfg(tmp_path, cfg)
     assert cli.main(["verify", path]) == 1
     rep = json.loads(capsys.readouterr().out)
-    assert rep["poincare"]["passed"] is False
+    poincare = rep["nonlinearity"]["checks"][-1]
+    assert poincare == {"name": "poincare", "passed": False, "witness": {"lambda_min": pytest.approx((math.pi / 4.0) ** 2)}}
 
     assert cli.main(["run", path]) == 1
     written = json.loads((tmp_path / "report.json").read_text())
     assert written["monitor"] is None
-    assert written["verification"]["passed"] is False
+    assert written["verification"] == rep
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_refused_run_removes_the_previous_csv(tmp_path, capsys, monkeypatch):

@@ -78,3 +78,33 @@ def test_tally_counts_the_files_that_show_each_json_path():
         "3 files: nonlinearity/checks: list of 4 -> list of 3",
         "1 file: seed: only in new",
     ]
+
+
+def test_named_lists_are_matched_by_name():
+    # A check that appears reads by its name, not as a change of list length;
+    # the same list reordered differs in bytes only.
+    json_diffs = _compare_artifacts().json_diffs
+    old = {"checks": [{"name": "growth", "passed": True}, {"name": "coercivity", "passed": True}]}
+    new = {"checks": [{"name": "growth", "passed": False}, {"name": "coercivity", "passed": True}, {"name": "poincare", "passed": True}]}
+    assert json_diffs(old, new) == ["checks/growth/passed: true -> false", "checks/poincare: only in new"]
+    assert json_diffs(old, {"checks": old["checks"][::-1]}) == []
+    # items without a name, or with a repeated one, are still compared by position
+    assert json_diffs([{"a": 1}], [{"a": 1}, {"a": 2}]) == ["<root>: list of 1 -> list of 2"]
+    twice = [{"name": "x", "v": 1}, {"name": "x", "v": 2}]
+    assert json_diffs(twice, twice[::-1]) == ["0/v: 1 -> 2", "1/v: 2 -> 1"]
+
+
+def test_tally_folds_number_changes_at_one_path():
+    lines = [
+        "w/1/a.report.json: initial/x0_tail_norm: 1.05e-08 -> 1.5e-16",
+        "w/1/b.report.json: initial/x0_tail_norm: 2.0 -> 2.5",
+        "w/2/a.report.json: initial/x0_tail_norm: 3 -> 3.0",
+        "w/2/a.report.json: monitor/checks/gronwall/passed: true -> false",
+        "w/2/a.verify.stdout: nonlinearity/checks/poincare: only in new",
+        "w/2/b.report.json: verification/nonlinearity/checks/poincare: only in new",
+    ]
+    assert _compare_artifacts().tally(lines) == [
+        "3 files: initial/x0_tail_norm: numbers changed, largest relative change 1",
+        "2 files: nonlinearity/checks/poincare: only in new",
+        "1 file: monitor/checks/gronwall/passed: true -> false",
+    ]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import wavegalerkin
+from wavegalerkin import cli
 from wavegalerkin.config import CONFIG_SCHEMA, KEYWORDS, ConfigError, OutputSettings, load_config, resolve_initial, schema_violation
 from wavegalerkin.spectral import build_operator
 
@@ -93,6 +94,20 @@ def test_semantic_errors_become_config_errors(tmp_path):
         load_config(write_cfg(tmp_path, base_config(nonlinearity={"kind": "custom", "p": 3.0})))
     with pytest.raises(ConfigError, match="g0"):
         load_config(write_cfg(tmp_path, base_config(forcing={"kind": "affine", "constant": 0.5})))
+
+
+@pytest.mark.parametrize(
+    "forcing, message",
+    [
+        ({"kind": "zero", "g1": 0.1}, "zero forcing takes no constants"),
+        ({"kind": "affine", "g1": 0.1, "constant": 0.5}, "g0 must be given explicitly when constant != 0"),
+    ],
+)
+def test_forcing_rules_are_the_library_ones(tmp_path, capsys, forcing, message):
+    # A forcing section is built by ForcingSpec and affine_forcing, whose
+    # rules and wording a config meets unchanged, with exit 3.
+    assert cli.main(["verify", str(write_cfg(tmp_path, base_config(forcing=forcing)))]) == 3
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_unreadable_or_invalid_json(tmp_path):

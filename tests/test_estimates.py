@@ -63,7 +63,7 @@ def test_energy_record_components(op8):
 
 def test_embedding_constant_values(op8):
     assert embedding_constant(op8, 4.0) == pytest.approx(1.0)
-    op_long = build_operator(DomainSpec(length=4.0, bc=DIRICHLET, allow_poincare_violation=True), 4)
+    op_long = build_operator(DomainSpec(length=4.0, bc=DIRICHLET), 4)
     assert embedding_constant(op_long, 4.0) == pytest.approx(math.sqrt(2.0), rel=1e-14)
     assert embedding_constant(op_long, 2.0) == pytest.approx(1.0)
 

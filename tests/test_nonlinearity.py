@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from wavegalerkin import cli, nonlinearity
+from wavegalerkin import cli
 from wavegalerkin.nonlinearity import (
     RELATIVE_SLACK,
     ZERO,
+    ConditionCheck,
     ConditionReport,
     ForcingSpec,
     NonlinearitySpec,
@@ -120,11 +121,12 @@ def test_potential_is_primitive_of_F(op8):
 def test_verify_conditions_power_law_passes(op8):
     rep = verify_conditions(power_law_nonlinearity(4.0), op8)
     assert rep.passed
-    assert [c.name for c in rep.checks] == ["monotonicity", "growth", "coercivity"]
-    assert all(c.decided and c.witness is None for c in rep.checks)
+    assert [c.name for c in rep.checks] == ["monotonicity", "growth", "coercivity", "poincare"]
+    assert all(c.witness is None for c in rep.checks)
     d = rep.to_dict()
     # a built-in F is decided on the whole line: no range, and no seed
-    assert d["passed"] is True and set(d) == {"passed", "checks"} and len(d["checks"]) == 3
+    assert d["passed"] is True and set(d) == {"passed", "checks"} and len(d["checks"]) == 4
+    assert all(set(c) == {"name", "passed"} for c in d["checks"])
 
 
 def test_verify_conditions_falsifies_decreasing_f(op8):
@@ -133,7 +135,7 @@ def test_verify_conditions_falsifies_decreasing_f(op8):
     rep = verify_conditions(nl, op8)
     assert not rep.passed and rep.range == (-10.0, 10.0)
     mono = rep.checks[0]
-    assert mono.name == "monotonicity" and not mono.passed and mono.decided
+    assert mono.name == "monotonicity" and not mono.passed
     assert mono.witness == {"knot": 0, "u": -10.0, "f": -1.0}
 
 
@@ -184,7 +186,7 @@ def test_verify_g_affine_passes(op8):
     fs = affine_forcing(g1=0.3, g2=0.2)
     rep = verify_g(fs, op8)
     assert rep.passed
-    assert [c.name for c in rep.checks] == ["g0_dominates_origin", "norm_bound", "lipschitz_pairing"]
+    assert [c.name for c in rep.checks] == ["norm_bound", "lipschitz_pairing"]
 
 
 def test_verify_g_falsifies_understated_origin(op16):
@@ -192,11 +194,52 @@ def test_verify_g_falsifies_understated_origin(op16):
     bad = affine_forcing(g1=0.1, g2=0.0, constant=0.3, g0=0.2)
     rep = verify_g(bad, op16)
     assert not rep.passed
-    origin = rep.checks[0]
-    assert origin.name == "g0_dominates_origin" and not origin.passed
+    norm = rep.checks[0]
+    assert norm.name == "norm_bound" and not norm.passed
+    assert norm.witness == {"origin_norm": pytest.approx(0.2962, abs=1e-3), "g0": 0.2}
 
     ok = affine_forcing(g1=0.1, g2=0.0, constant=0.3, g0=0.3)
     assert verify_g(ok, op16).passed
+
+
+@pytest.mark.parametrize(
+    "domain, lambda_min",
+    [(DomainSpec(length=4.0, bc=DIRICHLET), (math.pi / 4.0) ** 2), (DomainSpec(length=3.0 * math.pi, bc=PERIODIC_MEAN_ZERO), 4.0 / 9.0)],
+)
+def test_poincare_is_decided_by_verify_conditions(domain, lambda_min):
+    # the operator builds; its lambda_min < 1 fails the last check, and only it
+    rep = verify_conditions(cubic_nonlinearity(), build_operator(domain, 4))
+    assert [c.name for c in rep.checks if not c.passed] == ["poincare"]
+    assert rep.checks[-1].witness == {"lambda_min": pytest.approx(lambda_min, rel=1e-14)}
+
+
+_SHAPE_TABLE = tabulated_f([-10.0, 0.0, 10.0], [1.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize(
+    "nl",
+    [
+        linear_nonlinearity(),
+        cubic_nonlinearity(),
+        power_law_nonlinearity(3.0),
+        NonlinearitySpec(kind="power_law", p=3.0, a0=0.5, b0=2.0),
+        custom_nonlinearity(_SHAPE_TABLE, 3.0, 1.0, 10.0, 0.01, 0.0),
+        custom_nonlinearity(tabulated_f([-10.0, 10.0], [-1.0, -1.0]), 3.0, 1.0, 1.0, 1.0, 0.0),
+    ],
+    ids=["linear", "cubic", "power_law", "power_law-overstated", "table", "table-decreasing"],
+)
+@pytest.mark.parametrize(
+    "fs",
+    [zero_forcing(), affine_forcing(g1=0.3, g2=0.2), affine_forcing(g1=0.1, constant=0.3, g0=0.2)],
+    ids=["zero", "affine", "affine-understated"],
+)
+@pytest.mark.parametrize("length", [1.0, 4.0])
+def test_every_check_has_one_shape(nl, fs, length):
+    op = build_operator(DomainSpec(length=length, bc=DIRICHLET), 8)
+    for rep in (verify_conditions(nl, op), verify_g(fs, op)):
+        for check in rep.to_dict()["checks"]:
+            assert set(check) <= {"name", "passed", "witness"}
+            assert ("witness" in check) is (not check["passed"])
 
 
 # Drawn falsifiers, kept as references that the decided reports must agree
@@ -216,27 +259,35 @@ def _reference_reach(op):
     return REFERENCE_AMPLITUDE_MAX * math.sqrt(2.0 / op.domain.length) * op.modes
 
 
+def _margin_check(name, violation, tol, witness_extra):
+    """A drawn check: it fails at the sample with the largest ``violation - tol``, which its witness names.
+
+    A NaN margin is an unbounded violation.
+    """
+    margin = np.asarray(violation, dtype=np.float64) - tol
+    i = int(np.argmax(np.where(np.isnan(margin), np.inf, margin)))
+    if margin[i] <= 0.0:
+        return ConditionCheck(name, True)
+    return ConditionCheck(name, False, {"sample": i, **{k: float(v[i]) for k, v in witness_extra.items()}})
+
+
 def _reference_verify_g(fs, op, samples, seed):
-    check = nonlinearity._check
+    """The norm bound on the origin and on drawn pairs, and the pairing bound on drawn triples."""
     rng = np.random.default_rng(seed)
     m = op.modes
 
     def g_modal(ca, cv):
         return forcing_modal_batch(fs, op, ca, cv * op.sqrt_eigenvalues[None, :])
 
-    zero = np.zeros((1, m))
-    origin_norm = float(np.linalg.norm(g_modal(zero, zero)[0]))
-    viol0 = np.array([origin_norm - fs.g0])
-    tol0 = RELATIVE_SLACK * (1.0 + np.abs(np.array([fs.g0])))
-    c_origin = check("g0_dominates_origin", 1, viol0, tol0, {"origin_norm": np.array([origin_norm])})
-
-    cx = _reference_draw_batch(rng, samples, m)
-    cv = _reference_draw_batch(rng, samples, m)
+    # sample 0 is the origin, where the bound reads ||g(0, 0)||_H <= g0
+    cx = np.r_[np.zeros((1, m)), _reference_draw_batch(rng, samples, m)]
+    cv = np.r_[np.zeros((1, m)), _reference_draw_batch(rng, samples, m)]
     lhs = np.linalg.norm(g_modal(cx, cv), axis=1)
     rhs = fs.g1 * np.linalg.norm(cx, axis=1) + fs.g2 * np.linalg.norm(cv, axis=1) + fs.g0
     tol = RELATIVE_SLACK * (1.0 + np.abs(rhs))
-    c_norm = check("norm_bound", samples, lhs - rhs, tol, {"lhs": lhs, "rhs": rhs})
+    c_norm = _margin_check("norm_bound", lhs - rhs, tol, {"lhs": lhs, "rhs": rhs})
 
+    cx, cv = cx[1:], cv[1:]
     cx1 = _reference_draw_batch(rng, samples, m)
     cv1 = _reference_draw_batch(rng, samples, m)
     cz = _reference_draw_batch(rng, samples, m)
@@ -244,14 +295,13 @@ def _reference_verify_g(fs, op, samples, seed):
     lhs_pair = np.abs(np.sum(dg * cz, axis=1))
     rhs_pair = fs.g1 * np.abs(np.sum((cx - cx1) * cz, axis=1)) + fs.g2 * np.abs(np.sum((cv - cv1) * cz, axis=1))
     tol_pair = RELATIVE_SLACK * (1.0 + np.abs(rhs_pair) + np.abs(lhs_pair))
-    c_pair = check("lipschitz_pairing", samples, lhs_pair - rhs_pair, tol_pair, {"lhs": lhs_pair, "rhs": rhs_pair})
-    return ConditionReport(checks=(c_origin, c_norm, c_pair))
+    c_pair = _margin_check("lipschitz_pairing", lhs_pair - rhs_pair, tol_pair, {"lhs": lhs_pair, "rhs": rhs_pair})
+    return ConditionReport(checks=(c_norm, c_pair))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _reference_verify_conditions(nl, op, samples, seed):
-    """Monotonicity, growth and coercivity in their norm forms, on drawn field pairs."""
-    check = nonlinearity._check
+    """Monotonicity, growth and coercivity in their norm forms, on drawn field pairs, and Poincare."""
     rng = np.random.default_rng(seed)
     cx = _reference_draw_batch(rng, samples, op.modes)
     cz = _reference_draw_batch(rng, samples, op.modes)
@@ -260,7 +310,7 @@ def _reference_verify_conditions(nl, op, samples, seed):
     fx, fz = F_on_grid(nl, ux), F_on_grid(nl, uz)
 
     mono = ((fx - fz) * (ux - uz)) @ w
-    c_mono = check("monotonicity", samples, -mono, np.full(samples, 1e-10), {"pairing": mono})
+    c_mono = _margin_check("monotonicity", -mono, 1e-10, {"pairing": mono})
 
     p = nl.p
     q = p / (p - 1.0)
@@ -268,12 +318,15 @@ def _reference_verify_conditions(nl, op, samples, seed):
     norm_h = np.sqrt(np.sum(cx * cx, axis=1))
     dual = (np.abs(fx) ** q @ w) ** (1.0 / q)
     rhs_g = nl.a0 * norm_p ** (p - 1.0) + nl.a1 * norm_h
-    c_growth = check("growth", samples, dual - rhs_g, RELATIVE_SLACK * (1.0 + np.abs(rhs_g)), {"lhs": dual, "rhs": rhs_g})
+    c_growth = _margin_check("growth", dual - rhs_g, RELATIVE_SLACK * (1.0 + np.abs(rhs_g)), {"lhs": dual, "rhs": rhs_g})
 
     pairing = (fx * ux) @ w
     rhs_c = nl.b0 * norm_p**p + nl.b1 * norm_h**2
-    c_coerce = check("coercivity", samples, rhs_c - pairing, RELATIVE_SLACK * (1.0 + np.abs(rhs_c)), {"lhs": pairing, "rhs": rhs_c})
-    return ConditionReport(checks=(c_mono, c_growth, c_coerce))
+    c_coerce = _margin_check("coercivity", rhs_c - pairing, RELATIVE_SLACK * (1.0 + np.abs(rhs_c)), {"lhs": pairing, "rhs": rhs_c})
+    # lambda_min in closed form: (pi/l)^2, or (2 pi/l)^2 on the mean-zero periodic space
+    l = op.domain.length
+    c_poincare = ConditionCheck("poincare", (math.pi / l if op.domain.bc == DIRICHLET else 2.0 * math.pi / l) ** 2 >= 1.0)
+    return ConditionReport(checks=(c_mono, c_growth, c_coerce, c_poincare))
 
 
 def _no_generator(*args, **kwargs):
@@ -295,7 +348,6 @@ def test_decided_conditions_agree_with_the_drawn_ones(nl, bc, monkeypatch):
     for x, want in zip((nl, weaker), drawn):
         got = verify_conditions(x, op)
         assert [c.name for c in got.checks] == [c.name for c in want.checks]
-        assert all(c.decided for c in got.checks)
         assert got.passed and want.passed
 
 
@@ -316,10 +368,12 @@ def test_decided_forcing_agrees_with_the_drawn_one(bc, monkeypatch):
     for fs, want in zip(cases, drawn):
         got = verify_g(fs, op)
         assert [ch.name for ch in got.checks] == [ch.name for ch in want.checks]
-        assert [ch.decided for ch in got.checks] == [False, True, True]
-        # the origin check is computed, exactly as the drawn report does it
-        assert got.checks[0].to_dict() == want.checks[0].to_dict()
-        assert got.passed == want.passed
+        assert [ch.passed for ch in got.checks] == [ch.passed for ch in want.checks]
+        # a failed norm bound fails at the origin, with the norm the drawn report computes there
+        if not got.passed:
+            assert want.checks[0].witness["sample"] == 0
+            w = want.checks[0].witness
+            assert got.checks[0].witness == {"origin_norm": pytest.approx(w["lhs"], rel=1e-14), "g0": w["rhs"]}
     # only the understated g0 fails, and only on the basis that sees constants
     assert [verify_g(fs, op).passed for fs in cases] == [True] * 4 + [bc == PERIODIC_MEAN_ZERO]
 
@@ -388,7 +442,7 @@ def test_benchmark_table_construction_passes(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", _no_generator)
     for bc in (DIRICHLET, PERIODIC_MEAN_ZERO):
         rep = verify_conditions(nl, build_operator(DomainSpec(length=length, bc=bc), modes))
-        assert rep.passed and all(c.decided for c in rep.checks)
+        assert rep.passed
         assert rep.range == (-reach, reach)
 
 
@@ -415,7 +469,7 @@ def test_negative_f_at_one_knot_fails_monotonicity_there(op8):
     mono = rep.checks[0]
     assert not mono.passed
     assert mono.witness == {"knot": 7, "u": 2.0, "f": -0.25}
-    assert mono.to_dict() == {"name": "monotonicity", "passed": False, "decided": True, "witness": mono.witness}
+    assert mono.to_dict() == {"name": "monotonicity", "passed": False, "witness": mono.witness}
 
 
 def test_forcing_spec_validation():

@@ -299,6 +299,7 @@ def test_project_parabola_initial_data(op8):
     # dropped mass above mode 8 is about 3.07e-4
     assert 1e-4 < data.x0_tail_norm < 1e-3
     assert data.x0_tail_norm == pytest.approx(3.0716839307133538e-4, rel=0.3)
+    assert data.x0_tail_norm == pytest.approx(math.sqrt(op8.weights @ (u0 * u0) - data.state.a @ data.state.a), rel=5e-12)
     assert data.x1_tail_norm == 0.0
 
     fine = build_operator(DomainSpec(length=1.0, bc=DIRICHLET, grid_points=257), 8)
@@ -308,13 +309,15 @@ def test_project_parabola_initial_data(op8):
     assert np.max(np.abs(data_fine.state.a - closed)) < np.max(np.abs(data.state.a - closed))
 
 
-def test_project_resolved_sine_has_no_tail():
-    op = build_operator(DomainSpec(length=1.0, bc=DIRICHLET), 4)
-    u0 = np.sin(3.0 * math.pi * op.nodes)
+@pytest.mark.parametrize("modes, grid_points, k", [(4, None, 3), (512, 1025, 1), (512, 1080, 1)])
+def test_project_resolved_sine_has_no_tail(modes, grid_points, k):
+    op = build_operator(DomainSpec(length=1.0, bc=DIRICHLET, grid_points=grid_points), modes)
+    u0 = np.sin(k * math.pi * op.nodes)
     data = project_initial_data(u0, np.zeros(op.grid_points), op)
-    assert data.state.a[2] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-13)
-    # the tail is sqrt of a roundoff-level residual, so ~sqrt(eps), not 0
-    assert data.x0_tail_norm <= 1e-7
+    assert data.state.a[k - 1] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-13)
+    # the tail is the norm of a round-off residual on any grid, not the
+    # sqrt(eps)-sized remainder of ||u||^2 minus the kept energy
+    assert data.x0_tail_norm <= 1e-14
 
 
 def test_project_unresolved_sine_is_all_tail():

@@ -17,7 +17,6 @@ from wavegalerkin.spectral import (
     FFT_MIN_MODES,
     PERIODIC_MEAN_ZERO,
     DomainSpec,
-    PoincareViolationError,
     SpectralField,
     _DirichletFFT,
     _PeriodicFFT,
@@ -48,16 +47,12 @@ def test_periodic_eigenvalues_come_in_cos_sin_pairs():
     assert op.lambda_min == pytest.approx(1.0)
 
 
-def test_long_interval_rejected_unless_overridden():
-    dom = DomainSpec(length=4.0, bc=DIRICHLET)
-    with pytest.raises(PoincareViolationError):
-        build_operator(dom, 4)
-    op = build_operator(DomainSpec(length=4.0, bc=DIRICHLET, allow_poincare_violation=True), 4)
-    assert op.lambda_min < 1.0
-    assert len(op.warnings) == 1 and "lambda_min" in op.warnings[0]
-
-    with pytest.raises(PoincareViolationError):
-        build_operator(DomainSpec(length=3.0 * math.pi, bc=PERIODIC_MEAN_ZERO), 2)
+def test_long_interval_builds_with_its_lambda_min():
+    # the operator states lambda_min < 1; verify_conditions decides it
+    op = build_operator(DomainSpec(length=4.0, bc=DIRICHLET), 4)
+    assert op.lambda_min == pytest.approx((math.pi / 4.0) ** 2, rel=1e-14)
+    op = build_operator(DomainSpec(length=3.0 * math.pi, bc=PERIODIC_MEAN_ZERO), 2)
+    assert op.lambda_min == pytest.approx(4.0 / 9.0, rel=1e-14)
 
 
 def test_basis_is_orthonormal_under_quadrature():
