@@ -20,12 +20,14 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, _check_history, load_config, resolve_initial
 from .estimates import (
+    BLOCK_ROWS,
     DecayParams,
     GronwallParams,
     absorbing_radius,
@@ -59,8 +61,8 @@ CSV_COLUMNS = (
     "decay_bound",
     "identity_residual",
 )
-# _csv_text turns this many rows at a time into Python floats.
-CSV_BLOCK_ROWS = 256
+# _csv_text formats this many rows at a time, energy_table's block size.
+CSV_BLOCK_ROWS = BLOCK_ROWS
 
 
 class OutputError(Exception):
@@ -87,12 +89,18 @@ def _resolve_out(path: str) -> Path:
     return p
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, or its chunks in order, to a temp file and rename it to ``path``.
+
+    Chunks are written as they come, so the whole text is never held at
+    once.  If writing fails or the chunks raise, the temp file is removed
+    and ``path`` keeps its old contents.
+    """
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                fh.writelines((text,) if isinstance(text, str) else text)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -124,21 +132,24 @@ def _num(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _csv_text(traj: Trajectory, gp: GronwallParams | None, dp: DecayParams | None) -> str:
-    """One ``%.17g`` row format over Python-float columns; an absent bound column stays empty."""
+def _csv_text(traj: Trajectory, gp: GronwallParams | None, dp: DecayParams | None) -> Iterator[str]:
+    """The CSV text: the header, then one chunk per :data:`CSV_BLOCK_ROWS` rows.
+
+    One ``%.17g`` row format over Python-float columns; an absent bound
+    column stays empty.  Python floats format fastest.  :func:`_write_atomic`
+    writes each chunk as it comes, so a run's peak memory is its history
+    plus the energy columns and one block, never the whole file's text.
+    """
     tbl = traj.energy
     bounds = sample_table(traj, gp, dp)
     cols = [tbl.t, tbl.energy, tbl.kinetic, tbl.potential, tbl.by_norm_sq, tbl.forcing_power]
     cols += [bounds["gronwall_envelope"], bounds["decay_bound"], bounds["identity_residual"]]
     row = ",".join("%.17g" if c is not None else "" for c in cols) + "\n"
     cols = [c for c in cols if c is not None]
-    parts = [",".join(CSV_COLUMNS) + "\n"]
-    # Python floats format fastest; converting a block at a time keeps the
-    # floats' footprint below that of the text itself.
+    yield ",".join(CSV_COLUMNS) + "\n"
     for i in range(0, len(tbl), CSV_BLOCK_ROWS):
         rows = zip(*(c[i : i + CSV_BLOCK_ROWS].tolist() for c in cols))
-        parts.append("".join(row % r for r in rows))
-    return "".join(parts)
+        yield "".join(row % r for r in rows)
 
 
 def _verification(rc: RunConfig):

@@ -460,9 +460,11 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 # The largest sample history a run may hold: (n_steps // stride + 2)
-# records of positions and velocities, float64.  1 GiB is 400x the largest
-# benchmark history (dense_output, about 2.5 MB); a config past it would
-# fail to allocate, or swap, only after verification had run.
+# records of positions and velocities, float64.  A run's peak memory is its
+# history plus the energy columns (a few float64 per sample) and one block
+# of rows, so the budget bounds the run's memory too.  1 GiB is 400x the
+# largest benchmark history (dense_output, about 2.5 MB); a config past it
+# would fail to allocate, or swap, only after verification had run.
 HISTORY_BYTES_MAX = 2**30
 
 

@@ -52,6 +52,15 @@ ENVELOPE_REL = 1e-9
 CONSERVATION_REL = 1e-6
 DECAY_REL = 1e-9
 
+# Rows of a sample history that energy_table reads at a time, and that
+# cli._csv_text formats at a time: 0.2 MB of grid values at m = 32.  A block
+# must start where a BLAS tile of the one-shot product over the whole
+# history starts, or its last tile rounds in another order: with 256 rows,
+# OpenBLAS 0.3.31's AVX-512 kernel moved the last grid value of a block's
+# last 4 or 8 rows at m = 100 and 128, as 12-row tiles would.  3 * 2^7
+# rows start tiles of 2^k and 3 * 2^k rows alike.
+BLOCK_ROWS = 384
+
 TABLE_RANGE_NOTE = "checked at the recorded samples only, not at the steps between them"
 
 
@@ -104,6 +113,19 @@ class EnergyTable:
         )
 
 
+def _row_blocks(n: int):
+    """Slices of ``range(n)`` in order, :data:`BLOCK_ROWS` rows each and the rest in the last.
+
+    A short remainder joins the last full block, because numpy and OpenBLAS
+    take a matrix-vector or small-matrix path, which rounds differently,
+    for a product of a few rows.  With BLAS on one thread, each block then
+    gives every row the bits of one product over the whole history;
+    threaded BLAS splits a large product, and its rounding, by thread.
+    """
+    starts = range(0, max(n - BLOCK_ROWS, 0) + 1, BLOCK_ROWS)
+    return [slice(lo, hi) for lo, hi in zip(starts, [*starts[1:], n])]
+
+
 def energy_table(
     op: OperatorSpec,
     nl: NonlinearitySpec,
@@ -112,22 +134,34 @@ def energy_table(
     a_hist: np.ndarray,
     adot_hist: np.ndarray,
 ) -> EnergyTable:
-    """Vectorized energy records for sampled modal histories."""
+    """Vectorized energy records for sampled modal histories.
+
+    The columns are filled one block of rows at a time (:func:`_row_blocks`),
+    so that a run's peak memory is its history plus these columns and one
+    block's grid values and products, never another array of samples times
+    modes or grid points.  With BLAS on one thread, every column has the
+    bits of the one-shot formulas over the whole history.
+    """
     lam = op.eigenvalues
-    u_min = u_max = None
+    n = a_hist.shape[0]
+    kinetic, potential, by_norm_sq, forcing_power = np.empty((4, n))
+    table = nl.table
+    u_min, u_max = np.empty((2, n)) if table is not None else (None, None)
     with np.errstate(over="ignore", invalid="ignore"):
-        kinetic = 0.5 * np.sum(adot_hist * adot_hist / lam[None, :], axis=1)
-        by_norm_sq = np.sum(a_hist * a_hist / lam[None, :], axis=1)
-        if nl.table is not None:
-            # The grid values the table's potential reads are the ones its
-            # range check needs.
-            u = modes_to_grid(a_hist, op)
-            potential = nl.table.Phi(u) @ op.weights
-            u_min, u_max = u.min(axis=1), u.max(axis=1)
-        else:
-            potential = potential_batch(a_hist, op, nl)
-        g = forcing_modal_batch(fs, op, a_hist, adot_hist)
-        forcing_power = np.sum(g * adot_hist / lam[None, :], axis=1)
+        for rows in _row_blocks(n):
+            a, adot = a_hist[rows], adot_hist[rows]
+            kinetic[rows] = 0.5 * np.sum(adot * adot / lam, axis=1)
+            by_norm_sq[rows] = np.sum(a * a / lam, axis=1)
+            if table is not None:
+                # The grid values the table's potential reads are the ones
+                # its range check needs.
+                u = modes_to_grid(a, op)
+                potential[rows] = table.Phi(u) @ op.weights
+                u_min[rows], u_max[rows] = u.min(axis=1), u.max(axis=1)
+            else:
+                potential[rows] = potential_batch(a, op, nl)
+            g = forcing_modal_batch(fs, op, a, adot)
+            forcing_power[rows] = np.sum(g * adot / lam, axis=1)
         energy = kinetic + potential
     return EnergyTable(
         t=np.asarray(t, dtype=np.float64),

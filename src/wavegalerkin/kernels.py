@@ -110,7 +110,11 @@ def run_numpy(a0, adot0, dt, n_steps, stride, ceiling, use_verlet, galerkin, g1=
     """Advance the modal state ``n_steps`` steps of size ``dt``.
 
     Returns the recorded positions, velocities and step numbers, and the
-    step at which the run diverged (``-1`` if it did not).
+    step at which the run diverged (``-1`` if it did not).  The states are
+    recorded into one ``(2, n_steps // stride + 2, m)`` buffer, the run's
+    sample history, and the positions and velocities are C-contiguous views
+    of its two planes, not copies.  A run's peak memory is this history
+    plus the energy columns and one block of rows.
 
     ``galerkin(A, out)`` writes the Galerkin term at ``A`` into ``out``
     without writing ``A``.  ``damping`` is an ``m``-vector, or ``None``,
@@ -126,7 +130,7 @@ def run_numpy(a0, adot0, dt, n_steps, stride, ceiling, use_verlet, galerkin, g1=
     if damped and use_verlet:
         raise ValueError("velocity Verlet takes no damping")
     m = a0.shape[0]
-    hist = np.empty((n_steps // stride + 2, 2, m))
+    hist = np.empty((2, n_steps // stride + 2, m))
     c2, c3, c4, wa, wv, a_rows, v_rows = _rk4_coefficients(dt, g1, damped)
     z = np.empty((10 if damped else 6, m))
     state = z[:2]
@@ -149,7 +153,7 @@ def run_numpy(a0, adot0, dt, n_steps, stride, ceiling, use_verlet, galerkin, g1=
     add, mul = np.add, np.multiply
     stage2, stage3, stage4, inc_of_a, inc_of_v = c2.dot, c3.dot, c4.dot, wa.dot, wv.dot
     screen = _divergence_screen(ceiling)
-    hist[0] = state
+    hist[:, 0] = state
     n_rec = 1
     diverged_step = -1
     if use_verlet:
@@ -188,15 +192,15 @@ def run_numpy(a0, adot0, dt, n_steps, stride, ceiling, use_verlet, galerkin, g1=
         # verdict is the one recorded.
         if not flat.dot(flat) <= screen:
             if not np.all(np.isfinite(state)) or np.max(np.abs(state[0])) > ceiling:
-                hist[n_rec] = state
+                hist[:, n_rec] = state
                 n_rec += 1
                 diverged_step = step
                 break
         if step % stride == 0:
-            hist[n_rec] = state
+            hist[:, n_rec] = state
             n_rec += 1
     # Recorded steps are 0, stride, 2 stride, ..., and the diverged step.
     rec_steps = np.arange(n_rec, dtype=np.int64) * stride
     if diverged_step >= 0:
         rec_steps[-1] = diverged_step
-    return hist[:n_rec, 0].copy(), hist[:n_rec, 1].copy(), rec_steps, diverged_step
+    return hist[0, :n_rec], hist[1, :n_rec], rec_steps, diverged_step

@@ -265,14 +265,19 @@ def potential_batch(coeffs: np.ndarray, op: OperatorSpec, nl: NonlinearitySpec) 
     """Potential values for a batch of coefficient rows, vectorized.
 
     Phi(x) = int_0^1 <F(s x), x> ds; closed forms for the built-in kinds,
-    and grid quadrature of the table's ``Phi`` for the custom kind.
+    and grid quadrature of the table's ``Phi`` for the custom kind.  The
+    built-in kinds take ``|u|^p`` in place on the grid values, with no
+    further array of their size.
     """
     c = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
     if nl.kind == LINEAR:
         return 0.5 * np.sum(c * c, axis=1)
     u = modes_to_grid(c, op)
     if nl.kind in (POWER_LAW, CUBIC):
-        return (np.abs(u) ** nl.p @ op.weights) / nl.p
+        # ``**=`` takes the same scalar-exponent path as ``**``, bit for bit.
+        np.abs(u, out=u)
+        u **= nl.p
+        return (u @ op.weights) / nl.p
     return nl.table.Phi(u) @ op.weights
 
 

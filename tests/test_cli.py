@@ -19,7 +19,7 @@ import pytest
 
 import wavegalerkin
 from wavegalerkin import cli
-from wavegalerkin.cli import CSV_COLUMNS
+from wavegalerkin.cli import CSV_BLOCK_ROWS, CSV_COLUMNS
 from wavegalerkin.config import ConfigError, load_config, resolve_initial
 from wavegalerkin.estimates import EnergyTable, derive_decay, derive_gronwall, monitor
 from wavegalerkin.nonlinearity import verify_conditions
@@ -825,6 +825,73 @@ def test_failed_write_exits_3_and_leaves_no_temp_file(tmp_path, capsys, monkeypa
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+def test_streamed_write_that_raises_part_way_keeps_the_old_file(tmp_path):
+    # The chunks go into the temp file as they come; when the iterator
+    # raises, the temp file goes and the target keeps its old bytes.
+    target = tmp_path / "trajectory.csv"
+    target.write_bytes(b"old bytes\n")
+    written = []
+
+    def chunks():
+        yield "t,energy\n"
+        yield "1,2\n" * (1 << 18)  # 1 MiB, past the writer's buffer
+        written.extend(p.stat().st_size for p in tmp_path.glob("*.tmp"))
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        cli._write_atomic(target, chunks())
+    assert written and written[0] >= 1 << 20
+    assert target.read_bytes() == b"old bytes\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+# Long stride-1 runs whose sample histories dwarf every fixed cost: a forced
+# periodic cubic (8.2 MB of history) and a custom table (3.8 MB).
+_TABLE_R = np.linspace(-10.0, 10.0, 401)
+MEMORY_CONFIGS = {
+    "forced_cubic": dict(
+        domain={"length": 1.0, "bc": "periodic_mean_zero"},
+        modes=32,
+        forcing={"kind": "affine", "g0": 0.5, "g1": 0.05, "g2": 0.05, "constant": 0.5},
+        initial={"x0": {"type": "sine", "wavenumber": 1, "amplitude": 0.8}, "x1": {"type": "zero"}},
+        time={"T": 16.0, "dt": 1e-3, "sample_stride": 1},
+    ),
+    "custom_table": dict(
+        modes=24,
+        nonlinearity={
+            "kind": "custom",
+            "p": 4.0,
+            "a0": 1.0,
+            "a1": 0.003,
+            "b0": 1.0,
+            "b1": 0.0,
+            "table": {"r": _TABLE_R.tolist(), "f": (3.0 * _TABLE_R**2).tolist()},
+        },
+        time={"T": 10.0, "dt": 1e-3, "sample_stride": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(MEMORY_CONFIGS))
+def test_run_peak_memory_is_its_history_plus_columns(tmp_path, capsys, name):
+    # Past stepping, a run holds its history, the energy columns and one
+    # block of rows; a history copy, a whole-history grid field or the
+    # whole CSV text each would break the bound (the peak was 4.1 and 8.3
+    # times the history when all were held).
+    cfg = make_cfg(tmp_path, **MEMORY_CONFIGS[name])
+    path = write_cfg(tmp_path, cfg)
+    rc = load_config(path)
+    history = (rc.solver.n_steps // rc.solver.sample_stride + 2) * 2 * rc.modes * 8
+    tracemalloc.start()
+    try:
+        code = cli.main(["run", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr()
+    assert peak <= 1.5 * history + (1 << 20), (peak, history)
+
+
 def test_parser_is_built_once_and_keeps_no_options_between_calls(tmp_path, capsys, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "cmd_converge", lambda rc, *args: seen.append(("converge",) + args) or 0)
@@ -862,16 +929,18 @@ def _reference_csv_text(tbl, bounds):
 SPECIAL_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -1 / 3, 1e16, 123456789.0]
 
 
+# Row counts at the edges of the writer's blocks, and one of two blocks.
+@pytest.mark.parametrize("n", [1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 400])
 @pytest.mark.parametrize("envelope", [True, False])
 @pytest.mark.parametrize("decay", [True, False])
-def test_csv_text_matches_the_per_value_formatter(monkeypatch, envelope, decay):
+def test_csv_text_matches_the_per_value_formatter(monkeypatch, envelope, decay, n):
     rng = np.random.default_rng(8)
-    n = 400
+    special = SPECIAL_VALUES[:n]
 
     def column():
         # random bit patterns: every exponent, subnormals, and NaN payloads
         c = rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64).copy()
-        c[rng.choice(n, len(SPECIAL_VALUES), replace=False)] = SPECIAL_VALUES
+        c[rng.choice(n, len(special), replace=False)] = special
         return c
 
     tbl = EnergyTable(t=column(), kinetic=column(), potential=column(), energy=column(), by_norm_sq=column(), forcing_power=column())
@@ -881,7 +950,10 @@ def test_csv_text_matches_the_per_value_formatter(monkeypatch, envelope, decay):
         "identity_residual": column(),
     }
     monkeypatch.setattr(cli, "sample_table", lambda traj, gp, dp: bounds)
-    text = cli._csv_text(SimpleNamespace(energy=tbl), None, None)
+    chunks = list(cli._csv_text(SimpleNamespace(energy=tbl), None, None))
+    # the header, then one chunk per block of rows
+    assert len(chunks) == 1 + -(-n // CSV_BLOCK_ROWS)
+    text = "".join(chunks)
     assert text == _reference_csv_text(tbl, bounds)
     rows = text.splitlines()[1:]
     assert len(rows) == n and all(r.count(",") == len(CSV_COLUMNS) - 1 for r in rows)

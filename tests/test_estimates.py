@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from wavegalerkin.estimates import (
+    BLOCK_ROWS,
     CONSERVATION_REL,
     IDENTITY_SCALE,
     DecayParams,
@@ -26,12 +27,15 @@ from wavegalerkin.estimates import (
 from wavegalerkin.nonlinearity import (
     affine_forcing,
     cubic_nonlinearity,
+    custom_nonlinearity,
+    forcing_modal_batch,
     linear_nonlinearity,
     power_law_nonlinearity,
+    tabulated_f,
     zero_forcing,
 )
 from wavegalerkin.solver import SolverConfig, State, initial_state_from_modal, integrate, project_initial_data
-from wavegalerkin.spectral import DIRICHLET, DomainSpec, build_operator
+from wavegalerkin.spectral import DIRICHLET, FFT_MIN_MODES, PERIODIC_MEAN_ZERO, DomainSpec, build_operator, modes_to_grid
 
 
 def _energy_record(state, op, nl, fs):
@@ -331,3 +335,63 @@ def test_sample_table_columns(op8):
     cols2 = sample_table(cons, derive_gronwall(cons.nl, cons.fs, op8, rec), dp)
     assert cols2["decay_bound"] is not None
     assert cols2["decay_bound"][0] == pytest.approx(cons.energy.by_norm_sq[0], abs=1e-12)
+
+
+# energy_table as one set of formulas over the whole history, as it was
+# before it filled its columns a block of rows at a time.
+def _one_shot_energy_table(op, nl, fs, a_hist, adot_hist):
+    lam = op.eigenvalues
+    u_min = u_max = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        kinetic = 0.5 * np.sum(adot_hist * adot_hist / lam[None, :], axis=1)
+        by_norm_sq = np.sum(a_hist * a_hist / lam[None, :], axis=1)
+        u = modes_to_grid(a_hist, op)
+        if nl.table is not None:
+            potential = nl.table.Phi(u) @ op.weights
+            u_min, u_max = u.min(axis=1), u.max(axis=1)
+        else:
+            potential = (np.abs(u) ** nl.p @ op.weights) / nl.p
+        g = forcing_modal_batch(fs, op, a_hist, adot_hist)
+        forcing_power = np.sum(g * adot_hist / lam[None, :], axis=1)
+        energy = kinetic + potential
+    return {
+        "kinetic": kinetic,
+        "potential": potential,
+        "energy": energy,
+        "by_norm_sq": by_norm_sq,
+        "forcing_power": forcing_power,
+        "u_min": u_min,
+        "u_max": u_max,
+    }
+
+
+_R = np.linspace(-40.0, 40.0, 801)
+BLOCKED_KINDS = {
+    "cubic": (DIRICHLET, 16, cubic_nonlinearity()),
+    "power_law": (PERIODIC_MEAN_ZERO, 32, power_law_nonlinearity(3.5)),
+    "custom_table": (DIRICHLET, 24, custom_nonlinearity(tabulated_f(_R, 3.0 * _R * _R), 4.0, 1.0, 1.0, 1.0, 0.0)),
+    "fft": (DIRICHLET, FFT_MIN_MODES, cubic_nonlinearity()),
+}
+
+
+@pytest.mark.parametrize("forcing", ["zero", "damped_affine"])
+@pytest.mark.parametrize("kind", list(BLOCKED_KINDS))
+@pytest.mark.parametrize("samples", [1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7])
+def test_blocked_energy_table_has_the_bits_of_the_one_shot_formulas(kind, forcing, samples):
+    bc, m, nl = BLOCKED_KINDS[kind]
+    op = build_operator(DomainSpec(length=1.0, bc=bc), m)
+    fs = zero_forcing() if forcing == "zero" else affine_forcing(g1=0.3, g2=0.2, constant=0.5, g0=0.6)
+    rng = np.random.default_rng(samples)
+    decay = 1.0 / np.arange(1, m + 1)
+    a_hist = rng.standard_normal((samples, m)) * decay
+    adot_hist = rng.standard_normal((samples, m)) * decay * np.sqrt(op.eigenvalues)
+    t = np.arange(samples) * 1e-3
+    got = energy_table(op, nl, fs, t, a_hist, adot_hist)
+    want = _one_shot_energy_table(op, nl, fs, a_hist, adot_hist)
+    assert np.array_equal(got.t, t)
+    for name, col in want.items():
+        if col is None:
+            assert getattr(got, name) is None, name
+        else:
+            assert np.array_equal(getattr(got, name), col), name
+    assert (got.u_min is not None) == (kind == "custom_table")
