@@ -28,8 +28,6 @@ import numpy as np
 from .config import ConfigError, RunConfig, _check_history, load_config, resolve_initial
 from .estimates import (
     BLOCK_ROWS,
-    DecayParams,
-    GronwallParams,
     absorbing_radius,
     derive_decay,
     derive_gronwall,
@@ -132,16 +130,17 @@ def _num(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _csv_text(traj: Trajectory, gp: GronwallParams | None, dp: DecayParams | None) -> Iterator[str]:
+def _csv_text(traj: Trajectory, bounds: dict[str, np.ndarray | None]) -> Iterator[str]:
     """The CSV text: the header, then one chunk per :data:`CSV_BLOCK_ROWS` rows.
 
+    The energy columns, then the bound columns of
+    :func:`~wavegalerkin.estimates.sample_table` that the monitors judged.
     One ``%.17g`` row format over Python-float columns; an absent bound
     column stays empty.  Python floats format fastest.  :func:`_write_atomic`
     writes each chunk as it comes, so a run's peak memory is its history
     plus the energy columns and one block, never the whole file's text.
     """
     tbl = traj.energy
-    bounds = sample_table(traj, gp, dp)
     cols = [tbl.t, tbl.energy, tbl.kinetic, tbl.potential, tbl.by_norm_sq, tbl.forcing_power]
     cols += [bounds["gronwall_envelope"], bounds["decay_bound"], bounds["identity_residual"]]
     row = ",".join("%.17g" if c is not None else "" for c in cols) + "\n"
@@ -150,6 +149,14 @@ def _csv_text(traj: Trajectory, gp: GronwallParams | None, dp: DecayParams | Non
     for i in range(0, len(tbl), CSV_BLOCK_ROWS):
         rows = zip(*(c[i : i + CSV_BLOCK_ROWS].tolist() for c in cols))
         yield "".join(row % r for r in rows)
+
+
+def _remove(path: Path) -> None:
+    """Remove an earlier run's artifact at ``path``, if there is one."""
+    try:
+        path.unlink(missing_ok=True)
+    except OSError as e:
+        raise OutputError(f"cannot remove {path}: {e.strerror or e}") from e
 
 
 def _verification(rc: RunConfig):
@@ -180,22 +187,25 @@ def cmd_run(rc: RunConfig) -> int:
     if not passed:
         # No trajectory was produced, so an earlier run's CSV must not stay
         # next to this report.
-        try:
-            csv_path.unlink(missing_ok=True)
-        except OSError as e:
-            raise OutputError(f"cannot remove {csv_path}: {e.strerror or e}") from e
+        _remove(csv_path)
         _write_atomic(report_path, _json({"verification": ver_report, "monitor": None}) + "\n")
         print(f"verification failed; report at {report_path}")
         return EXIT_VIOLATION
 
     init = resolve_initial(rc, op)
     traj = integrate(init.state, rc.solver, op, rc.nl, rc.fs)
-    row0 = traj.energy.row(0)
-    gp = derive_gronwall(rc.nl, rc.fs, op, row0)
-    dp = derive_decay(rc.nl, rc.fs, op, row0)
-    rep = monitor(traj, gp, dp)
+    e0 = float(traj.energy.energy[0])
+    if not math.isfinite(2.0 * e0):
+        # No bound starts from it, so no earlier run's artifacts may stay.
+        _remove(csv_path)
+        _remove(report_path)
+        raise ConfigError(f"the initial data x0, x1 have energy E(0) = {e0:g}; the bounds need 2E(0) to be a finite float")
+    gp = derive_gronwall(rc.nl, rc.fs, op, e0)
+    dp = derive_decay(rc.nl, rc.fs, op, e0)
+    bounds = sample_table(traj, gp, dp)
+    rep = monitor(traj, bounds)
 
-    _write_atomic(csv_path, _csv_text(traj, gp, dp))
+    _write_atomic(csv_path, _csv_text(traj, bounds))
     ball = None
     if dp is not None:
         sup_by = float(np.max(traj.energy.by_norm_sq))

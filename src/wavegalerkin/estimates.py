@@ -13,12 +13,12 @@ apply, and each check has one fixed tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .nonlinearity import ZERO, ForcingSpec, NonlinearitySpec, forcing_modal_batch, potential_batch
+from .nonlinearity import ZERO, ForcingSpec, NonlinearitySpec, forcing_modal_batch, potential_batch, worst_margin
 from .spectral import OperatorSpec, modes_to_grid
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -26,7 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "DecayParams",
-    "EnergyRecord",
     "EnergyTable",
     "GronwallParams",
     "MonitorCheck",
@@ -64,30 +63,16 @@ BLOCK_ROWS = 384
 TABLE_RANGE_NOTE = "checked at the recorded samples only, not at the steps between them"
 
 
-@dataclass(frozen=True)
-class EnergyRecord:
-    """Energy split at one sample time.
+@dataclass(frozen=True, eq=False)
+class EnergyTable:
+    """The energy split of every sample, one column per quantity.
 
     ``kinetic`` is (1/2)*sum(adot_k^2/lambda_k), ``potential`` is Phi(x),
     ``by_norm_sq`` is sum(a_k^2/lambda_k), and ``forcing_power`` is the
     pairing <g, y_t> = sum(g_k*adot_k/lambda_k).  Entries are finite except
-    on the terminal sample of a diverged trajectory.
-    """
-
-    t: float
-    kinetic: float
-    potential: float
-    energy: float
-    by_norm_sq: float
-    forcing_power: float
-
-
-@dataclass(frozen=True, eq=False)
-class EnergyTable:
-    """Columnar energy records for a whole trajectory.
-
-    For a tabulated ``F`` it also holds each sample's least and largest grid
-    value, ``u_min`` and ``u_max``, which the table's range check reads.
+    on the terminal sample of a diverged trajectory.  For a tabulated ``F``
+    it also holds each sample's least and largest grid value, ``u_min`` and
+    ``u_max``, which the table's range check reads.
     """
 
     t: np.ndarray
@@ -101,16 +86,6 @@ class EnergyTable:
 
     def __len__(self) -> int:
         return int(self.t.shape[0])
-
-    def row(self, i: int) -> EnergyRecord:
-        return EnergyRecord(
-            t=float(self.t[i]),
-            kinetic=float(self.kinetic[i]),
-            potential=float(self.potential[i]),
-            energy=float(self.energy[i]),
-            by_norm_sq=float(self.by_norm_sq[i]),
-            forcing_power=float(self.forcing_power[i]),
-        )
 
 
 def _row_blocks(n: int):
@@ -209,9 +184,9 @@ def derive_gronwall(
     nl: NonlinearitySpec,
     fs: ForcingSpec,
     op: OperatorSpec,
-    initial: EnergyRecord,
+    e0: float,
 ) -> GronwallParams:
-    """Envelope constants from the structural constants and initial energy.
+    """Envelope constants from the structural constants and the initial energy ``e0``.
 
     Young's inequality on the forcing power gives ``C0 = max(2*c_tilde*g1^2,
     4*g2^2 + 2)`` and ``C1 = 2*g1^2*c_tilde + 2*g0^2`` with ``c_tilde =
@@ -222,7 +197,7 @@ def derive_gronwall(
         raise ValueError("coercivity constant b0 must be positive")
     c_emb = embedding_constant(op, nl.p)
     c_tilde = c_emb * c_emb * max(nl.p / nl.b0, 1.0)
-    e_init = 2.0 * initial.energy
+    e_init = 2.0 * e0
     if fs.kind == ZERO:
         return GronwallParams(C0=0.0, C1=0.0, c_tilde=c_tilde, E_init=e_init)
     c0 = max(2.0 * c_tilde * fs.g1 ** 2, 4.0 * fs.g2 ** 2 + 2.0)
@@ -307,8 +282,8 @@ def _delta_cap(k: float, r: float, big_c: float) -> float:
     return (k - 1.0) / scale if scale > 0.0 else math.inf
 
 
-def derive_decay(nl: NonlinearitySpec, fs: ForcingSpec, op: OperatorSpec, initial: EnergyRecord) -> DecayParams | None:
-    """Decay constants for the unforced coercive case, with ``k = 2``.
+def derive_decay(nl: NonlinearitySpec, fs: ForcingSpec, op: OperatorSpec, e0: float) -> DecayParams | None:
+    """Decay constants for the unforced coercive case from the initial energy ``e0``, with ``k = 2``.
 
     ``c = 2/(p c_emb^p)``, and ``delta`` is half of ``min((k-1)/(k^r C^r),
     1/2)`` (all of it when ``C = 0``), capped by ``c/2^(r-1)`` so the
@@ -322,7 +297,7 @@ def derive_decay(nl: NonlinearitySpec, fs: ForcingSpec, op: OperatorSpec, initia
     if fs.kind != ZERO or nl.p <= 2.0:
         return None
     r = nl.p / 2.0
-    big_c = 2.0 * initial.energy
+    big_c = 2.0 * e0
     cap = _delta_cap(2.0, r, big_c) if big_c > 0.0 else math.inf
     if cap == 0.0:
         return None
@@ -416,22 +391,9 @@ class MonitorReport:
             "passed": self.passed,
             "diverged": self.diverged,
             "diverged_at": self.diverged_at,
-            "checks": [_check_dict(c) for c in self.checks],
+            # a check's fields in order; ``note`` only when it says something
+            "checks": [{k: v for k, v in asdict(c).items() if k != "note" or v is not None} for c in self.checks],
         }
-
-
-def _check_dict(c: MonitorCheck) -> dict:
-    out = {
-        "name": c.name,
-        "passed": c.passed,
-        "worst_violation": c.worst_violation,
-        "t_worst": c.t_worst,
-        "tolerance": c.tolerance,
-        "samples": c.samples,
-    }
-    if c.note is not None:
-        out["note"] = c.note
-    return out
 
 
 def identity_residuals(tbl: EnergyTable) -> np.ndarray:
@@ -448,21 +410,6 @@ def identity_residuals(tbl: EnergyTable) -> np.ndarray:
     return res
 
 
-def worst_margin(viol, allowed) -> tuple[int, float, float, bool]:
-    """Sample with the largest ``viol - allowed``, as (index, violation, tolerance, passed).
-
-    A NaN or +inf margin is an unbounded violation (a NaN one reported as
-    +inf); a -inf margin, a finite value under an infinite bound, holds.
-    """
-    viol = np.asarray(viol, dtype=np.float64)
-    allowed = np.broadcast_to(np.asarray(allowed, dtype=np.float64), viol.shape)
-    margin = viol - allowed
-    margin = np.where(np.isnan(margin), np.inf, margin)
-    i = int(np.argmax(margin))
-    worst = math.inf if math.isnan(viol[i]) else float(viol[i])
-    return i, worst, float(allowed[i]), bool(margin[i] <= 0.0)
-
-
 def _per_sample_check(name: str, t, viol, allowed, note: str | None = None) -> MonitorCheck:
     i, worst, tolerance, passed = worst_margin(viol, allowed)
     return MonitorCheck(
@@ -476,16 +423,32 @@ def _per_sample_check(name: str, t, viol, allowed, note: str | None = None) -> M
     )
 
 
-def monitor(traj: "Trajectory", gp: GronwallParams, dp: DecayParams | None = None) -> MonitorReport:
-    """Check a sampled trajectory against the identity and every bound that applies.
+def sample_table(traj: "Trajectory", gp: GronwallParams, dp: DecayParams | None) -> dict[str, np.ndarray | None]:
+    """The per-sample bound columns, aligned with the trajectory's samples.
+
+    This is the one evaluation of the bounds: the CSV writes these columns
+    and :func:`monitor` judges them.  ``decay_bound`` is ``None`` exactly
+    when ``dp`` is, that is, when :func:`derive_decay` found no decay bound.
+    """
+    tbl = traj.energy
+    return {
+        "gronwall_envelope": gronwall_envelope(gp, tbl.t),
+        "decay_bound": None if dp is None else decay_bound(dp, float(tbl.by_norm_sq[0]), tbl.t),
+        "identity_residual": identity_residuals(tbl),
+    }
+
+
+def monitor(traj: "Trajectory", bounds: dict[str, np.ndarray | None]) -> MonitorReport:
+    """Judge a sampled trajectory by the identity and the bound columns of :func:`sample_table`.
 
     The problem alone picks the checks, each with its fixed tolerance:
 
-    - ``energy_identity``: trapezoid residual of the energy identity, always,
-    - ``gronwall``: ``2E`` below :func:`gronwall_envelope`, which starts at
-      ``E_init = 2E(0)`` (forced runs),
+    - ``energy_identity``: the ``identity_residual`` column, always,
+    - ``gronwall``: ``2E`` below the ``gronwall_envelope`` column, which
+      starts at ``E_init = 2E(0)`` (forced runs),
     - ``conservation``: |E - E(0)| small (unforced runs),
-    - ``decay``: ||By||^2 below :func:`decay_bound` (unforced runs, given ``dp``),
+    - ``decay``: ||By||^2 below the ``decay_bound`` column (unforced runs
+      that have one),
     - ``table_range``: every grid value of every sample within the range on
       which a tabulated ``F``'s conditions were decided (custom ``F``).  It
       sees the recorded samples only, not the steps between them.
@@ -495,16 +458,16 @@ def monitor(traj: "Trajectory", gp: GronwallParams, dp: DecayParams | None = Non
     tbl = traj.energy
     t = tbl.t
     e0 = float(tbl.energy[0])
-    results = [_per_sample_check("energy_identity", t, identity_residuals(tbl), IDENTITY_SCALE * (1.0 + abs(e0)))]
+    results = [_per_sample_check("energy_identity", t, bounds["identity_residual"], IDENTITY_SCALE * (1.0 + abs(e0)))]
     if traj.fs.kind != ZERO:
-        env = gronwall_envelope(gp, t)
+        env = bounds["gronwall_envelope"]
         viol = 2.0 * tbl.energy - env
         results.append(_per_sample_check("gronwall", t, viol, ENVELOPE_REL * np.abs(env)))
     else:
         viol = np.abs(tbl.energy - e0)
         results.append(_per_sample_check("conservation", t, viol, CONSERVATION_REL * abs(e0)))
-        if dp is not None:
-            bound = decay_bound(dp, float(tbl.by_norm_sq[0]), t)
+        bound = bounds["decay_bound"]
+        if bound is not None:
             viol = tbl.by_norm_sq - bound
             results.append(_per_sample_check("decay", t, viol, DECAY_REL * np.abs(bound)))
     if tbl.u_min is not None:
@@ -513,22 +476,3 @@ def monitor(traj: "Trajectory", gp: GronwallParams, dp: DecayParams | None = Non
         results.append(_per_sample_check("table_range", t, reach, 0.0, note=TABLE_RANGE_NOTE))
 
     return MonitorReport(checks=tuple(results), diverged=traj.diverged, diverged_at=traj.diverged_at)
-
-
-def sample_table(
-    traj: "Trajectory",
-    gp: GronwallParams | None = None,
-    dp: DecayParams | None = None,
-) -> dict[str, np.ndarray | None]:
-    """Per-sample bound columns aligned with the trajectory, for CSV output."""
-    tbl = traj.energy
-    out: dict[str, np.ndarray | None] = {
-        "gronwall_envelope": None,
-        "decay_bound": None,
-        "identity_residual": identity_residuals(tbl),
-    }
-    if gp is not None:
-        out["gronwall_envelope"] = np.asarray(gronwall_envelope(gp, tbl.t))
-    if dp is not None and traj.fs.kind == ZERO:
-        out["decay_bound"] = np.asarray(decay_bound(dp, float(tbl.by_norm_sq[0]), tbl.t))
-    return out

@@ -371,18 +371,32 @@ def _builtin_checks(nl: NonlinearitySpec, c: float) -> tuple[ConditionCheck, ...
     return tuple(checks)
 
 
+def worst_margin(viol, allowed) -> tuple[int, float, float, bool]:
+    """Sample with the largest ``viol - allowed``, as (index, violation, tolerance, passed).
+
+    A NaN or +inf margin is an unbounded violation (a NaN one reported as
+    +inf); a -inf margin, a finite value under an infinite bound, holds.
+    """
+    viol = np.asarray(viol, dtype=np.float64)
+    allowed = np.broadcast_to(np.asarray(allowed, dtype=np.float64), viol.shape)
+    margin = viol - allowed
+    margin = np.where(np.isnan(margin), np.inf, margin)
+    i = int(np.argmax(margin))
+    worst = math.inf if math.isnan(viol[i]) else float(viol[i])
+    return i, worst, float(allowed[i]), bool(margin[i] <= 0.0)
+
+
 def _decided(name: str, u: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, at_most: bool) -> ConditionCheck:
     """Decide ``lhs <= rhs`` (``at_most``) or ``lhs >= rhs`` from its values at every candidate ``u``.
 
     Both sides are capped at a quarter of the largest float, so that a side
     that overflows still dominates a finite other side, and their
-    difference and the slack stay finite.
+    difference and the slack stay finite: the only non-finite margin is a
+    NaN, and the first one, if any, is the failing witness.
     """
     big = 0.25 * sys.float_info.max
     left, right = np.clip(lhs, -big, big), np.minimum(rhs, big)
-    margin = (left - right if at_most else right - left) - RELATIVE_SLACK * (1.0 + right)
-    i = int(np.argmax(margin))  # the first NaN, if any: it fails
-    passed = bool(margin[i] <= 0.0)
+    i, _, _, passed = worst_margin(left - right if at_most else right - left, RELATIVE_SLACK * (1.0 + right))
     return ConditionCheck(name, passed, None if passed else _witness(u[i], lhs[i], rhs[i]))
 
 

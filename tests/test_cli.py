@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 import wavegalerkin
-from wavegalerkin import cli
+from wavegalerkin import cli, estimates
 from wavegalerkin.cli import CSV_BLOCK_ROWS, CSV_COLUMNS
 from wavegalerkin.config import ConfigError, load_config, resolve_initial
-from wavegalerkin.estimates import EnergyTable, derive_decay, derive_gronwall, monitor
+from wavegalerkin.estimates import EnergyTable, derive_decay, derive_gronwall, monitor, sample_table
 from wavegalerkin.nonlinearity import verify_conditions
 from wavegalerkin.solver import integrate
 from wavegalerkin.spectral import build_operator
@@ -206,6 +206,23 @@ def test_refused_run_removes_the_previous_csv(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == f"output error: cannot remove {csv_path}: Permission denied\n"
 
 
+def test_initial_energy_past_the_float_range_exits_3_and_leaves_no_artifact(tmp_path, capsys):
+    # E(0) of a parabola with amplitude 1e100 under the cubic F overflows a
+    # float: no bound starts from it, and no earlier run's CSV or report may
+    # stay at the paths.
+    good = write_cfg(tmp_path, make_cfg(tmp_path, time={"T": 0.01, "dt": 1e-3}))
+    assert cli.main(["run", good]) == 0
+    assert (tmp_path / "trajectory.csv").exists() and (tmp_path / "report.json").exists()
+    initial = {"x0": {"type": "parabola", "amplitude": 1e100}, "x1": {"type": "zero"}}
+    bad = write_cfg(tmp_path, make_cfg(tmp_path, initial=initial, time={"T": 0.01, "dt": 1e-3}), name="bad.json")
+    capsys.readouterr()
+    assert cli.main(["run", bad]) == 3
+    err = capsys.readouterr().err
+    assert err == "config error: the initial data x0, x1 have energy E(0) = inf; the bounds need 2E(0) to be a finite float\n"
+    assert not (tmp_path / "trajectory.csv").exists()
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_run_artifacts(tmp_path):
     assert cli.main(["run", write_cfg(tmp_path, make_cfg(tmp_path))]) == 0
     header, rows = read_rows(tmp_path / "trajectory.csv")
@@ -261,6 +278,42 @@ def test_run_affine_has_no_decay_column(tmp_path):
     assert rep["decay_params"] is None
     assert rep["gronwall_params"]["C0"] > 0.0
     assert [c["name"] for c in rep["monitor"]["checks"]] == ["energy_identity", "gronwall"]
+
+
+# The worst violation of each check, recomputed from a CSV row.
+CSV_VIOLATION = {
+    "gronwall": lambda row: 2.0 * float(row["energy"]) - float(row["gronwall_envelope"]),
+    "decay": lambda row: float(row["By_norm_sq"]) - float(row["decay_bound"]),
+    "energy_identity": lambda row: float(row["identity_residual"]),
+}
+
+
+@pytest.mark.parametrize(
+    "forcing, judged",
+    [({"kind": "zero"}, ["energy_identity", "decay"]), ({"kind": "affine", "g1": 0.1, "g2": 0.1, "g0": 0.1}, ["energy_identity", "gronwall"])],
+    ids=["unforced", "forced"],
+)
+def test_the_verdict_judges_the_csv_numbers(tmp_path, monkeypatch, forcing, judged):
+    # One run evaluates each bound once, and the monitors judge the very
+    # numbers the CSV writes: %.17g round-trips, so they compare with ==.
+    calls = dict.fromkeys(["identity_residuals", "gronwall_envelope", "decay_bound"], 0)
+    for name in calls:
+
+        def spy(*args, _name=name, _fn=getattr(estimates, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(estimates, name, spy)
+    assert cli.main(["run", write_cfg(tmp_path, make_cfg(tmp_path, forcing=forcing))]) == 0
+    assert calls == {"identity_residuals": 1, "gronwall_envelope": 1, "decay_bound": int("decay" in judged)}
+
+    _, rows = read_rows(tmp_path / "trajectory.csv")
+    by_t = {float(r["t"]): r for r in rows}
+    checks = json.loads((tmp_path / "report.json").read_text())["monitor"]["checks"]
+    checks = [c for c in checks if c["name"] in CSV_VIOLATION]
+    assert [c["name"] for c in checks] == judged
+    for c in checks:
+        assert c["worst_violation"] == CSV_VIOLATION[c["name"]](by_t[c["t_worst"]]), c["name"]
 
 
 def _cubic_table(reach, entries=201):
@@ -426,8 +479,8 @@ def test_runtime_monitor_catches_a_falsified_table(tmp_path):
     rc = load_config(path)
     op = build_operator(rc.domain, rc.modes)
     traj = integrate(resolve_initial(rc, op).state, rc.solver, op, rc.nl, rc.fs)
-    row0 = traj.energy.row(0)
-    report = monitor(traj, derive_gronwall(rc.nl, rc.fs, op, row0), derive_decay(rc.nl, rc.fs, op, row0))
+    e0 = float(traj.energy.energy[0])
+    report = monitor(traj, sample_table(traj, derive_gronwall(rc.nl, rc.fs, op, e0), derive_decay(rc.nl, rc.fs, op, e0)))
     assert [c.name for c in report.checks if not c.passed] == ["decay", "table_range"]
 
 
@@ -933,7 +986,7 @@ SPECIAL_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -
 @pytest.mark.parametrize("n", [1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 400])
 @pytest.mark.parametrize("envelope", [True, False])
 @pytest.mark.parametrize("decay", [True, False])
-def test_csv_text_matches_the_per_value_formatter(monkeypatch, envelope, decay, n):
+def test_csv_text_matches_the_per_value_formatter(envelope, decay, n):
     rng = np.random.default_rng(8)
     special = SPECIAL_VALUES[:n]
 
@@ -949,8 +1002,7 @@ def test_csv_text_matches_the_per_value_formatter(monkeypatch, envelope, decay, 
         "decay_bound": column() if decay else None,
         "identity_residual": column(),
     }
-    monkeypatch.setattr(cli, "sample_table", lambda traj, gp, dp: bounds)
-    chunks = list(cli._csv_text(SimpleNamespace(energy=tbl), None, None))
+    chunks = list(cli._csv_text(SimpleNamespace(energy=tbl), bounds))
     # the header, then one chunk per block of rows
     assert len(chunks) == 1 + -(-n // CSV_BLOCK_ROWS)
     text = "".join(chunks)

@@ -39,8 +39,12 @@ from wavegalerkin.spectral import DIRICHLET, FFT_MIN_MODES, PERIODIC_MEAN_ZERO, 
 
 
 def _energy_record(state, op, nl, fs):
-    """Energy split of one state: the single row of its energy table."""
-    return energy_table(op, nl, fs, np.array([state.t]), state.a[None, :], state.adot[None, :]).row(0)
+    """Energy split of one state: its energy table of one row."""
+    return energy_table(op, nl, fs, np.array([state.t]), state.a[None, :], state.adot[None, :])
+
+
+def _initial_energy(state, op, nl, fs):
+    return float(_energy_record(state, op, nl, fs).energy[0])
 
 
 def _parabola_run(op, fs, T, dt, **cfg):
@@ -55,14 +59,15 @@ def test_energy_record_components(op8):
     a[0], adot[0], adot[1] = 0.6, 0.5, 1.2
     fs = affine_forcing(g1=0.2, g2=0.1, g0=0.5)
     rec = _energy_record(State(a=a, adot=adot), op8, cubic_nonlinearity(), fs)
+    assert len(rec) == 1
     lam = op8.eigenvalues
-    assert rec.kinetic == pytest.approx(0.5 * (0.25 / lam[0] + 1.44 / lam[1]), rel=1e-14)
+    assert rec.kinetic[0] == pytest.approx(0.5 * (0.25 / lam[0] + 1.44 / lam[1]), rel=1e-14)
     # Phi for the pure first mode with F(u) = u^3 is amp^4 * (3/2) / 4
-    assert rec.potential == pytest.approx(0.6 ** 4 * 1.5 / 4.0, rel=1e-12)
-    assert rec.energy == pytest.approx(rec.kinetic + rec.potential, rel=1e-14)
-    assert rec.by_norm_sq == pytest.approx(0.36 / lam[0], rel=1e-14)
+    assert rec.potential[0] == pytest.approx(0.6 ** 4 * 1.5 / 4.0, rel=1e-12)
+    assert rec.energy[0] == pytest.approx(rec.kinetic[0] + rec.potential[0], rel=1e-14)
+    assert rec.by_norm_sq[0] == pytest.approx(0.36 / lam[0], rel=1e-14)
     g = 0.2 * a + 0.1 * adot / np.sqrt(lam)
-    assert rec.forcing_power == pytest.approx(float(np.sum(g * adot / lam)), rel=1e-12)
+    assert rec.forcing_power[0] == pytest.approx(float(np.sum(g * adot / lam)), rel=1e-12)
 
 
 def test_embedding_constant_values(op8):
@@ -73,17 +78,17 @@ def test_embedding_constant_values(op8):
 
 
 def test_derive_gronwall_constants(op8):
-    rec = _energy_record(initial_state_from_modal([0.3], [], op8).state, op8, cubic_nonlinearity(), zero_forcing())
-    gp0 = derive_gronwall(cubic_nonlinearity(), zero_forcing(), op8, rec)
+    e0 = _initial_energy(initial_state_from_modal([0.3], [], op8).state, op8, cubic_nonlinearity(), zero_forcing())
+    gp0 = derive_gronwall(cubic_nonlinearity(), zero_forcing(), op8, e0)
     assert (gp0.C0, gp0.C1) == (0.0, 0.0)
     assert gp0.c_tilde == pytest.approx(4.0)
-    assert gp0.E_init == pytest.approx(2.0 * rec.energy, rel=1e-14)
+    assert gp0.E_init == pytest.approx(2.0 * e0, rel=1e-14)
 
-    gp1 = derive_gronwall(cubic_nonlinearity(), affine_forcing(g0=0.3), op8, rec)
+    gp1 = derive_gronwall(cubic_nonlinearity(), affine_forcing(g0=0.3), op8, e0)
     assert gp1.C0 == pytest.approx(2.0)
     assert gp1.C1 == pytest.approx(0.18)
 
-    gp2 = derive_gronwall(cubic_nonlinearity(), affine_forcing(g1=1.0, g2=0.3, g0=0.3), op8, rec)
+    gp2 = derive_gronwall(cubic_nonlinearity(), affine_forcing(g1=1.0, g2=0.3, g0=0.3), op8, e0)
     assert gp2.C0 == pytest.approx(8.0)
     assert gp2.C1 == pytest.approx(8.18)
 
@@ -130,27 +135,24 @@ def test_decay_params_validation():
 
 
 def test_derive_decay_defaults(op16):
-    rec = _energy_record(initial_state_from_modal([0.1], [], op16).state, op16, cubic_nonlinearity(), zero_forcing())
-    dp = derive_decay(cubic_nonlinearity(), zero_forcing(), op16, rec)
+    e0 = _initial_energy(initial_state_from_modal([0.1], [], op16).state, op16, cubic_nonlinearity(), zero_forcing())
+    dp = derive_decay(cubic_nonlinearity(), zero_forcing(), op16, e0)
     assert dp.r == pytest.approx(2.0)
     assert dp.c == pytest.approx(0.5)
-    assert dp.C == pytest.approx(2.0 * rec.energy, rel=1e-14)
+    assert dp.C == pytest.approx(2.0 * e0, rel=1e-14)
     # small initial energy: the default lands on the c/2^(r-1) cap
     assert dp.delta == pytest.approx(0.25)
     # no decay bound exists for forced runs or for p <= 2
-    assert derive_decay(cubic_nonlinearity(), affine_forcing(g0=0.1), op16, rec) is None
-    assert derive_decay(linear_nonlinearity(), zero_forcing(), op16, rec) is None
+    assert derive_decay(cubic_nonlinearity(), affine_forcing(g0=0.1), op16, e0) is None
+    assert derive_decay(linear_nonlinearity(), zero_forcing(), op16, e0) is None
 
 
 def test_derive_decay_at_the_float_range_edges(op16):
     nl = power_law_nonlinearity(50.0)
-    rec = _energy_record(initial_state_from_modal([0.1], [], op16).state, op16, nl, zero_forcing())
     # k^r C^r overflows: no delta > 0 meets the cap, so there is no bound
-    huge = dataclasses.replace(rec, energy=1e30)
-    assert derive_decay(nl, zero_forcing(), op16, huge) is None
+    assert derive_decay(nl, zero_forcing(), op16, 1e30) is None
     # k^r C^r underflows to 0: the cap binds nothing and the c/2^(r-1) cap sets delta
-    tiny = dataclasses.replace(rec, energy=1e-20)
-    dp = derive_decay(nl, zero_forcing(), op16, tiny)
+    dp = derive_decay(nl, zero_forcing(), op16, 1e-20)
     assert dp.delta == pytest.approx(min(0.25, dp.c / 2.0 ** (dp.r - 1.0)), rel=1e-15)
 
 
@@ -204,28 +206,28 @@ def test_monitor_full_pass_covers_every_check(op8):
     names = []
     for fs in (zero_forcing(), affine_forcing(g1=0.1, g2=0.1, g0=0.1)):
         traj = _parabola_run(op8, fs, T=2.0, dt=1e-3)
-        rec = traj.energy.row(0)
-        gp = derive_gronwall(traj.nl, traj.fs, op8, rec)
-        dp = derive_decay(traj.nl, traj.fs, op8, rec)
-        rep = monitor(traj, gp, dp)
+        e0 = float(traj.energy.energy[0])
+        gp = derive_gronwall(traj.nl, traj.fs, op8, e0)
+        dp = derive_decay(traj.nl, traj.fs, op8, e0)
+        rep = monitor(traj, sample_table(traj, gp, dp))
         assert rep.passed and not rep.diverged
         assert all(c.samples == len(traj) for c in rep.checks)
         d = rep.to_dict()
         assert d["passed"] is True and len(d["checks"]) == len(rep.checks)
         names.append([c.name for c in rep.checks])
         by_name = {c.name: c for c in rep.checks}
-        assert by_name["energy_identity"].tolerance == IDENTITY_SCALE * (1.0 + abs(rec.energy))
+        assert by_name["energy_identity"].tolerance == IDENTITY_SCALE * (1.0 + abs(e0))
         if fs.kind == "zero":
-            assert by_name["conservation"].tolerance == CONSERVATION_REL * abs(rec.energy)
+            assert by_name["conservation"].tolerance == CONSERVATION_REL * abs(e0)
     assert names == [["energy_identity", "conservation", "decay"], ["energy_identity", "gronwall"]]
 
 
 def test_monitor_flags_envelope_violation(op8):
     traj = _parabola_run(op8, affine_forcing(g1=0.1, g0=0.1), T=1.0, dt=1e-3)
-    rec = traj.energy.row(0)
-    gp = derive_gronwall(traj.nl, traj.fs, op8, rec)
-    squeezed = dataclasses.replace(gp, E_init=0.5 * rec.energy)
-    rep = monitor(traj, squeezed, None)
+    e0 = float(traj.energy.energy[0])
+    gp = derive_gronwall(traj.nl, traj.fs, op8, e0)
+    squeezed = dataclasses.replace(gp, E_init=0.5 * e0)
+    rep = monitor(traj, sample_table(traj, squeezed, None))
     assert not rep.passed
     check = {c.name: c for c in rep.checks}["gronwall"]
     assert not check.passed
@@ -238,7 +240,7 @@ def test_gronwall_compares_twice_the_energy(op8):
     # 2E crosses it by 1e-6 relative at one sample fails; E itself stays
     # below it by about half.
     traj = _parabola_run(op8, affine_forcing(g1=0.1, g0=0.1), T=1.0, dt=1e-2)
-    gp = derive_gronwall(traj.nl, traj.fs, op8, traj.energy.row(0))
+    gp = derive_gronwall(traj.nl, traj.fs, op8, float(traj.energy.energy[0]))
     env = gronwall_envelope(gp, traj.times)
     i = len(traj) // 2
 
@@ -246,7 +248,7 @@ def test_gronwall_compares_twice_the_energy(op8):
         e = 0.5 * env
         e[i] *= factor
         table = dataclasses.replace(traj, energy=dataclasses.replace(traj.energy, energy=e))
-        return {c.name: c for c in monitor(table, gp, None).checks}["gronwall"]
+        return {c.name: c for c in monitor(table, sample_table(table, gp, None)).checks}["gronwall"]
 
     over = check(1.0 + 1e-6)
     assert not over.passed
@@ -259,19 +261,19 @@ def test_overflowed_envelope_bounds_every_finite_energy_and_nan_still_fails(op8)
     # Past C0 t ~ 709 the envelope is inf, silently: 2E <= inf holds, while a
     # NaN energy is still an unbounded violation.
     traj = _parabola_run(op8, affine_forcing(g1=0.1, g0=0.1), T=1.0, dt=1e-2)
-    gp = dataclasses.replace(derive_gronwall(traj.nl, traj.fs, op8, traj.energy.row(0)), C0=2000.0)
+    gp = dataclasses.replace(derive_gronwall(traj.nl, traj.fs, op8, float(traj.energy.energy[0])), C0=2000.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         env = gronwall_envelope(gp, traj.times)
         assert env[0] == gp.E_init and np.isinf(env[-1])
-        gronwall = {c.name: c for c in monitor(traj, gp, None).checks}["gronwall"]
+        gronwall = {c.name: c for c in monitor(traj, sample_table(traj, gp, None)).checks}["gronwall"]
     assert gronwall.passed and math.isfinite(gronwall.worst_violation)
     e = traj.energy.energy.copy()
     e[len(e) // 2] = np.nan
     table = dataclasses.replace(traj, energy=dataclasses.replace(traj.energy, energy=e))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gronwall = {c.name: c for c in monitor(table, gp, None).checks}["gronwall"]
+        gronwall = {c.name: c for c in monitor(table, sample_table(table, gp, None)).checks}["gronwall"]
     assert not gronwall.passed and gronwall.worst_violation == math.inf
     assert gronwall.t_worst == traj.times[len(e) // 2]
 
@@ -289,10 +291,10 @@ def test_overflowed_envelope_without_initial_energy_or_C1_is_never_nan():
 def test_monitor_single_sample_is_vacuous(op8):
     for fs in (zero_forcing(), affine_forcing(g1=0.1, g0=0.1)):
         traj = _parabola_run(op8, fs, T=0.0, dt=1e-3)
-        rec = traj.energy.row(0)
-        gp = derive_gronwall(traj.nl, traj.fs, op8, rec)
-        dp = derive_decay(traj.nl, traj.fs, op8, rec)
-        rep = monitor(traj, gp, dp)
+        e0 = float(traj.energy.energy[0])
+        gp = derive_gronwall(traj.nl, traj.fs, op8, e0)
+        dp = derive_decay(traj.nl, traj.fs, op8, e0)
+        rep = monitor(traj, sample_table(traj, gp, dp))
         assert rep.passed
         assert len(rep.checks) == (3 if fs.kind == "zero" else 2)
         assert all(c.samples == 1 for c in rep.checks)
@@ -302,37 +304,38 @@ def test_monitor_reports_divergence(op8):
     init = initial_state_from_modal([50.0], [], op8).state
     cfg = SolverConfig(T=1.0, dt=1e-2, blowup_ceiling=1e6)
     traj = integrate(init, cfg, op8, cubic_nonlinearity(), zero_forcing())
-    rec = traj.energy.row(0)
-    gp = derive_gronwall(traj.nl, traj.fs, op8, rec)
-    rep = monitor(traj, gp, None)
+    gp = derive_gronwall(traj.nl, traj.fs, op8, float(traj.energy.energy[0]))
+    rep = monitor(traj, sample_table(traj, gp, None))
     assert rep.diverged and not rep.passed
     assert rep.diverged_at == traj.diverged_at
 
 
 def test_monitor_check_selection_and_forced_skips(op8):
-    # The forcing, not the arguments, selects the checks: a forced run handed
-    # decay constants still skips conservation and decay.
+    # The forcing, not the columns, selects the checks: a forced run handed
+    # a decay column still skips conservation and decay.
     traj = _parabola_run(op8, affine_forcing(g1=0.1, g0=0.1), T=1.0, dt=1e-3)
-    rec = traj.energy.row(0)
-    gp = derive_gronwall(traj.nl, traj.fs, op8, rec)
-    dp = derive_decay(traj.nl, zero_forcing(), op8, rec)
-    rep = monitor(traj, gp, dp)
+    e0 = float(traj.energy.energy[0])
+    gp = derive_gronwall(traj.nl, traj.fs, op8, e0)
+    dp = derive_decay(traj.nl, zero_forcing(), op8, e0)
+    bounds = sample_table(traj, gp, dp)
+    assert bounds["decay_bound"] is not None
+    rep = monitor(traj, bounds)
     assert [c.name for c in rep.checks] == ["energy_identity", "gronwall"]
 
 
 def test_sample_table_columns(op8):
     fs = affine_forcing(g1=0.1, g0=0.1)
     traj = _parabola_run(op8, fs, T=1.0, dt=1e-2)
-    gp = derive_gronwall(traj.nl, traj.fs, op8, traj.energy.row(0))
+    gp = derive_gronwall(traj.nl, traj.fs, op8, float(traj.energy.energy[0]))
     cols = sample_table(traj, gp, None)
     assert cols["decay_bound"] is None
     assert np.allclose(cols["gronwall_envelope"], gronwall_envelope(gp, traj.times), rtol=1e-14)
     assert cols["identity_residual"][0] == 0.0
 
     cons = _parabola_run(op8, zero_forcing(), T=1.0, dt=1e-2)
-    rec = cons.energy.row(0)
-    dp = derive_decay(cons.nl, cons.fs, op8, rec)
-    cols2 = sample_table(cons, derive_gronwall(cons.nl, cons.fs, op8, rec), dp)
+    e0 = float(cons.energy.energy[0])
+    dp = derive_decay(cons.nl, cons.fs, op8, e0)
+    cols2 = sample_table(cons, derive_gronwall(cons.nl, cons.fs, op8, e0), dp)
     assert cols2["decay_bound"] is not None
     assert cols2["decay_bound"][0] == pytest.approx(cons.energy.by_norm_sq[0], abs=1e-12)
 

@@ -19,6 +19,22 @@ def _tracing(monkeypatch):
     return module
 
 
+def _write_cfg(tmp_path, forcing):
+    """A small cubic Dirichlet config with the given forcing, its outputs under ``tmp_path``."""
+    cfg = {
+        "domain": {"length": 1.0, "bc": "dirichlet"},
+        "modes": 8,
+        "nonlinearity": {"kind": "cubic"},
+        "forcing": forcing,
+        "initial": {"x0": {"type": "parabola"}, "x1": {"type": "zero"}},
+        "time": {"T": 0.01, "dt": 1e-3},
+        "output": {"csv_path": str(tmp_path / "trajectory.csv"), "report_path": str(tmp_path / "report.json")},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 def test_every_layer_target_is_a_callable_attribute(monkeypatch):
     # `--trace` and `--self-test` patch these names in place; dropping or
     # renaming one in the program breaks the benchmark, so it fails here.
@@ -32,19 +48,25 @@ def test_verify_of_a_builtin_config_records_both_verifier_spans(monkeypatch, tmp
     # Decided checks run through the same two verifiers as drawn ones, so
     # the benchmark's verification layer sees them instead of cli.self_s.
     tracing = _tracing(monkeypatch)
-    cfg = {
-        "domain": {"length": 1.0, "bc": "dirichlet"},
-        "modes": 8,
-        "nonlinearity": {"kind": "cubic"},
-        "forcing": {"kind": "affine", "g1": 0.1, "g2": 0.1},
-        "initial": {"x0": {"type": "parabola"}, "x1": {"type": "zero"}},
-        "time": {"T": 0.01, "dt": 1e-3},
-    }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path = _write_cfg(tmp_path, {"kind": "affine", "g1": 0.1, "g2": 0.1})
     recorder = tracing.SpanRecorder()
     with tracing.traced(recorder):
         assert cli.main(["verify", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
     names = [span.name for span in recorder.spans]
     assert names.count("cli.verify_conditions") == 1 and names.count("cli.verify_g") == 1
+
+
+def test_a_traced_run_records_each_layer_span_once(monkeypatch, tmp_path, capsys):
+    # The benchmark's per-layer times add up to the run only if every layer
+    # target fires, once: a layer that moves or is dropped shows here.
+    tracing = _tracing(monkeypatch)
+    path = _write_cfg(tmp_path, {"kind": "zero"})
+    recorder = tracing.SpanRecorder()
+    with tracing.traced(recorder):
+        assert cli.main(["run", str(path)]) == 0
+    capsys.readouterr()
+    names = sorted(span.name for span in recorder.spans)
+    targets = tracing.layer_targets()
+    assert len(targets) == 12
+    assert names == sorted(name for _, _, name in targets)
