@@ -2,7 +2,8 @@
 """Microseconds per step of the stepping loop at each benchmark workload's shape.
 
 Times ``kernels.run_numpy`` with the Galerkin term and forcing coefficients
-that ``solver._stepping_terms`` builds, on eight shapes:
+that ``solver._stepping_terms`` builds for the integrator's block of stage
+rows (2 for RK4, 1 for velocity Verlet), on eight shapes:
 
 - ``long_small``: Dirichlet, m=16, cubic F, no forcing, RK4;
 - ``dense_output``: periodic, m=32, cubic F, affine forcing, RK4;
@@ -95,7 +96,7 @@ def step_us(case, steps: int, repeats: int) -> float:
     x = op.nodes
     state = project_initial_data(x * (1.0 - x), np.zeros_like(x), op).state
     a0, v0 = np.array(state.a), np.array(state.adot)
-    terms = _stepping_terms(op, nl, fs)
+    terms = _stepping_terms(op, nl, fs, 1 if use_verlet else 2)
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()

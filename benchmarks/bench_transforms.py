@@ -2,11 +2,12 @@
 """Crossover sweep: the stepping loop's Galerkin term on dense products against the FFT pair, per mode count.
 
 For each boundary condition and each swept mode count m it times one call
-of the term that ``solver._galerkin_term`` builds for the cubic F without
-forcing, ``-lambda P F(B a)`` written into a preallocated array, which
-each acceleration of the stepping loop calls once.  The dense side samples
-with the basis matrix and folds ``-lambda`` and the projection into one
-matrix; the FFT side stays in the FFT's own grid order and writes into
+of the term that ``solver._galerkin_term`` builds for the cubic F and RK4's
+``(2, m)`` blocks: ``-lambda P F(B y)`` of both rows ``y`` of a block,
+written into a preallocated block, which each of the two rounds of an RK4
+step calls once.  The dense side samples with the basis matrix and folds
+``-lambda`` and the projection into one matrix; the FFT side stays in the
+FFT's own grid order and transforms both rows in one call each way, into
 buffers of its own.  Each side is built as the program would build it if
 ``spectral.FFT_MIN_MODES`` put m on that side: the constant is moved while
 the operator is made, and the default grid moves with it, so the dense side
@@ -40,7 +41,7 @@ import time
 import numpy as np
 
 from wavegalerkin import spectral
-from wavegalerkin.nonlinearity import cubic_nonlinearity, zero_forcing
+from wavegalerkin.nonlinearity import cubic_nonlinearity
 from wavegalerkin.solver import _galerkin_term
 from wavegalerkin.spectral import (
     DIRICHLET,
@@ -53,6 +54,7 @@ from wavegalerkin.spectral import (
 
 M_MIN, M_MAX = 128, 1024
 STEP = 8  # stride of the regular mode counts; the m where n_fft jumps are always added
+ROWS = 2  # stage rows per Galerkin call: one RK4 round
 ROUNDS = 5
 SHORT_MODES, SHORT_ROUNDS = (128, 256, 512), 1
 
@@ -68,7 +70,7 @@ def swept_modes(bc: str) -> list[int]:
 
 
 def galerkin_terms(bc: str, m: int) -> tuple[dict, dict]:
-    """Grid sizes and the dense and FFT Galerkin terms at ``m`` modes, whatever ``FFT_MIN_MODES`` is."""
+    """Grid sizes and the dense and FFT Galerkin terms for RK4's blocks at ``m`` modes, whatever ``FFT_MIN_MODES`` is."""
     sizes, terms = {}, {}
     saved = spectral.FFT_MIN_MODES
     try:
@@ -76,7 +78,7 @@ def galerkin_terms(bc: str, m: int) -> tuple[dict, dict]:
         for name, threshold in (("dense", m + 1), ("fft", m)):
             spectral.FFT_MIN_MODES = threshold
             op = build_operator(DomainSpec(length=1.0, bc=bc), m)
-            terms[name] = _galerkin_term(op, cubic_nonlinearity(), zero_forcing())
+            terms[name] = _galerkin_term(op, cubic_nonlinearity(), ROWS)
             sizes[name] = op.grid_points
             assert (op._fft is None) == (name == "dense")
     finally:
@@ -84,9 +86,9 @@ def galerkin_terms(bc: str, m: int) -> tuple[dict, dict]:
     return sizes, terms
 
 
-def call(term, a):
-    out = np.empty_like(a)
-    term(a, out)
+def call(term, block):
+    out = np.empty_like(block)
+    term(block, out)
     return out
 
 
@@ -120,13 +122,13 @@ def sweep(bc: str, ms: list[int], rounds: int) -> list[tuple]:
     rows = []
     for m in ms:
         n, terms = galerkin_terms(bc, m)
-        a = rng.uniform(-1.0, 1.0, m) / m
-        want = call(terms["dense"], a)
-        gap = np.linalg.norm(call(terms["fft"], a) - want) / np.linalg.norm(want)
+        block = rng.uniform(-1.0, 1.0, (ROWS, m)) / m
+        want = call(terms["dense"], block)
+        gap = np.linalg.norm(call(terms["fft"], block) - want) / np.linalg.norm(want)
         if not gap <= 1e-12:
             raise SystemExit(f"{bc} m={m}: FFT and dense Galerkin terms differ by {gap:.3e} relative")
-        out = np.empty(m)
-        t = best_us({name: (lambda term=term: term(a, out)) for name, term in terms.items()}, rounds)
+        out = np.empty((ROWS, m))
+        t = best_us({name: (lambda term=term: term(block, out)) for name, term in terms.items()}, rounds)
         rows.append((m, n["dense"], n["fft"], t["dense"], t["fft"], gap))
     return rows
 

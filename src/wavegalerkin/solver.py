@@ -223,65 +223,55 @@ class Trajectory:
         return State(a=self.a[i], adot=self.adot[i], t=float(self.energy.t[i]))
 
 
-def _stepping_terms(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
-    """The acceleration ``galerkin(A) + g1 A + damping * V`` as :func:`kernels.run_numpy` takes it.
+def _stepping_terms(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec, rows: int):
+    """The acceleration ``galerkin(A) + constant + g1 A + damping * V`` as :func:`kernels.run_numpy` takes it.
 
-    ``damping`` is ``g2/sqrt(lambda)``, or ``None`` for ``g2 = 0``.
+    ``galerkin`` takes blocks of ``rows`` stage positions: 2 for RK4, 1 for
+    velocity Verlet.  ``damping`` is ``g2/sqrt(lambda)``, or ``None`` for
+    ``g2 = 0``, and ``constant`` the constant forcing's modal row, or
+    ``None`` without one.
     """
     damping = fs.g2 / op.sqrt_eigenvalues if fs.velocity_dependent else None
-    return _galerkin_term(op, nl, fs), fs.g1, damping
+    constant = fs.constant * constant_modal(op) if fs.kind == AFFINE and fs.constant != 0.0 else None
+    return _galerkin_term(op, nl, rows), fs.g1, damping, constant
 
 
-def _galerkin_term(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec):
-    """``galerkin(a, out)``: writes ``-lambda P F(B a)`` plus the constant forcing into ``out``.
+def _galerkin_term(op: OperatorSpec, nl: NonlinearitySpec, rows: int):
+    """``galerkin(Y, out)``: writes ``-lambda P F(B y)`` of each row ``y`` of ``Y`` into that row of ``out``.
 
-    ``a`` is a stage's modal position, which is only read.  The linear
-    kind's term is ``-lambda a``.  On dense products every other ``F``,
-    custom included, has ``-lambda``, ``P`` and the constant forcing folded
-    into one matrix ``L`` over ``S = [F(u); 1]``: a call is ``u = B a``,
-    ``F`` into ``S`` and ``out = L S``, both products the matrices' bound
-    ``dot`` (``np.dot`` would add its dispatcher to each).  On the FFT pair
-    the operator's plan builds the term in its own grid order, into buffers
-    of this term's own.  The rest of the affine forcing is the stepping
+    ``Y`` and ``out`` are C-contiguous ``(rows, m)`` blocks of stage
+    positions and Galerkin rows, and ``Y`` is only read.  The linear kind's
+    term is ``-lambda y``.  On dense products every other ``F``, custom
+    included, has ``-lambda`` and ``P`` folded into one matrix: a call is
+    ``Y.dot(BT, U)``, ``F(U, Fu)`` and ``Fu.dot(LT, out)``, with ``BT = B^T``
+    and ``LT = (-lambda P)^T`` contiguous, into buffers of this term's own
+    (``np.dot`` would add its dispatcher to each product).  On the FFT pair
+    the operator's plan builds the term in its own grid order, on ``(rows,
+    n)`` blocks of buffers of this term's own.  The forcing is the stepping
     loop's.
     """
     neg_lam = -np.ascontiguousarray(op.eigenvalues)
-    constant = fs.constant if fs.kind == AFFINE else 0.0
-    gc = constant * constant_modal(op)
-    F = pointwise_F(nl)
-    mul, add = np.multiply, np.add
-
     if nl.kind == LINEAR:
+        mul = np.multiply
 
-        def term(a, out):
-            mul(neg_lam, a, out)
-
-    elif op._fft is None:
-        basis = op.basis
-        n = basis.shape[0]
-        L = np.ascontiguousarray(np.hstack((neg_lam[:, None] * op.projection, gc[:, None])))
-        S = np.ones(n + 1)  # the last entry, under the constant forcing, stays 1
-        Fu = S[:n]
-        u = np.empty(n)
-        sample, fold = basis.dot, L.dot
-
-        def galerkin(a, out):
-            sample(a, u)
-            F(u, Fu)
-            fold(S, out)
+        def galerkin(Y, out):
+            mul(neg_lam, Y, out)
 
         return galerkin
 
-    else:
+    F = pointwise_F(nl)
+    if op._fft is not None:
         # The built-in kinds are odd in floating point; a table need not be.
-        term = op._fft.galerkin(F, neg_lam, odd=nl.kind != CUSTOM)
+        return op._fft.galerkin(F, neg_lam, nl.kind != CUSTOM, rows)
 
-    if constant == 0.0:
-        return term
+    BT = np.ascontiguousarray(op.basis.T)
+    LT = np.ascontiguousarray((neg_lam[:, None] * op.projection).T)
+    U, Fu = np.empty((2, rows, op.grid_points))
 
-    def galerkin(a, out):
-        term(a, out)
-        add(out, gc, out)
+    def galerkin(Y, out):
+        Y.dot(BT, U)
+        F(U, Fu)
+        Fu.dot(LT, out)
 
     return galerkin
 
@@ -318,7 +308,7 @@ def integrate(
         cfg.sample_stride,
         cfg.blowup_ceiling,
         use_verlet,
-        *_stepping_terms(op, nl, fs),
+        *_stepping_terms(op, nl, fs, 1 if use_verlet else 2),
     )
 
     t = rec_steps.astype(np.float64) * cfg.dt

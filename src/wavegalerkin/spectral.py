@@ -198,33 +198,43 @@ class _RealFFT:
     The FFTs call numpy's pocketfft gufuncs, ``irfft`` with the factor
     ``1/n`` and ``rfft_n_even`` or ``rfft_n_odd`` with the factor 1, which
     are the calls ``numpy.fft.irfft`` and ``numpy.fft.rfft`` make, so the
-    results are the same bits without the wrappers' per-call checks.  They
-    are imported when a plan is made, so importing this module does not load
-    ``numpy.fft``.
+    results are the same bits without the wrappers' per-call checks.  Where
+    the private module that holds them does not import, the plan calls those
+    public wrappers, with the same output arrays.  Either is imported when a
+    plan is made, so importing this module does not load ``numpy.fft``.
     """
 
     sign = None  # sign flips of the grid order against the natural one
 
     def __init__(self, m: int, n: int) -> None:
-        from numpy.fft import _pocketfft_umath as pocketfft
-
         self.m, self.n = m, n
-        self._irfft, self._inv_n = pocketfft.irfft, 1.0 / n
-        self._rfft = pocketfft.rfft_n_even if n % 2 == 0 else pocketfft.rfft_n_odd
+        self._inv_n = 1.0 / n
+        try:
+            import numpy.fft._pocketfft_umath as pocketfft
+        except ImportError:
+            irfft, rfft = np.fft.irfft, np.fft.rfft
+            self._irfft = lambda z, fct, out: irfft(z, n, out=out)
+            self._rfft = lambda u, fct, out: rfft(u, out=out)
+        else:
+            self._irfft = pocketfft.irfft
+            self._rfft = pocketfft.rfft_n_even if n % 2 == 0 else pocketfft.rfft_n_odd
 
-    def galerkin(self, F, scale: np.ndarray, odd: bool):
-        """``term(a, out)`` writing ``scale * P F(B a)`` into ``out`` through buffers of its own.
+    def galerkin(self, F, scale: np.ndarray, odd: bool, rows: int):
+        """``term(Y, out)`` writing ``scale * P F(B y)`` of each row ``y`` of ``Y`` into that row of ``out``.
 
-        ``odd`` says that the pointwise ``F(u, out)`` has ``F(-u) = -F(u)`` in floating point."""
+        ``Y`` and ``out`` are ``(rows, m)`` blocks; the transforms run on
+        ``(rows, n)`` blocks of buffers of the term's own.  ``odd`` says that
+        the pointwise ``F(u, out)`` has ``F(-u) = -F(u)`` in floating point."""
         n, half = self.n, self.n // 2 + 1
-        z, w = np.zeros(half, dtype=np.complex128), np.zeros(self.width, dtype=np.complex128)
-        W, c, u, Fu = w[:half], np.empty(self.m, dtype=self.coeff_dtype), np.empty(n), np.empty(n)
+        z, w = np.zeros((rows, half), dtype=np.complex128), np.zeros((rows, self.width), dtype=np.complex128)
+        W, c = w[:, :half], np.empty((rows, self.m), dtype=self.coeff_dtype)
+        u, Fu = np.empty((2, rows, n))
         flip = None if odd else self.sign
         spectrum, modes, mul = self._spectrum, self._modes, np.multiply
         irfft, rfft, inv_n = self._irfft, self._rfft, self._inv_n
 
-        def term(a, out):
-            irfft(spectrum(a, z), inv_n, out=u)  # bin 0 and the unfilled bins of z stay zero
+        def term(Y, out):
+            irfft(spectrum(Y, z), inv_n, out=u)  # bin 0 and the unfilled bins of z stay zero
             rfft(F(u, Fu) if flip is None else mul(F(mul(u, flip, u), Fu), flip, Fu), 1, out=W)
             mul(scale, modes(w, c), out)
 

@@ -211,12 +211,12 @@ def _assert_runs_identical(got, want):
 # RK4 sums its stages inside BLAS products, in another order than the
 # textbook expressions, so the loops agree to round-off and not bit for
 # bit.  Measured over every case of test_run_numpy_agrees_with_the_reference_loop,
-# the largest gap was 4.7e-15 of the largest entry (m=512 Dirichlet, table
-# F, affine forcing without a constant, Verlet).  The bound leaves a factor
-# of about 210 above that.  A 1e-9 change in the k2 weight moves the run by
-# 1.0e-9, a factor of 1000 beyond it, and a 1e-9 change in g1 by 1.0e-11, a
-# factor of 10 (test_agreement_bound_catches_a_perturbed_k2_weight and
-# test_agreement_bound_catches_a_perturbed_g1).
+# the largest gap was 6.7e-15 of the largest entry (m=512 Dirichlet, table
+# F, affine forcing with a constant, Verlet, stride 1).  The bound leaves a
+# factor of about 150 above that.  A 1e-9 change in the k2 weight moves the
+# run by 9.8e-10, a factor of 1000 beyond it, and a 1e-9 change in g1 by
+# 1.0e-11, a factor of 10 (test_agreement_bound_catches_a_perturbed_k2_weight
+# and test_agreement_bound_catches_a_perturbed_g1).
 AGREE_RTOL = 1e-12
 
 
@@ -297,11 +297,12 @@ def test_clamped_table_reaches_both_tails(stepping_op):
 
 @pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC_MEAN_ZERO])
 def test_fft_galerkin_term_is_the_batch_maps_bit_for_bit(bc):
-    # The term stays in the FFT's own grid order (Makhoul's, for Dirichlet)
-    # and skips the reordering round trip; it must still give exactly the
-    # natural-order batch maps' value.  The floor and floor+1 give grids of
-    # both parities and, with m >= n/2, the FFT bins past the Nyquist one;
-    # _CLAMPED is not odd, so it takes the sign flips.
+    # The term runs on RK4's (2, m) blocks in the FFT's own grid order
+    # (Makhoul's, for Dirichlet) and skips the reordering round trip; each
+    # row must still be exactly the natural-order batch maps' value at that
+    # row.  The floor and floor+1 give grids of both parities and, with
+    # m >= n/2, the FFT bins past the Nyquist one; _CLAMPED is not odd, so it
+    # takes the sign flips.
     rng = np.random.default_rng(11)
     nls = [cubic_nonlinearity(), power_law_nonlinearity(3.5), power_law_nonlinearity(4.0), NL_CASES["clamped_table"]]
     for m in (FFT_MIN_MODES, FFT_MIN_MODES + 1, 512):
@@ -309,16 +310,15 @@ def test_fft_galerkin_term_is_the_batch_maps_bit_for_bit(bc):
             op = build_operator(DomainSpec(length=1.0, bc=bc, grid_points=n), m)
             assert op._fft is not None
             for nl in nls:
-                for fs in (FS_CASES["zero"], FS_CASES["affine"]):
-                    term = _galerkin_term(op, nl, fs)
-                    gc = fs.constant * constant_modal(op) if fs.kind == AFFINE else 0.0
-                    # two calls in a row, on different states, through the same buffers
-                    for scale in (0.3, 0.05):
-                        a = scale * rng.normal(size=m) / np.sqrt(np.arange(1, m + 1))
-                        got = np.full(m, np.nan)
-                        term(a, got)
-                        want = -(op.eigenvalues * grid_to_modes(F_on_grid(nl, modes_to_grid(a, op)), op)) + gc
-                        assert np.array_equal(got, want), (m, op.grid_points, nl.kind, nl.p, fs.kind)
+                term = _galerkin_term(op, nl, 2)
+                # two calls in a row, on different blocks, through the same buffers
+                for scale in (0.3, 0.05):
+                    block = scale * rng.normal(size=(2, m)) / np.sqrt(np.arange(1, m + 1))
+                    got = np.full((2, m), np.nan)
+                    term(block, got)
+                    for a, row in zip(block, got):
+                        want = -(op.eigenvalues * grid_to_modes(F_on_grid(nl, modes_to_grid(a, op)), op))
+                        assert np.array_equal(row, want), (m, op.grid_points, nl.kind, nl.p)
             assert "basis" not in vars(op)
 
 
@@ -339,7 +339,7 @@ def test_run_numpy_agrees_with_the_reference_loop(stepping_op, nl_name, fs_name)
             fs = _without_damping(fs)
         for stride in (1, 7):
             args = (a0, v0, dt, 35, stride, 1e12, use_verlet)
-            got = kernels.run_numpy(*args, *_stepping_terms(op, nl, fs))
+            got = kernels.run_numpy(*args, *_stepping_terms(op, nl, fs, 1 if use_verlet else 2))
             want = _reference_run_numpy(*args, _reference_accel(op, nl, fs))
             assert got[3] == -1 and list(got[2]) == list(range(0, 36, stride))
             _assert_runs_agree(got, want)
@@ -358,21 +358,27 @@ def test_run_numpy_repeats_bitwise(stepping_op, nl_name, fs_name):
         if use_verlet:
             fs = _without_damping(fs)
         args = (a0, v0, _stiff_dt(op), 35, 1, 1e12, use_verlet)
-        first = kernels.run_numpy(*args, *_stepping_terms(op, nl, fs))
+        rows = 1 if use_verlet else 2
+        first = kernels.run_numpy(*args, *_stepping_terms(op, nl, fs, rows))
         np.empty(np.random.default_rng(1).integers(1, 100))  # shift later allocations
-        _assert_runs_identical(kernels.run_numpy(*args, *_stepping_terms(op, nl, fs)), first)
+        _assert_runs_identical(kernels.run_numpy(*args, *_stepping_terms(op, nl, fs, rows)), first)
 
 
-def _textbook_coefficients(h):
-    # The zero-forcing tableau as it was written out by hand, scalar by
-    # scalar, before the affine forcing's linear part moved into it.
-    c2 = np.array([[1.0, 0.5 * h, 0.0], [0.0, 1.0, 0.5 * h]])
-    c3 = np.array([[1.0, 0.5 * h, 0.25 * h * h, 0.0], [0.0, 1.0, 0.0, 0.5 * h]])
-    c4 = np.array([[1.0, h, 0.0, 0.5 * h * h, 0.0], [0.0, 1.0, 0.0, 0.0, h]])
-    hh_6 = h * h / 6.0
-    wa = np.array([h, hh_6, hh_6, hh_6])
-    wv = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0])
-    return c2, c3, c4, wa, wv, slice(1, 5), slice(2, 6)
+def _textbook_tableau(h):
+    # The zero-forcing tableau written out by hand, scalar by scalar, over
+    # Z = [a, adot, c, n1, n2, n3, n4].  The weights on c are the sums of
+    # the weights on the stages that read it, in the order the tableau sums
+    # them.
+    hh_4, hh_2, hh_6 = 0.25 * h * h, 0.5 * h * h, h * h / 6.0
+    round1 = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.5 * h]])
+    round2 = np.array([[1.0, 0.5 * h, hh_4, hh_4, 0.0], [1.0, h, hh_2, 0.0, hh_2]])
+    inc = np.array(
+        [
+            [h, hh_6 * 3.0, hh_6, hh_6, hh_6, 0.0],
+            [0.0, h / 6.0 + h / 3.0 + h / 3.0 + h / 6.0, h / 6.0, h / 3.0, h / 3.0, h / 6.0],
+        ]
+    )
+    return (round1, slice(0, 2)), (round2, slice(0, 5)), None, None, (inc, slice(1, 7))
 
 
 def _tableau_steps():
@@ -382,30 +388,47 @@ def _tableau_steps():
 
 def test_zero_forcing_tableau_is_the_textbook_one_bit_for_bit():
     for h in _tableau_steps():
-        got, want = kernels._rk4_coefficients(h), _textbook_coefficients(h)
-        for g, w in zip(got[:5], want[:5]):
+        got, want = kernels._rk4_tableau(h), _textbook_tableau(h)
+        assert got[2:4] == want[2:4] == (None, None)
+        for (g, g_rows), (w, w_rows) in zip(got[:2] + got[4:], want[:2] + want[4:]):
             assert g.shape == w.shape and g.tobytes() == w.tobytes(), h
-        assert got[5:] == want[5:]
+            assert g_rows == w_rows
+
+
+# The rows of Z each product of a step may read: the state, the row c and
+# the rows the step has written before the product runs.  Undamped Z is
+# [a, adot, c, n1, n2, n3, n4]; damped Z is [a, adot, c, n1, n2, e1, e2,
+# e3, n3, n4, e4], and a step writes n1 n2, e1, e2, then n3 n4 and e3, then e4.
+READABLE = {
+    False: {"round1": 3, "round2": 5, "inc": 7},
+    True: {"round1": 3, "vel2": 6, "round2": 7, "vel4": 10, "inc": 11},
+}
 
 
 @pytest.mark.parametrize("damped", [False, True])
 @pytest.mark.parametrize("g1", [0.0, 0.3])
 def test_tableau_reads_only_rows_its_step_has_written(g1, damped):
-    # Z = [a, adot, n1, n2, n3, n4], or [a, adot, n1, e1, ..., n4, e4]
-    # when damped: stage i may read only the state and stages 1..i-1.
-    per_stage = 2 if damped else 1
     for h in _tableau_steps():
-        c2, c3, c4, wa, wv, a_rows, v_rows = kernels._rk4_coefficients(h, g1, damped)
-        for i, c in ((2, c2), (3, c3), (4, c4)):
-            assert c.shape[0] == 2 and c.shape[1] <= 2 + per_stage * (i - 1)
-            assert np.any(c[:, -1] != 0.0)
-        # each increment spans exactly the rows its weights touch, and the
-        # new a never reads stage 4
-        for w, rows in ((wa, a_rows), (wv, v_rows)):
-            assert w.shape == (rows.stop - rows.start,) and w[0] != 0.0 and w[-1] != 0.0
-        assert a_rows.stop <= 2 + 3 * per_stage and v_rows.stop == 2 + 4 * per_stage
-        # g1 A_1 gives both increments a coefficient on a
-        assert (a_rows.start, v_rows.start) == ((0, 0) if g1 else (1, 2))
+        round1, round2, vel2, vel4, inc = kernels._rk4_tableau(h, g1, damped)
+        products = {"round1": round1, "round2": round2, "vel2": vel2, "vel4": vel4, "inc": inc}
+        assert sorted(name for name, p in products.items() if p is not None) == sorted(READABLE[damped])
+        for name, limit in READABLE[damped].items():
+            w, rows = products[name]
+            assert rows.stop <= limit, name
+            # each product spans exactly the rows its weights touch
+            w = np.atleast_2d(w)
+            assert w.shape[1] == rows.stop - rows.start and np.any(w[:, 0]) and np.any(w[:, -1]), name
+        # round 1 forms V1 = adot and A1 = a exactly, from the coefficients 1 and 0
+        assert round1[1] == slice(0, 2) and round1[0][:2].tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        # round 2 forms the (2, m) block [A3; A4], and V3 when damped
+        assert round2[0].shape[0] == (3 if damped else 2)
+        # the new a never reads stage 4, and the new adot does
+        w, rows = inc
+        stage4 = (9, 10) if damped else (6,)
+        assert w.shape[0] == 2 and all(w[0, r - rows.start] == 0.0 for r in stage4)
+        assert rows.stop == READABLE[damped]["inc"]
+        # g1 A_1 gives the increments a coefficient on a
+        assert rows.start == (0 if g1 else 1)
 
 
 def _perturbed_gap(monkeypatch, perturb) -> float:
@@ -415,10 +438,10 @@ def _perturbed_gap(monkeypatch, perturb) -> float:
     a0, v0 = _initial_modal(op)
     args = (a0, v0, _stiff_dt(op), 35, 1, 1e12, False)
     want = _reference_run_numpy(*args, _reference_accel(op, nl, fs))
-    assert _run_gap(kernels.run_numpy(*args, *_stepping_terms(op, nl, fs)), want) <= AGREE_RTOL
-    exact = kernels._rk4_coefficients
-    monkeypatch.setattr(kernels, "_rk4_coefficients", lambda h, g1, damped: perturb(exact, h, g1, damped))
-    return _run_gap(kernels.run_numpy(*args, *_stepping_terms(op, nl, fs)), want)
+    assert _run_gap(kernels.run_numpy(*args, *_stepping_terms(op, nl, fs, 2)), want) <= AGREE_RTOL
+    exact = kernels._rk4_tableau
+    monkeypatch.setattr(kernels, "_rk4_tableau", lambda h, g1, damped: perturb(exact, h, g1, damped))
+    return _run_gap(kernels.run_numpy(*args, *_stepping_terms(op, nl, fs, 2)), want)
 
 
 def test_agreement_bound_catches_a_perturbed_k2_weight(monkeypatch):
@@ -426,10 +449,10 @@ def test_agreement_bound_catches_a_perturbed_k2_weight(monkeypatch):
     # weight of n2 (row 4 of the damped Z) in the adot update by 1 + 1e-9
     # has to break it.
     def perturb(exact, h, g1, damped):
-        c2, c3, c4, wa, wv, a_rows, v_rows = exact(h, g1, damped)
+        round1, round2, vel2, vel4, (w, rows) = exact(h, g1, damped)
         assert damped
-        wv[4 - v_rows.start] *= 1.0 + 1e-9
-        return c2, c3, c4, wa, wv, a_rows, v_rows
+        w[1, 4 - rows.start] *= 1.0 + 1e-9
+        return round1, round2, vel2, vel4, (w, rows)
 
     assert _perturbed_gap(monkeypatch, perturb) > AGREE_RTOL
 
@@ -467,12 +490,15 @@ def test_integrate_steps_every_kind_on_run_numpy(monkeypatch, op8, nl_name):
     assert plain.backend == got.backend == "numpy"
     assert not plain.diverged and plain.a.shape == (11, 8)
     assert np.array_equal(got.a, plain.a) and np.array_equal(got.adot, plain.adot)
-    # the loop is handed _galerkin_term's term and the forcing's linear part
-    galerkin, g1, damping = calls[0]
+    # the loop is handed _galerkin_term's term for RK4's blocks, the
+    # forcing's linear part and its constant row
+    galerkin, g1, damping, constant = calls[0]
     assert g1 == fs.g1 and np.array_equal(damping, fs.g2 / op8.sqrt_eigenvalues)
-    got_n, want_n = np.empty(8), np.empty(8)
-    galerkin(a0, got_n)
-    _galerkin_term(op8, nl, fs)(a0, want_n)
+    assert np.array_equal(constant, fs.constant * constant_modal(op8))
+    block = np.stack((a0, v0))
+    got_n, want_n = np.empty((2, 8)), np.empty((2, 8))
+    galerkin(block, got_n)
+    _galerkin_term(op8, nl, 2)(block, want_n)
     assert np.array_equal(got_n, want_n)
 
 
@@ -518,6 +544,35 @@ def test_dense_stepping_calls_no_dispatched_numpy_function(monkeypatch, op16, nl
     assert calls == dict.fromkeys(DISPATCHED, 0)
 
 
+@pytest.mark.parametrize("fs_name", list(FS_CASES))
+@pytest.mark.parametrize("use_verlet", [False, True])
+def test_each_round_calls_the_term_once_on_a_contiguous_block(op16, use_verlet, fs_name):
+    # RK4 calls the Galerkin term twice a step, each time on a C-contiguous
+    # (2, m) block; Verlet once a step, and once before the first, on a
+    # (1, m) block.  The term writes rows of Z, never the constant row c.
+    fs = _without_damping(FS_CASES[fs_name]) if use_verlet else FS_CASES[fs_name]
+    rows = 1 if use_verlet else 2
+    galerkin, g1, damping, constant = _stepping_terms(op16, NL_CASES["cubic"], fs, rows)
+    c = np.zeros(16) if constant is None else constant
+    shapes, stage_buffers = [], []
+
+    def counted(block, out):
+        assert block.flags.c_contiguous and out.flags.c_contiguous
+        shapes.append((block.shape, out.shape))
+        z = out.base
+        stage_buffers.append(z)
+        assert not np.shares_memory(out, z[2]) and np.array_equal(z[2], c)
+        galerkin(block, out)
+
+    n_steps = 9
+    a0, v0 = _initial_modal(op16)
+    assert kernels.run_numpy(a0, v0, 1e-3, n_steps, 3, 1e12, use_verlet, counted, g1, damping, constant)[3] == -1
+    assert shapes == [((rows, 16), (rows, 16))] * (n_steps + 1 if use_verlet else 2 * n_steps)
+    z = stage_buffers[0]
+    assert all(b is z for b in stage_buffers) and z.shape[0] == (11 if damping is not None else 7)
+    assert np.array_equal(z[2], c)
+
+
 def _both_loops(a0, v0, dt, n_steps, stride, ceiling, use_verlet, make_terms):
     """Both loops on fresh terms ``(galerkin, g1, damping)`` from ``make_terms``, checked to agree."""
     got = kernels.run_numpy(a0, v0, dt, n_steps, stride, ceiling, use_verlet, *make_terms())
@@ -558,16 +613,25 @@ def test_screen_stops_an_oscillator_at_the_first_step_past_the_ceiling(use_verle
     assert abs(a_hist[-1, 0]) > 1.5 and abs(a_hist[-2, 0]) <= 1.5
 
 
-def test_screen_catches_nan_in_adot_only():
-    # NaN on one k4 call reaches adot alone: a's update does not use k4.
+@pytest.mark.parametrize("g1", [0.0, 0.2])
+@pytest.mark.parametrize("damped", [False, True])
+def test_screen_catches_nan_in_adot_only(damped, g1):
+    # NaN in one k4 reaches adot alone: a's update does not use k4.  Step 5's
+    # k4 is the second row of the 10th block, or the textbook loop's 20th
+    # acceleration.  The loop's one increment product weights k4 by 0 in
+    # a's row, so this step retakes a's update from its start.
     def make_terms():
         calls = [0]
 
         def galerkin(a, out):
             calls[0] += 1
-            out[...] = np.nan if calls[0] == 4 * 5 else -a
+            np.negative(a, out=out)
+            if a.ndim == 2 and calls[0] == 2 * 5:
+                out[1] = np.nan
+            elif a.ndim == 1 and calls[0] == 4 * 5:
+                out[...] = np.nan
 
-        return galerkin, 0.0, np.full(3, -0.1)
+        return galerkin, g1, np.full(3, -0.1) if damped else None
 
     a0, v0 = np.array([1.0, -0.5, 0.25]), np.array([0.0, 0.3, 0.0])
     a_hist, adot_hist, rec, div = _both_loops(a0, v0, 1e-2, 100, 4, 1e12, False, make_terms)

@@ -71,16 +71,20 @@ def test_acceleration_cubic_first_mode():
     assert np.allclose(acc, want, rtol=1e-12, atol=1e-10)
 
 
-def _closure_value(op, nl, fs, a, adot, calls=1):
-    # The acceleration as the stepping loop composes it: the Galerkin term,
-    # called ``calls`` times into one ``out`` and only reading ``a``, plus
+def _closure_values(op, nl, fs, a, adot, calls=1):
+    # The acceleration at a as the stepping loop composes it, in both rows of
+    # an RK4 block: the Galerkin term, called ``calls`` times into one
+    # ``out`` and only reading the block, plus the constant forcing row and
     # the forcing's linear part.
-    galerkin, g1, damping = _stepping_terms(op, nl, fs)
-    before = a.copy()
-    out = np.full(op.modes, np.nan)
+    galerkin, g1, damping, constant = _stepping_terms(op, nl, fs, 2)
+    block = np.stack((a, a))
+    before = block.copy()
+    out = np.full((2, op.modes), np.nan)
     for _ in range(calls):
-        galerkin(a, out)
-    assert np.array_equal(a, before)
+        galerkin(block, out)
+    assert np.array_equal(block, before)
+    if constant is not None:
+        out += constant
     out += g1 * a
     return out if damping is None else out + damping * adot
 
@@ -99,8 +103,8 @@ _CUSTOM_F = custom_nonlinearity(_TABLE, 4.0, 1.0, 1.0, 0.1, 0.0)
 
 
 # On dense products every nonlinear F, a custom one included, is folded into
-# one matrix L, which sums -lambda_j P_jk F_k in another order than the
-# reference.  Generator seeds 13 and 14 drew m=383 states (the largest dense
+# one matrix LT = (-lambda P)^T, which sums -lambda_j P_jk F_k in another
+# order than the reference.  Generator seeds 13 and 14 drew m=383 states (the largest dense
 # operator while FFT_MIN_MODES was 384) with nearly cancelling entries, on
 # which a per-entry tolerance (rtol 1e-12, atol 1e-13) failed the folded sums
 # of the cubic (1.02 times it), the power law (3.40 times it) and the custom
@@ -134,10 +138,10 @@ def test_acceleration_implementations_agree(op8, seed):
         for nl in nls:
             for fs in forcings:
                 ref = acceleration(State(a=a, adot=adot), op, nl, fs)
-                closure = _closure_value(op, nl, fs, a, adot)
-                assert _agrees(closure, ref), (op.modes, nl.kind, fs.kind)
+                closures = _closure_values(op, nl, fs, a, adot)
+                assert all(_agrees(closure, ref) for closure in closures), (op.modes, nl.kind, fs.kind)
                 # one entry off by 1e-10 of the row's largest fails, even the smallest
-                bad = closure.copy()
+                bad = closures[1].copy()
                 bad[np.argmin(np.abs(ref))] += 1e-10 * np.max(np.abs(ref))
                 assert not _agrees(bad, ref), (op.modes, nl.kind, fs.kind)
 
@@ -162,15 +166,16 @@ def _count_ffts(monkeypatch):
 
 
 def _accelerate_three_times(op, nl, fs):
-    """The loop's acceleration after three Galerkin calls at one drawn stage, and the reference value there."""
+    """The loop's accelerations (both rows of an RK4 block) after three Galerkin calls at one drawn stage, and the reference value there."""
     rng = np.random.default_rng(5)
     a, adot = 0.4 * rng.normal(size=(2, op.modes)) / np.arange(1, op.modes + 1)
-    return _closure_value(op, nl, fs, a, adot, calls=3), acceleration(State(a=a, adot=adot), op, nl, fs)
+    return _closure_values(op, nl, fs, a, adot, calls=3), acceleration(State(a=a, adot=adot), op, nl, fs)
 
 
 # On dense products every nonlinear F, a custom one included, is folded into
-# L, so no Galerkin call runs an FFT; at the crossover each call runs one
-# FFT each way, which shows that the count sees the stepping term's calls.
+# LT, so no Galerkin call runs an FFT; at the crossover each call runs one
+# FFT each way on its block of two rows, which shows that the count sees the
+# stepping term's calls.
 # The count is of the gufuncs an FFT plan calls, not of numpy.fft's wrappers.
 @pytest.mark.parametrize("fs", [zero_forcing(), affine_forcing(g1=0.3, g2=0.2, constant=0.1, g0=0.2)], ids=["zero", "affine"])
 @pytest.mark.parametrize("m", [8, FFT_MIN_MODES - 1])
@@ -181,11 +186,11 @@ def test_dense_custom_F_never_calls_an_fft(m, fs, monkeypatch):
     # batch maps, which are dense products here as well
     got, want = _accelerate_three_times(op, _CUSTOM_F, fs)
     assert calls == {"rfft": 0, "irfft": 0}
-    assert _agrees(got, want)
+    assert all(_agrees(row, want) for row in got)
     fft_op = build_operator(DomainSpec(length=1.0, bc=DIRICHLET), FFT_MIN_MODES)
-    galerkin = _stepping_terms(fft_op, _CUSTOM_F, fs)[0]
-    calls.update(rfft=0, irfft=0)  # building the term projects the constant forcing
-    galerkin(np.zeros(fft_op.modes), np.empty(fft_op.modes))
+    galerkin = _stepping_terms(fft_op, _CUSTOM_F, fs, 2)[0]
+    calls.update(rfft=0, irfft=0)  # building the terms projects the constant forcing
+    galerkin(np.zeros((2, fft_op.modes)), np.empty((2, fft_op.modes)))
     assert calls == {"rfft": 1, "irfft": 1}
 
 

@@ -10,8 +10,16 @@ import numpy as np
 import pytest
 
 import wavegalerkin
-from wavegalerkin.nonlinearity import cubic_nonlinearity, pointwise_F
+from wavegalerkin.nonlinearity import (
+    affine_forcing,
+    cubic_nonlinearity,
+    custom_nonlinearity,
+    pointwise_F,
+    power_law_nonlinearity,
+    tabulated_f,
+)
 from wavegalerkin.oracle import _oracle_nodes
+from wavegalerkin.solver import SolverConfig, integrate, project_initial_data
 from wavegalerkin.spectral import (
     DIRICHLET,
     FFT_MIN_MODES,
@@ -339,22 +347,26 @@ def test_grid_below_the_crossover_and_given_grids_are_unchanged(bc):
         assert build_operator(DomainSpec(length=1.0, bc=bc, grid_points=n), m).grid_points == n
 
 
-def _public_fft_plan(plan):
-    """The same plan with its FFTs through numpy.fft's public wrappers."""
-    n = plan.n
-    plan._irfft = lambda z, fct, out: np.fft.irfft(z, n, out=out)
-    plan._rfft = lambda u, fct, out: np.fft.rfft(u, out=out)
-    return plan
+def _public_fft_plan(kind, m, n, monkeypatch):
+    """The plan as made where numpy's private pocketfft module does not import.
+
+    Its FFTs then go through numpy.fft's public wrappers.
+    """
+    with monkeypatch.context() as mp:
+        mp.setitem(sys.modules, "numpy.fft._pocketfft_umath", None)
+        return kind(m, n, 0.9)
 
 
 @pytest.mark.parametrize("n", [769, 1025, 1080, 1536])
 @pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC_MEAN_ZERO])
-def test_plan_ffts_are_numpy_fft_bit_for_bit(bc, n):
+def test_plan_ffts_are_numpy_fft_bit_for_bit(bc, n, monkeypatch):
     # The plans call numpy's private pocketfft gufuncs.  If a numpy release
     # moves or changes them, this fails rather than the trajectories drift.
+    # A plan made without them calls the public wrappers instead.
     kind = _DirichletFFT if bc == DIRICHLET else _PeriodicFFT
     m = (n - 1) // 2 if bc == DIRICHLET else 2 * ((n - 1) // 4) - 1
-    plan, public = kind(m, n, 0.9), _public_fft_plan(kind(m, n, 0.9))
+    plan, public = kind(m, n, 0.9), _public_fft_plan(kind, m, n, monkeypatch)
+    assert isinstance(plan._rfft, np.ufunc) and not isinstance(public._rfft, np.ufunc)
     rng = np.random.default_rng(n)
     for batch in ((), (3,), (2, 2)):
         u = rng.normal(size=batch + (n,))
@@ -368,12 +380,42 @@ def test_plan_ffts_are_numpy_fft_bit_for_bit(bc, n):
         assert np.array_equal(plan.from_grid(u), public.from_grid(u))
     F = pointwise_F(cubic_nonlinearity())
     scale = -rng.uniform(1.0, 2.0, m)
-    a = rng.normal(size=m) / m
-    for odd in (True, False):
-        got, want = np.empty(m), np.empty(m)
-        plan.galerkin(F, scale, odd)(a, got)
-        public.galerkin(F, scale, odd)(a, want)
-        assert np.array_equal(got, want)
+    for rows in (1, 2):
+        block = rng.normal(size=(rows, m)) / m
+        for odd in (True, False):
+            got, want = np.empty((rows, m)), np.empty((rows, m))
+            plan.galerkin(F, scale, odd, rows)(block, got)
+            public.galerkin(F, scale, odd, rows)(block, want)
+            assert np.array_equal(got, want)
+
+
+_TABLE = tabulated_f(np.linspace(-2.0, 2.0, 21), np.linspace(-2.0, 2.0, 21) ** 3 + 0.1)
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC_MEAN_ZERO])
+def test_rk4_without_the_private_fft_module_gives_the_same_bits(bc, monkeypatch):
+    # Where numpy's private pocketfft module does not import, the plans call
+    # numpy.fft's public wrappers on the same blocks, and an RK4 run on the
+    # FFT pair, with its constant forcing projected by the plan, keeps its
+    # bits.  The table is not odd, so its term takes the sign flips.
+    cfg = SolverConfig(T=0.002, dt=1e-4)
+    fs = affine_forcing(g1=0.1, g2=0.05, constant=0.2, g0=0.3)
+
+    def runs():
+        op = build_operator(DomainSpec(length=1.0, bc=bc), FFT_MIN_MODES)
+        x = op.nodes
+        init = project_initial_data(0.5 * np.sin(2.0 * math.pi * x), 0.3 * np.cos(2.0 * math.pi * x), op).state
+        nls = (power_law_nonlinearity(4.0), custom_nonlinearity(_TABLE, 4.0, 1.0, 1.0, 0.1, 0.0))
+        return op, [integrate(init, cfg, op, nl, fs) for nl in nls]
+
+    op, want = runs()
+    with monkeypatch.context() as mp:
+        mp.setitem(sys.modules, "numpy.fft._pocketfft_umath", None)
+        public_op, got = runs()
+    assert isinstance(op._fft._rfft, np.ufunc) and not isinstance(public_op._fft._rfft, np.ufunc)
+    for g, w in zip(got, want):
+        assert not w.diverged and len(w) == 21
+        assert np.array_equal(g.a, w.a) and np.array_equal(g.adot, w.adot)
 
 
 def test_numpy_fft_is_imported_by_the_first_fft_plan_only():
