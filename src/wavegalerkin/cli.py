@@ -34,7 +34,7 @@ from .estimates import (
     monitor,
     sample_table,
 )
-from .nonlinearity import CUSTOM, verify_conditions, verify_g
+from .nonlinearity import verify_conditions, verify_g
 from .oracle import max_H_error, reference_run
 from .solver import SolverConfig, Trajectory, integrate
 from .spectral import build_operator
@@ -195,12 +195,15 @@ def cmd_run(rc: RunConfig) -> int:
     init = resolve_initial(rc, op)
     traj = integrate(init.state, rc.solver, op, rc.nl, rc.fs)
     e0 = float(traj.energy.energy[0])
-    if not math.isfinite(2.0 * e0):
+    try:
+        if not math.isfinite(2.0 * e0):
+            raise ValueError(f"the initial data x0, x1 have energy E(0) = {e0:g}; the bounds need 2E(0) to be a finite float")
+        gp = derive_gronwall(rc.nl, rc.fs, op, e0)
+    except ValueError as e:
         # No bound starts from it, so no earlier run's artifacts may stay.
         _remove(csv_path)
         _remove(report_path)
-        raise ConfigError(f"the initial data x0, x1 have energy E(0) = {e0:g}; the bounds need 2E(0) to be a finite float")
-    gp = derive_gronwall(rc.nl, rc.fs, op, e0)
+        raise ConfigError(str(e)) from e
     dp = derive_decay(rc.nl, rc.fs, op, e0)
     bounds = sample_table(traj, gp, dp)
     rep = monitor(traj, bounds)
@@ -259,8 +262,8 @@ def cmd_converge(rc: RunConfig, modes: list[int], dts: list[float], m_ref: int |
         raise ConfigError("m_ref must be at least twice the largest member mode count")
     if dt_ref_factor < 10:
         raise ConfigError("dt_ref_factor must be at least 10")
-    if rc.nl.kind == CUSTOM:
-        raise ConfigError("convergence study supports built-in kinds only")
+    if rc.nl.table is not None:
+        raise ConfigError("convergence study supports the power law only, not a table")
     stride = rc.solver.sample_stride
     cfgs = {dt: dataclasses.replace(rc.solver, dt=dt) for dt in dts}
     for dt, cfg in cfgs.items():  # every member's and reference's history fits, before any run

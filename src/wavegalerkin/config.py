@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .nonlinearity import (
-    ZERO,
     ForcingSpec,
     NonlinearitySpec,
     affine_forcing,
@@ -27,6 +26,7 @@ from .nonlinearity import (
     linear_nonlinearity,
     power_law_nonlinearity,
     tabulated_f,
+    zero_forcing,
 )
 from .solver import (
     BLOWUP_CEILING_DEFAULT,
@@ -339,31 +339,29 @@ class RunConfig:
     output: OutputSettings
 
 
-# The keys each nonlinearity kind requires; it takes no others.  A built-in
-# kind has its own constants, so a stated one would be silently dropped.
-_NONLINEARITY_KEYS = {
-    "linear": (),
-    "cubic": (),
-    "power_law": ("p",),
-    "custom": ("p", "a0", "a1", "b0", "b1", "table"),
+# The keys each nonlinearity kind requires, and takes no others, and the
+# factory of a built-in kind.  A kind names its numbers: ``linear`` and
+# ``cubic`` are the power law at p = 2 and p = 4, with its own constants, so
+# a stated one would be silently dropped.
+_NONLINEARITY_KINDS = {
+    "linear": ((), linear_nonlinearity),
+    "cubic": ((), cubic_nonlinearity),
+    "power_law": (("p",), power_law_nonlinearity),
+    "custom": (("p", "a0", "a1", "b0", "b1", "table"), None),
 }
 
 
 def _build_nonlinearity(section: dict) -> NonlinearitySpec:
     kind = section["kind"]
-    keys = _NONLINEARITY_KEYS[kind]
+    keys, factory = _NONLINEARITY_KINDS[kind]
     for key in section:
         if key != "kind" and key not in keys:
             raise ConfigError(f"kind {kind!r} takes no nonlinearity/{key}")
     for key in keys:
         if key not in section:
             raise ConfigError(f"kind {kind!r} requires nonlinearity/{key}")
-    if kind == "linear":
-        return linear_nonlinearity()
-    if kind == "cubic":
-        return cubic_nonlinearity()
-    if kind == "power_law":
-        return power_law_nonlinearity(section["p"])
+    if factory is not None:
+        return factory(*(section[k] for k in keys))
     table = section["table"]
     r = _finite_values(table["r"], "table", "nonlinearity/table/r")
     fv = _finite_values(table["f"], "table", "nonlinearity/table/f")
@@ -399,9 +397,13 @@ def _finite_values(values: list, what: str, where: str) -> np.ndarray:
 
 
 def _build_forcing(section: dict) -> ForcingSpec:
-    """The forcing a section states; its rules are the spec's and the factory's."""
+    """The forcing a section states; ``zero`` names the affine g whose constants are all 0."""
     constants = {k: v for k, v in section.items() if k != "kind"}
-    return ForcingSpec(kind=ZERO, **constants) if section["kind"] == ZERO else affine_forcing(**constants)
+    if section["kind"] == "affine":
+        return affine_forcing(**constants)
+    if any(constants.values()):
+        raise ConfigError("zero forcing takes no constants")
+    return zero_forcing()
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -7,7 +7,9 @@ closed-form dominating curves — an exponential Gronwall envelope valid for
 any admissible forcing, and for the unforced ``p > 2`` case a Bernoulli-type
 decay bound on ``||By||^2`` with a finite absorbing radius — and checks a
 sampled trajectory against them.  The problem alone decides which checks
-apply, and each check has one fixed tolerance.
+apply, and each check has one fixed tolerance: a run is unforced exactly
+when ``g1 = g2 = constant = 0`` (:attr:`ForcingSpec.unforced`), whatever
+``g0`` states, and the decay bound needs ``p > 2``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .nonlinearity import ZERO, ForcingSpec, NonlinearitySpec, forcing_modal_batch, potential_batch, worst_margin
+from .nonlinearity import ForcingSpec, NonlinearitySpec, forcing_modal_batch, potential_batch, worst_margin
 from .spectral import OperatorSpec, modes_to_grid
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -190,18 +192,27 @@ def derive_gronwall(
 
     Young's inequality on the forcing power gives ``C0 = max(2*c_tilde*g1^2,
     4*g2^2 + 2)`` and ``C1 = 2*g1^2*c_tilde + 2*g0^2`` with ``c_tilde =
-    c_emb^2 * max(p/b0, 1)``; zero forcing short-circuits to ``C0 = C1 = 0``
-    (exact conservation).
+    c_emb^2 * max(p/b0, 1)``; an unforced run short-circuits to ``C0 = C1 =
+    0`` (exact conservation).  Forcing constants that take ``C0`` or ``C1``
+    past the float range raise ``ValueError`` naming them.
     """
     if nl.b0 <= 0:
         raise ValueError("coercivity constant b0 must be positive")
     c_emb = embedding_constant(op, nl.p)
     c_tilde = c_emb * c_emb * max(nl.p / nl.b0, 1.0)
     e_init = 2.0 * e0
-    if fs.kind == ZERO:
+    if fs.unforced:
         return GronwallParams(C0=0.0, C1=0.0, c_tilde=c_tilde, E_init=e_init)
-    c0 = max(2.0 * c_tilde * fs.g1 ** 2, 4.0 * fs.g2 ** 2 + 2.0)
-    c1 = 2.0 * fs.g1 ** 2 * c_tilde + 2.0 * fs.g0 ** 2
+    try:
+        c0 = max(2.0 * c_tilde * fs.g1 ** 2, 4.0 * fs.g2 ** 2 + 2.0)
+        c1 = 2.0 * fs.g1 ** 2 * c_tilde + 2.0 * fs.g0 ** 2
+    except OverflowError:  # a float power past the range raises, a product is inf
+        c0 = c1 = math.inf
+    if not (math.isfinite(c0) and math.isfinite(c1)):
+        raise ValueError(
+            f"the forcing constants g0 = {fs.g0:g}, g1 = {fs.g1:g}, g2 = {fs.g2:g} "
+            "take the Gronwall constants C0, C1 past the float range"
+        )
     return GronwallParams(C0=c0, C1=c1, c_tilde=c_tilde, E_init=e_init)
 
 
@@ -294,7 +305,7 @@ def derive_decay(nl: NonlinearitySpec, fs: ForcingSpec, op: OperatorSpec, e0: fl
     the second cap is then not a positive float.  This is the one place
     that decides whether the decay bound applies.
     """
-    if fs.kind != ZERO or nl.p <= 2.0:
+    if not fs.unforced or nl.p <= 2.0:
         return None
     r = nl.p / 2.0
     big_c = 2.0 * e0
@@ -459,7 +470,7 @@ def monitor(traj: "Trajectory", bounds: dict[str, np.ndarray | None]) -> Monitor
     t = tbl.t
     e0 = float(tbl.energy[0])
     results = [_per_sample_check("energy_identity", t, bounds["identity_residual"], IDENTITY_SCALE * (1.0 + abs(e0)))]
-    if traj.fs.kind != ZERO:
+    if not traj.fs.unforced:
         env = bounds["gronwall_envelope"]
         viol = 2.0 * tbl.energy - env
         results.append(_per_sample_check("gronwall", t, viol, ENVELOPE_REL * np.abs(env)))

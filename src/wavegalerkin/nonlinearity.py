@@ -2,15 +2,18 @@
 
 The wave model couples a pointwise nonlinearity ``F`` (primitive of a scalar
 ``f``) to the diagonal operator, plus a forcing ``g(x, v)`` where ``v``
-carries the half-smoothed velocity.  ``F`` is a built-in kind or the
-primitive of a tabulated ``f``; ``g`` is zero or affine.  Structural
-assumptions (monotonicity, p-growth, coercivity, Lipschitz forcing) enter
-the energy estimates as numeric constants; this module stores those
-constants and decides them, one verifier per condition set, with no random
-draws.  Each condition is decided on the kind's range: a built-in ``F`` in
-closed form on the whole line, a tabulated one pointwise on its knot range,
-the operator's Poincare condition ``lambda_min >= 1``
-(:func:`verify_conditions`), and zero or affine ``g`` exactly
+carries the half-smoothed velocity.  ``F`` is the power law ``|u|^(p-2) u``
+at its growth exponent ``p``, or the primitive of a tabulated ``f``; ``g``
+is affine, and zero when its coefficients are.  A spec is its numbers:
+``p``, the table and ``g``'s coefficients pick every path, and ``linear``,
+``cubic`` and ``zero`` are only names for ``p = 2``, ``p = 4`` and all-zero
+coefficients.  Structural assumptions (monotonicity, p-growth, coercivity,
+Lipschitz forcing) enter the energy estimates as numeric constants; this
+module stores those constants and decides them, one verifier per condition
+set, with no random draws.  Each condition is decided on ``F``'s range: a
+power law in closed form on the whole line, a tabulated ``F`` pointwise on
+its knot range, the operator's Poincare condition ``lambda_min >= 1``
+(:func:`verify_conditions`), and the affine ``g`` exactly
 (:func:`verify_g`).  Every verdict is a :class:`ConditionCheck`: a name, a
 pass flag, and for a failed check a witness saying where it fails.
 """
@@ -48,16 +51,6 @@ __all__ = [
     "zero_forcing",
 ]
 
-LINEAR = "linear"
-POWER_LAW = "power_law"
-CUBIC = "cubic"
-CUSTOM = "custom"
-NONLINEARITY_KINDS = (LINEAR, POWER_LAW, CUBIC, CUSTOM)
-
-ZERO = "zero"
-AFFINE = "affine"
-FORCING_KINDS = (ZERO, AFFINE)
-
 # Growth, coercivity and the forcing's norm bound are compared with a
 # relative slack of 1e-10*(1 + |rhs|): their two sides reach far beyond 1
 # and a bare 1e-10 would be finer than double round-off there.
@@ -69,16 +62,15 @@ class NonlinearitySpec:
     """Pointwise nonlinearity with its growth/coercivity constants.
 
     The constants assert ``||F(u)||_{p'} <= a0*||u||_p^(p-1) + a1*||u||_H``
-    and ``<F(u),u> >= b0*||u||_p^p + b1*||u||_H^2``.  The custom kind, and
-    only it, holds a :class:`TabulatedF` ``table``: its ``f``, the primitive
-    ``F`` from 0 and the potential density ``Phi`` from 0.  Its constants
-    are the user's claim, which :func:`verify_conditions` decides on the
-    table's :attr:`~TabulatedF.range`.
-    ``p == 2`` is reserved for the linear kind, which is oracle-only: the
-    decay machinery requires ``p > 2``.  The cubic kind is ``p == 4``.
+    and ``<F(u),u> >= b0*||u||_p^p + b1*||u||_H^2``.  Without a ``table``
+    ``F`` is the power law ``|u|^(p-2) u``, for ``p >= 2``: ``p == 2`` is the
+    linear ``F``, which has no decay bound, and ``p == 4`` the cubic.  A
+    :class:`TabulatedF` ``table`` holds its ``f``, the primitive ``F`` from
+    0 and the potential density ``Phi`` from 0, and needs ``p > 2``.  Its
+    constants are the user's claim, which :func:`verify_conditions` decides
+    on the table's :attr:`~TabulatedF.range`.
     """
 
-    kind: str
     p: float
     a0: float = 1.0
     a1: float = 0.0
@@ -87,8 +79,6 @@ class NonlinearitySpec:
     table: TabulatedF | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in NONLINEARITY_KINDS:
-            raise ValueError(f"kind must be one of {NONLINEARITY_KINDS}, got {self.kind!r}")
         for name in ("p", "a0", "a1", "b0", "b1"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
@@ -98,30 +88,28 @@ class NonlinearitySpec:
             raise ValueError("a0 and b0 must be positive")
         if self.a1 < 0 or self.b1 < 0:
             raise ValueError("a1 and b1 must be nonnegative")
-        if self.kind == LINEAR:
-            if self.p != 2.0:
-                raise ValueError("linear kind is the oracle-only p=2 case")
+        if self.table is None:
+            if self.p < 2.0:
+                raise ValueError("p must be >= 2")
+        elif not isinstance(self.table, TabulatedF):
+            raise ValueError("table must be a TabulatedF")
         elif self.p <= 2.0:
-            raise ValueError("p must be > 2 (p=2 is allowed only for the linear kind)")
-        if self.kind == CUBIC and self.p != 4.0:
-            raise ValueError("cubic kind is the power law at p=4")
-        if (self.kind == CUSTOM) != isinstance(self.table, TabulatedF):
-            raise ValueError("the custom kind, and only it, takes a TabulatedF table")
+            raise ValueError("p must be > 2 for a table")
 
 
 def linear_nonlinearity() -> NonlinearitySpec:
-    """F = identity; supports the exact closed-form oracle, not decay."""
-    return NonlinearitySpec(kind=LINEAR, p=2.0, a0=1.0, a1=0.0, b0=1.0, b1=0.0)
+    """F = identity, the power law at p=2; supports the exact closed-form oracle, not decay."""
+    return NonlinearitySpec(p=2.0)
 
 
 def power_law_nonlinearity(p: float) -> NonlinearitySpec:
     """F(u) = |u|^(p-2) u; coercivity and growth hold exactly with a0=b0=1."""
-    return NonlinearitySpec(kind=POWER_LAW, p=p, a0=1.0, a1=0.0, b0=1.0, b1=0.0)
+    return NonlinearitySpec(p=p)
 
 
 def cubic_nonlinearity() -> NonlinearitySpec:
     """f(u) = 3u^2, F(u) = u^3: the power law at p=4."""
-    return NonlinearitySpec(kind=CUBIC, p=4.0, a0=1.0, a1=0.0, b0=1.0, b1=0.0)
+    return NonlinearitySpec(p=4.0)
 
 
 def custom_nonlinearity(table: TabulatedF, p: float, a0: float, a1: float, b0: float, b1: float) -> NonlinearitySpec:
@@ -130,7 +118,7 @@ def custom_nonlinearity(table: TabulatedF, p: float, a0: float, a1: float, b0: f
     Stepping, verification and the energy evaluate the table's exact
     primitives ``table.F`` and ``table.Phi``.
     """
-    return NonlinearitySpec(kind=CUSTOM, p=p, a0=a0, a1=a1, b0=b0, b1=b1, table=table)
+    return NonlinearitySpec(p=p, a0=a0, a1=a1, b0=b0, b1=b1, table=table)
 
 
 class TabulatedF:
@@ -222,35 +210,36 @@ def tabulated_f(r_values, f_values) -> TabulatedF:
 def pointwise_F(nl: NonlinearitySpec) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The primitive F as ``F(u, out) -> out``, built once per spec.
 
-    Every kind writes ``F(u)`` into ``out`` (an array of ``u``'s shape that
-    does not alias it) and returns it.
+    Every ``F`` writes ``F(u)`` into ``out`` (an array of ``u``'s shape that
+    does not alias it) and returns it.  The power law is a copy at ``p = 2``,
+    two multiplies at ``p = 4`` and ``power`` at any other ``p``.
     """
     mul = np.multiply
-    if nl.kind == LINEAR:
+    if nl.table is not None:
+        table_F = nl.table.F
+
+        def F(u, out):
+            out[...] = table_F(u)
+            return out
+
+    elif nl.p == 2.0:
 
         def F(u, out):
             out[...] = u
             return out
 
-    elif nl.kind == CUBIC:
+    elif nl.p == 4.0:
 
         def F(u, out):
             return mul(mul(u, u, out), u, out)
 
-    elif nl.kind == POWER_LAW:
+    else:
         # A 0-d exponent skips the per-call conversion of a Python float.
         pm2 = np.array(nl.p - 2.0)
         absolute, power = np.abs, np.power
 
         def F(u, out):
             return mul(power(absolute(u, out), pm2, out), u, out)
-
-    else:
-        table_F = nl.table.F
-
-        def F(u, out):
-            out[...] = table_F(u)
-            return out
 
     return F
 
@@ -264,21 +253,21 @@ def F_on_grid(nl: NonlinearitySpec, u: np.ndarray) -> np.ndarray:
 def potential_batch(coeffs: np.ndarray, op: OperatorSpec, nl: NonlinearitySpec) -> np.ndarray:
     """Potential values for a batch of coefficient rows, vectorized.
 
-    Phi(x) = int_0^1 <F(s x), x> ds; closed forms for the built-in kinds,
-    and grid quadrature of the table's ``Phi`` for the custom kind.  The
-    built-in kinds take ``|u|^p`` in place on the grid values, with no
-    further array of their size.
+    Phi(x) = int_0^1 <F(s x), x> ds; closed forms for the power law (from
+    the coefficients at ``p = 2``), and grid quadrature of the table's
+    ``Phi`` for a table.  For ``p > 2`` the power law takes ``|u|^p`` in
+    place on the grid values, with no further array of their size.
     """
     c = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
-    if nl.kind == LINEAR:
+    if nl.p == 2.0:
         return 0.5 * np.sum(c * c, axis=1)
     u = modes_to_grid(c, op)
-    if nl.kind in (POWER_LAW, CUBIC):
-        # ``**=`` takes the same scalar-exponent path as ``**``, bit for bit.
-        np.abs(u, out=u)
-        u **= nl.p
-        return (u @ op.weights) / nl.p
-    return nl.table.Phi(u) @ op.weights
+    if nl.table is not None:
+        return nl.table.Phi(u) @ op.weights
+    # ``**=`` takes the same scalar-exponent path as ``**``, bit for bit.
+    np.abs(u, out=u)
+    u **= nl.p
+    return (u @ op.weights) / nl.p
 
 
 @dataclass(frozen=True)
@@ -338,9 +327,9 @@ def _witness(u, lhs, rhs) -> dict:
 
 
 def _builtin_checks(nl: NonlinearitySpec, c: float) -> tuple[ConditionCheck, ...]:
-    """The three checks of a built-in ``F``, decided in closed form on the whole line.
+    """The three checks of the power law, decided in closed form on the whole line.
 
-    ``F(u) = |u|^(p-2) u`` is nondecreasing.  At ``p = 2`` (the linear kind)
+    ``F(u) = |u|^(p-2) u`` is nondecreasing.  At ``p = 2`` (the linear ``F``)
     both sides of growth and coercivity are multiples of ``|u|`` and ``u^2``,
     so they hold when ``a0 + a1 >= 1`` and ``b0 + b1 <= 1``.  For ``p > 2``
     the ``|u|^(p-1)`` and ``|u|^p`` terms rule at large ``|u|`` and the
@@ -349,7 +338,7 @@ def _builtin_checks(nl: NonlinearitySpec, c: float) -> tuple[ConditionCheck, ...
     the failing term is twice the other, or ``u = 1`` when that fails too.
     """
     p, a0, a1, b0, b1 = nl.p, nl.a0, nl.a1, nl.b0, nl.b1
-    if nl.kind == LINEAR:
+    if p == 2.0:
         growth_ok, coercive = a0 + a1 >= 1.0, b0 + b1 <= 1.0
         u_growth = u_coercive = 1.0
     else:
@@ -507,7 +496,7 @@ def _table_checks(nl: NonlinearitySpec, c: float) -> tuple[ConditionCheck, ...]:
 
 
 def verify_conditions(nl: NonlinearitySpec, op: OperatorSpec) -> ConditionReport:
-    """Monotonicity, growth and coercivity of ``F`` on the kind's range, and Poincare.
+    """Monotonicity, growth and coercivity of ``F`` on its range, and Poincare.
 
     Each is decided pointwise, which on a grid with positive weights
     implies the norm form the estimates use:
@@ -519,7 +508,7 @@ def verify_conditions(nl: NonlinearitySpec, op: OperatorSpec) -> ConditionReport
     - coercivity: ``F(u) u >= b0 |u|^p + b1 u^2``, which gives
       ``<F(x), x> >= b0*||x||_p^p + b1*||x||_H^2``.
 
-    A built-in kind, with any constants, is decided in closed form on the
+    The power law, with any constants, is decided in closed form on the
     whole line (:func:`_builtin_checks`).  A table is decided on its knot
     range, which the report states (:func:`_table_checks`); growth and
     coercivity there carry the relative slack ``1e-10*(1 + |rhs|)``.  A run
@@ -534,30 +523,28 @@ def verify_conditions(nl: NonlinearitySpec, op: OperatorSpec) -> ConditionReport
     c = op.domain.length ** ((2.0 - nl.p) / (2.0 * nl.p))
     lam = op.lambda_min
     poincare = ConditionCheck("poincare", lam >= 1.0, None if lam >= 1.0 else {"lambda_min": lam})
-    if nl.kind != CUSTOM:
+    if nl.table is None:
         return ConditionReport(checks=(*_builtin_checks(nl, c), poincare))
     return ConditionReport(checks=(*_table_checks(nl, c), poincare), range=nl.table.range)
 
 
 @dataclass(frozen=True, eq=False)
 class ForcingSpec:
-    """Zero or affine forcing ``g(x, v) = g1*x + g2*v + constant`` with its bound constants.
+    """Affine forcing ``g(x, v) = g1*x + g2*v + constant`` with its bound constants.
 
     ``v`` is the half-smoothed velocity channel.  The constants assert
     ``||g(x,v)||_H <= g1*||x||_H + g2*||v||_H + g0`` and, pairing against
     any test field z, ``|<g(x,v) - g(x1,v1), z>| <= g1*|<x-x1,z>| +
-    g2*|<v-v1,z>|``; ``g0`` must dominate ``||g(0,0)||_H``.
+    g2*|<v-v1,z>|``; ``g0`` must dominate ``||g(0,0)||_H``.  ``g`` is zero,
+    and the run :attr:`unforced`, exactly when ``g1 = g2 = constant = 0``.
     """
 
-    kind: str
     g0: float = 0.0
     g1: float = 0.0
     g2: float = 0.0
     constant: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in FORCING_KINDS:
-            raise ValueError(f"kind must be one of {FORCING_KINDS}, got {self.kind!r}")
         for name in ("g0", "g1", "g2", "constant"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
@@ -565,16 +552,18 @@ class ForcingSpec:
             object.__setattr__(self, name, float(v))
         if self.g0 < 0 or self.g1 < 0 or self.g2 < 0:
             raise ValueError("g0, g1, g2 must be nonnegative")
-        if self.kind == ZERO and (self.g0 or self.g1 or self.g2 or self.constant):
-            raise ValueError("zero forcing takes no constants")
+
+    @property
+    def unforced(self) -> bool:
+        return self.g1 == 0.0 and self.g2 == 0.0 and self.constant == 0.0
 
     @property
     def velocity_dependent(self) -> bool:
-        return self.kind != ZERO and self.g2 > 0.0
+        return self.g2 > 0.0
 
 
 def zero_forcing() -> ForcingSpec:
-    return ForcingSpec(kind=ZERO)
+    return ForcingSpec()
 
 
 def affine_forcing(
@@ -593,7 +582,7 @@ def affine_forcing(
         if constant != 0.0:
             raise ValueError("g0 must be given explicitly when constant != 0")
         g0 = 0.0
-    return ForcingSpec(kind=AFFINE, g0=g0, g1=g1, g2=g2, constant=constant)
+    return ForcingSpec(g0=g0, g1=g1, g2=g2, constant=constant)
 
 
 def constant_modal(op: OperatorSpec, value: float = 1.0) -> np.ndarray:
@@ -615,7 +604,7 @@ def forcing_modal_batch(
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     adot = np.atleast_2d(np.asarray(adot, dtype=np.float64))
-    if fs.kind == ZERO:
+    if fs.unforced:
         return np.zeros_like(a)
     out = fs.g1 * a + fs.g2 * (adot / op.sqrt_eigenvalues[None, :])
     if fs.constant != 0.0:
@@ -624,16 +613,17 @@ def forcing_modal_batch(
 
 
 def verify_g(fs: ForcingSpec, op: OperatorSpec) -> ConditionReport:
-    """The forcing bounds of a zero or affine g, decided exactly.
+    """The forcing bounds of an affine g, decided exactly.
 
     ``g = g1 x + g2 v + c`` with ``g1, g2 >= 0``: the pairing bound is the
     triangle inequality, and the norm bound holds exactly when
     ``g0 >= ||g(0, 0)||_H = |c| ||P 1||`` does, up to the relative slack
-    ``1e-10*(1 + g0)``.  That norm is computed from one evaluation of g at
-    the origin, and a failed ``norm_bound``'s witness states it with ``g0``.
+    ``1e-10*(1 + g0)``.  That norm is computed as that product, so it
+    overflows only where the true norm leaves the float range, and takes no
+    transform for ``c = 0``; a failed ``norm_bound``'s witness states it
+    with ``g0``.
     """
-    zero = np.zeros((1, op.modes))
-    origin_norm = float(np.linalg.norm(forcing_modal_batch(fs, op, zero, zero)[0]))
+    origin_norm = abs(fs.constant) * float(np.linalg.norm(constant_modal(op))) if fs.constant else 0.0
     bounded = origin_norm - fs.g0 <= RELATIVE_SLACK * (1.0 + fs.g0)
     witness = None if bounded else {"origin_norm": origin_norm, "g0": fs.g0}
     checks = (ConditionCheck("norm_bound", bounded, witness), ConditionCheck("lipschitz_pairing", True))

@@ -1,7 +1,7 @@
 """Independent reference computations used by tests.
 
 Everything here is deliberately re-implemented at reduced generality
-(built-in kinds only, plain numpy, no shared stepping or transform code
+(the power law only, no table, plain numpy, no shared stepping or transform code
 beyond wrapping results in the public Trajectory type), so that a bug in
 the production modules cannot certify itself.
 """
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .estimates import energy_table
-from .nonlinearity import AFFINE, CUBIC, LINEAR, POWER_LAW, ForcingSpec, NonlinearitySpec
+from .nonlinearity import ForcingSpec, NonlinearitySpec
 from .solver import SolverConfig, Trajectory
 from .spectral import DIRICHLET, FFT_MIN_MODES, DomainSpec, build_operator
 
@@ -94,13 +94,10 @@ def _oracle_basis(domain: DomainSpec, modes: int):
 
 
 def _oracle_F(nl: NonlinearitySpec, u: np.ndarray) -> np.ndarray:
-    if nl.kind == LINEAR:
-        return u
-    if nl.kind == CUBIC:
+    """The power law ``|u|^(p-2) u``, with the exact products at p = 4."""
+    if nl.p == 4.0:
         return u * u * u
-    if nl.kind == POWER_LAW:
-        return np.abs(u) ** (nl.p - 2.0) * u
-    raise ValueError("reference_run supports built-in nonlinearity kinds only")
+    return np.abs(u) ** (nl.p - 2.0) * u
 
 
 def reference_run(
@@ -119,21 +116,25 @@ def reference_run(
     Integrates the same modal system at ``m_ref`` modes and step ``dt_ref``
     with an RK4 loop and transforms implemented here, from modal initial
     data zero-padded into the reference basis.  The result is wrapped in
-    the public Trajectory type for uniform error measurement.
+    the public Trajectory type for uniform error measurement.  ``F`` is the
+    power law at ``nl.p``, which keeps its modes decoupled at ``p = 2``.
     """
+    if nl.table is not None:
+        raise ValueError("reference_run supports the power law only, not a table")
     cfg = SolverConfig(T=T, dt=dt_ref, sample_stride=sample_stride)
     lam, basis, proj, _ = _oracle_basis(domain, m_ref)
     sqrt_lam = np.sqrt(lam)
-    gc = fs.constant * (proj @ np.ones(basis.shape[0])) if fs.kind == AFFINE else None
+    gc = fs.constant * (proj @ np.ones(basis.shape[0])) if fs.constant != 0.0 else None
+    forced = fs.g1 != 0.0 or fs.g2 != 0.0 or gc is not None
 
     def accel(a: np.ndarray, adot: np.ndarray) -> np.ndarray:
-        if nl.kind == LINEAR:
+        if nl.p == 2.0:
             out = -(lam * a)
         else:
             out = -(lam * (proj @ _oracle_F(nl, basis @ a)))
-        if fs.kind == AFFINE:
+        if forced:
             extra = fs.g1 * a + (fs.g2 * adot) / sqrt_lam
-            if gc is not None and fs.constant != 0.0:
+            if gc is not None:
                 extra = extra + gc
             out = out + extra
         return out

@@ -19,9 +19,6 @@ import numpy as np
 from . import kernels
 from .estimates import EnergyTable, energy_table
 from .nonlinearity import (
-    AFFINE,
-    CUSTOM,
-    LINEAR,
     ForcingSpec,
     NonlinearitySpec,
     F_on_grid,
@@ -39,7 +36,6 @@ __all__ = [
     "State",
     "Trajectory",
     "acceleration",
-    "initial_state_from_modal",
     "integrate",
     "project_initial_data",
 ]
@@ -176,16 +172,9 @@ def project_initial_data(x0_samples, x1_samples, op: OperatorSpec) -> ProjectedI
     return ProjectedInitialData(state=State(a=a, adot=adot, t=0.0), x0_tail_norm=tail0, x1_tail_norm=tail1)
 
 
-def initial_state_from_modal(coeffs0, coeffs1, op: OperatorSpec) -> ProjectedInitialData:
-    """Initial state from coefficient lists, truncating or zero-padding."""
-    a, tail0 = fit_modal(coeffs0, op)
-    adot, tail1 = fit_modal(coeffs1, op)
-    return ProjectedInitialData(state=State(a=a, adot=adot, t=0.0), x0_tail_norm=tail0, x1_tail_norm=tail1)
-
-
 def acceleration(state: State, op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec) -> np.ndarray:
     """Reference modal acceleration from the batch evaluators the energy table uses."""
-    w = state.a if nl.kind == LINEAR else grid_to_modes(F_on_grid(nl, modes_to_grid(state.a, op)), op)
+    w = state.a if nl.p == 2.0 else grid_to_modes(F_on_grid(nl, modes_to_grid(state.a, op)), op)
     return -(op.eigenvalues * w) + forcing_modal_batch(fs, op, state.a, state.adot)[0]
 
 
@@ -232,7 +221,7 @@ def _stepping_terms(op: OperatorSpec, nl: NonlinearitySpec, fs: ForcingSpec, row
     ``None`` without one.
     """
     damping = fs.g2 / op.sqrt_eigenvalues if fs.velocity_dependent else None
-    constant = fs.constant * constant_modal(op) if fs.kind == AFFINE and fs.constant != 0.0 else None
+    constant = fs.constant * constant_modal(op) if fs.constant != 0.0 else None
     return _galerkin_term(op, nl, rows), fs.g1, damping, constant
 
 
@@ -240,9 +229,9 @@ def _galerkin_term(op: OperatorSpec, nl: NonlinearitySpec, rows: int):
     """``galerkin(Y, out)``: writes ``-lambda P F(B y)`` of each row ``y`` of ``Y`` into that row of ``out``.
 
     ``Y`` and ``out`` are C-contiguous ``(rows, m)`` blocks of stage
-    positions and Galerkin rows, and ``Y`` is only read.  The linear kind's
-    term is ``-lambda y``.  On dense products every other ``F``, custom
-    included, has ``-lambda`` and ``P`` folded into one matrix: a call is
+    positions and Galerkin rows, and ``Y`` is only read.  At ``p = 2`` (the
+    linear ``F``) the term is ``-lambda y``.  On dense products every other
+    ``F``, a table included, has ``-lambda`` and ``P`` folded into one matrix: a call is
     ``Y.dot(BT, U)``, ``F(U, Fu)`` and ``Fu.dot(LT, out)``, with ``BT = B^T``
     and ``LT = (-lambda P)^T`` contiguous, into buffers of this term's own
     (``np.dot`` would add its dispatcher to each product).  On the FFT pair
@@ -251,7 +240,7 @@ def _galerkin_term(op: OperatorSpec, nl: NonlinearitySpec, rows: int):
     loop's.
     """
     neg_lam = -np.ascontiguousarray(op.eigenvalues)
-    if nl.kind == LINEAR:
+    if nl.p == 2.0:
         mul = np.multiply
 
         def galerkin(Y, out):
@@ -261,8 +250,8 @@ def _galerkin_term(op: OperatorSpec, nl: NonlinearitySpec, rows: int):
 
     F = pointwise_F(nl)
     if op._fft is not None:
-        # The built-in kinds are odd in floating point; a table need not be.
-        return op._fft.galerkin(F, neg_lam, nl.kind != CUSTOM, rows)
+        # The power law is odd in floating point; a table need not be.
+        return op._fft.galerkin(F, neg_lam, nl.table is None, rows)
 
     BT = np.ascontiguousarray(op.basis.T)
     LT = np.ascontiguousarray((neg_lam[:, None] * op.projection).T)
@@ -285,7 +274,7 @@ def integrate(
 ) -> Trajectory:
     """Advance the modal system and return the sampled trajectory.
 
-    Every kind steps on :func:`kernels.run_numpy` with the terms from
+    Every problem steps on :func:`kernels.run_numpy` with the terms from
     :func:`_stepping_terms`.  If ``||a||_inf`` exceeds the blow-up ceiling (or
     goes non-finite) the run stops early, records the offending state, and
     flags the trajectory as diverged at that time.

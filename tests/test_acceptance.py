@@ -42,7 +42,7 @@ from wavegalerkin.oracle import (
     reference_run,
     scalar_comparison,
 )
-from wavegalerkin.solver import SolverConfig, initial_state_from_modal, integrate, project_initial_data
+from wavegalerkin.solver import SolverConfig, State, fit_modal, integrate, project_initial_data
 from wavegalerkin.spectral import DIRICHLET, DomainSpec, build_operator, grid_to_modes, modes_to_grid
 
 DOM = DomainSpec(length=1.0, bc=DIRICHLET)
@@ -104,8 +104,8 @@ def test_A3_galerkin_convergence():
     errs = {}
     for m in (8, 16, 32):
         op = build_operator(DOM, m)
-        init = initial_state_from_modal(x0, [], op)
-        traj = integrate(init.state, SolverConfig(T=1.0, dt=1e-3), op, nl, fs)
+        init = State(a=fit_modal(x0, op)[0], adot=np.zeros(op.modes))
+        traj = integrate(init, SolverConfig(T=1.0, dt=1e-3), op, nl, fs)
         assert not traj.diverged
         errs[m] = max_H_error(traj, ref)
     ok = errs[8] > errs[16] > errs[32] and errs[32] <= 1e-6
@@ -141,11 +141,11 @@ def test_A5_linear_oracle():
     op = build_operator(DOM, 8)
     nl = linear_nonlinearity()
     fs = zero_forcing()
-    init = initial_state_from_modal([1.0], [], op)
+    init = State(a=fit_modal([1.0], op)[0], adot=np.zeros(op.modes))
     lam1 = float(op.eigenvalues[0])
     errs = []
     for dt in (1e-3, 5e-4):
-        traj = integrate(init.state, SolverConfig(T=10.0, dt=dt, sample_stride=10), op, nl, fs)
+        traj = integrate(init, SolverConfig(T=10.0, dt=dt, sample_stride=10), op, nl, fs)
         assert not traj.diverged
         exact_a, _ = linear_exact(1, lam1, 1.0, 0.0, traj.times)
         errs.append(float(np.max(np.abs(traj.a[:, 0] - exact_a))))

@@ -24,7 +24,7 @@ from wavegalerkin.config import ConfigError, load_config, resolve_initial
 from wavegalerkin.estimates import EnergyTable, derive_decay, derive_gronwall, monitor, sample_table
 from wavegalerkin.nonlinearity import verify_conditions
 from wavegalerkin.solver import integrate
-from wavegalerkin.spectral import build_operator
+from wavegalerkin.spectral import DIRICHLET, FFT_MIN_MODES, PERIODIC_MEAN_ZERO, build_operator
 
 
 def make_cfg(tmp_path, **over):
@@ -221,6 +221,60 @@ def test_initial_energy_past_the_float_range_exits_3_and_leaves_no_artifact(tmp_
     assert err == "config error: the initial data x0, x1 have energy E(0) = inf; the bounds need 2E(0) to be a finite float\n"
     assert not (tmp_path / "trajectory.csv").exists()
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "forcing, constants",
+    [
+        ({"kind": "affine", "g2": 1e160}, "g0 = 0, g1 = 0, g2 = 1e+160"),
+        ({"kind": "affine", "g0": 1e160, "constant": 1.0}, "g0 = 1e+160, g1 = 0, g2 = 0"),
+        ({"kind": "affine", "g1": 1e154}, "g0 = 0, g1 = 1e+154, g2 = 0"),
+    ],
+    ids=["g2", "g0", "g1"],
+)
+def test_gronwall_constants_past_the_float_range_exit_3_and_leave_no_artifact(tmp_path, capsys, forcing, constants):
+    # g0^2, g1^2 or g2^2 past the float range leaves no finite envelope: like
+    # an E(0) past it, that is a config error, and no earlier run's CSV or
+    # report may stay at the paths.
+    good = write_cfg(tmp_path, make_cfg(tmp_path, time={"T": 0.01, "dt": 1e-3}))
+    assert cli.main(["run", good]) == 0
+    bad = write_cfg(tmp_path, make_cfg(tmp_path, forcing=forcing, time={"T": 0.01, "dt": 1e-3}), name="bad.json")
+    capsys.readouterr()
+    assert cli.main(["run", bad]) == 3
+    err = capsys.readouterr().err
+    assert err == f"config error: the forcing constants {constants} take the Gronwall constants C0, C1 past the float range\n"
+    assert not (tmp_path / "trajectory.csv").exists()
+    assert not (tmp_path / "report.json").exists()
+
+
+def _run_artifacts(tmp_path, **over) -> tuple[bytes, bytes]:
+    """The CSV and report bytes of a passing ``run`` of ``make_cfg(**over)``."""
+    assert cli.main(["run", write_cfg(tmp_path, make_cfg(tmp_path, **over))]) == 0
+    return (tmp_path / "trajectory.csv").read_bytes(), (tmp_path / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("named, p", [("cubic", 4), ("linear", 2)])
+@pytest.mark.parametrize("modes", [8, FFT_MIN_MODES])
+@pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC_MEAN_ZERO])
+def test_a_named_power_law_runs_as_the_power_law_at_its_p(tmp_path, bc, modes, named, p):
+    # linear and cubic are names for p = 2 and p = 4: the same problem takes
+    # the same path, on dense products and on the FFT pair
+    common = dict(domain={"length": 1.0, "bc": bc}, modes=modes, time={"T": 0.01, "dt": 1e-3})
+    by_name = _run_artifacts(tmp_path, nonlinearity={"kind": named}, **common)
+    by_p = _run_artifacts(tmp_path, nonlinearity={"kind": "power_law", "p": p}, **common)
+    assert by_p == by_name
+
+
+@pytest.mark.parametrize("g0", [0.0, 0.5])
+def test_all_zero_affine_forcing_gets_the_unforced_checks(tmp_path, g0):
+    # g with g1 = g2 = constant = 0 is zero, whatever g0 states: the run is
+    # unforced, with conservation and decay in place of the envelope
+    zero = _run_artifacts(tmp_path, forcing={"kind": "zero"}, time={"T": 0.1, "dt": 1e-3})
+    affine = _run_artifacts(tmp_path, forcing={"kind": "affine", "g0": g0}, time={"T": 0.1, "dt": 1e-3})
+    rep = json.loads(affine[1])
+    assert [c["name"] for c in rep["monitor"]["checks"]] == ["energy_identity", "conservation", "decay"]
+    assert rep["gronwall_params"]["C0"] == rep["gronwall_params"]["C1"] == 0.0
+    assert affine == zero
 
 
 def test_run_artifacts(tmp_path):

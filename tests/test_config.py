@@ -40,7 +40,7 @@ def write_cfg(tmp_path, cfg, name="run.json"):
 def test_load_valid_config_defaults(tmp_path):
     rc = load_config(write_cfg(tmp_path, base_config()))
     assert rc.modes == 8
-    assert rc.nl.kind == "cubic" and rc.fs.kind == "zero"
+    assert rc.nl.p == 4.0 and rc.nl.table is None and rc.fs.unforced
     assert rc.solver.T == 1.0 and rc.solver.sample_stride == 1
     assert rc.output.csv_path == "trajectory.csv"
     assert rc.output.report_path == "report.json"
@@ -104,8 +104,9 @@ def test_semantic_errors_become_config_errors(tmp_path):
     ],
 )
 def test_forcing_rules_are_the_library_ones(tmp_path, capsys, forcing, message):
-    # A forcing section is built by ForcingSpec and affine_forcing, whose
-    # rules and wording a config meets unchanged, with exit 3.
+    # A forcing section is built by zero_forcing and affine_forcing, whose
+    # rules and wording a config meets unchanged, with exit 3; zero forcing
+    # names all-zero constants, so a stated one is rejected.
     assert cli.main(["verify", str(write_cfg(tmp_path, base_config(forcing=forcing)))]) == 3
     assert capsys.readouterr().err == f"config error: {message}\n"
 
@@ -132,7 +133,7 @@ def test_custom_nonlinearity_from_table(tmp_path):
         }
     )
     rc = load_config(write_cfg(tmp_path, cfg))
-    assert rc.nl.kind == "custom"
+    assert rc.nl.table is not None
     assert rc.nl.table(np.array([0.5]))[0] == pytest.approx(1.5)
 
 

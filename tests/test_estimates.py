@@ -34,7 +34,7 @@ from wavegalerkin.nonlinearity import (
     tabulated_f,
     zero_forcing,
 )
-from wavegalerkin.solver import SolverConfig, State, initial_state_from_modal, integrate, project_initial_data
+from wavegalerkin.solver import SolverConfig, State, fit_modal, integrate, project_initial_data
 from wavegalerkin.spectral import DIRICHLET, FFT_MIN_MODES, PERIODIC_MEAN_ZERO, DomainSpec, build_operator, modes_to_grid
 
 
@@ -78,15 +78,19 @@ def test_embedding_constant_values(op8):
 
 
 def test_derive_gronwall_constants(op8):
-    e0 = _initial_energy(initial_state_from_modal([0.3], [], op8).state, op8, cubic_nonlinearity(), zero_forcing())
+    e0 = _initial_energy(State(a=fit_modal([0.3], op8)[0], adot=np.zeros(op8.modes)), op8, cubic_nonlinearity(), zero_forcing())
     gp0 = derive_gronwall(cubic_nonlinearity(), zero_forcing(), op8, e0)
     assert (gp0.C0, gp0.C1) == (0.0, 0.0)
     assert gp0.c_tilde == pytest.approx(4.0)
     assert gp0.E_init == pytest.approx(2.0 * e0, rel=1e-14)
 
-    gp1 = derive_gronwall(cubic_nonlinearity(), affine_forcing(g0=0.3), op8, e0)
+    # g with all-zero coefficients is unforced whatever g0 states
+    gp_zero = derive_gronwall(cubic_nonlinearity(), affine_forcing(g0=0.3), op8, e0)
+    assert (gp_zero.C0, gp_zero.C1) == (0.0, 0.0)
+
+    gp1 = derive_gronwall(cubic_nonlinearity(), affine_forcing(g1=0.1, g0=0.3), op8, e0)
     assert gp1.C0 == pytest.approx(2.0)
-    assert gp1.C1 == pytest.approx(0.18)
+    assert gp1.C1 == pytest.approx(0.26)
 
     gp2 = derive_gronwall(cubic_nonlinearity(), affine_forcing(g1=1.0, g2=0.3, g0=0.3), op8, e0)
     assert gp2.C0 == pytest.approx(8.0)
@@ -135,15 +139,18 @@ def test_decay_params_validation():
 
 
 def test_derive_decay_defaults(op16):
-    e0 = _initial_energy(initial_state_from_modal([0.1], [], op16).state, op16, cubic_nonlinearity(), zero_forcing())
+    e0 = _initial_energy(State(a=fit_modal([0.1], op16)[0], adot=np.zeros(op16.modes)), op16, cubic_nonlinearity(), zero_forcing())
     dp = derive_decay(cubic_nonlinearity(), zero_forcing(), op16, e0)
     assert dp.r == pytest.approx(2.0)
     assert dp.c == pytest.approx(0.5)
     assert dp.C == pytest.approx(2.0 * e0, rel=1e-14)
     # small initial energy: the default lands on the c/2^(r-1) cap
     assert dp.delta == pytest.approx(0.25)
-    # no decay bound exists for forced runs or for p <= 2
-    assert derive_decay(cubic_nonlinearity(), affine_forcing(g0=0.1), op16, e0) is None
+    # no decay bound exists for forced runs or for p <= 2; g with all-zero
+    # coefficients is unforced whatever g0 states
+    assert derive_decay(cubic_nonlinearity(), affine_forcing(g0=0.1), op16, e0) == dp
+    for fs in (affine_forcing(g1=0.1, g0=0.1), affine_forcing(g2=0.1), affine_forcing(constant=0.1, g0=0.1)):
+        assert derive_decay(cubic_nonlinearity(), fs, op16, e0) is None
     assert derive_decay(linear_nonlinearity(), zero_forcing(), op16, e0) is None
 
 
@@ -192,7 +199,7 @@ def test_identity_residual_shrinks_at_third_order(op8):
 
 
 def test_linear_energy_conserved_tightly(op8):
-    init = initial_state_from_modal([1.0, 0.5], [0.0, 0.3], op8).state
+    init = State(a=fit_modal([1.0, 0.5], op8)[0], adot=fit_modal([0.0, 0.3], op8)[0])
     traj = integrate(init, SolverConfig(T=10.0, dt=1e-4, sample_stride=100), op8, linear_nonlinearity(), zero_forcing())
     e = traj.energy.energy
     assert np.max(np.abs(e - e[0])) <= 1e-10 * e[0]
@@ -217,7 +224,7 @@ def test_monitor_full_pass_covers_every_check(op8):
         names.append([c.name for c in rep.checks])
         by_name = {c.name: c for c in rep.checks}
         assert by_name["energy_identity"].tolerance == IDENTITY_SCALE * (1.0 + abs(e0))
-        if fs.kind == "zero":
+        if fs.unforced:
             assert by_name["conservation"].tolerance == CONSERVATION_REL * abs(e0)
     assert names == [["energy_identity", "conservation", "decay"], ["energy_identity", "gronwall"]]
 
@@ -296,12 +303,12 @@ def test_monitor_single_sample_is_vacuous(op8):
         dp = derive_decay(traj.nl, traj.fs, op8, e0)
         rep = monitor(traj, sample_table(traj, gp, dp))
         assert rep.passed
-        assert len(rep.checks) == (3 if fs.kind == "zero" else 2)
+        assert len(rep.checks) == (3 if fs.unforced else 2)
         assert all(c.samples == 1 for c in rep.checks)
 
 
 def test_monitor_reports_divergence(op8):
-    init = initial_state_from_modal([50.0], [], op8).state
+    init = State(a=fit_modal([50.0], op8)[0], adot=np.zeros(op8.modes))
     cfg = SolverConfig(T=1.0, dt=1e-2, blowup_ceiling=1e6)
     traj = integrate(init, cfg, op8, cubic_nonlinearity(), zero_forcing())
     gp = derive_gronwall(traj.nl, traj.fs, op8, float(traj.energy.energy[0]))

@@ -1,5 +1,6 @@
 """The stepping loop: stride, divergence screen, agreement with the textbook loop, FFT/dense agreement."""
 
+import dataclasses
 import math
 import warnings
 
@@ -8,11 +9,6 @@ import pytest
 
 from wavegalerkin import kernels, spectral
 from wavegalerkin.nonlinearity import (
-    AFFINE,
-    CUBIC,
-    LINEAR,
-    POWER_LAW,
-    ZERO,
     F_on_grid,
     affine_forcing,
     constant_modal,
@@ -175,22 +171,22 @@ def _reference_run_numpy(a0, adot0, dt, n_steps, stride, ceiling, use_verlet, ac
 def _reference_accel(op, nl, fs):
     lam = np.ascontiguousarray(op.eigenvalues)
     sqrt_lam = np.ascontiguousarray(op.sqrt_eigenvalues)
-    gc = fs.constant * constant_modal(op) if fs.kind == AFFINE and fs.constant != 0.0 else None
+    gc = fs.constant * constant_modal(op) if fs.constant != 0.0 else None
     pm2 = nl.p - 2.0
 
     def value(a, adot):
-        if nl.kind == LINEAR:
+        if nl.p == 2.0:
             out = -(lam * a)
         else:
             u = modes_to_grid(a, op)
-            if nl.kind == CUBIC:
-                w = u * u * u
-            elif nl.kind == POWER_LAW:
-                w = np.abs(u) ** pm2 * u
-            else:
+            if nl.table is not None:
                 w = F_on_grid(nl, u)
+            elif nl.p == 4.0:
+                w = u * u * u
+            else:
+                w = np.abs(u) ** pm2 * u
             out = -(lam * grid_to_modes(w, op))
-        if fs.kind == ZERO:
+        if fs.unforced:
             return out
         extra = fs.g1 * a + (fs.g2 * adot) / sqrt_lam
         if gc is not None:
@@ -265,7 +261,7 @@ FS_CASES = {
 
 def _without_damping(fs):
     """``fs`` with ``g2 = 0``: velocity Verlet takes no velocity-dependent forcing."""
-    return affine_forcing(g1=fs.g1, g2=0.0, constant=fs.constant, g0=fs.g0) if fs.kind == AFFINE else fs
+    return dataclasses.replace(fs, g2=0.0)
 
 
 def _initial_modal(op):
@@ -318,7 +314,7 @@ def test_fft_galerkin_term_is_the_batch_maps_bit_for_bit(bc):
                     term(block, got)
                     for a, row in zip(block, got):
                         want = -(op.eigenvalues * grid_to_modes(F_on_grid(nl, modes_to_grid(a, op)), op))
-                        assert np.array_equal(row, want), (m, op.grid_points, nl.kind, nl.p)
+                        assert np.array_equal(row, want), (m, op.grid_points, nl.p, nl.table is None)
             assert "basis" not in vars(op)
 
 

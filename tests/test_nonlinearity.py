@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from wavegalerkin import cli
+from wavegalerkin import cli, nonlinearity
 from wavegalerkin.nonlinearity import (
     RELATIVE_SLACK,
-    ZERO,
     ConditionCheck,
     ConditionReport,
     ForcingSpec,
@@ -157,27 +156,27 @@ def _crosses(check) -> bool:
 # A built-in kind is decided by its rules, with no power of u evaluated,
 # so they hold at any p: |u|^p overflows from about p = 200 at moderate u.
 @pytest.mark.parametrize(
-    "kind, p, claim, failed",
+    "p, claim, failed",
     [
-        ("power_law", 2060.0, dict(), []),
-        ("power_law", 2060.0, dict(b0=0.5, a0=3.0, a1=2.0), []),
-        ("power_law", 2060.0, dict(b0=2.0), ["coercivity"]),
-        ("power_law", 2060.0, dict(b1=1e-3), ["coercivity"]),
-        ("power_law", 2060.0, dict(b0=0.5, b1=1e-3), ["coercivity"]),
-        ("power_law", 2060.0, dict(a0=0.5, a1=3.0), ["growth"]),
-        ("power_law", 200.0, dict(a0=0.5), ["growth"]),
-        ("power_law", 3.0, dict(a0=0.9, a1=0.3), ["growth"]),
-        ("power_law", 5.0, dict(b0=1.5), ["coercivity"]),
-        ("power_law", 2.5, dict(b0=0.5, b1=0.2), ["coercivity"]),
-        ("power_law", 4.0, dict(b0=1.0, b1=0.2), ["coercivity"]),
-        ("linear", 2.0, dict(a0=0.6, a1=0.3), ["growth"]),
-        ("linear", 2.0, dict(a0=0.6, a1=0.4), []),
-        ("linear", 2.0, dict(b0=0.6, b1=0.5), ["coercivity"]),
-        ("linear", 2.0, dict(b0=0.6, b1=0.4), []),
+        (2060.0, dict(), []),
+        (2060.0, dict(b0=0.5, a0=3.0, a1=2.0), []),
+        (2060.0, dict(b0=2.0), ["coercivity"]),
+        (2060.0, dict(b1=1e-3), ["coercivity"]),
+        (2060.0, dict(b0=0.5, b1=1e-3), ["coercivity"]),
+        (2060.0, dict(a0=0.5, a1=3.0), ["growth"]),
+        (200.0, dict(a0=0.5), ["growth"]),
+        (3.0, dict(a0=0.9, a1=0.3), ["growth"]),
+        (5.0, dict(b0=1.5), ["coercivity"]),
+        (2.5, dict(b0=0.5, b1=0.2), ["coercivity"]),
+        (4.0, dict(b0=1.0, b1=0.2), ["coercivity"]),
+        (2.0, dict(a0=0.6, a1=0.3), ["growth"]),
+        (2.0, dict(a0=0.6, a1=0.4), []),
+        (2.0, dict(b0=0.6, b1=0.5), ["coercivity"]),
+        (2.0, dict(b0=0.6, b1=0.4), []),
     ],
 )
-def test_builtin_rules_and_their_witnesses(op8, kind, p, claim, failed):
-    rep = verify_conditions(NonlinearitySpec(kind=kind, p=p, **claim), op8)
+def test_builtin_rules_and_their_witnesses(op8, p, claim, failed):
+    rep = verify_conditions(NonlinearitySpec(p=p, **claim), op8)
     assert [c.name for c in rep.checks if not c.passed] == failed
     assert all(_crosses(c) for c in rep.checks if not c.passed)
 
@@ -202,6 +201,24 @@ def test_verify_g_falsifies_understated_origin(op16):
     assert verify_g(ok, op16).passed
 
 
+def test_verify_g_norm_does_not_overflow_below_the_float_range(op8):
+    # ||g(0, 0)|| = 1e300 ||P 1|| = 9.79e299 is a float, though its square is not
+    p1 = float(np.linalg.norm(constant_modal(op8)))
+    assert verify_g(affine_forcing(constant=1e300, g0=1e301), op8).passed
+    rep = verify_g(affine_forcing(constant=1e300, g0=1e299), op8)
+    assert not rep.passed
+    assert rep.checks[0].witness == {"origin_norm": pytest.approx(1e300 * p1, rel=1e-14), "g0": 1e299}
+
+
+def test_verify_g_without_a_constant_makes_no_transform(op8, monkeypatch):
+    def no_transform(*args, **kwargs):
+        raise AssertionError("g without a constant needs no transform")
+
+    monkeypatch.setattr(nonlinearity, "grid_to_modes", no_transform)
+    for fs in (zero_forcing(), affine_forcing(g1=0.3, g2=0.2, g0=0.5)):
+        assert verify_g(fs, op8).passed
+
+
 @pytest.mark.parametrize(
     "domain, lambda_min",
     [(DomainSpec(length=4.0, bc=DIRICHLET), (math.pi / 4.0) ** 2), (DomainSpec(length=3.0 * math.pi, bc=PERIODIC_MEAN_ZERO), 4.0 / 9.0)],
@@ -222,7 +239,7 @@ _SHAPE_TABLE = tabulated_f([-10.0, 0.0, 10.0], [1.0, 0.5, 1.0])
         linear_nonlinearity(),
         cubic_nonlinearity(),
         power_law_nonlinearity(3.0),
-        NonlinearitySpec(kind="power_law", p=3.0, a0=0.5, b0=2.0),
+        NonlinearitySpec(p=3.0, a0=0.5, b0=2.0),
         custom_nonlinearity(_SHAPE_TABLE, 3.0, 1.0, 10.0, 0.01, 0.0),
         custom_nonlinearity(tabulated_f([-10.0, 10.0], [-1.0, -1.0]), 3.0, 1.0, 1.0, 1.0, 0.0),
     ],
@@ -337,7 +354,9 @@ def _no_generator(*args, **kwargs):
 BUILTIN_KINDS = [linear_nonlinearity(), cubic_nonlinearity()] + [power_law_nonlinearity(p) for p in (2.5, 3.3, 4.0, 6.0)]
 
 
-@pytest.mark.parametrize("nl", BUILTIN_KINDS, ids=lambda nl: f"{nl.kind}-p{nl.p:g}")
+@pytest.mark.parametrize(
+    "nl", BUILTIN_KINDS, ids=["linear-p2", "cubic-p4", "power_law-p2.5", "power_law-p3.3", "power_law-p4", "power_law-p6"]
+)
 @pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC_MEAN_ZERO])
 def test_decided_conditions_agree_with_the_drawn_ones(nl, bc, monkeypatch):
     op = build_operator(DomainSpec(length=1.7, bc=bc), 16)
@@ -474,11 +493,16 @@ def test_negative_f_at_one_knot_fails_monotonicity_there(op8):
 
 def test_forcing_spec_validation():
     with pytest.raises(ValueError):
-        ForcingSpec(kind=ZERO, g1=0.1)
+        ForcingSpec(g1=-0.1)
     with pytest.raises(ValueError):
         affine_forcing(constant=0.5)
     with pytest.raises(ValueError):
-        ForcingSpec(kind="affine", g0=-0.1)
+        ForcingSpec(g0=-0.1)
+    with pytest.raises(ValueError, match="finite"):
+        ForcingSpec(constant=math.inf)
+    # g is zero exactly when its coefficients are, whatever g0 states
+    assert zero_forcing().unforced and affine_forcing(g0=2.0).unforced
+    assert not any(affine_forcing(**k).unforced for k in (dict(g1=0.1), dict(g2=0.1), dict(constant=-0.1, g0=1.0)))
     assert not zero_forcing().velocity_dependent
     assert affine_forcing(g2=0.1).velocity_dependent
     assert not affine_forcing(g1=0.5).velocity_dependent
@@ -508,20 +532,19 @@ def test_tabulated_f_interp_and_clamp():
 
 
 def test_nonlinearity_spec_validation():
+    with pytest.raises(ValueError, match=">= 2"):
+        power_law_nonlinearity(1.5)
     with pytest.raises(ValueError):
-        power_law_nonlinearity(2.0)
-    with pytest.raises(ValueError):
-        NonlinearitySpec(kind="linear", p=3.0)
-    with pytest.raises(ValueError):
-        NonlinearitySpec(kind="power_law", p=4.0, a0=0.0)
-    # u^3 meets no p=3 growth bound, so the cubic kind is p=4 only
-    with pytest.raises(ValueError, match="p=4"):
-        NonlinearitySpec(kind="cubic", p=3.0)
-    # the custom kind, and only it, holds a table with its exact primitives
+        NonlinearitySpec(p=4.0, a0=0.0)
+    # linear and cubic are the power law at p = 2 and p = 4, constants and all
+    for named, p in ((linear_nonlinearity(), 2.0), (cubic_nonlinearity(), 4.0)):
+        assert dataclasses.asdict(named) == dataclasses.asdict(power_law_nonlinearity(p))
+    # a table is a TabulatedF with its exact primitives, and needs p > 2
     table = tabulated_f([-1.0, 1.0], [-3.0, 3.0])
-    for kind, given in (("custom", None), ("custom", np.cos), ("power_law", table)):
-        with pytest.raises(ValueError, match="TabulatedF"):
-            NonlinearitySpec(kind=kind, p=3.0, table=given)
+    with pytest.raises(ValueError, match="TabulatedF"):
+        NonlinearitySpec(p=3.0, table=np.cos)
+    with pytest.raises(ValueError, match="p must be > 2"):
+        custom_nonlinearity(table, 2.0, 1.0, 0.0, 1.0, 0.0)
 
 
 # Tables for the exact primitives: 0 as a node, 0 between nodes, and a

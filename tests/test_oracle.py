@@ -14,7 +14,7 @@ from wavegalerkin.oracle import (
     reference_run,
     scalar_comparison,
 )
-from wavegalerkin.solver import SolverConfig, initial_state_from_modal, integrate
+from wavegalerkin.solver import SolverConfig, State, fit_modal, integrate
 from wavegalerkin.spectral import DIRICHLET, DomainSpec, build_operator
 
 PI2 = math.pi ** 2
@@ -69,7 +69,7 @@ def test_reference_and_production_agree_at_same_resolution():
     x0 = [0.2, 0.0, 0.05]
     ref = reference_run(dom, cubic_nonlinearity(), zero_forcing(), x0, [], T=1.0, m_ref=8, dt_ref=1e-3)
     op = build_operator(dom, 8)
-    init = initial_state_from_modal(x0, [], op).state
+    init = State(a=fit_modal(x0, op)[0], adot=np.zeros(op.modes))
     traj = integrate(init, SolverConfig(T=1.0, dt=1e-3), op, cubic_nonlinearity(), zero_forcing())
     assert max_H_error(traj, ref) <= 1e-12
 
@@ -79,7 +79,7 @@ def test_max_H_error_counts_reference_tail():
     x0 = [0.3]
     ref = reference_run(dom, cubic_nonlinearity(), zero_forcing(), x0, [], T=0.5, m_ref=16, dt_ref=1e-3)
     op = build_operator(dom, 8)
-    init = initial_state_from_modal(x0, [], op).state
+    init = State(a=fit_modal(x0, op)[0], adot=np.zeros(op.modes))
     traj = integrate(init, SolverConfig(T=0.5, dt=1e-3), op, cubic_nonlinearity(), zero_forcing())
     err = max_H_error(traj, ref)
     tail = float(np.max(np.sqrt(np.sum(ref.a[:, 8:] ** 2, axis=1))))
@@ -91,14 +91,14 @@ def test_max_H_error_requires_aligned_times():
     nl, fs = linear_nonlinearity(), zero_forcing()
     ref = reference_run(dom, nl, fs, [1.0], [], T=1.0, m_ref=2, dt_ref=0.2)
     op = build_operator(dom, 2)
-    init = initial_state_from_modal([1.0], [], op).state
+    init = State(a=fit_modal([1.0], op)[0], adot=np.zeros(op.modes))
     traj = integrate(init, SolverConfig(T=1.0, dt=0.25), op, nl, fs)
     with pytest.raises(ValueError, match="times"):
         max_H_error(traj, ref)
     with pytest.raises(ValueError, match="modes"):
         ref_small = reference_run(dom, nl, fs, [1.0], [], T=1.0, m_ref=2, dt_ref=0.25)
         op4 = build_operator(dom, 4)
-        init4 = initial_state_from_modal([1.0], [], op4).state
+        init4 = State(a=fit_modal([1.0], op4)[0], adot=np.zeros(op4.modes))
         traj4 = integrate(init4, SolverConfig(T=1.0, dt=0.25), op4, nl, fs)
         max_H_error(traj4, ref_small)
 

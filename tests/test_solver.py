@@ -22,7 +22,7 @@ from wavegalerkin.solver import (
     State,
     _stepping_terms,
     acceleration,
-    initial_state_from_modal,
+    fit_modal,
     integrate,
     project_initial_data,
 )
@@ -112,9 +112,9 @@ _CUSTOM_F = custom_nonlinearity(_TABLE, 4.0, 1.0, 1.0, 0.1, 0.0)
 @pytest.mark.parametrize("seed", [12, 13, 14])
 def test_acceleration_implementations_agree(op8, seed):
     rng = np.random.default_rng(seed)
-    # Every specialised closure: each nonlinearity kind under each forcing
-    # kind, on the dense products (m=8, and the largest dense periodic
-    # operator just below FFT_MIN_MODES) and on the FFT pair (m=512).
+    # Every specialised closure: each F (p = 2, p = 4, another p, a table)
+    # under each forcing, on the dense products (m=8, and the largest dense
+    # periodic operator just below FFT_MIN_MODES) and on the FFT pair (m=512).
     nls = [
         linear_nonlinearity(),
         cubic_nonlinearity(),
@@ -139,11 +139,11 @@ def test_acceleration_implementations_agree(op8, seed):
             for fs in forcings:
                 ref = acceleration(State(a=a, adot=adot), op, nl, fs)
                 closures = _closure_values(op, nl, fs, a, adot)
-                assert all(_agrees(closure, ref) for closure in closures), (op.modes, nl.kind, fs.kind)
+                assert all(_agrees(closure, ref) for closure in closures), (op.modes, nl.p, nl.table is None, fs)
                 # one entry off by 1e-10 of the row's largest fails, even the smallest
                 bad = closures[1].copy()
                 bad[np.argmin(np.abs(ref))] += 1e-10 * np.max(np.abs(ref))
-                assert not _agrees(bad, ref), (op.modes, nl.kind, fs.kind)
+                assert not _agrees(bad, ref), (op.modes, nl.p, nl.table is None, fs)
 
 
 def _count_ffts(monkeypatch):
@@ -195,7 +195,7 @@ def test_dense_custom_F_never_calls_an_fft(m, fs, monkeypatch):
 
 
 def test_harmonic_mode_tracks_cosine(op8):
-    init = initial_state_from_modal([1.0], [], op8).state
+    init = State(a=fit_modal([1.0], op8)[0], adot=np.zeros(op8.modes))
     traj = integrate(init, SolverConfig(T=2.0, dt=1e-3), op8, linear_nonlinearity(), zero_forcing())
     t = traj.times
     assert np.max(np.abs(traj.a[:, 0] - np.cos(math.pi * t))) <= 1e-9
@@ -204,7 +204,7 @@ def test_harmonic_mode_tracks_cosine(op8):
 
 
 def test_rk4_error_scales_as_fourth_order(op8):
-    init = initial_state_from_modal([1.0], [], op8).state
+    init = State(a=fit_modal([1.0], op8)[0], adot=np.zeros(op8.modes))
     errs = []
     for dt in (2e-3, 1e-3):
         traj = integrate(init, SolverConfig(T=2.0, dt=dt), op8, linear_nonlinearity(), zero_forcing())
@@ -244,14 +244,14 @@ def test_symmetry_invariant_subspace_stays_exact():
     # odd sine modes are symmetric about the midpoint; the cubic keeps the
     # trajectory inside that subspace and the even coefficients stay at 0
     op = build_operator(DomainSpec(length=1.0, bc=DIRICHLET), 6)
-    init = initial_state_from_modal([0.5, 0.0, 0.3], [], op).state
+    init = State(a=fit_modal([0.5, 0.0, 0.3], op)[0], adot=np.zeros(op.modes))
     traj = integrate(init, SolverConfig(T=1.0, dt=1e-3), op, cubic_nonlinearity(), zero_forcing())
     assert np.max(np.abs(traj.a[:, 1::2])) <= 1e-12
     assert np.max(np.abs(traj.a[:, 0::2])) > 1e-2
 
 
 def test_verlet_is_time_reversible(op8):
-    init = initial_state_from_modal([0.4, 0.1], [0.0, 0.2], op8).state
+    init = State(a=fit_modal([0.4, 0.1], op8)[0], adot=fit_modal([0.0, 0.2], op8)[0])
     cfg = SolverConfig(T=1.0, dt=1e-3, integrator=STORMER_VERLET)
     fwd = integrate(init, cfg, op8, cubic_nonlinearity(), zero_forcing())
     flipped = State(a=fwd.final_state.a, adot=-fwd.final_state.adot, t=0.0)
@@ -261,7 +261,7 @@ def test_verlet_is_time_reversible(op8):
 
 
 def test_verlet_rejects_velocity_forcing(op8):
-    init = initial_state_from_modal([0.1], [], op8).state
+    init = State(a=fit_modal([0.1], op8)[0], adot=np.zeros(op8.modes))
     cfg = SolverConfig(T=0.1, dt=1e-3, integrator=STORMER_VERLET)
     with pytest.raises(ValueError, match="velocity"):
         integrate(init, cfg, op8, cubic_nonlinearity(), affine_forcing(g2=0.1))
@@ -270,7 +270,7 @@ def test_verlet_rejects_velocity_forcing(op8):
 
 
 def test_divergence_flags_partial_trajectory(op8):
-    init = initial_state_from_modal([50.0], [], op8).state
+    init = State(a=fit_modal([50.0], op8)[0], adot=np.zeros(op8.modes))
     cfg = SolverConfig(T=1.0, dt=1e-2, blowup_ceiling=1e6)
     traj = integrate(init, cfg, op8, cubic_nonlinearity(), zero_forcing())
     assert traj.diverged
@@ -335,17 +335,18 @@ def test_project_unresolved_sine_is_all_tail():
 
 def test_modal_initial_data_truncates_and_pads(op8):
     long = np.arange(1.0, 11.0)
-    data = initial_state_from_modal(long, [1.0, 2.0], op8)
-    assert np.all(data.state.a == long[:8])
-    assert data.x0_tail_norm == pytest.approx(math.sqrt(81.0 + 100.0))
-    assert data.x1_tail_norm == 0.0
-    assert np.all(data.state.adot[2:] == 0.0)
+    a, tail0 = fit_modal(long, op8)
+    adot, tail1 = fit_modal([1.0, 2.0], op8)
+    assert np.all(a == long[:8])
+    assert tail0 == pytest.approx(math.sqrt(81.0 + 100.0))
+    assert tail1 == 0.0
+    assert np.all(adot == [1.0, 2.0] + [0.0] * 6)
     with pytest.raises(ValueError):
-        initial_state_from_modal([np.nan], [], op8)
+        fit_modal([np.nan], op8)
 
 
 def test_trajectory_sampling_and_zero_T(op8):
-    init = initial_state_from_modal([0.3], [0.1], op8).state
+    init = State(a=fit_modal([0.3], op8)[0], adot=fit_modal([0.1], op8)[0])
     traj0 = integrate(init, SolverConfig(T=0.0, dt=1e-3), op8, cubic_nonlinearity(), zero_forcing())
     assert len(traj0) == 1
     assert traj0.times[0] == 0.0
@@ -362,7 +363,7 @@ def test_trajectory_sampling_and_zero_T(op8):
 def test_custom_kind_follows_the_power_law_kind(op8):
     # a table of f = 2|r| with a node at 0 has F = |u| u on its range
     nl = custom_nonlinearity(tabulated_f([-50.0, 0.0, 50.0], [100.0, 0.0, 100.0]), 3.0, 1.0, 0.0, 1.0, 0.0)
-    init = initial_state_from_modal([0.2], [], op8).state
+    init = State(a=fit_modal([0.2], op8)[0], adot=np.zeros(op8.modes))
     traj = integrate(init, SolverConfig(T=0.1, dt=1e-3), op8, nl, zero_forcing())
     power = integrate(init, SolverConfig(T=0.1, dt=1e-3), op8, power_law_nonlinearity(3.0), zero_forcing())
     assert np.allclose(traj.a, power.a, atol=1e-10)
