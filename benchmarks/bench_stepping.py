@@ -3,10 +3,12 @@
 
 Times ``kernels.run_numpy`` with the Galerkin term and forcing coefficients
 that ``solver._stepping_terms`` builds for the integrator's block of stage
-rows (2 for RK4, 1 for velocity Verlet), on eight shapes:
+rows (2 for RK4, 1 for velocity Verlet), on nine shapes:
 
 - ``long_small``: Dirichlet, m=16, cubic F, no forcing, RK4;
 - ``dense_output``: periodic, m=32, cubic F, affine forcing, RK4;
+- ``dense_stride1``: ``dense_output`` recording every step, as that
+  workload runs it, so that the cost of a record shows;
 - ``wide_modes``: Dirichlet, m=512, power-law F (p=4) on the FFT pair, RK4;
 - ``verlet``: Dirichlet, m=16, cubic F, no forcing, velocity Verlet;
 - ``custom_table``: Dirichlet, m=16, a custom F from the table f = 3r^2,
@@ -44,6 +46,7 @@ import multiprocessing
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,45 +65,44 @@ from wavegalerkin.spectral import DIRICHLET, PERIODIC_MEAN_ZERO, DomainSpec, bui
 _R = np.linspace(-2.0, 2.0, 2001)
 _TABLE = tabulated_f(_R, 3.0 * _R * _R)
 
-# name: (bc, m, nonlinearity, forcing, use_verlet, dt)
+
+class Case(NamedTuple):
+    bc: str
+    m: int
+    nl: object
+    fs: object
+    use_verlet: bool
+    dt: float
+    stride: int | None = None  # None: record the first and the last state only
+
+
+_AFFINE = affine_forcing(g1=0.05, g2=0.05, constant=0.5, g0=0.5)
+_CUSTOM = custom_nonlinearity(_TABLE, 4.0, 1.0, 1.0, 1.0, 0.0)
+
 CASES = {
-    "long_small": (DIRICHLET, 16, cubic_nonlinearity(), zero_forcing(), False, 1e-3),
-    "dense_output": (
-        PERIODIC_MEAN_ZERO,
-        32,
-        cubic_nonlinearity(),
-        affine_forcing(g1=0.05, g2=0.05, constant=0.5, g0=0.5),
-        False,
-        1e-3,
-    ),
-    "wide_modes": (DIRICHLET, 512, power_law_nonlinearity(4.0), zero_forcing(), False, 2.5e-4),
-    "verlet": (DIRICHLET, 16, cubic_nonlinearity(), zero_forcing(), True, 1e-3),
-    "custom_table": (
-        DIRICHLET,
-        16,
-        custom_nonlinearity(_TABLE, 4.0, 1.0, 1.0, 1.0, 0.0),
-        affine_forcing(g1=0.05, g2=0.05, constant=0.5, g0=0.5),
-        False,
-        1e-3,
-    ),
-    "power_law": (DIRICHLET, 32, power_law_nonlinearity(3.5), zero_forcing(), False, 1e-3),
-    "wide_custom": (DIRICHLET, 512, custom_nonlinearity(_TABLE, 4.0, 1.0, 1.0, 1.0, 0.0), zero_forcing(), False, 2.5e-4),
-    "wide_periodic": (PERIODIC_MEAN_ZERO, 512, power_law_nonlinearity(4.0), zero_forcing(), False, 2.5e-4),
+    "long_small": Case(DIRICHLET, 16, cubic_nonlinearity(), zero_forcing(), False, 1e-3),
+    "dense_output": Case(PERIODIC_MEAN_ZERO, 32, cubic_nonlinearity(), _AFFINE, False, 1e-3),
+    "dense_stride1": Case(PERIODIC_MEAN_ZERO, 32, cubic_nonlinearity(), _AFFINE, False, 1e-3, stride=1),
+    "wide_modes": Case(DIRICHLET, 512, power_law_nonlinearity(4.0), zero_forcing(), False, 2.5e-4),
+    "verlet": Case(DIRICHLET, 16, cubic_nonlinearity(), zero_forcing(), True, 1e-3),
+    "custom_table": Case(DIRICHLET, 16, _CUSTOM, _AFFINE, False, 1e-3),
+    "power_law": Case(DIRICHLET, 32, power_law_nonlinearity(3.5), zero_forcing(), False, 1e-3),
+    "wide_custom": Case(DIRICHLET, 512, _CUSTOM, zero_forcing(), False, 2.5e-4),
+    "wide_periodic": Case(PERIODIC_MEAN_ZERO, 512, power_law_nonlinearity(4.0), zero_forcing(), False, 2.5e-4),
 }
 
 
-def step_us(case, steps: int, repeats: int) -> float:
+def step_us(case: Case, steps: int, repeats: int) -> float:
     """Minimum microseconds per step over ``repeats`` runs."""
-    bc, m, nl, fs, use_verlet, dt = case
-    op = build_operator(DomainSpec(length=1.0, bc=bc), m)
+    op = build_operator(DomainSpec(length=1.0, bc=case.bc), case.m)
     x = op.nodes
     state = project_initial_data(x * (1.0 - x), np.zeros_like(x), op).state
     a0, v0 = np.array(state.a), np.array(state.adot)
-    terms = _stepping_terms(op, nl, fs, 1 if use_verlet else 2)
+    terms = _stepping_terms(op, case.nl, case.fs, 1 if case.use_verlet else 2)
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        _, _, _, div = kernels.run_numpy(a0, v0, dt, steps, steps, 1e12, use_verlet, *terms)
+        _, _, _, div = kernels.run_numpy(a0, v0, case.dt, steps, case.stride or steps, 1e12, case.use_verlet, *terms)
         times.append(time.perf_counter() - t0)
         if div >= 0:
             raise RuntimeError(f"run diverged at step {div}")
@@ -138,10 +140,10 @@ def main(argv=None) -> None:
     cpu = pin_cpu()
     print(f"numpy {np.__version__}, BLAS threads pinned to {os.environ['OPENBLAS_NUM_THREADS']}, each process on {cpu}")
     print(f"best and median over {args.processes} processes of each one's minimum of {args.repeats} runs of {args.steps} steps")
-    print(f"{'shape':<14}{'min us/step':>12}{'median':>10}")
+    print(f"{'shape':<15}{'min us/step':>12}{'median':>10}")
     for name in CASES:
         per_process = [run[name] for run in runs]
-        print(f"{name:<14}{min(per_process):>12.2f}{statistics.median(per_process):>10.2f}")
+        print(f"{name:<15}{min(per_process):>12.2f}{statistics.median(per_process):>10.2f}")
 
 
 if __name__ == "__main__":

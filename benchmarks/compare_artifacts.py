@@ -18,8 +18,11 @@ The output ends with a tally: each differing JSON path with its change, and
 how many files show it; number-to-number changes at one path fold into one
 line with the largest relative change among them.  A report
 holds the ``verify`` output under ``verification``, so its paths there are
-tallied as ``verify``'s.  The exit status is 0 when no file differs and 1
-otherwise.
+tallied as ``verify``'s.  Last comes a CSV tally for each workload with a
+differing CSV: how many trajectory CSVs differ and how many of them changed their row count, and
+for each column the largest relative change among the rest, the largest
+``|new - old|`` over the column's largest ``|entry|``.  The exit status is
+0 when no file differs and 1 otherwise.
 
     python3 benchmarks/compare_artifacts.py OLD/src NEW/src --seeds 500 501 [--workloads long_small ...] [--work DIR]
 """
@@ -30,12 +33,15 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
@@ -234,6 +240,61 @@ def tally(lines: list[str]) -> list[str]:
     ]
 
 
+def _csv_columns(data: bytes) -> tuple[list[str], np.ndarray]:
+    """The header and the entries of a trajectory CSV, one row per sample; an empty entry is NaN."""
+    lines = data.decode().splitlines()
+    header = lines[0].split(",")
+    rows = [[float(x) if x else math.nan for x in line.split(",")] for line in lines[1:]]
+    return header, np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
+
+
+def csv_tally(a: Path, b: Path) -> list[str]:
+    """Per workload, how many CSVs differ and by how much, column by column.
+
+    A workload is the first component of a CSV's path in the stores.  For
+    a workload with a differing CSV, one line counts, among the CSVs stored
+    on both sides, those that differ and those whose row count moved; then, over the differing CSVs with equal
+    row counts and header, one line per column gives the largest
+    ``|new - old|`` over the column's largest ``|entry|`` on either side.
+    Entries that are finite on one side only make the change ``inf``.
+    """
+    workloads: dict[str, dict] = {}
+    for pa in sorted(a.rglob("*.csv")):
+        rel = pa.relative_to(a)
+        pb = b / rel
+        if not pb.is_file():
+            continue
+        w = workloads.setdefault(rel.parts[0], {"csvs": 0, "differ": 0, "rows_moved": 0, "columns": {}})
+        w["csvs"] += 1
+        da, db = pa.read_bytes(), pb.read_bytes()
+        if da == db:
+            continue
+        w["differ"] += 1
+        (head_a, old), (head_b, new) = _csv_columns(da), _csv_columns(db)
+        if old.shape != new.shape or head_a != head_b:
+            w["rows_moved"] += 1
+            continue
+        for j, name in enumerate(head_a):
+            x, y = old[:, j], new[:, j]
+            fx, fy = np.isfinite(x), np.isfinite(y)
+            if not np.array_equal(fx, fy):
+                change = math.inf
+            elif not fx.any():
+                change = 0.0
+            else:
+                scale = max(np.max(np.abs(x[fx])), np.max(np.abs(y[fy])))
+                gap = float(np.max(np.abs(y[fy] - x[fx])))
+                change = gap / scale if scale > 0.0 else 0.0
+            w["columns"][name] = max(w["columns"].get(name, 0.0), change)
+    lines = []
+    for name, w in workloads.items():
+        if not w["differ"]:
+            continue
+        lines.append(f"{name}: {w['differ']} of {w['csvs']} CSVs differ, {w['rows_moved']} with a moved row count")
+        lines += [f"{name} csv {col}: largest relative change {change:.3g}" for col, change in w["columns"].items()]
+    return lines
+
+
 def main(argv=None) -> int:
     workloads = _workloads_module()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -261,7 +322,7 @@ def main(argv=None) -> int:
             print(line)
         differing = {line.split(": ", 1)[0] for line in diffs}
         print(f"{len(plan)} configs, {len(differing)} differing files")
-        for line in tally(diffs):
+        for line in tally(diffs) + csv_tally(*stores):
             print(line)
         return 1 if diffs else 0
     finally:

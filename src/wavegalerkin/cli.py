@@ -31,6 +31,7 @@ from .estimates import (
     absorbing_radius,
     derive_decay,
     derive_gronwall,
+    energy_table,
     monitor,
     sample_table,
 )
@@ -193,17 +194,25 @@ def cmd_run(rc: RunConfig) -> int:
         return EXIT_VIOLATION
 
     init = resolve_initial(rc, op)
-    traj = integrate(init.state, rc.solver, op, rc.nl, rc.fs)
-    e0 = float(traj.energy.energy[0])
+    # No earlier run's artifacts may outlive a rejection or a failure of
+    # this one, and every rejection comes before the first step: the
+    # Gronwall constants from E(0) of the initial state alone.
+    _remove(csv_path)
+    _remove(report_path)
+    state = init.state
+    e0 = float(energy_table(op, rc.nl, rc.fs, np.zeros(1), state.a[None], state.adot[None]).energy[0])
     try:
         if not math.isfinite(2.0 * e0):
             raise ValueError(f"the initial data x0, x1 have energy E(0) = {e0:g}; the bounds need 2E(0) to be a finite float")
         gp = derive_gronwall(rc.nl, rc.fs, op, e0)
     except ValueError as e:
-        # No bound starts from it, so no earlier run's artifacts may stay.
-        _remove(csv_path)
-        _remove(report_path)
         raise ConfigError(str(e)) from e
+    traj = integrate(state, rc.solver, op, rc.nl, rc.fs)
+    # The bounds start from the energy table's E(0), the CSV's first row:
+    # one row takes BLAS's matrix-vector path, and the two can differ in
+    # the last bit.
+    e0 = float(traj.energy.energy[0])
+    gp = dataclasses.replace(gp, E_init=2.0 * e0)
     dp = derive_decay(rc.nl, rc.fs, op, e0)
     bounds = sample_table(traj, gp, dp)
     rep = monitor(traj, bounds)

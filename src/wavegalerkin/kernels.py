@@ -8,21 +8,24 @@ forcing's modal row ``c``, and the forcing's linear part, with damping
 ``d = g2/sqrt(lambda)`` only when ``g2 > 0``.  ``c`` and ``g1 A`` live in
 the stepping coefficients, so the Galerkin term is the only function call.
 
-RK4 (in Nystrom form) steps through one stage buffer ``Z``: ``(7, m)``,
-``[a, adot, c, n1, n2, n3, n4]``, for ``g2 = 0``, and ``(11, m)``, ``[a,
-adot, c, n1, n2, e1, e2, e3, n3, n4, e4]`` with damping rows ``e_i = d
-V_i``, for ``g2 > 0``.  ``A2 = a + h/2 adot`` reads no stage, and ``A3``
-and ``A4`` read only stages 1 and 2, so a step is two rounds.  In each, one
-product of a fixed coefficient matrix with the leading rows of ``Z`` forms
-the C-contiguous ``(2, m)`` block ``[A1; A2]`` or ``[A3; A4]``, and one
-``galerkin`` call writes its two rows into ``[n1; n2]`` or ``[n3; n4]``.
-When damped, ``V2`` and ``V4`` are one product each, ``V3`` is a third row
-of round 2's product, and each ``e_i`` is one ``multiply``.  The increments
-of ``a`` and ``adot`` are one ``(2, k)`` product over the rows their
-weights touch, added to the state rows in one ``add``.  With the cubic F on
-dense products (4 calls per ``galerkin``) an undamped step makes 13 numpy
-calls and a damped one 19, the divergence screen included.  Every call is a
-ufunc or an array's bound ``dot``: ``np.dot`` and ``np.matmul`` add numpy's
+RK4 (in Nystrom form) steps through two stage buffers that alternate: a
+step reads one and writes the next step's start into the other.  Each is
+``(8, m)``, ``[n4, n3, n2, n1, c, adot, A2, a]``, for ``g2 = 0``, and
+``(12, m)``, ``[e4, n4, n3, e3, e2, e1, n2, n1, c, adot, A2, a]`` with
+damping rows ``e_i = d V_i``, for ``g2 > 0``.  ``A2 = a + h/2 adot`` reads
+no stage, and ``A3`` and ``A4`` read only stages 1 and 2, so a step is two
+rounds.  Round 1's C-contiguous ``(2, m)`` block ``[A2; A1]`` is the last
+two rows, and one ``galerkin`` call writes it into ``[n2; n1]``; in round
+2 one product of a fixed coefficient matrix with the trailing rows forms
+``[A4; A3]`` and a second call writes ``[n4; n3]``.  One more product then
+forms ``[adot'; A2'; a']``, the new state and the next step's round-1 row
+``A2' = a' + h/2 adot'``, straight from the step's rows into the other
+buffer, so the step's start stays where it was.  When damped, ``V2`` and
+``V4`` are one product each, ``V3`` is a third row of round 2's product,
+and each ``e_i`` is one ``multiply``.  With the cubic F on dense products
+(4 calls per ``galerkin``) an undamped step makes 11 numpy calls and a
+damped one 17, the divergence screen included.  Every call is a ufunc or
+an array's bound ``dot``: ``np.dot`` and ``np.matmul`` add numpy's
 dispatch layers to the same BLAS product (0.86 against 0.32 us for a round
 product at m=16, numpy 2.4, one Xeon core).
 """
@@ -36,11 +39,16 @@ __all__ = ["run_numpy"]
 # Read only by layerbench/envinfo.py, which records it in each benchmark run.
 NUMBA_AVAILABLE = False
 
-# Rows of the stage buffer Z: the state, the constant forcing and each
-# stage's Galerkin row n_i and, when damped, damping row e_i.
-_A, _V, _C = 0, 1, 2
-_N = (3, 4, 5, 6)
-_N_DAMPED, _E = (3, 4, 8, 9), (5, 6, 7, 10)
+# Rows of an RK4 stage buffer: each stage's Galerkin row n_i and, when
+# damped, damping row e_i, then the constant forcing c and the rows a step
+# starts from, adot, A2 and a, counted from the end.  Rows a step writes
+# later come first, so that each product, which reads every row from the
+# first it needs to a, reads no row the step has not yet written; the
+# state comes last, so that a BLAS sum adds a and adot after their
+# increments, as the textbook update does.
+_C, _V, _A2, _A = -4, -3, -2, -1
+_N = (3, 2, 1, 0)
+_N_DAMPED, _E = (7, 6, 2, 1), (5, 4, 3, 0)
 
 # The screen is clamped to the largest finite float, so that an overflowed
 # ``q = inf`` never passes ``q <= screen``.
@@ -51,9 +59,9 @@ _FLOAT_TINY = float(np.finfo(np.float64).tiny)
 def _divergence_screen(ceiling) -> float:
     """Bound ``s`` such that ``q <= s`` proves the state is inside the ceiling.
 
-    ``q`` is the squared 2-norm of ``(a, adot)``, one dot product.  ``s``
-    is ``(ceiling/2)^2`` by multiplication (float ``**`` raises on
-    overflow), clamped to the largest finite float.  If ``q <= s``, every
+    ``q`` is the squared 2-norm of ``(a, adot)``, with RK4's ``A2`` too,
+    one dot product.  ``s`` is ``(ceiling/2)^2`` by multiplication (float
+    ``**`` raises on overflow), clamped to the largest finite float.  If ``q <= s``, every
     entry is finite and every ``|a_j|`` is below ``ceiling``: the factor-4
     margin dwarfs the dot product's relative rounding error of about
     ``2m eps``, and a NaN, an inf or an overflowed square makes ``q`` NaN or
@@ -81,11 +89,11 @@ def _cut(w):
 def _rk4_tableau(h: float, g1: float = 0.0, damped: bool = False):
     """The products of one RK4 step in Nystrom form, step ``h``, over the rows of ``Z``.
 
-    Returns ``round1, round2, vel2, vel4, inc``, each a pair ``(w, rows)``
-    whose product is ``w @ Z[rows]``: ``round1`` forms ``[V1; A1; A2]``,
-    ``round2`` forms ``[A3; A4]``, with ``V3`` as a third row when damped,
-    ``vel2`` and ``vel4`` (``None`` when undamped) form ``V2`` and ``V4``,
-    and ``inc`` forms the increments ``[da; dadot]``.  Each coefficient is
+    Returns ``round2, vel2, vel4, update``, each a pair ``(w, rows)`` whose
+    product is ``w @ Z[rows]``: ``round2`` forms ``[A4; A3]``, with ``V3``
+    as a third row when damped, ``vel2`` and ``vel4`` (``None`` when
+    undamped) form ``V2`` and ``V4``, and ``update`` forms ``[adot'; A2';
+    a']``, the new state and the next step's ``A2``.  Each coefficient is
     the textbook expression (Hairer, Norsett & Wanner, Solving ODEs I,
     II.14)::
 
@@ -93,18 +101,21 @@ def _rk4_tableau(h: float, g1: float = 0.0, damped: bool = False):
         k2 at (a + h/2 adot,                adot + h/2 k1)
         k3 at (a + h/2 adot + h^2/4 k1,     adot + h/2 k2)
         k4 at (a + h adot + h^2/2 k2,       adot + h k3)
-        a    += h adot + h^2/6 (k1 + k2 + k3)
-        adot += h/6 k1 + h/3 k2 + h/3 k3 + h/6 k4
+        a'    = a + h adot + h^2/6 (k1 + k2 + k3)
+        adot' = adot + h/6 k1 + h/3 k2 + h/3 k3 + h/6 k4
+        A2'   = a' + h/2 adot'
 
-    on coefficient rows over ``Z``, with ``k_i = n_i + c + g1 A_i + e_i``.
-    ``V1`` and ``A1`` are ``adot`` and ``a``, from the coefficients 1 and 0,
-    and for ``g1 = 0`` every coefficient on ``a``, ``adot`` and the ``n_i``
-    is the scalar, bit for bit.  Each is cut to the rows its nonzero entries
-    touch, which the step has already written when it runs.  The new ``a``
-    gives stage 4 the weight 0.
+    on coefficient rows over ``Z``, with ``k_i = n_i + c + g1 A_i + e_i``
+    and every ``A_i`` expanded over ``a``, ``adot`` and the stages, except
+    that ``a'`` and ``adot'`` take the weights of ``g1 A_i`` on ``a`` and
+    ``adot`` through the ``A2`` row.  For ``g1 = 0`` every coefficient on
+    ``a``, ``adot`` and the ``n_i`` is the scalar, bit for bit, and the
+    ``A2`` row is read by round 1's Galerkin call alone.  Each is cut to
+    the rows its nonzero entries touch, which the step has already written
+    when it runs.  ``a'`` gives stage 4 the weight 0.
     """
-    eye = np.eye(11 if damped else 7)
-    a, v, c = eye[_A], eye[_V], eye[_C]
+    eye = np.eye(12 if damped else 8)
+    v, a, c = eye[_V], eye[_A], eye[_C]
     n = eye[list(_N_DAMPED if damped else _N)]
 
     def k(i, A):
@@ -117,11 +128,20 @@ def _rk4_tableau(h: float, g1: float = 0.0, damped: bool = False):
     A3, V3 = a + (0.5 * h) * v + (0.25 * h * h) * k1, v + (0.5 * h) * k2
     k3 = k(2, A3)
     A4, V4 = a + h * v + (0.5 * h * h) * k2, v + h * k3
-    wa = h * v + (h * h / 6.0) * (k1 + k2 + k3)
-    wv = (h / 6.0) * k1 + (h / 3.0) * k2 + (h / 3.0) * k3 + (h / 6.0) * k(3, A4)
-    round2 = np.stack((A3, A4, V3) if damped else (A3, A4))
+    inc_a = h * v + (h * h / 6.0) * (k1 + k2 + k3)
+    inc_v = (h / 6.0) * k1 + (h / 3.0) * k2 + (h / 3.0) * k3 + (h / 6.0) * k(3, A4)
+    # g1 A_i weights a and adot in the increments.  Added to the 1 of a' =
+    # a + inc_a and adot' = adot + inc_v, such a weight would round the
+    # same way at every step, a drift of eps |a| per step; moved onto the
+    # row A2 = a + h/2 adot, it keeps its own relative accuracy, and a' and
+    # adot' weight a and adot by exactly 1.
+    for inc, row, scale in ((inc_a, _A, 1.0), (inc_v, _V, 0.5 * h)):
+        inc += (inc[row] / scale) * (eye[_A2] - a - (0.5 * h) * v)
+        inc[row] = 0.0
+    new_a, new_v = a + inc_a, v + inc_v
+    round2 = np.stack((A4, A3, V3) if damped else (A4, A3))
     vel2, vel4 = (_cut(V2), _cut(V4)) if damped else (None, None)
-    return _cut(np.stack((v, a, A2))), _cut(round2), vel2, vel4, _cut(np.stack((wa, wv)))
+    return _cut(round2), vel2, vel4, _cut(np.stack((new_v, new_a + (0.5 * h) * new_v, new_a)))
 
 
 # A state that overflows to inf or NaN is caught by the divergence check,
@@ -141,100 +161,115 @@ def run_numpy(a0, adot0, dt, n_steps, stride, ceiling, use_verlet, galerkin, g1=
     ``galerkin(Y, out)`` writes the Galerkin term at each row of the
     C-contiguous block ``Y`` into that row of the C-contiguous ``out``,
     without writing ``Y``; the blocks are ``(2, m)`` for RK4 and ``(1, m)``
-    for velocity Verlet.  ``damping`` is an ``m``-vector, or ``None``, which
-    velocity Verlet requires, and ``constant`` is the constant forcing's
-    modal row, or ``None`` for none.
+    for velocity Verlet.  ``damping`` is an ``m``-vector, or ``None``,
+    which velocity Verlet requires, and ``constant`` is the constant
+    forcing's modal row, or ``None`` for none.
 
     RK4's BLAS products sum in another order than the textbook expressions,
-    so trajectories agree with them to round-off, not bitwise; two calls
-    with the same inputs give the same bits.  Verlet drifts in place and
-    kicks by one product over the rows of ``[a, adot, c, n1]`` that its
-    weights touch.
+    and the new state is one product over the step's rows rather than the
+    old state plus a rounded increment, so trajectories agree with the
+    textbook to round-off, not bitwise; two calls with the same inputs give
+    the same bits.  Verlet drifts in place and kicks by one product over
+    the rows of ``[a, adot, c, n1]`` that its weights touch.
     """
     damped = damping is not None
     if damped and use_verlet:
         raise ValueError("velocity Verlet takes no damping")
     m = a0.shape[0]
     hist = np.empty((2, n_steps // stride + 2, m))
-    z = np.zeros((11 if damped else 7, m))
-    state = z[:2]
-    a, adot = state
-    state[0] = a0
-    state[1] = adot0
-    if constant is not None:
-        z[_C] = constant
-    flat = state.reshape(-1)  # a view: the screen reads the state in place
     # Output arrays are passed positionally, the drift's coefficient as a
     # 0-d array (both skip per-call conversion), and every product is an
     # array's bound ``dot``.
     add, mul = np.add, np.multiply
-    screen = _divergence_screen(ceiling)
-    hist[:, 0] = state
-    n_rec = 1
-    diverged_step = -1
     if use_verlet:
-        # Verlet needs no stages: row n1 holds the Galerkin term, n2 a product.
-        position, acc, tmp, h_ = z[:1], z[_N[0] : _N[0] + 1], z[_N[1]], np.array(dt)
+        # [a, adot, c, n1, tmp]: n1 holds the Galerkin term, tmp a product.
+        z = np.zeros((5, m))
+        z[0], z[1] = a0, adot0
+        if constant is not None:
+            z[2] = constant
+        a, adot = z[:2]
+        position, acc, tmp, h_ = z[:1], z[3:4], z[4], np.array(dt)
         w, rows = _cut(np.array([0.5 * dt * g1, 0.0, 0.5 * dt, 0.5 * dt]))
         kick, kicked = w.dot, z[rows]
         galerkin(position, acc)
+        # One buffer: its state rows are (a, adot) at every step's end.
+        states = (z[:2], z[:2])
+        flats = (z[:2].reshape(-1),) * 2
     else:
-        (w1, rows1), (w2, rows2), vel2, vel4, (wi, rows_i) = _rk4_tableau(dt, g1, damped)
-        round1, round2, increments = w1.dot, w2.dot, wi.dot
-        z1, z2, zi = z[rows1], z[rows2], z[rows_i]
-        n_rows = _N_DAMPED if damped else _N
-        out12, out34 = z[n_rows[0] : n_rows[1] + 1], z[n_rows[2] : n_rows[3] + 1]
-        # [V1, A1, A2, A3, A4], and V2, V3 or V4 when damped; [A1; V1] is
-        # the state at the step's start.
-        stage = np.empty((6 if damped else 5, m))
-        start, out1, block1, block2, out2 = stage[1::-1], stage[:3], stage[1:3], stage[3:5], stage[3:]
-        inc = np.empty((2, m))
-        # The one increment product weights stage 4 by 0 in a's row, which
-        # is NaN where stage 4 is not finite.  Stage 4 reaches adot, so such
-        # a step diverges, and a's update is retaken from the step's start
-        # over the rows it reads, as in the textbook.
-        wa, a_rows = _cut(wi[0])
-        increment_a, z_a = wa.dot, zi[a_rows]
+        (w2, rows2), vel2, vel4, (wu, rows_u) = _rk4_tableau(dt, g1, damped)
+        round2, update = w2.dot, wu.dot
+        # a' weights stage 4 by 0, which is NaN where stage 4 is not
+        # finite.  Stage 4 reaches adot, so such a step diverges, and a' is
+        # retaken from the step's start, over the rows it reads.
+        wa, rows_a = _cut(wu[2])
+        retake_a = wa.dot
+        z = np.zeros((2, 12 if damped else 8, m))
+        z[0, _V], z[0, _A] = adot0, a0
+        z[0, _A2] = a0 + (0.5 * dt) * adot0
+        if constant is not None:
+            z[:, _C] = constant
+        n1, n2, n3, n4 = _N_DAMPED if damped else _N
+        # [A4; A3], and V2, V3 or V4 when damped
+        stage = np.empty((3 if damped else 2, m))
+        block2, velocity = stage[:2], stage[-1]
+        parts = []
+        for p in (0, 1):
+            # a step of parity p reads buffer 1 - p and writes buffer p
+            zr, zw = z[1 - p], z[p]
+            views = (zr[_A2:], zr[n2 : n1 + 1], zr[rows2], zr[n4 : n3 + 1])
+            if damped:
+                e1, e2, e3, e4 = (zr[i] for i in _E)
+                views += (zr[_V], e1, zr[vel2[1]], e2, e3, zr[vel4[1]], e4)
+            parts.append(views + (zr[rows_u], zw[_V:]))
         if damped:
-            velocity = stage[5]
-            e1, e2, e3, e4 = (z[i] for i in _E)
-            velocity2, velocity4, z_v2, z_v4 = vel2[0].dot, vel4[0].dot, z[vel2[1]], z[vel4[1]]
+            velocity2, velocity4 = vel2[0].dot, vel4[0].dot
+        # the state (a, adot) in each buffer, and its rows (adot, A2, a)
+        # as one flat view, which the screen reads in place
+        states = (z[0, _A:_C:-2], z[1, _A:_C:-2])
+        flats = (z[0, _V:].reshape(-1), z[1, _V:].reshape(-1))
+    screen = _divergence_screen(ceiling)
+    hist[:, 0] = states[0]
+    n_rec = 1
+    diverged_step = -1
     for step in range(1, n_steps + 1):
+        p = step & 1
         if use_verlet:
             add(adot, kick(kicked, tmp), adot)
             add(a, mul(adot, h_, tmp), a)
             galerkin(position, acc)
             add(adot, kick(kicked, tmp), adot)
-        else:
-            round1(z1, out1)
+        elif damped:
+            block1, out12, z2, out34, v, e1, z_v2, e2, e3, z_v4, e4, zu, new = parts[p]
             galerkin(block1, out12)
-            if damped:
-                mul(damping, adot, e1)
-                velocity2(z_v2, velocity)
-                mul(damping, velocity, e2)
-            round2(z2, out2)
+            mul(damping, v, e1)
+            velocity2(z_v2, velocity)
+            mul(damping, velocity, e2)
+            round2(z2, stage)
             galerkin(block2, out34)
-            if damped:
-                mul(damping, velocity, e3)
-                velocity4(z_v4, velocity)
-                mul(damping, velocity, e4)
-            increments(zi, inc)
-            add(state, inc, state)
+            mul(damping, velocity, e3)
+            velocity4(z_v4, velocity)
+            mul(damping, velocity, e4)
+            update(zu, new)
+        else:
+            block1, out12, z2, out34, zu, new = parts[p]
+            galerkin(block1, out12)
+            round2(z2, block2)
+            galerkin(block2, out34)
+            update(zu, new)
         # One dot product screens the state; only a state that fails it
         # (large, non-finite or overflowed) takes the full check, whose
         # verdict is the one recorded.
-        if not flat.dot(flat) <= screen:
+        if not flats[p].dot(flats[p]) <= screen:
+            state = states[p]
             if not np.all(np.isfinite(state)) or np.max(np.abs(state[0])) > ceiling:
-                if not use_verlet and not np.all(np.isfinite(a)):
-                    state[...] = start
-                    add(a, increment_a(z_a), a)
-                    add(adot, inc[1], adot)
+                if not use_verlet and not np.all(np.isfinite(state[0])):
+                    retake_a(z[1 - p, rows_a], state[0])
                 hist[:, n_rec] = state
                 n_rec += 1
                 diverged_step = step
                 break
         if step % stride == 0:
-            hist[:, n_rec] = state
+            hist[:, n_rec] = states[p]
             n_rec += 1
     # Recorded steps are 0, stride, 2 stride, ..., and the diverged step.
     rec_steps = np.arange(n_rec, dtype=np.int64) * stride

@@ -43,20 +43,17 @@ BOUNDARY_KINDS = (DIRICHLET, PERIODIC_MEAN_ZERO)
 
 # Smallest mode count whose grid transforms run on an FFT; below it they are
 # dense products.  Set from the crossover sweep in
-# benchmarks/bench_transforms.py, which times the stepping term as the program
-# builds it on either side: dense products on the smallest exact grid, the FFT
-# on the 5-smooth grid at or above it.  Two sweeps (m 128-1024, best of 5
-# rounds, one Xeon core, numpy 2.4) put the crossover, from which the FFT was
-# no slower at every swept m, at 152 and 160 for Dirichlet and at 149 twice
-# for periodic; the constant takes the largest.  Dirichlet rows of the second
-# sweep, per call in us:
-#      m  n_dense  n_fft   dense    fft
-#    128      257    270    12.9   17.3
-#    144      289    300    16.3   17.3
-#    152      305    320    16.8   17.3
-#    160      321    324    18.6   16.0
-#    256      513    540    48.6   14.1
-#    512     1025   1080   317.6   21.9
+# benchmarks/bench_transforms.py, which times the RK4 stepping term on a
+# (2, m) block as the program builds it on either side: dense products on
+# the smallest exact grid, the FFT on the 5-smooth grid at or above it.
+# Three sweeps (m 128-1024, best of 5 rounds, one Xeon core, numpy 2.4) put
+# the crossover, from which the FFT was no slower at every swept m, at 144,
+# 144 and 150 for Dirichlet and at 176, 168 and 168 for periodic.  Per call
+# at m=160 Dirichlet, dense/FFT: 16.4/13.5 us; at m=512 the FFT term takes
+# 26.5 us.  So periodic runs with m in 160-167 step on an FFT term up to 1.3
+# times slower than the dense one.  The constant stays 160: moving it moves
+# those runs' trajectories at round-off, and measuring that takes a
+# benchmark workload with m in 160-383, which none has.
 FFT_MIN_MODES = 160
 
 

@@ -27,6 +27,7 @@ def test_bench_stepping_runs_a_few_steps():
     assert list(rows) == [
         "long_small",
         "dense_output",
+        "dense_stride1",
         "wide_modes",
         "verlet",
         "custom_table",

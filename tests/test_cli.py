@@ -2,6 +2,7 @@
 
 import csv
 import importlib
+import importlib.util
 import io
 import json
 import math
@@ -18,13 +19,16 @@ import numpy as np
 import pytest
 
 import wavegalerkin
-from wavegalerkin import cli, estimates
+from wavegalerkin import cli, estimates, kernels
 from wavegalerkin.cli import CSV_BLOCK_ROWS, CSV_COLUMNS
 from wavegalerkin.config import ConfigError, load_config, resolve_initial
 from wavegalerkin.estimates import EnergyTable, derive_decay, derive_gronwall, monitor, sample_table
 from wavegalerkin.nonlinearity import verify_conditions
 from wavegalerkin.solver import integrate
 from wavegalerkin.spectral import DIRICHLET, FFT_MIN_MODES, PERIODIC_MEAN_ZERO, build_operator
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_cfg(tmp_path, **over):
@@ -245,6 +249,69 @@ def test_gronwall_constants_past_the_float_range_exit_3_and_leave_no_artifact(tm
     assert err == f"config error: the forcing constants {constants} take the Gronwall constants C0, C1 past the float range\n"
     assert not (tmp_path / "trajectory.csv").exists()
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"forcing": {"kind": "affine", "g0": 1e160, "constant": 1.0}},
+        {"initial": {"x0": {"type": "parabola", "amplitude": 1e100}, "x1": {"type": "zero"}}},
+    ],
+    ids=["gronwall", "energy"],
+)
+def test_a_rejected_run_takes_no_step(tmp_path, capsys, monkeypatch, over):
+    # Every constant a bound starts from is checked before the first step:
+    # a 20,000-step run that no bound can judge exits 3 without stepping,
+    # and no earlier run's CSV or report stays at the paths.
+    assert cli.main(["run", write_cfg(tmp_path, make_cfg(tmp_path, time={"T": 0.01, "dt": 1e-3}))]) == 0
+
+    def no_steps(*args):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(kernels, "run_numpy", no_steps)
+    bad = write_cfg(tmp_path, make_cfg(tmp_path, time={"T": 20.0, "dt": 1e-3}, **over), name="bad.json")
+    capsys.readouterr()
+    assert cli.main(["run", bad]) == 3
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "trajectory.csv").exists()
+    assert not (tmp_path / "report.json").exists()
+
+
+def _workloads():
+    """``layerbench/workloads.py``, imported without writing bytecode next to it."""
+    spec = importlib.util.spec_from_file_location("layerbench_workloads", ROOT / "layerbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.modules.pop(spec.name, None)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["long_small", "wide_modes", "dense_output", "short_mix"])
+def test_the_envelope_starts_from_the_csv_energy_bit_for_bit(tmp_path, monkeypatch, workload):
+    # The Gronwall constants are checked before stepping, from E(0) of the
+    # initial state alone, but E_init = 2E(0) is the CSV's first energy, bit
+    # for bit, and so is the decay bound's C.  Every config of the
+    # benchmark's short_mix seed and the first of each other workload.
+    workloads = _workloads()
+    specs = workloads.generate(workload, 500)
+    paths = workloads.write_configs(specs if workload == "short_mix" else specs[:1], tmp_path / "cfg")
+    monkeypatch.setenv(cli.ENV_OUTPUT_DIR, str(tmp_path))
+    for path in paths:
+        # short_mix's unforced Verlet runs can fail conservation (exit 1)
+        assert cli.main(["run", str(path)]) in (0, 1), path
+        output = json.loads(path.read_text())["output"]
+        report = json.loads((tmp_path / output["report_path"]).read_text())
+        _, rows = read_rows(tmp_path / output["csv_path"])
+        e0 = float(rows[0]["energy"])
+        assert report["gronwall_params"]["E_init"] == 2.0 * e0, path
+        if report["decay_params"] is not None:
+            assert report["decay_params"]["C"] == 2.0 * e0, path
 
 
 def _run_artifacts(tmp_path, **over) -> tuple[bytes, bytes]:

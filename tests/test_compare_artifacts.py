@@ -108,3 +108,42 @@ def test_tally_folds_number_changes_at_one_path():
         "2 files: nonlinearity/checks/poincare: only in new",
         "1 file: monitor/checks/gronwall/passed: true -> false",
     ]
+
+
+def test_csv_tally_counts_and_sizes_the_changes_per_workload(tmp_path):
+    # Per workload, the differing CSVs and those whose row count moved; per
+    # column, the largest |new - old| over the column's largest |entry|.
+    header = "t,energy,decay_bound\n"
+    files = {
+        # energy moves by 4e-12, 2e-12 of its largest entry 2.0, t not at all
+        "v/1/a.csv": ("0,1,\n1,2,\n", "0,1.000000000004,\n1,2,\n"),
+        # energy moves by 2, 0.5 of its largest entry 4
+        "w/2/a.csv": ("0,4,1\n1,3,1\n", "0,4,1\n1,1,1\n"),
+        "w/2/b.csv": ("0,1,\n", "0,1,\n"),
+        # a row more: counted, not sized; a NaN appears: inf
+        "w/3/a.csv": ("0,1,\n", "0,1,\n1,2,\n"),
+        "x/1/a.csv": ("0,1,2\n", "0,nan,2\n"),
+        # identical in workload y: y is not listed
+        "y/1/a.csv": ("0,1,\n", "0,1,\n"),
+        "w/4/gone.csv": ("0,1,\n", None),
+    }
+    stores = tmp_path / "old", tmp_path / "new"
+    for rel, texts in files.items():
+        for store, text in zip(stores, texts):
+            if text is not None:
+                (store / rel).parent.mkdir(parents=True, exist_ok=True)
+                (store / rel).write_text(header + text)
+    assert _compare_artifacts().csv_tally(*stores) == [
+        "v: 1 of 1 CSVs differ, 0 with a moved row count",
+        "v csv t: largest relative change 0",
+        "v csv energy: largest relative change 2e-12",
+        "v csv decay_bound: largest relative change 0",
+        "w: 2 of 3 CSVs differ, 1 with a moved row count",
+        "w csv t: largest relative change 0",
+        "w csv energy: largest relative change 0.5",
+        "w csv decay_bound: largest relative change 0",
+        "x: 1 of 1 CSVs differ, 0 with a moved row count",
+        "x csv t: largest relative change 0",
+        "x csv energy: largest relative change inf",
+        "x csv decay_bound: largest relative change 0",
+    ]

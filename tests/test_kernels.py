@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -205,14 +206,18 @@ def _assert_runs_identical(got, want):
 
 
 # RK4 sums its stages inside BLAS products, in another order than the
-# textbook expressions, so the loops agree to round-off and not bit for
-# bit.  Measured over every case of test_run_numpy_agrees_with_the_reference_loop,
-# the largest gap was 6.7e-15 of the largest entry (m=512 Dirichlet, table
-# F, affine forcing with a constant, Verlet, stride 1).  The bound leaves a
-# factor of about 150 above that.  A 1e-9 change in the k2 weight moves the
-# run by 9.8e-10, a factor of 1000 beyond it, and a 1e-9 change in g1 by
-# 1.0e-11, a factor of 10 (test_agreement_bound_catches_a_perturbed_k2_weight
-# and test_agreement_bound_catches_a_perturbed_g1).
+# textbook expressions, and forms the new state in one product rather than
+# as the old state plus an increment, so the loops agree to round-off and
+# not bit for bit.  Measured over every case of
+# test_run_numpy_agrees_with_the_reference_loop, the largest gap was 6.7e-15
+# of the largest entry (m=512 Dirichlet, table F, affine forcing with a
+# constant, Verlet, stride 1), and the largest RK4 gap 4.4e-15 (m=512
+# Dirichlet, table F, damped affine forcing without a constant, stride 1).
+# The bound leaves a factor of about 150 above that.  A 1e-9 change in the
+# k2 weight moves the run by 1.0e-9, a factor of 1000 beyond it, and a
+# 1e-9 change in g1 by 1.0e-11, a factor of 10
+# (test_agreement_bound_catches_a_perturbed_k2_weight and
+# test_agreement_bound_catches_a_perturbed_g1).
 AGREE_RTOL = 1e-12
 
 
@@ -362,19 +367,15 @@ def test_run_numpy_repeats_bitwise(stepping_op, nl_name, fs_name):
 
 def _textbook_tableau(h):
     # The zero-forcing tableau written out by hand, scalar by scalar, over
-    # Z = [a, adot, c, n1, n2, n3, n4].  The weights on c are the sums of
-    # the weights on the stages that read it, in the order the tableau sums
-    # them.
+    # Z = [n4, n3, n2, n1, c, adot, A2, a].  The weights on c are the sums
+    # of the weights on the stages that read it, in the order the tableau
+    # sums them, and A2' = a' + h/2 adot' entry by entry.
     hh_4, hh_2, hh_6 = 0.25 * h * h, 0.5 * h * h, h * h / 6.0
-    round1 = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.5 * h]])
-    round2 = np.array([[1.0, 0.5 * h, hh_4, hh_4, 0.0], [1.0, h, hh_2, 0.0, hh_2]])
-    inc = np.array(
-        [
-            [h, hh_6 * 3.0, hh_6, hh_6, hh_6, 0.0],
-            [0.0, h / 6.0 + h / 3.0 + h / 3.0 + h / 6.0, h / 6.0, h / 3.0, h / 3.0, h / 6.0],
-        ]
-    )
-    return (round1, slice(0, 2)), (round2, slice(0, 5)), None, None, (inc, slice(1, 7))
+    round2 = np.array([[hh_2, 0.0, hh_2, h, 0.0, 1.0], [0.0, hh_4, hh_4, 0.5 * h, 0.0, 1.0]])
+    new_v = [h / 6.0, h / 3.0, h / 3.0, h / 6.0, h / 6.0 + h / 3.0 + h / 3.0 + h / 6.0, 1.0, 0.0, 0.0]
+    new_a = [0.0, hh_6, hh_6, hh_6, hh_6 * 3.0, h, 0.0, 1.0]
+    new_a2 = [x + 0.5 * h * y for x, y in zip(new_a, new_v)]
+    return (round2, slice(2, 8)), None, None, (np.array([new_v, new_a2, new_a]), slice(0, 8))
 
 
 def _tableau_steps():
@@ -385,46 +386,57 @@ def _tableau_steps():
 def test_zero_forcing_tableau_is_the_textbook_one_bit_for_bit():
     for h in _tableau_steps():
         got, want = kernels._rk4_tableau(h), _textbook_tableau(h)
-        assert got[2:4] == want[2:4] == (None, None)
-        for (g, g_rows), (w, w_rows) in zip(got[:2] + got[4:], want[:2] + want[4:]):
+        assert got[1:3] == want[1:3] == (None, None)
+        for (g, g_rows), (w, w_rows) in zip(got[:1] + got[3:], want[:1] + want[3:]):
             assert g.shape == w.shape and g.tobytes() == w.tobytes(), h
             assert g_rows == w_rows
 
 
-# The rows of Z each product of a step may read: the state, the row c and
-# the rows the step has written before the product runs.  Undamped Z is
-# [a, adot, c, n1, n2, n3, n4]; damped Z is [a, adot, c, n1, n2, e1, e2,
-# e3, n3, n4, e4], and a step writes n1 n2, e1, e2, then n3 n4 and e3, then e4.
+# The rows of Z each product of a step may read: the rows a step starts
+# from (adot, A2 and a, last in Z), the row c before them and the rows the
+# step has written before the product runs.  A product reads every row
+# from the first its weights touch to the last, so each may start no
+# earlier than the row given here.  Undamped Z is [n4, n3, n2, n1, c,
+# adot, A2, a]; damped Z is [e4, n4, n3, e3, e2, e1, n2, n1, c, adot, A2,
+# a], and a step writes n1 n2, e1, e2, then n3 n4 and e3, then e4.  The
+# update writes the other buffer's last three rows.
 READABLE = {
-    False: {"round1": 3, "round2": 5, "inc": 7},
-    True: {"round1": 3, "vel2": 6, "round2": 7, "vel4": 10, "inc": 11},
+    False: {"round2": 2, "update": 0},
+    True: {"vel2": 5, "round2": 4, "vel4": 2, "update": 0},
 }
 
 
 @pytest.mark.parametrize("damped", [False, True])
 @pytest.mark.parametrize("g1", [0.0, 0.3])
 def test_tableau_reads_only_rows_its_step_has_written(g1, damped):
+    size = 12 if damped else 8
     for h in _tableau_steps():
-        round1, round2, vel2, vel4, inc = kernels._rk4_tableau(h, g1, damped)
-        products = {"round1": round1, "round2": round2, "vel2": vel2, "vel4": vel4, "inc": inc}
+        round2, vel2, vel4, update = kernels._rk4_tableau(h, g1, damped)
+        products = {"round2": round2, "vel2": vel2, "vel4": vel4, "update": update}
         assert sorted(name for name, p in products.items() if p is not None) == sorted(READABLE[damped])
-        for name, limit in READABLE[damped].items():
+        for name, first in READABLE[damped].items():
             w, rows = products[name]
-            assert rows.stop <= limit, name
+            assert rows.start >= first, name
             # each product spans exactly the rows its weights touch
             w = np.atleast_2d(w)
             assert w.shape[1] == rows.stop - rows.start and np.any(w[:, 0]) and np.any(w[:, -1]), name
-        # round 1 forms V1 = adot and A1 = a exactly, from the coefficients 1 and 0
-        assert round1[1] == slice(0, 2) and round1[0][:2].tolist() == [[0.0, 1.0], [1.0, 0.0]]
-        # round 2 forms the (2, m) block [A3; A4], and V3 when damped
+            # the A2 row is read by round 1's Galerkin call, and by the
+            # update when g1 A_i weights a or adot
+            reads_a2 = rows.stop == size and np.any(w[:, size - 2 - rows.start])
+            assert not reads_a2 or (name == "update" and g1 != 0.0), name
+        # round 1 needs no product: [A2; A1] is Z[-2:]; round 2 forms the
+        # (2, m) block [A4; A3], and V3 when damped
         assert round2[0].shape[0] == (3 if damped else 2)
-        # the new a never reads stage 4, and the new adot does
-        w, rows = inc
-        stage4 = (9, 10) if damped else (6,)
-        assert w.shape[0] == 2 and all(w[0, r - rows.start] == 0.0 for r in stage4)
-        assert rows.stop == READABLE[damped]["inc"]
-        # g1 A_1 gives the increments a coefficient on a
-        assert rows.start == (0 if g1 else 1)
+        # the update forms [adot'; A2'; a'] from every row: the new a never
+        # reads stage 4, and the new adot does
+        w, rows = update
+        stage4 = (0, 1) if damped else (0,)
+        assert w.shape[0] == 3 and rows == slice(0, size)
+        assert all(w[2, r] == 0.0 for r in stage4) and w[0, stage4[-1]] != 0.0
+        # adot' and a' weight adot and a by exactly 1, whatever g1 is, so
+        # that no rounding of those weights repeats at every step
+        assert w[0, size - 3] == 1.0 and w[2, size - 1] == 1.0
+        assert np.any(w[[0, 2], size - 2]) == (g1 != 0.0)
 
 
 def _perturbed_gap(monkeypatch, perturb) -> float:
@@ -442,13 +454,13 @@ def _perturbed_gap(monkeypatch, perturb) -> float:
 
 def test_agreement_bound_catches_a_perturbed_k2_weight(monkeypatch):
     # The bound must be tight enough to see a wrong RK4 weight: scaling the
-    # weight of n2 (row 4 of the damped Z) in the adot update by 1 + 1e-9
-    # has to break it.
+    # weight of n2 (row 6 of the damped Z) in the fused adot update by
+    # 1 + 1e-9 has to break it.
     def perturb(exact, h, g1, damped):
-        round1, round2, vel2, vel4, (w, rows) = exact(h, g1, damped)
+        round2, vel2, vel4, (w, rows) = exact(h, g1, damped)
         assert damped
-        w[1, 4 - rows.start] *= 1.0 + 1e-9
-        return round1, round2, vel2, vel4, (w, rows)
+        w[0, 6 - rows.start] *= 1.0 + 1e-9
+        return round2, vel2, vel4, (w, rows)
 
     assert _perturbed_gap(monkeypatch, perturb) > AGREE_RTOL
 
@@ -544,29 +556,38 @@ def test_dense_stepping_calls_no_dispatched_numpy_function(monkeypatch, op16, nl
 @pytest.mark.parametrize("use_verlet", [False, True])
 def test_each_round_calls_the_term_once_on_a_contiguous_block(op16, use_verlet, fs_name):
     # RK4 calls the Galerkin term twice a step, each time on a C-contiguous
-    # (2, m) block; Verlet once a step, and once before the first, on a
-    # (1, m) block.  The term writes rows of Z, never the constant row c.
+    # (2, m) block, writing rows of the stage buffer that the step reads:
+    # buffer 0 at odd steps and buffer 1 at even ones.  Verlet calls it once
+    # a step, and once before the first, on a (1, m) block.  The term never
+    # writes a constant row c.
     fs = _without_damping(FS_CASES[fs_name]) if use_verlet else FS_CASES[fs_name]
     rows = 1 if use_verlet else 2
     galerkin, g1, damping, constant = _stepping_terms(op16, NL_CASES["cubic"], fs, rows)
     c = np.zeros(16) if constant is None else constant
-    shapes, stage_buffers = [], []
+    shapes, outs = [], []
 
     def counted(block, out):
         assert block.flags.c_contiguous and out.flags.c_contiguous
         shapes.append((block.shape, out.shape))
+        outs.append(out)
         z = out.base
-        stage_buffers.append(z)
-        assert not np.shares_memory(out, z[2]) and np.array_equal(z[2], c)
+        c_rows = z[2:3] if use_verlet else z[:, kernels._C]
+        assert not np.shares_memory(out, c_rows) and all(np.array_equal(r, c) for r in c_rows)
         galerkin(block, out)
 
     n_steps = 9
     a0, v0 = _initial_modal(op16)
     assert kernels.run_numpy(a0, v0, 1e-3, n_steps, 3, 1e12, use_verlet, counted, g1, damping, constant)[3] == -1
     assert shapes == [((rows, 16), (rows, 16))] * (n_steps + 1 if use_verlet else 2 * n_steps)
-    z = stage_buffers[0]
-    assert all(b is z for b in stage_buffers) and z.shape[0] == (11 if damping is not None else 7)
-    assert np.array_equal(z[2], c)
+    z = outs[0].base
+    assert all(out.base is z for out in outs)
+    if use_verlet:
+        assert z.shape == (5, 16)
+    else:
+        assert z.shape == (2, 12 if damping is not None else 8, 16)
+        for i, out in enumerate(outs):
+            step = i // 2 + 1
+            assert np.shares_memory(out, z[(step - 1) % 2]) and not np.shares_memory(out, z[step % 2])
 
 
 def _both_loops(a0, v0, dt, n_steps, stride, ceiling, use_verlet, make_terms):
@@ -612,20 +633,17 @@ def test_screen_stops_an_oscillator_at_the_first_step_past_the_ceiling(use_verle
 @pytest.mark.parametrize("g1", [0.0, 0.2])
 @pytest.mark.parametrize("damped", [False, True])
 def test_screen_catches_nan_in_adot_only(damped, g1):
-    # NaN in one k4 reaches adot alone: a's update does not use k4.  Step 5's
-    # k4 is the second row of the 10th block, or the textbook loop's 20th
-    # acceleration.  The loop's one increment product weights k4 by 0 in
-    # a's row, so this step retakes a's update from its start.
+    # NaN in one k4 reaches adot alone: a's update does not use k4.  The
+    # term is a pure function of its block, NaN where a position's second
+    # entry passes -0.4853.  That entry rises by about 0.3 h a step, and
+    # the first stage past the threshold is step 5's stage 4, at t = 5h
+    # (stages 2 and 3 of step 5 sit at 4.5h, below -0.4859).  The fused
+    # update weights k4 by 0 in a's row, so this step retakes a' from the
+    # step's start.
     def make_terms():
-        calls = [0]
-
         def galerkin(a, out):
-            calls[0] += 1
             np.negative(a, out=out)
-            if a.ndim == 2 and calls[0] == 2 * 5:
-                out[1] = np.nan
-            elif a.ndim == 1 and calls[0] == 4 * 5:
-                out[...] = np.nan
+            out[a[..., 1] > -0.4853] = np.nan
 
         return galerkin, g1, np.full(3, -0.1) if damped else None
 
@@ -633,6 +651,8 @@ def test_screen_catches_nan_in_adot_only(damped, g1):
     a_hist, adot_hist, rec, div = _both_loops(a0, v0, 1e-2, 100, 4, 1e12, False, make_terms)
     assert div == 5 and list(rec) == [0, 4, 5]
     assert np.all(np.isfinite(a_hist[-1])) and np.all(np.isnan(adot_hist[-1]))
+    # step 5's A2 = a + h/2 adot is below the threshold, its new a above it
+    assert a_hist[-2, 1] + 0.5e-2 * adot_hist[-2, 1] < -0.4853 < a_hist[-1, 1]
 
 
 def test_tiny_ceiling_takes_the_full_check():
@@ -641,3 +661,90 @@ def test_tiny_ceiling_takes_the_full_check():
     a0, v0 = np.array([1e-165, 0.0]), np.array([0.0, 0.0])
     _, _, rec, div = _both_loops(a0, v0, 1e-3, 10, 1, 1e-170, False, lambda: (_negate_a,))
     assert div == 1 and list(rec) == [0, 1]
+
+
+SLOW_OSCILLATOR = {
+    "rk4": (False, None),
+    "rk4-damped": (False, np.full(1, -1e-3)),
+    "stormer_verlet": (True, None),
+}
+
+
+@pytest.mark.parametrize("case", list(SLOW_OSCILLATOR))
+def test_screen_stops_a_slow_oscillator_that_crosses_the_ceiling_and_returns(case):
+    # a'' = -0.01 a from a = 0, adot = 0.2, dt = 0.49: |a| passes the
+    # ceiling 1.5 at step 18, peaks near 2 and is back inside from step 47,
+    # and at step 64 the whole state is far inside the screen.  A screen of
+    # one state every so many steps would miss the crossing; the run must
+    # stop at its first step.
+    use_verlet, damping = SLOW_OSCILLATOR[case]
+
+    def make_terms():
+        return (lambda a, out: np.multiply(a, -0.01, out=out)), 0.0, damping
+
+    a0, v0, dt, ceiling = np.array([0.0]), np.array([0.2]), 0.49, 1.5
+    free = kernels.run_numpy(a0, v0, dt, 64, 1, math.inf, use_verlet, *make_terms())
+    outside = np.flatnonzero(np.abs(free[0][:, 0]) > ceiling)
+    assert free[3] == -1 and outside.size and outside[-1] - outside[0] < 64
+    assert np.sum(free[0][-1] ** 2 + free[1][-1] ** 2) < (ceiling / 2) ** 2
+    for stride in (1, 7, 64):
+        a_hist, _, rec, div = _both_loops(a0, v0, dt, 64, stride, ceiling, use_verlet, make_terms)
+        assert div == outside[0] and rec[-1] == div
+        assert np.array_equal(a_hist, free[0][rec])
+
+
+def _numpy_calls(run) -> int:
+    """Numpy calls that ``run()`` makes: ufunc calls through the numpy
+    namespace (patched to count) and calls of an array's bound method."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "c_call" and isinstance(getattr(arg, "__self__", None), np.ndarray):
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls[0]
+
+
+@pytest.mark.parametrize(
+    "case, per_step",
+    [("rk4-zero", 11), ("rk4-affine", 17), ("stormer_verlet-zero", 11), ("stormer_verlet-affine", 11)],
+)
+def test_numpy_calls_per_step(monkeypatch, op16, case, per_step):
+    # The cubic F on dense products makes 4 calls per Galerkin call.  An
+    # undamped RK4 step adds round 2's product, the fused update and the
+    # screen, a damped one also V2, V4 and the four e_i, and Verlet its two
+    # kicks, their adds, the drift and the screen.
+    integrator, fs = DENSE_STEPPING[case]
+    use_verlet = integrator == STORMER_VERLET
+    counts = {"ufunc": 0}
+
+    class Counted:
+        # a ufunc whose calls are counted; reduce and the rest pass through
+        def __init__(self, ufunc):
+            self.ufunc = ufunc
+
+        def __call__(self, *args, **kwargs):
+            counts["ufunc"] += 1
+            return self.ufunc(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.ufunc, name)
+
+    for name in ("add", "subtract", "multiply", "negative", "absolute", "power"):
+        monkeypatch.setattr(np, name, Counted(getattr(np, name)))
+    a0, v0 = _initial_modal(op16)
+
+    def calls(n_steps):
+        # the terms bind their ufuncs when built, so they are built here
+        terms = _stepping_terms(op16, NL_CASES["cubic"], fs, 1 if use_verlet else 2)
+        counts["ufunc"] = 0
+        bound = _numpy_calls(lambda: kernels.run_numpy(a0, v0, 1e-3, n_steps, n_steps, 1e12, use_verlet, *terms))
+        return bound + counts["ufunc"]
+
+    assert calls(10) - calls(2) == 8 * per_step
+    assert calls(11) - calls(10) == per_step
