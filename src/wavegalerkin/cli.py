@@ -1,5 +1,7 @@
 """Command-line orchestration: verify, run, converge.
 
+``converge`` judges a study by its own members alone: along dts of one ratio
+their differences shrink at the integrator's order, along m they decrease.
 Exit codes are disjoint: 0 every check that applies passed, 1 a condition
 or monitor was falsified, 2 the trajectory diverged, 3 the command line,
 the configuration or an output path was rejected.  All file writes are
@@ -36,8 +38,7 @@ from .estimates import (
     sample_table,
 )
 from .nonlinearity import verify_conditions, verify_g
-from .oracle import max_H_error, reference_run
-from .solver import SolverConfig, Trajectory, integrate
+from .solver import RK4, STORMER_VERLET, Trajectory, integrate
 from .spectral import build_operator
 
 __all__ = ["main"]
@@ -62,6 +63,13 @@ CSV_COLUMNS = (
 )
 # _csv_text formats this many rows at a time, energy_table's block size.
 CSV_BLOCK_ROWS = BLOCK_ROWS
+
+# converge: a judged order (_line) must exceed the integrator's order less
+# ORDER_MARGIN along dt, and 0 along m; FLOOR_ULPS sizes the round-off floor.
+INTEGRATOR_ORDER = {RK4: 4, STORMER_VERLET: 2}
+ORDER_MARGIN = 0.5
+FLOOR_ULPS = 10
+STUDY_COLUMNS = ("axis", "modes", "dt", "next", "difference", "floor", "order")
 
 
 class OutputError(Exception):
@@ -161,52 +169,53 @@ def _remove(path: Path) -> None:
 
 
 def _verification(rc: RunConfig):
-    """The condition reports of ``F`` and the operator, and of ``g``; returns (op, report dict, passed).
+    """The condition reports of ``F`` and the operator, and of ``g``; returns (op, report dict, Gronwall constants).
 
     A run goes ahead exactly when every check passed.  Every condition is
     decided, with no draws: a custom table's on its knot range, which the
-    report states.
+    report states.  When they pass, the Gronwall constants, which need no
+    initial state, are derived with ``E_init = 0``, and constants past the
+    float range are a ``ConfigError``; when a check failed they are ``None``.
     """
     op = build_operator(rc.domain, rc.modes)
     nl_rep = verify_conditions(rc.nl, op)
     g_rep = verify_g(rc.fs, op)
     passed = nl_rep.passed and g_rep.passed
+    gp = None
+    if passed:
+        try:
+            gp = derive_gronwall(rc.nl, rc.fs, op, 0.0)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
     report = {"passed": passed, "nonlinearity": nl_rep.to_dict(), "forcing": g_rep.to_dict()}
-    return op, report, passed
+    return op, report, gp
 
 
 def cmd_verify(rc: RunConfig) -> int:
-    _, report, passed = _verification(rc)
+    _, report, _ = _verification(rc)
     print(_json(report))
-    return EXIT_OK if passed else EXIT_VIOLATION
+    return EXIT_OK if report["passed"] else EXIT_VIOLATION
 
 
 def cmd_run(rc: RunConfig) -> int:
     report_path = _resolve_out(rc.output.report_path)
     csv_path = _resolve_out(rc.output.csv_path)
-    op, ver_report, passed = _verification(rc)
-    if not passed:
-        # No trajectory was produced, so an earlier run's CSV must not stay
-        # next to this report.
-        _remove(csv_path)
+    # No earlier run's artifact may outlive a rejection or failure of this one.
+    _remove(csv_path)
+    _remove(report_path)
+    op, ver_report, gp = _verification(rc)
+    if gp is None:
         _write_atomic(report_path, _json({"verification": ver_report, "monitor": None}) + "\n")
         print(f"verification failed; report at {report_path}")
         return EXIT_VIOLATION
 
     init = resolve_initial(rc, op)
-    # No earlier run's artifacts may outlive a rejection or a failure of
-    # this one, and every rejection comes before the first step: the
-    # Gronwall constants from E(0) of the initial state alone.
-    _remove(csv_path)
-    _remove(report_path)
+    # Every rejection comes before the first step: verification derived the
+    # Gronwall constants, and E(0) of the initial state alone is checked here.
     state = init.state
     e0 = float(energy_table(op, rc.nl, rc.fs, np.zeros(1), state.a[None], state.adot[None]).energy[0])
-    try:
-        if not math.isfinite(2.0 * e0):
-            raise ValueError(f"the initial data x0, x1 have energy E(0) = {e0:g}; the bounds need 2E(0) to be a finite float")
-        gp = derive_gronwall(rc.nl, rc.fs, op, e0)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    if not math.isfinite(2.0 * e0):
+        raise ConfigError(f"the initial data x0, x1 have energy E(0) = {e0:g}; the bounds need 2E(0) to be a finite float")
     traj = integrate(state, rc.solver, op, rc.nl, rc.fs)
     # The bounds start from the energy table's E(0), the CSV's first row:
     # one row takes BLAS's matrix-vector path, and the two can differ in
@@ -230,10 +239,7 @@ def cmd_run(rc: RunConfig) -> int:
     report = {
         "verification": ver_report,
         "monitor": rep.to_dict(),
-        "initial": {
-            "x0_tail_norm": init.x0_tail_norm,
-            "x1_tail_norm": init.x1_tail_norm,
-        },
+        "initial": {"x0_tail_norm": init.x0_tail_norm, "x1_tail_norm": init.x1_tail_norm},
         "gronwall_params": dataclasses.asdict(gp),
         "decay_params": dataclasses.asdict(dp) if dp is not None else None,
         "absorbing_ball": ball,
@@ -245,105 +251,101 @@ def cmd_run(rc: RunConfig) -> int:
 
     status = "diverged" if traj.diverged else ("pass" if rep.passed else "violation")
     print(f"run: {status}; {len(traj)} samples; csv={csv_path} report={report_path}")
-    if traj.diverged:
-        return EXIT_DIVERGED
-    return EXIT_OK if rep.passed else EXIT_VIOLATION
+    return EXIT_DIVERGED if traj.diverged else (EXIT_OK if rep.passed else EXIT_VIOLATION)
 
 
-def _reference_initial(rc: RunConfig, m_ref: int) -> tuple[np.ndarray, np.ndarray]:
-    """Initial modal data in the reference basis."""
-    domain = dataclasses.replace(rc.domain, grid_points=None)
-    op_ref = build_operator(domain, m_ref)
-    init = resolve_initial(rc, op_ref)
-    return np.asarray(init.state.a), np.asarray(init.state.adot)
+def _difference(u, v) -> tuple[float, float]:
+    """The largest H distance of members ``(times, positions, n_steps)`` over their shared sample times, and its floor.
+
+    ``u`` has the smaller dt or the fewer modes, and is zero-padded to
+    ``v``'s.  The round-off floor is :data:`FLOOR_ULPS` float epsilons per
+    step of ``u`` times the larger of the two members' largest H norms.
+    """
+    (tu, au, n_steps), (tv, av, _) = u, v
+    j = np.searchsorted(tv, tu).clip(max=tv.size - 1)
+    j = np.where(np.abs(tv[j - 1] - tu) < np.abs(tv[j] - tu), j - 1, j)
+    shared = np.abs(tv[j] - tu) <= 1e-9 * np.maximum(1.0, tu)
+    diff = av[j[shared]]
+    diff[:, : au.shape[1]] -= au[shared]
+    norm_sq = max(np.max(np.sum(au * au, axis=1)), np.max(np.sum(av * av, axis=1)))
+    return math.sqrt(np.max(np.sum(diff * diff, axis=1))), FLOOR_ULPS * np.finfo(float).eps * n_steps * math.sqrt(norm_sq)
 
 
-def cmd_converge(rc: RunConfig, modes: list[int], dts: list[float], m_ref: int | None, dt_ref_factor: int, out_json: str, out_csv: str) -> int:
-    if not modes or not dts:
-        raise ConfigError("mode and dt lists must be nonempty")
-    if any(m2 <= m1 for m1, m2 in zip(modes, modes[1:])):
-        raise ConfigError("--modes must be strictly ascending")
-    if any(d2 <= d1 for d1, d2 in zip(dts, dts[1:])):
-        raise ConfigError("--dts must be strictly ascending")
-    if m_ref is None:
-        m_ref = 2 * max(modes)
-    if m_ref < 2 * max(modes):
-        raise ConfigError("m_ref must be at least twice the largest member mode count")
-    if dt_ref_factor < 10:
-        raise ConfigError("dt_ref_factor must be at least 10")
-    if rc.nl.table is not None:
-        raise ConfigError("convergence study supports the power law only, not a table")
-    stride = rc.solver.sample_stride
-    cfgs = {dt: dataclasses.replace(rc.solver, dt=dt) for dt in dts}
-    for dt, cfg in cfgs.items():  # every member's and reference's history fits, before any run
-        _check_history(cfg, modes[-1])
-        _check_history(SolverConfig(T=rc.solver.T, dt=dt / dt_ref_factor, sample_stride=stride * dt_ref_factor), m_ref)
+def _line(axis: str, keys: list[tuple[int, float]], members: dict) -> list[dict]:
+    """One row per successive pair of the members ``keys``, ``(modes, dt)``, along ``axis``: ``"dt"`` or ``"m"``.
+
+    A row holds the pair's difference and floor (:func:`_difference`) and
+    the order observed from it to the next row's difference against dt,
+    or 1/m along m.  Only where both are above their floors is there an
+    order, which is judged; elsewhere, and on the last row, it is ``None``.
+    """
+    rows = []
+    for (m, dt), (m2, dt2) in zip(keys, keys[1:]):
+        d, floor = _difference(members[m, dt], members[m2, dt2])
+        rows.append(dict(zip(STUDY_COLUMNS, (axis, m, dt, dt2 if axis == "dt" else m2, d, floor, None))))
+    for r, s in zip(rows, rows[1:]):
+        if r["difference"] > r["floor"] and s["difference"] > s["floor"]:
+            width = s["dt"] / r["dt"] if axis == "dt" else r["modes"] / s["modes"]
+            r["order"] = math.log(s["difference"] / r["difference"]) / math.log(width)
+    return rows
+
+
+def cmd_converge(rc: RunConfig, modes: list[int], dts: list[float], out_json: str, out_csv: str) -> int:
+    if min(modes) < 1:
+        raise ConfigError(f"--modes {min(modes)}: a mode count must be positive")
+    cfgs = []
+    for dt in dts:
+        try:
+            cfgs.append(dataclasses.replace(rc.solver, dt=dt))
+        except ValueError as e:
+            raise ConfigError(f"--dts {dt:g}: {e}") from e
+    for option, values in (("--modes", modes), ("--dts", dts)):
+        if any(v2 <= v1 for v1, v2 in zip(values, values[1:])):
+            raise ConfigError(f"{option} must be strictly ascending")
+    if any(not math.isclose(dt3 / dt2, dts[1] / dts[0], rel_tol=1e-9) for dt2, dt3 in zip(dts[1:], dts[2:])):
+        raise ConfigError(f"--dts {' '.join(f'{dt:g}' for dt in dts)}: successive dts must share one ratio")
+    if len(modes) < 3 and len(dts) < 3:
+        raise ConfigError("a study judges orders of successive differences: give at least 3 --modes or 3 --dts")
+    _check_history(cfgs, modes)  # the study holds every member's history at once
     json_path = _resolve_out(out_json)
     csv_path = _resolve_out(out_csv)
 
-    _, _, passed = _verification(rc)
-    if not passed:
+    if _verification(rc)[2] is None:
         print("verification failed; no study run")
         return EXIT_VIOLATION
 
+    # Each member is a run on the default grid of its mode count.
     domain = dataclasses.replace(rc.domain, grid_points=None)
-    x0_ref, x1_ref = _reference_initial(rc, m_ref)
+    runs, members = [], {}
+    for m in modes:
+        op = build_operator(domain, m)
+        state = resolve_initial(rc, op).state
+        for cfg in cfgs:
+            traj = integrate(state, cfg, op, rc.nl, rc.fs)
+            runs.append({"modes": m, "dt": cfg.dt, "samples": len(traj), "diverged": traj.diverged})
+            members[m, cfg.dt] = traj.times, traj.a, cfg.n_steps
+    complete = not any(r["diverged"] for r in runs)
     rows = []
-    diverged = False
-    for dt in dts:
-        dt_ref = dt / dt_ref_factor
-        ref = reference_run(
-            domain,
-            rc.nl,
-            rc.fs,
-            x0_ref,
-            x1_ref,
-            rc.solver.T,
-            m_ref,
-            dt_ref,
-            sample_stride=stride * dt_ref_factor,
-        )
-        if ref.diverged:
-            diverged = True
-            break
+    if complete:
         for m in modes:
-            op = build_operator(domain, m)
-            init = resolve_initial(rc, op)
-            traj = integrate(init.state, cfgs[dt], op, rc.nl, rc.fs)
-            if traj.diverged:
-                rows.append({"modes": m, "dt": dt, "error": None, "diverged": True})
-                diverged = True
-                break
-            rows.append({"modes": m, "dt": dt, "error": max_H_error(traj, ref), "diverged": False})
-        if diverged:
-            break
+            rows += _line("dt", [(m, dt) for dt in dts], members)
+        for dt in dts:
+            rows += _line("m", [(m, dt) for m in modes], members)
+    order = INTEGRATOR_ORDER[rc.solver.integrator]
+    least = {"dt": order - ORDER_MARGIN, "m": 0.0}
+    judged = [r for r in rows if r["order"] is not None]
+    passed = complete and all(r["order"] > least[r["axis"]] for r in judged)
 
-    monotone = {}
-    for dt in dts:
-        errs = [r["error"] for r in rows if r["dt"] == dt and not r["diverged"]]
-        if len(errs) == len(modes):
-            monotone[f"{dt:g}"] = all(e2 < e1 + 1e-12 for e1, e2 in zip(errs, errs[1:]))
-
-    study = {
-        "m_ref": m_ref,
-        "dt_ref_factor": dt_ref_factor,
-        "rows": rows,
-        "monotone_in_m": monotone,
-        "complete": not diverged,
-    }
+    study = {"integrator": rc.solver.integrator, "expected_order": order, "order_margin": ORDER_MARGIN,
+             "members": runs, "differences": rows, "judged": len(judged), "complete": complete, "passed": passed}
     _write_atomic(json_path, _json(study) + "\n")
-    csv_lines = ["modes,dt,error"]
-    for r in rows:
-        err = _num(r["error"]) if r["error"] is not None else "diverged"
-        csv_lines.append(f"{r['modes']},{_num(r['dt'])},{err}")
-    _write_atomic(csv_path, "\n".join(csv_lines) + "\n")
-    print(f"converge: {len(rows)} runs; json={json_path} csv={csv_path}")
-
-    if diverged:
-        return EXIT_DIVERGED
-    if not all(monotone.values()):
-        return EXIT_VIOLATION
-    return EXIT_OK
+    lines = [",".join(STUDY_COLUMNS)]
+    lines += [",".join(v if isinstance(v, str) else "" if v is None else _num(v) for v in r.values()) for r in rows]
+    _write_atomic(csv_path, "\n".join(lines) + "\n")
+    code = EXIT_DIVERGED if not complete else (EXIT_OK if passed else EXIT_VIOLATION)
+    status = {EXIT_OK: "pass", EXIT_VIOLATION: "violation", EXIT_DIVERGED: "diverged"}[code]
+    print(f"converge: {status}; {len(runs)} runs; judged: {len(judged)}; json={json_path} csv={csv_path}")
+    return code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -373,12 +375,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="integrate and monitor; writes CSV and JSON report")
     p_run.add_argument("config")
 
-    p_conv = sub.add_parser("converge", help="Galerkin convergence study against a reference run")
+    p_conv = sub.add_parser("converge", help="self-convergence study: orders in dt and Cauchy differences in m of its members")
     p_conv.add_argument("config")
     p_conv.add_argument("--modes", type=int, nargs="+", required=True)
     p_conv.add_argument("--dts", type=float, nargs="+", required=True)
-    p_conv.add_argument("--m-ref", type=int, default=None)
-    p_conv.add_argument("--dt-ref-factor", type=int, default=10)
     p_conv.add_argument("--out-json", default="converge.json")
     p_conv.add_argument("--out-csv", default="converge.csv")
 
@@ -397,15 +397,12 @@ def main(argv=None) -> int:
             return cmd_verify(rc)
         if args.command == "run":
             return cmd_run(rc)
-        return cmd_converge(rc, args.modes, args.dts, args.m_ref, args.dt_ref_factor, args.out_json, args.out_csv)
-    except ConfigError as e:
+        return cmd_converge(rc, args.modes, args.dts, args.out_json, args.out_csv)
+    except (ConfigError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except OutputError as e:
         print(f"output error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
 

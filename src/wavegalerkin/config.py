@@ -441,7 +441,7 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError("stormer_verlet requires velocity-independent forcing (g2 = 0)")
         for key in ("x0", "x1"):
             _check_field(raw["initial"][key], f"initial/{key}")
-        _check_history(solver, raw["modes"])
+        _check_history([solver], [raw["modes"]])
     except ConfigError:
         raise
     except (ValueError, KeyError) as e:
@@ -470,9 +470,9 @@ def load_config(path: str | Path) -> RunConfig:
 HISTORY_BYTES_MAX = 2**30
 
 
-def _check_history(solver: SolverConfig, modes: int) -> None:
-    """Reject a time grid whose sample history would exceed :data:`HISTORY_BYTES_MAX`."""
-    nbytes = (solver.n_steps // solver.sample_stride + 2) * 2 * modes * 8
+def _check_history(solvers: list[SolverConfig], modes: list[int]) -> None:
+    """Reject the sample histories of a run on each time grid at each mode count, held at once, past :data:`HISTORY_BYTES_MAX`."""
+    nbytes = sum((s.n_steps // s.sample_stride + 2) * 2 * m * 8 for s in solvers for m in modes)
     if nbytes > HISTORY_BYTES_MAX:
         raise ConfigError(
             f"sample history of {nbytes:.3g} bytes exceeds the {HISTORY_BYTES_MAX:.3g}-byte budget: "

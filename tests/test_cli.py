@@ -251,6 +251,23 @@ def test_gronwall_constants_past_the_float_range_exit_3_and_leave_no_artifact(tm
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("cmd", ["verify", "run", "converge"])
+def test_gronwall_constants_past_the_float_range_are_rejected_by_every_command(tmp_path, capsys, monkeypatch, cmd):
+    # The Gronwall constants need no initial state, so verification derives
+    # them: verify and converge reject what run rejects, with one line, no
+    # step and no artifact.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "integrate", lambda *args: pytest.fail("stepped"))
+    forcing = {"kind": "affine", "g0": 1e160, "constant": 1.0}
+    path = write_cfg(tmp_path, make_cfg(tmp_path, forcing=forcing, time={"T": 20.0, "dt": 1e-3, "sample_stride": 10}))
+    tail = ["--modes", "4", "8", "16", "--dts", "0.0025", "0.005", "0.01"] if cmd == "converge" else []
+    assert cli.main([cmd, path] + tail) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "config error: the forcing constants g0 = 1e+160, g1 = 0, g2 = 0 take the Gronwall constants C0, C1 past the float range\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize(
     "over",
     [
@@ -605,6 +622,22 @@ def test_runtime_monitor_catches_a_falsified_table(tmp_path):
     assert [c.name for c in report.checks if not c.passed] == ["decay", "table_range"]
 
 
+def _converge(tmp_path, cfg, modes, dts):
+    """Run ``converge`` on ``cfg``; returns the exit code, the study JSON and the CSV lines."""
+    out_json, out_csv = tmp_path / "c.json", tmp_path / "c.csv"
+    argv = ["converge", write_cfg(tmp_path, cfg), "--modes", *map(str, modes), "--dts", *map(str, dts)]
+    code = cli.main(argv + ["--out-json", str(out_json), "--out-csv", str(out_csv)])
+    return code, json.loads(out_json.read_text()), out_csv.read_text().splitlines()
+
+
+def _orders(study, axis):
+    return [r["order"] for r in study["differences"] if r["axis"] == axis and r["order"] is not None]
+
+
+# The cubic study: Dirichlet, length 1, a parabola at rest, T = 1, stride 10.
+CUBIC_STUDY = ([4, 8, 16], [0.0025, 0.005, 0.01])
+
+
 def test_converge_linear_dt_order(tmp_path, capsys):
     cfg = make_cfg(
         tmp_path,
@@ -612,29 +645,17 @@ def test_converge_linear_dt_order(tmp_path, capsys):
         initial={"x0": {"type": "sine", "wavenumber": 1}, "x1": {"type": "zero"}},
         time={"T": 1.0, "dt": 1e-3},
     )
-    out_json = tmp_path / "c.json"
-    out_csv = tmp_path / "c.csv"
-    rc = cli.main(
-        [
-            "converge",
-            write_cfg(tmp_path, cfg),
-            "--modes",
-            "4",
-            "--dts",
-            "0.004",
-            "0.008",
-            "--out-json",
-            str(out_json),
-            "--out-csv",
-            str(out_csv),
-        ]
-    )
-    assert rc == 0
-    study = json.loads(out_json.read_text())
-    assert study["complete"] is True and study["m_ref"] == 8
-    errs = {r["dt"]: r["error"] for r in study["rows"]}
-    ratio = errs[0.008] / errs[0.004]
-    assert 13.0 <= ratio <= 19.0
+    code, study, lines = _converge(tmp_path, cfg, [4], [0.0025, 0.005, 0.01])
+    assert code == 0
+    assert study["complete"] is True and study["passed"] is True
+    assert study["integrator"] == "rk4" and study["expected_order"] == 4
+    assert [(m["modes"], m["dt"], m["samples"]) for m in study["members"]] == [(4, 0.0025, 401), (4, 0.005, 201), (4, 0.01, 101)]
+    # RK4's global error is O(dt^4): halving dt divides the differences by 16
+    (order,) = _orders(study, "dt")
+    assert 3.5 <= order <= 4.5 and study["judged"] == 1
+    assert capsys.readouterr().out.startswith("converge: pass; 3 runs; judged: 1; json=")
+    assert lines[0] == "axis,modes,dt,next,difference,floor,order" and len(lines) == 3
+    assert lines[1].startswith("dt,4,0.0025000000000000001,0.0050000000000000001,") and lines[2].endswith(",")
 
 
 def test_converge_cubic_monotone_in_modes(tmp_path):
@@ -643,49 +664,113 @@ def test_converge_cubic_monotone_in_modes(tmp_path):
         initial={"x0": {"type": "parabola", "amplitude": 0.3}, "x1": {"type": "zero"}},
         time={"T": 1.0, "dt": 1e-3},
     )
-    out_json = tmp_path / "c.json"
-    out_csv = tmp_path / "c.csv"
-    rc = cli.main(
-        [
-            "converge",
-            write_cfg(tmp_path, cfg),
-            "--modes",
-            "8",
-            "16",
-            "--dts",
-            "0.01",
-            "--out-json",
-            str(out_json),
-            "--out-csv",
-            str(out_csv),
-        ]
-    )
-    assert rc == 0
-    study = json.loads(out_json.read_text())
-    assert study["m_ref"] == 32
-    assert all(study["monotone_in_m"].values())
-    errors = [r["error"] for r in study["rows"]]
-    assert errors[1] < errors[0]
-    lines = out_csv.read_text().splitlines()
-    assert lines[0] == "modes,dt,error" and len(lines) == 3
+    code, study, lines = _converge(tmp_path, cfg, [4, 8, 16], [0.01])
+    assert code == 0 and study["passed"] is True
+    # the Cauchy differences over successive m decrease
+    rows = [r for r in study["differences"] if r["axis"] == "m"]
+    assert [(r["modes"], r["next"]) for r in rows] == [(4, 8), (8, 16)]
+    assert rows[1]["difference"] < rows[0]["difference"]
+    assert rows[0]["order"] > 0.0 and rows[1]["order"] is None
+    assert lines[0] == "axis,modes,dt,next,difference,floor,order" and len(lines) == 3
+
+
+def _k3_weight_on_k2(monkeypatch):
+    """Move the k3 weight of RK4's fused ``adot'`` row onto k2: a first-order wrong step."""
+    exact = kernels._rk4_tableau
+
+    def mutant(h, g1=0.0, damped=False):
+        round2, vel2, vel4, (w, rows) = exact(h, g1, damped)
+        _, n2, n3, _ = kernels._N_DAMPED if damped else kernels._N
+        w[0, n2 - rows.start] += w[0, n3 - rows.start]
+        w[0, n3 - rows.start] = 0.0
+        return round2, vel2, vel4, (w, rows)
+
+    monkeypatch.setattr(kernels, "_rk4_tableau", mutant)
+
+
+def test_converge_judges_the_dt_order_and_catches_a_moved_rk4_weight(tmp_path, monkeypatch):
+    cfg = make_cfg(tmp_path, time={"T": 1.0, "dt": 1e-3, "sample_stride": 10})
+    code, study, _ = _converge(tmp_path, cfg, *CUBIC_STUDY)
+    assert code == 0 and study["passed"] is True and study["judged"] == 6
+    orders = _orders(study, "dt")
+    assert len(orders) == 3 and all(3.5 <= o <= 4.5 for o in orders)
+    assert len(_orders(study, "m")) == 3 and all(o > 0.0 for o in _orders(study, "m"))
+    # With k3's weight on k2 the scheme is second order, and the study
+    # sees it.
+    _k3_weight_on_k2(monkeypatch)
+    code, study, _ = _converge(tmp_path, cfg, *CUBIC_STUDY)
+    assert code == 1 and study["passed"] is False and study["complete"] is True
+    assert all(1.5 <= o <= 2.5 for o in _orders(study, "dt"))
+
+
+def test_converge_verlet_study_passes_at_order_2(tmp_path):
+    cfg = make_cfg(tmp_path, time={"T": 1.0, "dt": 1e-3, "sample_stride": 10, "integrator": "stormer_verlet"})
+    code, study, _ = _converge(tmp_path, cfg, *CUBIC_STUDY)
+    assert code == 0 and study["integrator"] == "stormer_verlet" and study["expected_order"] == 2
+    orders = _orders(study, "dt")
+    assert len(orders) == 3 and all(1.5 <= o <= 2.5 for o in orders)
+
+
+def test_converge_runs_a_custom_table(tmp_path):
+    # No reference run is needed, so a custom F runs as the power law does.
+    cfg = make_cfg(tmp_path, nonlinearity=_cubic_table(1.0), time={"T": 1.0, "dt": 1e-3, "sample_stride": 10})
+    code, study, _ = _converge(tmp_path, cfg, *CUBIC_STUDY)
+    assert code == 0 and study["passed"] is True
+    assert len(_orders(study, "dt")) == 3 and len(_orders(study, "m")) == 3
+
+
+def test_converge_judges_only_differences_above_the_round_off_floor(tmp_path, capsys):
+    # At dt 1e-4 the members of the cubic study differ by round-off alone:
+    # no order is judged, and the study passes, saying it judged none.
+    cfg = make_cfg(tmp_path, time={"T": 1.0, "dt": 1e-3, "sample_stride": 10})
+    code, study, lines = _converge(tmp_path, cfg, [4], [1e-4, 2e-4, 4e-4])
+    assert code == 0 and study["judged"] == 0
+    assert capsys.readouterr().out.startswith("converge: pass; 3 runs; judged: 0; json=")
+    rows = study["differences"]
+    assert len(rows) == 2 and all(r["difference"] <= r["floor"] and r["order"] is None for r in rows)
+    assert all(line.endswith(",") for line in lines[1:])
+
+
+def test_converge_reports_a_diverged_member(tmp_path, capsys):
+    cfg = make_cfg(tmp_path, time={"T": 1.0, "dt": 1e-3, "sample_stride": 1})
+    cfg["blowup_ceiling"] = 1e-3
+    code, study, lines = _converge(tmp_path, cfg, [4, 8, 16], [0.01])
+    assert code == 2
+    assert study["complete"] is False and study["passed"] is False and study["differences"] == [] and study["judged"] == 0
+    assert [m["diverged"] for m in study["members"]] == [True, True, True]
+    assert lines == ["axis,modes,dt,next,difference,floor,order"]
+    assert capsys.readouterr().out.startswith("converge: diverged; 3 runs; judged: 0;")
 
 
 @pytest.mark.parametrize(
-    "extra_cfg,argv_tail",
+    "argv_tail, message",
     [
-        ({"nonlinearity": CUSTOM_NEGATED}, ["--modes", "4", "--dts", "0.01"]),
-        ({}, ["--modes", "8", "8", "--dts", "0.01"]),
-        ({}, ["--modes", "16", "8", "--dts", "0.01"]),
-        ({}, ["--modes", "8", "16", "--dts", "0.01", "--m-ref", "20"]),
-        ({}, ["--modes", "4", "--dts", "0.01", "--dt-ref-factor", "5"]),
-        ({}, ["--modes", "4", "--dts", "0.01", "0.01"]),
+        (["--modes", "8", "8", "16", "--dts", "0.01"], "--modes must be strictly ascending"),
+        (["--modes", "16", "8", "4", "--dts", "0.01"], "--modes must be strictly ascending"),
+        (["--modes", "4", "--dts", "0.01", "0.01", "0.02"], "--dts must be strictly ascending"),
+        (["--modes", "0", "4", "8", "--dts", "0.01"], "--modes 0: a mode count must be positive"),
+        (["--modes", "4", "--dts", "-0.01", "0.01", "0.02"], "--dts -0.01: dt must be positive"),
+        (["--modes", "4", "--dts", "0.002", "0.004", "0.04"], "--dts 0.04: step count T/dt must be a whole number of sample strides"),
+        (["--modes", "4", "8", "--dts", "0.01", "0.02"], "a study judges orders of successive differences: give at least 3 --modes or 3 --dts"),
+        # Read with the later ratio, an error C dt^4 would show order 1.68
+        # here, and the k3-on-k2 mutant's C dt^2 order 5.0 on the next.
+        (["--modes", "4", "--dts", "0.001", "0.005", "0.01"], "--dts 0.001 0.005 0.01: successive dts must share one ratio"),
+        (["--modes", "4", "--dts", "0.001", "0.002", "0.01"], "--dts 0.001 0.002 0.01: successive dts must share one ratio"),
+        (["--modes", "4", "--dts", "0.00125", "0.0025", "0.005", "0.02"], "--dts 0.00125 0.0025 0.005 0.02: successive dts must share one ratio"),
+    ],
+    ids=[
+        "modes_repeated", "modes_descending", "dts_repeated", "mode_zero", "dt_negative", "dt_off_stride", "too_few_members",
+        "dts_uneven", "dts_uneven_mutant", "dts_uneven_last",
     ],
 )
-def test_converge_rejections(tmp_path, capsys, extra_cfg, argv_tail):
-    cfg = make_cfg(tmp_path, **extra_cfg)
+def test_converge_rejections(tmp_path, capsys, monkeypatch, argv_tail, message):
+    # Every option entry is checked, and a bad one named, before verification.
+    monkeypatch.setattr(cli, "_verification", lambda rc: pytest.fail("verified before checking the options"))
+    cfg = make_cfg(tmp_path, time={"T": 1.0, "dt": 1e-3, "sample_stride": 10})
     rc = cli.main(["converge", write_cfg(tmp_path, cfg)] + argv_tail)
     assert rc == 3
-    assert "config error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n" and captured.out == ""
 
 
 def test_decay_study(tmp_path):
@@ -865,18 +950,18 @@ def test_history_over_budget_exits_3_in_a_fresh_process_and_allocates_nothing(tm
     assert peak < 1 << 20
 
 
-# At dt 1e-9 the members' histories (1e9 records) reached np.empty in
-# oracle.reference_run, after verification, and died there with a traceback
-# and exit 1.  At dt 1e-6 with m_ref 128 only the reference's history is
-# over the budget.
-@pytest.mark.parametrize("argv_tail", [["--dts", "1e-9"], ["--dts", "1e-6", "--m-ref", "128"]], ids=["members", "reference"])
-def test_converge_history_over_budget_exits_3_and_allocates_nothing(tmp_path, capsys, monkeypatch, argv_tail):
+# At dt 1e-9 the members' histories (1e9 records) once reached np.empty
+# after verification, and died there with a traceback and exit 1.  At dts
+# 5e-7, 1e-6 and 2e-6 each member's history fits the budget, but the study
+# holds all nine at once, and together they do not.
+@pytest.mark.parametrize("dts", [["1e-9"], ["5e-7", "1e-6", "2e-6"]], ids=["members", "study"])
+def test_converge_history_over_budget_exits_3_and_allocates_nothing(tmp_path, capsys, monkeypatch, dts):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "_verification", lambda rc: pytest.fail("verified before checking the histories"))
     path = write_cfg(tmp_path, make_cfg(tmp_path, time={"T": 1.0, "dt": 1e-3, "sample_stride": 1}))
     tracemalloc.start()
     try:
-        code = cli.main(["converge", path, "--modes", "4", "8"] + argv_tail)
+        code = cli.main(["converge", path, "--modes", "4", "8", "16", "--dts", *dts])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -973,8 +1058,8 @@ def test_unwritable_output_path_exits_3_before_any_work(tmp_path, capsys, monkey
         tail = []
     else:
         cfg = make_cfg(tmp_path)
-        tail = ["--modes", "4", "--dts", "0.01", "--out-json", str(good_json), "--out-csv", bad_path]
-    for name in ("_verification", "integrate", "reference_run"):
+        tail = ["--modes", "4", "8", "16", "--dts", "0.01", "--out-json", str(good_json), "--out-csv", bad_path]
+    for name in ("_verification", "integrate"):
         monkeypatch.setattr(cli, name, _no_work)
     assert cli.main([command, write_cfg(tmp_path, cfg)] + tail) == 3
     captured = capsys.readouterr()
@@ -1072,17 +1157,23 @@ def test_parser_is_built_once_and_keeps_no_options_between_calls(tmp_path, capsy
     path = write_cfg(tmp_path, make_cfg(tmp_path))
     assert cli._build_parser() is cli._build_parser()
     conv = ["converge", path, "--modes", "4", "8", "--dts", "0.01"]
-    assert cli.main(conv + ["--dt-ref-factor", "20", "--m-ref", "32", "--out-json", "a.json", "--out-csv", "a.csv"]) == 0
+    assert cli.main(conv + ["--out-json", "a.json", "--out-csv", "a.csv"]) == 0
     assert cli.main(["verify", path]) == 0
     assert cli.main(["converge", path, "--modes", "4", "--dts", "0.02"]) == 0
     assert seen == [
-        ("converge", [4, 8], [0.01], 32, 20, "a.json", "a.csv"),
-        ("converge", [4], [0.02], None, 10, "converge.json", "converge.csv"),
+        ("converge", [4, 8], [0.01], "a.json", "a.csv"),
+        ("converge", [4], [0.02], "converge.json", "converge.csv"),
     ]
     # the shared parser still rejects what it always rejected
     with pytest.raises(SystemExit):
         cli.main(["converge", path, "--dts", "0.01"])
     assert "--modes" in capsys.readouterr().err
+    # a study makes no reference run, so it takes no option to size one
+    for option in ("--m-ref", "--dt-ref-factor"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(conv + [option, "20"])
+        assert exc.value.code == 3
+        assert f"unrecognized arguments: {option} 20" in capsys.readouterr().err
 
 
 # The CSV writer as it was before one row format replaced nine per-value
