@@ -51,19 +51,12 @@ from typing import NamedTuple
 import numpy as np
 
 from wavegalerkin import kernels
-from wavegalerkin.nonlinearity import (
-    affine_forcing,
-    cubic_nonlinearity,
-    custom_nonlinearity,
-    power_law_nonlinearity,
-    tabulated_f,
-    zero_forcing,
-)
+from wavegalerkin.nonlinearity import ForcingSpec, NonlinearitySpec, TabulatedF
 from wavegalerkin.solver import _stepping_terms, project_initial_data
 from wavegalerkin.spectral import DIRICHLET, PERIODIC_MEAN_ZERO, DomainSpec, build_operator
 
 _R = np.linspace(-2.0, 2.0, 2001)
-_TABLE = tabulated_f(_R, 3.0 * _R * _R)
+_TABLE = TabulatedF(_R, 3.0 * _R * _R)
 
 
 class Case(NamedTuple):
@@ -76,19 +69,19 @@ class Case(NamedTuple):
     stride: int | None = None  # None: record the first and the last state only
 
 
-_AFFINE = affine_forcing(g1=0.05, g2=0.05, constant=0.5, g0=0.5)
-_CUSTOM = custom_nonlinearity(_TABLE, 4.0, 1.0, 1.0, 1.0, 0.0)
+_AFFINE = ForcingSpec(g1=0.05, g2=0.05, constant=0.5, g0=0.5)
+_CUSTOM = NonlinearitySpec(4.0, 1.0, 1.0, 1.0, 0.0, table=_TABLE)
 
 CASES = {
-    "long_small": Case(DIRICHLET, 16, cubic_nonlinearity(), zero_forcing(), False, 1e-3),
-    "dense_output": Case(PERIODIC_MEAN_ZERO, 32, cubic_nonlinearity(), _AFFINE, False, 1e-3),
-    "dense_stride1": Case(PERIODIC_MEAN_ZERO, 32, cubic_nonlinearity(), _AFFINE, False, 1e-3, stride=1),
-    "wide_modes": Case(DIRICHLET, 512, power_law_nonlinearity(4.0), zero_forcing(), False, 2.5e-4),
-    "verlet": Case(DIRICHLET, 16, cubic_nonlinearity(), zero_forcing(), True, 1e-3),
+    "long_small": Case(DIRICHLET, 16, NonlinearitySpec(p=4), ForcingSpec(), False, 1e-3),
+    "dense_output": Case(PERIODIC_MEAN_ZERO, 32, NonlinearitySpec(p=4), _AFFINE, False, 1e-3),
+    "dense_stride1": Case(PERIODIC_MEAN_ZERO, 32, NonlinearitySpec(p=4), _AFFINE, False, 1e-3, stride=1),
+    "wide_modes": Case(DIRICHLET, 512, NonlinearitySpec(p=4.0), ForcingSpec(), False, 2.5e-4),
+    "verlet": Case(DIRICHLET, 16, NonlinearitySpec(p=4), ForcingSpec(), True, 1e-3),
     "custom_table": Case(DIRICHLET, 16, _CUSTOM, _AFFINE, False, 1e-3),
-    "power_law": Case(DIRICHLET, 32, power_law_nonlinearity(3.5), zero_forcing(), False, 1e-3),
-    "wide_custom": Case(DIRICHLET, 512, _CUSTOM, zero_forcing(), False, 2.5e-4),
-    "wide_periodic": Case(PERIODIC_MEAN_ZERO, 512, power_law_nonlinearity(4.0), zero_forcing(), False, 2.5e-4),
+    "power_law": Case(DIRICHLET, 32, NonlinearitySpec(p=3.5), ForcingSpec(), False, 1e-3),
+    "wide_custom": Case(DIRICHLET, 512, _CUSTOM, ForcingSpec(), False, 2.5e-4),
+    "wide_periodic": Case(PERIODIC_MEAN_ZERO, 512, NonlinearitySpec(p=4.0), ForcingSpec(), False, 2.5e-4),
 }
 
 

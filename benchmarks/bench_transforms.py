@@ -41,7 +41,7 @@ import time
 import numpy as np
 
 from wavegalerkin import spectral
-from wavegalerkin.nonlinearity import cubic_nonlinearity
+from wavegalerkin.nonlinearity import NonlinearitySpec
 from wavegalerkin.solver import _galerkin_term
 from wavegalerkin.spectral import (
     DIRICHLET,
@@ -78,7 +78,7 @@ def galerkin_terms(bc: str, m: int) -> tuple[dict, dict]:
         for name, threshold in (("dense", m + 1), ("fft", m)):
             spectral.FFT_MIN_MODES = threshold
             op = build_operator(DomainSpec(length=1.0, bc=bc), m)
-            terms[name] = _galerkin_term(op, cubic_nonlinearity(), ROWS)
+            terms[name] = _galerkin_term(op, NonlinearitySpec(p=4), ROWS)
             sizes[name] = op.grid_points
             assert (op._fft is None) == (name == "dense")
     finally:

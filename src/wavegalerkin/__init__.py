@@ -2,20 +2,12 @@
 nonlinearities, plus runtime verifiers for the structural conditions and
 the a-priori energy and decay bounds.  The root exports what a library
 caller needs to build, integrate and check a problem; the rest stays in
-its submodule."""
+its submodule.  A problem is stated by its numbers: a
+:class:`NonlinearitySpec` (with a :class:`TabulatedF` for a tabulated
+``f``) and a :class:`ForcingSpec`."""
 
 from .estimates import decay_bound, derive_decay, derive_gronwall, monitor
-from .nonlinearity import (
-    affine_forcing,
-    cubic_nonlinearity,
-    custom_nonlinearity,
-    linear_nonlinearity,
-    power_law_nonlinearity,
-    tabulated_f,
-    verify_conditions,
-    verify_g,
-    zero_forcing,
-)
+from .nonlinearity import ForcingSpec, NonlinearitySpec, TabulatedF, verify_conditions, verify_g
 from .solver import SolverConfig, integrate, project_initial_data
 from .spectral import DomainSpec, build_operator
 
@@ -23,21 +15,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DomainSpec",
+    "ForcingSpec",
+    "NonlinearitySpec",
     "SolverConfig",
-    "affine_forcing",
+    "TabulatedF",
     "build_operator",
-    "cubic_nonlinearity",
-    "custom_nonlinearity",
     "decay_bound",
     "derive_decay",
     "derive_gronwall",
     "integrate",
-    "linear_nonlinearity",
     "monitor",
-    "power_law_nonlinearity",
     "project_initial_data",
-    "tabulated_f",
     "verify_conditions",
     "verify_g",
-    "zero_forcing",
 ]

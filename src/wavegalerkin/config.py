@@ -17,17 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nonlinearity import (
-    ForcingSpec,
-    NonlinearitySpec,
-    affine_forcing,
-    cubic_nonlinearity,
-    custom_nonlinearity,
-    linear_nonlinearity,
-    power_law_nonlinearity,
-    tabulated_f,
-    zero_forcing,
-)
+from .nonlinearity import ForcingSpec, NonlinearitySpec, TabulatedF
 from .solver import (
     BLOWUP_CEILING_DEFAULT,
     RK4,
@@ -340,28 +330,28 @@ class RunConfig:
 
 
 # The keys each nonlinearity kind requires, and takes no others, and the
-# factory of a built-in kind.  A kind names its numbers: ``linear`` and
+# fixed p of a built-in kind.  A kind names its numbers: ``linear`` and
 # ``cubic`` are the power law at p = 2 and p = 4, with its own constants, so
 # a stated one would be silently dropped.
 _NONLINEARITY_KINDS = {
-    "linear": ((), linear_nonlinearity),
-    "cubic": ((), cubic_nonlinearity),
-    "power_law": (("p",), power_law_nonlinearity),
+    "linear": ((), 2.0),
+    "cubic": ((), 4.0),
+    "power_law": (("p",), None),
     "custom": (("p", "a0", "a1", "b0", "b1", "table"), None),
 }
 
 
 def _build_nonlinearity(section: dict) -> NonlinearitySpec:
     kind = section["kind"]
-    keys, factory = _NONLINEARITY_KINDS[kind]
+    keys, p = _NONLINEARITY_KINDS[kind]
     for key in section:
         if key != "kind" and key not in keys:
             raise ConfigError(f"kind {kind!r} takes no nonlinearity/{key}")
     for key in keys:
         if key not in section:
             raise ConfigError(f"kind {kind!r} requires nonlinearity/{key}")
-    if factory is not None:
-        return factory(*(section[k] for k in keys))
+    if kind != "custom":
+        return NonlinearitySpec(p=section.get("p", p))
     table = section["table"]
     r = _finite_values(table["r"], "table", "nonlinearity/table/r")
     fv = _finite_values(table["f"], "table", "nonlinearity/table/f")
@@ -372,7 +362,8 @@ def _build_nonlinearity(section: dict) -> NonlinearitySpec:
         i = int(step[0]) + 1
         prev, here = table["r"][i - 1], table["r"][i]
         raise ConfigError(f"invalid table at nonlinearity/table/r/{i}: {here!r} does not exceed the previous entry {prev!r}")
-    return custom_nonlinearity(tabulated_f(r, fv), *(section[k] for k in ("p", "a0", "a1", "b0", "b1")))
+    constants = {k: section[k] for k in keys if k != "table"}
+    return NonlinearitySpec(**constants, table=TabulatedF(r, fv))
 
 
 def _finite_values(values: list, what: str, where: str) -> np.ndarray:
@@ -397,13 +388,19 @@ def _finite_values(values: list, what: str, where: str) -> np.ndarray:
 
 
 def _build_forcing(section: dict) -> ForcingSpec:
-    """The forcing a section states; ``zero`` names the affine g whose constants are all 0."""
+    """The forcing a section states; ``zero`` names the affine g whose constants are all 0.
+
+    ``||g(0, 0)||_H`` depends on the interval, so a nonzero ``constant``
+    needs its bound ``g0`` stated, not defaulted to 0.
+    """
     constants = {k: v for k, v in section.items() if k != "kind"}
-    if section["kind"] == "affine":
-        return affine_forcing(**constants)
-    if any(constants.values()):
-        raise ConfigError("zero forcing takes no constants")
-    return zero_forcing()
+    if section["kind"] == "zero":
+        if any(constants.values()):
+            raise ConfigError("zero forcing takes no constants")
+        return ForcingSpec()
+    if constants.get("constant", 0.0) != 0.0 and "g0" not in constants:
+        raise ConfigError("g0 must be given explicitly when constant != 0")
+    return ForcingSpec(**constants)
 
 
 def load_config(path: str | Path) -> RunConfig:

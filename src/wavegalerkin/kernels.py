@@ -258,10 +258,14 @@ def run_numpy(a0, adot0, dt, n_steps, stride, ceiling, use_verlet, galerkin, g1=
             update(zu, new)
         # One dot product screens the state; only a state that fails it
         # (large, non-finite or overflowed) takes the full check, whose
-        # verdict is the one recorded.
-        if not flats[p].dot(flats[p]) <= screen:
+        # verdict is the one recorded.  A finite q proves every entry
+        # finite; an overflowed one does not prove an entry infinite, since
+        # every |a_j| can sit below a ceiling near the float maximum.
+        q = flats[p].dot(flats[p])
+        if not q <= screen:
             state = states[p]
-            if not np.all(np.isfinite(state)) or np.max(np.abs(state[0])) > ceiling:
+            finite = q <= _FLOAT_MAX or np.all(np.isfinite(state))
+            if not finite or np.max(np.abs(state[0])) > ceiling:
                 if not use_verlet and not np.all(np.isfinite(state[0])):
                     retake_a(z[1 - p, rows_a], state[0])
                 hist[:, n_rec] = state

@@ -4,8 +4,9 @@ The wave model couples a pointwise nonlinearity ``F`` (primitive of a scalar
 ``f``) to the diagonal operator, plus a forcing ``g(x, v)`` where ``v``
 carries the half-smoothed velocity.  ``F`` is the power law ``|u|^(p-2) u``
 at its growth exponent ``p``, or the primitive of a tabulated ``f``; ``g``
-is affine, and zero when its coefficients are.  A spec is its numbers:
-``p``, the table and ``g``'s coefficients pick every path, and ``linear``,
+is affine, and zero when its coefficients are.  A spec is its numbers,
+and its constructor is the one way to state it: ``p``, the table and
+``g``'s coefficients pick every path, and the config kinds ``linear``,
 ``cubic`` and ``zero`` are only names for ``p = 2``, ``p = 4`` and all-zero
 coefficients.  Structural assumptions (monotonicity, p-growth, coercivity,
 Lipschitz forcing) enter the energy estimates as numeric constants; this
@@ -35,20 +36,13 @@ __all__ = [
     "ForcingSpec",
     "NonlinearitySpec",
     "TabulatedF",
-    "affine_forcing",
     "constant_modal",
-    "cubic_nonlinearity",
-    "custom_nonlinearity",
     "F_on_grid",
     "forcing_modal_batch",
-    "linear_nonlinearity",
     "pointwise_F",
     "potential_batch",
-    "power_law_nonlinearity",
-    "tabulated_f",
     "verify_conditions",
     "verify_g",
-    "zero_forcing",
 ]
 
 # Growth, coercivity and the forcing's norm bound are compared with a
@@ -95,30 +89,6 @@ class NonlinearitySpec:
             raise ValueError("table must be a TabulatedF")
         elif self.p <= 2.0:
             raise ValueError("p must be > 2 for a table")
-
-
-def linear_nonlinearity() -> NonlinearitySpec:
-    """F = identity, the power law at p=2; supports the exact closed-form oracle, not decay."""
-    return NonlinearitySpec(p=2.0)
-
-
-def power_law_nonlinearity(p: float) -> NonlinearitySpec:
-    """F(u) = |u|^(p-2) u; coercivity and growth hold exactly with a0=b0=1."""
-    return NonlinearitySpec(p=p)
-
-
-def cubic_nonlinearity() -> NonlinearitySpec:
-    """f(u) = 3u^2, F(u) = u^3: the power law at p=4."""
-    return NonlinearitySpec(p=4.0)
-
-
-def custom_nonlinearity(table: TabulatedF, p: float, a0: float, a1: float, b0: float, b1: float) -> NonlinearitySpec:
-    """A tabulated ``f`` (see :func:`tabulated_f`) with its claimed constants.
-
-    Stepping, verification and the energy evaluate the table's exact
-    primitives ``table.F`` and ``table.Phi``.
-    """
-    return NonlinearitySpec(p=p, a0=a0, a1=a1, b0=b0, b1=b1, table=table)
 
 
 class TabulatedF:
@@ -197,14 +167,6 @@ class TabulatedF:
         """Exact potential density ``int_0^u F``."""
         i, t = self._piece(u)
         return self._Phi_at[i] + t * (self._F_at[i] + t * (self._half_f_at[i] + t * self._sixth_slope[i]))
-
-
-def tabulated_f(r_values, f_values) -> TabulatedF:
-    """Piecewise-linear f for a table of (r, f) pairs, with exact ``F`` and ``Phi``.
-
-    Pass it to :func:`custom_nonlinearity`.
-    """
-    return TabulatedF(r_values, f_values)
 
 
 def pointwise_F(nl: NonlinearitySpec) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -535,8 +497,11 @@ class ForcingSpec:
     ``v`` is the half-smoothed velocity channel.  The constants assert
     ``||g(x,v)||_H <= g1*||x||_H + g2*||v||_H + g0`` and, pairing against
     any test field z, ``|<g(x,v) - g(x1,v1), z>| <= g1*|<x-x1,z>| +
-    g2*|<v-v1,z>|``; ``g0`` must dominate ``||g(0,0)||_H``.  ``g`` is zero,
-    and the run :attr:`unforced`, exactly when ``g1 = g2 = constant = 0``.
+    g2*|<v-v1,z>|``; ``g0`` must dominate ``||g(0,0)||_H``, which depends on
+    the interval, so :func:`verify_g` decides it: a nonzero ``constant``
+    with ``g0`` left at 0 constructs and fails ``norm_bound``.  ``g`` is
+    zero, and the run :attr:`unforced`, exactly when ``g1 = g2 = constant =
+    0``.
     """
 
     g0: float = 0.0
@@ -562,32 +527,9 @@ class ForcingSpec:
         return self.g2 > 0.0
 
 
-def zero_forcing() -> ForcingSpec:
-    return ForcingSpec()
-
-
-def affine_forcing(
-    g1: float = 0.0,
-    g2: float = 0.0,
-    constant: float = 0.0,
-    g0: float | None = None,
-) -> ForcingSpec:
-    """g(x, v) = g1*x + g2*v + constant, with |constant| folded into g0.
-
-    When ``g0`` is omitted it defaults to 0 for a zero constant; a nonzero
-    constant needs an explicit, domain-aware g0 (its norm depends on the
-    interval length).
-    """
-    if g0 is None:
-        if constant != 0.0:
-            raise ValueError("g0 must be given explicitly when constant != 0")
-        g0 = 0.0
-    return ForcingSpec(g0=g0, g1=g1, g2=g2, constant=constant)
-
-
-def constant_modal(op: OperatorSpec, value: float = 1.0) -> np.ndarray:
-    """Coefficients of the constant function projected onto the basis."""
-    return grid_to_modes(np.full(op.grid_points, float(value)), op)
+def constant_modal(op: OperatorSpec) -> np.ndarray:
+    """Coefficients of the constant function 1 projected onto the basis."""
+    return grid_to_modes(np.ones(op.grid_points), op)
 
 
 def forcing_modal_batch(

@@ -1,4 +1,5 @@
-"""Independent reference computations used by tests.
+"""Independent reference computations, used by the tests and by the
+benchmark's oracle gate (``layerbench/harness.py``).
 
 Everything here is deliberately re-implemented at reduced generality
 (the power law only, no table, plain numpy, no shared stepping or transform code
@@ -111,11 +112,13 @@ def reference_run(
     dt_ref: float,
     sample_stride: int = 1,
 ) -> Trajectory:
-    """High-resolution ground truth for convergence studies.
+    """An independent RK4 run of the modal system, to check the program's runs against.
 
     Integrates the same modal system at ``m_ref`` modes and step ``dt_ref``
     with an RK4 loop and transforms implemented here, from modal initial
-    data zero-padded into the reference basis.  The result is wrapped in
+    data zero-padded into the reference basis.  At the run's own modes and
+    step it agrees with the program to round-off; at more modes and a
+    smaller step it is a finer solution to measure error against.  The result is wrapped in
     the public Trajectory type for uniform error measurement.  ``F`` is the
     power law at ``nl.p``, which keeps its modes decoupled at ``p = 2``.
     """

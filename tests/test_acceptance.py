@@ -22,17 +22,13 @@ from wavegalerkin.estimates import (
     gronwall_envelope,
 )
 from wavegalerkin.nonlinearity import (
-    affine_forcing,
-    cubic_nonlinearity,
-    custom_nonlinearity,
+    ForcingSpec,
+    NonlinearitySpec,
+    TabulatedF,
     F_on_grid,
-    linear_nonlinearity,
     potential_batch,
-    power_law_nonlinearity,
-    tabulated_f,
     verify_conditions,
     verify_g,
-    zero_forcing,
 )
 from wavegalerkin.oracle import (
     BERNOULLI,
@@ -60,8 +56,8 @@ def _parabola_state(op):
 
 def test_A1_energy_conservation():
     op = build_operator(DOM, 16)
-    nl = cubic_nonlinearity()
-    fs = zero_forcing()
+    nl = NonlinearitySpec(p=4)
+    fs = ForcingSpec()
     state = _parabola_state(op)
     drifts = []
     for dt in (1e-3, 5e-4):
@@ -77,8 +73,8 @@ def test_A1_energy_conservation():
 
 def test_A2_gronwall_envelope_domination():
     op = build_operator(DOM, 16)
-    nl = cubic_nonlinearity()
-    fs = affine_forcing(g1=0.1, g2=0.1, constant=0.0, g0=0.1)
+    nl = NonlinearitySpec(p=4)
+    fs = ForcingSpec(g1=0.1, g2=0.1, constant=0.0, g0=0.1)
     state = _parabola_state(op)
     traj = integrate(state, SolverConfig(T=5.0, dt=1e-3, sample_stride=10), op, nl, fs)
     assert not traj.diverged
@@ -95,8 +91,8 @@ def test_A2_gronwall_envelope_domination():
 
 
 def test_A3_galerkin_convergence():
-    nl = cubic_nonlinearity()
-    fs = zero_forcing()
+    nl = NonlinearitySpec(p=4)
+    fs = ForcingSpec()
     k = np.arange(1, 9)
     x0 = 0.3 * np.where(k % 2 == 1, 4.0 * math.sqrt(2.0) / (k * math.pi) ** 3, 0.0)
     ref = reference_run(DOM, nl, fs, x0, np.zeros(8), 1.0, 64, 1e-4, sample_stride=10)
@@ -116,8 +112,8 @@ def test_A3_galerkin_convergence():
 
 def test_A4_decay_and_absorbing_ball():
     op = build_operator(DOM, 16)
-    nl = cubic_nonlinearity()
-    fs = zero_forcing()
+    nl = NonlinearitySpec(p=4)
+    fs = ForcingSpec()
     state = _parabola_state(op)
     traj = integrate(state, SolverConfig(T=50.0, dt=1e-3, sample_stride=10), op, nl, fs)
     assert not traj.diverged
@@ -139,8 +135,8 @@ def test_A4_decay_and_absorbing_ball():
 
 def test_A5_linear_oracle():
     op = build_operator(DOM, 8)
-    nl = linear_nonlinearity()
-    fs = zero_forcing()
+    nl = NonlinearitySpec(p=2)
+    fs = ForcingSpec()
     init = State(a=fit_modal([1.0], op)[0], adot=np.zeros(op.modes))
     lam1 = float(op.eigenvalues[0])
     errs = []
@@ -204,16 +200,16 @@ def test_A6_closed_forms_match_dense_integration():
 def test_A7_condition_verifiers():
     op = build_operator(DOM, 16)
 
-    good = verify_conditions(power_law_nonlinearity(4.0), op)
+    good = verify_conditions(NonlinearitySpec(p=4.0), op)
     ok_good = good.passed and [c.name for c in good.checks] == ["monotonicity", "growth", "coercivity", "poincare"]
 
-    table = tabulated_f([-10.0, 10.0], [-1.0, -1.0])
-    negated = custom_nonlinearity(table, 3.0, 1.0, 1.0, 1.0, 0.0)
+    table = TabulatedF([-10.0, 10.0], [-1.0, -1.0])
+    negated = NonlinearitySpec(3.0, 1.0, 1.0, 1.0, 0.0, table=table)
     bad = verify_conditions(negated, op)
     mono = {c.name: c for c in bad.checks}["monotonicity"]
     ok_neg = (not bad.passed) and (not mono.passed) and mono.witness is not None
 
-    understated = affine_forcing(g1=0.0, g2=0.0, constant=0.3, g0=0.2)
+    understated = ForcingSpec(g1=0.0, g2=0.0, constant=0.3, g0=0.2)
     g_rep = verify_g(understated, op)
     norm = {c.name: c for c in g_rep.checks}["norm_bound"]
     ok_g = (not g_rep.passed) and (not norm.passed)
@@ -230,7 +226,7 @@ def test_A7_condition_verifiers():
 
 def test_A8_potential_consistency():
     op = build_operator(DOM, 16)
-    nl = cubic_nonlinearity()
+    nl = NonlinearitySpec(p=4)
     rng = np.random.default_rng(11)
     eps = 1e-5
     worst = 0.0

@@ -350,7 +350,7 @@ def test_a_named_power_law_runs_as_the_power_law_at_its_p(tmp_path, bc, modes, n
 
 
 @pytest.mark.parametrize("g0", [0.0, 0.5])
-def test_all_zero_affine_forcing_gets_the_unforced_checks(tmp_path, g0):
+def test_all_zero_affine_g_gets_the_unforced_checks(tmp_path, g0):
     # g with g1 = g2 = constant = 0 is zero, whatever g0 states: the run is
     # unforced, with conservation and decay in place of the envelope
     zero = _run_artifacts(tmp_path, forcing={"kind": "zero"}, time={"T": 0.1, "dt": 1e-3})

@@ -1,6 +1,7 @@
 """JSON run-config parsing, schema enforcement, and initial-data resolution."""
 
 import copy
+import dataclasses
 import json
 import math
 import random
@@ -15,6 +16,7 @@ import pytest
 import wavegalerkin
 from wavegalerkin import cli
 from wavegalerkin.config import CONFIG_SCHEMA, KEYWORDS, ConfigError, OutputSettings, load_config, resolve_initial, schema_violation
+from wavegalerkin.nonlinearity import ForcingSpec, NonlinearitySpec
 from wavegalerkin.spectral import build_operator
 
 
@@ -101,12 +103,13 @@ def test_semantic_errors_become_config_errors(tmp_path):
     [
         ({"kind": "zero", "g1": 0.1}, "zero forcing takes no constants"),
         ({"kind": "affine", "g1": 0.1, "constant": 0.5}, "g0 must be given explicitly when constant != 0"),
+        ({"kind": "affine", "constant": 0.5}, "g0 must be given explicitly when constant != 0"),
     ],
 )
-def test_forcing_rules_are_the_library_ones(tmp_path, capsys, forcing, message):
-    # A forcing section is built by zero_forcing and affine_forcing, whose
-    # rules and wording a config meets unchanged, with exit 3; zero forcing
-    # names all-zero constants, so a stated one is rejected.
+def test_forcing_section_rules_exit_3(tmp_path, capsys, forcing, message):
+    # Zero forcing names all-zero constants, so a stated one is rejected;
+    # a constant's bound g0 depends on the interval, so a config states it
+    # rather than default it to 0.  Each rejection exits 3 with one line.
     assert cli.main(["verify", str(write_cfg(tmp_path, base_config(forcing=forcing)))]) == 3
     assert capsys.readouterr().err == f"config error: {message}\n"
 
@@ -120,7 +123,35 @@ def test_unreadable_or_invalid_json(tmp_path):
         load_config(broken)
 
 
-def test_custom_nonlinearity_from_table(tmp_path):
+@pytest.mark.parametrize(
+    "section, spec",
+    [
+        ({"kind": "linear"}, NonlinearitySpec(p=2)),
+        ({"kind": "cubic"}, NonlinearitySpec(p=4)),
+        ({"kind": "power_law", "p": 3.5}, NonlinearitySpec(p=3.5)),
+    ],
+)
+def test_kinds_load_to_the_spec_of_their_numbers(tmp_path, section, spec):
+    # linear and cubic are the power law at p = 2 and p = 4, constants and all
+    rc = load_config(write_cfg(tmp_path, base_config(nonlinearity=section)))
+    assert dataclasses.asdict(rc.nl) == dataclasses.asdict(spec)
+
+
+@pytest.mark.parametrize(
+    "section, spec",
+    [
+        ({"kind": "zero"}, ForcingSpec()),
+        ({"kind": "zero", "g0": 0.0, "constant": 0}, ForcingSpec()),
+        ({"kind": "affine", "g1": 0.3}, ForcingSpec(g1=0.3)),
+        ({"kind": "affine", "g2": 0.2, "constant": -0.5, "g0": 1.0}, ForcingSpec(g0=1.0, g2=0.2, constant=-0.5)),
+    ],
+)
+def test_forcing_sections_load_to_the_spec_of_their_numbers(tmp_path, section, spec):
+    rc = load_config(write_cfg(tmp_path, base_config(forcing=section)))
+    assert dataclasses.asdict(rc.fs) == dataclasses.asdict(spec)
+
+
+def test_custom_table_from_config(tmp_path):
     cfg = base_config(
         nonlinearity={
             "kind": "custom",
@@ -133,6 +164,7 @@ def test_custom_nonlinearity_from_table(tmp_path):
         }
     )
     rc = load_config(write_cfg(tmp_path, cfg))
+    assert (rc.nl.p, rc.nl.a0, rc.nl.a1, rc.nl.b0, rc.nl.b1) == (3.0, 1.0, 1.0, 0.5, 0.0)
     assert rc.nl.table is not None
     assert rc.nl.table(np.array([0.5]))[0] == pytest.approx(1.5)
 

@@ -24,16 +24,7 @@ from wavegalerkin.estimates import (
     monitor,
     sample_table,
 )
-from wavegalerkin.nonlinearity import (
-    affine_forcing,
-    cubic_nonlinearity,
-    custom_nonlinearity,
-    forcing_modal_batch,
-    linear_nonlinearity,
-    power_law_nonlinearity,
-    tabulated_f,
-    zero_forcing,
-)
+from wavegalerkin.nonlinearity import ForcingSpec, NonlinearitySpec, TabulatedF, forcing_modal_batch
 from wavegalerkin.solver import SolverConfig, State, fit_modal, integrate, project_initial_data
 from wavegalerkin.spectral import DIRICHLET, FFT_MIN_MODES, PERIODIC_MEAN_ZERO, DomainSpec, build_operator, modes_to_grid
 
@@ -50,15 +41,15 @@ def _initial_energy(state, op, nl, fs):
 def _parabola_run(op, fs, T, dt, **cfg):
     u0 = op.nodes * (op.domain.length - op.nodes)
     init = project_initial_data(u0, np.zeros(op.grid_points), op)
-    return integrate(init.state, SolverConfig(T=T, dt=dt, **cfg), op, cubic_nonlinearity(), fs)
+    return integrate(init.state, SolverConfig(T=T, dt=dt, **cfg), op, NonlinearitySpec(p=4), fs)
 
 
 def test_energy_record_components(op8):
     a = np.zeros(8)
     adot = np.zeros(8)
     a[0], adot[0], adot[1] = 0.6, 0.5, 1.2
-    fs = affine_forcing(g1=0.2, g2=0.1, g0=0.5)
-    rec = _energy_record(State(a=a, adot=adot), op8, cubic_nonlinearity(), fs)
+    fs = ForcingSpec(g1=0.2, g2=0.1, g0=0.5)
+    rec = _energy_record(State(a=a, adot=adot), op8, NonlinearitySpec(p=4), fs)
     assert len(rec) == 1
     lam = op8.eigenvalues
     assert rec.kinetic[0] == pytest.approx(0.5 * (0.25 / lam[0] + 1.44 / lam[1]), rel=1e-14)
@@ -78,21 +69,21 @@ def test_embedding_constant_values(op8):
 
 
 def test_derive_gronwall_constants(op8):
-    e0 = _initial_energy(State(a=fit_modal([0.3], op8)[0], adot=np.zeros(op8.modes)), op8, cubic_nonlinearity(), zero_forcing())
-    gp0 = derive_gronwall(cubic_nonlinearity(), zero_forcing(), op8, e0)
+    e0 = _initial_energy(State(a=fit_modal([0.3], op8)[0], adot=np.zeros(op8.modes)), op8, NonlinearitySpec(p=4), ForcingSpec())
+    gp0 = derive_gronwall(NonlinearitySpec(p=4), ForcingSpec(), op8, e0)
     assert (gp0.C0, gp0.C1) == (0.0, 0.0)
     assert gp0.c_tilde == pytest.approx(4.0)
     assert gp0.E_init == pytest.approx(2.0 * e0, rel=1e-14)
 
     # g with all-zero coefficients is unforced whatever g0 states
-    gp_zero = derive_gronwall(cubic_nonlinearity(), affine_forcing(g0=0.3), op8, e0)
+    gp_zero = derive_gronwall(NonlinearitySpec(p=4), ForcingSpec(g0=0.3), op8, e0)
     assert (gp_zero.C0, gp_zero.C1) == (0.0, 0.0)
 
-    gp1 = derive_gronwall(cubic_nonlinearity(), affine_forcing(g1=0.1, g0=0.3), op8, e0)
+    gp1 = derive_gronwall(NonlinearitySpec(p=4), ForcingSpec(g1=0.1, g0=0.3), op8, e0)
     assert gp1.C0 == pytest.approx(2.0)
     assert gp1.C1 == pytest.approx(0.26)
 
-    gp2 = derive_gronwall(cubic_nonlinearity(), affine_forcing(g1=1.0, g2=0.3, g0=0.3), op8, e0)
+    gp2 = derive_gronwall(NonlinearitySpec(p=4), ForcingSpec(g1=1.0, g2=0.3, g0=0.3), op8, e0)
     assert gp2.C0 == pytest.approx(8.0)
     assert gp2.C1 == pytest.approx(8.18)
 
@@ -139,8 +130,8 @@ def test_decay_params_validation():
 
 
 def test_derive_decay_defaults(op16):
-    e0 = _initial_energy(State(a=fit_modal([0.1], op16)[0], adot=np.zeros(op16.modes)), op16, cubic_nonlinearity(), zero_forcing())
-    dp = derive_decay(cubic_nonlinearity(), zero_forcing(), op16, e0)
+    e0 = _initial_energy(State(a=fit_modal([0.1], op16)[0], adot=np.zeros(op16.modes)), op16, NonlinearitySpec(p=4), ForcingSpec())
+    dp = derive_decay(NonlinearitySpec(p=4), ForcingSpec(), op16, e0)
     assert dp.r == pytest.approx(2.0)
     assert dp.c == pytest.approx(0.5)
     assert dp.C == pytest.approx(2.0 * e0, rel=1e-14)
@@ -148,18 +139,18 @@ def test_derive_decay_defaults(op16):
     assert dp.delta == pytest.approx(0.25)
     # no decay bound exists for forced runs or for p <= 2; g with all-zero
     # coefficients is unforced whatever g0 states
-    assert derive_decay(cubic_nonlinearity(), affine_forcing(g0=0.1), op16, e0) == dp
-    for fs in (affine_forcing(g1=0.1, g0=0.1), affine_forcing(g2=0.1), affine_forcing(constant=0.1, g0=0.1)):
-        assert derive_decay(cubic_nonlinearity(), fs, op16, e0) is None
-    assert derive_decay(linear_nonlinearity(), zero_forcing(), op16, e0) is None
+    assert derive_decay(NonlinearitySpec(p=4), ForcingSpec(g0=0.1), op16, e0) == dp
+    for fs in (ForcingSpec(g1=0.1, g0=0.1), ForcingSpec(g2=0.1), ForcingSpec(constant=0.1, g0=0.1)):
+        assert derive_decay(NonlinearitySpec(p=4), fs, op16, e0) is None
+    assert derive_decay(NonlinearitySpec(p=2), ForcingSpec(), op16, e0) is None
 
 
 def test_derive_decay_at_the_float_range_edges(op16):
-    nl = power_law_nonlinearity(50.0)
+    nl = NonlinearitySpec(p=50.0)
     # k^r C^r overflows: no delta > 0 meets the cap, so there is no bound
-    assert derive_decay(nl, zero_forcing(), op16, 1e30) is None
+    assert derive_decay(nl, ForcingSpec(), op16, 1e30) is None
     # k^r C^r underflows to 0: the cap binds nothing and the c/2^(r-1) cap sets delta
-    dp = derive_decay(nl, zero_forcing(), op16, 1e-20)
+    dp = derive_decay(nl, ForcingSpec(), op16, 1e-20)
     assert dp.delta == pytest.approx(min(0.25, dp.c / 2.0 ** (dp.r - 1.0)), rel=1e-15)
 
 
@@ -189,7 +180,7 @@ def test_decay_bound_degenerate_and_large_t():
 
 
 def test_identity_residual_shrinks_at_third_order(op8):
-    fs = affine_forcing(g1=0.1, g2=0.1, g0=0.1)
+    fs = ForcingSpec(g1=0.1, g2=0.1, g0=0.1)
     res = []
     for dt in (2e-2, 1e-2):
         traj = _parabola_run(op8, fs, T=2.0, dt=dt)
@@ -200,7 +191,7 @@ def test_identity_residual_shrinks_at_third_order(op8):
 
 def test_linear_energy_conserved_tightly(op8):
     init = State(a=fit_modal([1.0, 0.5], op8)[0], adot=fit_modal([0.0, 0.3], op8)[0])
-    traj = integrate(init, SolverConfig(T=10.0, dt=1e-4, sample_stride=100), op8, linear_nonlinearity(), zero_forcing())
+    traj = integrate(init, SolverConfig(T=10.0, dt=1e-4, sample_stride=100), op8, NonlinearitySpec(p=2), ForcingSpec())
     e = traj.energy.energy
     assert np.max(np.abs(e - e[0])) <= 1e-10 * e[0]
 
@@ -211,7 +202,7 @@ def test_monitor_full_pass_covers_every_check(op8):
     # the two runs between them exercise every check, each at its fixed
     # tolerance.
     names = []
-    for fs in (zero_forcing(), affine_forcing(g1=0.1, g2=0.1, g0=0.1)):
+    for fs in (ForcingSpec(), ForcingSpec(g1=0.1, g2=0.1, g0=0.1)):
         traj = _parabola_run(op8, fs, T=2.0, dt=1e-3)
         e0 = float(traj.energy.energy[0])
         gp = derive_gronwall(traj.nl, traj.fs, op8, e0)
@@ -230,7 +221,7 @@ def test_monitor_full_pass_covers_every_check(op8):
 
 
 def test_monitor_flags_envelope_violation(op8):
-    traj = _parabola_run(op8, affine_forcing(g1=0.1, g0=0.1), T=1.0, dt=1e-3)
+    traj = _parabola_run(op8, ForcingSpec(g1=0.1, g0=0.1), T=1.0, dt=1e-3)
     e0 = float(traj.energy.energy[0])
     gp = derive_gronwall(traj.nl, traj.fs, op8, e0)
     squeezed = dataclasses.replace(gp, E_init=0.5 * e0)
@@ -246,7 +237,7 @@ def test_gronwall_compares_twice_the_energy(op8):
     # The envelope starts at E_init = 2E(0), so it bounds 2E.  A table whose
     # 2E crosses it by 1e-6 relative at one sample fails; E itself stays
     # below it by about half.
-    traj = _parabola_run(op8, affine_forcing(g1=0.1, g0=0.1), T=1.0, dt=1e-2)
+    traj = _parabola_run(op8, ForcingSpec(g1=0.1, g0=0.1), T=1.0, dt=1e-2)
     gp = derive_gronwall(traj.nl, traj.fs, op8, float(traj.energy.energy[0]))
     env = gronwall_envelope(gp, traj.times)
     i = len(traj) // 2
@@ -267,7 +258,7 @@ def test_gronwall_compares_twice_the_energy(op8):
 def test_overflowed_envelope_bounds_every_finite_energy_and_nan_still_fails(op8):
     # Past C0 t ~ 709 the envelope is inf, silently: 2E <= inf holds, while a
     # NaN energy is still an unbounded violation.
-    traj = _parabola_run(op8, affine_forcing(g1=0.1, g0=0.1), T=1.0, dt=1e-2)
+    traj = _parabola_run(op8, ForcingSpec(g1=0.1, g0=0.1), T=1.0, dt=1e-2)
     gp = dataclasses.replace(derive_gronwall(traj.nl, traj.fs, op8, float(traj.energy.energy[0])), C0=2000.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -296,7 +287,7 @@ def test_overflowed_envelope_without_initial_energy_or_C1_is_never_nan():
 
 
 def test_monitor_single_sample_is_vacuous(op8):
-    for fs in (zero_forcing(), affine_forcing(g1=0.1, g0=0.1)):
+    for fs in (ForcingSpec(), ForcingSpec(g1=0.1, g0=0.1)):
         traj = _parabola_run(op8, fs, T=0.0, dt=1e-3)
         e0 = float(traj.energy.energy[0])
         gp = derive_gronwall(traj.nl, traj.fs, op8, e0)
@@ -310,7 +301,7 @@ def test_monitor_single_sample_is_vacuous(op8):
 def test_monitor_reports_divergence(op8):
     init = State(a=fit_modal([50.0], op8)[0], adot=np.zeros(op8.modes))
     cfg = SolverConfig(T=1.0, dt=1e-2, blowup_ceiling=1e6)
-    traj = integrate(init, cfg, op8, cubic_nonlinearity(), zero_forcing())
+    traj = integrate(init, cfg, op8, NonlinearitySpec(p=4), ForcingSpec())
     gp = derive_gronwall(traj.nl, traj.fs, op8, float(traj.energy.energy[0]))
     rep = monitor(traj, sample_table(traj, gp, None))
     assert rep.diverged and not rep.passed
@@ -320,10 +311,10 @@ def test_monitor_reports_divergence(op8):
 def test_monitor_check_selection_and_forced_skips(op8):
     # The forcing, not the columns, selects the checks: a forced run handed
     # a decay column still skips conservation and decay.
-    traj = _parabola_run(op8, affine_forcing(g1=0.1, g0=0.1), T=1.0, dt=1e-3)
+    traj = _parabola_run(op8, ForcingSpec(g1=0.1, g0=0.1), T=1.0, dt=1e-3)
     e0 = float(traj.energy.energy[0])
     gp = derive_gronwall(traj.nl, traj.fs, op8, e0)
-    dp = derive_decay(traj.nl, zero_forcing(), op8, e0)
+    dp = derive_decay(traj.nl, ForcingSpec(), op8, e0)
     bounds = sample_table(traj, gp, dp)
     assert bounds["decay_bound"] is not None
     rep = monitor(traj, bounds)
@@ -331,7 +322,7 @@ def test_monitor_check_selection_and_forced_skips(op8):
 
 
 def test_sample_table_columns(op8):
-    fs = affine_forcing(g1=0.1, g0=0.1)
+    fs = ForcingSpec(g1=0.1, g0=0.1)
     traj = _parabola_run(op8, fs, T=1.0, dt=1e-2)
     gp = derive_gronwall(traj.nl, traj.fs, op8, float(traj.energy.energy[0]))
     cols = sample_table(traj, gp, None)
@@ -339,7 +330,7 @@ def test_sample_table_columns(op8):
     assert np.allclose(cols["gronwall_envelope"], gronwall_envelope(gp, traj.times), rtol=1e-14)
     assert cols["identity_residual"][0] == 0.0
 
-    cons = _parabola_run(op8, zero_forcing(), T=1.0, dt=1e-2)
+    cons = _parabola_run(op8, ForcingSpec(), T=1.0, dt=1e-2)
     e0 = float(cons.energy.energy[0])
     dp = derive_decay(cons.nl, cons.fs, op8, e0)
     cols2 = sample_table(cons, derive_gronwall(cons.nl, cons.fs, op8, e0), dp)
@@ -377,10 +368,10 @@ def _one_shot_energy_table(op, nl, fs, a_hist, adot_hist):
 
 _R = np.linspace(-40.0, 40.0, 801)
 BLOCKED_KINDS = {
-    "cubic": (DIRICHLET, 16, cubic_nonlinearity()),
-    "power_law": (PERIODIC_MEAN_ZERO, 32, power_law_nonlinearity(3.5)),
-    "custom_table": (DIRICHLET, 24, custom_nonlinearity(tabulated_f(_R, 3.0 * _R * _R), 4.0, 1.0, 1.0, 1.0, 0.0)),
-    "fft": (DIRICHLET, FFT_MIN_MODES, cubic_nonlinearity()),
+    "cubic": (DIRICHLET, 16, NonlinearitySpec(p=4)),
+    "power_law": (PERIODIC_MEAN_ZERO, 32, NonlinearitySpec(p=3.5)),
+    "custom_table": (DIRICHLET, 24, NonlinearitySpec(4.0, 1.0, 1.0, 1.0, 0.0, table=TabulatedF(_R, 3.0 * _R * _R))),
+    "fft": (DIRICHLET, FFT_MIN_MODES, NonlinearitySpec(p=4)),
 }
 
 
@@ -390,7 +381,7 @@ BLOCKED_KINDS = {
 def test_blocked_energy_table_has_the_bits_of_the_one_shot_formulas(kind, forcing, samples):
     bc, m, nl = BLOCKED_KINDS[kind]
     op = build_operator(DomainSpec(length=1.0, bc=bc), m)
-    fs = zero_forcing() if forcing == "zero" else affine_forcing(g1=0.3, g2=0.2, constant=0.5, g0=0.6)
+    fs = ForcingSpec() if forcing == "zero" else ForcingSpec(g1=0.3, g2=0.2, constant=0.5, g0=0.6)
     rng = np.random.default_rng(samples)
     decay = 1.0 / np.arange(1, m + 1)
     a_hist = rng.standard_normal((samples, m)) * decay

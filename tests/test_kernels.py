@@ -9,17 +9,7 @@ import numpy as np
 import pytest
 
 from wavegalerkin import kernels, spectral
-from wavegalerkin.nonlinearity import (
-    F_on_grid,
-    affine_forcing,
-    constant_modal,
-    cubic_nonlinearity,
-    custom_nonlinearity,
-    linear_nonlinearity,
-    power_law_nonlinearity,
-    tabulated_f,
-    zero_forcing,
-)
+from wavegalerkin.nonlinearity import ForcingSpec, NonlinearitySpec, TabulatedF, constant_modal, F_on_grid
 from wavegalerkin.solver import (
     STORMER_VERLET,
     SolverConfig,
@@ -48,7 +38,7 @@ def test_paths_agree_under_verlet(monkeypatch):
     m = 512
     assert m >= FFT_MIN_MODES
     cfg = SolverConfig(T=0.025, dt=2.5e-4, integrator=STORMER_VERLET)
-    nl, fs = power_law_nonlinearity(4.0), zero_forcing()
+    nl, fs = NonlinearitySpec(p=4.0), ForcingSpec()
     for bc in (DIRICHLET, PERIODIC_MEAN_ZERO):
         op = build_operator(DomainSpec(length=1.0, bc=bc), m)
         x = op.nodes
@@ -244,23 +234,23 @@ def _assert_runs_agree(got, want):
 
 
 _R = np.linspace(-3.0, 3.0, 41)
-_TABLE = tabulated_f(_R, _R**3 + 2.0 * _R)
+_TABLE = TabulatedF(_R, _R**3 + 2.0 * _R)
 # An asymmetric table without a node at 0, narrower than the grid values of
 # _initial_modal, so the stepping loops read both clamped tails of F
 # (test_clamped_table_reaches_both_tails).
-_CLAMPED = tabulated_f([-0.15, -0.05, 0.1], [1.5, 1.0, 1.2])
+_CLAMPED = TabulatedF([-0.15, -0.05, 0.1], [1.5, 1.0, 1.2])
 
 NL_CASES = {
-    "cubic": cubic_nonlinearity(),
-    "power_law": power_law_nonlinearity(3.5),
-    "linear": linear_nonlinearity(),
-    "table": custom_nonlinearity(_TABLE, 4.0, 1.0, 2.0, 0.1, 0.0),
-    "clamped_table": custom_nonlinearity(_CLAMPED, 3.0, 1.0, 1.0, 0.1, 0.0),
+    "cubic": NonlinearitySpec(p=4),
+    "power_law": NonlinearitySpec(p=3.5),
+    "linear": NonlinearitySpec(p=2),
+    "table": NonlinearitySpec(4.0, 1.0, 2.0, 0.1, 0.0, table=_TABLE),
+    "clamped_table": NonlinearitySpec(3.0, 1.0, 1.0, 0.1, 0.0, table=_CLAMPED),
 }
 FS_CASES = {
-    "zero": zero_forcing(),
-    "affine": affine_forcing(g1=0.1, g2=0.05, constant=0.2, g0=0.3),
-    "affine_no_constant": affine_forcing(g1=0.2, g2=0.07),
+    "zero": ForcingSpec(),
+    "affine": ForcingSpec(g1=0.1, g2=0.05, constant=0.2, g0=0.3),
+    "affine_no_constant": ForcingSpec(g1=0.2, g2=0.07),
 }
 
 
@@ -305,7 +295,7 @@ def test_fft_galerkin_term_is_the_batch_maps_bit_for_bit(bc):
     # m >= n/2, the FFT bins past the Nyquist one; _CLAMPED is not odd, so it
     # takes the sign flips.
     rng = np.random.default_rng(11)
-    nls = [cubic_nonlinearity(), power_law_nonlinearity(3.5), power_law_nonlinearity(4.0), NL_CASES["clamped_table"]]
+    nls = [NonlinearitySpec(p=4), NonlinearitySpec(p=3.5), NonlinearitySpec(p=4.0), NL_CASES["clamped_table"]]
     for m in (FFT_MIN_MODES, FFT_MIN_MODES + 1, 512):
         for n in (None, dealias_floor(m, bc), dealias_floor(m, bc) + 1, 3 * m):
             op = build_operator(DomainSpec(length=1.0, bc=bc, grid_points=n), m)
@@ -383,7 +373,7 @@ def _tableau_steps():
     return [1e-3, 5e-4, 2.5e-4] + [_stiff_dt(op) for op in ops]
 
 
-def test_zero_forcing_tableau_is_the_textbook_one_bit_for_bit():
+def test_unforced_tableau_is_the_textbook_one_bit_for_bit():
     for h in _tableau_steps():
         got, want = kernels._rk4_tableau(h), _textbook_tableau(h)
         assert got[1:3] == want[1:3] == (None, None)
@@ -521,7 +511,7 @@ DENSE_STEPPING = {
     "rk4-zero": ("rk4", FS_CASES["zero"]),
     "rk4-affine": ("rk4", FS_CASES["affine"]),
     "stormer_verlet-zero": (STORMER_VERLET, FS_CASES["zero"]),
-    "stormer_verlet-affine": (STORMER_VERLET, affine_forcing(g1=0.1, g2=0.0, constant=0.2, g0=0.3)),
+    "stormer_verlet-affine": (STORMER_VERLET, ForcingSpec(g1=0.1, g2=0.0, constant=0.2, g0=0.3)),
 }
 
 
@@ -691,6 +681,59 @@ def test_screen_stops_a_slow_oscillator_that_crosses_the_ceiling_and_returns(cas
         a_hist, _, rec, div = _both_loops(a0, v0, dt, 64, stride, ceiling, use_verlet, make_terms)
         assert div == outside[0] and rec[-1] == div
         assert np.array_equal(a_hist, free[0][rec])
+
+
+def test_a_growing_mode_stops_where_the_full_check_stops_it(monkeypatch, op16):
+    # Linear F with g1 = 20 > lambda_1: the first mode grows like e^(3.18 t)
+    # with adot about 3.2 times a, so the state fails the screen (53/2)^2
+    # from step 1,390 on, with every q finite, and passes the ceiling 53 at
+    # step 2,000.  A finite q skips the finiteness test; with _FLOAT_MAX at
+    # -inf no q proves a state finite and every step takes the full check.
+    x = op16.nodes
+    a0 = project_initial_data(x * (1.0 - x), np.zeros_like(x), op16).state.a
+    terms = _stepping_terms(op16, NonlinearitySpec(p=2), ForcingSpec(g1=20.0), 2)
+    args = (a0, np.zeros(op16.modes), 1e-3, 3000, 10, 53.0, False, *terms)
+    got = kernels.run_numpy(*args)
+    assert got[3] == 2000 and list(got[2][-3:]) == [1980, 1990, 2000]
+    a, adot = got[0][-2], got[1][-2]
+    assert np.max(np.abs(a)) <= 53.0 < np.max(np.abs(got[0][-1]))
+    assert np.sum(a * a + adot * adot) > (53.0 / 2) ** 2
+    monkeypatch.setattr(kernels, "_FLOAT_MAX", -math.inf)
+    _assert_runs_identical(kernels.run_numpy(*args), got)
+
+
+@pytest.mark.parametrize(
+    "a0, adot0, ceiling, per_step",
+    [
+        # a = 2 sin t fails the screen (3/2)^2 at every step with q finite:
+        # only the ceiling test, max |a|, runs
+        (0.0, 2.0, 3.0, {"isfinite": 0, "all": 0, "abs": 1, "max": 1}),
+        # a = 1e200 cos t: q overflows, so every step takes the full check
+        (1e200, 0.0, 1e300, {"isfinite": 1, "all": 1, "abs": 1, "max": 1}),
+    ],
+    ids=["finite_q", "overflowed_q"],
+)
+@pytest.mark.parametrize("use_verlet", [False, True])
+def test_a_failed_screen_tests_finiteness_only_when_q_overflows(monkeypatch, a0, adot0, ceiling, per_step, use_verlet):
+    counts = dict.fromkeys(per_step, 0)
+
+    def counting(name, func):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
+
+    def calls(n_steps):
+        counts.update(dict.fromkeys(counts, 0))
+        assert kernels.run_numpy(np.array([a0]), np.array([adot0]), 1e-3, n_steps, n_steps, ceiling, use_verlet, _negate_a)[3] == -1
+        return dict(counts)
+
+    before, after = calls(10), calls(11)
+    assert {name: after[name] - before[name] for name in counts} == per_step
 
 
 def _numpy_calls(run) -> int:

@@ -15,20 +15,14 @@ from wavegalerkin.nonlinearity import (
     ConditionReport,
     ForcingSpec,
     NonlinearitySpec,
-    affine_forcing,
+    TabulatedF,
     constant_modal,
-    cubic_nonlinearity,
-    custom_nonlinearity,
     F_on_grid,
     forcing_modal_batch,
-    linear_nonlinearity,
     pointwise_F,
     potential_batch,
-    power_law_nonlinearity,
-    tabulated_f,
     verify_conditions,
     verify_g,
-    zero_forcing,
 )
 from wavegalerkin.estimates import energy_table
 from wavegalerkin.spectral import DIRICHLET, PERIODIC_MEAN_ZERO, DomainSpec, build_operator, grid_to_modes, modes_to_grid
@@ -41,12 +35,12 @@ def _projected_F(nl, x, op):
 
 def test_primitive_closed_forms():
     r = np.array([2.0, -2.0])
-    assert np.allclose(F_on_grid(linear_nonlinearity(), r), [2.0, -2.0])
-    assert np.allclose(F_on_grid(cubic_nonlinearity(), r), [8.0, -8.0])
-    assert np.allclose(F_on_grid(power_law_nonlinearity(3.0), r), [4.0, -4.0])
+    assert np.allclose(F_on_grid(NonlinearitySpec(p=2), r), [2.0, -2.0])
+    assert np.allclose(F_on_grid(NonlinearitySpec(p=4), r), [8.0, -8.0])
+    assert np.allclose(F_on_grid(NonlinearitySpec(p=3.0), r), [4.0, -4.0])
     assert np.allclose(F_on_grid(_abs_table_nonlinearity(), r), [4.0, -4.0])
     # every kind, the custom one included, writes F(u) into out and returns it
-    for nl in (linear_nonlinearity(), cubic_nonlinearity(), power_law_nonlinearity(3.0), _abs_table_nonlinearity()):
+    for nl in (NonlinearitySpec(p=2), NonlinearitySpec(p=4), NonlinearitySpec(p=3.0), _abs_table_nonlinearity()):
         out = np.full_like(r, np.nan)
         assert pointwise_F(nl)(r, out) is out
         assert np.array_equal(out, F_on_grid(nl, r))
@@ -54,8 +48,8 @@ def test_primitive_closed_forms():
 
 def test_primitive_is_integral_of_f():
     integrands = (
-        (cubic_nonlinearity(), lambda s: 3.0 * s * s),
-        (power_law_nonlinearity(3.5), lambda s: 2.5 * abs(s) ** 1.5),
+        (NonlinearitySpec(p=4), lambda s: 3.0 * s * s),
+        (NonlinearitySpec(p=3.5), lambda s: 2.5 * abs(s) ** 1.5),
     )
     for nl, f in integrands:
         for r in (-2.3, -0.4, 0.7, 3.1):
@@ -67,21 +61,21 @@ def _abs_table_nonlinearity():
     # f = 2|r| is piecewise linear with a node at 0, so on the table's range
     # its exact primitives are F = |u| u and Phi = |u|^3 / 3: the power law
     # at p = 3.
-    return custom_nonlinearity(tabulated_f([-50.0, 0.0, 50.0], [100.0, 0.0, 100.0]), 3.0, 1.0, 0.0, 1.0, 0.0)
+    return NonlinearitySpec(3.0, 1.0, 0.0, 1.0, 0.0, table=TabulatedF([-50.0, 0.0, 50.0], [100.0, 0.0, 100.0]))
 
 
 def test_cubic_F_first_mode_projections(op8):
     # (sqrt(2) sin(pi xi))^3 pairs to 3/2 on mode 1 and -1/2 on mode 3
     expect = np.zeros(8)
     expect[0], expect[2] = 1.5, -0.5
-    assert np.allclose(_projected_F(cubic_nonlinearity(), np.eye(8)[0], op8), expect, atol=1e-12)
+    assert np.allclose(_projected_F(NonlinearitySpec(p=4), np.eye(8)[0], op8), expect, atol=1e-12)
 
 
 def test_potential_closed_forms(op8):
     e1 = np.eye(8)[:1]
-    assert potential_batch(e1, op8, linear_nonlinearity())[0] == pytest.approx(0.5, rel=1e-13)
-    assert potential_batch(e1, op8, cubic_nonlinearity())[0] == pytest.approx(0.375, rel=1e-12)
-    assert potential_batch(np.zeros((1, 8)), op8, cubic_nonlinearity())[0] == 0.0
+    assert potential_batch(e1, op8, NonlinearitySpec(p=2))[0] == pytest.approx(0.5, rel=1e-13)
+    assert potential_batch(e1, op8, NonlinearitySpec(p=4))[0] == pytest.approx(0.375, rel=1e-12)
+    assert potential_batch(np.zeros((1, 8)), op8, NonlinearitySpec(p=4))[0] == 0.0
 
 
 def test_potential_quadrature_matches_closed_form(op16):
@@ -89,7 +83,7 @@ def test_potential_quadrature_matches_closed_form(op16):
     # power law at p = 3 has the same potential in closed form
     rng = np.random.default_rng(2)
     c = rng.uniform(-0.5, 0.5, size=(5, 16))
-    closed = potential_batch(c, op16, power_law_nonlinearity(3.0))
+    closed = potential_batch(c, op16, NonlinearitySpec(p=3.0))
     viaquad = potential_batch(c, op16, _abs_table_nonlinearity())
     assert np.allclose(viaquad, closed, rtol=1e-9)
 
@@ -105,8 +99,8 @@ def test_potential_custom_matches_reference_integral(op8):
 def test_potential_is_primitive_of_F(op8):
     rng = np.random.default_rng(9)
     r = np.linspace(-4.0, 4.0, 81)
-    custom = custom_nonlinearity(tabulated_f(r, 3.0 * r * r + np.cos(r)), 4.0, 1.0, 1.0, 1.0, 0.0)
-    for nl in (cubic_nonlinearity(), custom):
+    custom = NonlinearitySpec(4.0, 1.0, 1.0, 1.0, 0.0, table=TabulatedF(r, 3.0 * r * r + np.cos(r)))
+    for nl in (NonlinearitySpec(p=4), custom):
         x = rng.normal(size=8)
         z = rng.normal(size=8)
         z /= np.linalg.norm(z)
@@ -118,7 +112,7 @@ def test_potential_is_primitive_of_F(op8):
 
 
 def test_verify_conditions_power_law_passes(op8):
-    rep = verify_conditions(power_law_nonlinearity(4.0), op8)
+    rep = verify_conditions(NonlinearitySpec(p=4.0), op8)
     assert rep.passed
     assert [c.name for c in rep.checks] == ["monotonicity", "growth", "coercivity", "poincare"]
     assert all(c.witness is None for c in rep.checks)
@@ -130,7 +124,7 @@ def test_verify_conditions_power_law_passes(op8):
 
 def test_verify_conditions_falsifies_decreasing_f(op8):
     # f = -1 everywhere, clamped or not, so F = -u
-    nl = custom_nonlinearity(tabulated_f([-10.0, 10.0], [-1.0, -1.0]), 3.0, 1.0, 1.0, 1.0, 0.0)
+    nl = NonlinearitySpec(3.0, 1.0, 1.0, 1.0, 0.0, table=TabulatedF([-10.0, 10.0], [-1.0, -1.0]))
     rep = verify_conditions(nl, op8)
     assert not rep.passed and rep.range == (-10.0, 10.0)
     mono = rep.checks[0]
@@ -140,7 +134,7 @@ def test_verify_conditions_falsifies_decreasing_f(op8):
 
 def test_verify_conditions_falsifies_overstated_coercivity(op8):
     # F(u) = u only gives F(u) u = u^2, below |u|^3 once |u| > 1
-    nl = custom_nonlinearity(tabulated_f([-10.0, 10.0], [1.0, 1.0]), 3.0, 1.0, 1.0, 1.0, 0.0)
+    nl = NonlinearitySpec(3.0, 1.0, 1.0, 1.0, 0.0, table=TabulatedF([-10.0, 10.0], [1.0, 1.0]))
     coerce = verify_conditions(nl, op8).checks[2]
     assert coerce.name == "coercivity" and not coerce.passed
     w = coerce.witness
@@ -182,7 +176,7 @@ def test_builtin_rules_and_their_witnesses(op8, p, claim, failed):
 
 
 def test_verify_g_affine_passes(op8):
-    fs = affine_forcing(g1=0.3, g2=0.2)
+    fs = ForcingSpec(g1=0.3, g2=0.2)
     rep = verify_g(fs, op8)
     assert rep.passed
     assert [c.name for c in rep.checks] == ["norm_bound", "lipschitz_pairing"]
@@ -190,22 +184,22 @@ def test_verify_g_affine_passes(op8):
 
 def test_verify_g_falsifies_understated_origin(op16):
     # the projected constant 0.3 has H norm ~0.2962 > the declared 0.2
-    bad = affine_forcing(g1=0.1, g2=0.0, constant=0.3, g0=0.2)
+    bad = ForcingSpec(g1=0.1, g2=0.0, constant=0.3, g0=0.2)
     rep = verify_g(bad, op16)
     assert not rep.passed
     norm = rep.checks[0]
     assert norm.name == "norm_bound" and not norm.passed
     assert norm.witness == {"origin_norm": pytest.approx(0.2962, abs=1e-3), "g0": 0.2}
 
-    ok = affine_forcing(g1=0.1, g2=0.0, constant=0.3, g0=0.3)
+    ok = ForcingSpec(g1=0.1, g2=0.0, constant=0.3, g0=0.3)
     assert verify_g(ok, op16).passed
 
 
 def test_verify_g_norm_does_not_overflow_below_the_float_range(op8):
     # ||g(0, 0)|| = 1e300 ||P 1|| = 9.79e299 is a float, though its square is not
     p1 = float(np.linalg.norm(constant_modal(op8)))
-    assert verify_g(affine_forcing(constant=1e300, g0=1e301), op8).passed
-    rep = verify_g(affine_forcing(constant=1e300, g0=1e299), op8)
+    assert verify_g(ForcingSpec(constant=1e300, g0=1e301), op8).passed
+    rep = verify_g(ForcingSpec(constant=1e300, g0=1e299), op8)
     assert not rep.passed
     assert rep.checks[0].witness == {"origin_norm": pytest.approx(1e300 * p1, rel=1e-14), "g0": 1e299}
 
@@ -215,7 +209,7 @@ def test_verify_g_without_a_constant_makes_no_transform(op8, monkeypatch):
         raise AssertionError("g without a constant needs no transform")
 
     monkeypatch.setattr(nonlinearity, "grid_to_modes", no_transform)
-    for fs in (zero_forcing(), affine_forcing(g1=0.3, g2=0.2, g0=0.5)):
+    for fs in (ForcingSpec(), ForcingSpec(g1=0.3, g2=0.2, g0=0.5)):
         assert verify_g(fs, op8).passed
 
 
@@ -225,29 +219,29 @@ def test_verify_g_without_a_constant_makes_no_transform(op8, monkeypatch):
 )
 def test_poincare_is_decided_by_verify_conditions(domain, lambda_min):
     # the operator builds; its lambda_min < 1 fails the last check, and only it
-    rep = verify_conditions(cubic_nonlinearity(), build_operator(domain, 4))
+    rep = verify_conditions(NonlinearitySpec(p=4), build_operator(domain, 4))
     assert [c.name for c in rep.checks if not c.passed] == ["poincare"]
     assert rep.checks[-1].witness == {"lambda_min": pytest.approx(lambda_min, rel=1e-14)}
 
 
-_SHAPE_TABLE = tabulated_f([-10.0, 0.0, 10.0], [1.0, 0.5, 1.0])
+_SHAPE_TABLE = TabulatedF([-10.0, 0.0, 10.0], [1.0, 0.5, 1.0])
 
 
 @pytest.mark.parametrize(
     "nl",
     [
-        linear_nonlinearity(),
-        cubic_nonlinearity(),
-        power_law_nonlinearity(3.0),
+        NonlinearitySpec(p=2),
+        NonlinearitySpec(p=4),
+        NonlinearitySpec(p=3.0),
         NonlinearitySpec(p=3.0, a0=0.5, b0=2.0),
-        custom_nonlinearity(_SHAPE_TABLE, 3.0, 1.0, 10.0, 0.01, 0.0),
-        custom_nonlinearity(tabulated_f([-10.0, 10.0], [-1.0, -1.0]), 3.0, 1.0, 1.0, 1.0, 0.0),
+        NonlinearitySpec(3.0, 1.0, 10.0, 0.01, 0.0, table=_SHAPE_TABLE),
+        NonlinearitySpec(3.0, 1.0, 1.0, 1.0, 0.0, table=TabulatedF([-10.0, 10.0], [-1.0, -1.0])),
     ],
     ids=["linear", "cubic", "power_law", "power_law-overstated", "table", "table-decreasing"],
 )
 @pytest.mark.parametrize(
     "fs",
-    [zero_forcing(), affine_forcing(g1=0.3, g2=0.2), affine_forcing(g1=0.1, constant=0.3, g0=0.2)],
+    [ForcingSpec(), ForcingSpec(g1=0.3, g2=0.2), ForcingSpec(g1=0.1, constant=0.3, g0=0.2)],
     ids=["zero", "affine", "affine-understated"],
 )
 @pytest.mark.parametrize("length", [1.0, 4.0])
@@ -351,7 +345,7 @@ def _no_generator(*args, **kwargs):
 
 
 # Wherever a decided report passes, the drawn reference must pass too.
-BUILTIN_KINDS = [linear_nonlinearity(), cubic_nonlinearity()] + [power_law_nonlinearity(p) for p in (2.5, 3.3, 4.0, 6.0)]
+BUILTIN_KINDS = [NonlinearitySpec(p=2), NonlinearitySpec(p=4)] + [NonlinearitySpec(p=p) for p in (2.5, 3.3, 4.0, 6.0)]
 
 
 @pytest.mark.parametrize(
@@ -376,11 +370,11 @@ def test_decided_forcing_agrees_with_the_drawn_one(bc, monkeypatch):
     c = 0.4
     origin = c * float(np.linalg.norm(constant_modal(op)))
     cases = [
-        zero_forcing(),
-        affine_forcing(g1=0.3, g2=0.2),
-        affine_forcing(g1=0.3, g2=0.2, constant=c, g0=origin * (1.0 + 1e-6)),
-        affine_forcing(g1=0.1, constant=-c, g0=origin * (1.0 + 1e-6)),
-        affine_forcing(g1=0.1, g2=0.5, constant=c, g0=origin * (1.0 - 1e-6)),
+        ForcingSpec(),
+        ForcingSpec(g1=0.3, g2=0.2),
+        ForcingSpec(g1=0.3, g2=0.2, constant=c, g0=origin * (1.0 + 1e-6)),
+        ForcingSpec(g1=0.1, constant=-c, g0=origin * (1.0 + 1e-6)),
+        ForcingSpec(g1=0.1, g2=0.5, constant=c, g0=origin * (1.0 - 1e-6)),
     ]
     drawn = [_reference_verify_g(fs, op, 500, 5) for fs in cases]
     monkeypatch.setattr(np.random, "default_rng", _no_generator)
@@ -401,7 +395,7 @@ def _random_monotone_table(rng, p, reach):
     """A seeded table with f >= 0 and f(0) > 0, roughly (p-1)|r|^(p-2), over [-reach, reach]."""
     r = np.sort(np.r_[rng.uniform(-reach, reach, 40), -reach, reach])
     f = (p - 1.0) * np.abs(r) ** (p - 2.0) * np.exp(0.3 * rng.normal(size=r.size)) + rng.uniform(0.5, 2.0)
-    return tabulated_f(r, f)
+    return TabulatedF(r, f)
 
 
 def _true_constants(table, p, c):
@@ -432,9 +426,9 @@ def test_decided_table_is_never_falsified_by_reference_draws(p, monkeypatch):
         assert a0 > 0.0 and b0 > 0.0
         for scale, inside in ((1.01, True), (0.99, False)):
             claims = (
-                custom_nonlinearity(table, p, a0 * scale, a1, b0 / scale, 0.0),
-                custom_nonlinearity(table, p, a0 * scale, a1, b0, 0.0),
-                custom_nonlinearity(table, p, a0, a1, b0 / scale, 0.0),
+                NonlinearitySpec(p, a0 * scale, a1, b0 / scale, 0.0, table=table),
+                NonlinearitySpec(p, a0 * scale, a1, b0, 0.0, table=table),
+                NonlinearitySpec(p, a0, a1, b0 / scale, 0.0, table=table),
             )
             drawn = [_reference_verify_conditions(nl, op, 500, 100 * k + int(scale * 100)) for nl in claims]
             with monkeypatch.context() as patch:
@@ -457,7 +451,7 @@ def test_benchmark_table_construction_passes(monkeypatch):
     r = np.linspace(-reach, reach, entries)
     h = 2.0 * reach / (entries - 1)
     a1 = float(f"{1.5 * 0.75 * h * h * length**0.25:.6g}")
-    nl = custom_nonlinearity(tabulated_f(r, 3.0 * r * r), 4.0, 1.0, a1, 1.0, 0.0)
+    nl = NonlinearitySpec(4.0, 1.0, a1, 1.0, 0.0, table=TabulatedF(r, 3.0 * r * r))
     monkeypatch.setattr(np.random, "default_rng", _no_generator)
     for bc in (DIRICHLET, PERIODIC_MEAN_ZERO):
         rep = verify_conditions(nl, build_operator(DomainSpec(length=length, bc=bc), modes))
@@ -468,8 +462,8 @@ def test_benchmark_table_construction_passes(monkeypatch):
 def test_coercivity_failing_only_between_knots_is_refused(op8):
     # On [1, 2], f rises from 0 to 14: F = 1.1 + 7 (u - 1)^2 meets u^3 at
     # both knots (1.1 >= 1, 8.1 >= 8) but falls below it in between.
-    table = tabulated_f([0.0, 1.0, 2.0], [2.2, 0.0, 14.0])
-    nl = custom_nonlinearity(table, 4.0, 10.0, 10.0, 1.0, 0.0)
+    table = TabulatedF([0.0, 1.0, 2.0], [2.2, 0.0, 14.0])
+    nl = NonlinearitySpec(4.0, 10.0, 10.0, 1.0, 0.0, table=table)
     knots = np.array([0.0, 1.0, 2.0])
     assert np.all(table.F(knots) * knots >= knots**4)
     rep = verify_conditions(nl, op8)
@@ -484,28 +478,32 @@ def test_negative_f_at_one_knot_fails_monotonicity_there(op8):
     r = np.linspace(-5.0, 5.0, 11)
     f = 3.0 * r * r + 0.5
     f[7] = -0.25
-    rep = verify_conditions(custom_nonlinearity(tabulated_f(r, f), 4.0, 1.0, 10.0, 0.1, 0.0), op8)
+    rep = verify_conditions(NonlinearitySpec(4.0, 1.0, 10.0, 0.1, 0.0, table=TabulatedF(r, f)), op8)
     mono = rep.checks[0]
     assert not mono.passed
     assert mono.witness == {"knot": 7, "u": 2.0, "f": -0.25}
     assert mono.to_dict() == {"name": "monotonicity", "passed": False, "witness": mono.witness}
 
 
-def test_forcing_spec_validation():
+def test_forcing_spec_validation(op8):
     with pytest.raises(ValueError):
         ForcingSpec(g1=-0.1)
     with pytest.raises(ValueError):
-        affine_forcing(constant=0.5)
-    with pytest.raises(ValueError):
         ForcingSpec(g0=-0.1)
+    # g0 bounds ||g(0, 0)||, which depends on the interval: a constant
+    # without it constructs, and verify_g refuses it with its witness
+    norm_bound = verify_g(ForcingSpec(constant=0.5), op8).checks[0]
+    origin = 0.5 * float(np.linalg.norm(constant_modal(op8)))
+    assert norm_bound.name == "norm_bound" and not norm_bound.passed
+    assert norm_bound.witness == {"origin_norm": origin, "g0": 0.0}
     with pytest.raises(ValueError, match="finite"):
         ForcingSpec(constant=math.inf)
     # g is zero exactly when its coefficients are, whatever g0 states
-    assert zero_forcing().unforced and affine_forcing(g0=2.0).unforced
-    assert not any(affine_forcing(**k).unforced for k in (dict(g1=0.1), dict(g2=0.1), dict(constant=-0.1, g0=1.0)))
-    assert not zero_forcing().velocity_dependent
-    assert affine_forcing(g2=0.1).velocity_dependent
-    assert not affine_forcing(g1=0.5).velocity_dependent
+    assert ForcingSpec().unforced and ForcingSpec(g0=2.0).unforced
+    assert not any(ForcingSpec(**k).unforced for k in (dict(g1=0.1), dict(g2=0.1), dict(constant=-0.1, g0=1.0)))
+    assert not ForcingSpec().velocity_dependent
+    assert ForcingSpec(g2=0.1).velocity_dependent
+    assert not ForcingSpec(g1=0.5).velocity_dependent
 
 
 def test_forcing_batch_zero_and_affine(op8):
@@ -513,38 +511,35 @@ def test_forcing_batch_zero_and_affine(op8):
     rng = np.random.default_rng(4)
     a = rng.normal(size=(2, 8))
     adot = rng.normal(size=(2, 8))
-    assert np.all(forcing_modal_batch(zero_forcing(), op8, a, adot) == 0.0)
-    fs = affine_forcing(g1=0.2, g2=0.1, constant=0.5, g0=1.0)
+    assert np.all(forcing_modal_batch(ForcingSpec(), op8, a, adot) == 0.0)
+    fs = ForcingSpec(g1=0.2, g2=0.1, constant=0.5, g0=1.0)
     got = forcing_modal_batch(fs, op8, a, adot)
     want = 0.2 * a + 0.1 * adot / op8.sqrt_eigenvalues + 0.5 * constant_modal(op8)
     assert np.allclose(got, want, rtol=1e-14)
 
 
 def test_tabulated_f_interp_and_clamp():
-    f = tabulated_f([-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0])
+    f = TabulatedF([-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0])
     assert f(np.array([0.5]))[0] == pytest.approx(1.0)
     assert f(np.array([3.0]))[0] == pytest.approx(2.0)
     assert f(np.array([-3.0]))[0] == pytest.approx(-2.0)
     with pytest.raises(ValueError):
-        tabulated_f([1.0, 0.0], [0.0, 1.0])
+        TabulatedF([1.0, 0.0], [0.0, 1.0])
     with pytest.raises(ValueError):
-        tabulated_f([0.0, 1.0], [0.0, 1.0, 2.0])
+        TabulatedF([0.0, 1.0], [0.0, 1.0, 2.0])
 
 
 def test_nonlinearity_spec_validation():
     with pytest.raises(ValueError, match=">= 2"):
-        power_law_nonlinearity(1.5)
+        NonlinearitySpec(p=1.5)
     with pytest.raises(ValueError):
         NonlinearitySpec(p=4.0, a0=0.0)
-    # linear and cubic are the power law at p = 2 and p = 4, constants and all
-    for named, p in ((linear_nonlinearity(), 2.0), (cubic_nonlinearity(), 4.0)):
-        assert dataclasses.asdict(named) == dataclasses.asdict(power_law_nonlinearity(p))
     # a table is a TabulatedF with its exact primitives, and needs p > 2
-    table = tabulated_f([-1.0, 1.0], [-3.0, 3.0])
+    table = TabulatedF([-1.0, 1.0], [-3.0, 3.0])
     with pytest.raises(ValueError, match="TabulatedF"):
         NonlinearitySpec(p=3.0, table=np.cos)
     with pytest.raises(ValueError, match="p must be > 2"):
-        custom_nonlinearity(table, 2.0, 1.0, 0.0, 1.0, 0.0)
+        NonlinearitySpec(2.0, 1.0, 0.0, 1.0, 0.0, table=table)
 
 
 # Tables for the exact primitives: 0 as a node, 0 between nodes, and a
@@ -581,7 +576,7 @@ def _piecewise_reference(r, fv, u):
 def test_table_primitives_match_piecewise_reference(name):
     r, fn = EXACT_TABLES[name]
     fv = fn(r)
-    table = tabulated_f(r, fv)
+    table = TabulatedF(r, fv)
     R = float(np.max(np.abs(r)))
     u = np.concatenate(
         (
@@ -604,7 +599,7 @@ def test_table_primitives_match_piecewise_reference(name):
 @pytest.mark.parametrize("name", sorted(EXACT_TABLES))
 def test_table_primitives_differentiate_to_f_and_F(name):
     r, fn = EXACT_TABLES[name]
-    table = tabulated_f(r, fn(r))
+    table = TabulatedF(r, fn(r))
     R = float(np.max(np.abs(r)))
     u = np.random.default_rng(5).uniform(-2.0 * R, 2.0 * R, 400)
     eps = 1e-6
@@ -617,8 +612,8 @@ def test_table_primitives_differentiate_to_f_and_F(name):
 def test_table_primitives_reach_stepping_and_potential(op16):
     # The table's exact F and Phi replace quadrature on every path: for a
     # table of f = 3r (exact on a two-node table) F = 1.5u^2 and Phi = u^3/2.
-    table = tabulated_f([-50.0, 50.0], [-150.0, 150.0])
-    nl = custom_nonlinearity(table, 4.0, 1.0, 1.0, 1.0, 0.0)
+    table = TabulatedF([-50.0, 50.0], [-150.0, 150.0])
+    nl = NonlinearitySpec(4.0, 1.0, 1.0, 1.0, 0.0, table=table)
     u = np.linspace(-3.0, 3.0, 13)
     assert np.allclose(F_on_grid(nl, u), 1.5 * u * u, rtol=1e-14, atol=1e-14)
     c = np.random.default_rng(8).uniform(-0.5, 0.5, size=(3, 16))

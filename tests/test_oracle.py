@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wavegalerkin.nonlinearity import cubic_nonlinearity, linear_nonlinearity, zero_forcing
+from wavegalerkin.nonlinearity import ForcingSpec, NonlinearitySpec
 from wavegalerkin.oracle import (
     BERNOULLI,
     GRONWALL_LINEAR,
@@ -57,7 +57,7 @@ def test_linear_exact_satisfies_equation():
 
 def test_reference_run_matches_closed_form():
     dom = DomainSpec(length=1.0, bc=DIRICHLET)
-    ref = reference_run(dom, linear_nonlinearity(), zero_forcing(), [1.0], [], T=1.0, m_ref=4, dt_ref=1e-4, sample_stride=100)
+    ref = reference_run(dom, NonlinearitySpec(p=2), ForcingSpec(), [1.0], [], T=1.0, m_ref=4, dt_ref=1e-4, sample_stride=100)
     assert ref.backend == "oracle"
     t = ref.times
     assert np.max(np.abs(ref.a[:, 0] - np.cos(math.pi * t))) <= 1e-10
@@ -67,20 +67,20 @@ def test_reference_run_matches_closed_form():
 def test_reference_and_production_agree_at_same_resolution():
     dom = DomainSpec(length=1.0, bc=DIRICHLET)
     x0 = [0.2, 0.0, 0.05]
-    ref = reference_run(dom, cubic_nonlinearity(), zero_forcing(), x0, [], T=1.0, m_ref=8, dt_ref=1e-3)
+    ref = reference_run(dom, NonlinearitySpec(p=4), ForcingSpec(), x0, [], T=1.0, m_ref=8, dt_ref=1e-3)
     op = build_operator(dom, 8)
     init = State(a=fit_modal(x0, op)[0], adot=np.zeros(op.modes))
-    traj = integrate(init, SolverConfig(T=1.0, dt=1e-3), op, cubic_nonlinearity(), zero_forcing())
+    traj = integrate(init, SolverConfig(T=1.0, dt=1e-3), op, NonlinearitySpec(p=4), ForcingSpec())
     assert max_H_error(traj, ref) <= 1e-12
 
 
 def test_max_H_error_counts_reference_tail():
     dom = DomainSpec(length=1.0, bc=DIRICHLET)
     x0 = [0.3]
-    ref = reference_run(dom, cubic_nonlinearity(), zero_forcing(), x0, [], T=0.5, m_ref=16, dt_ref=1e-3)
+    ref = reference_run(dom, NonlinearitySpec(p=4), ForcingSpec(), x0, [], T=0.5, m_ref=16, dt_ref=1e-3)
     op = build_operator(dom, 8)
     init = State(a=fit_modal(x0, op)[0], adot=np.zeros(op.modes))
-    traj = integrate(init, SolverConfig(T=0.5, dt=1e-3), op, cubic_nonlinearity(), zero_forcing())
+    traj = integrate(init, SolverConfig(T=0.5, dt=1e-3), op, NonlinearitySpec(p=4), ForcingSpec())
     err = max_H_error(traj, ref)
     tail = float(np.max(np.sqrt(np.sum(ref.a[:, 8:] ** 2, axis=1))))
     assert err >= tail > 0.0
@@ -88,7 +88,7 @@ def test_max_H_error_counts_reference_tail():
 
 def test_max_H_error_requires_aligned_times():
     dom = DomainSpec(length=1.0, bc=DIRICHLET)
-    nl, fs = linear_nonlinearity(), zero_forcing()
+    nl, fs = NonlinearitySpec(p=2), ForcingSpec()
     ref = reference_run(dom, nl, fs, [1.0], [], T=1.0, m_ref=2, dt_ref=0.2)
     op = build_operator(dom, 2)
     init = State(a=fit_modal([1.0], op)[0], adot=np.zeros(op.modes))

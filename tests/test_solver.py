@@ -5,15 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wavegalerkin.nonlinearity import (
-    affine_forcing,
-    cubic_nonlinearity,
-    custom_nonlinearity,
-    linear_nonlinearity,
-    power_law_nonlinearity,
-    tabulated_f,
-    zero_forcing,
-)
+from wavegalerkin.nonlinearity import ForcingSpec, NonlinearitySpec, TabulatedF
 from wavegalerkin.oracle import reference_run
 from wavegalerkin.solver import (
     RK4,
@@ -57,7 +49,7 @@ def test_state_is_readonly_and_validated():
 
 def test_acceleration_zero_state(op8):
     s = State(a=np.zeros(8), adot=np.zeros(8))
-    acc = acceleration(s, op8, cubic_nonlinearity(), zero_forcing())
+    acc = acceleration(s, op8, NonlinearitySpec(p=4), ForcingSpec())
     assert np.all(acc == 0.0)
 
 
@@ -65,7 +57,7 @@ def test_acceleration_cubic_first_mode():
     op = build_operator(DomainSpec(length=1.0, bc=DIRICHLET), 4)
     a = np.zeros(4)
     a[0] = 1.0
-    acc = acceleration(State(a=a, adot=np.zeros(4)), op, cubic_nonlinearity(), zero_forcing())
+    acc = acceleration(State(a=a, adot=np.zeros(4)), op, NonlinearitySpec(p=4), ForcingSpec())
     # F(e1) has coefficients (3/2, 0, -1/2, 0)
     want = np.array([-(math.pi ** 2) * 1.5, 0.0, (3.0 * math.pi) ** 2 * 0.5, 0.0])
     assert np.allclose(acc, want, rtol=1e-12, atol=1e-10)
@@ -98,8 +90,8 @@ def _agrees(got, want, rtol=1e-12):
     return got.shape == want.shape and np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
-_TABLE = tabulated_f(np.linspace(-2.0, 2.0, 21), np.linspace(-2.0, 2.0, 21) ** 3)
-_CUSTOM_F = custom_nonlinearity(_TABLE, 4.0, 1.0, 1.0, 0.1, 0.0)
+_TABLE = TabulatedF(np.linspace(-2.0, 2.0, 21), np.linspace(-2.0, 2.0, 21) ** 3)
+_CUSTOM_F = NonlinearitySpec(4.0, 1.0, 1.0, 0.1, 0.0, table=_TABLE)
 
 
 # On dense products every nonlinear F, a custom one included, is folded into
@@ -116,15 +108,15 @@ def test_acceleration_implementations_agree(op8, seed):
     # under each forcing, on the dense products (m=8, and the largest dense
     # periodic operator just below FFT_MIN_MODES) and on the FFT pair (m=512).
     nls = [
-        linear_nonlinearity(),
-        cubic_nonlinearity(),
-        power_law_nonlinearity(3.5),
+        NonlinearitySpec(p=2),
+        NonlinearitySpec(p=4),
+        NonlinearitySpec(p=3.5),
         _CUSTOM_F,
     ]
     forcings = [
-        zero_forcing(),
-        affine_forcing(g1=0.3, g2=0.2),
-        affine_forcing(g1=0.3, g2=0.2, constant=0.1, g0=0.2),
+        ForcingSpec(),
+        ForcingSpec(g1=0.3, g2=0.2),
+        ForcingSpec(g1=0.3, g2=0.2, constant=0.1, g0=0.2),
     ]
     assert 512 >= FFT_MIN_MODES
     ops = (
@@ -177,7 +169,7 @@ def _accelerate_three_times(op, nl, fs):
 # FFT each way on its block of two rows, which shows that the count sees the
 # stepping term's calls.
 # The count is of the gufuncs an FFT plan calls, not of numpy.fft's wrappers.
-@pytest.mark.parametrize("fs", [zero_forcing(), affine_forcing(g1=0.3, g2=0.2, constant=0.1, g0=0.2)], ids=["zero", "affine"])
+@pytest.mark.parametrize("fs", [ForcingSpec(), ForcingSpec(g1=0.3, g2=0.2, constant=0.1, g0=0.2)], ids=["zero", "affine"])
 @pytest.mark.parametrize("m", [8, FFT_MIN_MODES - 1])
 def test_dense_custom_F_never_calls_an_fft(m, fs, monkeypatch):
     calls = _count_ffts(monkeypatch)
@@ -196,7 +188,7 @@ def test_dense_custom_F_never_calls_an_fft(m, fs, monkeypatch):
 
 def test_harmonic_mode_tracks_cosine(op8):
     init = State(a=fit_modal([1.0], op8)[0], adot=np.zeros(op8.modes))
-    traj = integrate(init, SolverConfig(T=2.0, dt=1e-3), op8, linear_nonlinearity(), zero_forcing())
+    traj = integrate(init, SolverConfig(T=2.0, dt=1e-3), op8, NonlinearitySpec(p=2), ForcingSpec())
     t = traj.times
     assert np.max(np.abs(traj.a[:, 0] - np.cos(math.pi * t))) <= 1e-9
     assert np.max(np.abs(traj.a[:, 1:])) == 0.0
@@ -207,7 +199,7 @@ def test_rk4_error_scales_as_fourth_order(op8):
     init = State(a=fit_modal([1.0], op8)[0], adot=np.zeros(op8.modes))
     errs = []
     for dt in (2e-3, 1e-3):
-        traj = integrate(init, SolverConfig(T=2.0, dt=dt), op8, linear_nonlinearity(), zero_forcing())
+        traj = integrate(init, SolverConfig(T=2.0, dt=dt), op8, NonlinearitySpec(p=2), ForcingSpec())
         errs.append(np.max(np.abs(traj.a[:, 0] - np.cos(math.pi * traj.times))))
     assert 13.0 <= errs[0] / errs[1] <= 19.0
 
@@ -229,8 +221,8 @@ def test_rk4_order_on_the_folded_acceleration(op8):
     # system, so the errors stop shrinking.  The initial data are not
     # symmetric about the midpoint, so every mode moves and every nonzero
     # entry of L and G acts on the run.
-    nl = cubic_nonlinearity()
-    fs = affine_forcing(g1=0.3, g2=0.2, constant=0.5, g0=1.0)
+    nl = NonlinearitySpec(p=4)
+    fs = ForcingSpec(g1=0.3, g2=0.2, constant=0.5, g0=1.0)
     x = op8.nodes
     init = project_initial_data(4.0 * x * (1.0 - x) * (1.0 + x), 0.5 * np.sin(math.pi * x) + x - 0.3, op8).state
     dt = 2e-3  # dt * sqrt(lambda_max) = 0.05
@@ -245,7 +237,7 @@ def test_symmetry_invariant_subspace_stays_exact():
     # trajectory inside that subspace and the even coefficients stay at 0
     op = build_operator(DomainSpec(length=1.0, bc=DIRICHLET), 6)
     init = State(a=fit_modal([0.5, 0.0, 0.3], op)[0], adot=np.zeros(op.modes))
-    traj = integrate(init, SolverConfig(T=1.0, dt=1e-3), op, cubic_nonlinearity(), zero_forcing())
+    traj = integrate(init, SolverConfig(T=1.0, dt=1e-3), op, NonlinearitySpec(p=4), ForcingSpec())
     assert np.max(np.abs(traj.a[:, 1::2])) <= 1e-12
     assert np.max(np.abs(traj.a[:, 0::2])) > 1e-2
 
@@ -253,9 +245,9 @@ def test_symmetry_invariant_subspace_stays_exact():
 def test_verlet_is_time_reversible(op8):
     init = State(a=fit_modal([0.4, 0.1], op8)[0], adot=fit_modal([0.0, 0.2], op8)[0])
     cfg = SolverConfig(T=1.0, dt=1e-3, integrator=STORMER_VERLET)
-    fwd = integrate(init, cfg, op8, cubic_nonlinearity(), zero_forcing())
+    fwd = integrate(init, cfg, op8, NonlinearitySpec(p=4), ForcingSpec())
     flipped = State(a=fwd.final_state.a, adot=-fwd.final_state.adot, t=0.0)
-    back = integrate(flipped, cfg, op8, cubic_nonlinearity(), zero_forcing())
+    back = integrate(flipped, cfg, op8, NonlinearitySpec(p=4), ForcingSpec())
     assert np.max(np.abs(back.final_state.a - init.a)) <= 1e-9
     assert np.max(np.abs(back.final_state.adot + init.adot)) <= 1e-9
 
@@ -264,15 +256,15 @@ def test_verlet_rejects_velocity_forcing(op8):
     init = State(a=fit_modal([0.1], op8)[0], adot=np.zeros(op8.modes))
     cfg = SolverConfig(T=0.1, dt=1e-3, integrator=STORMER_VERLET)
     with pytest.raises(ValueError, match="velocity"):
-        integrate(init, cfg, op8, cubic_nonlinearity(), affine_forcing(g2=0.1))
-    traj = integrate(init, cfg, op8, cubic_nonlinearity(), affine_forcing(g1=0.1))
+        integrate(init, cfg, op8, NonlinearitySpec(p=4), ForcingSpec(g2=0.1))
+    traj = integrate(init, cfg, op8, NonlinearitySpec(p=4), ForcingSpec(g1=0.1))
     assert len(traj) == 101
 
 
 def test_divergence_flags_partial_trajectory(op8):
     init = State(a=fit_modal([50.0], op8)[0], adot=np.zeros(op8.modes))
     cfg = SolverConfig(T=1.0, dt=1e-2, blowup_ceiling=1e6)
-    traj = integrate(init, cfg, op8, cubic_nonlinearity(), zero_forcing())
+    traj = integrate(init, cfg, op8, NonlinearitySpec(p=4), ForcingSpec())
     assert traj.diverged
     assert traj.diverged_at is not None and traj.diverged_at > 0.0
     assert traj.diverged_at == pytest.approx(traj.times[-1])
@@ -284,7 +276,7 @@ def test_divergence_flags_partial_trajectory(op8):
 
 def test_integrate_input_checks(op8):
     cfg = SolverConfig(T=0.1, dt=1e-3)
-    nl, fs = cubic_nonlinearity(), zero_forcing()
+    nl, fs = NonlinearitySpec(p=4), ForcingSpec()
     with pytest.raises(ValueError):
         integrate(State(a=np.zeros(4), adot=np.zeros(4)), cfg, op8, nl, fs)
     with pytest.raises(ValueError):
@@ -347,13 +339,13 @@ def test_modal_initial_data_truncates_and_pads(op8):
 
 def test_trajectory_sampling_and_zero_T(op8):
     init = State(a=fit_modal([0.3], op8)[0], adot=fit_modal([0.1], op8)[0])
-    traj0 = integrate(init, SolverConfig(T=0.0, dt=1e-3), op8, cubic_nonlinearity(), zero_forcing())
+    traj0 = integrate(init, SolverConfig(T=0.0, dt=1e-3), op8, NonlinearitySpec(p=4), ForcingSpec())
     assert len(traj0) == 1
     assert traj0.times[0] == 0.0
     assert traj0.final_state.t == 0.0
     assert not traj0.diverged
 
-    traj = integrate(init, SolverConfig(T=1.0, dt=1e-2, sample_stride=10), op8, cubic_nonlinearity(), zero_forcing())
+    traj = integrate(init, SolverConfig(T=1.0, dt=1e-2, sample_stride=10), op8, NonlinearitySpec(p=4), ForcingSpec())
     assert len(traj) == 11
     assert np.allclose(traj.times, np.linspace(0.0, 1.0, 11), atol=1e-12)
     assert np.all(traj.a[0] == init.a) and traj.energy.t[0] == 0.0
@@ -362,18 +354,18 @@ def test_trajectory_sampling_and_zero_T(op8):
 
 def test_custom_kind_follows_the_power_law_kind(op8):
     # a table of f = 2|r| with a node at 0 has F = |u| u on its range
-    nl = custom_nonlinearity(tabulated_f([-50.0, 0.0, 50.0], [100.0, 0.0, 100.0]), 3.0, 1.0, 0.0, 1.0, 0.0)
+    nl = NonlinearitySpec(3.0, 1.0, 0.0, 1.0, 0.0, table=TabulatedF([-50.0, 0.0, 50.0], [100.0, 0.0, 100.0]))
     init = State(a=fit_modal([0.2], op8)[0], adot=np.zeros(op8.modes))
-    traj = integrate(init, SolverConfig(T=0.1, dt=1e-3), op8, nl, zero_forcing())
-    power = integrate(init, SolverConfig(T=0.1, dt=1e-3), op8, power_law_nonlinearity(3.0), zero_forcing())
+    traj = integrate(init, SolverConfig(T=0.1, dt=1e-3), op8, nl, ForcingSpec())
+    power = integrate(init, SolverConfig(T=0.1, dt=1e-3), op8, NonlinearitySpec(p=3.0), ForcingSpec())
     assert np.allclose(traj.a, power.a, atol=1e-10)
 
 
 @pytest.mark.parametrize(
     "bc,nl,fs",
     [
-        (DIRICHLET, power_law_nonlinearity(4.0), zero_forcing()),
-        (PERIODIC_MEAN_ZERO, cubic_nonlinearity(), affine_forcing(g1=0.3, g2=0.2, constant=0.5, g0=0.5)),
+        (DIRICHLET, NonlinearitySpec(p=4.0), ForcingSpec()),
+        (PERIODIC_MEAN_ZERO, NonlinearitySpec(p=4), ForcingSpec(g1=0.3, g2=0.2, constant=0.5, g0=0.5)),
     ],
     ids=["dirichlet-power_law", "periodic-affine-cubic"],
 )

@@ -10,14 +10,7 @@ import numpy as np
 import pytest
 
 import wavegalerkin
-from wavegalerkin.nonlinearity import (
-    affine_forcing,
-    cubic_nonlinearity,
-    custom_nonlinearity,
-    pointwise_F,
-    power_law_nonlinearity,
-    tabulated_f,
-)
+from wavegalerkin.nonlinearity import ForcingSpec, NonlinearitySpec, TabulatedF, pointwise_F
 from wavegalerkin.oracle import _oracle_nodes
 from wavegalerkin.solver import SolverConfig, integrate, project_initial_data
 from wavegalerkin.spectral import (
@@ -378,7 +371,7 @@ def test_plan_ffts_are_numpy_fft_bit_for_bit(bc, n, monkeypatch):
         c = rng.normal(size=batch + (m,))
         assert np.array_equal(plan.to_grid(c), public.to_grid(c))
         assert np.array_equal(plan.from_grid(u), public.from_grid(u))
-    F = pointwise_F(cubic_nonlinearity())
+    F = pointwise_F(NonlinearitySpec(p=4))
     scale = -rng.uniform(1.0, 2.0, m)
     for rows in (1, 2):
         block = rng.normal(size=(rows, m)) / m
@@ -389,7 +382,7 @@ def test_plan_ffts_are_numpy_fft_bit_for_bit(bc, n, monkeypatch):
             assert np.array_equal(got, want)
 
 
-_TABLE = tabulated_f(np.linspace(-2.0, 2.0, 21), np.linspace(-2.0, 2.0, 21) ** 3 + 0.1)
+_TABLE = TabulatedF(np.linspace(-2.0, 2.0, 21), np.linspace(-2.0, 2.0, 21) ** 3 + 0.1)
 
 
 @pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC_MEAN_ZERO])
@@ -399,13 +392,13 @@ def test_rk4_without_the_private_fft_module_gives_the_same_bits(bc, monkeypatch)
     # FFT pair, with its constant forcing projected by the plan, keeps its
     # bits.  The table is not odd, so its term takes the sign flips.
     cfg = SolverConfig(T=0.002, dt=1e-4)
-    fs = affine_forcing(g1=0.1, g2=0.05, constant=0.2, g0=0.3)
+    fs = ForcingSpec(g1=0.1, g2=0.05, constant=0.2, g0=0.3)
 
     def runs():
         op = build_operator(DomainSpec(length=1.0, bc=bc), FFT_MIN_MODES)
         x = op.nodes
         init = project_initial_data(0.5 * np.sin(2.0 * math.pi * x), 0.3 * np.cos(2.0 * math.pi * x), op).state
-        nls = (power_law_nonlinearity(4.0), custom_nonlinearity(_TABLE, 4.0, 1.0, 1.0, 0.1, 0.0))
+        nls = (NonlinearitySpec(p=4.0), NonlinearitySpec(4.0, 1.0, 1.0, 0.1, 0.0, table=_TABLE))
         return op, [integrate(init, cfg, op, nl, fs) for nl in nls]
 
     op, want = runs()
